@@ -18,23 +18,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .aumann import PositivityError, QuadratureError, QuadratureSpec
-from .explorer import SearchSpace, emit_counterexample, min_slack_search
-from .hh_check import (
-    DEFAULT_TOL,
-    THEOREM_IDS,
-    ConvexityGrid,
-    TheoremReport,
-    check_hh,
-    check_lemma_shift,
-    check_nikodem,
-    check_prop31,
-    check_strongly_harmonic_convex,
-    check_strongly_harmonic_midconvex,
-    check_cor34,
-    check_cor36,
-    check_thm33,
-    check_thm35,
-)
+from .explorer import (SearchSpace, check_modulus, emit_counterexample, min_slack_search,
+                       run_theorems)
+from .hh_check import DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport
+# Not called here: perfbench/spans.py wraps these names in this module.
+from .hh_check import (  # noqa: F401
+    check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
+    check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
 from .set_core import Interval, RepresentationMismatchError, SupportSet, UnsupportedProductError
 from .svf import (
     DomainError,
@@ -44,7 +34,6 @@ from .svf import (
     SetValuedFn,
     make_disc_family,
     make_quadratic_family,
-    reciprocal_transform,
 )
 
 MODES = ("verify", "search", "baseline")
@@ -129,14 +118,22 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"unknown theorem id: {tid!r}")
 
     families = list(doc.get("families", []))
+    c = float(doc.get("c", 0.0))
     if mode in ("verify", "baseline"):
         if not families:
             raise ConfigError(f"{mode} mode needs at least one family descriptor")
         if mode == "verify" and not theorems:
             raise ConfigError("verify mode needs a nonempty theorem list")
+        if mode == "baseline":
+            theorems = [t for t in theorems if t.startswith("nikodem")] or \
+                ["nikodem_left", "nikodem_right"]
         for fam in families:
             if "a" not in fam or "b" not in fam:
                 raise ConfigError("family descriptor is missing its domain (a, b)")
+        try:
+            check_modulus(theorems, c)
+        except FeasibilityError as exc:
+            raise ConfigError(str(exc)) from exc
     search = doc.get("search")
     if mode == "search":
         if not isinstance(search, dict):
@@ -147,7 +144,7 @@ def parse_config(doc: dict) -> RunConfig:
     return RunConfig(
         mode=mode,
         families=families,
-        c=float(doc.get("c", 0.0)),
+        c=c,
         grid=grid,
         quadrature=quadrature,
         theorems=theorems,
@@ -197,36 +194,6 @@ def _report_entry(rep: TheoremReport, family_index: int) -> dict:
     }
 
 
-def _run_theorem(tid: str, f: SetValuedFn, cfg: RunConfig) -> TheoremReport:
-    c, grid, quad, tol = cfg.c, cfg.grid, cfg.quadrature, cfg.tolerance
-    dom = f.domain
-    if tid == "def_shc":
-        return check_strongly_harmonic_convex(f, c, grid, tol)
-    if tid == "def_mid":
-        return check_strongly_harmonic_midconvex(f, c, grid, tol)
-    if tid == "lemma_i":
-        return check_lemma_shift(f, c, grid, tol, direction="forward")
-    if tid == "lemma_ii":
-        return check_lemma_shift(f, c, grid, tol, direction="forward", midconvex=True)
-    if tid == "prop_31":
-        return check_prop31(f, c, grid, tol)
-    if tid in ("hh_left", "hh_right"):
-        left, right = check_hh(f, c, dom, quad, tol)
-        return left if tid == "hh_left" else right
-    if tid in ("nikodem_left", "nikodem_right"):
-        left, right = check_nikodem(reciprocal_transform(f), c, quad, tol)
-        return left if tid == "nikodem_left" else right
-    if tid == "thm33":
-        return check_thm33(f, f, c, dom, quad, tol)
-    if tid == "cor34":
-        return check_cor34(f, c, dom, quad, tol)
-    if tid == "thm35":
-        return check_thm35(f, f, c, dom, quad, tol)
-    if tid == "cor36":
-        return check_cor36(f, c, dom, quad, tol)
-    raise ConfigError(f"unknown theorem id: {tid!r}")
-
-
 @dataclass
 class RunReport:
     config: dict
@@ -274,14 +241,10 @@ def run(cfg: RunConfig) -> tuple:
             "seed": result.seed,
         })
     else:
-        theorems = cfg.theorems
-        if cfg.mode == "baseline":
-            theorems = [t for t in theorems if t.startswith("nikodem")] or \
-                ["nikodem_left", "nikodem_right"]
         for idx, descriptor in enumerate(cfg.families):
-            f = build_family(descriptor)
-            for tid in theorems:
-                entries.append(_report_entry(_run_theorem(tid, f, cfg), idx))
+            reports = run_theorems(build_family(descriptor), cfg.theorems, cfg.c,
+                                   cfg.grid, cfg.quadrature, cfg.tolerance)
+            entries.extend(_report_entry(rep, idx) for rep in reports)
 
     held = sum(1 for e in entries if e["holds"])
     failed = len(entries) - held - errored

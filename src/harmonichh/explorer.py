@@ -9,38 +9,44 @@ Sampling is Latin-hypercube followed by a derivative-free coordinate
 descent around the best sample (3 rounds of shrinking steps).  Results
 are deterministic given (space, budget, seed); ties are broken by
 lexicographic config ordering.
+
+The theorem table and ``run_theorems`` live here too: they are the one
+way the search and the CLI run a theorem on a family.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .aumann import QuadratureSpec
 from .hh_check import (
     DEFAULT_TOL,
-    THEOREM_IDS,
     ConvexityGrid,
+    TheoremReport,
     check_hh,
-    check_lemma_shift,
     check_nikodem,
     check_prop31,
     check_strongly_harmonic_convex,
     check_strongly_harmonic_midconvex,
-    check_cor34,
-    check_cor36,
     check_thm33,
     check_thm35,
+    cor36_report,
+    shift_lemma_report,
 )
+# Not called here: perfbench/spans.py wraps these names in this module too.
+from .hh_check import check_cor34, check_cor36, check_lemma_shift  # noqa: F401
 from .svf import (
-    DiscFn,
     FeasibilityError,
     HarmonicDomain,
-    QuadraticIntervalFn,
-    FamilyCertificate,
+    SetValuedFn,
+    c_shift,
+    make_disc_family,
+    make_quadratic_family,
     reciprocal_transform,
 )
 
@@ -73,6 +79,9 @@ class SearchSpace:
         if not (0.0 < self.a[0] and self.a[1] < self.b[0]):
             raise FeasibilityError(
                 "feasible space needs 0 < a-range strictly below b-range")
+        for name in ("beta",) if self.family == "disc" else ("alpha", "beta"):
+            if not getattr(self, name)[0] > 0.0:
+                raise FeasibilityError(f"{self.family} family needs {name} > 0")
         if self.c[0] <= 0.0 and self.certified_only:
             raise FeasibilityError("certified-only search needs c > 0")
 
@@ -117,54 +126,103 @@ def _repair(space: SearchSpace, raw: dict) -> dict:
     return cfg
 
 
-def build_function(cfg: dict):
+def build_function(cfg: dict) -> SetValuedFn:
     """Instantiate the set-valued function described by a search config."""
     dom = HarmonicDomain(cfg["a"], cfg["b"])
     if cfg["family"] == "quadratic-interval":
-        cert = FamilyCertificate(min(cfg["alpha"], cfg["beta"]), "search sample")
-        return QuadraticIntervalFn(cfg["alpha"], cfg["beta"], cfg["K"], dom,
-                                   certificate=cert)
-    cert = FamilyCertificate(cfg["beta"], "search sample")
-    return DiscFn((cfg["v0"], cfg["v1"]), (cfg["w0"], cfg["w1"]),
-                  cfg["K"], cfg["beta"], dom, certificate=cert)
+        return make_quadratic_family(cfg["alpha"], cfg["beta"], cfg["K"], dom)
+    return make_disc_family((cfg["v0"], cfg["v1"]), (cfg["w0"], cfg["w1"]),
+                            cfg["K"], cfg["beta"], dom)
+
+
+# The theorem table.  Each row is one distinct checker call and the ids whose
+# reports it yields, in THEOREM_IDS order.  ``compute(f, c, grid, quad, tol,
+# report)`` returns one report per id; ``report(tid)`` gives it the report of
+# another row.  Rows look the checkers up in this module when they run, so a
+# tracer that wraps them here sees every call.
+
+class TheoremRow(NamedTuple):
+    ids: Tuple[str, ...]
+    compute: Callable
+    positive_c: bool = False  # the row needs c > 0; every other row needs c >= 0
+
+
+def _lemma_i(f, c, grid, quad, tol, report):
+    # the strong side of the shift lemma is the defining inclusion itself
+    shifted = check_strongly_harmonic_convex(c_shift(f, c), 0.0, grid, tol)
+    return (shift_lemma_report("lemma_i", report("def_shc"), shifted, c, "forward"),)
+
+
+def _lemma_ii(f, c, grid, quad, tol, report):
+    shifted = check_strongly_harmonic_midconvex(c_shift(f, c), 0.0, grid, tol)
+    return (shift_lemma_report("lemma_ii", report("def_mid"), shifted, c, "forward"),)
+
+
+def _thm33_cor34(f, c, grid, quad, tol, report):
+    rep = check_thm33(f, f, c, f.domain, quad, tol)
+    return rep, dataclasses.replace(rep, theorem_id="cor34")
+
+
+def _thm35_cor36(f, c, grid, quad, tol, report):
+    rep = check_thm35(f, f, c, f.domain, quad, tol)
+    return rep, cor36_report(rep, f, c, f.domain, tol)
+
+
+THEOREM_TABLE = (
+    TheoremRow(("def_shc",), lambda f, c, grid, quad, tol, report: (
+        check_strongly_harmonic_convex(f, c, grid, tol),)),
+    TheoremRow(("def_mid",), lambda f, c, grid, quad, tol, report: (
+        check_strongly_harmonic_midconvex(f, c, grid, tol),)),
+    TheoremRow(("lemma_i",), _lemma_i, positive_c=True),
+    TheoremRow(("lemma_ii",), _lemma_ii, positive_c=True),
+    TheoremRow(("prop_31",), lambda f, c, grid, quad, tol, report: (
+        check_prop31(f, c, grid, tol),)),
+    TheoremRow(("nikodem_left", "nikodem_right"), lambda f, c, grid, quad, tol, report:
+               check_nikodem(reciprocal_transform(f), c, quad, tol)),
+    TheoremRow(("hh_left", "hh_right"), lambda f, c, grid, quad, tol, report:
+               check_hh(f, c, f.domain, quad, tol)),
+    TheoremRow(("thm33", "cor34"), _thm33_cor34),
+    TheoremRow(("thm35", "cor36"), _thm35_cor36),
+)
+
+_ROW_OF = {tid: row for row in THEOREM_TABLE for tid in row.ids}
+
+
+def check_modulus(ids: Sequence[str], c: float) -> None:
+    """Raise unless every theorem id is known and its row accepts modulus c."""
+    for tid in ids:
+        if tid not in _ROW_OF:
+            raise ValueError(f"unknown theorem id: {tid!r}")
+        if _ROW_OF[tid].positive_c and not c > 0.0:
+            raise FeasibilityError(f"{tid} needs c > 0, got c = {c}")
+        if not c >= 0.0:
+            raise FeasibilityError(f"{tid} needs c >= 0, got c = {c}")
+
+
+def run_theorems(f: SetValuedFn, ids: Sequence[str], c: float, grid: ConvexityGrid,
+                 quad: QuadratureSpec, tol: float = DEFAULT_TOL) -> list:
+    """Reports of the theorem ids on one family, in the requested order
+    (repeats included).  Each table row runs at most once, and only its
+    TheoremReports are kept."""
+    check_modulus(ids, c)
+    done = {}
+
+    def report(tid: str) -> TheoremReport:
+        if tid not in done:
+            row = _ROW_OF[tid]
+            done.update(zip(row.ids, row.compute(f, c, grid, quad, tol, report)))
+        return done[tid]
+
+    return [report(tid) for tid in ids]
 
 
 def evaluate_config(cfg: dict, theorem_id: str,
                     grid: ConvexityGrid = DEFAULT_SEARCH_GRID,
                     quad: Optional[QuadratureSpec] = None,
-                    tol: float = DEFAULT_TOL):
+                    tol: float = DEFAULT_TOL) -> TheoremReport:
     """Slack and verdict of the given theorem checker on one configuration."""
-    quad = quad or QuadratureSpec()
-    f = build_function(cfg)
-    c = cfg["c"]
-    dom = f.domain
-    if theorem_id == "def_shc":
-        rep = check_strongly_harmonic_convex(f, c, grid, tol)
-    elif theorem_id == "def_mid":
-        rep = check_strongly_harmonic_midconvex(f, c, grid, tol)
-    elif theorem_id == "lemma_i":
-        rep = check_lemma_shift(f, c, grid, tol, direction="forward")
-    elif theorem_id == "lemma_ii":
-        rep = check_lemma_shift(f, c, grid, tol, direction="forward", midconvex=True)
-    elif theorem_id == "prop_31":
-        rep = check_prop31(f, c, grid, tol)
-    elif theorem_id in ("hh_left", "hh_right"):
-        left, right = check_hh(f, c, dom, quad, tol)
-        rep = left if theorem_id == "hh_left" else right
-    elif theorem_id in ("nikodem_left", "nikodem_right"):
-        left, right = check_nikodem(reciprocal_transform(f), c, quad, tol)
-        rep = left if theorem_id == "nikodem_left" else right
-    elif theorem_id == "thm33":
-        rep = check_thm33(f, f, c, dom, quad, tol)
-    elif theorem_id == "cor34":
-        rep = check_cor34(f, c, dom, quad, tol)
-    elif theorem_id == "thm35":
-        rep = check_thm35(f, f, c, dom, quad, tol)
-    elif theorem_id == "cor36":
-        rep = check_cor36(f, c, dom, quad, tol)
-    else:
-        raise ValueError(f"unknown theorem id: {theorem_id!r}")
-    return rep
+    return run_theorems(build_function(cfg), [theorem_id], cfg["c"], grid,
+                        quad or QuadratureSpec(), tol)[0]
 
 
 def _config_key(cfg: dict):
@@ -176,10 +234,9 @@ def min_slack_search(space: SearchSpace, theorem_id: str, budget: int, seed: int
                      quad: Optional[QuadratureSpec] = None,
                      tol: float = DEFAULT_TOL) -> SearchResult:
     """Minimum-slack configuration for one theorem checker."""
-    if theorem_id not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem id: {theorem_id!r}")
+    check_modulus([theorem_id], space.c[0])
     if budget < 1:
-        raise ValueError("search budget must be >= 1")
+        raise FeasibilityError("search budget must be >= 1")
     quad = quad or QuadratureSpec()
     dims = space.dimension_ranges()
     rng = np.random.default_rng(seed)
@@ -241,18 +298,10 @@ def emit_counterexample(result: SearchResult, path: str) -> None:
     """Write a self-contained verify-mode config reproducing the violation."""
     if not result.violation_found:
         raise ValueError("no violation in this search result")
-    cfg = result.best_config
-    if cfg["family"] == "quadratic-interval":
-        family = {"family": "quadratic-interval", "alpha": cfg["alpha"],
-                  "beta": cfg["beta"], "K": cfg["K"], "a": cfg["a"], "b": cfg["b"]}
-    else:
-        family = {"family": "disc", "v": [cfg["v0"], cfg["v1"]],
-                  "w": [cfg["w0"], cfg["w1"]], "K": cfg["K"], "beta": cfg["beta"],
-                  "a": cfg["a"], "b": cfg["b"]}
     doc = {
         "mode": "verify",
-        "families": [family],
-        "c": cfg["c"],
+        "families": [build_function(result.best_config).params()],
+        "c": result.best_config["c"],
         "grid": result.context.get("grid", {}),
         "quadrature": result.context.get("quadrature", {}),
         "theorems": [result.theorem_id],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -156,27 +156,29 @@ def _definitional_slacks(f: SetValuedFn, c: float, xs: np.ndarray, ys: np.ndarra
     return slacks, tols, witness, lhs, fm
 
 
-def _definitional_report(theorem_id: str, f: SetValuedFn, c: float,
-                         xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
-                         tol: float, harmonic: bool,
-                         extra_echo: Optional[dict] = None) -> TheoremReport:
-    slacks, tols, witness, lhs, rhs = _definitional_slacks(
-        f, c, xs, ys, ts, tol, harmonic)
+def _grid_verdict(slacks: np.ndarray, tols: np.ndarray, witness: np.ndarray,
+                  kind: str) -> Tuple[int, InclusionVerdict]:
+    """Index of the first worst row and the verdict of the whole grid there."""
     i = int(np.argmin(slacks + tols))
-    holds = bool(np.all(slacks >= -tols))
-    if f.kind == "interval":
+    if kind == "interval":
         wdir: Union[int, str] = "hi" if witness[i] == 0 else "lo"
     else:
         wdir = int(witness[i])
-    verdict = InclusionVerdict(holds=holds, slack=float(slacks[i]),
+    return i, InclusionVerdict(holds=bool(np.all(slacks >= -tols)), slack=float(slacks[i]),
                                witness_direction=wdir, tolerance_used=float(tols[i]))
+
+
+def _definitional_report(theorem_id: str, f: SetValuedFn, c: float,
+                         xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
+                         tol: float, harmonic: bool) -> TheoremReport:
+    slacks, tols, witness, lhs, rhs = _definitional_slacks(
+        f, c, xs, ys, ts, tol, harmonic)
+    i, verdict = _grid_verdict(slacks, tols, witness, f.kind)
     echo = {
         "c": c,
         "triples": int(xs.size),
         "witness": {"x": float(xs[i]), "y": float(ys[i]), "t": float(ts[i])},
     }
-    if extra_echo:
-        echo.update(extra_echo)
     return TheoremReport(
         theorem_id=theorem_id,
         lhs=_row_set(lhs[i], f.kind),
@@ -206,16 +208,6 @@ def check_strongly_harmonic_midconvex(f: SetValuedFn, c: float, grid: ConvexityG
     return _definitional_report("def_mid", f, c, xs, ys, ts, tol, harmonic=True)
 
 
-def check_strongly_convex(g: SetValuedFn, c: float, grid: ConvexityGrid,
-                          tol: float = DEFAULT_TOL) -> TheoremReport:
-    """t G(y) + (1-t) G(x) + c t(1-t) |x-y|^2 B inside G(ty + (1-t)x)."""
-    if c < 0.0:
-        raise ValueError("modulus c must be >= 0")
-    xs, ys, ts = grid.triples(g.domain.a, g.domain.b)
-    rep = _definitional_report("def_shc", g, c, xs, ys, ts, tol, harmonic=False)
-    return dataclasses.replace(rep, inputs_echo={**rep.inputs_echo, "combination": "arithmetic"})
-
-
 def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
                       tol: float = DEFAULT_TOL, direction: str = "forward",
                       midconvex: bool = False) -> TheoremReport:
@@ -227,13 +219,17 @@ def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
         raise ValueError(f"unknown direction: {direction!r}")
     checker = check_strongly_harmonic_midconvex if midconvex else check_strongly_harmonic_convex
     theorem_id = "lemma_ii" if midconvex else "lemma_i"
-    if direction == "forward":
-        strong = checker(f, c, grid, tol)
-        shifted = checker(c_shift(f, c), 0.0, grid, tol)
-    else:
-        g = c_shift(f, c)
-        shifted = checker(g, 0.0, grid, tol)
-        strong = checker(c_unshift(g, c), c, grid, tol)
+    g = c_shift(f, c)
+    shifted = checker(g, 0.0, grid, tol)
+    # backward: recover F from the shifted map and check it at modulus c
+    strong = checker(f if direction == "forward" else c_unshift(g, c), c, grid, tol)
+    return shift_lemma_report(theorem_id, strong, shifted, c, direction)
+
+
+def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremReport,
+                       c: float, direction: str) -> TheoremReport:
+    """Combine the modulus-c check of F and the plain check of the shifted
+    map into one shift-lemma report."""
     # worst of the paired checks is the reported witness
     primary = strong if strong.verdict.slack <= shifted.verdict.slack else shifted
     verdict = InclusionVerdict(
@@ -275,14 +271,7 @@ def check_prop31(f: SetValuedFn, c: float, grid: ConvexityGrid,
     vh = sh >= -th
     va = sa >= -ta
     disagreements = int(np.sum(vh != va))
-    i = int(np.argmin(sh + th))
-    holds = bool(np.all(vh))
-    if f.kind == "interval":
-        wdir: Union[int, str] = "hi" if wh[i] == 0 else "lo"
-    else:
-        wdir = int(wh[i])
-    verdict = InclusionVerdict(holds=holds, slack=float(sh[i]),
-                               witness_direction=wdir, tolerance_used=float(th[i]))
+    i, verdict = _grid_verdict(sh, th, wh, f.kind)
     return TheoremReport(
         theorem_id="prop_31",
         lhs=_row_set(lhs_h[i], f.kind),
@@ -292,7 +281,7 @@ def check_prop31(f: SetValuedFn, c: float, grid: ConvexityGrid,
         inputs_echo={
             "c": c,
             "triples": int(xs.size),
-            "harmonic_holds": holds,
+            "harmonic_holds": verdict.holds,
             "arithmetic_holds": bool(np.all(va)),
             "arithmetic_slack": float(np.min(sa)),
             "disagreements": disagreements,
@@ -318,6 +307,24 @@ def _ball_like(f: SetValuedFn, radius: float) -> ConvexSet:
     return ball(radius, "support", grid_size=f.grid_size)
 
 
+def _sandwich(name: str, f: SetValuedFn, c: float, a: float, b: float, mid: float,
+              mean: ConvexSet, budget: float, d2: float, tol: float,
+              nodes: int) -> Tuple[TheoremReport, TheoremReport]:
+    """Left and right reports of a Hermite-Hadamard sandwich around ``mean``."""
+    echo = {"c": c, "a": a, "b": b, "nodes": nodes}
+
+    lhs_l = minkowski_sum(mean, _ball_like(f, c / 12.0 * d2))
+    rhs_l = f.eval(mid)
+    left = TheoremReport(f"{name}_left", lhs_l, rhs_l,
+                         _budget_verdict(lhs_l, rhs_l, tol, budget), budget, dict(echo))
+
+    lhs_r = minkowski_sum(scale(0.5, minkowski_sum(f.eval(a), f.eval(b))),
+                          _ball_like(f, c / 6.0 * d2))
+    right = TheoremReport(f"{name}_right", lhs_r, mean,
+                          _budget_verdict(lhs_r, mean, tol, budget), budget, dict(echo))
+    return left, right
+
+
 def check_nikodem(g: SetValuedFn, c: float, q: QuadratureSpec,
                   tol: float = DEFAULT_TOL) -> Tuple[TheoremReport, TheoremReport]:
     """Arithmetic strongly convex baseline on G's own interval domain:
@@ -327,21 +334,9 @@ def check_nikodem(g: SetValuedFn, c: float, q: QuadratureSpec,
     """
     a, b = g.domain.a, g.domain.b
     integral = aumann_integral(g, a, b, q)
-    mean = scale(1.0 / (b - a), integral.value)
-    budget = integral.error_budget / (b - a)
-    width2 = (b - a) ** 2
-    echo = {"c": c, "a": a, "b": b, "nodes": integral.nodes_used}
-
-    lhs_l = minkowski_sum(mean, _ball_like(g, c / 12.0 * width2))
-    rhs_l = g.eval(0.5 * (a + b))
-    left = TheoremReport("nikodem_left", lhs_l, rhs_l,
-                         _budget_verdict(lhs_l, rhs_l, tol, budget), budget, dict(echo))
-
-    lhs_r = minkowski_sum(scale(0.5, minkowski_sum(g.eval(a), g.eval(b))),
-                          _ball_like(g, c / 6.0 * width2))
-    right = TheoremReport("nikodem_right", lhs_r, mean,
-                          _budget_verdict(lhs_r, mean, tol, budget), budget, dict(echo))
-    return left, right
+    return _sandwich("nikodem", g, c, a, b, 0.5 * (a + b),
+                     scale(1.0 / (b - a), integral.value), integral.error_budget / (b - a),
+                     (b - a) ** 2, tol, integral.nodes_used)
 
 
 def check_hh(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
@@ -354,21 +349,9 @@ def check_hh(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
     a, b = dom.a, dom.b
     integral = weighted_harmonic_integral(f, dom, q)
     factor = a * b / (b - a)
-    mean = scale(factor, integral.value)
-    budget = factor * integral.error_budget
-    delta2 = ((b - a) / (a * b)) ** 2
-    echo = {"c": c, "a": a, "b": b, "nodes": integral.nodes_used}
-
-    lhs_l = minkowski_sum(mean, _ball_like(f, c / 12.0 * delta2))
-    rhs_l = f.eval(dom.harmonic_midpoint)
-    left = TheoremReport("hh_left", lhs_l, rhs_l,
-                         _budget_verdict(lhs_l, rhs_l, tol, budget), budget, dict(echo))
-
-    lhs_r = minkowski_sum(scale(0.5, minkowski_sum(f.eval(a), f.eval(b))),
-                          _ball_like(f, c / 6.0 * delta2))
-    right = TheoremReport("hh_right", lhs_r, mean,
-                          _budget_verdict(lhs_r, mean, tol, budget), budget, dict(echo))
-    return left, right
+    return _sandwich("hh", f, c, a, b, dom.harmonic_midpoint,
+                     scale(factor, integral.value), factor * integral.error_budget,
+                     ((b - a) / (a * b)) ** 2, tol, integral.nodes_used)
 
 
 def _product_lhs(fa: Interval, fb: Interval, ga: Interval, gb: Interval,
@@ -463,7 +446,13 @@ def check_cor36(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec
     assemblies are evaluated against the same integral; the substitution
     form is the primary verdict and the printed form is echoed alongside.
     """
-    rep = check_thm35(f, f, c, dom, q, tol)
+    return cor36_report(check_thm35(f, f, c, dom, q, tol), f, c, dom, tol)
+
+
+def cor36_report(thm35: TheoremReport, f: SetValuedFn, c: float,
+                 dom: HarmonicDomain, tol: float = DEFAULT_TOL) -> TheoremReport:
+    """The cor36 report of a thm35 report computed with G = F: the same
+    numbers with the printed assembly echoed alongside."""
     a, b = dom.a, dom.b
     fa, fb = f.eval(a), f.eval(b)
     delta2 = ((b - a) / (a * b)) ** 2
@@ -474,9 +463,9 @@ def check_cor36(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec
                 minkowski_sum(fa, fb))),
             interval_product(minkowski_sum(fa, fb), ball(c / 6.0 * delta2, "interval"))),
         ball(c * c / 30.0 * delta2 * delta2, "interval"))
-    pv = _budget_verdict(printed, rep.rhs, tol, rep.error_budget)
-    echo = {**rep.inputs_echo,
+    pv = _budget_verdict(printed, thm35.rhs, tol, thm35.error_budget)
+    echo = {**thm35.inputs_echo,
             "printed_lhs": (printed.lo, printed.hi),
             "printed_slack": pv.slack,
             "printed_holds": pv.holds}
-    return dataclasses.replace(rep, theorem_id="cor36", inputs_echo=echo)
+    return dataclasses.replace(thm35, theorem_id="cor36", inputs_echo=echo)

@@ -13,7 +13,6 @@ polynomials under the substitution u = 1/x.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 

@@ -216,3 +216,42 @@ class TestMain:
         out = capsys.readouterr().out
         assert code in (0, 1)
         assert "def_shc" in out and "hh_left" in out and "thm33" in out
+
+
+class TestConfigErrorExitCode:
+    """A modulus a theorem does not accept, or an empty search budget, is a
+    config error: exit 2 with one ``error:`` line, never a traceback."""
+
+    def assert_config_error(self, tmp_path, capsys, doc):
+        assert main(["--config", write_config(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+
+    def test_negative_c_verify(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(c=-0.5))
+
+    def test_lemma_with_default_c(self, tmp_path, capsys):
+        doc = verify_doc(theorems=["def_shc", "lemma_i"])
+        del doc["c"]
+        self.assert_config_error(tmp_path, capsys, doc)
+
+    def test_negative_c_search(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "mode": "search", "theorems": ["def_shc"], "grid": {"pair_count": 64},
+            "search": {"c": [-1.0, 0.5], "certified_only": False, "budget": 4},
+        })
+
+    def test_zero_budget_search(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "mode": "search", "theorems": ["def_shc"],
+            "search": {"c": [0.5, 1.0], "budget": 0},
+        })
+
+    def test_parse_config_checks_baseline_theorems(self):
+        with pytest.raises(ConfigError):
+            parse_config(verify_doc(mode="baseline", theorems=[], c=-1.0))
+        # baseline runs only the Nikodem pair, which accepts c = 0
+        assert parse_config(verify_doc(mode="baseline", c=0.0)).theorems == [
+            "nikodem_left", "nikodem_right"]

@@ -1,16 +1,22 @@
 import json
 
+import numpy as np
 import pytest
 
+from harmonichh import explorer
+from harmonichh.aumann import QuadratureSpec
+from harmonichh.cli import build_family
 from harmonichh.cli import main as cli_main
 from harmonichh.explorer import (
+    THEOREM_TABLE,
     SearchSpace,
     build_function,
     emit_counterexample,
     evaluate_config,
     min_slack_search,
+    run_theorems,
 )
-from harmonichh.hh_check import ConvexityGrid
+from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid
 from harmonichh.svf import FeasibilityError
 
 GRID = ConvexityGrid(pair_count=64)
@@ -37,6 +43,75 @@ class TestSearchSpace:
     def test_unknown_family_rejected(self):
         with pytest.raises(FeasibilityError):
             SearchSpace(family="polytope")
+
+    @pytest.mark.parametrize("kind,name", [("quadratic-interval", "alpha"),
+                                           ("quadratic-interval", "beta"),
+                                           ("disc", "beta")])
+    def test_nonpositive_moduli_rejected(self, kind, name):
+        with pytest.raises(FeasibilityError):
+            SearchSpace(family=kind, certified_only=False, **{name: (0.0, 0.5)})
+
+    def test_disc_ignores_alpha(self):
+        SearchSpace(family="disc", alpha=(-1.0, -0.5), certified_only=False)
+
+    def test_c_range_checked_against_theorem(self):
+        space = SearchSpace(c=(0.0, 0.5), certified_only=False)
+        with pytest.raises(FeasibilityError):
+            min_slack_search(space, "lemma_i", budget=2, seed=0, grid=GRID)
+        # def_shc accepts c = 0
+        min_slack_search(space, "def_shc", budget=2, seed=0, grid=GRID)
+
+
+QUADRATIC_CFG = {"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0,
+                 "K": 10.0, "a": 1.0, "b": 2.0, "c": 1.0}
+
+
+class TestTheoremTable:
+    def test_rows_flatten_to_theorem_ids(self):
+        assert tuple(t for row in THEOREM_TABLE for t in row.ids) == THEOREM_IDS
+
+    def test_requested_order_with_repeats(self):
+        f = build_function(QUADRATIC_CFG)
+        ids = ["cor36", "hh_right", "def_shc", "hh_right", "lemma_i", "thm35"]
+        reports = run_theorems(f, ids, 1.0, GRID, QuadratureSpec())
+        assert [r.theorem_id for r in reports] == ids
+        assert reports[1] is reports[3]
+
+    def test_each_row_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(explorer, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("check_strongly_harmonic_convex", "check_strongly_harmonic_midconvex",
+                     "check_prop31", "check_nikodem", "check_hh", "check_thm33",
+                     "check_thm35"):
+            monkeypatch.setattr(explorer, name, counting(name))
+        reports = run_theorems(build_function(QUADRATIC_CFG), THEOREM_IDS + THEOREM_IDS,
+                               1.0, GRID, QuadratureSpec())
+        assert len(reports) == 2 * len(THEOREM_IDS)
+        # the lemmas add only their shifted side to the defining checks
+        assert sorted(calls) == sorted([
+            "check_strongly_harmonic_convex", "check_strongly_harmonic_convex",
+            "check_strongly_harmonic_midconvex", "check_strongly_harmonic_midconvex",
+            "check_prop31", "check_nikodem", "check_hh", "check_thm33", "check_thm35"])
+
+    def test_lemma_without_def_shc_requested(self):
+        f = build_function(QUADRATIC_CFG)
+        [rep] = run_theorems(f, ["lemma_ii"], 1.0, GRID, QuadratureSpec())
+        assert rep.theorem_id == "lemma_ii" and rep.holds
+
+    def test_modulus_checked(self):
+        f = build_function(QUADRATIC_CFG)
+        with pytest.raises(FeasibilityError):
+            run_theorems(f, ["def_shc", "lemma_i"], 0.0, GRID, QuadratureSpec())
+        with pytest.raises(FeasibilityError):
+            run_theorems(f, ["hh_left"], -1.0, GRID, QuadratureSpec())
 
 
 class TestEvaluateConfig:
@@ -129,3 +204,28 @@ class TestEmitCounterexample:
         entry = replay["reports"][0]
         assert not entry["holds"]
         assert entry["slack"] == pytest.approx(doc["expected_slack"], abs=1e-12)
+
+
+class TestReplay:
+    @pytest.mark.parametrize("cfg", [
+        {"family": "quadratic-interval", "alpha": 0.3, "beta": 1.7, "K": 12.5,
+         "a": 0.8, "b": 2.2, "c": 1.0},
+        {"family": "disc", "v0": 0.4, "v1": -0.9, "w0": 0.1, "w1": 0.6, "K": 4.0,
+         "beta": 1.3, "a": 0.9, "b": 1.9, "c": 1.0},
+    ], ids=["quadratic", "disc"])
+    def test_params_rebuild_the_same_function(self, cfg):
+        f = build_function(cfg)
+        g = build_family(json.loads(json.dumps(f.params())))
+        xs = np.linspace(cfg["a"], cfg["b"], 17)
+        assert np.array_equal(f.eval_vector(xs), g.eval_vector(xs))
+
+    def test_nonpositive_alpha_search_exits_two_before_writing(self, tmp_path, capsys):
+        cx = tmp_path / "cx.json"
+        doc = {"mode": "search", "theorems": ["def_shc"], "grid": {"pair_count": 64},
+               "search": {"alpha": [-1.0, -0.5], "certified_only": False,
+                          "budget": 4, "counterexample_out": str(cx)}}
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err.count("error:") == 1
+        assert not cx.exists()

@@ -10,7 +10,6 @@ from harmonichh.hh_check import (
     check_lemma_shift,
     check_nikodem,
     check_prop31,
-    check_strongly_convex,
     check_strongly_harmonic_convex,
     check_strongly_harmonic_midconvex,
     check_cor34,
@@ -128,23 +127,25 @@ class TestMidconvex:
         assert rep.verdict.slack == pytest.approx(0.0, abs=1e-9)
 
 
-class TestStronglyConvex:
+class TestProp31ArithmeticSide:
+    """Arithmetic strong convexity of G(u) = F(1/u), as prop_31 reports it."""
+
     def test_quadratic_on_reciprocal_domain(self):
-        g = reciprocal_transform(make_quadratic_family(1, 1, 10, DOM12))
-        rep = check_strongly_convex(g, 1.0, GRID)
-        assert rep.holds
+        rep = check_prop31(make_quadratic_family(1, 1, 10, DOM12), 1.0, GRID)
+        assert rep.inputs_echo["arithmetic_holds"]
 
     def test_constant_zero_modulus(self):
-        rep = check_strongly_convex(constant_fn(1, 2), 0.0, SMALL_GRID)
-        assert rep.holds
-        assert rep.verdict.slack == pytest.approx(0.0, abs=1e-9)
+        rep = check_prop31(constant_fn(1, 2), 0.0, SMALL_GRID)
+        assert rep.inputs_echo["arithmetic_holds"]
+        assert rep.inputs_echo["arithmetic_slack"] == pytest.approx(0.0, abs=1e-9)
 
     def test_affine_admits_no_modulus(self):
         dom = HarmonicDomain(0.5, 1.0)
         xs = np.linspace(0.5, 1.0, 101)
         g = SampledFn(xs, np.column_stack([xs, xs]), dom)
-        rep = check_strongly_convex(g, 1.0, SMALL_GRID)
-        assert not rep.holds
+        # G = reciprocal_transform(F) is g itself, since the transform is an involution
+        rep = check_prop31(reciprocal_transform(g), 1.0, SMALL_GRID)
+        assert not rep.inputs_echo["arithmetic_holds"]
 
 
 class TestLemmaShift:
