@@ -12,6 +12,7 @@ channel) which downstream inclusion checks absorb into their tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,8 +63,17 @@ class IntegralResult:
     nodes_used: int
 
 
-def _gl_nodes(order: int, lo: float, hi: float):
+@lru_cache(maxsize=None)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes(order: int, lo: float, hi: float):
+    x, w = _leggauss(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     return mid + half * x, half * w

@@ -11,6 +11,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -80,6 +81,45 @@ def default_config() -> dict:
     }
 
 
+def _convert(value, convert, what: str):
+    """``convert(value)``, or a ConfigError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {value!r}") from exc
+
+
+def _search_range(value, name: str) -> tuple:
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in value)):
+        raise ConfigError(f"search range {name} must be [min, max], got {value!r}")
+    return tuple(value)
+
+
+def _parse_search(doc) -> dict:
+    """The search object with its keys checked and its ranges as tuples."""
+    if not isinstance(doc, dict):
+        raise ConfigError("search mode needs a 'search' space object")
+    known = {f.name for f in dataclasses.fields(SearchSpace)} | {"budget",
+                                                                 "counterexample_out"}
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ConfigError(f"unknown search key(s): {', '.join(map(repr, unknown))}")
+    search = dict(doc)
+    for key in ("alpha", "beta", "K", "a", "b", "c"):
+        if key in search:
+            search[key] = _search_range(search[key], key)
+    for key in ("v", "w"):
+        if key in search:
+            pair = search[key]
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"search range {key} must be two [min, max] ranges")
+            search[key] = tuple(_search_range(r, f"{key}[{i}]") for i, r in enumerate(pair))
+    search["budget"] = _convert(search.get("budget", 64), int, "search budget")
+    return search
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
@@ -90,23 +130,24 @@ def parse_config(doc: dict) -> RunConfig:
     grid_doc = doc.get("grid", {}) or {}
     grid_kwargs = {}
     if "pair_count" in grid_doc:
-        grid_kwargs["pair_count"] = int(grid_doc["pair_count"])
+        grid_kwargs["pair_count"] = _convert(grid_doc["pair_count"], int, "grid pair_count")
     if "t_values" in grid_doc:
-        grid_kwargs["t_values"] = tuple(grid_doc["t_values"])
+        grid_kwargs["t_values"] = _convert(grid_doc["t_values"], tuple, "grid t_values")
     if "sampling" in grid_doc:
         grid_kwargs["sampling"] = grid_doc["sampling"]
     if "seed" in grid_doc:
-        grid_kwargs["seed"] = int(grid_doc["seed"])
+        grid_kwargs["seed"] = _convert(grid_doc["seed"], int, "grid seed")
     try:
         grid = ConvexityGrid(**grid_kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid spec: {exc}") from exc
 
     quad_doc = doc.get("quadrature", {}) or {}
+    order = quad_doc.get("order", quad_doc.get("order_or_panels", 16))
     try:
         quadrature = QuadratureSpec(
             rule=quad_doc.get("rule", "gauss-legendre"),
-            order_or_panels=int(quad_doc.get("order", quad_doc.get("order_or_panels", 16))),
+            order_or_panels=_convert(order, int, "quadrature order"),
             substitution=bool(quad_doc.get("substitution", True)),
         )
     except QuadratureError as exc:
@@ -118,7 +159,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"unknown theorem id: {tid!r}")
 
     families = list(doc.get("families", []))
-    c = float(doc.get("c", 0.0))
+    c = _convert(doc.get("c", 0.0), float, "modulus c")
     if mode in ("verify", "baseline"):
         if not families:
             raise ConfigError(f"{mode} mode needs at least one family descriptor")
@@ -136,8 +177,7 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(str(exc)) from exc
     search = doc.get("search")
     if mode == "search":
-        if not isinstance(search, dict):
-            raise ConfigError("search mode needs a 'search' space object")
+        search = _parse_search(search)
         if len(theorems) != 1:
             raise ConfigError("search mode needs exactly one theorem id")
 
@@ -148,9 +188,9 @@ def parse_config(doc: dict) -> RunConfig:
         grid=grid,
         quadrature=quadrature,
         theorems=theorems,
-        tolerance=float(doc.get("tolerance", DEFAULT_TOL)),
+        tolerance=_convert(doc.get("tolerance", DEFAULT_TOL), float, "tolerance"),
         output=doc.get("output"),
-        seed=int(doc.get("seed", 0)),
+        seed=_convert(doc.get("seed", 0), int, "seed"),
         search=search,
         raw=doc,
     )
@@ -214,14 +254,8 @@ def run(cfg: RunConfig) -> tuple:
 
     if cfg.mode == "search":
         space_doc = dict(cfg.search)
-        budget = int(space_doc.pop("budget", 64))
+        budget = space_doc.pop("budget")
         counterexample_path = space_doc.pop("counterexample_out", None)
-        for key in ("v", "w"):
-            if key in space_doc:
-                space_doc[key] = tuple(tuple(r) for r in space_doc[key])
-        for key in ("alpha", "beta", "K", "a", "b", "c"):
-            if key in space_doc:
-                space_doc[key] = tuple(space_doc[key])
         space = SearchSpace(**space_doc)
         result = min_slack_search(space, cfg.theorems[0], budget, cfg.seed,
                                   grid=cfg.grid, quad=cfg.quadrature,

@@ -30,21 +30,19 @@ from .hh_check import (
     TheoremReport,
     check_hh,
     check_nikodem,
-    check_prop31,
-    check_strongly_harmonic_convex,
-    check_strongly_harmonic_midconvex,
     check_thm33,
     check_thm35,
     cor36_report,
-    shift_lemma_report,
+    grid_reports,
 )
 # Not called here: perfbench/spans.py wraps these names in this module too.
-from .hh_check import check_cor34, check_cor36, check_lemma_shift  # noqa: F401
+from .hh_check import (  # noqa: F401
+    check_cor34, check_cor36, check_lemma_shift, check_prop31,
+    check_strongly_harmonic_convex, check_strongly_harmonic_midconvex)
 from .svf import (
     FeasibilityError,
     HarmonicDomain,
     SetValuedFn,
-    c_shift,
     make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
@@ -135,65 +133,57 @@ def build_function(cfg: dict) -> SetValuedFn:
                             cfg["K"], cfg["beta"], dom)
 
 
-# The theorem table.  Each row is one distinct checker call and the ids whose
+# The theorem table.  Each row is one distinct computation and the ids whose
 # reports it yields, in THEOREM_IDS order.  ``compute(f, c, grid, quad, tol,
-# report)`` returns one report per id; ``report(tid)`` gives it the report of
-# another row.  Rows look the checkers up in this module when they run, so a
-# tracer that wraps them here sees every call.
+# wanted)`` returns the reports of the row's ids keyed by id, given the ids
+# of the row that were requested.  Rows look their functions up in this
+# module when they run, so a tracer that wraps them here sees every call.
 
 class TheoremRow(NamedTuple):
     ids: Tuple[str, ...]
     compute: Callable
-    positive_c: bool = False  # the row needs c > 0; every other row needs c >= 0
+    positive_c: Tuple[str, ...] = ()  # ids that need c > 0; every other id needs c >= 0
 
 
-def _lemma_i(f, c, grid, quad, tol, report):
-    # the strong side of the shift lemma is the defining inclusion itself
-    shifted = check_strongly_harmonic_convex(c_shift(f, c), 0.0, grid, tol)
-    return (shift_lemma_report("lemma_i", report("def_shc"), shifted, c, "forward"),)
-
-
-def _lemma_ii(f, c, grid, quad, tol, report):
-    shifted = check_strongly_harmonic_midconvex(c_shift(f, c), 0.0, grid, tol)
-    return (shift_lemma_report("lemma_ii", report("def_mid"), shifted, c, "forward"),)
-
-
-def _thm33_cor34(f, c, grid, quad, tol, report):
+def _thm33_cor34(f, c, grid, quad, tol):
     rep = check_thm33(f, f, c, f.domain, quad, tol)
     return rep, dataclasses.replace(rep, theorem_id="cor34")
 
 
-def _thm35_cor36(f, c, grid, quad, tol, report):
+def _thm35_cor36(f, c, grid, quad, tol):
     rep = check_thm35(f, f, c, f.domain, quad, tol)
     return rep, cor36_report(rep, f, c, f.domain, tol)
 
 
+def _row(ids, compute):
+    """A row whose ``compute(f, c, grid, quad, tol)`` yields all of its ids at
+    once, whichever were requested."""
+    return TheoremRow(ids, lambda f, c, grid, quad, tol, wanted: dict(
+        zip(ids, compute(f, c, grid, quad, tol))))
+
+
 THEOREM_TABLE = (
-    TheoremRow(("def_shc",), lambda f, c, grid, quad, tol, report: (
-        check_strongly_harmonic_convex(f, c, grid, tol),)),
-    TheoremRow(("def_mid",), lambda f, c, grid, quad, tol, report: (
-        check_strongly_harmonic_midconvex(f, c, grid, tol),)),
-    TheoremRow(("lemma_i",), _lemma_i, positive_c=True),
-    TheoremRow(("lemma_ii",), _lemma_ii, positive_c=True),
-    TheoremRow(("prop_31",), lambda f, c, grid, quad, tol, report: (
-        check_prop31(f, c, grid, tol),)),
-    TheoremRow(("nikodem_left", "nikodem_right"), lambda f, c, grid, quad, tol, report:
-               check_nikodem(reciprocal_transform(f), c, quad, tol)),
-    TheoremRow(("hh_left", "hh_right"), lambda f, c, grid, quad, tol, report:
-               check_hh(f, c, f.domain, quad, tol)),
-    TheoremRow(("thm33", "cor34"), _thm33_cor34),
-    TheoremRow(("thm35", "cor36"), _thm35_cor36),
+    # one streamed pass per t grid serves every requested grid id
+    TheoremRow(("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31"),
+               lambda f, c, grid, quad, tol, wanted: grid_reports(f, c, grid, wanted, tol),
+               positive_c=("lemma_i", "lemma_ii")),
+    _row(("nikodem_left", "nikodem_right"), lambda f, c, grid, quad, tol:
+         check_nikodem(reciprocal_transform(f), c, quad, tol)),
+    _row(("hh_left", "hh_right"), lambda f, c, grid, quad, tol:
+         check_hh(f, c, f.domain, quad, tol)),
+    _row(("thm33", "cor34"), _thm33_cor34),
+    _row(("thm35", "cor36"), _thm35_cor36),
 )
 
 _ROW_OF = {tid: row for row in THEOREM_TABLE for tid in row.ids}
 
 
 def check_modulus(ids: Sequence[str], c: float) -> None:
-    """Raise unless every theorem id is known and its row accepts modulus c."""
+    """Raise unless every theorem id is known and accepts modulus c."""
     for tid in ids:
         if tid not in _ROW_OF:
             raise ValueError(f"unknown theorem id: {tid!r}")
-        if _ROW_OF[tid].positive_c and not c > 0.0:
+        if tid in _ROW_OF[tid].positive_c and not c > 0.0:
             raise FeasibilityError(f"{tid} needs c > 0, got c = {c}")
         if not c >= 0.0:
             raise FeasibilityError(f"{tid} needs c >= 0, got c = {c}")
@@ -202,18 +192,15 @@ def check_modulus(ids: Sequence[str], c: float) -> None:
 def run_theorems(f: SetValuedFn, ids: Sequence[str], c: float, grid: ConvexityGrid,
                  quad: QuadratureSpec, tol: float = DEFAULT_TOL) -> list:
     """Reports of the theorem ids on one family, in the requested order
-    (repeats included).  Each table row runs at most once, and only its
-    TheoremReports are kept."""
+    (repeats included).  Each table row runs at most once, for the ids of
+    it that were requested, and only its TheoremReports are kept."""
     check_modulus(ids, c)
     done = {}
-
-    def report(tid: str) -> TheoremReport:
-        if tid not in done:
-            row = _ROW_OF[tid]
-            done.update(zip(row.ids, row.compute(f, c, grid, quad, tol, report)))
-        return done[tid]
-
-    return [report(tid) for tid in ids]
+    for row in THEOREM_TABLE:
+        wanted = [tid for tid in row.ids if tid in ids]
+        if wanted:
+            done.update(row.compute(f, c, grid, quad, tol, wanted))
+    return [done[tid] for tid in ids]
 
 
 def evaluate_config(cfg: dict, theorem_id: str,

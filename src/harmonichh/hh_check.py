@@ -5,9 +5,15 @@ over its sample grid, an InclusionVerdict at the witness sample, and the
 quadrature error budget (always absorbed into the inclusion tolerance, so
 a reported violation is never attributable to quadrature).
 
-Grid checks are evaluated vectorized over all (x, y, t) triples; the
-reduction to the witness is a fixed-order argmin, so verdicts are
-deterministic regardless of how evaluation is batched.
+Grid checks run as one streamed pass per family and t grid: the sample
+pairs are walked in fixed blocks of BLOCK_PAIRS, F is evaluated once per
+pair and once per midpoint, and every side the requested theorems need
+(the modulus-c inclusion, the shift lemma's shifted map, Proposition
+3.1's arithmetic form) is computed from the same block and reduced to a
+running witness.  Memory is bounded by the block, not the grid.  The
+reduction keeps the first row of the global argmin, so verdicts are
+deterministic regardless of how evaluation is batched (tested for block
+sizes from 1 to larger than the grid).
 """
 
 from __future__ import annotations
@@ -39,7 +45,8 @@ from .set_core import (
     minkowski_sum,
     scale,
 )
-from .svf import HarmonicDomain, SetValuedFn, c_shift, c_unshift, reciprocal_transform
+from .svf import (HarmonicDomain, SetValuedFn, ball_shift, c_shift, c_unshift,
+                  reciprocal_transform)
 
 THEOREM_IDS = (
     "def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31",
@@ -48,6 +55,10 @@ THEOREM_IDS = (
 )
 
 DEFAULT_TOL = 1e-9
+
+# Pairs per block of a streamed grid pass: about 45k triples on the default
+# t grid, a few MB per array for interval families.
+BLOCK_PAIRS = 4096
 
 _DEFAULT_T = tuple(np.round(np.linspace(0.0, 1.0, 11), 12))
 
@@ -62,6 +73,8 @@ class ConvexityGrid:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.pair_count < 1:
+            raise ValueError(f"pair_count must be >= 1, got {self.pair_count}")
         ts = tuple(float(t) for t in self.t_values)
         if any(t < 0.0 or t > 1.0 for t in ts):
             raise ValueError("t values must lie in [0, 1]")
@@ -122,71 +135,164 @@ def _rowwise_slacks(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
         margin_hi = rhs[:, 1] - lhs[:, 1]
         margin_lo = lhs[:, 0] - rhs[:, 0]
         slacks = np.minimum(margin_hi, margin_lo)
-        tols = tol * (1.0 + np.max(np.abs(rhs), axis=1))
+        tols = tol * (1.0 + np.maximum(np.abs(rhs[:, 0]), np.abs(rhs[:, 1])))
         witness = np.where(margin_hi <= margin_lo, 0, 1)  # 0 -> "hi", 1 -> "lo"
         return slacks, tols, witness
     margins = rhs - lhs
-    dir_tols = tol * (1.0 + np.abs(rhs))
+    dir_tols = np.abs(rhs)  # in place: tol * (1 + |rhs|) without temporaries
+    dir_tols += 1.0
+    dir_tols *= tol
     j = np.argmin(margins + dir_tols, axis=1)
     rows = np.arange(lhs.shape[0])
     return margins[rows, j], dir_tols[rows, j], j
 
 
-def _definitional_slacks(f: SetValuedFn, c: float, xs: np.ndarray, ys: np.ndarray,
-                         ts: np.ndarray, tol: float, harmonic: bool):
-    """Slack arrays for the modulus-c (harmonic or arithmetic) convexity inclusion."""
-    if harmonic:
+def _side_slacks(fx: np.ndarray, fy: np.ndarray, fm: np.ndarray, ts: np.ndarray,
+                 dist2: np.ndarray, c: float, kind: str, tol: float):
+    """Slacks of t F(y) + (1-t) F(x) + c t(1-t) dist2 B inside F(mid), row by row.
+
+    ``fx`` and ``fy`` hold one row per pair and are repeated over the t grid
+    here, so the repeated arrays live only while the left side is summed;
+    ``fm``, ``ts`` and ``dist2`` hold one row per triple.
+    """
+    m = ts.size // fx.shape[0]
+    pen = c * ts * (1.0 - ts) * dist2
+    if kind == "interval":
+        lhs = np.empty((ts.size, 2))
+        lhs[:, 0] = ts * np.repeat(fy[:, 0], m) + (1.0 - ts) * np.repeat(fx[:, 0], m) - pen
+        lhs[:, 1] = ts * np.repeat(fy[:, 1], m) + (1.0 - ts) * np.repeat(fx[:, 1], m) + pen
+    else:
+        lhs = ts[:, None] * np.repeat(fy, m, axis=0)
+        lhs += (1.0 - ts)[:, None] * np.repeat(fx, m, axis=0)
+        lhs += pen[:, None]
+    slacks, tols, witness = _rowwise_slacks(lhs, fm, kind, tol)
+    return slacks, tols, witness, lhs
+
+
+class _Worst:
+    """Running reduction of one side of a grid check over its blocks: the
+    first row minimising slack + tolerance, and whether every row held.
+
+    Blocks arrive in grid order and a later block replaces the kept row only
+    if it is strictly smaller (or the first NaN), so the kept row is the
+    global argmin's, whatever the block size.
+    """
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.key = None
+        self.row = None
+        self.holds = True
+        self.triples = 0
+
+    def update(self, fx, fy, fm, ts, dist2, c, tol, xs, ys):
+        """Fold in one block's rows of the modulus-c side (arguments as for
+        _side_slacks); returns the rows' slacks and tolerances."""
+        slacks, tols, witness, lhs = _side_slacks(fx, fy, fm, ts, dist2, c, self.kind, tol)
+        keys = slacks + tols
+        i = int(np.argmin(keys))
+        self.holds = self.holds and bool(np.all(slacks >= -tols))
+        self.triples += slacks.size
+        key = keys[i]
+        if self.key is None or key < self.key or (np.isnan(key) and not np.isnan(self.key)):
+            self.key = key
+            self.row = (slacks[i], tols[i], witness[i], lhs[i].copy(), fm[i].copy(),
+                        xs[i], ys[i], ts[i])
+        return slacks, tols
+
+    def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
+        slack, tol_used, witness, lhs, rhs, x, y, t = self.row
+        if self.kind == "interval":
+            wdir: Union[int, str] = "hi" if witness == 0 else "lo"
+        else:
+            wdir = int(witness)
+        verdict = InclusionVerdict(holds=self.holds, slack=float(slack),
+                                   witness_direction=wdir, tolerance_used=float(tol_used))
+        return TheoremReport(
+            theorem_id=theorem_id,
+            lhs=_row_set(lhs, self.kind),
+            rhs=_row_set(rhs, self.kind),
+            verdict=verdict,
+            error_budget=0.0,
+            inputs_echo={"c": c, "triples": self.triples, **echo,
+                         "witness": {"x": float(x), "y": float(y), "t": float(t)}},
+        )
+
+
+def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
+               midconvex: bool = False, direction: str = "forward",
+               block_pairs: int = BLOCK_PAIRS) -> dict:
+    """Reports of the requested grid ids from one streamed pass.
+
+    The pass covers the (x, y, t) grid (def_shc, lemma_i, prop_31) or, with
+    ``midconvex``, the t = 1/2 pairs (def_mid, lemma_ii).  It walks the pairs
+    in blocks of ``block_pairs``, evaluates F(x) and F(y) once per pair and
+    F(mid) once per triple, and computes only the sides the ids need: the
+    modulus-c side of F (which is also prop_31's harmonic side), the
+    modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and prop_31's
+    arithmetic side, evaluated independently through G(u) = F(1/u).
+    """
+    strong_id, lemma_id = ("def_mid", "lemma_ii") if midconvex else ("def_shc", "lemma_i")
+    shifted = lemma_id in ids
+    arithmetic = "prop_31" in ids
+    kind = f.kind
+    px, py = grid.pairs(f.domain.a, f.domain.b)
+    t_grid = np.array([0.5]) if midconvex else np.asarray(grid.t_values)
+    m = t_grid.size
+    strong, shift_side = _Worst(kind), _Worst(kind)
+    arith_holds, arith_min, disagreements = True, np.inf, 0
+    g = reciprocal_transform(f) if arithmetic else None
+    for start in range(0, px.size, block_pairs):
+        bx, by = px[start:start + block_pairs], py[start:start + block_pairs]
+        xs, ys, ts = np.repeat(bx, m), np.repeat(by, m), np.tile(t_grid, bx.size)
+        fx, fy = f.eval_vector(bx), f.eval_vector(by)
         mids = xs * ys / (ts * xs + (1.0 - ts) * ys)
         dist2 = ((xs - ys) / (xs * ys)) ** 2
-    else:
-        mids = ts * ys + (1.0 - ts) * xs
-        dist2 = (xs - ys) ** 2
-    fy = f.eval_vector(ys)
-    fx = f.eval_vector(xs)
-    fm = f.eval_vector(mids)
-    pen = c * ts * (1.0 - ts) * dist2
-    if f.kind == "interval":
-        lhs = np.column_stack([
-            ts * fy[:, 0] + (1.0 - ts) * fx[:, 0] - pen,
-            ts * fy[:, 1] + (1.0 - ts) * fx[:, 1] + pen,
-        ])
-    else:
-        lhs = ts[:, None] * fy + (1.0 - ts)[:, None] * fx + pen[:, None]
-    slacks, tols, witness = _rowwise_slacks(lhs, fm, f.kind, tol)
-    return slacks, tols, witness, lhs, fm
+        fm = f.eval_vector(mids)
+        sh, th = strong.update(fx, fy, fm, ts, dist2, c, tol, xs, ys)
+        if shifted:
+            shift_side.update(ball_shift(fx, bx, c, kind), ball_shift(fy, by, c, kind),
+                              ball_shift(fm, mids, c, kind), ts, dist2, 0.0, tol, xs, ys)
+        if arithmetic:
+            us, vs = np.repeat(1.0 / bx, m), np.repeat(1.0 / by, m)
+            sa, ta, _, _ = _side_slacks(g.eval_vector(1.0 / bx), g.eval_vector(1.0 / by),
+                                        g.eval_vector(ts * vs + (1.0 - ts) * us),
+                                        ts, (us - vs) ** 2, c, kind, tol)
+            va = sa >= -ta
+            disagreements += int(np.count_nonzero((sh >= -th) != va))
+            arith_holds = arith_holds and bool(np.all(va))
+            arith_min = np.minimum(arith_min, np.min(sa))
+
+    out = {}
+    if strong_id in ids or shifted:
+        out[strong_id] = strong.report(strong_id, c)
+    if shifted:
+        out[lemma_id] = shift_lemma_report(
+            lemma_id, out[strong_id], shift_side.report(strong_id, 0.0), c, direction)
+    if arithmetic:
+        out["prop_31"] = strong.report(
+            "prop_31", c,
+            harmonic_holds=strong.holds,
+            arithmetic_holds=arith_holds,
+            arithmetic_slack=float(arith_min),
+            disagreements=disagreements,
+            consistency_failure=disagreements > 0,
+        )
+    return out
 
 
-def _grid_verdict(slacks: np.ndarray, tols: np.ndarray, witness: np.ndarray,
-                  kind: str) -> Tuple[int, InclusionVerdict]:
-    """Index of the first worst row and the verdict of the whole grid there."""
-    i = int(np.argmin(slacks + tols))
-    if kind == "interval":
-        wdir: Union[int, str] = "hi" if witness[i] == 0 else "lo"
-    else:
-        wdir = int(witness[i])
-    return i, InclusionVerdict(holds=bool(np.all(slacks >= -tols)), slack=float(slacks[i]),
-                               witness_direction=wdir, tolerance_used=float(tols[i]))
-
-
-def _definitional_report(theorem_id: str, f: SetValuedFn, c: float,
-                         xs: np.ndarray, ys: np.ndarray, ts: np.ndarray,
-                         tol: float, harmonic: bool) -> TheoremReport:
-    slacks, tols, witness, lhs, rhs = _definitional_slacks(
-        f, c, xs, ys, ts, tol, harmonic)
-    i, verdict = _grid_verdict(slacks, tols, witness, f.kind)
-    echo = {
-        "c": c,
-        "triples": int(xs.size),
-        "witness": {"x": float(xs[i]), "y": float(ys[i]), "t": float(ts[i])},
-    }
-    return TheoremReport(
-        theorem_id=theorem_id,
-        lhs=_row_set(lhs[i], f.kind),
-        rhs=_row_set(rhs[i], f.kind),
-        verdict=verdict,
-        error_budget=0.0,
-        inputs_echo=echo,
-    )
+def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
+                 tol: float = DEFAULT_TOL) -> dict:
+    """Reports of the grid theorem ids among ``ids``, keyed by id: one pass
+    over the (x, y, t) grid serves def_shc, lemma_i and prop_31, and one over
+    the t = 1/2 pairs serves def_mid and lemma_ii."""
+    out = {}
+    for midconvex, pass_ids in ((False, ("def_shc", "lemma_i", "prop_31")),
+                                (True, ("def_mid", "lemma_ii"))):
+        wanted = [tid for tid in pass_ids if tid in ids]
+        if wanted:
+            out.update(_grid_pass(f, c, grid, tol, wanted, midconvex))
+    return out
 
 
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,
@@ -194,8 +300,7 @@ def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid
     """t F(y) + (1-t) F(x) + c t(1-t) |(x-y)/(xy)|^2 B inside F(xy/(tx+(1-t)y))."""
     if c < 0.0:
         raise ValueError("modulus c must be >= 0")
-    xs, ys, ts = grid.triples(f.domain.a, f.domain.b)
-    return _definitional_report("def_shc", f, c, xs, ys, ts, tol, harmonic=True)
+    return _grid_pass(f, c, grid, tol, ("def_shc",))["def_shc"]
 
 
 def check_strongly_harmonic_midconvex(f: SetValuedFn, c: float, grid: ConvexityGrid,
@@ -203,9 +308,7 @@ def check_strongly_harmonic_midconvex(f: SetValuedFn, c: float, grid: ConvexityG
     """The t = 1/2 restriction with the c/4 penalty coefficient."""
     if c < 0.0:
         raise ValueError("modulus c must be >= 0")
-    xs, ys = grid.pairs(f.domain.a, f.domain.b)
-    ts = np.full(xs.size, 0.5)
-    return _definitional_report("def_mid", f, c, xs, ys, ts, tol, harmonic=True)
+    return _grid_pass(f, c, grid, tol, ("def_mid",), midconvex=True)["def_mid"]
 
 
 def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
@@ -217,13 +320,10 @@ def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
         raise ValueError("the shift lemma needs c > 0")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction: {direction!r}")
-    checker = check_strongly_harmonic_midconvex if midconvex else check_strongly_harmonic_convex
     theorem_id = "lemma_ii" if midconvex else "lemma_i"
-    g = c_shift(f, c)
-    shifted = checker(g, 0.0, grid, tol)
     # backward: recover F from the shifted map and check it at modulus c
-    strong = checker(f if direction == "forward" else c_unshift(g, c), c, grid, tol)
-    return shift_lemma_report(theorem_id, strong, shifted, c, direction)
+    base = f if direction == "forward" else c_unshift(c_shift(f, c), c)
+    return _grid_pass(base, c, grid, tol, (theorem_id,), midconvex, direction)[theorem_id]
 
 
 def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremReport,
@@ -264,31 +364,7 @@ def check_prop31(f: SetValuedFn, c: float, grid: ConvexityGrid,
     (1/x, 1/y, t); a verdict disagreement is a consistency failure of the
     implementation, flagged in the echo.
     """
-    xs, ys, ts = grid.triples(f.domain.a, f.domain.b)
-    sh, th, wh, lhs_h, rhs_h = _definitional_slacks(f, c, xs, ys, ts, tol, harmonic=True)
-    g = reciprocal_transform(f)
-    sa, ta, _, _, _ = _definitional_slacks(g, c, 1.0 / xs, 1.0 / ys, ts, tol, harmonic=False)
-    vh = sh >= -th
-    va = sa >= -ta
-    disagreements = int(np.sum(vh != va))
-    i, verdict = _grid_verdict(sh, th, wh, f.kind)
-    return TheoremReport(
-        theorem_id="prop_31",
-        lhs=_row_set(lhs_h[i], f.kind),
-        rhs=_row_set(rhs_h[i], f.kind),
-        verdict=verdict,
-        error_budget=0.0,
-        inputs_echo={
-            "c": c,
-            "triples": int(xs.size),
-            "harmonic_holds": verdict.holds,
-            "arithmetic_holds": bool(np.all(va)),
-            "arithmetic_slack": float(np.min(sa)),
-            "disagreements": disagreements,
-            "consistency_failure": disagreements > 0,
-            "witness": {"x": float(xs[i]), "y": float(ys[i]), "t": float(ts[i])},
-        },
-    )
+    return _grid_pass(f, c, grid, tol, ("prop_31",))["prop_31"]
 
 
 def _budget_verdict(lhs: ConvexSet, rhs: ConvexSet, tol: float,

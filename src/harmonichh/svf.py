@@ -273,14 +273,20 @@ class CShiftFn(SetValuedFn):
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        vals = self.base.eval_vector(xs).copy()
-        r = self.c / xs ** 2
-        if self.kind == "interval":
-            vals[:, 0] -= r
-            vals[:, 1] += r
-        else:
-            vals += r[:, None]
-        return vals
+        return ball_shift(self.base.eval_vector(xs), xs, self.c, self.kind)
+
+
+def ball_shift(vals: np.ndarray, xs: np.ndarray, c: float, kind: str) -> np.ndarray:
+    """A copy of the values ``vals`` of F at ``xs`` widened by the ball of
+    radius c/x^2: the values of F(x) (+) (c/x^2) B."""
+    vals = vals.copy()
+    r = c / xs ** 2
+    if kind == "interval":
+        vals[:, 0] -= r
+        vals[:, 1] += r
+    else:
+        vals += r[:, None]
+    return vals
 
 
 def reciprocal_transform(f: SetValuedFn) -> SetValuedFn:

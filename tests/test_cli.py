@@ -255,3 +255,26 @@ class TestConfigErrorExitCode:
         # baseline runs only the Nikodem pair, which accepts c = 0
         assert parse_config(verify_doc(mode="baseline", c=0.0)).theorems == [
             "nikodem_left", "nikodem_right"]
+
+    # malformed fields: one error line and exit 2, not a traceback and exit 1
+    def test_unknown_search_key(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "mode": "search", "theorems": ["def_shc"],
+            "search": {"alpah": [0.5, 1.0], "budget": 4},
+        })
+
+    def test_scalar_search_range(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "mode": "search", "theorems": ["def_shc"],
+            "search": {"alpha": 0.5, "budget": 4},
+        })
+
+    def test_non_numeric_pair_count(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(grid={"pair_count": "x"}))
+
+    def test_empty_grid(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(
+            grid={"pair_count": 0, "sampling": "seeded-random"}))
+
+    def test_non_numeric_c(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(c="abc"))

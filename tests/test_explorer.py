@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from harmonichh import explorer
+from harmonichh import explorer, hh_check
 from harmonichh.aumann import QuadratureSpec
 from harmonichh.cli import build_family
 from harmonichh.cli import main as cli_main
@@ -17,7 +17,7 @@ from harmonichh.explorer import (
     run_theorems,
 )
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid
-from harmonichh.svf import FeasibilityError
+from harmonichh.svf import FeasibilityError, QuadraticIntervalFn
 
 GRID = ConvexityGrid(pair_count=64)
 
@@ -80,26 +80,39 @@ class TestTheoremTable:
     def test_each_row_runs_once(self, monkeypatch):
         calls = []
 
-        def counting(name):
-            original = getattr(explorer, name)
+        def counting(owner, name):
+            original = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls.append(name)
                 return original(*args, **kwargs)
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("check_strongly_harmonic_convex", "check_strongly_harmonic_midconvex",
-                     "check_prop31", "check_nikodem", "check_hh", "check_thm33",
+        for name in ("grid_reports", "check_nikodem", "check_hh", "check_thm33",
                      "check_thm35"):
-            monkeypatch.setattr(explorer, name, counting(name))
+            counting(explorer, name)
+        counting(hh_check, "_grid_pass")
         reports = run_theorems(build_function(QUADRATIC_CFG), THEOREM_IDS + THEOREM_IDS,
                                1.0, GRID, QuadratureSpec())
         assert len(reports) == 2 * len(THEOREM_IDS)
-        # the lemmas add only their shifted side to the defining checks
+        # one streamed pass per t grid serves all five grid ids
         assert sorted(calls) == sorted([
-            "check_strongly_harmonic_convex", "check_strongly_harmonic_convex",
-            "check_strongly_harmonic_midconvex", "check_strongly_harmonic_midconvex",
-            "check_prop31", "check_nikodem", "check_hh", "check_thm33", "check_thm35"])
+            "grid_reports", "_grid_pass", "_grid_pass",
+            "check_nikodem", "check_hh", "check_thm33", "check_thm35"])
+
+    @pytest.mark.parametrize("ids,per_pair,per_triple", [
+        (["def_shc"], 2, 1),
+        (["def_shc", "lemma_i"], 2, 1),  # the shifted side adds no evaluation
+        (["lemma_i", "prop_31"], 4, 2),  # prop_31's arithmetic side is independent
+    ])
+    def test_f_evaluated_once_per_pair(self, monkeypatch, ids, per_pair, per_triple):
+        points = []
+        original = QuadraticIntervalFn.eval_vector
+        monkeypatch.setattr(QuadraticIntervalFn, "eval_vector",
+                            lambda self, xs: points.append(len(xs)) or original(self, xs))
+        run_theorems(build_function(QUADRATIC_CFG), ids, 1.0, GRID, QuadratureSpec())
+        pairs = GRID.pairs(1.0, 2.0)[0].size
+        assert sum(points) == per_pair * pairs + per_triple * pairs * len(GRID.t_values)
 
     def test_lemma_without_def_shc_requested(self):
         f = build_function(QUADRATIC_CFG)

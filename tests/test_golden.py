@@ -1,5 +1,7 @@
-"""Golden reports: the rendered JSON report of three fixed configs, pinned by
-the SHA-256 of its text with the ``wall_time_s`` line removed.
+"""Golden reports: the rendered JSON report of four fixed configs, pinned by
+the SHA-256 of its text with the ``wall_time_s`` line removed.  The
+16384-pair config spans several blocks of the streamed grid pass; its
+digest was recorded before the grid checks were streamed.
 
 A refactor that must not change results keeps these digests.  A change
 that alters a report on purpose updates the digest and says why.
@@ -34,6 +36,9 @@ QUADRATIC_SEARCH = {
     "seed": 0,
 }
 
+DEFAULT_16K = {**default_config(),
+               "grid": {**default_config()["grid"], "pair_count": 16384}}
+
 GOLDEN = [
     ("default", default_config(), 1,
      "330b95528dc2b88f35da7da70baf75686fe90fd7ec557381e2537edc0a512393"),
@@ -41,6 +46,8 @@ GOLDEN = [
      "8f4231b7696ba4c13bf718b41574f4d34cc88da338a14c79fe958b4510bd5793"),
     ("quadratic-search", QUADRATIC_SEARCH, 1,
      "1a4679b2479427d65f082ec7dbe7a98fbd581a74750658752bb2b24ee5858175"),
+    ("default-16k", DEFAULT_16K, 1,
+     "5a0f1b5258392903ed138581af8aa0e3c93d4d43f57cfa5cc607b933ec1462d3"),
 ]
 
 

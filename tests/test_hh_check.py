@@ -1,11 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from harmonichh.aumann import QuadratureSpec
+from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import (
     ConvexityGrid,
+    _grid_pass,
+    _side_slacks,
     check_hh,
     check_lemma_shift,
     check_nikodem,
@@ -24,6 +28,7 @@ from harmonichh.svf import (
     SampledFn,
     c_shift,
     harmonic_combination,
+    make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
 )
@@ -364,3 +369,84 @@ class TestGrid:
         g = ConvexityGrid(pair_count=16)
         xs, ys, ts = g.triples(1, 2)
         assert xs.size == ys.size == ts.size == 16 * len(g.t_values)
+
+
+GRID_PASSES = ((False, ("def_shc", "lemma_i", "prop_31")), (True, ("def_mid", "lemma_ii")))
+
+
+def disc_fn():
+    return make_disc_family((0.7, -0.3), (0.2, 0.5), 4.0, 1.5, HarmonicDomain(0.8, 2.1),
+                            grid_size=16)
+
+
+def sampled_fn(kind):
+    xs = np.linspace(1.0, 2.0, 9)
+    if kind == "interval":
+        return SampledFn(xs, np.column_stack([np.sin(3 * xs), 3 + np.cos(2 * xs)]), DOM12)
+    return SampledFn(xs, np.column_stack([np.sin(k * xs) + k for k in range(1, 6)]), DOM12,
+                     kind="support")
+
+
+class TestBlockInvariance:
+    """The streamed pass gives the same reports whatever its block size."""
+
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    @pytest.mark.parametrize("family", ["quadratic", "disc", "sampled-interval",
+                                        "sampled-support"])
+    def test_block_sizes_agree(self, family, sampling):
+        f = {"quadratic": lambda: make_quadratic_family(1.5, 2.0, 20.0, DOM12),
+             "disc": disc_fn,
+             "sampled-interval": lambda: sampled_fn("interval"),
+             "sampled-support": lambda: sampled_fn("support")}[family]()
+        grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
+        pairs = grid.pairs(f.domain.a, f.domain.b)[0].size
+        for midconvex, ids in GRID_PASSES:
+            reports = [_grid_pass(f, 1.0, grid, 1e-9, ids, midconvex, block_pairs=n)
+                       for n in (1, 7, 4096, pairs + 1)]
+            assert set(reports[0]) >= set(ids)
+            for rep in reports[1:]:
+                assert rep == reports[0]
+
+    def test_tied_minimum_keeps_first_row(self):
+        # The tight family attains slack 0 with the same tolerance on every
+        # degenerate row at x = a; the first of them, in grid order, is the
+        # witness even when later blocks hold tied rows.
+        f = make_quadratic_family(1.0, 1.0, 10.0, DOM12)
+        grid = ConvexityGrid(pair_count=64)
+        xs, ys, ts = grid.triples(1.0, 2.0)
+        mids = xs * ys / (ts * xs + (1.0 - ts) * ys)
+        dist2 = ((xs - ys) / (xs * ys)) ** 2
+        fx, fy, fm = f.eval_vector(xs), f.eval_vector(ys), f.eval_vector(mids)
+        slacks, tols, _, _ = _side_slacks(fx, fy, fm, ts, dist2, 1.0, "interval", 1e-9)
+        keys = slacks + tols
+        tied = np.flatnonzero(keys == keys.min())
+        assert tied[0] == 0 and len({i // (7 * len(grid.t_values)) for i in tied}) > 1
+        for n in (1, 7, 4096):
+            rep = _grid_pass(f, 1.0, grid, 1e-9, ("def_shc",), block_pairs=n)["def_shc"]
+            assert rep.inputs_echo["witness"] == {"x": 1.0, "y": 1.0, "t": 0.0}
+            assert rep.verdict.slack == 0.0
+
+    def test_constant_family_all_rows_tied(self):
+        f = constant_fn(1.0, 3.0)
+        grid = ConvexityGrid(pair_count=49, t_values=(0.0, 0.5, 1.0))
+        first = grid.pairs(1.0, 2.0)
+        for n in (1, 7, 4096):
+            rep = _grid_pass(f, 0.0, grid, 1e-9, ("def_shc",), block_pairs=n)["def_shc"]
+            assert rep.inputs_echo["witness"] == {
+                "x": float(first[0][0]), "y": float(first[1][0]), "t": 0.0}
+
+
+class TestBoundedMemory:
+    def test_peak_does_not_grow_with_the_grid(self):
+        f = make_quadratic_family(1.0, 1.0, 10.0, DOM12)
+
+        def peak(pairs):
+            tracemalloc.start()
+            run_theorems(f, ["def_shc", "lemma_i", "prop_31"], 1.0,
+                         ConvexityGrid(pair_count=pairs), GL16)
+            size = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return size
+
+        # 16x the pairs; an unstreamed pass would need about 16x the memory
+        assert peak(65536) < 2.0 * peak(4096)
