@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .set_core import ConvexSet, Interval, SupportSet, UnsupportedProductError
+from .set_core import ConvexSet, Interval, UnsupportedProductError, as_set
 from .svf import (
     HarmonicDomain,
     SetValuedFn,
@@ -136,23 +136,16 @@ def _integrate_columns(
     return cols, budget, xs.size
 
 
-def _wrap(cols: np.ndarray, kind: str) -> ConvexSet:
-    if kind == "interval":
-        return Interval(cols[0], cols[1])
-    return SupportSet(tuple(cols))
-
-
 def aumann_integral(f: SetValuedFn, lo: float, hi: float, q: QuadratureSpec,
                     exact_polynomial: bool = False) -> IntegralResult:
     """Integral of F over [lo, hi] inside F's domain, per support channel."""
     dom = f.domain
-    pad = 1e-12 * (1.0 + abs(dom.a) + abs(dom.b))
-    if lo < dom.a - pad or hi > dom.b + pad:
+    if not (dom.contains(lo) and dom.contains(hi)):
         raise QuadratureError(
             f"[{lo}, {hi}] not inside the function domain [{dom.a}, {dom.b}]")
     cols, budget, nodes = _integrate_columns(f.eval_vector, lo, hi, q,
                                              exact_polynomial=exact_polynomial)
-    return IntegralResult(_wrap(cols, f.kind), budget, nodes)
+    return IntegralResult(as_set(cols, f.kind), budget, nodes)
 
 
 def weighted_harmonic_integral(f: SetValuedFn, dom: HarmonicDomain,
@@ -174,7 +167,7 @@ def weighted_harmonic_integral(f: SetValuedFn, dom: HarmonicDomain,
             return f.eval_vector(xs) / (xs ** 2)[:, None]
 
         cols, budget, nodes = _integrate_columns(sample, a, b, q)
-    return IntegralResult(_wrap(cols, f.kind), budget, nodes)
+    return IntegralResult(as_set(cols, f.kind), budget, nodes)
 
 
 def _product_integral(f: SetValuedFn, g: SetValuedFn, dom: HarmonicDomain,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,8 @@ from .hh_check import DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .set_core import Interval, RepresentationMismatchError, SupportSet, UnsupportedProductError
+from .set_core import (Interval, NonFiniteSetError, RepresentationMismatchError, SupportSet,
+                       UnsupportedProductError)
 from .svf import (
     DomainError,
     FeasibilityError,
@@ -42,6 +44,7 @@ MODES = ("verify", "search", "baseline")
 CONFIG_ERRORS = (
     FeasibilityError, DomainError, ParameterError, QuadratureError,
     PositivityError, RepresentationMismatchError, UnsupportedProductError,
+    NonFiniteSetError,
 )
 
 
@@ -87,6 +90,20 @@ def _convert(value, convert, what: str):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {value!r}") from exc
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {x}")
+    return x
+
+
+def _tolerance(value) -> float:
+    tol = _finite(value)
+    if tol < 0.0:
+        raise ValueError(f"negative tolerance: {tol}")
+    return tol
 
 
 def _search_range(value, name: str) -> tuple:
@@ -169,6 +186,8 @@ def parse_config(doc: dict) -> RunConfig:
             theorems = [t for t in theorems if t.startswith("nikodem")] or \
                 ["nikodem_left", "nikodem_right"]
         for fam in families:
+            if not isinstance(fam, dict):
+                raise ConfigError(f"family descriptor must be an object, got {fam!r}")
             if "a" not in fam or "b" not in fam:
                 raise ConfigError("family descriptor is missing its domain (a, b)")
         try:
@@ -188,7 +207,7 @@ def parse_config(doc: dict) -> RunConfig:
         grid=grid,
         quadrature=quadrature,
         theorems=theorems,
-        tolerance=_convert(doc.get("tolerance", DEFAULT_TOL), float, "tolerance"),
+        tolerance=_convert(doc.get("tolerance", DEFAULT_TOL), _tolerance, "tolerance"),
         output=doc.get("output"),
         seed=_convert(doc.get("seed", 0), int, "seed"),
         search=search,
@@ -196,17 +215,38 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return _finite(value)
+
+
+def _pair(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"not an [x, y] pair: {value!r}")
+    return tuple(_number(v) for v in value)
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def build_family(descriptor: dict) -> SetValuedFn:
     kind = descriptor.get("family")
+
+    def get(key, convert=_finite):
+        return _convert(descriptor[key], convert, f"family field {key!r}")
+
     try:
-        dom = HarmonicDomain(float(descriptor["a"]), float(descriptor["b"]))
+        dom = HarmonicDomain(get("a"), get("b"))
         if kind == "quadratic-interval":
-            return make_quadratic_family(descriptor["alpha"], descriptor["beta"],
-                                         descriptor["K"], dom)
+            return make_quadratic_family(get("alpha"), get("beta"), get("K"), dom)
         if kind == "disc":
-            return make_disc_family(descriptor["v"], descriptor["w"],
-                                    descriptor["K"], descriptor["beta"], dom,
-                                    grid_size=int(descriptor.get("grid_size", 64)))
+            return make_disc_family(get("v", _pair), get("w", _pair), get("K"), get("beta"),
+                                    dom, grid_size=_convert(descriptor.get("grid_size", 64),
+                                                            _count, "family field 'grid_size'"))
     except KeyError as exc:
         raise ConfigError(f"family descriptor missing field: {exc}") from exc
     raise ConfigError(f"unknown family kind: {kind!r}")

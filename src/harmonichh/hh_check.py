@@ -3,7 +3,9 @@
 Each checker returns a TheoremReport carrying the worst-case signed slack
 over its sample grid, an InclusionVerdict at the witness sample, and the
 quadrature error budget (always absorbed into the inclusion tolerance, so
-a reported violation is never attributable to quadrature).
+a reported violation is never attributable to quadrature).  Every verdict
+comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
+of sets, ``inclusion_rows`` for the rows of a grid block.
 
 Grid checks run as one streamed pass per family and t grid: the sample
 pairs are walked in fixed blocks of BLOCK_PAIRS, F is evaluated once per
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -37,12 +39,14 @@ from .set_core import (
     ConvexSet,
     InclusionVerdict,
     Interval,
-    SupportSet,
+    as_set,
     ball,
     hausdorff,
     includes,
+    inclusion_rows,
     interval_product,
     minkowski_sum,
+    row_verdict,
     scale,
 )
 from .svf import (HarmonicDomain, SetValuedFn, ball_shift, c_shift, c_unshift,
@@ -76,7 +80,7 @@ class ConvexityGrid:
         if self.pair_count < 1:
             raise ValueError(f"pair_count must be >= 1, got {self.pair_count}")
         ts = tuple(float(t) for t in self.t_values)
-        if any(t < 0.0 or t > 1.0 for t in ts):
+        if not all(0.0 <= t <= 1.0 for t in ts):  # also rejects NaN
             raise ValueError("t values must lie in [0, 1]")
         if list(ts) != sorted(ts):
             raise ValueError("t values must be sorted")
@@ -119,34 +123,6 @@ class TheoremReport:
         return self.verdict.holds
 
 
-def _row_set(row: np.ndarray, kind: str) -> ConvexSet:
-    if kind == "interval":
-        return Interval(float(row[0]), float(row[1]))
-    return SupportSet(tuple(row))
-
-
-def _rowwise_slacks(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
-    """Per-row inclusion slack, tolerance and witness direction.
-
-    Mirrors set_core.includes applied row by row, with the same mixed
-    relative-absolute tolerance rule.
-    """
-    if kind == "interval":
-        margin_hi = rhs[:, 1] - lhs[:, 1]
-        margin_lo = lhs[:, 0] - rhs[:, 0]
-        slacks = np.minimum(margin_hi, margin_lo)
-        tols = tol * (1.0 + np.maximum(np.abs(rhs[:, 0]), np.abs(rhs[:, 1])))
-        witness = np.where(margin_hi <= margin_lo, 0, 1)  # 0 -> "hi", 1 -> "lo"
-        return slacks, tols, witness
-    margins = rhs - lhs
-    dir_tols = np.abs(rhs)  # in place: tol * (1 + |rhs|) without temporaries
-    dir_tols += 1.0
-    dir_tols *= tol
-    j = np.argmin(margins + dir_tols, axis=1)
-    rows = np.arange(lhs.shape[0])
-    return margins[rows, j], dir_tols[rows, j], j
-
-
 def _side_slacks(fx: np.ndarray, fy: np.ndarray, fm: np.ndarray, ts: np.ndarray,
                  dist2: np.ndarray, c: float, kind: str, tol: float):
     """Slacks of t F(y) + (1-t) F(x) + c t(1-t) dist2 B inside F(mid), row by row.
@@ -165,24 +141,24 @@ def _side_slacks(fx: np.ndarray, fy: np.ndarray, fm: np.ndarray, ts: np.ndarray,
         lhs = ts[:, None] * np.repeat(fy, m, axis=0)
         lhs += (1.0 - ts)[:, None] * np.repeat(fx, m, axis=0)
         lhs += pen[:, None]
-    slacks, tols, witness = _rowwise_slacks(lhs, fm, kind, tol)
+    slacks, tols, witness = inclusion_rows(lhs, fm, kind, tol)
     return slacks, tols, witness, lhs
 
 
 class _Worst:
     """Running reduction of one side of a grid check over its blocks: the
-    first row minimising slack + tolerance, and whether every row held.
+    first row minimising slack + tolerance.
 
     Blocks arrive in grid order and a later block replaces the kept row only
     if it is strictly smaller (or the first NaN), so the kept row is the
-    global argmin's, whatever the block size.
+    global argmin's, whatever the block size.  Every row holds exactly when
+    the kept row does, so the kept row's verdict is the side's verdict.
     """
 
     def __init__(self, kind: str):
         self.kind = kind
         self.key = None
         self.row = None
-        self.holds = True
         self.triples = 0
 
     def update(self, fx, fy, fm, ts, dist2, c, tol, xs, ys):
@@ -191,7 +167,6 @@ class _Worst:
         slacks, tols, witness, lhs = _side_slacks(fx, fy, fm, ts, dist2, c, self.kind, tol)
         keys = slacks + tols
         i = int(np.argmin(keys))
-        self.holds = self.holds and bool(np.all(slacks >= -tols))
         self.triples += slacks.size
         key = keys[i]
         if self.key is None or key < self.key or (np.isnan(key) and not np.isnan(self.key)):
@@ -202,17 +177,11 @@ class _Worst:
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
-        if self.kind == "interval":
-            wdir: Union[int, str] = "hi" if witness == 0 else "lo"
-        else:
-            wdir = int(witness)
-        verdict = InclusionVerdict(holds=self.holds, slack=float(slack),
-                                   witness_direction=wdir, tolerance_used=float(tol_used))
         return TheoremReport(
             theorem_id=theorem_id,
-            lhs=_row_set(lhs, self.kind),
-            rhs=_row_set(rhs, self.kind),
-            verdict=verdict,
+            lhs=as_set(lhs, self.kind),
+            rhs=as_set(rhs, self.kind),
+            verdict=row_verdict(slack, tol_used, witness, self.kind),
             error_budget=0.0,
             inputs_echo={"c": c, "triples": self.triples, **echo,
                          "witness": {"x": float(x), "y": float(y), "t": float(t)}},
@@ -264,15 +233,16 @@ def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
             arith_min = np.minimum(arith_min, np.min(sa))
 
     out = {}
+    harmonic = strong.report(strong_id, c)
     if strong_id in ids or shifted:
-        out[strong_id] = strong.report(strong_id, c)
+        out[strong_id] = harmonic
     if shifted:
         out[lemma_id] = shift_lemma_report(
-            lemma_id, out[strong_id], shift_side.report(strong_id, 0.0), c, direction)
+            lemma_id, harmonic, shift_side.report(strong_id, 0.0), c, direction)
     if arithmetic:
         out["prop_31"] = strong.report(
             "prop_31", c,
-            harmonic_holds=strong.holds,
+            harmonic_holds=harmonic.holds,
             arithmetic_holds=arith_holds,
             arithmetic_slack=float(arith_min),
             disagreements=disagreements,
@@ -332,17 +302,11 @@ def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremR
     map into one shift-lemma report."""
     # worst of the paired checks is the reported witness
     primary = strong if strong.verdict.slack <= shifted.verdict.slack else shifted
-    verdict = InclusionVerdict(
-        holds=strong.holds and shifted.holds,
-        slack=primary.verdict.slack,
-        witness_direction=primary.verdict.witness_direction,
-        tolerance_used=primary.verdict.tolerance_used,
-    )
     return TheoremReport(
         theorem_id=theorem_id,
         lhs=primary.lhs,
         rhs=primary.rhs,
-        verdict=verdict,
+        verdict=dataclasses.replace(primary.verdict, holds=strong.holds and shifted.holds),
         error_budget=0.0,
         inputs_echo={
             "c": c,
@@ -372,15 +336,7 @@ def _budget_verdict(lhs: ConvexSet, rhs: ConvexSet, tol: float,
     """Inclusion verdict with the quadrature budget absorbed into the tolerance."""
     v = includes(lhs, rhs, tol)
     tol_used = v.tolerance_used + budget
-    return InclusionVerdict(holds=bool(v.slack >= -tol_used), slack=v.slack,
-                            witness_direction=v.witness_direction,
-                            tolerance_used=tol_used)
-
-
-def _ball_like(f: SetValuedFn, radius: float) -> ConvexSet:
-    if f.kind == "interval":
-        return ball(radius, "interval")
-    return ball(radius, "support", grid_size=f.grid_size)
+    return dataclasses.replace(v, holds=bool(v.slack >= -tol_used), tolerance_used=tol_used)
 
 
 def _sandwich(name: str, f: SetValuedFn, c: float, a: float, b: float, mid: float,
@@ -389,13 +345,13 @@ def _sandwich(name: str, f: SetValuedFn, c: float, a: float, b: float, mid: floa
     """Left and right reports of a Hermite-Hadamard sandwich around ``mean``."""
     echo = {"c": c, "a": a, "b": b, "nodes": nodes}
 
-    lhs_l = minkowski_sum(mean, _ball_like(f, c / 12.0 * d2))
+    lhs_l = minkowski_sum(mean, ball(c / 12.0 * d2, f.kind, f.grid_size))
     rhs_l = f.eval(mid)
     left = TheoremReport(f"{name}_left", lhs_l, rhs_l,
                          _budget_verdict(lhs_l, rhs_l, tol, budget), budget, dict(echo))
 
     lhs_r = minkowski_sum(scale(0.5, minkowski_sum(f.eval(a), f.eval(b))),
-                          _ball_like(f, c / 6.0 * d2))
+                          ball(c / 6.0 * d2, f.kind, f.grid_size))
     right = TheoremReport(f"{name}_right", lhs_r, mean,
                           _budget_verdict(lhs_r, mean, tol, budget), budget, dict(echo))
     return left, right

@@ -13,6 +13,9 @@ defined directly on support vectors.  All constructors provided here
 support values exact for the represented set, so no polytope
 reconstruction is ever needed.
 
+``inclusion_rows`` is the one inclusion rule: ``includes`` is its one-row
+case, and the grid checks apply it to whole blocks of rows.
+
 All operations are pure functions on immutable values.
 """
 
@@ -39,9 +42,14 @@ class UnsupportedProductError(TypeError):
     """Set products are defined for intervals only."""
 
 
+class NonFiniteSetError(ValueError):
+    """A set would have an infinite or NaN endpoint or support value, as
+    when arithmetic on large finite sets overflows."""
+
+
 @dataclass(frozen=True)
 class Interval:
-    """Compact interval [lo, hi] with lo <= hi."""
+    """Compact interval [lo, hi] with finite lo <= hi."""
 
     lo: float
     hi: float
@@ -49,20 +57,12 @@ class Interval:
     def __post_init__(self) -> None:
         lo = float(self.lo)
         hi = float(self.hi)
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval endpoints must not be NaN")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise NonFiniteSetError(f"interval endpoints must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"inverted interval: lo={lo} > hi={hi}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
@@ -78,8 +78,8 @@ class SupportSet:
         vals = tuple(float(v) for v in self.support)
         if len(vals) < 3:
             raise ValueError("support grid needs at least 3 directions")
-        if any(math.isnan(v) for v in vals):
-            raise ValueError("support values must not be NaN")
+        if not all(math.isfinite(v) for v in vals):
+            raise NonFiniteSetError("support values must be finite")
         object.__setattr__(self, "support", vals)
 
     @property
@@ -175,40 +175,62 @@ def point(value, kind: str = "interval", grid_size: int = DEFAULT_GRID_SIZE) -> 
     raise ValueError(f"unknown representation kind: {kind!r}")
 
 
-def includes(a: ConvexSet, b: ConvexSet, tol: float = 0.0) -> InclusionVerdict:
-    """Test A subset-of B with a mixed relative-absolute tolerance.
+def as_set(row, kind: str) -> ConvexSet:
+    """The set whose channels are ``row``: the endpoints (lo, hi) of an
+    interval or the support values of a SupportSet."""
+    if kind == "interval":
+        return Interval(row[0], row[1])
+    return SupportSet(tuple(row))
+
+
+def as_row(s: ConvexSet) -> np.ndarray:
+    """The channels of ``s``; the inverse of ``as_set``."""
+    if isinstance(s, Interval):
+        return np.array([s.lo, s.hi])
+    return s.as_array()
+
+
+def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
+    """The inclusion rule: slack, tolerance and witness of lhs[i] subset-of
+    rhs[i] for each row i of two (n, channels) arrays.
 
     The raw slack in a direction is h_B - h_A; the per-direction pass
-    threshold is -tol * (1 + |h_B|) (for intervals, 1 + max endpoint
-    magnitude of B).  The witness is the most binding direction.
+    threshold is -tol * (1 + |h_B|) (for intervals, 1 + the larger endpoint
+    magnitude of B).  The witness is the most binding direction, the first
+    one on ties: an index into the support grid, or for intervals 0 ("hi")
+    or 1 ("lo").
     """
-    _check_same_kind(a, b)
-    tol = float(tol)
-    if isinstance(a, Interval):
-        margin_hi = b.hi - a.hi
-        margin_lo = a.lo - b.lo
-        tol_eff = tol * (1.0 + max(abs(b.lo), abs(b.hi)))
-        if margin_hi <= margin_lo:
-            slack, witness = margin_hi, "hi"
-        else:
-            slack, witness = margin_lo, "lo"
-        return InclusionVerdict(
-            holds=bool(slack >= -tol_eff),
-            slack=float(slack),
-            witness_direction=witness,
-            tolerance_used=tol_eff,
-        )
-    ha = a.as_array()
-    hb = b.as_array()
-    margins = hb - ha
-    tols = tol * (1.0 + np.abs(hb))
-    j = int(np.argmin(margins + tols))
+    if kind == "interval":
+        margin_hi = rhs[:, 1] - lhs[:, 1]
+        margin_lo = lhs[:, 0] - rhs[:, 0]
+        slacks = np.minimum(margin_hi, margin_lo)
+        tols = tol * (1.0 + np.maximum(np.abs(rhs[:, 0]), np.abs(rhs[:, 1])))
+        return slacks, tols, np.where(margin_hi <= margin_lo, 0, 1)
+    margins = rhs - lhs
+    dir_tols = np.abs(rhs)  # in place: tol * (1 + |rhs|) without temporaries
+    dir_tols += 1.0
+    dir_tols *= tol
+    j = np.argmin(margins + dir_tols, axis=1)
+    rows = np.arange(lhs.shape[0])
+    return margins[rows, j], dir_tols[rows, j], j
+
+
+def row_verdict(slack: float, tol_used: float, witness: int, kind: str) -> InclusionVerdict:
+    """The verdict of one ``inclusion_rows`` row."""
     return InclusionVerdict(
-        holds=bool(margins[j] >= -tols[j]),
-        slack=float(margins[j]),
-        witness_direction=j,
-        tolerance_used=float(tols[j]),
+        holds=bool(slack >= -tol_used),
+        slack=float(slack),
+        witness_direction=("hi", "lo")[witness] if kind == "interval" else int(witness),
+        tolerance_used=float(tol_used),
     )
+
+
+def includes(a: ConvexSet, b: ConvexSet, tol: float = 0.0) -> InclusionVerdict:
+    """Test A subset-of B: the one-row case of ``inclusion_rows``."""
+    _check_same_kind(a, b)
+    kind = "interval" if isinstance(a, Interval) else "support"
+    slacks, tols, witness = inclusion_rows(as_row(a)[None], as_row(b)[None], kind, float(tol))
+    return row_verdict(slacks[0], tols[0], witness[0], kind)
 
 
 def interval_product(a: Interval, b: Interval) -> Interval:

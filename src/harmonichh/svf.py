@@ -21,8 +21,7 @@ import numpy as np
 from .set_core import (
     DEFAULT_GRID_SIZE,
     ConvexSet,
-    Interval,
-    SupportSet,
+    as_set,
     directions,
     hausdorff,
 )
@@ -66,9 +65,11 @@ class HarmonicDomain:
     def harmonic_midpoint(self) -> float:
         return 2.0 * self.a * self.b / (self.a + self.b)
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
+        """Whether x lies in [a, b] up to a relative pad of 1e-12;
+        elementwise for an array."""
         pad = _DOMAIN_RTOL * (1.0 + abs(self.a) + abs(self.b))
-        return self.a - pad <= x <= self.b + pad
+        return (self.a - pad <= x) & (x <= self.b + pad)
 
     def reflect(self, x: float) -> float:
         if not self.contains(x):
@@ -119,19 +120,15 @@ class SetValuedFn(abc.ABC):
         return DEFAULT_GRID_SIZE
 
     def _check_in_domain(self, xs: np.ndarray) -> None:
-        dom = self.domain
-        pad = _DOMAIN_RTOL * (1.0 + abs(dom.a) + abs(dom.b))
-        if np.any(xs < dom.a - pad) or np.any(xs > dom.b + pad):
-            bad = xs[(xs < dom.a - pad) | (xs > dom.b + pad)]
-            raise DomainError(f"point {bad.flat[0]} outside [{dom.a}, {dom.b}]")
+        inside = self.domain.contains(xs)
+        if not np.all(inside):
+            dom = self.domain
+            raise DomainError(f"point {xs[~inside].flat[0]} outside [{dom.a}, {dom.b}]")
 
     def eval(self, x: float) -> ConvexSet:
         xs = np.asarray([float(x)])
         self._check_in_domain(xs)
-        row = self.eval_vector(xs)[0]
-        if self.kind == "interval":
-            return Interval(row[0], row[1])
-        return SupportSet(tuple(row))
+        return as_set(self.eval_vector(xs)[0], self.kind)
 
 
 class QuadraticIntervalFn(SetValuedFn):
@@ -341,6 +338,8 @@ def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: flo
     K, beta = float(K), float(beta)
     if beta <= 0.0:
         raise FeasibilityError("disc family needs beta > 0")
+    if grid_size < 3:
+        raise FeasibilityError(f"disc family needs grid_size >= 3, got {grid_size}")
     need = beta / dom.a ** 2
     if K < need:
         raise FeasibilityError(f"disc family infeasible: K={K} < beta/a^2 = {need}")

@@ -278,3 +278,64 @@ class TestConfigErrorExitCode:
 
     def test_non_numeric_c(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, verify_doc(c="abc"))
+
+    # malformed family descriptors
+    def test_family_not_an_object(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(families=[1]))
+
+    def test_non_numeric_family_parameter(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(families=[
+            {"family": "quadratic-interval", "alpha": "x", "beta": 1.0, "K": 10.0,
+             "a": 1.0, "b": 2.0}]))
+
+    def test_non_numeric_family_domain(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(families=[
+            {"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0, "K": 10.0,
+             "a": "q", "b": 2.0}]))
+
+    def test_disc_grid_too_small(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(
+            families=[{"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0,
+                       "beta": 1.0, "a": 1.0, "b": 2.0, "grid_size": 2}],
+            theorems=["def_shc"]))
+
+    def test_disc_vector_not_a_pair(self, tmp_path, capsys):
+        for v in ("12", {"x": 1, "y": 0}, [1, 0, 0], [True, 0]):
+            self.assert_config_error(tmp_path, capsys, verify_doc(
+                families=[{"family": "disc", "v": v, "w": [0, 1], "K": 3.0,
+                           "beta": 1.0, "a": 1.0, "b": 2.0}],
+                theorems=["def_shc"]))
+
+    def test_disc_grid_size_not_an_integer(self, tmp_path, capsys):
+        for grid_size in (3.9, True, "64"):
+            self.assert_config_error(tmp_path, capsys, verify_doc(
+                families=[{"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0,
+                           "beta": 1.0, "a": 1.0, "b": 2.0, "grid_size": grid_size}],
+                theorems=["def_shc"]))
+
+    def test_overflowing_family(self, tmp_path, capsys):
+        # finite fields whose F(a) + F(b) overflows: a numerical error, not a violation
+        self.assert_config_error(tmp_path, capsys, verify_doc(
+            families=[{"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0,
+                       "K": 1e308, "a": 1.0, "b": 2.0}],
+            theorems=["hh_right"]))
+
+    # tolerances and t values that would turn held inclusions into violations
+    def test_negative_tolerance(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(
+            theorems=["hh_left"], tolerance=-1))
+
+    def test_nan_tolerance(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(
+            theorems=["hh_left"], tolerance=float("nan")))
+
+    def test_nan_tol_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, verify_doc(theorems=["hh_left"]))
+        assert main(["--config", path, "--tol", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+
+    def test_nan_t_value(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, verify_doc(
+            theorems=["def_shc"], grid={"t_values": [0.0, float("nan"), 0.5, 1.0]}))

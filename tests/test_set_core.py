@@ -38,6 +38,16 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(2.0, 1.0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+    def test_non_finite_rejected(self, lo, hi):
+        # a compact set; an infinite endpoint would make inclusion margins NaN
+        with pytest.raises(ValueError, match="finite"):
+            Interval(lo, hi)
+
+    def test_non_finite_support_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SupportSet((1.0, math.inf, 1.0))
+
     def test_minkowski_endpoints(self):
         assert minkowski_sum(Interval(1, 2), Interval(3, 5)) == Interval(4, 7)
 
@@ -110,6 +120,31 @@ class TestIncludes:
     def test_mixed_grid_rejected(self):
         with pytest.raises(RepresentationMismatchError):
             minkowski_sum(ball(1, "support", 8), ball(1, "support", 16))
+
+    # ties and the tolerance scale of the shared inclusion rule
+    def test_equal_interval_margins_witness_hi(self):
+        v = includes(Interval(1, 2), Interval(0, 3))
+        assert v.witness_direction == "hi" and v.slack == 1.0
+        v = includes(Interval(1, 2), Interval(1, 2), tol=1e-3)
+        assert v.witness_direction == "hi" and v.slack == 0.0
+
+    def test_interval_witness_lo_when_strictly_tighter(self):
+        assert includes(Interval(0.5, 2), Interval(0, 3)).witness_direction == "lo"
+
+    def test_equal_support_keys_witness_first_index(self):
+        v = includes(SupportSet((1.0, 1.0, 1.0)), SupportSet((2.0, 2.0, 2.0)), tol=1e-3)
+        assert v.witness_direction == 0
+        v = includes(SupportSet((0.0, 1.0, 1.0, 1.0)), SupportSet((1.0, 1.0, 1.0, 1.0)))
+        assert v.witness_direction == 1 and v.slack == 0.0
+
+    @pytest.mark.parametrize("b", [Interval(-4.0, 2.0), Interval(-2.0, 4.0)])
+    def test_interval_tolerance_scales_with_larger_endpoint(self, b):
+        v = includes(Interval(0.0, 1.0), b, tol=1e-3)
+        assert v.tolerance_used == 1e-3 * (1.0 + 4.0)
+
+    def test_support_tolerance_at_witness(self):
+        v = includes(SupportSet((1.0, 5.0, 1.0)), SupportSet((3.0, 4.0, 3.0)), tol=1e-3)
+        assert v.witness_direction == 1 and v.tolerance_used == 1e-3 * (1.0 + 4.0)
 
 
 class TestMooreProduct:
