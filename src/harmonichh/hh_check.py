@@ -8,21 +8,25 @@ comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
 of sets, ``inclusion_rows`` for the rows of a grid block.
 
 Grid checks run as one streamed pass per family and t grid: the sample
-pairs are walked in fixed blocks of BLOCK_PAIRS, F is evaluated once per
-pair and once per midpoint, and every side the requested theorems need
-(the modulus-c inclusion, the shift lemma's shifted map, Proposition
-3.1's arithmetic form) is computed from the same block and reduced to a
-running witness.  Memory is bounded by the block, not the grid.  The
-reduction keeps the first row of the global argmin, so verdicts are
-deterministic regardless of how evaluation is batched (tested for block
-sizes from 1 to larger than the grid).
+pairs are walked in blocks, F is evaluated once per pair and once per
+midpoint, and every side the requested theorems need (the modulus-c
+inclusion, the shift lemma's shifted map, Proposition 3.1's arithmetic
+form) is computed from the same block and reduced to a running witness.
+A block holds as many pairs as keep its (triples x channels) arrays within
+BLOCK_ELEMENTS values, and at least one pair.  The budget keeps each
+float64 block array below the allocator's mmap threshold (128 KiB in
+glibc): a larger array is a fresh map that page-faults in on every block.
+Memory is bounded by the block, not the grid.  The reduction keeps the first row of
+the global argmin, so verdicts are deterministic regardless of how
+evaluation is batched (tested for block sizes from 1 to larger than the
+grid).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -60,9 +64,9 @@ THEOREM_IDS = (
 
 DEFAULT_TOL = 1e-9
 
-# Pairs per block of a streamed grid pass: about 45k triples on the default
-# t grid, a few MB per array for interval families.
-BLOCK_PAIRS = 4096
+# Values (rows x channels) per array of a streamed grid block: 96 KiB of
+# float64, below glibc's 128 KiB mmap threshold.
+BLOCK_ELEMENTS = 12288
 
 _DEFAULT_T = tuple(np.round(np.linspace(0.0, 1.0, 11), 12))
 
@@ -127,19 +131,22 @@ def _side_slacks(fx: np.ndarray, fy: np.ndarray, fm: np.ndarray, ts: np.ndarray,
                  dist2: np.ndarray, c: float, kind: str, tol: float):
     """Slacks of t F(y) + (1-t) F(x) + c t(1-t) dist2 B inside F(mid), row by row.
 
-    ``fx`` and ``fy`` hold one row per pair and are repeated over the t grid
-    here, so the repeated arrays live only while the left side is summed;
-    ``fm``, ``ts`` and ``dist2`` hold one row per triple.
+    ``fx`` and ``fy`` hold one row per pair and are spread over the t grid
+    here (support rows by broadcasting, without copies); ``fm``, ``ts`` and
+    ``dist2`` hold one row per triple.
     """
-    m = ts.size // fx.shape[0]
+    n = fx.shape[0]
+    m = ts.size // n
     pen = c * ts * (1.0 - ts) * dist2
     if kind == "interval":
         lhs = np.empty((ts.size, 2))
         lhs[:, 0] = ts * np.repeat(fy[:, 0], m) + (1.0 - ts) * np.repeat(fx[:, 0], m) - pen
         lhs[:, 1] = ts * np.repeat(fy[:, 1], m) + (1.0 - ts) * np.repeat(fx[:, 1], m) + pen
     else:
-        lhs = ts[:, None] * np.repeat(fy, m, axis=0)
-        lhs += (1.0 - ts)[:, None] * np.repeat(fx, m, axis=0)
+        t3 = ts.reshape(n, m, 1)
+        lhs = t3 * fy[:, None, :]
+        lhs += (1.0 - t3) * fx[:, None, :]
+        lhs = lhs.reshape(ts.size, -1)
         lhs += pen[:, None]
     slacks, tols, witness = inclusion_rows(lhs, fm, kind, tol)
     return slacks, tols, witness, lhs
@@ -190,12 +197,13 @@ class _Worst:
 
 def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
                midconvex: bool = False, direction: str = "forward",
-               block_pairs: int = BLOCK_PAIRS) -> dict:
+               block_pairs: Optional[int] = None) -> dict:
     """Reports of the requested grid ids from one streamed pass.
 
     The pass covers the (x, y, t) grid (def_shc, lemma_i, prop_31) or, with
     ``midconvex``, the t = 1/2 pairs (def_mid, lemma_ii).  It walks the pairs
-    in blocks of ``block_pairs``, evaluates F(x) and F(y) once per pair and
+    in blocks (``block_pairs`` pairs, by default as many as BLOCK_ELEMENTS
+    allows; tests pass other sizes), evaluates F(x) and F(y) once per pair and
     F(mid) once per triple, and computes only the sides the ids need: the
     modulus-c side of F (which is also prop_31's harmonic side), the
     modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and prop_31's
@@ -208,12 +216,16 @@ def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
     px, py = grid.pairs(f.domain.a, f.domain.b)
     t_grid = np.array([0.5]) if midconvex else np.asarray(grid.t_values)
     m = t_grid.size
+    if block_pairs is None:
+        channels = 2 if kind == "interval" else f.grid_size
+        block_pairs = max(1, BLOCK_ELEMENTS // (m * channels))
+    t_col = np.tile(t_grid, min(block_pairs, px.size))
     strong, shift_side = _Worst(kind), _Worst(kind)
     arith_holds, arith_min, disagreements = True, np.inf, 0
     g = reciprocal_transform(f) if arithmetic else None
     for start in range(0, px.size, block_pairs):
         bx, by = px[start:start + block_pairs], py[start:start + block_pairs]
-        xs, ys, ts = np.repeat(bx, m), np.repeat(by, m), np.tile(t_grid, bx.size)
+        xs, ys, ts = np.repeat(bx, m), np.repeat(by, m), t_col[:bx.size * m]
         fx, fy = f.eval_vector(bx), f.eval_vector(by)
         mids = xs * ys / (ts * xs + (1.0 - ts) * ys)
         dist2 = ((xs - ys) / (xs * ys)) ** 2

@@ -180,7 +180,8 @@ class DiscFn(SetValuedFn):
         self.beta = float(beta)
         self.domain = domain
         self._grid_size = int(grid_size)
-        self._dirs = directions(self._grid_size)
+        dirs = directions(self._grid_size)
+        self._vu, self._wu = dirs @ self.v, dirs @ self.w  # (M,) projections
         self.certificate = certificate
 
     @property
@@ -190,10 +191,11 @@ class DiscFn(SetValuedFn):
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         inv = 1.0 / xs
-        vu = self._dirs @ self.v  # (M,)
-        wu = self._dirs @ self.w
         radius = self.K - self.beta * inv ** 2  # (n,)
-        return inv[:, None] * vu[None, :] + wu[None, :] + radius[:, None]
+        out = inv[:, None] * self._vu
+        out += self._wu
+        out += radius[:, None]
+        return out
 
     def params(self) -> dict:
         return {"family": "disc", "v": list(self.v), "w": list(self.w),
@@ -318,10 +320,11 @@ def make_quadratic_family(alpha: float, beta: float, K: float,
                           dom: HarmonicDomain) -> QuadraticIntervalFn:
     """Certified quadratic interval family [alpha/x^2, K - beta/x^2]."""
     alpha, beta, K = float(alpha), float(beta), float(K)
-    if alpha <= 0.0 or beta <= 0.0:
+    # negated comparisons, so that NaN parameters are rejected too
+    if not (alpha > 0.0 and beta > 0.0):
         raise FeasibilityError("quadratic family needs alpha > 0 and beta > 0")
     need = (alpha + beta) / dom.a ** 2
-    if K < need:
+    if not (K >= need):
         raise FeasibilityError(
             f"quadratic family infeasible: K={K} < (alpha+beta)/a^2 = {need}")
     cert = FamilyCertificate(
@@ -336,12 +339,12 @@ def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: flo
                      grid_size: int = DEFAULT_GRID_SIZE) -> DiscFn:
     """Certified disc family {v/x + w} (+) (K - beta/x^2) B."""
     K, beta = float(K), float(beta)
-    if beta <= 0.0:
+    if not (beta > 0.0):  # also rejects NaN
         raise FeasibilityError("disc family needs beta > 0")
     if grid_size < 3:
         raise FeasibilityError(f"disc family needs grid_size >= 3, got {grid_size}")
     need = beta / dom.a ** 2
-    if K < need:
+    if not (K >= need):
         raise FeasibilityError(f"disc family infeasible: K={K} < beta/a^2 = {need}")
     cert = FamilyCertificate(
         claimed_modulus=beta,

@@ -1,7 +1,9 @@
-"""Golden reports: the rendered JSON report of four fixed configs, pinned by
+"""Golden reports: the rendered JSON report of five fixed configs, pinned by
 the SHA-256 of its text with the ``wall_time_s`` line removed.  The
 16384-pair config spans several blocks of the streamed grid pass; its
-digest was recorded before the grid checks were streamed.
+digest was recorded before the grid checks were streamed.  The disc
+configs span many blocks of 64-channel rows; the disc search digest was
+recorded before the blocks were sized by elements.
 
 A refactor that must not change results keeps these digests.  A change
 that alters a report on purpose updates the digest and says why.
@@ -36,6 +38,15 @@ QUADRATIC_SEARCH = {
     "seed": 0,
 }
 
+DISC_SEARCH = {
+    "mode": "search",
+    "theorems": ["def_shc"],
+    "grid": {"pair_count": 64},
+    "search": {"family": "disc", "c": [0.25, 2.0],
+               "certified_only": False, "budget": 16},
+    "seed": 0,
+}
+
 DEFAULT_16K = {**default_config(),
                "grid": {**default_config()["grid"], "pair_count": 16384}}
 
@@ -48,6 +59,8 @@ GOLDEN = [
      "1a4679b2479427d65f082ec7dbe7a98fbd581a74750658752bb2b24ee5858175"),
     ("default-16k", DEFAULT_16K, 1,
      "5a0f1b5258392903ed138581af8aa0e3c93d4d43f57cfa5cc607b933ec1462d3"),
+    ("disc-search", DISC_SEARCH, 1,
+     "6799f8dfd4aa28ed96f5fcb8c78f18e761b9cb3c07dea452239cb22e4c84fafe"),
 ]
 
 

@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from harmonichh import hh_check
 from harmonichh.aumann import QuadratureSpec
 from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import (
+    BLOCK_ELEMENTS,
     ConvexityGrid,
     _grid_pass,
     _side_slacks,
@@ -21,7 +23,7 @@ from harmonichh.hh_check import (
     check_thm33,
     check_thm35,
 )
-from harmonichh.set_core import Interval, hausdorff
+from harmonichh.set_core import Interval, hausdorff, inclusion_rows
 from harmonichh.svf import (
     HarmonicDomain,
     QuadraticIntervalFn,
@@ -402,7 +404,7 @@ class TestBlockInvariance:
         pairs = grid.pairs(f.domain.a, f.domain.b)[0].size
         for midconvex, ids in GRID_PASSES:
             reports = [_grid_pass(f, 1.0, grid, 1e-9, ids, midconvex, block_pairs=n)
-                       for n in (1, 7, 4096, pairs + 1)]
+                       for n in (1, 7, None, 4096, pairs + 1)]
             assert set(reports[0]) >= set(ids)
             for rep in reports[1:]:
                 assert rep == reports[0]
@@ -436,17 +438,74 @@ class TestBlockInvariance:
                 "x": float(first[0][0]), "y": float(first[1][0]), "t": 0.0}
 
 
+def block_shapes(monkeypatch):
+    """The (rows, channels) shape of every block the grid pass hands to the
+    inclusion rule, recorded from then on."""
+    shapes = []
+
+    def spy(lhs, rhs, kind, tol):
+        shapes.append(lhs.shape)
+        return inclusion_rows(lhs, rhs, kind, tol)
+
+    monkeypatch.setattr(hh_check, "inclusion_rows", spy)
+    return shapes
+
+
+class TestBlockSize:
+    """The default block holds as many pairs as fit in BLOCK_ELEMENTS values
+    per (rows x channels) array, and at least one."""
+
+    @pytest.mark.parametrize("midconvex,ids", GRID_PASSES, ids=["triples", "midconvex"])
+    @pytest.mark.parametrize("family,pairs", [("quadratic", 16384), ("disc-64", 1024)])
+    def test_default_block_within_budget(self, monkeypatch, family, pairs, midconvex, ids):
+        f = (make_quadratic_family(1.5, 2.0, 20.0, DOM12) if family == "quadratic"
+             else make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12))
+        shapes = block_shapes(monkeypatch)
+        _grid_pass(f, 1.0, ConvexityGrid(pair_count=pairs), 1e-9, ids, midconvex)
+        m = 1 if midconvex else len(GRID.t_values)
+        pair_size = m * (2 if family == "quadratic" else 64)
+        largest = max(rows * channels for rows, channels in shapes)
+        assert BLOCK_ELEMENTS - pair_size < largest <= BLOCK_ELEMENTS
+        assert len(shapes) > (1 if midconvex else 3)  # the grid spans several blocks
+
+    def test_floor_is_one_pair(self, monkeypatch):
+        xs = np.linspace(1.0, 2.0, 9)
+        channels = BLOCK_ELEMENTS // len(GRID.t_values) + 1  # one pair is over budget
+        f = SampledFn(xs, np.column_stack([np.sin(k * xs) + k for k in range(channels)]),
+                      DOM12, kind="support")
+        grid = ConvexityGrid(pair_count=9)
+        shapes = block_shapes(monkeypatch)
+        rep = _grid_pass(f, 1.0, grid, 1e-9, ("def_shc",))
+        assert shapes == [(len(GRID.t_values), channels)] * 9
+        assert rep == _grid_pass(f, 1.0, grid, 1e-9, ("def_shc",), block_pairs=10)
+
+
+def traced_peak(f, ids, pairs):
+    tracemalloc.start()
+    run_theorems(f, ids, 1.0, ConvexityGrid(pair_count=pairs), GL16)
+    size = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return size
+
+
 class TestBoundedMemory:
     def test_peak_does_not_grow_with_the_grid(self):
         f = make_quadratic_family(1.0, 1.0, 10.0, DOM12)
 
         def peak(pairs):
-            tracemalloc.start()
-            run_theorems(f, ["def_shc", "lemma_i", "prop_31"], 1.0,
-                         ConvexityGrid(pair_count=pairs), GL16)
-            size = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            return size
+            return traced_peak(f, ["def_shc", "lemma_i", "prop_31"], pairs)
 
         # 16x the pairs; an unstreamed pass would need about 16x the memory
         assert peak(65536) < 2.0 * peak(4096)
+
+    def test_disc_peak_beyond_the_pairs_does_not_grow(self):
+        # A 64-direction disc block is about 0.5 MB, less than the sample
+        # pairs themselves (16 bytes a pair, 1 MB at 65,536), so the pass's
+        # own memory is the peak less the pairs.  An unstreamed pass would
+        # need about 16x as much.
+        f = make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12)
+
+        def working(pairs):
+            return traced_peak(f, ["def_shc"], pairs) - 16 * pairs
+
+        assert working(65536) < 2.0 * working(4096)

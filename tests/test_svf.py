@@ -23,6 +23,7 @@ from harmonichh.svf import (
 )
 
 DOM12 = HarmonicDomain(1.0, 2.0)
+NAN = float("nan")
 
 
 class TestHarmonicDomain:
@@ -97,6 +98,13 @@ class TestQuadraticFamily:
         with pytest.raises(FeasibilityError):
             make_quadratic_family(0.5, 1.0, 1.0, DOM12)
 
+    @pytest.mark.parametrize("alpha,beta,K", [(NAN, 1.0, 10.0), (1.0, NAN, 10.0),
+                                              (1.0, 1.0, NAN)],
+                             ids=["alpha", "beta", "K"])
+    def test_nan_parameter_rejected(self, alpha, beta, K):
+        with pytest.raises(FeasibilityError):
+            make_quadratic_family(alpha, beta, K, DOM12)
+
     def test_eval_outside_domain(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
         with pytest.raises(DomainError):
@@ -119,6 +127,11 @@ class TestDiscFamily:
     def test_certificate_beta(self):
         f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12)
         assert f.certificate.claimed_modulus == 1.0
+
+    @pytest.mark.parametrize("K,beta", [(NAN, 1.0), (3.0, NAN)], ids=["K", "beta"])
+    def test_nan_parameter_rejected(self, K, beta):
+        with pytest.raises(FeasibilityError):
+            make_disc_family((1, 0), (0, 1), K, beta, DOM12)
 
 
 class TestReciprocalTransform:
