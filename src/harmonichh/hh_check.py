@@ -7,19 +7,25 @@ a reported violation is never attributable to quadrature).  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
 of sets, ``inclusion_rows`` for the rows of a grid block.
 
-Grid checks run as one streamed pass per family and t grid: the sample
-pairs are walked in blocks, F is evaluated once per pair and once per
-midpoint, and every side the requested theorems need (the modulus-c
-inclusion, the shift lemma's shifted map, Proposition 3.1's arithmetic
-form) is computed from the same block and reduced to a running witness.
-A block holds as many pairs as keep its (triples x channels) arrays within
-BLOCK_ELEMENTS values, and at least one pair.  The budget keeps each
-float64 block array below the allocator's mmap threshold (128 KiB in
-glibc): a larger array is a fresh map that page-faults in on every block.
-Memory is bounded by the block, not the grid.  The reduction keeps the first row of
-the global argmin, so verdicts are deterministic regardless of how
-evaluation is batched (tested for block sizes from 1 to larger than the
-grid).
+Grid checks run as one streamed pass per family and t grid.  The
+stratified grid is the product of n points with themselves, so F is
+evaluated once per pass at those points (seeded-random pairs share none,
+so there once per block) and once per midpoint.  The pass walks runs of
+x values outer and y rows inner: a run's (1-t) F(x) slab serves all its
+blocks, and a block adds t F(y), the penalty and F(mid).  Every side the
+requested theorems need (the modulus-c inclusion, the shift lemma's
+shifted map, Proposition 3.1's arithmetic form) is computed from the same
+block and reduced to a running witness.  With p the number of pairs whose
+(t values x channels) fit in BLOCK_ELEMENTS, at least one, a run of p x
+values shorter than a row is one block per y row, and otherwise a block
+is p // n whole rows.  The budget
+keeps each float64 block array below the allocator's mmap threshold
+(128 KiB in glibc): a larger array is a fresh map that page-faults in on
+every block.  Memory is bounded by the block and the values at the n
+points, not the grid.  The reduction keeps the row minimising
+(slack + tolerance, grid index), so verdicts do not depend on how
+evaluation is batched or in what order blocks come (tested for block
+sizes from 1 to larger than the grid).
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from .set_core import (
     scale,
 )
 from .svf import (HarmonicDomain, SetValuedFn, ball_shift, c_shift, c_unshift,
-                  reciprocal_transform)
+                  reciprocal_transform, widen)
 
 THEOREM_IDS = (
     "def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31",
@@ -95,10 +101,16 @@ class ConvexityGrid:
             raise ValueError(f"unknown sampling mode: {self.sampling!r}")
         object.__setattr__(self, "t_values", ts)
 
+    def points(self, lo: float, hi: float) -> np.ndarray:
+        """The n distinct coordinates of the stratified grid on [lo, hi]:
+        pair i*n + j is (x, y) = (points[j], points[i])."""
+        if self.sampling != "deterministic-stratified":
+            raise ValueError("seeded-random pairs share no grid points")
+        return np.linspace(lo, hi, max(2, round(self.pair_count ** 0.5)))
+
     def pairs(self, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
         if self.sampling == "deterministic-stratified":
-            n = max(2, round(self.pair_count ** 0.5))
-            pts = np.linspace(lo, hi, n)
+            pts = self.points(lo, hi)
             xg, yg = np.meshgrid(pts, pts)
             return xg.ravel(), yg.ravel()
         rng = np.random.default_rng(self.seed)
@@ -127,59 +139,99 @@ class TheoremReport:
         return self.verdict.holds
 
 
-def _side_slacks(fx: np.ndarray, fy: np.ndarray, fm: np.ndarray, ts: np.ndarray,
-                 dist2: np.ndarray, c: float, kind: str, tol: float):
-    """Slacks of t F(y) + (1-t) F(x) + c t(1-t) dist2 B inside F(mid), row by row.
+def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int):
+    """The blocks of a streamed pass over the pairs, x-runs outer and y rows
+    inner.
 
-    ``fx`` and ``fy`` hold one row per pair and are spread over the t grid
-    here (support rows by broadcasting, without copies); ``fm``, ``ts`` and
-    ``dist2`` hold one row per triple.
+    Yields ``(points, runs)``: the points at which the pass evaluates F, and
+    for each x-run its slice of ``points`` and its blocks.  A block is
+    ``(rows, first, stride)``: the index into ``points`` of its y values,
+    shaped (R, 1) for R y rows of the run or (1, K) for K y values paired
+    one to one with the run's x values, the grid index of its first pair
+    and the grid index step from one row to the next.  On the stratified
+    grid a run of ``per_block`` x values shorter than a row is one block per
+    y row; otherwise the run is the whole row and a block holds as many
+    whole rows as fit.  Seeded-random pairs share no points, so each block
+    is an x-run of its own over its own points.
     """
-    n = fx.shape[0]
-    m = ts.size // n
-    pen = c * ts * (1.0 - ts) * dist2
-    if kind == "interval":
-        lhs = np.empty((ts.size, 2))
-        lhs[:, 0] = ts * np.repeat(fy[:, 0], m) + (1.0 - ts) * np.repeat(fx[:, 0], m) - pen
-        lhs[:, 1] = ts * np.repeat(fy[:, 1], m) + (1.0 - ts) * np.repeat(fx[:, 1], m) + pen
+    if grid.sampling == "seeded-random":
+        px, py = grid.pairs(lo, hi)
+        for first in range(0, px.size, per_block):
+            k = min(per_block, px.size - first)
+            pts = np.concatenate((px[first:first + k], py[first:first + k]))
+            yield pts, [(slice(0, k), [((None, slice(k, 2 * k)), first, 0)])]
+        return
+    pts = grid.points(lo, hi)
+    n = pts.size
+    if per_block < n:
+        runs = ((slice(j, j + per_block),
+                 [((slice(i, i + 1), None), i * n + j, n) for i in range(n)])
+                for j in range(0, n, per_block))
     else:
-        t3 = ts.reshape(n, m, 1)
-        lhs = t3 * fy[:, None, :]
-        lhs += (1.0 - t3) * fx[:, None, :]
-        lhs = lhs.reshape(ts.size, -1)
-        lhs += pen[:, None]
-    slacks, tols, witness = inclusion_rows(lhs, fm, kind, tol)
-    return slacks, tols, witness, lhs
+        step = per_block // n
+        runs = [(slice(0, n),
+                 [((slice(i, i + step), None), i * n, n) for i in range(0, n, step)])]
+    yield pts, runs
+
+
+def _spread(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """w(t) F over the t grid, shaped (..., t, channels): ``vals`` holds F
+    values (any leading shape, then channels) and ``weights`` w(t) per t and
+    channel, or one w in all on a one-point t grid.  The values are repeated
+    over t first, so that the product runs over whole (t x channels) rows
+    even for an interval's two channels."""
+    vals = vals[..., None, :]
+    if weights.shape[0] > 1:
+        vals = vals.repeat(weights.shape[0], axis=-2)
+    return vals * weights
+
+
+def _lhs_rows(ty: np.ndarray, sx: np.ndarray, dist2: np.ndarray, ct: np.ndarray,
+              kind: str) -> np.ndarray:
+    """The rows t F(y) + (1-t) F(x) + c t(1-t) dist2 B of one block, in grid
+    order: ``ty`` holds the block's t F(y), ``sx`` the x-run's (1-t) F(x)
+    slab, ``dist2`` one value per pair and ``ct`` c t(1-t) per t."""
+    lhs = ty + sx
+    return widen(lhs.reshape(-1, lhs.shape[-1]), (dist2[..., None] * ct).reshape(-1), kind)
 
 
 class _Worst:
     """Running reduction of one side of a grid check over its blocks: the
-    first row minimising slack + tolerance.
+    row minimising (slack + tolerance, grid index), NaN first.
 
-    Blocks arrive in grid order and a later block replaces the kept row only
-    if it is strictly smaller (or the first NaN), so the kept row is the
-    global argmin's, whatever the block size.  Every row holds exactly when
-    the kept row does, so the kept row's verdict is the side's verdict.
+    The kept row is the first global argmin in grid order whatever order the
+    blocks arrive in, so the verdict does not depend on batching.  Every row
+    holds exactly when the kept row does, so the kept row's verdict is the
+    side's verdict.
     """
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, t: np.ndarray):
         self.kind = kind
-        self.key = None
+        self.t = t
+        self.rank = None
+        self.index = None
         self.row = None
         self.triples = 0
 
-    def update(self, fx, fy, fm, ts, dist2, c, tol, xs, ys):
-        """Fold in one block's rows of the modulus-c side (arguments as for
-        _side_slacks); returns the rows' slacks and tolerances."""
-        slacks, tols, witness, lhs = _side_slacks(fx, fy, fm, ts, dist2, c, self.kind, tol)
+    def update(self, lhs, rhs, tol, x, y, first, stride):
+        """Fold in one block's rows lhs[i] inside rhs[i], for the x values
+        ``x`` and y values ``y`` of a block of ``_walk``; returns the rows'
+        slacks and tolerances."""
+        slacks, tols, witness = inclusion_rows(lhs, rhs, self.kind, tol)
         keys = slacks + tols
-        i = int(np.argmin(keys))
-        self.triples += slacks.size
-        key = keys[i]
-        if self.key is None or key < self.key or (np.isnan(key) and not np.isnan(self.key)):
-            self.key = key
-            self.row = (slacks[i], tols[i], witness[i], lhs[i].copy(), fm[i].copy(),
-                        xs[i], ys[i], ts[i])
+        i = int(keys.argmin())
+        self.triples += keys.size
+        key = float(keys[i])
+        rank = (0, 0.0) if key != key else (1, key)  # NaN first
+        if self.row is not None and rank > self.rank:
+            return slacks, tols
+        pair, ti = divmod(i, self.t.size)
+        r, k = divmod(pair, x.size)
+        index = (first + r * stride + k) * self.t.size + ti
+        if self.row is None or rank < self.rank or index < self.index:
+            self.rank, self.index = rank, index
+            self.row = (slacks[i], tols[i], witness[i], lhs[i].copy(), rhs[i].copy(),
+                        x[k], np.broadcast_to(y, (y.shape[0], x.size))[r, k], self.t[ti])
         return slacks, tols
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
@@ -202,47 +254,67 @@ def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
 
     The pass covers the (x, y, t) grid (def_shc, lemma_i, prop_31) or, with
     ``midconvex``, the t = 1/2 pairs (def_mid, lemma_ii).  It walks the pairs
-    in blocks (``block_pairs`` pairs, by default as many as BLOCK_ELEMENTS
-    allows; tests pass other sizes), evaluates F(x) and F(y) once per pair and
-    F(mid) once per triple, and computes only the sides the ids need: the
-    modulus-c side of F (which is also prop_31's harmonic side), the
-    modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and prop_31's
-    arithmetic side, evaluated independently through G(u) = F(1/u).
+    in the blocks of ``_walk`` (``block_pairs`` pairs, by default as many as
+    BLOCK_ELEMENTS allows; tests pass other sizes), evaluates F once per
+    point of the walk and once per midpoint, and computes only the sides the
+    ids need: the modulus-c side of F (which is also prop_31's harmonic
+    side), the modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and
+    prop_31's arithmetic side, evaluated independently through G(u) = F(1/u).
+    Each x-run's (1-t) F(x) slab serves all its blocks.
     """
     strong_id, lemma_id = ("def_mid", "lemma_ii") if midconvex else ("def_shc", "lemma_i")
     shifted = lemma_id in ids
     arithmetic = "prop_31" in ids
     kind = f.kind
-    px, py = grid.pairs(f.domain.a, f.domain.b)
-    t_grid = np.array([0.5]) if midconvex else np.asarray(grid.t_values)
-    m = t_grid.size
+    t = np.array([0.5]) if midconvex else np.asarray(grid.t_values)
+    s = 1.0 - t
+    ct, ct0 = c * t * s, 0.0 * t * s  # the shifted side has modulus 0
+    channels = 2 if kind == "interval" else f.grid_size
+    # the weights t and 1-t of _spread
+    tw, sw = (np.repeat(w[:, None], channels if t.size > 1 else 1, axis=1) for w in (t, s))
     if block_pairs is None:
-        channels = 2 if kind == "interval" else f.grid_size
-        block_pairs = max(1, BLOCK_ELEMENTS // (m * channels))
-    t_col = np.tile(t_grid, min(block_pairs, px.size))
-    strong, shift_side = _Worst(kind), _Worst(kind)
+        block_pairs = max(1, BLOCK_ELEMENTS // (t.size * channels))
+    strong, shift_side = _Worst(kind, t), _Worst(kind, t)
     arith_holds, arith_min, disagreements = True, np.inf, 0
     g = reciprocal_transform(f) if arithmetic else None
-    for start in range(0, px.size, block_pairs):
-        bx, by = px[start:start + block_pairs], py[start:start + block_pairs]
-        xs, ys, ts = np.repeat(bx, m), np.repeat(by, m), t_col[:bx.size * m]
-        fx, fy = f.eval_vector(bx), f.eval_vector(by)
-        mids = xs * ys / (ts * xs + (1.0 - ts) * ys)
-        dist2 = ((xs - ys) / (xs * ys)) ** 2
-        fm = f.eval_vector(mids)
-        sh, th = strong.update(fx, fy, fm, ts, dist2, c, tol, xs, ys)
+    for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs):
+        fp = f.eval_vector(pts)
         if shifted:
-            shift_side.update(ball_shift(fx, bx, c, kind), ball_shift(fy, by, c, kind),
-                              ball_shift(fm, mids, c, kind), ts, dist2, 0.0, tol, xs, ys)
+            sp = ball_shift(fp, pts, c, kind)
         if arithmetic:
-            us, vs = np.repeat(1.0 / bx, m), np.repeat(1.0 / by, m)
-            sa, ta, _, _ = _side_slacks(g.eval_vector(1.0 / bx), g.eval_vector(1.0 / by),
-                                        g.eval_vector(ts * vs + (1.0 - ts) * us),
-                                        ts, (us - vs) ** 2, c, kind, tol)
-            va = sa >= -ta
-            disagreements += int(np.count_nonzero((sh >= -th) != va))
-            arith_holds = arith_holds and bool(np.all(va))
-            arith_min = np.minimum(arith_min, np.min(sa))
+            up = 1.0 / pts
+            gp = g.eval_vector(up)
+        for run, blocks in runs:
+            # per run: t x, and the (1-t) F(x) slab of each side
+            x = pts[run]
+            tx = x[:, None] * t
+            fx = _spread(fp[run], sw)
+            if shifted:
+                sx = _spread(sp[run], sw)
+            if arithmetic:
+                u = up[run]
+                su = u[:, None] * s
+                gx = _spread(gp[run], sw)
+            for rows, first, stride in blocks:
+                y = pts[rows]
+                xy = x * y
+                dist2 = ((x - y) / xy) ** 2
+                mids = (xy[..., None] / (tx + s * y[..., None])).ravel()
+                fm = f.eval_vector(mids)
+                lhs = _lhs_rows(_spread(fp[rows], tw), fx, dist2, ct, kind)
+                sh, th = strong.update(lhs, fm, tol, x, y, first, stride)
+                if shifted:
+                    shift_side.update(_lhs_rows(_spread(sp[rows], tw), sx, dist2, ct0, kind),
+                                      ball_shift(fm, mids, c, kind), tol, x, y, first, stride)
+                if arithmetic:
+                    v = up[rows]
+                    lhs = _lhs_rows(_spread(gp[rows], tw), gx, (u - v) ** 2, ct, kind)
+                    gm = g.eval_vector((v[..., None] * t + su).ravel())
+                    sa, ta, _ = inclusion_rows(lhs, gm, kind, tol)
+                    va = sa >= -ta
+                    disagreements += int(np.count_nonzero((sh >= -th) != va))
+                    arith_holds = arith_holds and bool(np.all(va))
+                    arith_min = np.minimum(arith_min, np.min(sa))
 
     out = {}
     harmonic = strong.report(strong_id, c)
@@ -280,7 +352,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,
                                    tol: float = DEFAULT_TOL) -> TheoremReport:
     """t F(y) + (1-t) F(x) + c t(1-t) |(x-y)/(xy)|^2 B inside F(xy/(tx+(1-t)y))."""
-    if c < 0.0:
+    if not (c >= 0.0):  # also rejects NaN
         raise ValueError("modulus c must be >= 0")
     return _grid_pass(f, c, grid, tol, ("def_shc",))["def_shc"]
 
@@ -288,7 +360,7 @@ def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid
 def check_strongly_harmonic_midconvex(f: SetValuedFn, c: float, grid: ConvexityGrid,
                                       tol: float = DEFAULT_TOL) -> TheoremReport:
     """The t = 1/2 restriction with the c/4 penalty coefficient."""
-    if c < 0.0:
+    if not (c >= 0.0):  # also rejects NaN
         raise ValueError("modulus c must be >= 0")
     return _grid_pass(f, c, grid, tol, ("def_mid",), midconvex=True)["def_mid"]
 
@@ -298,7 +370,7 @@ def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
                       midconvex: bool = False) -> TheoremReport:
     """Equivalence between modulus-c convexity of F and plain convexity of
     the shifted G(x) = F(x) + (c/x^2) B, in either direction."""
-    if c <= 0.0:
+    if not (c > 0.0):  # also rejects NaN
         raise ValueError("the shift lemma needs c > 0")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction: {direction!r}")
@@ -340,6 +412,8 @@ def check_prop31(f: SetValuedFn, c: float, grid: ConvexityGrid,
     (1/x, 1/y, t); a verdict disagreement is a consistency failure of the
     implementation, flagged in the echo.
     """
+    if not (c >= 0.0):  # also rejects NaN
+        raise ValueError("modulus c must be >= 0")
     return _grid_pass(f, c, grid, tol, ("prop_31",))["prop_31"]
 
 

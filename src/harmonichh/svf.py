@@ -219,6 +219,11 @@ class SampledFn(SetValuedFn):
             raise FeasibilityError("sampled family needs one value row per grid point")
         if np.any(np.diff(self._xs) <= 0):
             raise FeasibilityError("sample grid must be strictly increasing")
+        # slope of piece j per channel, as np.interp computes it; a zero row
+        # pads the index of the last knot
+        with np.errstate(all="ignore"):  # np.interp is silent on overflow too
+            slopes = np.diff(self._values, axis=0) / np.diff(self._xs)[:, None]
+        self._slopes = np.vstack((slopes, np.zeros((1, self._values.shape[1]))))
         self.domain = domain
         self.kind = kind
         self.certificate = None
@@ -230,10 +235,28 @@ class SampledFn(SetValuedFn):
         return DEFAULT_GRID_SIZE
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+        """Linear interpolation, bit for bit as np.interp on each channel,
+        with one search of the sample grid for all channels: the value at a
+        knot as sampled, the end values past the ends, NaN at NaN, and
+        np.interp's fallback where a piece gives NaN."""
         xs = np.asarray(xs, dtype=float)
-        out = np.empty((xs.shape[0], self._values.shape[1]))
-        for j in range(self._values.shape[1]):
-            out[:, j] = np.interp(xs, self._xs, self._values[:, j])
+        xp, fp = self._xs, self._values
+        j = np.searchsorted(xp, xs, side="right") - 1  # xp[j] <= x < xp[j + 1]
+        k = np.clip(j, 0, xp.size - 1)
+        edge = (j < 0) | (j == xp.size - 1) | (xs == xp[k])
+        with np.errstate(all="ignore"):  # np.interp is silent on NaN and overflow
+            out = self._slopes[k] * (xs - xp[k])[:, None] + fp[k]
+            bad = np.isnan(out) & ~edge[:, None]
+            if bad.any():
+                # from the piece's right end, then a flat piece's value
+                r, c = np.nonzero(bad)
+                lo, hi = fp[k[r], c], fp[k[r] + 1, c]
+                alt = self._slopes[k[r], c] * (xs[r] - xp[k[r] + 1]) + hi
+                out[r, c] = np.where(np.isnan(alt) & (lo == hi), lo, alt)
+        out[edge] = fp[k[edge]]
+        if xp.size > 1:  # on one knot np.interp gives its value at NaN too
+            nan = np.isnan(xs)
+            out[nan] = xs[nan, None]
         return out
 
 
@@ -278,8 +301,13 @@ class CShiftFn(SetValuedFn):
 def ball_shift(vals: np.ndarray, xs: np.ndarray, c: float, kind: str) -> np.ndarray:
     """A copy of the values ``vals`` of F at ``xs`` widened by the ball of
     radius c/x^2: the values of F(x) (+) (c/x^2) B."""
-    vals = vals.copy()
-    r = c / xs ** 2
+    return widen(vals.copy(), c / xs ** 2, kind)
+
+
+def widen(vals: np.ndarray, r: np.ndarray, kind: str) -> np.ndarray:
+    """Widen each row of the (n, channels) values ``vals`` in place by the
+    ball of radius r[i], and return ``vals``: the lower endpoint of an
+    interval moves down by r[i], the upper one and every support value up."""
     if kind == "interval":
         vals[:, 0] -= r
         vals[:, 1] += r

@@ -100,19 +100,23 @@ class TestTheoremTable:
             "grid_reports", "_grid_pass", "_grid_pass",
             "check_nikodem", "check_hh", "check_thm33", "check_thm35"])
 
-    @pytest.mark.parametrize("ids,per_pair,per_triple", [
-        (["def_shc"], 2, 1),
-        (["def_shc", "lemma_i"], 2, 1),  # the shifted side adds no evaluation
-        (["lemma_i", "prop_31"], 4, 2),  # prop_31's arithmetic side is independent
+    @pytest.mark.parametrize("ids,per_point,per_triple", [
+        (["def_shc"], 1, 1),
+        (["def_shc", "lemma_i"], 1, 1),  # the shifted side adds no evaluation
+        (["lemma_i", "prop_31"], 2, 2),  # prop_31's arithmetic side is independent
     ])
-    def test_f_evaluated_once_per_pair(self, monkeypatch, ids, per_pair, per_triple):
+    def test_f_evaluated_once_per_point(self, monkeypatch, ids, per_point, per_triple):
+        # the stratified grid is the product of its points with themselves:
+        # F is evaluated at each point once, not at each pair
         points = []
         original = QuadraticIntervalFn.eval_vector
         monkeypatch.setattr(QuadraticIntervalFn, "eval_vector",
                             lambda self, xs: points.append(len(xs)) or original(self, xs))
         run_theorems(build_function(QUADRATIC_CFG), ids, 1.0, GRID, QuadratureSpec())
+        n = GRID.points(1.0, 2.0).size
         pairs = GRID.pairs(1.0, 2.0)[0].size
-        assert sum(points) == per_pair * pairs + per_triple * pairs * len(GRID.t_values)
+        assert (n, pairs) == (8, 64)
+        assert sum(points) == per_point * n + per_triple * pairs * len(GRID.t_values)
 
     def test_lemma_without_def_shc_requested(self):
         f = build_function(QUADRATIC_CFG)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,9 @@ from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import (
     BLOCK_ELEMENTS,
     ConvexityGrid,
+    TheoremReport,
     _grid_pass,
-    _side_slacks,
+    _Worst,
     check_hh,
     check_lemma_shift,
     check_nikodem,
@@ -22,8 +24,10 @@ from harmonichh.hh_check import (
     check_cor36,
     check_thm33,
     check_thm35,
+    shift_lemma_report,
 )
-from harmonichh.set_core import Interval, hausdorff, inclusion_rows
+from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, hausdorff,
+                                 inclusion_rows, row_verdict)
 from harmonichh.svf import (
     HarmonicDomain,
     QuadraticIntervalFn,
@@ -115,6 +119,24 @@ class TestStronglyHarmonicConvex:
         f = make_quadratic_family(1, 1, 10, DOM12)
         with pytest.raises(ValueError):
             check_strongly_harmonic_convex(f, -1.0, GRID)
+
+
+class TestModulusRejected:
+    """The public grid checkers reject a negative or NaN modulus (the shift
+    lemma also 0) with ValueError before any evaluation."""
+
+    @pytest.mark.parametrize("c", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("check,message", [
+        (check_strongly_harmonic_convex, "modulus c must be >= 0"),
+        (check_strongly_harmonic_midconvex, "modulus c must be >= 0"),
+        (check_lemma_shift, "needs c > 0"),
+        (check_prop31, "modulus c must be >= 0"),
+    ], ids=["def_shc", "def_mid", "lemma", "prop_31"])
+    def test_bad_modulus(self, check, message, c):
+        f = make_quadratic_family(1, 1, 10, DOM12)
+        with pytest.raises(ValueError, match=message) as info:
+            check(f, c, SMALL_GRID)
+        assert not isinstance(info.value, NonFiniteSetError)
 
 
 class TestMidconvex:
@@ -412,15 +434,11 @@ class TestBlockInvariance:
     def test_tied_minimum_keeps_first_row(self):
         # The tight family attains slack 0 with the same tolerance on every
         # degenerate row at x = a; the first of them, in grid order, is the
-        # witness even when later blocks hold tied rows.
+        # witness even when other blocks hold tied rows.
         f = make_quadratic_family(1.0, 1.0, 10.0, DOM12)
         grid = ConvexityGrid(pair_count=64)
-        xs, ys, ts = grid.triples(1.0, 2.0)
-        mids = xs * ys / (ts * xs + (1.0 - ts) * ys)
-        dist2 = ((xs - ys) / (xs * ys)) ** 2
-        fx, fy, fm = f.eval_vector(xs), f.eval_vector(ys), f.eval_vector(mids)
-        slacks, tols, _, _ = _side_slacks(fx, fy, fm, ts, dist2, 1.0, "interval", 1e-9)
-        keys = slacks + tols
+        sides = reference_sides(f, 1.0, grid, 1e-9)
+        keys = sides["strong"][0] + sides["strong"][1]
         tied = np.flatnonzero(keys == keys.min())
         assert tied[0] == 0 and len({i // (7 * len(grid.t_values)) for i in tied}) > 1
         for n in (1, 7, 4096):
@@ -438,6 +456,153 @@ class TestBlockInvariance:
                 "x": float(first[0][0]), "y": float(first[1][0]), "t": 0.0}
 
 
+def reference_sides(f, c, grid, tol, midconvex=False):
+    """Every side of the grid pass from all triples at once, with F evaluated
+    at every triple: per side the slacks, tolerances and witnesses of one
+    ``inclusion_rows`` call over the whole grid, the rows, and (x, y, t)."""
+    xs, ys = grid.pairs(f.domain.a, f.domain.b)
+    t = np.array([0.5]) if midconvex else np.asarray(grid.t_values)
+    x, y, ts = np.repeat(xs, t.size), np.repeat(ys, t.size), np.tile(t, xs.size)
+
+    def side(fn, c, u, v, mids, dist2):
+        pen = c * ts * (1.0 - ts) * dist2
+        lhs = ts[:, None] * fn(v) + (1.0 - ts)[:, None] * fn(u)
+        if f.kind == "interval":
+            lhs[:, 0] -= pen
+            lhs[:, 1] += pen
+        else:
+            lhs += pen[:, None]
+        rhs = fn(mids)
+        return inclusion_rows(lhs, rhs, f.kind, tol) + (lhs, rhs)
+
+    mids = x * y / (ts * x + (1.0 - ts) * y)
+    dist2 = ((x - y) / (x * y)) ** 2
+    u, v = 1.0 / x, 1.0 / y
+    return {
+        "strong": side(f.eval_vector, c, x, y, mids, dist2),
+        "shifted": side(c_shift(f, c).eval_vector, 0.0, x, y, mids, dist2) if c > 0 else None,
+        "arithmetic": side(reciprocal_transform(f).eval_vector, c, u, v,
+                           ts * v + (1.0 - ts) * u, (u - v) ** 2),
+        "where": (x, y, ts),
+    }
+
+
+def reference_pass(f, c, grid, tol, ids, midconvex=False):
+    """The reports of ``_grid_pass`` from ``reference_sides``: one
+    ``np.argmin`` per side over the whole grid, no blocks."""
+    sides = reference_sides(f, c, grid, tol, midconvex)
+    x, y, ts = sides["where"]
+
+    def report(name, theorem_id, c, **echo):
+        slacks, tols, witness, lhs, rhs = sides[name]
+        i = int(np.argmin(slacks + tols))
+        return TheoremReport(
+            theorem_id, as_set(lhs[i], f.kind), as_set(rhs[i], f.kind),
+            row_verdict(slacks[i], tols[i], witness[i], f.kind), 0.0,
+            {"c": c, "triples": slacks.size, **echo,
+             "witness": {"x": float(x[i]), "y": float(y[i]), "t": float(ts[i])}})
+
+    strong_id, lemma_id = ("def_mid", "lemma_ii") if midconvex else ("def_shc", "lemma_i")
+    out = {}
+    harmonic = report("strong", strong_id, c)
+    if strong_id in ids or lemma_id in ids:
+        out[strong_id] = harmonic
+    if lemma_id in ids:
+        out[lemma_id] = shift_lemma_report(
+            lemma_id, harmonic, report("shifted", strong_id, 0.0), c, "forward")
+    if "prop_31" in ids:
+        sh, th = sides["strong"][:2]
+        sa, ta = sides["arithmetic"][:2]
+        disagreements = int(np.count_nonzero((sh >= -th) != (sa >= -ta)))
+        out["prop_31"] = report(
+            "strong", "prop_31", c, harmonic_holds=harmonic.holds,
+            arithmetic_holds=bool(np.all(sa >= -ta)), arithmetic_slack=float(np.min(sa)),
+            disagreements=disagreements, consistency_failure=disagreements > 0)
+    return out
+
+
+def id_subsets(ids):
+    return [sub for r in range(1, len(ids) + 1) for sub in itertools.combinations(ids, r)]
+
+
+class TestAgainstUnblockedReference:
+    """The streamed pass gives the reports of one unblocked evaluation of
+    every triple, for every id set the pass serves."""
+
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    @pytest.mark.parametrize("family", ["quadratic", "tight", "disc", "sampled-interval",
+                                        "sampled-support"])
+    def test_reports_equal(self, family, sampling):
+        f = {"quadratic": lambda: make_quadratic_family(1.5, 2.0, 20.0, DOM12),
+             "tight": lambda: make_quadratic_family(1.0, 1.0, 10.0, DOM12),
+             "disc": disc_fn,
+             "sampled-interval": lambda: sampled_fn("interval"),
+             "sampled-support": lambda: sampled_fn("support")}[family]()
+        grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
+        for c in (0.5, 1.0, 2.5):
+            for midconvex, ids in GRID_PASSES:
+                for sub in id_subsets(ids):
+                    assert _grid_pass(f, c, grid, 1e-9, sub, midconvex) == \
+                        reference_pass(f, c, grid, 1e-9, sub, midconvex), (c, sub)
+
+
+class TestFold:
+    """The kept row minimises (slack + tolerance, grid index), NaN first,
+    whatever order the blocks arrive in."""
+
+    T = np.array([0.0, 1.0])
+
+    def offer(self, worst, keys, first, x=1.0, y=2.0):
+        # one block of two rows, at t = 0 and 1, of the pair with grid index
+        # ``first``; row i holds [0, 1] inside [-keys[i], 1 + keys[i]], with
+        # slack keys[i] at tolerance 0
+        lhs = np.array([[0.0, 1.0], [0.0, 1.0]])
+        rhs = np.array([[-k, 1.0 + k] for k in keys])
+        worst.update(lhs, rhs, 0.0, np.array([x]), np.array([[y]]), first, 0)
+
+    def witness(self, worst):
+        """(x, y, t) and slack of the kept row (a NaN row makes no report)."""
+        slack, *_, x, y, t = worst.row
+        return {"x": float(x), "y": float(y), "t": float(t)}, slack
+
+    def test_grid_first_of_tied_rows_wins(self):
+        worst = _Worst("interval", self.T)
+        self.offer(worst, [0.5, 0.25], first=5, x=1.5)
+        self.offer(worst, [0.25, 0.25], first=2, x=1.25)  # ties, earlier in the grid
+        self.offer(worst, [0.25, 0.5], first=3, x=1.75)   # ties, later
+        assert self.witness(worst) == ({"x": 1.25, "y": 2.0, "t": 0.0}, 0.25)
+
+    def test_smaller_key_wins_regardless_of_index(self):
+        worst = _Worst("interval", self.T)
+        self.offer(worst, [0.5, 0.5], first=0)
+        self.offer(worst, [0.5, 0.125], first=9, x=1.5)
+        assert self.witness(worst) == ({"x": 1.5, "y": 2.0, "t": 1.0}, 0.125)
+
+    def test_first_nan_in_grid_order_wins(self):
+        worst = _Worst("interval", self.T)
+        self.offer(worst, [-1.0, -1.0], first=0)
+        self.offer(worst, [0.5, np.nan], first=7, x=1.5)
+        self.offer(worst, [np.nan, 0.5], first=4, x=1.25)
+        self.offer(worst, [-2.0, -3.0], first=1)
+        (where, slack) = self.witness(worst)
+        assert where == {"x": 1.25, "y": 2.0, "t": 0.0} and np.isnan(slack)
+
+    def test_mirrored_pairs_tie_and_the_grid_first_wins(self):
+        # At t = 1/2 the pairs (x, y) and (y, x) give the same row, bit for
+        # bit.  On the 2 x 2 grid with c above the modulus the off-diagonal
+        # pairs are the worst; one-pair blocks visit (x0, y1) (pair 2)
+        # before (x1, y0) (pair 1), and pair 1 is the witness.
+        f = make_quadratic_family(1.0, 1.0, 10.0, DOM12)
+        grid = ConvexityGrid(pair_count=4)
+        reports = [_grid_pass(f, 2.0, grid, 1e-9, ("def_mid",), True, block_pairs=n)
+                   for n in (1, None)]
+        assert reports[0] == reports[1] == reference_pass(f, 2.0, grid, 1e-9,
+                                                          ("def_mid",), True)
+        rep = reports[0]["def_mid"]
+        assert not rep.holds
+        assert rep.inputs_echo["witness"] == {"x": 2.0, "y": 1.0, "t": 0.5}
+
+
 def block_shapes(monkeypatch):
     """The (rows, channels) shape of every block the grid pass hands to the
     inclusion rule, recorded from then on."""
@@ -452,8 +617,10 @@ def block_shapes(monkeypatch):
 
 
 class TestBlockSize:
-    """The default block holds as many pairs as fit in BLOCK_ELEMENTS values
-    per (rows x channels) array, and at least one."""
+    """Blocks follow the x-run walk: with p = BLOCK_ELEMENTS // (t values x
+    channels) pairs (at least one) and n grid points per axis, a run of p x
+    values shorter than a row gives one block per y row; otherwise a block
+    holds p // n whole rows."""
 
     @pytest.mark.parametrize("midconvex,ids", GRID_PASSES, ids=["triples", "midconvex"])
     @pytest.mark.parametrize("family,pairs", [("quadratic", 16384), ("disc-64", 1024)])
@@ -463,10 +630,19 @@ class TestBlockSize:
         shapes = block_shapes(monkeypatch)
         _grid_pass(f, 1.0, ConvexityGrid(pair_count=pairs), 1e-9, ids, midconvex)
         m = 1 if midconvex else len(GRID.t_values)
-        pair_size = m * (2 if family == "quadratic" else 64)
-        largest = max(rows * channels for rows, channels in shapes)
-        assert BLOCK_ELEMENTS - pair_size < largest <= BLOCK_ELEMENTS
-        assert len(shapes) > (1 if midconvex else 3)  # the grid spans several blocks
+        channels = 2 if family == "quadratic" else 64
+        n = round(pairs ** 0.5)
+        p = BLOCK_ELEMENTS // (m * channels)
+        if p < n:
+            pairs_per_block = [min(p, n - j) for j in range(0, n, p) for _ in range(n)]
+        else:
+            pairs_per_block = [min(p // n, n - i) * n for i in range(0, n, p // n)]
+        # each block goes through the inclusion rule once per side of the pass
+        assert shapes == [(k * m, channels) for k in pairs_per_block for _ in ids]
+        assert max(rows * channels for rows, channels in shapes) <= BLOCK_ELEMENTS
+        expected = {("quadratic", False): (4 * 128, 32), ("quadratic", True): (48 * 128, 3),
+                    ("disc-64", False): (17, 64), ("disc-64", True): (6 * 32, 6)}
+        assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, midconvex]
 
     def test_floor_is_one_pair(self, monkeypatch):
         xs = np.linspace(1.0, 2.0, 9)
@@ -498,14 +674,13 @@ class TestBoundedMemory:
         # 16x the pairs; an unstreamed pass would need about 16x the memory
         assert peak(65536) < 2.0 * peak(4096)
 
-    def test_disc_peak_beyond_the_pairs_does_not_grow(self):
-        # A 64-direction disc block is about 0.5 MB, less than the sample
-        # pairs themselves (16 bytes a pair, 1 MB at 65,536), so the pass's
-        # own memory is the peak less the pairs.  An unstreamed pass would
-        # need about 16x as much.
+    def test_disc_peak_does_not_grow_with_the_grid(self):
+        # The pass holds a block (about 0.5 MB of 64-direction rows) and F at
+        # the grid's points, not the pairs.  An unstreamed pass would need
+        # about 16x as much.
         f = make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12)
 
-        def working(pairs):
-            return traced_peak(f, ["def_shc"], pairs) - 16 * pairs
+        def peak(pairs):
+            return traced_peak(f, ["def_shc"], pairs)
 
-        assert working(65536) < 2.0 * working(4096)
+        assert peak(65536) < 2.0 * peak(4096)

@@ -207,6 +207,54 @@ class _ReflectionInvariantFn(SetValuedFn):
         return np.column_stack([g, g + 1.0])
 
 
+class TestSampledInterpolation:
+    """SampledFn interpolates all channels at once, bit for bit as np.interp
+    does channel by channel."""
+
+    @staticmethod
+    def per_channel(xp, fp, xs):
+        return np.column_stack([np.interp(xs, xp, fp[:, j]) for j in range(fp.shape[1])])
+
+    def assert_bitwise(self, xp, fp, xs):
+        got = SampledFn(xp, fp, DOM12, kind="support").eval_vector(xs)
+        want = self.per_channel(xp, fp, xs)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_random_samples(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(2, 12))
+            xp = np.unique(rng.uniform(1.0, 2.0, n))
+            fp = rng.normal(size=(xp.size, 5)) * 10.0 ** rng.integers(-3, 4)
+            xs = np.concatenate([rng.uniform(0.8, 2.2, 40), xp])
+            self.assert_bitwise(xp, fp, xs)
+
+    def test_clamped_outside_and_last_knot(self):
+        xp = np.array([1.0, 1.25, 1.5, 2.0])
+        fp = np.array([[1.0, -0.0, 3.0], [2.0, 0.5, -1.0], [-4.0, 0.25, 0.0], [5.0, -0.0, 7.0]])
+        xs = np.array([0.5, 1.0 - 1e-16, 1.0, 1.25, 1.3, 2.0, 2.0 + 1e-15, 3.0, -np.inf, np.inf])
+        self.assert_bitwise(xp, fp, xs)
+        got = SampledFn(xp, fp, DOM12, kind="support").eval_vector(xs)
+        assert np.array_equal(got[[5, 6, 7, 9]], fp[[-1, -1, -1, -1]])  # fp[-1] at and past xp[-1]
+        assert np.array_equal(got[[0, 1, 8]], fp[[0, 0, 0]])
+
+    def test_nan_fallbacks(self):
+        # a NaN point gives NaN; a piece whose left-end form is NaN (-inf + inf)
+        # is taken from its right end; an infinite flat piece keeps its value
+        xp = np.array([1.0, 1.5, 2.0])
+        fp = np.array([[-np.inf, np.inf, 1.0], [1.0, np.inf, 2.0], [2.0, 3.0, 1e308]])
+        xs = np.array([np.nan, 1.2, 1.7, 1.5, 2.0])
+        self.assert_bitwise(xp, fp, xs)
+        got = SampledFn(xp, fp, DOM12, kind="support").eval_vector(xs)
+        assert np.isnan(got[0]).all()
+        assert got[1, 0] == -np.inf and got[1, 1] == np.inf
+
+    def test_single_knot(self):
+        xp, fp = np.array([1.5]), np.array([[1.0, 2.0, -0.0]])
+        self.assert_bitwise(xp, fp, np.array([1.0, 1.5, 2.0, np.nan]))
+
+
 class TestHarmonicSymmetry:
     def test_constant_is_symmetric(self):
         const = SampledFn([1.0, 2.0], np.array([[0.0, 1.0], [0.0, 1.0]]), DOM12)

@@ -63,4 +63,6 @@ def test_traced_default_unit_counts(spans):
     assert metrics["set_core.calls"] == 89
     assert metrics["aumann.calls"] == 6
     assert metrics["aumann.nodes"] == 256
-    assert metrics["svf.eval_vector.points"] == 29976
+    # F at the 32 grid points per side and pass, 2 x 11264 + 1024 midpoints,
+    # 280 points of the integral theorems
+    assert metrics["svf.eval_vector.points"] == 23928
