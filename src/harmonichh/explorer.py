@@ -29,6 +29,7 @@ from .hh_check import (
     ConvexityGrid,
     TheoremReport,
     check_hh,
+    check_modulus,
     check_nikodem,
     check_thm33,
     check_thm35,
@@ -142,7 +143,6 @@ def build_function(cfg: dict) -> SetValuedFn:
 class TheoremRow(NamedTuple):
     ids: Tuple[str, ...]
     compute: Callable
-    positive_c: Tuple[str, ...] = ()  # ids that need c > 0; every other id needs c >= 0
 
 
 def _thm33_cor34(f, c, grid, quad, tol):
@@ -163,10 +163,9 @@ def _row(ids, compute):
 
 
 THEOREM_TABLE = (
-    # one streamed pass per t grid serves every requested grid id
+    # one streamed pass over the family's grid serves every requested grid id
     TheoremRow(("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31"),
-               lambda f, c, grid, quad, tol, wanted: grid_reports(f, c, grid, wanted, tol),
-               positive_c=("lemma_i", "lemma_ii")),
+               lambda f, c, grid, quad, tol, wanted: grid_reports(f, c, grid, wanted, tol)),
     _row(("nikodem_left", "nikodem_right"), lambda f, c, grid, quad, tol:
          check_nikodem(reciprocal_transform(f), c, quad, tol)),
     _row(("hh_left", "hh_right"), lambda f, c, grid, quad, tol:
@@ -174,20 +173,6 @@ THEOREM_TABLE = (
     _row(("thm33", "cor34"), _thm33_cor34),
     _row(("thm35", "cor36"), _thm35_cor36),
 )
-
-_ROW_OF = {tid: row for row in THEOREM_TABLE for tid in row.ids}
-
-
-def check_modulus(ids: Sequence[str], c: float) -> None:
-    """Raise unless every theorem id is known and accepts modulus c."""
-    for tid in ids:
-        if tid not in _ROW_OF:
-            raise ValueError(f"unknown theorem id: {tid!r}")
-        if tid in _ROW_OF[tid].positive_c and not c > 0.0:
-            raise FeasibilityError(f"{tid} needs c > 0, got c = {c}")
-        if not c >= 0.0:
-            raise FeasibilityError(f"{tid} needs c >= 0, got c = {c}")
-
 
 def run_theorems(f: SetValuedFn, ids: Sequence[str], c: float, grid: ConvexityGrid,
                  quad: QuadratureSpec, tol: float = DEFAULT_TOL) -> list:

@@ -7,25 +7,26 @@ a reported violation is never attributable to quadrature).  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
 of sets, ``inclusion_rows`` for the rows of a grid block.
 
-Grid checks run as one streamed pass per family and t grid.  The
-stratified grid is the product of n points with themselves, so F is
-evaluated once per pass at those points (seeded-random pairs share none,
-so there once per block) and once per midpoint.  The pass walks runs of
-x values outer and y rows inner: a run's (1-t) F(x) slab serves all its
-blocks, and a block adds t F(y), the penalty and F(mid).  Every side the
-requested theorems need (the modulus-c inclusion, the shift lemma's
-shifted map, Proposition 3.1's arithmetic form) is computed from the same
-block and reduced to a running witness.  With p the number of pairs whose
-(t values x channels) fit in BLOCK_ELEMENTS, at least one, a run of p x
-values shorter than a row is one block per y row, and otherwise a block
-is p // n whole rows.  The budget
-keeps each float64 block array below the allocator's mmap threshold
-(128 KiB in glibc): a larger array is a fresh map that page-faults in on
-every block.  Memory is bounded by the block and the values at the n
-points, not the grid.  The reduction keeps the row minimising
-(slack + tolerance, grid index), so verdicts do not depend on how
-evaluation is batched or in what order blocks come (tested for block
-sizes from 1 to larger than the grid).
+Grid checks run as one streamed pass per family, over the (x, y, t) grid,
+or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
+for; those two read the t = 1/2 rows of each block.  The stratified grid
+is the product of n points with themselves, so F is evaluated once per
+pass at those points (seeded-random pairs share none, so there once per
+block) and once per midpoint.  The pass walks runs of x values outer and
+y rows inner: a run's (1-t) F(x) slab serves all its blocks, and a block
+adds t F(y), the penalty and F(mid).  Every side the requested theorems
+need (the modulus-c inclusion, the shift lemma's shifted map,
+Proposition 3.1's arithmetic form) is computed from the same block and
+reduced to running witnesses.  With p the number of pairs whose (t values
+x channels) fit in BLOCK_ELEMENTS, at least one, a run of p x values
+shorter than a row is one block per y row, and otherwise a block is
+p // n whole rows.  The budget keeps each float64 block array below the
+allocator's mmap threshold (128 KiB in glibc): a larger array is a fresh
+map that page-faults in on every block.  Memory is bounded by the block
+and the values at the n points, not the grid.  The reduction keeps the
+row minimising (slack + tolerance, grid index), so verdicts do not depend
+on how evaluation is batched or in what order blocks come (tested for
+block sizes from 1 to larger than the grid).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .set_core import (
     row_verdict,
     scale,
 )
-from .svf import (HarmonicDomain, SetValuedFn, ball_shift, c_shift, c_unshift,
+from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, ball_shift,
                   reciprocal_transform, widen)
 
 THEOREM_IDS = (
@@ -67,6 +68,19 @@ THEOREM_IDS = (
     "nikodem_left", "nikodem_right", "hh_left", "hh_right",
     "thm33", "cor34", "thm35", "cor36",
 )
+
+
+def check_modulus(ids, c: float) -> None:
+    """Raise unless every theorem id is known and accepts modulus c: the
+    shift lemma's ids need c > 0, every other id c >= 0 (NaN fails both)."""
+    for tid in ids:
+        if tid not in THEOREM_IDS:
+            raise ValueError(f"unknown theorem id: {tid!r}")
+        if tid in ("lemma_i", "lemma_ii") and not c > 0.0:
+            raise FeasibilityError(f"{tid} needs c > 0, got c = {c}")
+        if not c >= 0.0:
+            raise FeasibilityError(f"{tid}: modulus c must be >= 0, got c = {c}")
+
 
 DEFAULT_TOL = 1e-9
 
@@ -199,32 +213,36 @@ class _Worst:
     """Running reduction of one side of a grid check over its blocks: the
     row minimising (slack + tolerance, grid index), NaN first.
 
-    The kept row is the first global argmin in grid order whatever order the
-    blocks arrive in, so the verdict does not depend on batching.  Every row
-    holds exactly when the kept row does, so the kept row's verdict is the
-    side's verdict.
+    The side reads the rows ``pick`` of each block on the t grid ``t`` (all
+    of them by default).  The kept row is the first global argmin in grid
+    order whatever order the blocks arrive in, so the verdict does not
+    depend on batching.  Every row holds exactly when the kept row does, so
+    the kept row's verdict is the side's verdict.
     """
 
-    def __init__(self, kind: str, t: np.ndarray):
+    def __init__(self, kind: str, t: np.ndarray, pick: Optional[slice] = None):
         self.kind = kind
-        self.t = t
+        self.t = t if pick is None else t[pick]
+        self.pick = pick
         self.rank = None
         self.index = None
         self.row = None
         self.triples = 0
 
-    def update(self, lhs, rhs, tol, x, y, first, stride):
+    def update(self, rows, lhs, rhs, x, y, first, stride):
         """Fold in one block's rows lhs[i] inside rhs[i], for the x values
-        ``x`` and y values ``y`` of a block of ``_walk``; returns the rows'
-        slacks and tolerances."""
-        slacks, tols, witness = inclusion_rows(lhs, rhs, self.kind, tol)
+        ``x`` and y values ``y`` of a block of ``_walk``: ``rows`` holds
+        their slacks, tolerances and witnesses from ``inclusion_rows``."""
+        if self.pick is not None:
+            rows, lhs, rhs = [r[self.pick] for r in rows], lhs[self.pick], rhs[self.pick]
+        slacks, tols, witness = rows
         keys = slacks + tols
         i = int(keys.argmin())
         self.triples += keys.size
         key = float(keys[i])
         rank = (0, 0.0) if key != key else (1, key)  # NaN first
         if self.row is not None and rank > self.rank:
-            return slacks, tols
+            return
         pair, ti = divmod(i, self.t.size)
         r, k = divmod(pair, x.size)
         index = (first + r * stride + k) * self.t.size + ti
@@ -232,14 +250,13 @@ class _Worst:
             self.rank, self.index = rank, index
             self.row = (slacks[i], tols[i], witness[i], lhs[i].copy(), rhs[i].copy(),
                         x[k], np.broadcast_to(y, (y.shape[0], x.size))[r, k], self.t[ti])
-        return slacks, tols
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
         return TheoremReport(
             theorem_id=theorem_id,
-            lhs=as_set(lhs, self.kind),
-            rhs=as_set(rhs, self.kind),
+            lhs=as_set(lhs.tolist(), self.kind),  # Python floats build a set faster
+            rhs=as_set(rhs.tolist(), self.kind),
             verdict=row_verdict(slack, tol_used, witness, self.kind),
             error_budget=0.0,
             inputs_echo={"c": c, "triples": self.triples, **echo,
@@ -247,39 +264,55 @@ class _Worst:
         )
 
 
-def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
-               midconvex: bool = False, direction: str = "forward",
-               block_pairs: Optional[int] = None) -> dict:
-    """Reports of the requested grid ids from one streamed pass.
+def _fold(sides, lhs, rhs, kind, tol, where):
+    """Fold one block's rows lhs[i] inside rhs[i] into the running witness
+    of each of ``sides``; returns the rows' slacks and tolerances."""
+    found = inclusion_rows(lhs, rhs, kind, tol)
+    for side in sides:
+        side.update(found, lhs, rhs, *where)
+    return found[:2]
 
-    The pass covers the (x, y, t) grid (def_shc, lemma_i, prop_31) or, with
-    ``midconvex``, the t = 1/2 pairs (def_mid, lemma_ii).  It walks the pairs
-    in the blocks of ``_walk`` (``block_pairs`` pairs, by default as many as
+
+def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
+                 tol: float = DEFAULT_TOL, block_pairs: Optional[int] = None) -> dict:
+    """Reports of the grid theorem ids ``ids``, keyed by id, from one
+    streamed pass.
+
+    The pass covers the (x, y, t) grid when def_shc, lemma_i or prop_31 is
+    requested, and otherwise the t = 1/2 pairs alone; def_mid and lemma_ii
+    read the t = 1/2 rows of its blocks.  It walks the pairs in the blocks
+    of ``_walk`` (``block_pairs`` pairs, by default as many as
     BLOCK_ELEMENTS allows; tests pass other sizes), evaluates F once per
     point of the walk and once per midpoint, and computes only the sides the
     ids need: the modulus-c side of F (which is also prop_31's harmonic
     side), the modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and
-    prop_31's arithmetic side, evaluated independently through G(u) = F(1/u).
-    Each x-run's (1-t) F(x) slab serves all its blocks.
+    prop_31's arithmetic side, evaluated independently through
+    G(u) = F(1/u).  Each x-run's (1-t) F(x) slab serves all its blocks.
     """
-    strong_id, lemma_id = ("def_mid", "lemma_ii") if midconvex else ("def_shc", "lemma_i")
-    shifted = lemma_id in ids
+    full = not {"def_shc", "lemma_i", "prop_31"}.isdisjoint(ids)
     arithmetic = "prop_31" in ids
     kind = f.kind
-    t = np.array([0.5]) if midconvex else np.asarray(grid.t_values)
+    t = np.array(grid.t_values if full else (0.5,))
     s = 1.0 - t
     ct, ct0 = c * t * s, 0.0 * t * s  # the shifted side has modulus 0
     channels = 2 if kind == "interval" else f.grid_size
     # the weights t and 1-t of _spread
-    tw, sw = (np.repeat(w[:, None], channels if t.size > 1 else 1, axis=1) for w in (t, s))
+    tw, sw = (w[:, None].repeat(channels if t.size > 1 else 1, axis=1) for w in (t, s))
     if block_pairs is None:
         block_pairs = max(1, BLOCK_ELEMENTS // (t.size * channels))
-    strong, shift_side = _Worst(kind, t), _Worst(kind, t)
+    # running witnesses of the strong and shifted sides by strong id: every row
+    # of a block for def_shc (lemma_i), the t = 1/2 rows for def_mid (lemma_ii)
+    half = slice(grid.t_values.index(0.5), None, t.size) if full else None
+    rows_of = {"def_shc": (None, "lemma_i", full),
+               "def_mid": (half, "lemma_ii", "def_mid" in ids or "lemma_ii" in ids)}
+    strong = {sid: _Worst(kind, t, pick) for sid, (pick, _, wanted) in rows_of.items() if wanted}
+    shift = {sid: _Worst(kind, t, pick)
+             for sid, (pick, lemma_id, _) in rows_of.items() if lemma_id in ids}
     arith_holds, arith_min, disagreements = True, np.inf, 0
     g = reciprocal_transform(f) if arithmetic else None
     for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs):
         fp = f.eval_vector(pts)
-        if shifted:
+        if shift:
             sp = ball_shift(fp, pts, c, kind)
         if arithmetic:
             up = 1.0 / pts
@@ -289,7 +322,7 @@ def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
             x = pts[run]
             tx = x[:, None] * t
             fx = _spread(fp[run], sw)
-            if shifted:
+            if shift:
                 sx = _spread(sp[run], sw)
             if arithmetic:
                 u = up[run]
@@ -297,15 +330,16 @@ def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
                 gx = _spread(gp[run], sw)
             for rows, first, stride in blocks:
                 y = pts[rows]
+                where = (x, y, first, stride)
                 xy = x * y
                 dist2 = ((x - y) / xy) ** 2
                 mids = (xy[..., None] / (tx + s * y[..., None])).ravel()
                 fm = f.eval_vector(mids)
                 lhs = _lhs_rows(_spread(fp[rows], tw), fx, dist2, ct, kind)
-                sh, th = strong.update(lhs, fm, tol, x, y, first, stride)
-                if shifted:
-                    shift_side.update(_lhs_rows(_spread(sp[rows], tw), sx, dist2, ct0, kind),
-                                      ball_shift(fm, mids, c, kind), tol, x, y, first, stride)
+                sh, th = _fold(strong.values(), lhs, fm, kind, tol, where)
+                if shift:
+                    lhs = _lhs_rows(_spread(sp[rows], tw), sx, dist2, ct0, kind)
+                    _fold(shift.values(), lhs, ball_shift(fm, mids, c, kind), kind, tol, where)
                 if arithmetic:
                     v = up[rows]
                     lhs = _lhs_rows(_spread(gp[rows], tw), gx, (u - v) ** 2, ct, kind)
@@ -316,68 +350,50 @@ def _grid_pass(f: SetValuedFn, c: float, grid: ConvexityGrid, tol: float, ids,
                     arith_holds = arith_holds and bool(np.all(va))
                     arith_min = np.minimum(arith_min, np.min(sa))
 
-    out = {}
-    harmonic = strong.report(strong_id, c)
-    if strong_id in ids or shifted:
-        out[strong_id] = harmonic
-    if shifted:
+    out = {sid: side.report(sid, c) for sid, side in strong.items()}
+    for sid, side in shift.items():
+        lemma_id = rows_of[sid][1]
         out[lemma_id] = shift_lemma_report(
-            lemma_id, harmonic, shift_side.report(strong_id, 0.0), c, direction)
+            lemma_id, out[sid], side.report(sid, 0.0), c, "forward")
     if arithmetic:
-        out["prop_31"] = strong.report(
+        out["prop_31"] = strong["def_shc"].report(
             "prop_31", c,
-            harmonic_holds=harmonic.holds,
+            harmonic_holds=out["def_shc"].holds,
             arithmetic_holds=arith_holds,
             arithmetic_slack=float(arith_min),
             disagreements=disagreements,
             consistency_failure=disagreements > 0,
         )
-    return out
-
-
-def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
-                 tol: float = DEFAULT_TOL) -> dict:
-    """Reports of the grid theorem ids among ``ids``, keyed by id: one pass
-    over the (x, y, t) grid serves def_shc, lemma_i and prop_31, and one over
-    the t = 1/2 pairs serves def_mid and lemma_ii."""
-    out = {}
-    for midconvex, pass_ids in ((False, ("def_shc", "lemma_i", "prop_31")),
-                                (True, ("def_mid", "lemma_ii"))):
-        wanted = [tid for tid in pass_ids if tid in ids]
-        if wanted:
-            out.update(_grid_pass(f, c, grid, tol, wanted, midconvex))
-    return out
+    return {tid: out[tid] for tid in ids}
 
 
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,
                                    tol: float = DEFAULT_TOL) -> TheoremReport:
     """t F(y) + (1-t) F(x) + c t(1-t) |(x-y)/(xy)|^2 B inside F(xy/(tx+(1-t)y))."""
-    if not (c >= 0.0):  # also rejects NaN
-        raise ValueError("modulus c must be >= 0")
-    return _grid_pass(f, c, grid, tol, ("def_shc",))["def_shc"]
+    check_modulus(("def_shc",), c)
+    return grid_reports(f, c, grid, ("def_shc",), tol)["def_shc"]
 
 
 def check_strongly_harmonic_midconvex(f: SetValuedFn, c: float, grid: ConvexityGrid,
                                       tol: float = DEFAULT_TOL) -> TheoremReport:
     """The t = 1/2 restriction with the c/4 penalty coefficient."""
-    if not (c >= 0.0):  # also rejects NaN
-        raise ValueError("modulus c must be >= 0")
-    return _grid_pass(f, c, grid, tol, ("def_mid",), midconvex=True)["def_mid"]
+    check_modulus(("def_mid",), c)
+    return grid_reports(f, c, grid, ("def_mid",), tol)["def_mid"]
 
 
 def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
                       tol: float = DEFAULT_TOL, direction: str = "forward",
                       midconvex: bool = False) -> TheoremReport:
     """Equivalence between modulus-c convexity of F and plain convexity of
-    the shifted G(x) = F(x) + (c/x^2) B, in either direction."""
-    if not (c > 0.0):  # also rejects NaN
-        raise ValueError("the shift lemma needs c > 0")
+    the shifted G(x) = F(x) + (c/x^2) B.  Both directions are one pair of
+    checks, of F at modulus c and of G at modulus 0, so ``direction`` only
+    reaches the echo."""
+    theorem_id = "lemma_ii" if midconvex else "lemma_i"
+    check_modulus((theorem_id,), c)
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction: {direction!r}")
-    theorem_id = "lemma_ii" if midconvex else "lemma_i"
-    # backward: recover F from the shifted map and check it at modulus c
-    base = f if direction == "forward" else c_unshift(c_shift(f, c), c)
-    return _grid_pass(base, c, grid, tol, (theorem_id,), midconvex, direction)[theorem_id]
+    rep = grid_reports(f, c, grid, (theorem_id,), tol)[theorem_id]
+    return dataclasses.replace(rep, inputs_echo={**rep.inputs_echo, "direction": direction})
 
 
 def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremReport,
@@ -412,9 +428,8 @@ def check_prop31(f: SetValuedFn, c: float, grid: ConvexityGrid,
     (1/x, 1/y, t); a verdict disagreement is a consistency failure of the
     implementation, flagged in the echo.
     """
-    if not (c >= 0.0):  # also rejects NaN
-        raise ValueError("modulus c must be >= 0")
-    return _grid_pass(f, c, grid, tol, ("prop_31",))["prop_31"]
+    check_modulus(("prop_31",), c)
+    return grid_reports(f, c, grid, ("prop_31",), tol)["prop_31"]
 
 
 def _budget_verdict(lhs: ConvexSet, rhs: ConvexSet, tol: float,

@@ -91,13 +91,13 @@ class TestTheoremTable:
         for name in ("grid_reports", "check_nikodem", "check_hh", "check_thm33",
                      "check_thm35"):
             counting(explorer, name)
-        counting(hh_check, "_grid_pass")
+        counting(hh_check, "_walk")
         reports = run_theorems(build_function(QUADRATIC_CFG), THEOREM_IDS + THEOREM_IDS,
                                1.0, GRID, QuadratureSpec())
         assert len(reports) == 2 * len(THEOREM_IDS)
-        # one streamed pass per t grid serves all five grid ids
+        # one walk over the grid serves all five grid ids
         assert sorted(calls) == sorted([
-            "grid_reports", "_grid_pass", "_grid_pass",
+            "grid_reports", "_walk",
             "check_nikodem", "check_hh", "check_thm33", "check_thm35"])
 
     @pytest.mark.parametrize("ids,per_point,per_triple", [

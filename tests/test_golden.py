@@ -1,9 +1,11 @@
-"""Golden reports: the rendered JSON report of five fixed configs, pinned by
+"""Golden reports: the rendered JSON report of six fixed configs, pinned by
 the SHA-256 of its text with the ``wall_time_s`` line removed.  The
 16384-pair config spans several blocks of the streamed grid pass; its
 digest was recorded before the grid checks were streamed.  The disc
 configs span many blocks of 64-channel rows; the disc search digest was
-recorded before the blocks were sized by elements.
+recorded before the blocks were sized by elements.  The disc midconvex
+config requests only def_mid and lemma_ii, so its pass covers the t = 1/2
+pairs alone; its digest was recorded while they had a pass of their own.
 
 A refactor that must not change results keeps these digests.  A change
 that alters a report on purpose updates the digest and says why.
@@ -28,6 +30,8 @@ DISC_VERIFY = {
     "theorems": [t for t in THEOREM_IDS
                  if t not in ("thm33", "cor34", "thm35", "cor36")],
 }
+
+DISC_MIDCONVEX = {**DISC_VERIFY, "theorems": ["def_mid", "lemma_ii"]}
 
 QUADRATIC_SEARCH = {
     "mode": "search",
@@ -61,6 +65,8 @@ GOLDEN = [
      "5a0f1b5258392903ed138581af8aa0e3c93d4d43f57cfa5cc607b933ec1462d3"),
     ("disc-search", DISC_SEARCH, 1,
      "6799f8dfd4aa28ed96f5fcb8c78f18e761b9cb3c07dea452239cb22e4c84fafe"),
+    ("disc-midconvex", DISC_MIDCONVEX, 0,
+     "9dc7274da105d29025125f1b70333e2f82e7cc4ecee98bef2c4a77c99e41c2c8"),
 ]
 
 

@@ -12,10 +12,10 @@ from harmonichh.hh_check import (
     BLOCK_ELEMENTS,
     ConvexityGrid,
     TheoremReport,
-    _grid_pass,
     _Worst,
     check_hh,
     check_lemma_shift,
+    check_modulus,
     check_nikodem,
     check_prop31,
     check_strongly_harmonic_convex,
@@ -24,11 +24,13 @@ from harmonichh.hh_check import (
     check_cor36,
     check_thm33,
     check_thm35,
+    grid_reports,
     shift_lemma_report,
 )
 from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, hausdorff,
                                  inclusion_rows, row_verdict)
 from harmonichh.svf import (
+    FeasibilityError,
     HarmonicDomain,
     QuadraticIntervalFn,
     SampledFn,
@@ -137,6 +139,19 @@ class TestModulusRejected:
         with pytest.raises(ValueError, match=message) as info:
             check(f, c, SMALL_GRID)
         assert not isinstance(info.value, NonFiniteSetError)
+
+    @pytest.mark.parametrize("tid", hh_check.THEOREM_IDS)
+    def test_one_modulus_rule(self, tid):
+        # the shift lemma's ids need c > 0, every other id c >= 0
+        for c in (-1.0, float("nan")):
+            with pytest.raises(FeasibilityError):
+                check_modulus([tid], c)
+        if tid in ("lemma_i", "lemma_ii"):
+            with pytest.raises(FeasibilityError, match="needs c > 0"):
+                check_modulus([tid], 0.0)
+        else:
+            check_modulus([tid], 0.0)
+        check_modulus([tid], 0.5)
 
 
 class TestMidconvex:
@@ -395,7 +410,8 @@ class TestGrid:
         assert xs.size == ys.size == ts.size == 16 * len(g.t_values)
 
 
-GRID_PASSES = ((False, ("def_shc", "lemma_i", "prop_31")), (True, ("def_mid", "lemma_ii")))
+GRID_IDS = ("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31")
+MID_IDS = ("def_mid", "lemma_ii")  # the ids a pass on the t = 1/2 pairs alone serves
 
 
 def disc_fn():
@@ -424,10 +440,10 @@ class TestBlockInvariance:
              "sampled-support": lambda: sampled_fn("support")}[family]()
         grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
         pairs = grid.pairs(f.domain.a, f.domain.b)[0].size
-        for midconvex, ids in GRID_PASSES:
-            reports = [_grid_pass(f, 1.0, grid, 1e-9, ids, midconvex, block_pairs=n)
+        for ids in (GRID_IDS, MID_IDS):
+            reports = [grid_reports(f, 1.0, grid, ids, block_pairs=n)
                        for n in (1, 7, None, 4096, pairs + 1)]
-            assert set(reports[0]) >= set(ids)
+            assert tuple(reports[0]) == ids
             for rep in reports[1:]:
                 assert rep == reports[0]
 
@@ -442,7 +458,7 @@ class TestBlockInvariance:
         tied = np.flatnonzero(keys == keys.min())
         assert tied[0] == 0 and len({i // (7 * len(grid.t_values)) for i in tied}) > 1
         for n in (1, 7, 4096):
-            rep = _grid_pass(f, 1.0, grid, 1e-9, ("def_shc",), block_pairs=n)["def_shc"]
+            rep = grid_reports(f, 1.0, grid, ("def_shc",), block_pairs=n)["def_shc"]
             assert rep.inputs_echo["witness"] == {"x": 1.0, "y": 1.0, "t": 0.0}
             assert rep.verdict.slack == 0.0
 
@@ -451,17 +467,17 @@ class TestBlockInvariance:
         grid = ConvexityGrid(pair_count=49, t_values=(0.0, 0.5, 1.0))
         first = grid.pairs(1.0, 2.0)
         for n in (1, 7, 4096):
-            rep = _grid_pass(f, 0.0, grid, 1e-9, ("def_shc",), block_pairs=n)["def_shc"]
+            rep = grid_reports(f, 0.0, grid, ("def_shc",), block_pairs=n)["def_shc"]
             assert rep.inputs_echo["witness"] == {
                 "x": float(first[0][0]), "y": float(first[1][0]), "t": 0.0}
 
 
-def reference_sides(f, c, grid, tol, midconvex=False):
+def reference_sides(f, c, grid, tol):
     """Every side of the grid pass from all triples at once, with F evaluated
     at every triple: per side the slacks, tolerances and witnesses of one
     ``inclusion_rows`` call over the whole grid, the rows, and (x, y, t)."""
     xs, ys = grid.pairs(f.domain.a, f.domain.b)
-    t = np.array([0.5]) if midconvex else np.asarray(grid.t_values)
+    t = np.asarray(grid.t_values)
     x, y, ts = np.repeat(xs, t.size), np.repeat(ys, t.size), np.tile(t, xs.size)
 
     def side(fn, c, u, v, mids, dist2):
@@ -487,38 +503,40 @@ def reference_sides(f, c, grid, tol, midconvex=False):
     }
 
 
-def reference_pass(f, c, grid, tol, ids, midconvex=False):
-    """The reports of ``_grid_pass`` from ``reference_sides``: one
-    ``np.argmin`` per side over the whole grid, no blocks."""
-    sides = reference_sides(f, c, grid, tol, midconvex)
+def reference_pass(f, c, grid, tol, ids):
+    """The reports of ``grid_reports`` from ``reference_sides``: one
+    ``np.argmin`` per side over the whole grid, or over its t = 1/2 rows for
+    def_mid and lemma_ii, no blocks."""
+    sides = reference_sides(f, c, grid, tol)
     x, y, ts = sides["where"]
 
-    def report(name, theorem_id, c, **echo):
-        slacks, tols, witness, lhs, rhs = sides[name]
+    def report(name, theorem_id, c, rows, **echo):
+        slacks, tols, witness, lhs, rhs = (a[rows] for a in sides[name])
         i = int(np.argmin(slacks + tols))
         return TheoremReport(
             theorem_id, as_set(lhs[i], f.kind), as_set(rhs[i], f.kind),
             row_verdict(slacks[i], tols[i], witness[i], f.kind), 0.0,
             {"c": c, "triples": slacks.size, **echo,
-             "witness": {"x": float(x[i]), "y": float(y[i]), "t": float(ts[i])}})
+             "witness": {"x": float(x[rows][i]), "y": float(y[rows][i]),
+                         "t": float(ts[rows][i])}})
 
-    strong_id, lemma_id = ("def_mid", "lemma_ii") if midconvex else ("def_shc", "lemma_i")
     out = {}
-    harmonic = report("strong", strong_id, c)
-    if strong_id in ids or lemma_id in ids:
-        out[strong_id] = harmonic
-    if lemma_id in ids:
-        out[lemma_id] = shift_lemma_report(
-            lemma_id, harmonic, report("shifted", strong_id, 0.0), c, "forward")
+    for strong_id, lemma_id, rows in (("def_shc", "lemma_i", slice(None)),
+                                      ("def_mid", "lemma_ii", ts == 0.5)):
+        out[strong_id] = report("strong", strong_id, c, rows)
+        if lemma_id in ids:
+            out[lemma_id] = shift_lemma_report(
+                lemma_id, out[strong_id], report("shifted", strong_id, 0.0, rows), c,
+                "forward")
     if "prop_31" in ids:
         sh, th = sides["strong"][:2]
         sa, ta = sides["arithmetic"][:2]
         disagreements = int(np.count_nonzero((sh >= -th) != (sa >= -ta)))
         out["prop_31"] = report(
-            "strong", "prop_31", c, harmonic_holds=harmonic.holds,
+            "strong", "prop_31", c, slice(None), harmonic_holds=out["def_shc"].holds,
             arithmetic_holds=bool(np.all(sa >= -ta)), arithmetic_slack=float(np.min(sa)),
             disagreements=disagreements, consistency_failure=disagreements > 0)
-    return out
+    return {tid: out[tid] for tid in ids}
 
 
 def id_subsets(ids):
@@ -527,7 +545,7 @@ def id_subsets(ids):
 
 class TestAgainstUnblockedReference:
     """The streamed pass gives the reports of one unblocked evaluation of
-    every triple, for every id set the pass serves."""
+    every triple, for every set of grid ids."""
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
     @pytest.mark.parametrize("family", ["quadratic", "tight", "disc", "sampled-interval",
@@ -540,10 +558,9 @@ class TestAgainstUnblockedReference:
              "sampled-support": lambda: sampled_fn("support")}[family]()
         grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
         for c in (0.5, 1.0, 2.5):
-            for midconvex, ids in GRID_PASSES:
-                for sub in id_subsets(ids):
-                    assert _grid_pass(f, c, grid, 1e-9, sub, midconvex) == \
-                        reference_pass(f, c, grid, 1e-9, sub, midconvex), (c, sub)
+            for sub in id_subsets(GRID_IDS):
+                assert grid_reports(f, c, grid, sub) == \
+                    reference_pass(f, c, grid, 1e-9, sub), (c, sub)
 
 
 class TestFold:
@@ -558,7 +575,8 @@ class TestFold:
         # slack keys[i] at tolerance 0
         lhs = np.array([[0.0, 1.0], [0.0, 1.0]])
         rhs = np.array([[-k, 1.0 + k] for k in keys])
-        worst.update(lhs, rhs, 0.0, np.array([x]), np.array([[y]]), first, 0)
+        worst.update(inclusion_rows(lhs, rhs, "interval", 0.0), lhs, rhs,
+                     np.array([x]), np.array([[y]]), first, 0)
 
     def witness(self, worst):
         """(x, y, t) and slack of the kept row (a NaN row makes no report)."""
@@ -594,10 +612,9 @@ class TestFold:
         # before (x1, y0) (pair 1), and pair 1 is the witness.
         f = make_quadratic_family(1.0, 1.0, 10.0, DOM12)
         grid = ConvexityGrid(pair_count=4)
-        reports = [_grid_pass(f, 2.0, grid, 1e-9, ("def_mid",), True, block_pairs=n)
+        reports = [grid_reports(f, 2.0, grid, ("def_mid",), block_pairs=n)
                    for n in (1, None)]
-        assert reports[0] == reports[1] == reference_pass(f, 2.0, grid, 1e-9,
-                                                          ("def_mid",), True)
+        assert reports[0] == reports[1] == reference_pass(f, 2.0, grid, 1e-9, ("def_mid",))
         rep = reports[0]["def_mid"]
         assert not rep.holds
         assert rep.inputs_echo["witness"] == {"x": 2.0, "y": 1.0, "t": 0.5}
@@ -622,14 +639,18 @@ class TestBlockSize:
     values shorter than a row gives one block per y row; otherwise a block
     holds p // n whole rows."""
 
-    @pytest.mark.parametrize("midconvex,ids", GRID_PASSES, ids=["triples", "midconvex"])
+    # all grid ids: the strong, shifted and arithmetic sides on the whole t
+    # grid; the midconvex ids alone: the strong and shifted sides at t = 1/2
+    @pytest.mark.parametrize("walk,ids,sides", [("triples", GRID_IDS, 3),
+                                                 ("midconvex", MID_IDS, 2)],
+                             ids=["triples", "midconvex"])
     @pytest.mark.parametrize("family,pairs", [("quadratic", 16384), ("disc-64", 1024)])
-    def test_default_block_within_budget(self, monkeypatch, family, pairs, midconvex, ids):
+    def test_default_block_within_budget(self, monkeypatch, family, pairs, walk, ids, sides):
         f = (make_quadratic_family(1.5, 2.0, 20.0, DOM12) if family == "quadratic"
              else make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12))
         shapes = block_shapes(monkeypatch)
-        _grid_pass(f, 1.0, ConvexityGrid(pair_count=pairs), 1e-9, ids, midconvex)
-        m = 1 if midconvex else len(GRID.t_values)
+        grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
+        m = len(GRID.t_values) if walk == "triples" else 1
         channels = 2 if family == "quadratic" else 64
         n = round(pairs ** 0.5)
         p = BLOCK_ELEMENTS // (m * channels)
@@ -638,11 +659,12 @@ class TestBlockSize:
         else:
             pairs_per_block = [min(p // n, n - i) * n for i in range(0, n, p // n)]
         # each block goes through the inclusion rule once per side of the pass
-        assert shapes == [(k * m, channels) for k in pairs_per_block for _ in ids]
+        assert shapes == [(k * m, channels) for k in pairs_per_block for _ in range(sides)]
         assert max(rows * channels for rows, channels in shapes) <= BLOCK_ELEMENTS
-        expected = {("quadratic", False): (4 * 128, 32), ("quadratic", True): (48 * 128, 3),
-                    ("disc-64", False): (17, 64), ("disc-64", True): (6 * 32, 6)}
-        assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, midconvex]
+        expected = {("quadratic", "triples"): (4 * 128, 32),
+                    ("quadratic", "midconvex"): (48 * 128, 3),
+                    ("disc-64", "triples"): (17, 64), ("disc-64", "midconvex"): (6 * 32, 6)}
+        assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, walk]
 
     def test_floor_is_one_pair(self, monkeypatch):
         xs = np.linspace(1.0, 2.0, 9)
@@ -651,9 +673,9 @@ class TestBlockSize:
                       DOM12, kind="support")
         grid = ConvexityGrid(pair_count=9)
         shapes = block_shapes(monkeypatch)
-        rep = _grid_pass(f, 1.0, grid, 1e-9, ("def_shc",))
+        rep = grid_reports(f, 1.0, grid, ("def_shc",))
         assert shapes == [(len(GRID.t_values), channels)] * 9
-        assert rep == _grid_pass(f, 1.0, grid, 1e-9, ("def_shc",), block_pairs=10)
+        assert rep == grid_reports(f, 1.0, grid, ("def_shc",), block_pairs=10)
 
 
 def traced_peak(f, ids, pairs):

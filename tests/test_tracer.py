@@ -63,6 +63,6 @@ def test_traced_default_unit_counts(spans):
     assert metrics["set_core.calls"] == 89
     assert metrics["aumann.calls"] == 6
     assert metrics["aumann.nodes"] == 256
-    # F at the 32 grid points per side and pass, 2 x 11264 + 1024 midpoints,
-    # 280 points of the integral theorems
-    assert metrics["svf.eval_vector.points"] == 23928
+    # F and G(u) = F(1/u) at the 32 grid points and the 11264 midpoints of the
+    # one grid pass, 280 points of the integral theorems
+    assert metrics["svf.eval_vector.points"] == 22872
