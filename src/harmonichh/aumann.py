@@ -207,8 +207,8 @@ def plain_product_integral(f: SetValuedFn, g: SetValuedFn, dom: HarmonicDomain,
     return _product_integral(f, g, dom, q, reflected=False)
 
 
-def bracket_product_integral(f: SetValuedFn, g: SetValuedFn, c: float,
-                             dom: HarmonicDomain, q: QuadratureSpec,
+def bracket_product_integral(fa: Interval, fb: Interval, ga: Interval, gb: Interval,
+                             c: float, dom: HarmonicDomain, q: QuadratureSpec,
                              reflected: bool = True) -> IntegralResult:
     """Integral over [0, 1] of the Moore product of the two modulus-c
     inclusion brackets
@@ -217,25 +217,22 @@ def bracket_product_integral(f: SetValuedFn, g: SetValuedFn, c: float,
         t G(a) + (1-t) G(b) + c t(1-t) d^2 B   (endpoints swapped when not
                                                 reflected),
 
-    with d = (b-a)/(ab).  Each bracket is included in the corresponding
-    function value, so by isotonicity of the Moore product this integral
-    is included in the matching product integral; it is the sharpest left
-    side the product theorems' proofs actually establish.
+    with d = (b-a)/(ab), given the endpoint values F(a), F(b), G(a) and
+    G(b).  Each bracket is included in the corresponding function value,
+    so by isotonicity of the Moore product this integral is included in
+    the matching product integral; it is the sharpest left side the
+    product theorems' proofs actually establish.
     """
-    if f.kind != "interval" or g.kind != "interval":
-        raise UnsupportedProductError("product integrals are interval-only")
     a, b = dom.a, dom.b
     delta2 = ((b - a) / (a * b)) ** 2
-    fa, fb = f.eval_vector(np.array([a]))[0], f.eval_vector(np.array([b]))[0]
-    ga, gb = g.eval_vector(np.array([a]))[0], g.eval_vector(np.array([b]))[0]
     g_first, g_second = (ga, gb) if reflected else (gb, ga)
 
     def sample(ts: np.ndarray) -> np.ndarray:
         pen = c * ts * (1.0 - ts) * delta2
-        b1_lo = ts * fb[0] + (1.0 - ts) * fa[0] - pen
-        b1_hi = ts * fb[1] + (1.0 - ts) * fa[1] + pen
-        b2_lo = ts * g_first[0] + (1.0 - ts) * g_second[0] - pen
-        b2_hi = ts * g_first[1] + (1.0 - ts) * g_second[1] + pen
+        b1_lo = ts * fb.lo + (1.0 - ts) * fa.lo - pen
+        b1_hi = ts * fb.hi + (1.0 - ts) * fa.hi + pen
+        b2_lo = ts * g_first.lo + (1.0 - ts) * g_second.lo - pen
+        b2_hi = ts * g_first.hi + (1.0 - ts) * g_second.hi + pen
         prods = np.stack([b1_lo * b2_lo, b1_lo * b2_hi, b1_hi * b2_lo, b1_hi * b2_hi])
         return np.column_stack([prods.min(axis=0), prods.max(axis=0)])
 

@@ -98,6 +98,12 @@ def _finite(value) -> float:
     return x
 
 
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def _tolerance(value) -> float:
     tol = _finite(value)
     if tol < 0.0:
@@ -132,7 +138,7 @@ def _parse_search(doc) -> dict:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError(f"search range {key} must be two [min, max] ranges")
             search[key] = tuple(_search_range(r, f"{key}[{i}]") for i, r in enumerate(pair))
-    search["budget"] = _convert(search.get("budget", 64), int, "search budget")
+    search["budget"] = _convert(search.get("budget", 64), _count, "search budget")
     return search
 
 
@@ -146,13 +152,13 @@ def parse_config(doc: dict) -> RunConfig:
     grid_doc = doc.get("grid", {}) or {}
     grid_kwargs = {}
     if "pair_count" in grid_doc:
-        grid_kwargs["pair_count"] = _convert(grid_doc["pair_count"], int, "grid pair_count")
+        grid_kwargs["pair_count"] = _convert(grid_doc["pair_count"], _count, "grid pair_count")
     if "t_values" in grid_doc:
         grid_kwargs["t_values"] = _convert(grid_doc["t_values"], tuple, "grid t_values")
     if "sampling" in grid_doc:
         grid_kwargs["sampling"] = grid_doc["sampling"]
     if "seed" in grid_doc:
-        grid_kwargs["seed"] = _convert(grid_doc["seed"], int, "grid seed")
+        grid_kwargs["seed"] = _convert(grid_doc["seed"], _count, "grid seed")
     try:
         grid = ConvexityGrid(**grid_kwargs)
     except (TypeError, ValueError) as exc:
@@ -163,7 +169,7 @@ def parse_config(doc: dict) -> RunConfig:
     try:
         quadrature = QuadratureSpec(
             rule=quad_doc.get("rule", "gauss-legendre"),
-            order_or_panels=_convert(order, int, "quadrature order"),
+            order_or_panels=_convert(order, _count, "quadrature order"),
             substitution=bool(quad_doc.get("substitution", True)),
         )
     except QuadratureError as exc:
@@ -208,7 +214,7 @@ def parse_config(doc: dict) -> RunConfig:
         theorems=theorems,
         tolerance=_convert(doc.get("tolerance", DEFAULT_TOL), _tolerance, "tolerance"),
         output=doc.get("output"),
-        seed=_convert(doc.get("seed", 0), int, "seed"),
+        seed=_convert(doc.get("seed", 0), _count, "seed"),
         search=search,
         raw=doc,
     )
@@ -224,12 +230,6 @@ def _pair(value) -> tuple:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ValueError(f"not an [x, y] pair: {value!r}")
     return tuple(_number(v) for v in value)
-
-
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"not an integer: {value!r}")
-    return value
 
 
 def build_family(descriptor: dict) -> SetValuedFn:

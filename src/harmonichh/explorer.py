@@ -16,7 +16,6 @@ way the search and the CLI run a theorem on a family.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -31,15 +30,13 @@ from .hh_check import (
     check_hh,
     check_modulus,
     check_nikodem,
-    check_thm33,
-    check_thm35,
-    cor36_report,
     grid_reports,
+    product_reports,
 )
 # Not called here: perfbench/spans.py wraps these names in this module too.
 from .hh_check import (  # noqa: F401
-    check_cor34, check_cor36, check_lemma_shift, check_prop31,
-    check_strongly_harmonic_convex, check_strongly_harmonic_midconvex)
+    check_cor34, check_cor36, check_lemma_shift, check_prop31, check_strongly_harmonic_convex,
+    check_strongly_harmonic_midconvex, check_thm33, check_thm35)
 from .svf import (
     FeasibilityError,
     HarmonicDomain,
@@ -71,9 +68,11 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if self.family not in ("quadratic-interval", "disc"):
             raise FeasibilityError(f"unsearchable family kind: {self.family!r}")
-        for name in ("alpha", "beta", "K", "a", "b", "c"):
-            lo, hi = getattr(self, name)
-            if not (lo <= hi):
+        ranges = [(name, getattr(self, name)) for name in ("alpha", "beta", "K", "a", "b", "c")]
+        ranges += [(f"{name}[{i}]", r) for name in ("v", "w")
+                   for i, r in enumerate(getattr(self, name))]
+        for name, (lo, hi) in ranges:
+            if not (lo <= hi):  # also rejects NaN
                 raise FeasibilityError(f"empty range for {name}: ({lo}, {hi})")
         if not (0.0 < self.a[0] and self.a[1] < self.b[0]):
             raise FeasibilityError(
@@ -135,7 +134,9 @@ def build_function(cfg: dict) -> SetValuedFn:
 
 
 # The theorem table.  Each row is one distinct computation and the ids whose
-# reports it yields, in THEOREM_IDS order.  ``compute(f, c, grid, quad, tol,
+# reports it yields, in THEOREM_IDS order: the grid pass, the arithmetic and
+# harmonic Hermite-Hadamard sandwiches, and the product pass with G = F,
+# whose corollary reports hh_check derives.  ``compute(f, c, grid, quad, tol,
 # wanted)`` returns the reports of the row's ids keyed by id, given the ids
 # of the row that were requested.  Rows look their functions up in this
 # module when they run, so a tracer that wraps them here sees every call.
@@ -143,16 +144,6 @@ def build_function(cfg: dict) -> SetValuedFn:
 class TheoremRow(NamedTuple):
     ids: Tuple[str, ...]
     compute: Callable
-
-
-def _thm33_cor34(f, c, grid, quad, tol):
-    rep = check_thm33(f, f, c, f.domain, quad, tol)
-    return rep, dataclasses.replace(rep, theorem_id="cor34")
-
-
-def _thm35_cor36(f, c, grid, quad, tol):
-    rep = check_thm35(f, f, c, f.domain, quad, tol)
-    return rep, cor36_report(rep, f, c, f.domain, tol)
 
 
 def _row(ids, compute):
@@ -170,8 +161,10 @@ THEOREM_TABLE = (
          check_nikodem(reciprocal_transform(f), c, quad, tol)),
     _row(("hh_left", "hh_right"), lambda f, c, grid, quad, tol:
          check_hh(f, c, f.domain, quad, tol)),
-    _row(("thm33", "cor34"), _thm33_cor34),
-    _row(("thm35", "cor36"), _thm35_cor36),
+    # one product pass serves every requested product id
+    TheoremRow(("thm33", "cor34", "thm35", "cor36"),
+               lambda f, c, grid, quad, tol, wanted: product_reports(
+                   f, f, c, f.domain, quad, wanted, tol)),
 )
 
 def run_theorems(f: SetValuedFn, ids: Sequence[str], c: float, grid: ConvexityGrid,

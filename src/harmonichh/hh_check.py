@@ -27,6 +27,10 @@ and the values at the n points, not the grid.  The reduction keeps the
 row minimising (slack + tolerance, grid index), so verdicts do not depend
 on how evaluation is batched or in what order blocks come (tested for
 block sizes from 1 to larger than the grid).
+
+The product ids share one pass per family too: F and G once at a and b,
+one assembly of the left side that thm33 and thm35 share, and only the
+product integrals the requested ids need (``product_reports``).
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .aumann import (
-    IntegralResult,
     bracket_product_integral,
     QuadratureSpec,
     aumann_integral,
@@ -353,8 +356,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     out = {sid: side.report(sid, c) for sid, side in strong.items()}
     for sid, side in shift.items():
         lemma_id = rows_of[sid][1]
-        out[lemma_id] = shift_lemma_report(
-            lemma_id, out[sid], side.report(sid, 0.0), c, "forward")
+        out[lemma_id] = shift_lemma_report(lemma_id, out[sid], side.report(sid, 0.0), c)
     if arithmetic:
         out["prop_31"] = strong["def_shc"].report(
             "prop_31", c,
@@ -397,9 +399,9 @@ def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
 
 
 def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremReport,
-                       c: float, direction: str) -> TheoremReport:
+                       c: float) -> TheoremReport:
     """Combine the modulus-c check of F and the plain check of the shifted
-    map into one shift-lemma report."""
+    map into one shift-lemma report, echoed as the forward direction."""
     # worst of the paired checks is the reported witness
     primary = strong if strong.verdict.slack <= shifted.verdict.slack else shifted
     return TheoremReport(
@@ -410,7 +412,7 @@ def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremR
         error_budget=0.0,
         inputs_echo={
             "c": c,
-            "direction": direction,
+            "direction": "forward",
             "strong_slack": strong.verdict.slack,
             "shifted_slack": shifted.verdict.slack,
             "verdicts_agree": strong.holds == shifted.holds,
@@ -508,38 +510,70 @@ def _product_lhs(fa: Interval, fb: Interval, ga: Interval, gb: Interval,
     return stmt, proof
 
 
-def _product_report(theorem_id: str, f: SetValuedFn, g: SetValuedFn, c: float,
-                    dom: HarmonicDomain, q: QuadratureSpec, tol: float,
-                    integral: IntegralResult, reflected: bool) -> TheoremReport:
+def product_reports(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
+                    q: QuadratureSpec, ids, tol: float = DEFAULT_TOL) -> dict:
+    """Reports of the product theorem ids ``ids``, keyed by id, from one
+    evaluation of F and G at a and b.
+
+    thm33 and thm35 share the printed left side
+    (1/6)M + (1/3)N + S (c/12) d^2 B + (c^2/30) d^4 B, assembled once with
+    its proof form; they differ in the integral, of F(x) G(theta(x)) for
+    thm33 and of F(x) G(x) for thm35, each run only when one of its ids is
+    requested.  cor34 and cor36 are the G = F cases (``g`` is ``f``): cor34
+    is thm33 relabelled, cor36 is thm35 with the printed corollary form
+    echoed alongside.
+    """
+    if g is not f and not {"cor34", "cor36"}.isdisjoint(ids):
+        raise ValueError("cor34 and cor36 are the G = F cases")
+    # the integrals come first: their check refuses a family that is not interval-kind
+    integrals = {tid: (integrate(f, g, dom, q), reflected)
+                 for tid, cor, integrate, reflected in (
+                     ("thm33", "cor34", reflected_product_integral, True),
+                     ("thm35", "cor36", plain_product_integral, False))
+                 if tid in ids or cor in ids}
     a, b = dom.a, dom.b
     fa, fb = f.eval(a), f.eval(b)
-    ga, gb = g.eval(a), g.eval(b)
+    ga, gb = (fa, fb) if g is f else (g.eval(a), g.eval(b))
     delta2 = ((b - a) / (a * b)) ** 2
     lhs_stmt, lhs_proof = _product_lhs(fa, fb, ga, gb, c, delta2)
-    verdict = _budget_verdict(lhs_stmt, integral.value, tol, integral.error_budget)
-    proof_verdict = _budget_verdict(lhs_proof, integral.value, tol, integral.error_budget)
-    # Sharpest left side the proof establishes: the integrated bracket product.
-    # Moore products only subdistribute over Minkowski sums, so the printed
-    # expansion can be strictly larger than this set.
-    chain = bracket_product_integral(f, g, c, dom, q, reflected=reflected)
-    chain_budget = integral.error_budget + chain.error_budget
-    chain_verdict = _budget_verdict(chain.value, integral.value, tol, chain_budget)
-    return TheoremReport(
-        theorem_id=theorem_id,
-        lhs=lhs_stmt,
-        rhs=integral.value,
-        verdict=verdict,
-        error_budget=integral.error_budget,
-        inputs_echo={
-            "c": c, "a": a, "b": b,
-            "assembly_gap": hausdorff(lhs_stmt, lhs_proof),
-            "proof_form_slack": proof_verdict.slack,
-            "proof_form_holds": proof_verdict.holds,
-            "chain_form_slack": chain_verdict.slack,
-            "chain_form_holds": chain_verdict.holds,
-            "nodes": integral.nodes_used,
-        },
-    )
+    gap = hausdorff(lhs_stmt, lhs_proof)
+    out = {}
+    for tid, (integral, reflected) in integrals.items():
+        budget = integral.error_budget
+        proof_verdict = _budget_verdict(lhs_proof, integral.value, tol, budget)
+        # Sharpest left side the proof establishes: the integrated bracket
+        # product.  Moore products only subdistribute over Minkowski sums, so
+        # the printed expansion can be strictly larger than this set.
+        chain = bracket_product_integral(fa, fb, ga, gb, c, dom, q, reflected=reflected)
+        chain_verdict = _budget_verdict(chain.value, integral.value, tol,
+                                        budget + chain.error_budget)
+        out[tid] = TheoremReport(
+            tid, lhs_stmt, integral.value,
+            _budget_verdict(lhs_stmt, integral.value, tol, budget), budget,
+            {"c": c, "a": a, "b": b, "assembly_gap": gap,
+             "proof_form_slack": proof_verdict.slack, "proof_form_holds": proof_verdict.holds,
+             "chain_form_slack": chain_verdict.slack, "chain_form_holds": chain_verdict.holds,
+             "nodes": integral.nodes_used})
+    if "cor34" in ids:
+        out["cor34"] = dataclasses.replace(out["thm33"], theorem_id="cor34")
+    if "cor36" in ids:
+        # the printed corollary groups its left side as
+        # (F^2(a)+F^2(b)+F(a)+F(b))/3 + (c/6) d^2 B (F(a)+F(b)) + (c^2/30) d^4 B
+        thm35 = out["thm35"]
+        printed = minkowski_sum(
+            minkowski_sum(
+                scale(1.0 / 3.0, minkowski_sum(
+                    minkowski_sum(interval_product(fa, fa), interval_product(fb, fb)),
+                    minkowski_sum(fa, fb))),
+                interval_product(minkowski_sum(fa, fb), ball(c / 6.0 * delta2, "interval"))),
+            ball(c * c / 30.0 * delta2 * delta2, "interval"))
+        pv = _budget_verdict(printed, thm35.rhs, tol, thm35.error_budget)
+        out["cor36"] = dataclasses.replace(thm35, theorem_id="cor36", inputs_echo={
+            **thm35.inputs_echo,
+            "printed_lhs": (printed.lo, printed.hi),
+            "printed_slack": pv.slack,
+            "printed_holds": pv.holds})
+    return {tid: out[tid] for tid in ids}
 
 
 def check_thm33(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
@@ -550,55 +584,29 @@ def check_thm33(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
         inside (ab/(b-a)) int F(x) G(theta(x)) / x^2 dx,
     with d = (b-a)/(ab), M/N/S the endpoint product and sum combinations.
     """
-    integral = reflected_product_integral(f, g, dom, q)
-    return _product_report("thm33", f, g, c, dom, q, tol, integral, reflected=True)
+    return product_reports(f, g, c, dom, q, ("thm33",), tol)["thm33"]
 
 
 def check_thm35(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
                 q: QuadratureSpec, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Same LHS as the reflected variant against the plain product integral."""
-    integral = plain_product_integral(f, g, dom, q)
-    return _product_report("thm35", f, g, c, dom, q, tol, integral, reflected=False)
+    return product_reports(f, g, c, dom, q, ("thm35",), tol)["thm35"]
 
 
 def check_cor34(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """The F = G specialization of the reflected-product theorem; by
     construction its numbers are identical to check_thm33(f, f, ...)."""
-    rep = check_thm33(f, f, c, dom, q, tol)
-    return dataclasses.replace(rep, theorem_id="cor34")
+    return product_reports(f, f, c, dom, q, ("cor34",), tol)["cor34"]
 
 
 def check_cor36(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """F = G specialization of the plain-product theorem.
 
-    The printed corollary groups its left side as
-    (F^2(a)+F^2(b)+F(a)+F(b))/3 + (c/6) d^2 B (F(a)+F(b)) + (c^2/30) d^4 B,
-    which is not the F = G substitution into the general theorem.  Both
-    assemblies are evaluated against the same integral; the substitution
-    form is the primary verdict and the printed form is echoed alongside.
+    The printed corollary groups its left side differently from the F = G
+    substitution into the general theorem.  Both assemblies are evaluated
+    against the same integral; the substitution form is the primary
+    verdict and the printed form is echoed alongside.
     """
-    return cor36_report(check_thm35(f, f, c, dom, q, tol), f, c, dom, tol)
-
-
-def cor36_report(thm35: TheoremReport, f: SetValuedFn, c: float,
-                 dom: HarmonicDomain, tol: float = DEFAULT_TOL) -> TheoremReport:
-    """The cor36 report of a thm35 report computed with G = F: the same
-    numbers with the printed assembly echoed alongside."""
-    a, b = dom.a, dom.b
-    fa, fb = f.eval(a), f.eval(b)
-    delta2 = ((b - a) / (a * b)) ** 2
-    printed = minkowski_sum(
-        minkowski_sum(
-            scale(1.0 / 3.0, minkowski_sum(
-                minkowski_sum(interval_product(fa, fa), interval_product(fb, fb)),
-                minkowski_sum(fa, fb))),
-            interval_product(minkowski_sum(fa, fb), ball(c / 6.0 * delta2, "interval"))),
-        ball(c * c / 30.0 * delta2 * delta2, "interval"))
-    pv = _budget_verdict(printed, thm35.rhs, tol, thm35.error_budget)
-    echo = {**thm35.inputs_echo,
-            "printed_lhs": (printed.lo, printed.hi),
-            "printed_slack": pv.slack,
-            "printed_holds": pv.holds}
-    return dataclasses.replace(thm35, theorem_id="cor36", inputs_echo=echo)
+    return product_reports(f, f, c, dom, q, ("cor36",), tol)["cor36"]

@@ -238,7 +238,9 @@ class TestProductIntegrals:
             (True, reflected_product_integral(f, g, DOM12, GL16)),
             (False, plain_product_integral(f, g, DOM12, GL16)),
         ]:
-            chain = bracket_product_integral(f, g, 1.0, DOM12, GL16, reflected=reflected)
+            chain = bracket_product_integral(f.eval(1.0), f.eval(2.0), g.eval(1.0),
+                                             g.eval(2.0), 1.0, DOM12, GL16,
+                                             reflected=reflected)
             budget = chain.error_budget + integral.error_budget + 1e-10
             assert chain.value.lo >= integral.value.lo - budget
             assert chain.value.hi <= integral.value.hi + budget

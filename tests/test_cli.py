@@ -313,6 +313,36 @@ class TestConfigErrorExitCode:
                            "beta": 1.0, "a": 1.0, "b": 2.0, "grid_size": grid_size}],
                 theorems=["def_shc"]))
 
+    @pytest.mark.parametrize("theorems", [["thm33"], ["cor36"]])
+    def test_disc_product_theorem(self, tmp_path, capsys, theorems):
+        assert main(["--config", write_config(tmp_path, verify_doc(
+            families=[{"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0,
+                       "beta": 1.0, "a": 1.0, "b": 2.0}],
+            theorems=theorems))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: product integrals are interval-only\n"
+
+    @pytest.mark.parametrize("value", [16.9, 16.0, True, "16", None])
+    @pytest.mark.parametrize("where", ["pair_count", "grid seed", "order", "seed", "budget"])
+    def test_count_not_an_integer(self, tmp_path, capsys, where, value):
+        # every integer field follows one rule: a JSON integer, not a float,
+        # a bool or a string that int() would accept
+        if where == "budget":
+            doc = {"mode": "search", "theorems": ["def_shc"], "grid": {"pair_count": 16},
+                   "search": {"c": [0.5, 1.0], "budget": value}}
+        else:
+            doc = verify_doc(theorems=["hh_left"])
+            if where == "pair_count":
+                doc["grid"] = {"pair_count": value}
+            elif where == "grid seed":
+                doc["grid"] = {"sampling": "seeded-random", "seed": value}
+            elif where == "order":
+                doc["quadrature"] = {"rule": "gauss-legendre", "order": value}
+            else:
+                doc["seed"] = value
+        self.assert_config_error(tmp_path, capsys, doc)
+
     def test_overflowing_family(self, tmp_path, capsys):
         # finite fields whose F(a) + F(b) overflows: a numerical error, not a violation
         self.assert_config_error(tmp_path, capsys, verify_doc(

@@ -40,6 +40,15 @@ class TestSearchSpace:
         with pytest.raises(FeasibilityError):
             SearchSpace(K=(10.0, 5.0))
 
+    @pytest.mark.parametrize("name", ["v", "w"])
+    @pytest.mark.parametrize("bad", [(1.0, -1.0), (float("nan"), 1.0)])
+    def test_empty_disc_vector_range_rejected(self, name, bad):
+        for i in (0, 1):
+            ranges = [(-1.0, 1.0), (-1.0, 1.0)]
+            ranges[i] = bad
+            with pytest.raises(FeasibilityError, match=rf"empty range for {name}\[{i}\]"):
+                SearchSpace(family="disc", **{name: tuple(ranges)})
+
     def test_unknown_family_rejected(self):
         with pytest.raises(FeasibilityError):
             SearchSpace(family="polytope")
@@ -88,17 +97,16 @@ class TestTheoremTable:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("grid_reports", "check_nikodem", "check_hh", "check_thm33",
-                     "check_thm35"):
+        for name in ("grid_reports", "check_nikodem", "check_hh", "product_reports"):
             counting(explorer, name)
         counting(hh_check, "_walk")
         reports = run_theorems(build_function(QUADRATIC_CFG), THEOREM_IDS + THEOREM_IDS,
                                1.0, GRID, QuadratureSpec())
         assert len(reports) == 2 * len(THEOREM_IDS)
-        # one walk over the grid serves all five grid ids
+        # one walk over the grid serves all five grid ids, one product pass
+        # all four product ids
         assert sorted(calls) == sorted([
-            "grid_reports", "_walk",
-            "check_nikodem", "check_hh", "check_thm33", "check_thm35"])
+            "grid_reports", "_walk", "check_nikodem", "check_hh", "product_reports"])
 
     @pytest.mark.parametrize("ids,per_point,per_triple", [
         (["def_shc"], 1, 1),

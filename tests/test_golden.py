@@ -1,4 +1,4 @@
-"""Golden reports: the rendered JSON report of six fixed configs, pinned by
+"""Golden reports: the rendered JSON report of seven fixed configs, pinned by
 the SHA-256 of its text with the ``wall_time_s`` line removed.  The
 16384-pair config spans several blocks of the streamed grid pass; its
 digest was recorded before the grid checks were streamed.  The disc
@@ -6,6 +6,9 @@ configs span many blocks of 64-channel rows; the disc search digest was
 recorded before the blocks were sized by elements.  The disc midconvex
 config requests only def_mid and lemma_ii, so its pass covers the t = 1/2
 pairs alone; its digest was recorded while they had a pass of their own.
+The product subset config requests two of the four product ids, one of
+each integral, on two families; its digest was recorded while each
+integral had a table row of its own.
 
 A refactor that must not change results keeps these digests.  A change
 that alters a report on purpose updates the digest and says why.
@@ -51,6 +54,18 @@ DISC_SEARCH = {
     "seed": 0,
 }
 
+PRODUCT_SUBSET = {
+    "mode": "verify",
+    "families": [
+        {"family": "quadratic-interval", "alpha": 2.0, "beta": 1.5, "K": 16.0,
+         "a": 1.0, "b": 2.0},
+        {"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0, "K": 10.0,
+         "a": 1.0, "b": 2.0},
+    ],
+    "c": 0.5,
+    "theorems": ["cor36", "thm33"],
+}
+
 DEFAULT_16K = {**default_config(),
                "grid": {**default_config()["grid"], "pair_count": 16384}}
 
@@ -67,6 +82,8 @@ GOLDEN = [
      "6799f8dfd4aa28ed96f5fcb8c78f18e761b9cb3c07dea452239cb22e4c84fafe"),
     ("disc-midconvex", DISC_MIDCONVEX, 0,
      "9dc7274da105d29025125f1b70333e2f82e7cc4ecee98bef2c4a77c99e41c2c8"),
+    ("product-subset", PRODUCT_SUBSET, 1,
+     "63f124e031b54b5037633f4db30c774e30f5835a268a8ed9fd7ae3e98ae4be7c"),
 ]
 
 

@@ -30,6 +30,7 @@ from harmonichh.hh_check import (
 from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, hausdorff,
                                  inclusion_rows, row_verdict)
 from harmonichh.svf import (
+    DomainError,
     FeasibilityError,
     HarmonicDomain,
     QuadraticIntervalFn,
@@ -43,6 +44,7 @@ from harmonichh.svf import (
 
 DOM12 = HarmonicDomain(1.0, 2.0)
 GL16 = QuadratureSpec()
+PRODUCT_IDS = ("thm33", "cor34", "thm35", "cor36")
 GRID = ConvexityGrid()
 SMALL_GRID = ConvexityGrid(pair_count=64)
 
@@ -382,6 +384,56 @@ class TestProductTheorems:
         # derived variant collapses to [1,4] vs [1,4]
         assert abs(rep.verdict.slack) <= 1e-8
 
+    @pytest.mark.parametrize("ids,same", [
+        (ids, same) for r in range(1, 5) for ids in itertools.combinations(PRODUCT_IDS, r)
+        for same in (True, False) if same or {"cor34", "cor36"}.isdisjoint(ids)])
+    def test_one_product_pass(self, monkeypatch, ids, same):
+        # F and G are each evaluated once at a and b, and an integral runs
+        # only for its own ids
+        f = make_quadratic_family(1, 1, 10, DOM12)
+        g = f if same else make_quadratic_family(2, 1.5, 16, DOM12)
+        calls, points = [], []
+        for name in ("reflected_product_integral", "plain_product_integral",
+                     "bracket_product_integral"):
+            original = getattr(hh_check, name)
+            monkeypatch.setattr(hh_check, name, lambda *args, _name=name, _f=original, **kw:
+                                calls.append(_name) or _f(*args, **kw))
+        original = QuadraticIntervalFn.eval_vector
+        monkeypatch.setattr(QuadraticIntervalFn, "eval_vector", lambda self, xs: points.append(
+            (self.alpha, tuple(xs))) or original(self, xs))
+        reports = hh_check.product_reports(f, g, 1.0, DOM12, GL16, ids)
+        assert list(reports) == list(ids)
+        integrals = [name for tid, cor, name in (
+            ("thm33", "cor34", "reflected_product_integral"),
+            ("thm35", "cor36", "plain_product_integral")) if tid in ids or cor in ids]
+        assert sorted(calls) == sorted(integrals + ["bracket_product_integral"] * len(integrals))
+        ends = [p for p in points if len(p[1]) == 1]
+        assert sorted(ends) == sorted({(h.alpha, (x,)) for h in (f, g) for x in (1.0, 2.0)})
+        views = {"thm33": lambda: check_thm33(f, g, 1.0, DOM12, GL16),
+                 "thm35": lambda: check_thm35(f, g, 1.0, DOM12, GL16),
+                 "cor34": lambda: check_cor34(f, 1.0, DOM12, GL16),
+                 "cor36": lambda: check_cor36(f, 1.0, DOM12, GL16)}
+        # one pass for several ids gives each id's report on its own
+        assert all(reports[tid] == views[tid]() for tid in ids)
+
+    @pytest.mark.parametrize("ids", [("cor34",), ("thm33", "cor36")])
+    def test_corollaries_need_g_is_f(self, ids):
+        f = make_quadratic_family(1, 1, 10, DOM12)
+        g = make_quadratic_family(2, 1.5, 16, DOM12)
+        with pytest.raises(ValueError, match="G = F"):
+            hh_check.product_reports(f, g, 1.0, DOM12, GL16, ids)
+
+    @pytest.mark.parametrize("check", [
+        lambda f, dom: check_thm33(f, f, 1.0, dom, GL16),
+        lambda f, dom: check_thm35(f, f, 1.0, dom, GL16),
+        lambda f, dom: check_cor34(f, 1.0, dom, GL16),
+        lambda f, dom: check_cor36(f, 1.0, dom, GL16),
+    ], ids=["thm33", "thm35", "cor34", "cor36"])
+    def test_domain_wider_than_f_rejected(self, check):
+        f = make_quadratic_family(1, 1, 10, DOM12)
+        with pytest.raises(DomainError, match=r"point 0\.9 outside \[1\.0, 2\.0\]"):
+            check(f, HarmonicDomain(0.9, 2.0))
+
 
 class TestMomentConstants:
     def test_integral_moments(self):
@@ -526,8 +578,7 @@ def reference_pass(f, c, grid, tol, ids):
         out[strong_id] = report("strong", strong_id, c, rows)
         if lemma_id in ids:
             out[lemma_id] = shift_lemma_report(
-                lemma_id, out[strong_id], report("shifted", strong_id, 0.0, rows), c,
-                "forward")
+                lemma_id, out[strong_id], report("shifted", strong_id, 0.0, rows), c)
     if "prop_31" in ids:
         sh, th = sides["strong"][:2]
         sa, ta = sides["arithmetic"][:2]

@@ -60,9 +60,11 @@ def test_traced_default_unit_counts(spans):
         tracer.remove()
     metrics = spans.unit_metrics(tracer.spans)
     # the suite-default workload's exact counts at seed 0 (the bundled default)
-    assert metrics["set_core.calls"] == 89
+    assert metrics["set_core.calls"] == 63
     assert metrics["aumann.calls"] == 6
     assert metrics["aumann.nodes"] == 256
     # F and G(u) = F(1/u) at the 32 grid points and the 11264 midpoints of the
-    # one grid pass, 280 points of the integral theorems
-    assert metrics["svf.eval_vector.points"] == 22872
+    # one grid pass; 264 points of the integral theorems: 256 quadrature nodes,
+    # the ends and middle of each Hermite-Hadamard sandwich, and F(a) and F(b)
+    # once for all four product ids
+    assert metrics["svf.eval_vector.points"] == 22856
