@@ -136,15 +136,13 @@ def _integrate_columns(
     return cols, budget, xs.size
 
 
-def aumann_integral(f: SetValuedFn, lo: float, hi: float, q: QuadratureSpec,
-                    exact_polynomial: bool = False) -> IntegralResult:
+def aumann_integral(f: SetValuedFn, lo: float, hi: float, q: QuadratureSpec) -> IntegralResult:
     """Integral of F over [lo, hi] inside F's domain, per support channel."""
     dom = f.domain
     if not (dom.contains(lo) and dom.contains(hi)):
         raise QuadratureError(
             f"[{lo}, {hi}] not inside the function domain [{dom.a}, {dom.b}]")
-    cols, budget, nodes = _integrate_columns(f.eval_vector, lo, hi, q,
-                                             exact_polynomial=exact_polynomial)
+    cols, budget, nodes = _integrate_columns(f.eval_vector, lo, hi, q)
     return IntegralResult(as_set(cols, f.kind), budget, nodes)
 
 

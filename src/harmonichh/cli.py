@@ -11,7 +11,6 @@ exactly.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -83,105 +82,137 @@ def default_config() -> dict:
     }
 
 
-def _convert(value, convert, what: str):
-    """``convert(value)``, or a ConfigError naming the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {value!r}") from exc
-
-
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"not a finite number: {x}")
-    return x
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+    return float(value)
 
 
 def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"not an integer: {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"not a non-negative integer: {value!r}")
     return value
 
 
+def _typed(kind: type, name: str):
+    """Reader of a value of one JSON type, taken as it is."""
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not {name}: {value!r}")
+        return value
+    return read
+
+
+_flag = _typed(bool, "true or false")
+_text = _typed(str, "a string")
+_object = _typed(dict, "an object")
+
+
+def _list(read):
+    """Reader of a JSON list whose items go through ``read``."""
+    def read_list(value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"not a list: {value!r}")
+        return [read(item) for item in value]
+    return read_list
+
+
+def _pair(read=_number):
+    """Reader of a two-item JSON list whose items go through ``read``."""
+    def read_pair(value) -> tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"not a pair [x, y]: {value!r}")
+        return read(value[0]), read(value[1])
+    return read_pair
+
+
 def _tolerance(value) -> float:
-    tol = _finite(value)
+    tol = _number(value)
     if tol < 0.0:
         raise ValueError(f"negative tolerance: {tol}")
     return tol
 
 
-def _search_range(value, name: str) -> tuple:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in value)):
-        raise ConfigError(f"search range {name} must be [min, max], got {value!r}")
-    return tuple(value)
+# The key table of each config section: every key the section accepts and
+# the reader of its value.  A table in place of a reader is a nested section.
+GRID_FIELDS = {"pair_count": _count, "t_values": _list(_number), "sampling": _text,
+               "seed": _count}
+QUADRATURE_FIELDS = {"rule": _text, "order": _count, "substitution": _flag}
+SEARCH_FIELDS = {
+    "family": _text, "alpha": _pair(), "beta": _pair(), "K": _pair(),
+    "v": _pair(_pair()), "w": _pair(_pair()), "a": _pair(), "b": _pair(), "c": _pair(),
+    "certified_only": _flag, "budget": _count, "counterexample_out": _text,
+}
+# expected_slack: emit_counterexample writes it, so replays carry it
+CONFIG_FIELDS = {
+    "mode": _text, "families": _list(_object), "c": _number, "grid": GRID_FIELDS,
+    "quadrature": QUADRATURE_FIELDS, "theorems": _list(_text), "tolerance": _tolerance,
+    "output": _text, "seed": _count, "search": SEARCH_FIELDS, "expected_slack": _number,
+}
+# every key is required but the disc grid_size
+FAMILY_FIELDS = {
+    "quadratic-interval": {"family": _text, "alpha": _number, "beta": _number,
+                           "K": _number, "a": _number, "b": _number},
+    "disc": {"family": _text, "v": _pair(), "w": _pair(), "K": _number, "beta": _number,
+             "a": _number, "b": _number, "grid_size": _count},
+}
 
 
-def _parse_search(doc) -> dict:
-    """The search object with its keys checked and its ranges as tuples."""
+def _section(doc, what: str, fields: dict) -> dict:
+    """One config section read through its key table ``fields``: anything but
+    an object whose keys are all in ``fields`` and whose values their readers
+    accept is a ConfigError naming the section and the key."""
     if not isinstance(doc, dict):
-        raise ConfigError("search mode needs a 'search' space object")
-    known = {f.name for f in dataclasses.fields(SearchSpace)} | {"budget",
-                                                                 "counterexample_out"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown search key(s): {', '.join(map(repr, unknown))}")
-    search = dict(doc)
-    for key in ("alpha", "beta", "K", "a", "b", "c"):
-        if key in search:
-            search[key] = _search_range(search[key], key)
-    for key in ("v", "w"):
-        if key in search:
-            pair = search[key]
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError(f"search range {key} must be two [min, max] ranges")
-            search[key] = tuple(_search_range(r, f"{key}[{i}]") for i, r in enumerate(pair))
-    search["budget"] = _convert(search.get("budget", 64), _count, "search budget")
-    return search
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    out = {}
+    for key, value in doc.items():
+        if key not in fields:
+            raise ConfigError(f"unknown {what} key {key!r}")
+        read = fields[key]
+        if isinstance(read, dict):
+            out[key] = _section(value, repr(key), read)
+            continue
+        try:
+            out[key] = read(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad {what} key {key!r}: {exc}") from exc
+    return out
+
+
+def _family(descriptor: dict) -> dict:
+    """A family descriptor read through the key table of its kind."""
+    kind = descriptor.get("family")
+    if not isinstance(kind, str) or kind not in FAMILY_FIELDS:
+        raise ConfigError(f"unknown family kind: {kind!r}")
+    fam = _section(descriptor, f"{kind} family", FAMILY_FIELDS[kind])
+    missing = [key for key in FAMILY_FIELDS[kind] if key not in fam and key != "grid_size"]
+    if missing:
+        raise ConfigError(f"{kind} family is missing {', '.join(map(repr, missing))}")
+    return fam
 
 
 def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    mode = doc.get("mode", "verify")
+    top = _section(doc, "config", CONFIG_FIELDS)
+    mode = top.get("mode", "verify")
     if mode not in MODES:
         raise ConfigError(f"unknown mode: {mode!r}")
 
-    grid_doc = doc.get("grid", {}) or {}
-    grid_kwargs = {}
-    if "pair_count" in grid_doc:
-        grid_kwargs["pair_count"] = _convert(grid_doc["pair_count"], _count, "grid pair_count")
-    if "t_values" in grid_doc:
-        grid_kwargs["t_values"] = _convert(grid_doc["t_values"], tuple, "grid t_values")
-    if "sampling" in grid_doc:
-        grid_kwargs["sampling"] = grid_doc["sampling"]
-    if "seed" in grid_doc:
-        grid_kwargs["seed"] = _convert(grid_doc["seed"], _count, "grid seed")
+    quad = top.get("quadrature", {})
+    if "order" in quad:
+        quad["order_or_panels"] = quad.pop("order")
     try:
-        grid = ConvexityGrid(**grid_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid spec: {exc}") from exc
+        grid = ConvexityGrid(**top.get("grid", {}))
+        quadrature = QuadratureSpec(**quad)
+    except ValueError as exc:  # QuadratureError too
+        raise ConfigError(f"bad grid or quadrature: {exc}") from exc
 
-    quad_doc = doc.get("quadrature", {}) or {}
-    order = quad_doc.get("order", quad_doc.get("order_or_panels", 16))
-    try:
-        quadrature = QuadratureSpec(
-            rule=quad_doc.get("rule", "gauss-legendre"),
-            order_or_panels=_convert(order, _count, "quadrature order"),
-            substitution=bool(quad_doc.get("substitution", True)),
-        )
-    except QuadratureError as exc:
-        raise ConfigError(f"bad quadrature spec: {exc}") from exc
-
-    theorems = list(doc.get("theorems", []))
+    theorems = top.get("theorems", [])
     for tid in theorems:
         if tid not in THEOREM_IDS:
             raise ConfigError(f"unknown theorem id: {tid!r}")
 
-    families = list(doc.get("families", []))
-    c = _convert(doc.get("c", 0.0), float, "modulus c")
+    families = [_family(descriptor) for descriptor in top.get("families", [])]
+    c = top.get("c", 0.0)
     if mode in ("verify", "baseline"):
         if not families:
             raise ConfigError(f"{mode} mode needs at least one family descriptor")
@@ -190,18 +221,14 @@ def parse_config(doc: dict) -> RunConfig:
         if mode == "baseline":
             theorems = [t for t in theorems if t.startswith("nikodem")] or \
                 ["nikodem_left", "nikodem_right"]
-        for fam in families:
-            if not isinstance(fam, dict):
-                raise ConfigError(f"family descriptor must be an object, got {fam!r}")
-            if "a" not in fam or "b" not in fam:
-                raise ConfigError("family descriptor is missing its domain (a, b)")
         try:
             check_modulus(theorems, c)
         except FeasibilityError as exc:
             raise ConfigError(str(exc)) from exc
-    search = doc.get("search")
+    search = top.get("search")
     if mode == "search":
-        search = _parse_search(search)
+        if search is None:
+            raise ConfigError("search mode needs a 'search' space object")
         if len(theorems) != 1:
             raise ConfigError("search mode needs exactly one theorem id")
 
@@ -212,43 +239,21 @@ def parse_config(doc: dict) -> RunConfig:
         grid=grid,
         quadrature=quadrature,
         theorems=theorems,
-        tolerance=_convert(doc.get("tolerance", DEFAULT_TOL), _tolerance, "tolerance"),
-        output=doc.get("output"),
-        seed=_convert(doc.get("seed", 0), _count, "seed"),
+        tolerance=top.get("tolerance", DEFAULT_TOL),
+        output=top.get("output"),
+        seed=top.get("seed", 0),
         search=search,
         raw=doc,
     )
 
 
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"not a number: {value!r}")
-    return _finite(value)
-
-
-def _pair(value) -> tuple:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"not an [x, y] pair: {value!r}")
-    return tuple(_number(v) for v in value)
-
-
 def build_family(descriptor: dict) -> SetValuedFn:
-    kind = descriptor.get("family")
-
-    def get(key, convert=_finite):
-        return _convert(descriptor[key], convert, f"family field {key!r}")
-
-    try:
-        dom = HarmonicDomain(get("a"), get("b"))
-        if kind == "quadratic-interval":
-            return make_quadratic_family(get("alpha"), get("beta"), get("K"), dom)
-        if kind == "disc":
-            return make_disc_family(get("v", _pair), get("w", _pair), get("K"), get("beta"),
-                                    dom, grid_size=_convert(descriptor.get("grid_size", 64),
-                                                            _count, "family field 'grid_size'"))
-    except KeyError as exc:
-        raise ConfigError(f"family descriptor missing field: {exc}") from exc
-    raise ConfigError(f"unknown family kind: {kind!r}")
+    fam = _family(descriptor)
+    dom = HarmonicDomain(fam["a"], fam["b"])
+    if fam["family"] == "disc":
+        return make_disc_family(fam["v"], fam["w"], fam["K"], fam["beta"], dom,
+                                grid_size=fam.get("grid_size", 64))
+    return make_quadratic_family(fam["alpha"], fam["beta"], fam["K"], dom)
 
 
 def _set_to_doc(s) -> dict:
@@ -292,13 +297,11 @@ def run(cfg: RunConfig) -> tuple:
     errored = 0
 
     if cfg.mode == "search":
-        space_doc = dict(cfg.search)
-        budget = space_doc.pop("budget")
-        counterexample_path = space_doc.pop("counterexample_out", None)
-        space = SearchSpace(**space_doc)
-        result = min_slack_search(space, cfg.theorems[0], budget, cfg.seed,
-                                  grid=cfg.grid, quad=cfg.quadrature,
-                                  tol=cfg.tolerance)
+        space = dict(cfg.search)
+        budget = space.pop("budget", 64)
+        counterexample_path = space.pop("counterexample_out", None)
+        result = min_slack_search(SearchSpace(**space), cfg.theorems[0], budget, cfg.seed,
+                                  grid=cfg.grid, quad=cfg.quadrature, tol=cfg.tolerance)
         if result.violation_found and counterexample_path:
             emit_counterexample(result, counterexample_path)
         entries.append({
@@ -407,12 +410,9 @@ def main(argv=None) -> int:
 
     try:
         doc = _load_config(args.config)
-        if args.mode is not None:
-            doc["mode"] = args.mode
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if args.tol is not None:
-            doc["tolerance"] = args.tol
+        overrides = {"mode": args.mode, "seed": args.seed, "tolerance": args.tol}
+        if isinstance(doc, dict):  # parse_config refuses any other document
+            doc.update((key, value) for key, value in overrides.items() if value is not None)
         cfg = parse_config(doc)
         report, exit_code = run(cfg)
         out_path = args.out or cfg.output

@@ -116,6 +116,8 @@ class ConvexityGrid:
                 raise ValueError(f"t grid must contain {required}")
         if self.sampling not in ("deterministic-stratified", "seeded-random"):
             raise ValueError(f"unknown sampling mode: {self.sampling!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "t_values", ts)
 
     def points(self, lo: float, hi: float) -> np.ndarray:

@@ -1,8 +1,13 @@
+import dataclasses
+import importlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from harmonichh.cli import (
+    SEARCH_FIELDS,
     ConfigError,
     build_family,
     default_config,
@@ -12,7 +17,10 @@ from harmonichh.cli import (
     render_text,
     run,
 )
+from harmonichh.explorer import SearchSpace, emit_counterexample, min_slack_search
 from harmonichh.hh_check import THEOREM_IDS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -25,6 +33,50 @@ def verify_doc(**overrides):
     doc = default_config()
     doc.update(overrides)
     return doc
+
+
+DISC = {"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0, "beta": 1.0,
+        "a": 1.0, "b": 2.0}
+QUADRATIC = default_config()["families"][0]
+
+
+def search_doc(seed=0, **space):
+    return {"mode": "search", "theorems": ["def_shc"], "grid": {"pair_count": 16},
+            "seed": seed, "search": {"c": [0.5, 1.0], "budget": 4, **space}}
+
+
+# (id, config, the key the error line names).  Each config is malformed in
+# one field and, but for that field, runs and holds.
+MALFORMED = [
+    ("grid-not-object", verify_doc(theorems=["hh_left"], grid=5), "grid"),
+    ("quadrature-not-object", verify_doc(theorems=["hh_left"], quadrature="x"),
+     "quadrature"),
+    ("theorems-not-list", verify_doc(theorems=5), "theorems"),
+    ("families-not-list", verify_doc(theorems=["hh_left"], families=5), "families"),
+    ("output-integer", verify_doc(theorems=["hh_left"], output=5), "output"),
+    ("output-list", verify_doc(theorems=["hh_left"], output=[1]), "output"),
+    ("unknown-top-key", verify_doc(theorems=["hh_left"], tolerence=1), "tolerence"),
+    ("unknown-grid-key", verify_doc(theorems=["hh_left"], grid={"pair_cout": 4}),
+     "pair_cout"),
+    ("unknown-quadrature-key", verify_doc(theorems=["hh_left"], quadrature={"ordr": 3}),
+     "ordr"),
+    ("unknown-disc-key", verify_doc(theorems=["hh_left"],
+                                    families=[{**DISC, "grid_sise": 8}]), "grid_sise"),
+    ("substitution-string", verify_doc(theorems=["hh_left"], quadrature={
+        "rule": "gauss-legendre", "order": 16, "substitution": "false"}), "substitution"),
+    ("certified-only-string", search_doc(certified_only="no"), "certified_only"),
+    ("negative-seed", search_doc(seed=-1), "seed"),
+    ("negative-grid-seed", verify_doc(theorems=["def_shc"], grid={
+        "pair_count": 16, "sampling": "seeded-random", "seed": -1}), "seed"),
+    ("c-bool", verify_doc(theorems=["hh_left"], c=True), "c"),
+    ("c-string", verify_doc(theorems=["hh_left"], c="1.5"), "c"),
+    ("family-field-string", verify_doc(theorems=["hh_left"],
+                                       families=[{**QUADRATIC, "alpha": "2"}]), "alpha"),
+    ("family-field-bool", verify_doc(theorems=["hh_left"],
+                                     families=[{**QUADRATIC, "beta": True}]), "beta"),
+    ("disc-field-string", verify_doc(theorems=["hh_left"],
+                                     families=[{**DISC, "K": "2"}]), "K"),
+]
 
 
 class TestParseConfig:
@@ -60,6 +112,49 @@ class TestParseConfig:
     def test_bad_quadrature(self):
         with pytest.raises(ConfigError):
             parse_config(verify_doc(quadrature={"rule": "trapezoid", "order": 4}))
+
+    def test_search_keys_are_the_search_space(self):
+        assert set(SEARCH_FIELDS) == {f.name for f in dataclasses.fields(SearchSpace)} | {
+            "budget", "counterexample_out"}
+
+
+class TestRepoConfigsParse:
+    """Every config the repository writes or documents still parses, and the
+    small ones run: the one key table per section refuses nothing they use."""
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        return importlib.import_module("workloads")
+
+    def test_default(self):
+        report, code = run(parse_config(default_config()))
+        assert code == 1 and report.summary["total"] == len(THEOREM_IDS)
+
+    def test_readme_search_example(self):
+        blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+        assert len(blocks) == 1
+        cfg = parse_config(json.loads(blocks[0]))
+        assert cfg.mode == "search" and cfg.search["counterexample_out"] == "cx.json"
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("workload", ["suite-default", "grid-262k", "search-disc"])
+    def test_benchmark_workloads(self, workloads, tmp_path, workload, seed):
+        cx = str(tmp_path / "cx.json")
+        parse_config(workloads.make_config(workload, seed, cx))
+        _, code = run(parse_config(workloads.make_config(workload, seed, cx, tiny=True)))
+        assert code in (0, 1)
+
+    def test_emitted_counterexample_replays(self, tmp_path):
+        result = min_slack_search(SearchSpace(alpha=(0.1, 0.4), c=(1.0, 2.0),
+                                              certified_only=False), "def_shc", 8, 0)
+        path = tmp_path / "cx.json"
+        emit_counterexample(result, str(path))
+        doc = json.loads(path.read_text())
+        assert "expected_slack" in doc
+        report, code = run(parse_config(doc))
+        assert code == 1
+        assert abs(report.reports[0]["slack"] - doc["expected_slack"]) <= 1e-12
 
 
 class TestBuildFamily:
@@ -222,12 +317,14 @@ class TestConfigErrorExitCode:
     """A modulus a theorem does not accept, or an empty search budget, is a
     config error: exit 2 with one ``error:`` line, never a traceback."""
 
-    def assert_config_error(self, tmp_path, capsys, doc):
+    def assert_config_error(self, tmp_path, capsys, doc, names=None):
         assert main(["--config", write_config(tmp_path, doc)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
+        if names is not None:  # the key at fault, quoted
+            assert repr(names) in captured.err
 
     def test_negative_c_verify(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, verify_doc(c=-0.5))
@@ -365,6 +462,22 @@ class TestConfigErrorExitCode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 1
+
+    @pytest.mark.parametrize("doc,key", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_field(self, tmp_path, capsys, doc, key):
+        # one rule for every section: the section is an object, its keys are
+        # known, and each value has its field's JSON type
+        self.assert_config_error(tmp_path, capsys, doc, names=key)
+
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--tol", "0.1"], ["--mode", "verify"]])
+    def test_non_object_document_with_flag(self, tmp_path, capsys, flag):
+        # a flag replaces a key of the document; a document that is not an
+        # object has none, and is refused like any other
+        assert main(["--config", write_config(tmp_path, [1]), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config must be a JSON object, got [1]\n"
 
     def test_nan_t_value(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, verify_doc(

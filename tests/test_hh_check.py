@@ -456,6 +456,12 @@ class TestGrid:
         g = ConvexityGrid(pair_count=32, sampling="seeded-random", seed=9)
         assert np.array_equal(g.pairs(1, 2)[0], g.pairs(1, 2)[0])
 
+    @pytest.mark.parametrize("sampling", ["seeded-random", "deterministic-stratified"])
+    def test_negative_seed_rejected(self, sampling):
+        # refused where the grid is built, not at its first seeded-random draw
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ConvexityGrid(pair_count=16, sampling=sampling, seed=-1)
+
     def test_triples_cross_product(self):
         g = ConvexityGrid(pair_count=16)
         xs, ys, ts = g.triples(1, 2)
