@@ -5,7 +5,7 @@ over its sample grid, an InclusionVerdict at the witness sample, and the
 quadrature error budget (always absorbed into the inclusion tolerance, so
 a reported violation is never attributable to quadrature).  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
-of sets, ``inclusion_rows`` for the rows of a grid block.
+of sets, ``inclusion_keys`` for the rows of a grid block.
 
 Grid checks run as one streamed pass per family, over the (x, y, t) grid,
 or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
@@ -13,20 +13,27 @@ for; those two read the t = 1/2 rows of each block.  The stratified grid
 is the product of n points with themselves, so F is evaluated once per
 pass at those points (seeded-random pairs share none, so there once per
 block) and once per midpoint.  The pass walks runs of x values outer and
-y rows inner: a run's (1-t) F(x) slab serves all its blocks, and a block
-adds t F(y), the penalty and F(mid).  Every side the requested theorems
-need (the modulus-c inclusion, the shift lemma's shifted map,
-Proposition 3.1's arithmetic form) is computed from the same block and
-reduced to running witnesses.  With p the number of pairs whose (t values
+y rows inner: a run's (1-t) F(x) slab serves all its blocks.  Consecutive
+blocks of a run form a group of at most BLOCK_ELEMENTS triples and as many
+values of t F(y); the group's geometry (xy, dist^2, the midpoints and the
+penalty c t(1-t) dist^2) and its t F(y) are computed once, and a block
+adds F(mid).  Every side the requested theorems need (the modulus-c
+inclusion, the shift lemma's shifted map, Proposition 3.1's arithmetic
+form) is computed from the same block and reduced to running witnesses.  With p the number of pairs whose (t values
 x channels) fit in BLOCK_ELEMENTS, at least one, a run of p x values
 shorter than a row is one block per y row, and otherwise a block is
 p // n whole rows.  The budget keeps each float64 block array below the
 allocator's mmap threshold (128 KiB in glibc): a larger array is a fresh
 map that page-faults in on every block.  Memory is bounded by the block
-and the values at the n points, not the grid.  The reduction keeps the
-row minimising (slack + tolerance, grid index), so verdicts do not depend
-on how evaluation is batched or in what order blocks come (tested for
-block sizes from 1 to larger than the grid).
+and the values at the n points, not the grid.
+
+A block is reduced by one key array, slack + tolerance per support
+direction or per interval row, and one flat argmin over it: the kept
+element minimises (key, grid index), so verdicts do not depend on how
+evaluation is batched or in what order blocks come (tested for block
+sizes from 1 to larger than the grid).  Slack, tolerance and witness are
+derived at the kept element alone.  Proposition 3.1 counts a row as
+holding when its smallest key is >= 0.
 
 The product ids share one pass per family too: F and G once at a and b,
 one assembly of the left side that thm33 and thm35 share, and only the
@@ -57,10 +64,13 @@ from .set_core import (
     ball,
     hausdorff,
     includes,
+    inclusion_at,
+    inclusion_keys,
     inclusion_rows,
     interval_product,
     minkowski_sum,
     row_verdict,
+    rows_hold,
     scale,
 )
 from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, ball_shift,
@@ -158,39 +168,48 @@ class TheoremReport:
         return self.verdict.holds
 
 
-def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int):
+def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int, m: int, channels: int):
     """The blocks of a streamed pass over the pairs, x-runs outer and y rows
-    inner.
+    inner, in groups of consecutive blocks that share their geometry.
 
     Yields ``(points, runs)``: the points at which the pass evaluates F, and
-    for each x-run its slice of ``points`` and its blocks.  A block is
-    ``(rows, first, stride)``: the index into ``points`` of its y values,
-    shaped (R, 1) for R y rows of the run or (1, K) for K y values paired
-    one to one with the run's x values, the grid index of its first pair
-    and the grid index step from one row to the next.  On the stratified
-    grid a run of ``per_block`` x values shorter than a row is one block per
-    y row; otherwise the run is the whole row and a block holds as many
-    whole rows as fit.  Seeded-random pairs share no points, so each block
-    is an x-run of its own over its own points.
+    for each x-run its slice of ``points`` and its groups.  A group is
+    ``(rows, blocks)``: the index into ``points`` of its y values, shaped
+    (R, 1) for R y rows of the run or (1, K) for K y values paired one to
+    one with the run's x values, and its blocks.  A block is
+    ``(part, first, stride)``: its slice of the group's y values (first
+    axis), the grid index of its first pair and the grid index step from
+    one row to the next.  On the stratified grid a run of ``per_block`` x
+    values shorter than a row is one block per y row; otherwise the run is
+    the whole row and a block holds as many whole rows as fit.  A group
+    holds as many whole blocks as fit, at least one, with at most
+    BLOCK_ELEMENTS triples and BLOCK_ELEMENTS values of t F(y), on a t grid
+    of ``m`` values and F of ``channels`` channels.  Seeded-random pairs
+    share no points, so each block is an x-run and a group of its own over
+    its own points.
     """
     if grid.sampling == "seeded-random":
         px, py = grid.pairs(lo, hi)
         for first in range(0, px.size, per_block):
             k = min(per_block, px.size - first)
             pts = np.concatenate((px[first:first + k], py[first:first + k]))
-            yield pts, [(slice(0, k), [((None, slice(k, 2 * k)), first, 0)])]
+            yield pts, [(slice(0, k), [((None, slice(k, 2 * k)), [(slice(None), first, 0)])])]
         return
     pts = grid.points(lo, hi)
     n = pts.size
-    if per_block < n:
-        runs = ((slice(j, j + per_block),
-                 [((slice(i, i + 1), None), i * n + j, n) for i in range(n)])
-                for j in range(0, n, per_block))
-    else:
-        step = per_block // n
-        runs = [(slice(0, n),
-                 [((slice(i, i + step), None), i * n, n) for i in range(0, n, step)])]
-    yield pts, runs
+    # (first x, x values, y rows per block) of each run
+    shapes = ([(j, min(per_block, n - j), 1) for j in range(0, n, per_block)]
+              if per_block < n else [(0, n, per_block // n)])
+
+    def groups(j, k, step):
+        # a y row of the run holds k m triples and m channels values of t F(y)
+        size = step * max(1, BLOCK_ELEMENTS // (step * m * max(k, channels)))
+        for i0 in range(0, n, size):
+            i1 = min(i0 + size, n)
+            yield ((slice(i0, i1), None),
+                   [(slice(i - i0, i - i0 + step), i * n + j, n) for i in range(i0, i1, step)])
+
+    yield pts, [(slice(j, j + k), groups(j, k, step)) for j, k, step in shapes]
 
 
 def _spread(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -205,21 +224,21 @@ def _spread(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return vals * weights
 
 
-def _lhs_rows(ty: np.ndarray, sx: np.ndarray, dist2: np.ndarray, ct: np.ndarray,
-              kind: str) -> np.ndarray:
+def _lhs_rows(ty: np.ndarray, sx: np.ndarray, pen: np.ndarray, kind: str) -> np.ndarray:
     """The rows t F(y) + (1-t) F(x) + c t(1-t) dist2 B of one block, in grid
     order: ``ty`` holds the block's t F(y), ``sx`` the x-run's (1-t) F(x)
-    slab, ``dist2`` one value per pair and ``ct`` c t(1-t) per t."""
+    slab and ``pen`` the penalty c t(1-t) dist2 per triple."""
     lhs = ty + sx
-    return widen(lhs.reshape(-1, lhs.shape[-1]), (dist2[..., None] * ct).reshape(-1), kind)
+    return widen(lhs.reshape(-1, lhs.shape[-1]), pen.reshape(-1), kind)
 
 
 class _Worst:
     """Running reduction of one side of a grid check over its blocks: the
-    row minimising (slack + tolerance, grid index), NaN first.
+    element minimising (key, grid index), NaN first.
 
     The side reads the rows ``pick`` of each block on the t grid ``t`` (all
-    of them by default).  The kept row is the first global argmin in grid
+    of them by default) and takes one argmin over their keys, per direction
+    for support sets.  The kept row is the first global argmin in grid
     order whatever order the blocks arrive in, so the verdict does not
     depend on batching.  Every row holds exactly when the kept row does, so
     the kept row's verdict is the side's verdict.
@@ -234,27 +253,30 @@ class _Worst:
         self.row = None
         self.triples = 0
 
-    def update(self, rows, lhs, rhs, x, y, first, stride):
-        """Fold in one block's rows lhs[i] inside rhs[i], for the x values
-        ``x`` and y values ``y`` of a block of ``_walk``: ``rows`` holds
-        their slacks, tolerances and witnesses from ``inclusion_rows``."""
+    def update(self, keys, lhs, rhs, tol, x, y, first, stride):
+        """Fold in one block's rows lhs[i] inside rhs[i] at tolerance
+        ``tol``, for the x values ``x`` and y values ``y`` of a block of
+        ``_walk``: ``keys`` holds their keys from ``inclusion_keys``.  Slack,
+        tolerance and witness are derived at the kept element alone."""
         if self.pick is not None:
-            rows, lhs, rhs = [r[self.pick] for r in rows], lhs[self.pick], rhs[self.pick]
-        slacks, tols, witness = rows
-        keys = slacks + tols
-        i = int(keys.argmin())
-        self.triples += keys.size
-        key = float(keys[i])
+            keys, lhs, rhs = keys[self.pick], lhs[self.pick], rhs[self.pick]
+        flat = keys.reshape(-1)
+        i = int(flat.argmin())
+        self.triples += keys.shape[0]
+        key = float(flat[i])
         rank = (0, 0.0) if key != key else (1, key)  # NaN first
         if self.row is not None and rank > self.rank:
             return
-        pair, ti = divmod(i, self.t.size)
-        r, k = divmod(pair, x.size)
-        index = (first + r * stride + k) * self.t.size + ti
+        r, j = divmod(i, keys.shape[1]) if keys.ndim > 1 else (i, None)
+        pair, ti = divmod(r, self.t.size)
+        yr, k = divmod(pair, x.size)
+        index = (first + yr * stride + k) * self.t.size + ti
         if self.row is None or rank < self.rank or index < self.index:
             self.rank, self.index = rank, index
-            self.row = (slacks[i], tols[i], witness[i], lhs[i].copy(), rhs[i].copy(),
-                        x[k], np.broadcast_to(y, (y.shape[0], x.size))[r, k], self.t[ti])
+            # y is one value per y row, shaped (R, 1), or one per x, (1, K)
+            self.row = (*inclusion_at(lhs, rhs, self.kind, tol, r, j), lhs[r].copy(),
+                        rhs[r].copy(), x[k], y[yr, 0] if y.shape[1] == 1 else y[0, k],
+                        self.t[ti])
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
@@ -271,11 +293,11 @@ class _Worst:
 
 def _fold(sides, lhs, rhs, kind, tol, where):
     """Fold one block's rows lhs[i] inside rhs[i] into the running witness
-    of each of ``sides``; returns the rows' slacks and tolerances."""
-    found = inclusion_rows(lhs, rhs, kind, tol)
+    of each of ``sides``; returns the rows' keys."""
+    keys = inclusion_keys(lhs, rhs, kind, tol)
     for side in sides:
-        side.update(found, lhs, rhs, *where)
-    return found[:2]
+        side.update(keys, lhs, rhs, tol, *where)
+    return keys
 
 
 def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
@@ -292,7 +314,8 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     ids need: the modulus-c side of F (which is also prop_31's harmonic
     side), the modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and
     prop_31's arithmetic side, evaluated independently through
-    G(u) = F(1/u).  Each x-run's (1-t) F(x) slab serves all its blocks.
+    G(u) = F(1/u).  Each x-run's (1-t) F(x) slab serves all its blocks, and
+    each group's geometry and t F(y) all the blocks of the group.
     """
     full = not {"def_shc", "lemma_i", "prop_31"}.isdisjoint(ids)
     arithmetic = "prop_31" in ids
@@ -315,14 +338,14 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
              for sid, (pick, lemma_id, _) in rows_of.items() if lemma_id in ids}
     arith_holds, arith_min, disagreements = True, np.inf, 0
     g = reciprocal_transform(f) if arithmetic else None
-    for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs):
+    for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs, t.size, channels):
         fp = f.eval_vector(pts)
         if shift:
             sp = ball_shift(fp, pts, c, kind)
         if arithmetic:
             up = 1.0 / pts
             gp = g.eval_vector(up)
-        for run, blocks in runs:
+        for run, groups in runs:
             # per run: t x, and the (1-t) F(x) slab of each side
             x = pts[run]
             tx = x[:, None] * t
@@ -333,27 +356,40 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
                 u = up[run]
                 su = u[:, None] * s
                 gx = _spread(gp[run], sw)
-            for rows, first, stride in blocks:
+            for rows, blocks in groups:
+                # per group: the geometry of its triples, shaped (y, x, t),
+                # and the t F(y) of each side
                 y = pts[rows]
-                where = (x, y, first, stride)
                 xy = x * y
                 dist2 = ((x - y) / xy) ** 2
-                mids = (xy[..., None] / (tx + s * y[..., None])).ravel()
-                fm = f.eval_vector(mids)
-                lhs = _lhs_rows(_spread(fp[rows], tw), fx, dist2, ct, kind)
-                sh, th = _fold(strong.values(), lhs, fm, kind, tol, where)
+                mids = xy[..., None] / (tx + s * y[..., None])
+                pen = dist2[..., None] * ct
+                fy = _spread(fp[rows], tw)
                 if shift:
-                    lhs = _lhs_rows(_spread(sp[rows], tw), sx, dist2, ct0, kind)
-                    _fold(shift.values(), lhs, ball_shift(fm, mids, c, kind), kind, tol, where)
+                    pen0 = dist2[..., None] * ct0
+                    sy = _spread(sp[rows], tw)
                 if arithmetic:
                     v = up[rows]
-                    lhs = _lhs_rows(_spread(gp[rows], tw), gx, (u - v) ** 2, ct, kind)
-                    gm = g.eval_vector((v[..., None] * t + su).ravel())
-                    sa, ta, _ = inclusion_rows(lhs, gm, kind, tol)
-                    va = sa >= -ta
-                    disagreements += int(np.count_nonzero((sh >= -th) != va))
-                    arith_holds = arith_holds and bool(np.all(va))
-                    arith_min = np.minimum(arith_min, np.min(sa))
+                    pen_u = ((u - v) ** 2)[..., None] * ct
+                    umids = v[..., None] * t + su
+                    gy = _spread(gp[rows], tw)
+                for part, first, stride in blocks:
+                    where = (x, y[part], first, stride)
+                    bm = mids[part].ravel()
+                    fm = f.eval_vector(bm)
+                    lhs = _lhs_rows(fy[part], fx, pen[part], kind)
+                    keys = _fold(strong.values(), lhs, fm, kind, tol, where)
+                    if shift:
+                        lhs = _lhs_rows(sy[part], sx, pen0[part], kind)
+                        _fold(shift.values(), lhs, ball_shift(fm, bm, c, kind), kind, tol, where)
+                    if arithmetic:
+                        lhs = _lhs_rows(gy[part], gx, pen_u[part], kind)
+                        sa, ta, _ = inclusion_rows(lhs, g.eval_vector(umids[part].ravel()),
+                                                   kind, tol)
+                        va = rows_hold(sa + ta)
+                        disagreements += int(np.count_nonzero(rows_hold(keys) != va))
+                        arith_holds = arith_holds and bool(np.all(va))
+                        arith_min = np.minimum(arith_min, np.min(sa))
 
     out = {sid: side.report(sid, c) for sid, side in strong.items()}
     for sid, side in shift.items():

@@ -13,8 +13,13 @@ defined directly on support vectors.  All constructors provided here
 support values exact for the represented set, so no polytope
 reconstruction is ever needed.
 
-``inclusion_rows`` is the one inclusion rule: ``includes`` is its one-row
-case, and the grid checks apply it to whole blocks of rows.
+``inclusion_keys`` is the one inclusion rule: one key, slack plus
+tolerance, per direction of a support set or per interval, for whole
+blocks of rows at once.  A row holds when its smallest key is >= 0.  The
+grid checks reduce a block to its one smallest key and derive slack,
+tolerance and witness at that element alone (``inclusion_at``);
+``inclusion_rows`` is the per-row view, and ``includes`` its one-row
+case.
 
 All operations are pure functions on immutable values.
 """
@@ -75,12 +80,17 @@ class SupportSet:
     support: tuple
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.support)
-        if len(vals) < 3:
+        support = self.support
+        if not hasattr(support, "__len__"):  # a one-pass iterable
+            support = tuple(support)
+        vals = np.asarray(support, dtype=float)
+        if vals.ndim != 1:
+            raise TypeError(f"support values must be a flat sequence, got shape {vals.shape}")
+        if vals.size < 3:
             raise ValueError("support grid needs at least 3 directions")
-        if not all(math.isfinite(v) for v in vals):
+        if not np.isfinite(vals).all():
             raise NonFiniteSetError("support values must be finite")
-        object.__setattr__(self, "support", vals)
+        object.__setattr__(self, "support", tuple(vals.tolist()))
 
     @property
     def grid_size(self) -> int:
@@ -107,7 +117,8 @@ class InclusionVerdict:
     """Outcome of an inclusion test A subset-of B.
 
     ``slack`` is the signed margin at the witness direction; the test holds
-    iff slack >= -tolerance_used.
+    iff its key slack + tolerance_used is >= 0 (for finite values, iff
+    slack >= -tolerance_used).
     """
 
     holds: bool
@@ -180,7 +191,7 @@ def as_set(row, kind: str) -> ConvexSet:
     interval or the support values of a SupportSet."""
     if kind == "interval":
         return Interval(row[0], row[1])
-    return SupportSet(tuple(row))
+    return SupportSet(row)
 
 
 def as_row(s: ConvexSet) -> np.ndarray:
@@ -190,35 +201,70 @@ def as_row(s: ConvexSet) -> np.ndarray:
     return s.as_array()
 
 
-def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
-    """The inclusion rule: slack, tolerance and witness of lhs[i] subset-of
-    rhs[i] for each row i of two (n, channels) arrays.
+def _interval_parts(lhs, rhs, tol: float, rows):
+    """Margins of the upper and lower ends of lhs inside rhs, and the
+    tolerance, at the interval rows ``rows``."""
+    margin_hi = rhs[rows, 1] - lhs[rows, 1]
+    margin_lo = lhs[rows, 0] - rhs[rows, 0]
+    tols = tol * (1.0 + np.maximum(np.abs(rhs[rows, 0]), np.abs(rhs[rows, 1])))
+    return margin_hi, margin_lo, tols
 
-    The raw slack in a direction is h_B - h_A; the per-direction pass
-    threshold is -tol * (1 + |h_B|) (for intervals, 1 + the larger endpoint
-    magnitude of B).  The witness is the most binding direction, the first
-    one on ties: an index into the support grid, or for intervals 0 ("hi")
-    or 1 ("lo").
+
+def inclusion_keys(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> np.ndarray:
+    """The inclusion rule's kernel: the keys of lhs[i] subset-of rhs[i] for
+    the rows i of two (n, channels) arrays, shaped (n, M) for support sets
+    and (n,) for intervals.
+
+    A key is slack plus tolerance.  For support sets it is kept per
+    direction: the margin h_B - h_A plus the threshold tol * (1 + |h_B|).
+    For intervals it is kept per row: the margin of the tighter end plus
+    tol * (1 + the larger endpoint magnitude of B).  A row holds when its
+    smallest key is >= 0, and its witness is the first direction of
+    smallest key, a NaN key first.
     """
     if kind == "interval":
-        margin_hi = rhs[:, 1] - lhs[:, 1]
-        margin_lo = lhs[:, 0] - rhs[:, 0]
-        slacks = np.minimum(margin_hi, margin_lo)
-        tols = tol * (1.0 + np.maximum(np.abs(rhs[:, 0]), np.abs(rhs[:, 1])))
-        return slacks, tols, np.where(margin_hi <= margin_lo, 0, 1)
-    margins = rhs - lhs
-    dir_tols = np.abs(rhs)  # in place: tol * (1 + |rhs|) without temporaries
-    dir_tols += 1.0
-    dir_tols *= tol
-    j = np.argmin(margins + dir_tols, axis=1)
-    rows = np.arange(lhs.shape[0])
-    return margins[rows, j], dir_tols[rows, j], j
+        margin_hi, margin_lo, tols = _interval_parts(lhs, rhs, tol, slice(None))
+        return np.minimum(margin_hi, margin_lo) + tols
+    keys = np.abs(rhs)  # in place: tol * (1 + |rhs|) + (rhs - lhs)
+    keys += 1.0
+    keys *= tol
+    keys += rhs - lhs
+    return keys
+
+
+def inclusion_at(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float, rows, j=None):
+    """Slack, tolerance and witness of lhs inside rhs at the rows ``rows``
+    (an index, an index array or a slice) and, for support sets, at the
+    directions ``j`` (one per row): the parts of their keys.  An interval's
+    witness is 0 ("hi") when its upper end is the tighter, else 1 ("lo")."""
+    if kind == "interval":
+        margin_hi, margin_lo, tols = _interval_parts(lhs, rhs, tol, rows)
+        return np.minimum(margin_hi, margin_lo), tols, np.where(margin_hi <= margin_lo, 0, 1)
+    h = rhs[rows, j]
+    return h - lhs[rows, j], (np.abs(h) + 1.0) * tol, j
+
+
+def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
+    """The inclusion rule per row: slack, tolerance and witness of
+    lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays, at
+    the row's witness direction (see ``inclusion_keys``)."""
+    if kind == "interval":
+        return inclusion_at(lhs, rhs, kind, tol, slice(None))
+    j = inclusion_keys(lhs, rhs, kind, tol).argmin(axis=1)
+    return inclusion_at(lhs, rhs, kind, tol, np.arange(lhs.shape[0]), j)
+
+
+def rows_hold(keys: np.ndarray) -> np.ndarray:
+    """Whether each row of ``inclusion_keys`` (or of per-row keys, slack +
+    tolerance) holds: its smallest key is >= 0, and no key is NaN."""
+    return (keys if keys.ndim == 1 else keys.min(axis=1)) >= 0.0
 
 
 def row_verdict(slack: float, tol_used: float, witness: int, kind: str) -> InclusionVerdict:
-    """The verdict of one ``inclusion_rows`` row."""
+    """The verdict of one row of ``inclusion_rows`` or ``inclusion_at``: it
+    holds when its key, slack + tolerance, is >= 0."""
     return InclusionVerdict(
-        holds=bool(slack >= -tol_used),
+        holds=bool(slack + tol_used >= 0.0),
         slack=float(slack),
         witness_direction=("hi", "lo")[witness] if kind == "interval" else int(witness),
         tolerance_used=float(tol_used),

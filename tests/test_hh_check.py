@@ -28,7 +28,7 @@ from harmonichh.hh_check import (
     shift_lemma_report,
 )
 from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, hausdorff,
-                                 inclusion_rows, row_verdict)
+                                 inclusion_keys, inclusion_rows, row_verdict)
 from harmonichh.svf import (
     DomainError,
     FeasibilityError,
@@ -632,7 +632,7 @@ class TestFold:
         # slack keys[i] at tolerance 0
         lhs = np.array([[0.0, 1.0], [0.0, 1.0]])
         rhs = np.array([[-k, 1.0 + k] for k in keys])
-        worst.update(inclusion_rows(lhs, rhs, "interval", 0.0), lhs, rhs,
+        worst.update(inclusion_keys(lhs, rhs, "interval", 0.0), lhs, rhs, 0.0,
                      np.array([x]), np.array([[y]]), first, 0)
 
     def witness(self, worst):
@@ -679,14 +679,17 @@ class TestFold:
 
 def block_shapes(monkeypatch):
     """The (rows, channels) shape of every block the grid pass hands to the
-    inclusion rule, recorded from then on."""
+    inclusion rule, as keys or per row, recorded from then on."""
     shapes = []
 
-    def spy(lhs, rhs, kind, tol):
-        shapes.append(lhs.shape)
-        return inclusion_rows(lhs, rhs, kind, tol)
+    def spy(rule):
+        def call(lhs, rhs, kind, tol):
+            shapes.append(lhs.shape)
+            return rule(lhs, rhs, kind, tol)
+        return call
 
-    monkeypatch.setattr(hh_check, "inclusion_rows", spy)
+    for rule in (inclusion_keys, inclusion_rows):
+        monkeypatch.setattr(hh_check, rule.__name__, spy(rule))
     return shapes
 
 

@@ -1,21 +1,26 @@
 """The one inclusion rule of ``set_core``: ``includes`` is the one-row case of
-``inclusion_rows``, and every report, grid or integral, re-verifies through
-``includes`` on its own two sides."""
+``inclusion_rows``, the grid pass's flat fold over ``inclusion_keys`` keeps
+the row the per-row rule would, and every report, grid or integral,
+re-verifies through ``includes`` on its own two sides."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from harmonichh.aumann import QuadratureSpec
 from harmonichh.explorer import run_theorems
-from harmonichh.hh_check import DEFAULT_TOL, THEOREM_IDS, ConvexityGrid
+from harmonichh.hh_check import DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, _Worst
 from harmonichh.set_core import (
     Interval,
     SupportSet,
     as_row,
     as_set,
     includes,
+    inclusion_keys,
     inclusion_rows,
     row_verdict,
+    rows_hold,
 )
 from harmonichh.svf import (
     DomainError,
@@ -55,6 +60,113 @@ def test_includes_is_one_row_of_the_kernel(kind, tol):
         v = includes(as_set(lhs[i], kind), as_set(rhs[i], kind), tol)
         assert v == row_verdict(slacks[i], tols[i], witness[i], kind)
         assert v.holds == (v.slack >= -v.tolerance_used)
+
+
+def flat_fold(lhs, rhs, kind, tol):
+    """The verdict and rows the grid pass keeps from one block of rows, each
+    row its own pair at one t: one flat argmin over the block's keys."""
+    n = lhs.shape[0]
+    worst = _Worst(kind, np.array([0.5]))
+    worst.update(inclusion_keys(lhs, rhs, kind, tol), lhs, rhs, tol,
+                 np.arange(n, dtype=float), np.zeros((1, n)), 0, 0)
+    slack, tol_used, witness, kept_lhs, kept_rhs, x, *_ = worst.row
+    return row_verdict(slack, tol_used, witness, kind), int(x), kept_lhs, kept_rhs
+
+
+def per_row_rule(lhs, rhs, kind, tol):
+    """The same from the per-row rule: the row of smallest slack + tolerance,
+    the first on ties and a NaN first."""
+    slacks, tols, witness = inclusion_rows(lhs, rhs, kind, tol)
+    i = int(np.argmin(slacks + tols))
+    return row_verdict(slacks[i], tols[i], witness[i], kind), i, lhs[i], rhs[i]
+
+
+def assert_same_fold(lhs, rhs, kind, tol):
+    (verdict, row, kept_lhs, kept_rhs), ref = flat_fold(lhs, rhs, kind, tol), \
+        per_row_rule(lhs, rhs, kind, tol)
+    assert repr(verdict) == repr(ref[0])  # NaN slacks compare equal by repr only
+    assert row == ref[1]
+    assert np.array_equal(kept_lhs, ref[2], equal_nan=True)
+    assert np.array_equal(kept_rhs, ref[3], equal_nan=True)
+    return verdict, row
+
+
+class TestFlatFold:
+    """Edge cases of the grid pass's flat fold against the per-row rule."""
+
+    def test_tied_directions_first_wins(self):
+        lhs = np.zeros((3, 6))
+        rhs = np.full((3, 6), 2.0)
+        rhs[1, [2, 4]] = 0.5  # two directions of row 1 with the same key
+        rhs[2, 1] = 0.5       # the same key again in a later row
+        verdict, row = assert_same_fold(lhs, rhs, "support", 1e-9)
+        assert (row, verdict.witness_direction, verdict.slack) == (1, 2, 0.5)
+
+    def test_nan_in_a_later_direction_wins(self):
+        lhs = np.zeros((3, 6))
+        rhs = np.full((3, 6), 2.0)
+        rhs[0, 1] = -5.0        # the smallest finite key
+        lhs[1, 4] = np.nan      # a NaN after row 1's smallest finite key
+        rhs[1, 2] = -1.0
+        rhs[2, 0] = np.nan
+        verdict, row = assert_same_fold(lhs, rhs, "support", 1e-9)
+        assert (row, verdict.witness_direction) == (1, 4)
+        assert np.isnan(verdict.slack) and not verdict.holds
+
+    @pytest.mark.parametrize("tighter", ["hi", "lo"])
+    def test_interval_witness_follows_the_margins(self, tighter):
+        # end margins of 2^-63 and 2^-62 both vanish into the tolerance 0.05,
+        # so the keys of the two ends tie; the witness is the end with the
+        # smaller margin
+        small, large = 2.0 ** -63, 2.0 ** -62
+        hi_gap, lo_gap = (small, large) if tighter == "hi" else (large, small)
+        lhs = np.zeros((2, 2))
+        rhs = np.array([[-lo_gap, hi_gap], [-1.0, 1.0]])
+        tol = 0.05
+        margin_hi, margin_lo = rhs[0, 1] - lhs[0, 1], lhs[0, 0] - rhs[0, 0]
+        assert margin_hi != margin_lo and margin_hi + tol == margin_lo + tol
+        verdict, row = assert_same_fold(lhs, rhs, "interval", tol)
+        assert row == 0 and verdict.witness_direction == tighter
+        assert verdict.slack == small
+
+
+_NONFINITE = (0.0, 1.0, -1.0, np.inf, -np.inf, np.nan)
+
+
+def nonfinite_rows(kind):
+    """Every pair of rows over 0, +-1, +-inf and NaN: (lhs, rhs)."""
+    channels = 2 if kind == "interval" else 3
+    rows = np.array(list(itertools.product(_NONFINITE, repeat=channels)))
+    return np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+
+
+@pytest.mark.parametrize("kind", ["interval", "support"])
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_key_sign_against_the_comparison_on_nonfinite_rows(kind, tol):
+    # A row holds when its smallest key, slack + tolerance, is >= 0.  That is
+    # slack >= -tolerance on every row but those whose slack is -inf against
+    # an infinite tolerance (B unbounded below in a direction, tol > 0): the
+    # comparison passes them (-inf >= -inf), the key is NaN and fails them.
+    lhs, rhs = nonfinite_rows(kind)
+    with np.errstate(all="ignore"):
+        keys = inclusion_keys(lhs, rhs, kind, tol)
+        slacks, tols, witness = inclusion_rows(lhs, rhs, kind, tol)
+        compared = slacks >= -tols
+        held = rows_hold(keys)
+        unbounded = (slacks == -np.inf) & (tols == np.inf)
+        assert np.array_equal(held, compared & ~unbounded)
+        assert unbounded.any() == (tol > 0.0)
+        assert np.array_equal(held, rows_hold(slacks + tols))
+        assert held.tolist() == [row_verdict(*r, kind).holds
+                                 for r in zip(slacks, tols, witness)]
+    # Proposition 3.1's disagreement count, harmonic rows against arithmetic
+    # rows in another order, from key signs and from the comparison
+    order = np.random.default_rng(7).permutation(len(held))
+    from_keys = int(np.count_nonzero(held != held[order]))
+    expected = compared & ~unbounded
+    assert from_keys == int(np.count_nonzero(expected != expected[order]))
+    if tol == 0.0:
+        assert from_keys == int(np.count_nonzero(compared != compared[order]))
 
 
 @pytest.mark.parametrize("s", [Interval(-1.5, 2.25), SupportSet((1.0, -0.5, 2.0, 0.0))])

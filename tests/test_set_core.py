@@ -9,6 +9,7 @@ from harmonichh.set_core import (
     Interval,
     InclusionVerdict,
     NegativeScaleError,
+    NonFiniteSetError,
     RepresentationMismatchError,
     SupportSet,
     UnsupportedProductError,
@@ -31,6 +32,36 @@ def iv(lo, hi):
 
 intervals = st.tuples(finite, finite).map(lambda p: iv(*p))
 support_sets = st.lists(finite, min_size=8, max_size=8).map(lambda v: SupportSet(tuple(v)))
+
+
+class TestSupportSetValues:
+    """A SupportSet converts and checks its values in one step and stores
+    Python floats, whatever sequence of numbers it is given."""
+
+    @pytest.mark.parametrize("values", [
+        (1.0, -0.5, 2.0), [1, -0.5, 2], np.array([1.0, -0.5, 2.0]),
+        tuple(np.array([1.0, -0.5, 2.0])), (v for v in (1.0, -0.5, 2.0)), ["1", "-0.5", "2"],
+    ], ids=["tuple", "list", "array", "numpy-scalars", "generator", "strings"])
+    def test_accepted_inputs_store_python_floats(self, values):
+        s = SupportSet(values)
+        assert s.support == (1.0, -0.5, 2.0)
+        assert all(type(v) is float for v in s.support)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("container", [tuple, np.array])
+    def test_non_finite_rejected(self, bad, container):
+        with pytest.raises(NonFiniteSetError, match="finite"):
+            SupportSet(container([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("values", [(1.0, 2.0), np.array([1.0]), ()])
+    def test_fewer_than_three_directions_rejected(self, values):
+        with pytest.raises(ValueError, match="at least 3"):
+            SupportSet(values)
+
+    @pytest.mark.parametrize("values", [1.0, np.ones((2, 3))], ids=["scalar", "2-D"])
+    def test_non_flat_rejected(self, values):
+        with pytest.raises(TypeError):
+            SupportSet(values)
 
 
 class TestInterval:
