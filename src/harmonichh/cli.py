@@ -337,26 +337,48 @@ def run(cfg: RunConfig) -> tuple:
 
 def dumps_machine(obj, indent: int = 0) -> str:
     """JSON with floats printed at 17 significant digits (lossless)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
+    parts = []
+    _emit(obj, indent, parts)
+    return "".join(parts)
+
+
+def _emit(obj, indent: int, parts: list) -> None:
+    """Append the text of ``obj`` at nesting depth ``indent`` to ``parts``."""
+    if isinstance(obj, (dict, list, tuple)):
         if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {dumps_machine(v, indent + 1)}'
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{dumps_machine(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    if obj is None or isinstance(obj, (int, str)):
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            parts.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = "\n" + "  " * (indent + 1)
+        if isinstance(obj, dict):
+            sep = "{" + inner
+            for k, v in obj.items():
+                parts += (sep, _encode_str(str(k)), ": ")
+                _emit(v, indent + 1, parts)
+                sep = "," + inner
+            close = "}"
+        else:
+            sep = "[" + inner
+            for v in obj:
+                parts.append(sep)
+                _emit(v, indent + 1, parts)
+                sep = "," + inner
+            close = "]"
+        parts.append("\n" + "  " * indent + close)
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, float):
+        parts.append(format(obj, ".17g"))
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # what json.dumps does to a str
 
 
 def render_text(report: RunReport) -> str:

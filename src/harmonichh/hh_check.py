@@ -5,7 +5,7 @@ over its sample grid, an InclusionVerdict at the witness sample, and the
 quadrature error budget (always absorbed into the inclusion tolerance, so
 a reported violation is never attributable to quadrature).  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
-of sets, ``inclusion_keys`` for the rows of a grid block.
+of sets, ``inclusion_block`` for the rows of a grid block.
 
 Grid checks run as one streamed pass per family, over the (x, y, t) grid,
 or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
@@ -19,21 +19,26 @@ values of t F(y); the group's geometry (xy, dist^2, the midpoints and the
 penalty c t(1-t) dist^2) and its t F(y) are computed once, and a block
 adds F(mid).  Every side the requested theorems need (the modulus-c
 inclusion, the shift lemma's shifted map, Proposition 3.1's arithmetic
-form) is computed from the same block and reduced to running witnesses.  With p the number of pairs whose (t values
-x channels) fit in BLOCK_ELEMENTS, at least one, a run of p x values
-shorter than a row is one block per y row, and otherwise a block is
-p // n whole rows.  The budget keeps each float64 block array below the
-allocator's mmap threshold (128 KiB in glibc): a larger array is a fresh
-map that page-faults in on every block.  Memory is bounded by the block
-and the values at the n points, not the grid.
+form) is computed from the same block and reduced to running witnesses;
+the shifted map has modulus 0, so its rows take no penalty.  With p the
+number of pairs whose (t values x channels) fit in BLOCK_ELEMENTS, at
+least one, a run of p x values shorter than a row is one block per y row,
+and otherwise a block is p // n whole rows.  The budget keeps each
+float64 block array below the allocator's mmap threshold (128 KiB in
+glibc): a larger array is a fresh map that page-faults in on every block.
+Memory is bounded by the block and the values at the n points, not the
+grid.  Per-x and per-pair operands are repeated out to whole arrays before
+they meet the block's, since numpy runs a broadcast one short inner row at
+a time.
 
 A block is reduced by one key array, slack + tolerance per support
 direction or per interval row, and one flat argmin over it: the kept
 element minimises (key, grid index), so verdicts do not depend on how
 evaluation is batched or in what order blocks come (tested for block
 sizes from 1 to larger than the grid).  Slack, tolerance and witness are
-derived at the kept element alone.  Proposition 3.1 counts a row as
-holding when its smallest key is >= 0.
+read at the kept element alone, from the arrays the keys were made of.
+Proposition 3.1 counts a row as holding when its smallest key is >= 0,
+from one kernel call per side and block.
 
 The product ids share one pass per family too: F and G once at a and b,
 one assembly of the left side that thm33 and thm35 share, and only the
@@ -64,9 +69,7 @@ from .set_core import (
     ball,
     hausdorff,
     includes,
-    inclusion_at,
-    inclusion_keys,
-    inclusion_rows,
+    inclusion_block,
     interval_product,
     minkowski_sum,
     row_verdict,
@@ -224,12 +227,26 @@ def _spread(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return vals * weights
 
 
-def _lhs_rows(ty: np.ndarray, sx: np.ndarray, pen: np.ndarray, kind: str) -> np.ndarray:
-    """The rows t F(y) + (1-t) F(x) + c t(1-t) dist2 B of one block, in grid
-    order: ``ty`` holds the block's t F(y), ``sx`` the x-run's (1-t) F(x)
-    slab and ``pen`` the penalty c t(1-t) dist2 per triple."""
-    lhs = ty + sx
-    return widen(lhs.reshape(-1, lhs.shape[-1]), pen.reshape(-1), kind)
+def _across(a: np.ndarray, k: int) -> np.ndarray:
+    """``a``, shaped (rows, 1 or k, ...), repeated to k along its second axis
+    in a fresh array, so that an operation with a per-x operand runs over
+    whole contiguous arrays rather than one short broadcast row at a time."""
+    return a.repeat(k // a.shape[1], axis=1)
+
+
+def _over_t(a: np.ndarray, m: int) -> np.ndarray:
+    """One value per pair, shaped (y, x), repeated over the m values of t in
+    a fresh (y, x, t) array."""
+    return a[..., None].repeat(m, axis=-1)
+
+
+def _lhs_rows(ty: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """The rows t F(y) + (1-t) F(x) of one block in grid order, in a fresh
+    (triples, channels) array: ``ty`` holds the block's t F(y) and ``sx``
+    the x-run's (1-t) F(x) slab."""
+    lhs = _across(ty, sx.shape[0])
+    lhs += sx
+    return lhs.reshape(-1, lhs.shape[-1])
 
 
 class _Worst:
@@ -253,13 +270,14 @@ class _Worst:
         self.row = None
         self.triples = 0
 
-    def update(self, keys, lhs, rhs, tol, x, y, first, stride):
-        """Fold in one block's rows lhs[i] inside rhs[i] at tolerance
-        ``tol``, for the x values ``x`` and y values ``y`` of a block of
-        ``_walk``: ``keys`` holds their keys from ``inclusion_keys``.  Slack,
-        tolerance and witness are derived at the kept element alone."""
+    def update(self, block, x, y, first, stride):
+        """Fold in one block's rows, an ``inclusion_block`` of lhs[i] inside
+        rhs[i], for the x values ``x`` and y values ``y`` of a block of
+        ``_walk``.  Slack, tolerance and witness are read at the kept element
+        alone."""
+        keys, rows = block.keys, range(block.keys.shape[0])
         if self.pick is not None:
-            keys, lhs, rhs = keys[self.pick], lhs[self.pick], rhs[self.pick]
+            keys, rows = keys[self.pick], rows[self.pick]
         flat = keys.reshape(-1)
         i = int(flat.argmin())
         self.triples += keys.shape[0]
@@ -273,10 +291,10 @@ class _Worst:
         index = (first + yr * stride + k) * self.t.size + ti
         if self.row is None or rank < self.rank or index < self.index:
             self.rank, self.index = rank, index
+            row = rows[r]
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
-            self.row = (*inclusion_at(lhs, rhs, self.kind, tol, r, j), lhs[r].copy(),
-                        rhs[r].copy(), x[k], y[yr, 0] if y.shape[1] == 1 else y[0, k],
-                        self.t[ti])
+            self.row = (*block.at(row, j), block.lhs[row].copy(), block.rhs[row].copy(),
+                        x[k], y[yr, 0] if y.shape[1] == 1 else y[0, k], self.t[ti])
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
@@ -293,11 +311,11 @@ class _Worst:
 
 def _fold(sides, lhs, rhs, kind, tol, where):
     """Fold one block's rows lhs[i] inside rhs[i] into the running witness
-    of each of ``sides``; returns the rows' keys."""
-    keys = inclusion_keys(lhs, rhs, kind, tol)
+    of each of ``sides``; returns the rows' ``inclusion_block``."""
+    block = inclusion_block(lhs, rhs, kind, tol)
     for side in sides:
-        side.update(keys, lhs, rhs, tol, *where)
-    return keys
+        side.update(block, *where)
+    return block
 
 
 def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
@@ -322,7 +340,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     kind = f.kind
     t = np.array(grid.t_values if full else (0.5,))
     s = 1.0 - t
-    ct, ct0 = c * t * s, 0.0 * t * s  # the shifted side has modulus 0
+    ct = c * t * s
     channels = 2 if kind == "interval" else f.grid_size
     # the weights t and 1-t of _spread
     tw, sw = (w[:, None].repeat(channels if t.size > 1 else 1, axis=1) for w in (t, s))
@@ -346,9 +364,10 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
             up = 1.0 / pts
             gp = g.eval_vector(up)
         for run, groups in runs:
-            # per run: t x, and the (1-t) F(x) slab of each side
+            # per run: t x, c t(1-t) per x, and the (1-t) F(x) slab of each side
             x = pts[run]
             tx = x[:, None] * t
+            ctx = np.tile(ct, (x.size, 1))
             fx = _spread(fp[run], sw)
             if shift:
                 sx = _spread(sp[run], sw)
@@ -362,34 +381,41 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
                 y = pts[rows]
                 xy = x * y
                 dist2 = ((x - y) / xy) ** 2
-                mids = xy[..., None] / (tx + s * y[..., None])
-                pen = dist2[..., None] * ct
+                mids = _across(s * y[..., None], x.size)
+                mids += tx
+                np.divide(_over_t(xy, t.size), mids, out=mids)
+                pen = _over_t(dist2, t.size)
+                pen *= ctx
                 fy = _spread(fp[rows], tw)
                 if shift:
-                    pen0 = dist2[..., None] * ct0
                     sy = _spread(sp[rows], tw)
                 if arithmetic:
                     v = up[rows]
-                    pen_u = ((u - v) ** 2)[..., None] * ct
-                    umids = v[..., None] * t + su
+                    pen_u = _over_t((u - v) ** 2, t.size)
+                    pen_u *= ctx
+                    umids = _across(v[..., None] * t, x.size)
+                    umids += su
                     gy = _spread(gp[rows], tw)
                 for part, first, stride in blocks:
                     where = (x, y[part], first, stride)
                     bm = mids[part].ravel()
                     fm = f.eval_vector(bm)
-                    lhs = _lhs_rows(fy[part], fx, pen[part], kind)
-                    keys = _fold(strong.values(), lhs, fm, kind, tol, where)
+                    lhs = _lhs_rows(fy[part], fx)
+                    widen(lhs, pen[part].reshape(-1), kind, lhs)
+                    keys = _fold(strong.values(), lhs, fm, kind, tol, where).keys
                     if shift:
-                        lhs = _lhs_rows(sy[part], sx, pen0[part], kind)
-                        _fold(shift.values(), lhs, ball_shift(fm, bm, c, kind), kind, tol, where)
+                        # the shifted side has modulus 0: its rows take no penalty
+                        _fold(shift.values(), _lhs_rows(sy[part], sx),
+                              ball_shift(fm, bm, c, kind), kind, tol, where)
                     if arithmetic:
-                        lhs = _lhs_rows(gy[part], gx, pen_u[part], kind)
-                        sa, ta, _ = inclusion_rows(lhs, g.eval_vector(umids[part].ravel()),
-                                                   kind, tol)
-                        va = rows_hold(sa + ta)
+                        lhs = _lhs_rows(gy[part], gx)
+                        widen(lhs, pen_u[part].reshape(-1), kind, lhs)
+                        arith = inclusion_block(lhs, g.eval_vector(umids[part].ravel()),
+                                                kind, tol)
+                        va = rows_hold(arith.keys)
                         disagreements += int(np.count_nonzero(rows_hold(keys) != va))
-                        arith_holds = arith_holds and bool(np.all(va))
-                        arith_min = np.minimum(arith_min, np.min(sa))
+                        arith_holds = arith_holds and bool(va.all())
+                        arith_min = np.minimum(arith_min, np.min(arith.row_slack()))
 
     out = {sid: side.report(sid, c) for sid, side in strong.items()}
     for sid, side in shift.items():

@@ -13,13 +13,13 @@ defined directly on support vectors.  All constructors provided here
 support values exact for the represented set, so no polytope
 reconstruction is ever needed.
 
-``inclusion_keys`` is the one inclusion rule: one key, slack plus
+``inclusion_block`` is the one inclusion rule: one key, slack plus
 tolerance, per direction of a support set or per interval, for whole
-blocks of rows at once.  A row holds when its smallest key is >= 0.  The
-grid checks reduce a block to its one smallest key and derive slack,
-tolerance and witness at that element alone (``inclusion_at``);
-``inclusion_rows`` is the per-row view, and ``includes`` its one-row
-case.
+blocks of rows at once, with the slacks and tolerances it is made of.  A row
+holds when its smallest key is >= 0.  The grid checks reduce a block to
+its one smallest key and read slack, tolerance and witness at that
+element from the block's arrays (``InclusionBlock.at``), and so does
+``includes``, its one-row case; ``inclusion_rows`` is the per-row view.
 
 All operations are pure functions on immutable values.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -201,19 +201,54 @@ def as_row(s: ConvexSet) -> np.ndarray:
     return s.as_array()
 
 
-def _interval_parts(lhs, rhs, tol: float, rows):
-    """Margins of the upper and lower ends of lhs inside rhs, and the
-    tolerance, at the interval rows ``rows``."""
-    margin_hi = rhs[rows, 1] - lhs[rows, 1]
-    margin_lo = lhs[rows, 0] - rhs[rows, 0]
-    tols = tol * (1.0 + np.maximum(np.abs(rhs[rows, 0]), np.abs(rhs[rows, 1])))
-    return margin_hi, margin_lo, tols
+class InclusionBlock(NamedTuple):
+    """The inclusion rule's kernel output for the rows of a block: lhs[i]
+    subset-of rhs[i] at tolerance ``tol``.
+
+    ``keys`` holds slack plus tolerance, per direction (n, M) for support
+    sets and per row (n,) for intervals, and ``slack`` the slack of the
+    same shape.  ``tols`` holds an interval row's tolerance; a support
+    value's tolerance is recomputed from its h_B alone, and ``tols`` is
+    None.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    tol: float
+    keys: np.ndarray
+    slack: np.ndarray
+    tols: Optional[np.ndarray] = None
+
+    def at(self, r: int, j: Optional[int] = None):
+        """Slack, tolerance and witness at row r (and direction j of a
+        support row), read from the block's arrays.  An interval's witness
+        is 0 ("hi") when its upper end is the tighter, else 1 ("lo"): its
+        two end margins are recomputed at that row alone."""
+        if self.tols is not None:
+            (lo, hi), (b_lo, b_hi) = self.lhs[r].tolist(), self.rhs[r].tolist()
+            return self.slack[r], self.tols[r], 0 if b_hi - hi <= lo - b_lo else 1
+        return self.slack[r, j], (abs(float(self.rhs[r, j])) + 1.0) * self.tol, j
+
+    def row_slack(self) -> np.ndarray:
+        """Each row's slack at its witness direction."""
+        return self.slack if self.tols is not None else self.rows()[0]
+
+    def rows(self):
+        """The inclusion rule per row: slack, tolerance and witness of each
+        row at its witness direction, the first direction of smallest key,
+        a NaN key first."""
+        if self.tols is not None:
+            lhs, rhs = self.lhs, self.rhs
+            hi_tighter = rhs[:, 1] - lhs[:, 1] <= lhs[:, 0] - rhs[:, 0]
+            return self.slack, self.tols, np.where(hi_tighter, 0, 1)
+        j = self.keys.argmin(axis=1)
+        r = np.arange(j.size)
+        return self.slack[r, j], (np.abs(self.rhs[r, j]) + 1.0) * self.tol, j
 
 
-def inclusion_keys(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> np.ndarray:
-    """The inclusion rule's kernel: the keys of lhs[i] subset-of rhs[i] for
-    the rows i of two (n, channels) arrays, shaped (n, M) for support sets
-    and (n,) for intervals.
+def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> InclusionBlock:
+    """The inclusion rule's kernel over the rows i of two (n, channels)
+    arrays, lhs[i] subset-of rhs[i].
 
     A key is slack plus tolerance.  For support sets it is kept per
     direction: the margin h_B - h_A plus the threshold tol * (1 + |h_B|).
@@ -223,46 +258,40 @@ def inclusion_keys(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> n
     smallest key, a NaN key first.
     """
     if kind == "interval":
-        margin_hi, margin_lo, tols = _interval_parts(lhs, rhs, tol, slice(None))
-        return np.minimum(margin_hi, margin_lo) + tols
+        # the tighter end's margin and tol * (1 + max |endpoint of B|), each
+        # in one array with no other temporary of its size
+        slack = rhs[:, 1] - lhs[:, 1]
+        np.minimum(slack, lhs[:, 0] - rhs[:, 0], out=slack)
+        tols = np.abs(rhs[:, 0])
+        np.maximum(tols, np.abs(rhs[:, 1]), out=tols)
+        tols += 1.0
+        tols *= tol
+        return InclusionBlock(lhs, rhs, tol, slack + tols, slack, tols)
+    slack = rhs - lhs
     keys = np.abs(rhs)  # in place: tol * (1 + |rhs|) + (rhs - lhs)
     keys += 1.0
     keys *= tol
-    keys += rhs - lhs
-    return keys
-
-
-def inclusion_at(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float, rows, j=None):
-    """Slack, tolerance and witness of lhs inside rhs at the rows ``rows``
-    (an index, an index array or a slice) and, for support sets, at the
-    directions ``j`` (one per row): the parts of their keys.  An interval's
-    witness is 0 ("hi") when its upper end is the tighter, else 1 ("lo")."""
-    if kind == "interval":
-        margin_hi, margin_lo, tols = _interval_parts(lhs, rhs, tol, rows)
-        return np.minimum(margin_hi, margin_lo), tols, np.where(margin_hi <= margin_lo, 0, 1)
-    h = rhs[rows, j]
-    return h - lhs[rows, j], (np.abs(h) + 1.0) * tol, j
+    keys += slack
+    return InclusionBlock(lhs, rhs, tol, keys, slack)
 
 
 def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
     """The inclusion rule per row: slack, tolerance and witness of
     lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays, at
-    the row's witness direction (see ``inclusion_keys``)."""
-    if kind == "interval":
-        return inclusion_at(lhs, rhs, kind, tol, slice(None))
-    j = inclusion_keys(lhs, rhs, kind, tol).argmin(axis=1)
-    return inclusion_at(lhs, rhs, kind, tol, np.arange(lhs.shape[0]), j)
+    the row's witness direction (see ``inclusion_block``)."""
+    return inclusion_block(lhs, rhs, kind, tol).rows()
 
 
 def rows_hold(keys: np.ndarray) -> np.ndarray:
-    """Whether each row of ``inclusion_keys`` (or of per-row keys, slack +
-    tolerance) holds: its smallest key is >= 0, and no key is NaN."""
+    """Whether each row of the keys of ``inclusion_block`` (or of per-row
+    keys, slack + tolerance) holds: its smallest key is >= 0, and no key is
+    NaN."""
     return (keys if keys.ndim == 1 else keys.min(axis=1)) >= 0.0
 
 
 def row_verdict(slack: float, tol_used: float, witness: int, kind: str) -> InclusionVerdict:
-    """The verdict of one row of ``inclusion_rows`` or ``inclusion_at``: it
-    holds when its key, slack + tolerance, is >= 0."""
+    """The verdict of one row of ``inclusion_rows`` or ``InclusionBlock.at``:
+    it holds when its key, slack + tolerance, is >= 0."""
     return InclusionVerdict(
         holds=bool(slack + tol_used >= 0.0),
         slack=float(slack),
@@ -272,11 +301,14 @@ def row_verdict(slack: float, tol_used: float, witness: int, kind: str) -> Inclu
 
 
 def includes(a: ConvexSet, b: ConvexSet, tol: float = 0.0) -> InclusionVerdict:
-    """Test A subset-of B: the one-row case of ``inclusion_rows``."""
+    """Test A subset-of B: the one-row case of ``inclusion_block``, read at
+    its row (and witness direction) as the grid checks read their kept
+    element."""
     _check_same_kind(a, b)
     kind = "interval" if isinstance(a, Interval) else "support"
-    slacks, tols, witness = inclusion_rows(as_row(a)[None], as_row(b)[None], kind, float(tol))
-    return row_verdict(slacks[0], tols[0], witness[0], kind)
+    block = inclusion_block(as_row(a)[None], as_row(b)[None], kind, float(tol))
+    j = None if kind == "interval" else int(block.keys[0].argmin())
+    return row_verdict(*block.at(0, j), kind)
 
 
 def interval_product(a: Interval, b: Interval) -> Interval:

@@ -27,6 +27,8 @@ from .set_core import (
 )
 
 _DOMAIN_RTOL = 1e-12
+# Largest tiled projection rows a disc family keeps: 128 KiB of float64 each.
+_TILE_VALUES = 16384
 
 
 class DomainError(ValueError):
@@ -150,8 +152,14 @@ class QuadraticIntervalFn(SetValuedFn):
         self.certificate = certificate
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
-        inv2 = 1.0 / (np.asarray(xs, dtype=float) ** 2)
-        return np.column_stack([self.alpha * inv2, self.K - self.beta * inv2])
+        inv2 = np.asarray(xs, dtype=float) ** 2
+        np.divide(1.0, inv2, out=inv2)
+        out = np.empty((inv2.size, 2))
+        np.multiply(self.alpha, inv2, out=out[:, 0])
+        hi = out[:, 1]
+        np.multiply(self.beta, inv2, out=hi)
+        np.subtract(self.K, hi, out=hi)
+        return out
 
     def params(self) -> dict:
         return {"family": "quadratic-interval", "alpha": self.alpha,
@@ -182,6 +190,7 @@ class DiscFn(SetValuedFn):
         self._grid_size = int(grid_size)
         dirs = directions(self._grid_size)
         self._vu, self._wu = dirs @ self.v, dirs @ self.w  # (M,) projections
+        self._tiles = (np.empty((0, self._grid_size)),) * 2
         self.certificate = certificate
 
     @property
@@ -189,12 +198,26 @@ class DiscFn(SetValuedFn):
         return self._grid_size
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+        """<v,u>/x + <w,u> + K - beta/x^2 per direction u, in that order.
+        Every term is a whole (n, M) operand, so each operation runs as one
+        inner loop rather than one per row: 1/x and the radius are repeated
+        across the directions, and the projections come from tiled rows,
+        which the family keeps while they hold at most _TILE_VALUES
+        values."""
         xs = np.asarray(xs, dtype=float)
         inv = 1.0 / xs
         radius = self.K - self.beta * inv ** 2  # (n,)
-        out = inv[:, None] * self._vu
-        out += self._wu
-        out += radius[:, None]
+        n, m = inv.size, self._grid_size
+        tiles = self._tiles
+        if tiles[0].shape[0] < n:
+            tiles = tuple(np.tile(p, (n, 1)) for p in (self._vu, self._wu))
+            if n * m <= _TILE_VALUES:
+                self._tiles = tiles
+        vu, wu = (tile[:n] for tile in tiles)
+        out = inv.repeat(m).reshape(n, m)
+        out *= vu
+        out += wu
+        out += radius.repeat(m).reshape(n, m)
         return out
 
     def params(self) -> dict:
@@ -299,21 +322,23 @@ class CShiftFn(SetValuedFn):
 
 
 def ball_shift(vals: np.ndarray, xs: np.ndarray, c: float, kind: str) -> np.ndarray:
-    """A copy of the values ``vals`` of F at ``xs`` widened by the ball of
-    radius c/x^2: the values of F(x) (+) (c/x^2) B."""
-    return widen(vals.copy(), c / xs ** 2, kind)
+    """The values ``vals`` of F at ``xs`` widened by the ball of radius
+    c/x^2, in a fresh array: the values of F(x) (+) (c/x^2) B."""
+    return widen(vals, c / xs ** 2, kind, np.empty_like(vals))
 
 
-def widen(vals: np.ndarray, r: np.ndarray, kind: str) -> np.ndarray:
-    """Widen each row of the (n, channels) values ``vals`` in place by the
-    ball of radius r[i], and return ``vals``: the lower endpoint of an
-    interval moves down by r[i], the upper one and every support value up."""
+def widen(vals: np.ndarray, r: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
+    """Widen each row of the (n, channels) values ``vals`` by the ball of
+    radius r[i] into ``out``, which may be ``vals``, and return ``out``: the
+    lower endpoint of an interval moves down by r[i], the upper one and
+    every support value up.  A support row adds r[i] repeated across its
+    channels, one (n, channels) operand rather than one broadcast per row."""
     if kind == "interval":
-        vals[:, 0] -= r
-        vals[:, 1] += r
+        np.subtract(vals[:, 0], r, out=out[:, 0])
+        np.add(vals[:, 1], r, out=out[:, 1])
     else:
-        vals += r[:, None]
-    return vals
+        np.add(vals, r.repeat(vals.shape[1]).reshape(vals.shape), out=out)
+    return out
 
 
 def reciprocal_transform(f: SetValuedFn) -> SetValuedFn:

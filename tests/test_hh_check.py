@@ -28,7 +28,7 @@ from harmonichh.hh_check import (
     shift_lemma_report,
 )
 from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, hausdorff,
-                                 inclusion_keys, inclusion_rows, row_verdict)
+                                 inclusion_block, inclusion_rows, row_verdict)
 from harmonichh.svf import (
     DomainError,
     FeasibilityError,
@@ -619,6 +619,27 @@ class TestAgainstUnblockedReference:
                 assert grid_reports(f, c, grid, sub) == \
                     reference_pass(f, c, grid, 1e-9, sub), (c, sub)
 
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    def test_signed_zero_upper_ends(self, sampling):
+        # An upper channel with knots at 0.0, -0.0 and below zero, and a
+        # constant lower one, so that some witnesses have a -0.0 end.  The
+        # reference widens the shifted side by its zero penalty explicitly,
+        # the pass does not; reports are compared by repr, which tells -0.0
+        # from 0.0.
+        xs = np.linspace(1.0, 2.0, 9)
+        hi = np.array([-0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.25, -0.5])
+        f = SampledFn(xs, np.column_stack([np.full(9, -2.0), hi]), DOM12)
+        assert np.signbit(f.eval_vector(xs)[:, 1]).tolist() == \
+            [True, True, False, False, True, False, True, True, True]
+        grid = ConvexityGrid(pair_count=81, sampling=sampling, seed=4)
+        texts = []
+        for c in (0.0, 0.5, 2.0):
+            for sub in id_subsets(GRID_IDS):
+                if c > 0.0 or not {"lemma_i", "lemma_ii"} & set(sub):
+                    texts.append(repr(grid_reports(f, c, grid, sub)))
+                    assert texts[-1] == repr(reference_pass(f, c, grid, 1e-9, sub)), (c, sub)
+        assert any("-0.0" in text for text in texts)
+
 
 class TestFold:
     """The kept row minimises (slack + tolerance, grid index), NaN first,
@@ -632,7 +653,7 @@ class TestFold:
         # slack keys[i] at tolerance 0
         lhs = np.array([[0.0, 1.0], [0.0, 1.0]])
         rhs = np.array([[-k, 1.0 + k] for k in keys])
-        worst.update(inclusion_keys(lhs, rhs, "interval", 0.0), lhs, rhs, 0.0,
+        worst.update(inclusion_block(lhs, rhs, "interval", 0.0),
                      np.array([x]), np.array([[y]]), first, 0)
 
     def witness(self, worst):
@@ -679,17 +700,14 @@ class TestFold:
 
 def block_shapes(monkeypatch):
     """The (rows, channels) shape of every block the grid pass hands to the
-    inclusion rule, as keys or per row, recorded from then on."""
+    inclusion rule's kernel, recorded from then on."""
     shapes = []
 
-    def spy(rule):
-        def call(lhs, rhs, kind, tol):
-            shapes.append(lhs.shape)
-            return rule(lhs, rhs, kind, tol)
-        return call
+    def spy(lhs, rhs, kind, tol):
+        shapes.append(lhs.shape)
+        return inclusion_block(lhs, rhs, kind, tol)
 
-    for rule in (inclusion_keys, inclusion_rows):
-        monkeypatch.setattr(hh_check, rule.__name__, spy(rule))
+    monkeypatch.setattr(hh_check, "inclusion_block", spy)
     return shapes
 
 

@@ -1,5 +1,5 @@
 """The one inclusion rule of ``set_core``: ``includes`` is the one-row case of
-``inclusion_rows``, the grid pass's flat fold over ``inclusion_keys`` keeps
+``inclusion_rows``, the grid pass's flat fold over ``inclusion_block`` keeps
 the row the per-row rule would, and every report, grid or integral,
 re-verifies through ``includes`` on its own two sides."""
 
@@ -17,7 +17,7 @@ from harmonichh.set_core import (
     as_row,
     as_set,
     includes,
-    inclusion_keys,
+    inclusion_block,
     inclusion_rows,
     row_verdict,
     rows_hold,
@@ -67,7 +67,7 @@ def flat_fold(lhs, rhs, kind, tol):
     row its own pair at one t: one flat argmin over the block's keys."""
     n = lhs.shape[0]
     worst = _Worst(kind, np.array([0.5]))
-    worst.update(inclusion_keys(lhs, rhs, kind, tol), lhs, rhs, tol,
+    worst.update(inclusion_block(lhs, rhs, kind, tol),
                  np.arange(n, dtype=float), np.zeros((1, n)), 0, 0)
     slack, tol_used, witness, kept_lhs, kept_rhs, x, *_ = worst.row
     return row_verdict(slack, tol_used, witness, kind), int(x), kept_lhs, kept_rhs
@@ -149,7 +149,7 @@ def test_key_sign_against_the_comparison_on_nonfinite_rows(kind, tol):
     # comparison passes them (-inf >= -inf), the key is NaN and fails them.
     lhs, rhs = nonfinite_rows(kind)
     with np.errstate(all="ignore"):
-        keys = inclusion_keys(lhs, rhs, kind, tol)
+        keys = inclusion_block(lhs, rhs, kind, tol).keys
         slacks, tols, witness = inclusion_rows(lhs, rhs, kind, tol)
         compared = slacks >= -tols
         held = rows_hold(keys)

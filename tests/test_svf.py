@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from harmonichh.set_core import Interval, hausdorff
+from harmonichh.set_core import Interval, directions, hausdorff
 from harmonichh.svf import (
     DomainError,
     FeasibilityError,
     HarmonicDomain,
     ParameterError,
+    QuadraticIntervalFn,
     SampledFn,
     SetValuedFn,
+    ball_shift,
     c_shift,
     c_unshift,
     harmonic_combination,
@@ -160,6 +162,63 @@ class TestReciprocalTransform:
         back = reciprocal_transform(reciprocal_transform(f))
         for x in np.linspace(f.domain.a, f.domain.b, 100):
             assert hausdorff(back.eval(x), f.eval(x)) <= 1e-15
+
+
+def same_bits(a, b):
+    """Equal shapes and float64 bit patterns, so -0.0 differs from 0.0 and
+    NaNs compare by payload."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_POINTS = np.concatenate(([1.0, 2.0, 1.5, 1.0 + 2.0 ** -52],
+                          np.random.default_rng(8).uniform(1.0, 2.0, 400)))
+
+
+class TestLayoutBitForBit:
+    """The families and ``ball_shift`` write whole arrays in place; their
+    values are bit for bit those of the column-stacking and broadcasting
+    expressions they replace."""
+
+    @pytest.mark.parametrize("alpha,beta,K", [(1.0, 1.0, 10.0), (0.7, 2.5, 13.0),
+                                              (-0.5, 0.0, -0.0), (3.0, -1.25, 0.5)])
+    def test_quadratic(self, alpha, beta, K):
+        f = QuadraticIntervalFn(alpha, beta, K, DOM12)
+        for xs in (_POINTS, _POINTS[:1], _POINTS[:0]):
+            inv2 = 1.0 / (xs ** 2)
+            assert same_bits(f.eval_vector(xs),
+                             np.column_stack([alpha * inv2, K - beta * inv2]))
+
+    @pytest.mark.parametrize("grid_size", [3, 16, 64])
+    def test_disc(self, grid_size):
+        f = make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12, grid_size=grid_size)
+        vu, wu = directions(grid_size) @ f.v, directions(grid_size) @ f.w
+        # sizes that grow and shrink the family's tiled rows
+        for n in (5, 300, 7, 1, 404, 0, 64):
+            xs = _POINTS[:n]
+            inv = 1.0 / xs
+            radius = f.K - f.beta * inv ** 2
+            out = inv[:, None] * vu
+            out += wu
+            out += radius[:, None]
+            assert same_bits(f.eval_vector(xs), out), n
+
+    @pytest.mark.parametrize("kind,channels", [("interval", 2), ("support", 5)])
+    @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
+    def test_ball_shift(self, kind, channels, c):
+        vals = np.random.default_rng(9).normal(size=(_POINTS.size, channels))
+        vals[::3] = 0.0
+        vals[1::3, 0] = -0.0
+        vals[2::7] = np.nan
+        before = vals.copy()
+        expected = vals.copy()
+        r = c / _POINTS ** 2
+        if kind == "interval":
+            expected[:, 0] -= r
+            expected[:, 1] += r
+        else:
+            expected += r[:, None]
+        assert same_bits(ball_shift(vals, _POINTS, c, kind), expected)
+        assert same_bits(vals, before)
 
 
 class TestCShift:
