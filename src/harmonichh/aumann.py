@@ -48,6 +48,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.rule not in (GAUSS_LEGENDRE, COMPOSITE_SIMPSON):
             raise QuadratureError(f"unknown quadrature rule: {self.rule!r}")
+        if not float(self.order_or_panels).is_integer():  # also refuses NaN and inf
+            raise QuadratureError(f"order must be a whole number, got {self.order_or_panels!r}")
         n = int(self.order_or_panels)
         if self.rule == GAUSS_LEGENDRE and n < 2:
             raise QuadratureError("gauss-legendre order must be >= 2")

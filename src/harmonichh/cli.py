@@ -1,7 +1,7 @@
 """Command-line frontend: config ingestion, suite orchestration, reports.
 
 Exit codes: 0 = all inclusions held, 1 = at least one genuine violation,
-2 = configuration or numerical error.
+2 = configuration or numerical error, or an output that cannot be written.
 
 The config and report documents are JSON.  Machine-format reports print
 numbers with 17 significant digits, so parse(render(report)) round-trips
@@ -441,7 +441,7 @@ def main(argv=None) -> int:
         text = render_report(report, args.format, out_path)
         if not out_path:
             sys.stdout.write(text)
-    except (ConfigError, *CONFIG_ERRORS) as exc:
+    except (ConfigError, OSError, *CONFIG_ERRORS) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return exit_code

@@ -27,23 +27,20 @@ from .hh_check import (
     DEFAULT_TOL,
     ConvexityGrid,
     TheoremReport,
-    check_hh,
     check_modulus,
-    check_nikodem,
     grid_reports,
-    product_reports,
+    integral_reports,
 )
 # Not called here: perfbench/spans.py wraps these names in this module too.
 from .hh_check import (  # noqa: F401
-    check_cor34, check_cor36, check_lemma_shift, check_prop31, check_strongly_harmonic_convex,
-    check_strongly_harmonic_midconvex, check_thm33, check_thm35)
+    check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
+    check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
 from .svf import (
     FeasibilityError,
     HarmonicDomain,
     SetValuedFn,
     make_disc_family,
     make_quadratic_family,
-    reciprocal_transform,
 )
 
 DEFAULT_SEARCH_GRID = ConvexityGrid(pair_count=64)
@@ -134,9 +131,9 @@ def build_function(cfg: dict) -> SetValuedFn:
 
 
 # The theorem table.  Each row is one distinct computation and the ids whose
-# reports it yields, in THEOREM_IDS order: the grid pass, the arithmetic and
-# harmonic Hermite-Hadamard sandwiches, and the product pass with G = F,
-# whose corollary reports hh_check derives.  ``compute(f, c, grid, quad, tol,
+# reports it yields, in THEOREM_IDS order: the grid pass, and the integral
+# pass with G = F, which yields both Hermite-Hadamard sandwiches from shared
+# endpoint values and the product ids.  ``compute(f, c, grid, quad, tol,
 # wanted)`` returns the reports of the row's ids keyed by id, given the ids
 # of the row that were requested.  Rows look their functions up in this
 # module when they run, so a tracer that wraps them here sees every call.
@@ -146,24 +143,14 @@ class TheoremRow(NamedTuple):
     compute: Callable
 
 
-def _row(ids, compute):
-    """A row whose ``compute(f, c, grid, quad, tol)`` yields all of its ids at
-    once, whichever were requested."""
-    return TheoremRow(ids, lambda f, c, grid, quad, tol, wanted: dict(
-        zip(ids, compute(f, c, grid, quad, tol))))
-
-
 THEOREM_TABLE = (
     # one streamed pass over the family's grid serves every requested grid id
     TheoremRow(("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31"),
                lambda f, c, grid, quad, tol, wanted: grid_reports(f, c, grid, wanted, tol)),
-    _row(("nikodem_left", "nikodem_right"), lambda f, c, grid, quad, tol:
-         check_nikodem(reciprocal_transform(f), c, quad, tol)),
-    _row(("hh_left", "hh_right"), lambda f, c, grid, quad, tol:
-         check_hh(f, c, f.domain, quad, tol)),
-    # one product pass serves every requested product id
-    TheoremRow(("thm33", "cor34", "thm35", "cor36"),
-               lambda f, c, grid, quad, tol, wanted: product_reports(
+    # one integral pass serves every requested sandwich and product id
+    TheoremRow(("nikodem_left", "nikodem_right", "hh_left", "hh_right",
+                "thm33", "cor34", "thm35", "cor36"),
+               lambda f, c, grid, quad, tol, wanted: integral_reports(
                    f, f, c, f.domain, quad, wanted, tol)),
 )
 

@@ -40,9 +40,11 @@ read at the kept element alone, from the arrays the keys were made of.
 Proposition 3.1 counts a row as holding when its smallest key is >= 0,
 from one kernel call per side and block.
 
-The product ids share one pass per family too: F and G once at a and b,
-one assembly of the left side that thm33 and thm35 share, and only the
-product integrals the requested ids need (``product_reports``).
+The quadrature ids share one integral pass per family (``integral_reports``):
+F once at a, at b and at 2ab/(a+b), one harmonic integral for both
+Hermite-Hadamard sandwiches (the Nikodem pair is hh's in u = 1/x, so two
+only with substitution off), one assembly of the left side that thm33 and
+thm35 share, and only the product integrals the requested ids need.
 """
 
 from __future__ import annotations
@@ -506,22 +508,19 @@ def _budget_verdict(lhs: ConvexSet, rhs: ConvexSet, tol: float,
     return dataclasses.replace(v, holds=bool(v.slack >= -tol_used), tolerance_used=tol_used)
 
 
-def _sandwich(name: str, f: SetValuedFn, c: float, a: float, b: float, mid: float,
+def _sandwich(name: str, f: SetValuedFn, c: float, ends: Tuple[ConvexSet, ...],
               mean: ConvexSet, budget: float, d2: float, tol: float,
-              nodes: int) -> Tuple[TheoremReport, TheoremReport]:
-    """Left and right reports of a Hermite-Hadamard sandwich around ``mean``."""
-    echo = {"c": c, "a": a, "b": b, "nodes": nodes}
-
-    lhs_l = minkowski_sum(mean, ball(c / 12.0 * d2, f.kind, f.grid_size))
-    rhs_l = f.eval(mid)
-    left = TheoremReport(f"{name}_left", lhs_l, rhs_l,
-                         _budget_verdict(lhs_l, rhs_l, tol, budget), budget, dict(echo))
-
-    lhs_r = minkowski_sum(scale(0.5, minkowski_sum(f.eval(a), f.eval(b))),
-                          ball(c / 6.0 * d2, f.kind, f.grid_size))
-    right = TheoremReport(f"{name}_right", lhs_r, mean,
-                          _budget_verdict(lhs_r, mean, tol, budget), budget, dict(echo))
-    return left, right
+              echo: dict) -> Tuple[TheoremReport, TheoremReport]:
+    """Left and right reports of a Hermite-Hadamard sandwich around ``mean``,
+    given F's values ``ends`` at a, at the midpoint and at b: the mean
+    widened by (c/12) d2 inside F(mid), and (F(a)+F(b))/2 widened by
+    (c/6) d2 inside the mean."""
+    fa, fmid, fb = ends
+    sides = (("left", minkowski_sum(mean, ball(c / 12.0 * d2, f.kind, f.grid_size)), fmid),
+             ("right", minkowski_sum(scale(0.5, minkowski_sum(fa, fb)),
+                                     ball(c / 6.0 * d2, f.kind, f.grid_size)), mean))
+    return tuple(TheoremReport(f"{name}_{side}", lhs, rhs, _budget_verdict(lhs, rhs, tol, budget),
+                               budget, dict(echo)) for side, lhs, rhs in sides)
 
 
 def check_nikodem(g: SetValuedFn, c: float, q: QuadratureSpec,
@@ -533,9 +532,9 @@ def check_nikodem(g: SetValuedFn, c: float, q: QuadratureSpec,
     """
     a, b = g.domain.a, g.domain.b
     integral = aumann_integral(g, a, b, q)
-    return _sandwich("nikodem", g, c, a, b, 0.5 * (a + b),
+    return _sandwich("nikodem", g, c, (g.eval(a), g.eval(0.5 * (a + b)), g.eval(b)),
                      scale(1.0 / (b - a), integral.value), integral.error_budget / (b - a),
-                     (b - a) ** 2, tol, integral.nodes_used)
+                     (b - a) ** 2, tol, {"c": c, "a": a, "b": b, "nodes": integral.nodes_used})
 
 
 def check_hh(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
@@ -545,12 +544,7 @@ def check_hh(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
     left:  (ab/(b-a)) int F/x^2 + (c/12) |(b-a)/(ab)|^2 B  inside  F(2ab/(a+b))
     right: (F(a)+F(b))/2 + (c/6) |(b-a)/(ab)|^2 B  inside  (ab/(b-a)) int F/x^2
     """
-    a, b = dom.a, dom.b
-    integral = weighted_harmonic_integral(f, dom, q)
-    factor = a * b / (b - a)
-    return _sandwich("hh", f, c, a, b, dom.harmonic_midpoint,
-                     scale(factor, integral.value), factor * integral.error_budget,
-                     ((b - a) / (a * b)) ** 2, tol, integral.nodes_used)
+    return tuple(integral_reports(f, f, c, dom, q, ("hh_left", "hh_right"), tol).values())
 
 
 def _product_lhs(fa: Interval, fb: Interval, ga: Interval, gb: Interval,
@@ -561,11 +555,9 @@ def _product_lhs(fa: Interval, fb: Interval, ga: Interval, gb: Interval,
     s = minkowski_sum(minkowski_sum(fa, fb), minkowski_sum(ga, gb))
     main = minkowski_sum(scale(1.0 / 6.0, m), scale(1.0 / 3.0, n))
     quartic = ball(c * c / 30.0 * delta2 * delta2, "interval")
-    stmt = minkowski_sum(
-        minkowski_sum(main, interval_product(s, ball(c / 12.0 * delta2, "interval"))),
-        quartic)
-    # proof groups the penalty as c d^2 B [F(a)+G(b)] / 12 + c d^2 B [F(b)+G(a)] / 12
     pen_ball = ball(c / 12.0 * delta2, "interval")
+    stmt = minkowski_sum(minkowski_sum(main, interval_product(s, pen_ball)), quartic)
+    # proof groups the penalty as c d^2 B [F(a)+G(b)] / 12 + c d^2 B [F(b)+G(a)] / 12
     proof = minkowski_sum(
         minkowski_sum(
             minkowski_sum(main, interval_product(minkowski_sum(fa, gb), pen_ball)),
@@ -574,18 +566,23 @@ def _product_lhs(fa: Interval, fb: Interval, ga: Interval, gb: Interval,
     return stmt, proof
 
 
-def product_reports(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
-                    q: QuadratureSpec, ids, tol: float = DEFAULT_TOL) -> dict:
-    """Reports of the product theorem ids ``ids``, keyed by id, from one
-    evaluation of F and G at a and b.
+def integral_reports(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
+                     q: QuadratureSpec, ids, tol: float = DEFAULT_TOL) -> dict:
+    """Reports of the quadrature ids ``ids`` (both sandwiches and the product
+    ids), keyed by id, from one evaluation of F at a and b, and at 2ab/(a+b)
+    for a sandwich, and of G at a and b.
+
+    Under u = 1/x the arithmetic sandwich of F(1/u) is the harmonic one of
+    F, so both pairs sit around (ab/(b-a)) int F/x^2: hh's integral runs with
+    the spec ``q``, the Nikodem pair's in u.  With substitution on that is
+    one integral and one sandwich, and nikodem_* are hh_* relabelled.
 
     thm33 and thm35 share the printed left side
     (1/6)M + (1/3)N + S (c/12) d^2 B + (c^2/30) d^4 B, assembled once with
-    its proof form; they differ in the integral, of F(x) G(theta(x)) for
-    thm33 and of F(x) G(x) for thm35, each run only when one of its ids is
-    requested.  cor34 and cor36 are the G = F cases (``g`` is ``f``): cor34
-    is thm33 relabelled, cor36 is thm35 with the printed corollary form
-    echoed alongside.
+    its proof form, against the integral of F(x) G(theta(x)) (thm33) or of
+    F(x) G(x) (thm35), each run only for its own ids.  cor34 and cor36 are
+    the G = F cases (``g`` is ``f``): thm33 relabelled, and thm35 with the
+    printed corollary form echoed alongside.
     """
     if g is not f and not {"cor34", "cor36"}.isdisjoint(ids):
         raise ValueError("cor34 and cor36 are the G = F cases")
@@ -595,13 +592,28 @@ def product_reports(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomai
                      ("thm33", "cor34", reflected_product_integral, True),
                      ("thm35", "cor36", plain_product_integral, False))
                  if tid in ids or cor in ids}
+    # hh integrates as configured, the Nikodem pair in u = 1/x
+    specs = {name: spec for name, spec in (("hh", q),
+                                           ("nikodem", dataclasses.replace(q, substitution=True)))
+             if f"{name}_left" in ids or f"{name}_right" in ids}
     a, b = dom.a, dom.b
     fa, fb = f.eval(a), f.eval(b)
-    ga, gb = (fa, fb) if g is f else (g.eval(a), g.eval(b))
     delta2 = ((b - a) / (a * b)) ** 2
-    lhs_stmt, lhs_proof = _product_lhs(fa, fb, ga, gb, c, delta2)
-    gap = hausdorff(lhs_stmt, lhs_proof)
     out = {}
+    if specs:
+        ends, factor, pairs = (fa, f.eval(dom.harmonic_midpoint), fb), a * b / (b - a), {}
+        for name, spec in specs.items():
+            if spec not in pairs:
+                integral = weighted_harmonic_integral(f, dom, spec)
+                pairs[spec] = _sandwich(name, f, c, ends, scale(factor, integral.value),
+                                        factor * integral.error_budget, delta2, tol,
+                                        {"c": c, "a": a, "b": b, "nodes": integral.nodes_used})
+            for rep, side in zip(pairs[spec], ("_left", "_right")):
+                out[name + side] = dataclasses.replace(rep, theorem_id=name + side)
+    if integrals:
+        ga, gb = (fa, fb) if g is f else (g.eval(a), g.eval(b))
+        lhs_stmt, lhs_proof = _product_lhs(fa, fb, ga, gb, c, delta2)
+        gap = hausdorff(lhs_stmt, lhs_proof)
     for tid, (integral, reflected) in integrals.items():
         budget = integral.error_budget
         proof_verdict = _budget_verdict(lhs_proof, integral.value, tol, budget)
@@ -648,20 +660,20 @@ def check_thm33(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
         inside (ab/(b-a)) int F(x) G(theta(x)) / x^2 dx,
     with d = (b-a)/(ab), M/N/S the endpoint product and sum combinations.
     """
-    return product_reports(f, g, c, dom, q, ("thm33",), tol)["thm33"]
+    return integral_reports(f, g, c, dom, q, ("thm33",), tol)["thm33"]
 
 
 def check_thm35(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
                 q: QuadratureSpec, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Same LHS as the reflected variant against the plain product integral."""
-    return product_reports(f, g, c, dom, q, ("thm35",), tol)["thm35"]
+    return integral_reports(f, g, c, dom, q, ("thm35",), tol)["thm35"]
 
 
 def check_cor34(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
                 tol: float = DEFAULT_TOL) -> TheoremReport:
     """The F = G specialization of the reflected-product theorem; by
     construction its numbers are identical to check_thm33(f, f, ...)."""
-    return product_reports(f, f, c, dom, q, ("cor34",), tol)["cor34"]
+    return integral_reports(f, f, c, dom, q, ("cor34",), tol)["cor34"]
 
 
 def check_cor36(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
@@ -673,4 +685,4 @@ def check_cor36(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec
     against the same integral; the substitution form is the primary
     verdict and the printed form is echoed alongside.
     """
-    return product_reports(f, f, c, dom, q, ("cor36",), tol)["cor36"]
+    return integral_reports(f, f, c, dom, q, ("cor36",), tol)["cor36"]

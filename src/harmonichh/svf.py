@@ -45,7 +45,7 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class HarmonicDomain:
-    """Interval [a, b] with 0 < a < b.
+    """Interval [a, b] with 0 < a < b < inf.
 
     Carries the harmonic midpoint 2ab/(a+b) and the harmonic reflection
     theta(x) = abx / ((a+b)x - ab), the involution of [a, b] that swaps
@@ -58,8 +58,8 @@ class HarmonicDomain:
     def __post_init__(self) -> None:
         a = float(self.a)
         b = float(self.b)
-        if not (0.0 < a < b):
-            raise DomainError(f"domain needs 0 < a < b, got [{a}, {b}]")
+        if not (0.0 < a < b < np.inf):
+            raise DomainError(f"domain needs 0 < a < b < inf, got [{a}, {b}]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

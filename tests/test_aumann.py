@@ -59,6 +59,13 @@ class TestQuadratureSpec:
         with pytest.raises(QuadratureError):
             QuadratureSpec(order_or_panels=1)
 
+    def test_fractional_order(self):
+        # refused, not truncated to order 2
+        for order in (2.7, float("inf"), float("nan")):
+            with pytest.raises(QuadratureError, match="whole number"):
+                QuadratureSpec(order_or_panels=order)
+        assert QuadratureSpec(order_or_panels=16.0).order_or_panels == 16
+
     def test_simpson_odd_panels(self):
         with pytest.raises(QuadratureError):
             QuadratureSpec(rule=COMPOSITE_SIMPSON, order_or_panels=5)

@@ -317,8 +317,8 @@ class TestConfigErrorExitCode:
     """A modulus a theorem does not accept, or an empty search budget, is a
     config error: exit 2 with one ``error:`` line, never a traceback."""
 
-    def assert_config_error(self, tmp_path, capsys, doc, names=None):
-        assert main(["--config", write_config(tmp_path, doc)]) == 2
+    def assert_config_error(self, tmp_path, capsys, doc, names=None, args=()):
+        assert main(["--config", write_config(tmp_path, doc), *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 1
@@ -462,6 +462,24 @@ class TestConfigErrorExitCode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("error:") == 1
+
+    # an output that cannot be written is an error, not a violation
+    def test_unwritable_out_flag(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "r.json")
+        self.assert_config_error(tmp_path, capsys, verify_doc(theorems=["hh_left"]),
+                                 args=("--out", missing))
+
+    def test_unwritable_config_output(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "r.json")
+        self.assert_config_error(tmp_path, capsys,
+                                 verify_doc(theorems=["hh_left"], output=missing))
+
+    def test_unwritable_counterexample(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "cx.json")
+        self.assert_config_error(tmp_path, capsys, {
+            "mode": "search", "theorems": ["def_shc"], "grid": {"pair_count": 16},
+            "search": {"alpha": [0.1, 0.4], "c": [1.0, 2.0], "certified_only": False,
+                       "budget": 4, "counterexample_out": missing}})
 
     @pytest.mark.parametrize("doc,key", [m[1:] for m in MALFORMED],
                              ids=[m[0] for m in MALFORMED])

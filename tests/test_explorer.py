@@ -97,16 +97,15 @@ class TestTheoremTable:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("grid_reports", "check_nikodem", "check_hh", "product_reports"):
+        for name in ("grid_reports", "check_nikodem", "check_hh", "integral_reports"):
             counting(explorer, name)
         counting(hh_check, "_walk")
         reports = run_theorems(build_function(QUADRATIC_CFG), THEOREM_IDS + THEOREM_IDS,
                                1.0, GRID, QuadratureSpec())
         assert len(reports) == 2 * len(THEOREM_IDS)
-        # one walk over the grid serves all five grid ids, one product pass
-        # all four product ids
-        assert sorted(calls) == sorted([
-            "grid_reports", "_walk", "check_nikodem", "check_hh", "product_reports"])
+        # one walk over the grid serves all five grid ids, one integral pass
+        # both sandwiches and all four product ids
+        assert sorted(calls) == sorted(["grid_reports", "_walk", "integral_reports"])
 
     @pytest.mark.parametrize("ids,per_point,per_triple", [
         (["def_shc"], 1, 1),

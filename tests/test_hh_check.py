@@ -316,6 +316,64 @@ class TestHH:
         assert left.holds and right.holds
 
 
+SANDWICH_IDS = ("nikodem_left", "nikodem_right", "hh_left", "hh_right")
+INTEGRAL_IDS = SANDWICH_IDS + PRODUCT_IDS
+SIMPSON8 = QuadratureSpec("composite-simpson", 8)
+INTEGRAL_FAMILIES = {
+    "quadratic": (lambda: make_quadratic_family(1, 1.5, 10, DOM12), INTEGRAL_IDS),
+    "disc": (lambda: make_disc_family((1, 0), (0, 1), 3, 1, DOM12), SANDWICH_IDS),
+}
+
+
+class TestIntegralPass:
+    """One pass per family serves both sandwiches and the product ids."""
+
+    @staticmethod
+    def relabelled(rep, tid):
+        return dataclasses.replace(rep, theorem_id=tid)
+
+    @pytest.mark.parametrize("q", [GL16, SIMPSON8], ids=["gl16", "simpson8"])
+    @pytest.mark.parametrize("family", INTEGRAL_FAMILIES)
+    def test_nikodem_is_hh_relabelled(self, family, q):
+        make, ids = INTEGRAL_FAMILIES[family]
+        reps = dict(zip(ids, run_theorems(make(), ids, 0.75, SMALL_GRID, q)))
+        for side in ("left", "right"):
+            assert self.relabelled(reps[f"nikodem_{side}"], f"hh_{side}") == reps[f"hh_{side}"]
+
+    @pytest.mark.parametrize("q", [GL16, SIMPSON8], ids=["gl16", "simpson8"])
+    @pytest.mark.parametrize("family", INTEGRAL_FAMILIES)
+    def test_substitution_off_keeps_nikodem_in_u(self, family, q):
+        # hh integrates in x, the Nikodem pair is the substitution-on hh pair
+        make, ids = INTEGRAL_FAMILIES[family]
+        off = dataclasses.replace(q, substitution=False)
+        reps = dict(zip(ids, run_theorems(make(), ids, 0.75, SMALL_GRID, off)))
+        on = dict(zip(SANDWICH_IDS, run_theorems(make(), SANDWICH_IDS, 0.75, SMALL_GRID, q)))
+        for side in ("left", "right"):
+            assert self.relabelled(reps[f"nikodem_{side}"], f"hh_{side}") == on[f"hh_{side}"]
+            # hh's own integral, in x, has a budget of its own
+            assert reps[f"hh_{side}"].error_budget != on[f"hh_{side}"].error_budget
+
+    @pytest.mark.parametrize("substitution,integrals", [(True, 1), (False, 2)])
+    @pytest.mark.parametrize("family", INTEGRAL_FAMILIES)
+    def test_one_integral_and_three_points(self, monkeypatch, family, substitution, integrals):
+        make, ids = INTEGRAL_FAMILIES[family]
+        f = make()
+        calls, points = [], []
+        for name in ("weighted_harmonic_integral", "aumann_integral"):
+            original = getattr(hh_check, name)
+            monkeypatch.setattr(hh_check, name, lambda *args, _name=name, _f=original, **kw:
+                                calls.append(_name) or _f(*args, **kw))
+        original = type(f).eval_vector
+        monkeypatch.setattr(type(f), "eval_vector", lambda self, xs: points.append(
+            tuple(xs)) or original(self, xs))
+        run_theorems(f, ids, 0.75, SMALL_GRID, QuadratureSpec(substitution=substitution))
+        # aumann_integral, which check_nikodem calls, never runs
+        assert calls == ["weighted_harmonic_integral"] * integrals
+        # F once at a, at b and at the harmonic midpoint for all the ids
+        assert sorted(p for p in points if len(p) == 1) == \
+            sorted([(1.0,), (2.0,), (DOM12.harmonic_midpoint,)])
+
+
 class TestProductTheorems:
     def test_constants_collapse(self):
         f = constant_fn(1, 2)
@@ -401,7 +459,7 @@ class TestProductTheorems:
         original = QuadraticIntervalFn.eval_vector
         monkeypatch.setattr(QuadraticIntervalFn, "eval_vector", lambda self, xs: points.append(
             (self.alpha, tuple(xs))) or original(self, xs))
-        reports = hh_check.product_reports(f, g, 1.0, DOM12, GL16, ids)
+        reports = hh_check.integral_reports(f, g, 1.0, DOM12, GL16, ids)
         assert list(reports) == list(ids)
         integrals = [name for tid, cor, name in (
             ("thm33", "cor34", "reflected_product_integral"),
@@ -421,7 +479,7 @@ class TestProductTheorems:
         f = make_quadratic_family(1, 1, 10, DOM12)
         g = make_quadratic_family(2, 1.5, 16, DOM12)
         with pytest.raises(ValueError, match="G = F"):
-            hh_check.product_reports(f, g, 1.0, DOM12, GL16, ids)
+            hh_check.integral_reports(f, g, 1.0, DOM12, GL16, ids)
 
     @pytest.mark.parametrize("check", [
         lambda f, dom: check_thm33(f, f, 1.0, dom, GL16),

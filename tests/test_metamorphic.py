@@ -1,0 +1,121 @@
+"""Metamorphic oracle: exact rescaling of the domain.
+
+For a power of two lambda, F_lambda(x) = F(x / lambda) on [lambda a, lambda b]
+has modulus lambda^2 c whenever F has modulus c on [a, b]: H(lambda x,
+lambda y, t) = lambda H(x, y, t) and |(x'-y')/(x'y')|^2 = d^2 / lambda^2.
+Both closed-form families are closed under it:
+
+- quadratic: (alpha, beta, K) -> (lambda^2 alpha, lambda^2 beta, K);
+- disc: (v, w, K, beta) -> (lambda v, w, K, lambda^2 beta).
+
+Every float operation of a check then scales exactly, so each report of
+F_lambda at modulus lambda^2 c has the slack, verdict and sets of F's report
+at c, bit for bit, with its witness (x, y) scaled by lambda.  The relation
+comes from the statements, not from the code it checks.
+
+One term does not scale: the quadrature budget's floor 16 eps (1 + |I|) on
+an integral I carries an absolute 1, and the sandwich ids' integral I
+scales by 1/lambda while their factor ab/(b-a) (or 1/d on the Nikodem side)
+scales by lambda.  So their budget moves by exactly
+16 eps (lambda - 1) ab/(b-a), which the test pins in place of equality.
+"""
+
+import numpy as np
+import pytest
+
+from harmonichh.aumann import QuadratureSpec
+from harmonichh.explorer import run_theorems
+from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid
+from harmonichh.svf import HarmonicDomain, make_disc_family, make_quadratic_family
+
+EPS = np.finfo(float).eps
+PRODUCT_IDS = ("thm33", "cor34", "thm35", "cor36")
+SANDWICH_IDS = ("nikodem_left", "nikodem_right", "hh_left", "hh_right")
+SPECS = {
+    "gl16": QuadratureSpec(),
+    "gl16-x": QuadratureSpec(substitution=False),
+    "simpson8": QuadratureSpec("composite-simpson", 8),
+}
+
+
+def quadratic(lam, alpha, beta, K, a, b):
+    return make_quadratic_family(lam * lam * alpha, lam * lam * beta, K,
+                                 HarmonicDomain(lam * a, lam * b))
+
+
+def disc(lam, v, w, K, beta, a, b):
+    return make_disc_family((lam * v[0], lam * v[1]), w, K, lam * lam * beta,
+                            HarmonicDomain(lam * a, lam * b), grid_size=16)
+
+
+# (family maker, parameters, c, ids): c below and above the modulus, so that
+# held and failed grid verdicts both occur
+CASES = [
+    (quadratic, (1.0, 1.5, 10.0, 1.0, 2.0), 0.75, THEOREM_IDS),
+    (quadratic, (2.5, 0.75, 16.0, 0.5, 1.75), 1.25, THEOREM_IDS),
+    (disc, ((0.5, -0.25), (0.125, 0.375), 4.0, 1.25, 1.0, 2.0), 0.5,
+     tuple(t for t in THEOREM_IDS if t not in PRODUCT_IDS)),
+    (disc, ((-1.0, 0.75), (0.5, 0.0), 6.0, 0.5, 0.75, 1.5), 1.0,
+     tuple(t for t in THEOREM_IDS if t not in PRODUCT_IDS)),
+]
+
+
+def scaled_echo(echo: dict, lam: float) -> dict:
+    """``echo`` as F_lambda's report carries it: c by lambda^2, the domain ends
+    and the witness pair by lambda."""
+    out = dict(echo)
+    out["c"] = lam * lam * echo["c"]
+    for key in ("a", "b"):
+        if key in echo:
+            out[key] = lam * echo[key]
+    if "witness" in echo:
+        w = echo["witness"]
+        out["witness"] = {"x": lam * w["x"], "y": lam * w["y"], "t": w["t"]}
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=list(SPECS))
+@pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+@pytest.mark.parametrize("lam", [2.0, 0.25])
+def test_power_of_two_rescaling(lam, sampling, spec):
+    grid = ConvexityGrid(pair_count=64, sampling=sampling, seed=7)
+    q = SPECS[spec]
+    compared = 0
+    for make, params, c, ids in CASES:
+        base = run_theorems(make(1.0, *params), ids, c, grid, q)
+        scaled = run_theorems(make(lam, *params), ids, lam * lam * c, grid, q)
+        a, b = params[-2:]
+        for rep, rep_l in zip(base, scaled):
+            tid = rep.theorem_id
+            assert rep_l.theorem_id == tid
+            assert (rep_l.lhs, rep_l.rhs) == (rep.lhs, rep.rhs), tid
+            if tid.startswith("nikodem"):
+                # the ends it echoes may be those of G(u) = F(1/u)'s domain
+                # [1/b, 1/a], which scale by 1/lambda
+                echo, echo_l = ({k: e[k] for k in e if k not in ("a", "b")}
+                                for e in (rep.inputs_echo, rep_l.inputs_echo))
+            else:
+                echo, echo_l = rep.inputs_echo, rep_l.inputs_echo
+            assert echo_l == scaled_echo(echo, lam), tid
+            v, v_l = rep.verdict, rep_l.verdict
+            assert (v_l.holds, v_l.slack, v_l.witness_direction) == \
+                (v.holds, v.slack, v.witness_direction), tid
+            if tid in SANDWICH_IDS:
+                shift = 16.0 * EPS * (lam - 1.0) * a * b / (b - a)
+                assert rep_l.error_budget == pytest.approx(rep.error_budget + shift,
+                                                           rel=1e-12, abs=0.0), tid
+                assert v_l.tolerance_used - rep_l.error_budget == \
+                    pytest.approx(v.tolerance_used - rep.error_budget, rel=1e-12), tid
+            else:
+                assert rep_l.error_budget == rep.error_budget, tid
+                assert v_l == v, tid
+            compared += 1
+    assert compared == 2 * len(THEOREM_IDS) + 2 * (len(THEOREM_IDS) - len(PRODUCT_IDS))
+
+
+def test_rescaled_families_share_the_modulus_certificate():
+    # the relation's premise: F_lambda's certified modulus is lambda^2 times F's
+    for make, params, _, _ in CASES:
+        for lam in (2.0, 0.25):
+            assert make(lam, *params).certificate.claimed_modulus == \
+                lam * lam * make(1.0, *params).certificate.claimed_modulus

@@ -37,6 +37,12 @@ class TestHarmonicDomain:
     def test_harmonic_midpoint(self):
         assert HarmonicDomain(1, 2).harmonic_midpoint == pytest.approx(4 / 3)
 
+    def test_rejects_non_finite_ends(self):
+        # an infinite b would give a NaN harmonic midpoint
+        for a, b in [(1.0, float("inf")), (float("inf"), float("inf")), (1.0, float("nan"))]:
+            with pytest.raises(DomainError, match="< inf"):
+                HarmonicDomain(a, b)
+
 
 class TestHarmonicCombination:
     def test_harmonic_mean(self):

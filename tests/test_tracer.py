@@ -60,11 +60,14 @@ def test_traced_default_unit_counts(spans):
         tracer.remove()
     metrics = spans.unit_metrics(tracer.spans)
     # the suite-default workload's exact counts at seed 0 (the bundled default)
-    assert metrics["set_core.calls"] == 63
-    assert metrics["aumann.calls"] == 6
-    assert metrics["aumann.nodes"] == 256
+    # one sandwich's set algebra (9 calls) serves both Hermite-Hadamard pairs,
+    # and the product left side builds its (c/12) d^2 ball once: 63 before
+    assert metrics["set_core.calls"] == 53
+    # one weighted integral (16 exact nodes) serves both sandwiches; the two
+    # product integrals and two bracket integrals take 48 nodes each
+    assert metrics["aumann.calls"] == 5
+    assert metrics["aumann.nodes"] == 208
     # F and G(u) = F(1/u) at the 32 grid points and the 11264 midpoints of the
-    # one grid pass; 264 points of the integral theorems: 256 quadrature nodes,
-    # the ends and middle of each Hermite-Hadamard sandwich, and F(a) and F(b)
-    # once for all four product ids
-    assert metrics["svf.eval_vector.points"] == 22856
+    # one grid pass; 211 points of the one integral pass: 208 quadrature
+    # nodes, and F at a, b and 2ab/(a+b) once for all eight integral ids
+    assert metrics["svf.eval_vector.points"] == 22803

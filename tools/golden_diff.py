@@ -1,0 +1,90 @@
+"""Field-by-field diff of the golden reports between two source trees.
+
+Runs every config of ``tests/test_golden.py`` (taken from this checkout)
+against the ``harmonichh`` package under OLD_SRC and under NEW_SRC, each in
+its own interpreter, and lists every report field that differs, ignoring
+``wall_time_s``.  Exit status 1 if an exit code, a summary or a field of an
+entry whose theorem id is not in ``--allow`` changed, else 0.
+
+    python tools/golden_diff.py OLD_SRC NEW_SRC [--allow nikodem_left ...]
+
+OLD_SRC is typically the ``src`` directory of an unpacked ``git archive``
+of the parent commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+
+_RUN = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from harmonichh.cli import parse_config, render_report, run
+from test_golden import GOLDEN
+out = {}
+for name, doc, _, _ in GOLDEN:
+    report, code = run(parse_config(doc))
+    out[name] = [code, json.loads(render_report(report))]
+print(json.dumps(out))
+"""
+
+
+def reports(src: str) -> dict:
+    """{golden name: [exit code, report document]} under the package in ``src``."""
+    done = subprocess.run([sys.executable, "-c", _RUN, str(Path(src).resolve()), str(TESTS)],
+                          check=True, capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def change(old, new) -> str:
+    """``old -> new``, or for two sets of one kind the largest change of a
+    support value or an interval end."""
+    if isinstance(old, dict) and isinstance(new, dict) and old["kind"] == new["kind"]:
+        ends = [(s["support"] if s["kind"] == "support" else [s["lo"], s["hi"]])
+                for s in (old, new)]
+        return f"{old['kind']} set, largest change {max(map(abs, np.subtract(*ends))):.3g}"
+    return f"{old} -> {new}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--allow", nargs="*", default=[],
+                        help="theorem ids whose entries may change")
+    args = parser.parse_args(argv)
+    old, new = reports(args.old_src), reports(args.new_src)
+    bad = False
+    for name in old:
+        (code0, doc0), (code1, doc1) = old[name], new[name]
+        lines = []
+        if code0 != code1:
+            lines.append(f"  exit code {code0} -> {code1}")
+        for key in ("config", "summary"):
+            if doc0[key] != doc1[key]:
+                lines.append(f"  {key}: {doc0[key]} -> {doc1[key]}")
+        if len(doc0["reports"]) != len(doc1["reports"]):
+            lines.append(f"  {len(doc0['reports'])} -> {len(doc1['reports'])} entries")
+        bad |= bool(lines)
+        for i, (e0, e1) in enumerate(zip(doc0["reports"], doc1["reports"])):
+            changed = [k for k in sorted(set(e0) | set(e1)) if e0.get(k) != e1.get(k)]
+            if changed:
+                bad |= e0["theorem"] not in args.allow or e0["theorem"] != e1["theorem"]
+            for k in changed:
+                lines.append(f"  [{i}] family {e0['family']} {e0['theorem']} {k}: "
+                             + change(e0.get(k), e1.get(k)))
+        print(f"{name}: " + ("unchanged" if not lines else "\n" + "\n".join(lines)))
+    print("only allowed entries changed" if not bad else "DISALLOWED CHANGES")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
