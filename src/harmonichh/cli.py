@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .aumann import PositivityError, QuadratureError, QuadratureSpec
-from .explorer import SearchSpace, emit_counterexample, min_slack_search, run_theorems
-from .hh_check import DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, check_modulus
+from .explorer import SearchSpace, emit_counterexample, min_slack_search
+from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, check_modulus,
+                       run_theorems)
 # Not called here: perfbench/spans.py wraps these names in this module.
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,

@@ -10,27 +10,20 @@ descent around the best sample (3 rounds of shrinking steps).  Results
 are deterministic given (space, budget, seed); ties are broken by
 lexicographic config ordering.
 
-The theorem table and ``run_theorems`` live here too: they are the one
-way the search and the CLI run a theorem on a family.
+Every evaluation goes through ``hh_check.run_theorems``, the one way the
+search and the CLI run a theorem on a family.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .aumann import QuadratureSpec
-from .hh_check import (
-    DEFAULT_TOL,
-    ConvexityGrid,
-    TheoremReport,
-    check_modulus,
-    grid_reports,
-    integral_reports,
-)
+from .hh_check import DEFAULT_TOL, ConvexityGrid, TheoremReport, check_modulus, run_theorems
 # Not called here: perfbench/spans.py wraps these names in this module too.
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
@@ -128,44 +121,6 @@ def build_function(cfg: dict) -> SetValuedFn:
         return make_quadratic_family(cfg["alpha"], cfg["beta"], cfg["K"], dom)
     return make_disc_family((cfg["v0"], cfg["v1"]), (cfg["w0"], cfg["w1"]),
                             cfg["K"], cfg["beta"], dom)
-
-
-# The theorem table.  Each row is one distinct computation and the ids whose
-# reports it yields, in THEOREM_IDS order: the grid pass, and the integral
-# pass with G = F, which yields both Hermite-Hadamard sandwiches from shared
-# endpoint values and the product ids.  ``compute(f, c, grid, quad, tol,
-# wanted)`` returns the reports of the row's ids keyed by id, given the ids
-# of the row that were requested.  Rows look their functions up in this
-# module when they run, so a tracer that wraps them here sees every call.
-
-class TheoremRow(NamedTuple):
-    ids: Tuple[str, ...]
-    compute: Callable
-
-
-THEOREM_TABLE = (
-    # one streamed pass over the family's grid serves every requested grid id
-    TheoremRow(("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31"),
-               lambda f, c, grid, quad, tol, wanted: grid_reports(f, c, grid, wanted, tol)),
-    # one integral pass serves every requested sandwich and product id
-    TheoremRow(("nikodem_left", "nikodem_right", "hh_left", "hh_right",
-                "thm33", "cor34", "thm35", "cor36"),
-               lambda f, c, grid, quad, tol, wanted: integral_reports(
-                   f, f, c, f.domain, quad, wanted, tol)),
-)
-
-def run_theorems(f: SetValuedFn, ids: Sequence[str], c: float, grid: ConvexityGrid,
-                 quad: QuadratureSpec, tol: float = DEFAULT_TOL) -> list:
-    """Reports of the theorem ids on one family, in the requested order
-    (repeats included).  Each table row runs at most once, for the ids of
-    it that were requested, and only its TheoremReports are kept."""
-    check_modulus(ids, c)
-    done = {}
-    for row in THEOREM_TABLE:
-        wanted = [tid for tid in row.ids if tid in ids]
-        if wanted:
-            done.update(row.compute(f, c, grid, quad, tol, wanted))
-    return [done[tid] for tid in ids]
 
 
 def evaluate_config(cfg: dict, theorem_id: str,

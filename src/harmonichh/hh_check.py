@@ -45,13 +45,16 @@ F once at a, at b and at 2ab/(a+b), one harmonic integral for both
 Hermite-Hadamard sandwiches (the Nikodem pair is hh's in u = 1/x, so two
 only with substitution off), one assembly of the left side that thm33 and
 thm35 share, and only the product integrals the requested ids need.
+
+``run_theorems`` runs any ids on a family with each pass at most once;
+both passes check the modulus c first (``check_modulus``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,11 +84,15 @@ from .set_core import (
 from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, ball_shift,
                   reciprocal_transform, widen)
 
+DEFAULT_TOL = 1e-9
+
 THEOREM_IDS = (
     "def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31",
     "nikodem_left", "nikodem_right", "hh_left", "hh_right",
     "thm33", "cor34", "thm35", "cor36",
 )
+# the ids of the grid pass; every other id belongs to the integral pass
+GRID_IDS = THEOREM_IDS[:5]
 
 
 def check_modulus(ids, c: float) -> None:
@@ -100,7 +107,20 @@ def check_modulus(ids, c: float) -> None:
             raise FeasibilityError(f"{tid}: modulus c must be >= 0, got c = {c}")
 
 
-DEFAULT_TOL = 1e-9
+def run_theorems(f: SetValuedFn, ids: Sequence[str], c: float, grid: ConvexityGrid,
+                 quad: QuadratureSpec, tol: float = DEFAULT_TOL) -> list:
+    """Reports of the theorem ids on one family, in the requested order
+    (repeats included), from at most one grid pass (the GRID_IDS) and one
+    integral pass with G = F (the rest), each given its ids in THEOREM_IDS
+    order."""
+    check_modulus(ids, c)
+    grid_ids = [tid for tid in GRID_IDS if tid in ids]
+    rest = [tid for tid in THEOREM_IDS[len(GRID_IDS):] if tid in ids]
+    done = grid_reports(f, c, grid, grid_ids, tol) if grid_ids else {}
+    if rest:
+        done.update(integral_reports(f, f, c, f.domain, quad, rest, tol))
+    return [done[tid] for tid in ids]
+
 
 # Values (rows x channels) per array of a streamed grid block: 96 KiB of
 # float64, below glibc's 128 KiB mmap threshold.
@@ -119,6 +139,11 @@ class ConvexityGrid:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("pair_count", "seed"):
+            value = getattr(self, name)
+            if not float(value).is_integer():  # also refuses NaN and inf
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.pair_count < 1:
             raise ValueError(f"pair_count must be >= 1, got {self.pair_count}")
         ts = tuple(float(t) for t in self.t_values)
@@ -337,6 +362,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     G(u) = F(1/u).  Each x-run's (1-t) F(x) slab serves all its blocks, and
     each group's geometry and t F(y) all the blocks of the group.
     """
+    check_modulus(ids, c)
     full = not {"def_shc", "lemma_i", "prop_31"}.isdisjoint(ids)
     arithmetic = "prop_31" in ids
     kind = f.kind
@@ -438,14 +464,12 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,
                                    tol: float = DEFAULT_TOL) -> TheoremReport:
     """t F(y) + (1-t) F(x) + c t(1-t) |(x-y)/(xy)|^2 B inside F(xy/(tx+(1-t)y))."""
-    check_modulus(("def_shc",), c)
     return grid_reports(f, c, grid, ("def_shc",), tol)["def_shc"]
 
 
 def check_strongly_harmonic_midconvex(f: SetValuedFn, c: float, grid: ConvexityGrid,
                                       tol: float = DEFAULT_TOL) -> TheoremReport:
     """The t = 1/2 restriction with the c/4 penalty coefficient."""
-    check_modulus(("def_mid",), c)
     return grid_reports(f, c, grid, ("def_mid",), tol)["def_mid"]
 
 
@@ -457,7 +481,6 @@ def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
     checks, of F at modulus c and of G at modulus 0, so ``direction`` only
     reaches the echo."""
     theorem_id = "lemma_ii" if midconvex else "lemma_i"
-    check_modulus((theorem_id,), c)
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction: {direction!r}")
     rep = grid_reports(f, c, grid, (theorem_id,), tol)[theorem_id]
@@ -496,7 +519,6 @@ def check_prop31(f: SetValuedFn, c: float, grid: ConvexityGrid,
     (1/x, 1/y, t); a verdict disagreement is a consistency failure of the
     implementation, flagged in the echo.
     """
-    check_modulus(("prop_31",), c)
     return grid_reports(f, c, grid, ("prop_31",), tol)["prop_31"]
 
 
@@ -530,6 +552,7 @@ def check_nikodem(g: SetValuedFn, c: float, q: QuadratureSpec,
     left:  mean integral + (c/12)(b-a)^2 B  inside  G((a+b)/2)
     right: (G(a)+G(b))/2 + (c/6)(b-a)^2 B  inside  mean integral
     """
+    check_modulus(("nikodem_left", "nikodem_right"), c)
     a, b = g.domain.a, g.domain.b
     integral = aumann_integral(g, a, b, q)
     return _sandwich("nikodem", g, c, (g.eval(a), g.eval(0.5 * (a + b)), g.eval(b)),
@@ -584,6 +607,7 @@ def integral_reports(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDoma
     the G = F cases (``g`` is ``f``): thm33 relabelled, and thm35 with the
     printed corollary form echoed alongside.
     """
+    check_modulus(ids, c)
     if g is not f and not {"cor34", "cor36"}.isdisjoint(ids):
         raise ValueError("cor34 and cor36 are the G = F cases")
     # the integrals come first: their check refuses a family that is not interval-kind

@@ -242,11 +242,6 @@ class SampledFn(SetValuedFn):
             raise FeasibilityError("sampled family needs one value row per grid point")
         if np.any(np.diff(self._xs) <= 0):
             raise FeasibilityError("sample grid must be strictly increasing")
-        # slope of piece j per channel, as np.interp computes it; a zero row
-        # pads the index of the last knot
-        with np.errstate(all="ignore"):  # np.interp is silent on overflow too
-            slopes = np.diff(self._values, axis=0) / np.diff(self._xs)[:, None]
-        self._slopes = np.vstack((slopes, np.zeros((1, self._values.shape[1]))))
         self.domain = domain
         self.kind = kind
         self.certificate = None
@@ -258,29 +253,11 @@ class SampledFn(SetValuedFn):
         return DEFAULT_GRID_SIZE
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
-        """Linear interpolation, bit for bit as np.interp on each channel,
-        with one search of the sample grid for all channels: the value at a
-        knot as sampled, the end values past the ends, NaN at NaN, and
-        np.interp's fallback where a piece gives NaN."""
+        """Linear interpolation, np.interp on each channel: the value at a
+        knot as sampled, the end values past the ends, NaN at NaN."""
         xs = np.asarray(xs, dtype=float)
-        xp, fp = self._xs, self._values
-        j = np.searchsorted(xp, xs, side="right") - 1  # xp[j] <= x < xp[j + 1]
-        k = np.clip(j, 0, xp.size - 1)
-        edge = (j < 0) | (j == xp.size - 1) | (xs == xp[k])
-        with np.errstate(all="ignore"):  # np.interp is silent on NaN and overflow
-            out = self._slopes[k] * (xs - xp[k])[:, None] + fp[k]
-            bad = np.isnan(out) & ~edge[:, None]
-            if bad.any():
-                # from the piece's right end, then a flat piece's value
-                r, c = np.nonzero(bad)
-                lo, hi = fp[k[r], c], fp[k[r] + 1, c]
-                alt = self._slopes[k[r], c] * (xs[r] - xp[k[r] + 1]) + hi
-                out[r, c] = np.where(np.isnan(alt) & (lo == hi), lo, alt)
-        out[edge] = fp[k[edge]]
-        if xp.size > 1:  # on one knot np.interp gives its value at NaN too
-            nan = np.isnan(xs)
-            out[nan] = xs[nan, None]
-        return out
+        return np.column_stack([np.interp(xs, self._xs, self._values[:, j])
+                                for j in range(self._values.shape[1])])
 
 
 class ReciprocalFn(SetValuedFn):

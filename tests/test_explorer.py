@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from harmonichh import explorer, hh_check
+from harmonichh import hh_check
 from harmonichh.aumann import QuadratureSpec
 from harmonichh.cli import build_family
 from harmonichh.cli import main as cli_main
 from harmonichh.explorer import (
-    THEOREM_TABLE,
     SearchSpace,
     build_function,
     emit_counterexample,
@@ -76,9 +75,6 @@ QUADRATIC_CFG = {"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0,
 
 
 class TestTheoremTable:
-    def test_rows_flatten_to_theorem_ids(self):
-        assert tuple(t for row in THEOREM_TABLE for t in row.ids) == THEOREM_IDS
-
     def test_requested_order_with_repeats(self):
         f = build_function(QUADRATIC_CFG)
         ids = ["cor36", "hh_right", "def_shc", "hh_right", "lemma_i", "thm35"]
@@ -86,26 +82,39 @@ class TestTheoremTable:
         assert [r.theorem_id for r in reports] == ids
         assert reports[1] is reports[3]
 
-    def test_each_row_runs_once(self, monkeypatch):
-        calls = []
-
-        def counting(owner, name):
-            original = getattr(owner, name)
-
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            monkeypatch.setattr(owner, name, wrapper)
-
-        for name in ("grid_reports", "check_nikodem", "check_hh", "integral_reports"):
-            counting(explorer, name)
-        counting(hh_check, "_walk")
-        reports = run_theorems(build_function(QUADRATIC_CFG), THEOREM_IDS + THEOREM_IDS,
-                               1.0, GRID, QuadratureSpec())
-        assert len(reports) == 2 * len(THEOREM_IDS)
+    @pytest.mark.parametrize("ids,grid_ids,integral_ids", [
         # one walk over the grid serves all five grid ids, one integral pass
         # both sandwiches and all four product ids
-        assert sorted(calls) == sorted(["grid_reports", "_walk", "integral_reports"])
+        (THEOREM_IDS + THEOREM_IDS, hh_check.GRID_IDS, THEOREM_IDS[5:]),
+        (("def_mid", "prop_31", "def_mid"), ("def_mid", "prop_31"), None),
+        (("cor36", "hh_left"), None, ("hh_left", "cor36")),
+        (("thm33", "lemma_ii", "nikodem_right", "def_shc"), ("def_shc", "lemma_ii"),
+         ("nikodem_right", "thm33")),
+    ])
+    def test_each_row_runs_once(self, monkeypatch, ids, grid_ids, integral_ids):
+        calls = []
+
+        def counting(name, ids_at=None):
+            original = getattr(hh_check, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((name, None if ids_at is None else tuple(args[ids_at])))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(hh_check, name, wrapper)
+
+        counting("grid_reports", 3)
+        counting("integral_reports", 5)
+        for name in ("_walk", "check_hh", "check_nikodem"):
+            counting(name)
+        reports = run_theorems(build_function(QUADRATIC_CFG), ids, 1.0, GRID, QuadratureSpec())
+        assert [r.theorem_id for r in reports] == list(ids)
+        # each pass runs at most once, given its requested ids in THEOREM_IDS order
+        want = []
+        if grid_ids:
+            want += [("grid_reports", grid_ids), ("_walk", None)]
+        if integral_ids:
+            want.append(("integral_reports", integral_ids))
+        assert sorted(calls) == sorted(want)
 
     @pytest.mark.parametrize("ids,per_point,per_triple", [
         (["def_shc"], 1, 1),

@@ -142,6 +142,29 @@ class TestModulusRejected:
             check(f, c, SMALL_GRID)
         assert not isinstance(info.value, NonFiniteSetError)
 
+    # every public checker, by the id it reports first
+    CHECKERS = {
+        "def_shc": lambda f, c: check_strongly_harmonic_convex(f, c, SMALL_GRID),
+        "def_mid": lambda f, c: check_strongly_harmonic_midconvex(f, c, SMALL_GRID),
+        "lemma_i": lambda f, c: check_lemma_shift(f, c, SMALL_GRID),
+        "lemma_ii": lambda f, c: check_lemma_shift(f, c, SMALL_GRID, midconvex=True),
+        "prop_31": lambda f, c: check_prop31(f, c, SMALL_GRID),
+        "nikodem_left": lambda f, c: check_nikodem(reciprocal_transform(f), c, GL16),
+        "hh_left": lambda f, c: check_hh(f, c, DOM12, GL16),
+        "thm33": lambda f, c: check_thm33(f, f, c, DOM12, GL16),
+        "cor34": lambda f, c: check_cor34(f, c, DOM12, GL16),
+        "thm35": lambda f, c: check_thm35(f, f, c, DOM12, GL16),
+        "cor36": lambda f, c: check_cor36(f, c, DOM12, GL16),
+    }
+
+    @pytest.mark.parametrize("c", [-1.0, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("tid", CHECKERS)
+    def test_every_checker_names_its_id(self, tid, c):
+        # refused by the modulus rule, not by a set built from the bad c
+        f = make_quadratic_family(1, 1, 10, DOM12)
+        with pytest.raises(FeasibilityError, match=rf"^{tid}\b"):
+            self.CHECKERS[tid](f, c)
+
     @pytest.mark.parametrize("tid", hh_check.THEOREM_IDS)
     def test_one_modulus_rule(self, tid):
         # the shift lemma's ids need c > 0, every other id c >= 0
@@ -519,6 +542,18 @@ class TestGrid:
         # refused where the grid is built, not at its first seeded-random draw
         with pytest.raises(ValueError, match="seed must be >= 0"):
             ConvexityGrid(pair_count=16, sampling=sampling, seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("pair_count", float("nan")), ("pair_count", float("inf")), ("pair_count", 2.5),
+        ("seed", 1.5), ("seed", float("nan")),
+    ])
+    def test_fractional_count_rejected(self, field, value):
+        # refused where the grid is built, not inside numpy at the first draw
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            ConvexityGrid(**{field: value})
+        grid = ConvexityGrid(pair_count=16.0, seed=3.0)
+        assert (grid.pair_count, grid.seed) == (16, 3)
+        assert all(type(v) is int for v in (grid.pair_count, grid.seed))
 
     def test_triples_cross_product(self):
         g = ConvexityGrid(pair_count=16)

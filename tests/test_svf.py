@@ -273,8 +273,8 @@ class _ReflectionInvariantFn(SetValuedFn):
 
 
 class TestSampledInterpolation:
-    """SampledFn interpolates all channels at once, bit for bit as np.interp
-    does channel by channel."""
+    """SampledFn interpolates bit for bit as np.interp does channel by
+    channel, at the knots, past the ends and where values are infinite."""
 
     @staticmethod
     def per_channel(xp, fp, xs):
