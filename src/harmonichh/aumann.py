@@ -5,8 +5,9 @@ each interval endpoint (or each support direction) is an ordinary scalar
 integral.  Integrals therefore reduce to quadrature applied columnwise to
 ``eval_vector`` output.
 
-Every result carries an error budget (estimated absolute error per
-channel) which downstream inclusion checks absorb into their tolerance.
+Every result carries an error budget per channel, the rounding floor or
+the difference against the doubled rule (an estimate, not a bound), which
+downstream inclusion checks absorb into their tolerance.
 """
 
 from __future__ import annotations
@@ -97,45 +98,24 @@ def _integrate_columns(
     q: QuadratureSpec,
     exact_polynomial: bool = False,
 ):
-    """Columnwise quadrature of ``sample`` over [lo, hi].
-
-    Returns (column integrals, error budget, nodes used).  Gauss-Legendre
-    reports a machine-epsilon budget when the integrand is known to be a
-    polynomial the rule integrates exactly; otherwise the budget is the
-    difference against a doubled-order rule.  Composite Simpson reports
-    the standard (b-a) h^4 |f''''| / 180 bound with the fourth derivative
-    estimated from fourth differences of the sampled values.
+    """Columnwise quadrature of ``sample`` over [lo, hi]; returns (column
+    integrals, error budget, nodes used).  Where the integrand is a
+    polynomial the rule integrates exactly, the budget is the rounding floor
+    16 eps (1 + |I|).  Otherwise the same rule at twice the order or panel
+    count gives the returned integrals, and the budget adds |Q_n - Q_2n|:
+    an estimate of the error, not a bound.
     """
     if not (lo < hi):
         raise QuadratureError(f"need lo < hi, got [{lo}, {hi}]")
-    if q.rule == GAUSS_LEGENDRE:
-        xs, ws = _gl_nodes(q.order_or_panels, lo, hi)
-        vals = sample(xs)
-        cols = ws @ vals
-        scale = float(np.max(np.abs(cols))) if cols.size else 0.0
-        nodes = xs.size
-        if exact_polynomial:
-            budget = 16.0 * _EPS * (1.0 + scale)
-        else:
-            xs2, ws2 = _gl_nodes(2 * q.order_or_panels, lo, hi)
-            cols2 = ws2 @ sample(xs2)
-            nodes += xs2.size
-            budget = float(np.max(np.abs(cols - cols2))) + 16.0 * _EPS * (1.0 + scale)
-            cols = cols2
-        return cols, budget, nodes
-    # composite Simpson
-    panels = q.order_or_panels
-    xs, ws = _simpson_nodes(panels, lo, hi)
-    vals = sample(xs)
-    cols = ws @ vals
-    if vals.shape[0] >= 5:
-        d4 = np.diff(vals, 4, axis=0)
-        budget = (hi - lo) * float(np.max(np.abs(d4))) / 180.0
-    else:
-        budget = 0.0
-    scale = float(np.max(np.abs(cols))) if cols.size else 0.0
-    budget += 16.0 * _EPS * (1.0 + scale)
-    return cols, budget, xs.size
+    nodes_of = _gl_nodes if q.rule == GAUSS_LEGENDRE else _simpson_nodes
+    xs, ws = nodes_of(q.order_or_panels, lo, hi)
+    cols = ws @ sample(xs)
+    floor = 16.0 * _EPS * (1.0 + float(np.max(np.abs(cols))))
+    if exact_polynomial:
+        return cols, floor, xs.size
+    xs2, ws2 = nodes_of(2 * q.order_or_panels, lo, hi)
+    cols2 = ws2 @ sample(xs2)
+    return cols2, float(np.max(np.abs(cols - cols2))) + floor, xs.size + xs2.size
 
 
 def aumann_integral(f: SetValuedFn, lo: float, hi: float, q: QuadratureSpec) -> IntegralResult:
@@ -154,14 +134,13 @@ def weighted_harmonic_integral(f: SetValuedFn, dom: HarmonicDomain,
 
     With substitution on, integrates F(1/u) over [1/b, 1/a]; for the
     closed-form families this integrand is a polynomial of degree <= 2
-    per channel and Gauss-Legendre of order >= 2 is exact.
+    per channel, which both rules integrate exactly.
     """
     a, b = dom.a, dom.b
     if q.substitution:
-        g = reciprocal_transform(f)
-        exact = q.rule == GAUSS_LEGENDRE and polynomial_under_reciprocal(f)
         cols, budget, nodes = _integrate_columns(
-            g.eval_vector, 1.0 / b, 1.0 / a, q, exact_polynomial=exact)
+            reciprocal_transform(f).eval_vector, 1.0 / b, 1.0 / a, q,
+            exact_polynomial=polynomial_under_reciprocal(f))
     else:
         def sample(xs: np.ndarray) -> np.ndarray:
             return f.eval_vector(xs) / (xs ** 2)[:, None]
@@ -180,7 +159,7 @@ def _product_integral(f: SetValuedFn, g: SetValuedFn, dom: HarmonicDomain,
         xf = a * b / (ts * a + (1.0 - ts) * b)
         xg = a * b / ((1.0 - ts) * a + ts * b) if reflected else xf
         vf = f.eval_vector(xf)
-        vg = g.eval_vector(xg)
+        vg = vf if g is f and not reflected else g.eval_vector(xg)
         if np.any(vf[:, 0] <= 0.0) or np.any(vg[:, 0] <= 0.0):
             raise PositivityError("product integral met a set not contained in (0, inf)")
         # both factors lie in (0, inf), so the Moore product is [lo lo', hi hi']

@@ -295,7 +295,6 @@ def run(cfg: RunConfig) -> tuple:
     """Execute the configured suite; returns (RunReport, exit_code)."""
     start = time.perf_counter()
     entries = []
-    errored = 0
 
     if cfg.mode == "search":
         space = dict(cfg.search)
@@ -324,12 +323,12 @@ def run(cfg: RunConfig) -> tuple:
             entries.extend(_report_entry(rep, idx) for rep in reports)
 
     held = sum(1 for e in entries if e["holds"])
-    failed = len(entries) - held - errored
+    failed = len(entries) - held
     report = RunReport(
         config=cfg.raw,
         reports=entries,
         summary={"total": len(entries), "held": held, "failed": failed,
-                 "errored": errored},
+                 "errored": 0},
         wall_time_s=time.perf_counter() - start,
     )
     exit_code = 0 if failed == 0 else 1

@@ -2,8 +2,10 @@
 
 Each checker returns a TheoremReport carrying the worst-case signed slack
 over its sample grid, an InclusionVerdict at the witness sample, and the
-quadrature error budget (always absorbed into the inclusion tolerance, so
-a reported violation is never attributable to quadrature).  Every verdict
+quadrature error budget, always absorbed into the inclusion tolerance: the
+rounding floor where the rule is exact on a polynomial integrand, else the
+difference against the doubled rule, an estimate rather than a bound, so a
+violation within a few budgets may still be quadrature error.  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
 of sets, ``inclusion_block`` for the rows of a grid block.
 

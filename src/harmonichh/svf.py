@@ -112,14 +112,11 @@ class SetValuedFn(abc.ABC):
     domain: HarmonicDomain
     kind: str  # "interval" | "support"
     certificate: Optional[FamilyCertificate]
+    grid_size: int = DEFAULT_GRID_SIZE
 
     @abc.abstractmethod
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate at points xs (assumed inside the domain)."""
-
-    @property
-    def grid_size(self) -> int:
-        return DEFAULT_GRID_SIZE
 
     def _check_in_domain(self, xs: np.ndarray) -> None:
         inside = self.domain.contains(xs)
@@ -187,15 +184,11 @@ class DiscFn(SetValuedFn):
         self.K = float(K)
         self.beta = float(beta)
         self.domain = domain
-        self._grid_size = int(grid_size)
-        dirs = directions(self._grid_size)
+        self.grid_size = int(grid_size)
+        dirs = directions(self.grid_size)
         self._vu, self._wu = dirs @ self.v, dirs @ self.w  # (M,) projections
-        self._tiles = (np.empty((0, self._grid_size)),) * 2
+        self._tiles = (np.empty((0, self.grid_size)),) * 2
         self.certificate = certificate
-
-    @property
-    def grid_size(self) -> int:
-        return self._grid_size
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         """<v,u>/x + <w,u> + K - beta/x^2 per direction u, in that order.
@@ -207,7 +200,7 @@ class DiscFn(SetValuedFn):
         xs = np.asarray(xs, dtype=float)
         inv = 1.0 / xs
         radius = self.K - self.beta * inv ** 2  # (n,)
-        n, m = inv.size, self._grid_size
+        n, m = inv.size, self.grid_size
         tiles = self._tiles
         if tiles[0].shape[0] < n:
             tiles = tuple(np.tile(p, (n, 1)) for p in (self._vu, self._wu))
@@ -224,7 +217,7 @@ class DiscFn(SetValuedFn):
         return {"family": "disc", "v": list(self.v), "w": list(self.w),
                 "K": self.K, "beta": self.beta,
                 "a": self.domain.a, "b": self.domain.b,
-                "grid_size": self._grid_size}
+                "grid_size": self.grid_size}
 
 
 class SampledFn(SetValuedFn):
@@ -245,12 +238,8 @@ class SampledFn(SetValuedFn):
         self.domain = domain
         self.kind = kind
         self.certificate = None
-
-    @property
-    def grid_size(self) -> int:
-        if self.kind == "support":
-            return self._values.shape[1]
-        return DEFAULT_GRID_SIZE
+        if kind == "support":
+            self.grid_size = self._values.shape[1]
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         """Linear interpolation, np.interp on each channel: the value at a
@@ -268,10 +257,7 @@ class ReciprocalFn(SetValuedFn):
         self.domain = HarmonicDomain(1.0 / base.domain.b, 1.0 / base.domain.a)
         self.kind = base.kind
         self.certificate = base.certificate
-
-    @property
-    def grid_size(self) -> int:
-        return self.base.grid_size
+        self.grid_size = base.grid_size
 
     def eval_vector(self, us: np.ndarray) -> np.ndarray:
         return self.base.eval_vector(1.0 / np.asarray(us, dtype=float))
@@ -288,10 +274,7 @@ class CShiftFn(SetValuedFn):
         self.domain = base.domain
         self.kind = base.kind
         self.certificate = None
-
-    @property
-    def grid_size(self) -> int:
-        return self.base.grid_size
+        self.grid_size = base.grid_size
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)

@@ -162,6 +162,19 @@ class TestWeightedHarmonicIntegral:
         assert hausdorff(simpson.value, Interval(7 / 24, 113 / 24)) <= \
             simpson.error_budget + 1e-12
 
+    @pytest.mark.parametrize("substitution", [True, False])
+    @pytest.mark.parametrize("rule,order", [(COMPOSITE_SIMPSON, n) for n in (2, 4, 8, 16)]
+                             + [("gauss-legendre", n) for n in (2, 3, 4, 8, 16)])
+    def test_budget_covers_the_error(self, rule, order, substitution):
+        # the default family: the exact set lies within the reported budget
+        f = make_quadratic_family(1, 1, 10, DOM12)
+        q = QuadratureSpec(rule, order, substitution)
+        res = weighted_harmonic_integral(f, DOM12, q)
+        assert hausdorff(res.value, Interval(7 / 24, 113 / 24)) <= res.error_budget
+        if substitution:
+            # a polynomial in u: one run of the rule, no doubled nodes
+            assert res.nodes_used == (order + 1 if rule == COMPOSITE_SIMPSON else order)
+
     @pytest.mark.parametrize("params", [(1, 1, 10), (2, 3, 20), (0.7, 1.9, 15)])
     def test_matches_antiderivative_oracle(self, params):
         alpha, beta, K = params

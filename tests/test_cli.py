@@ -286,6 +286,17 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["summary"]["held"] == 9
 
+    @pytest.mark.parametrize("panels", [2, 4])
+    def test_coarse_simpson_sandwich_holds(self, tmp_path, capsys, panels):
+        # the certified default family integrated in x: the quadrature error
+        # goes into the budget, it is not reported as a violation
+        path = write_config(tmp_path, verify_doc(
+            theorems=["hh_left", "hh_right"],
+            quadrature={"rule": "composite-simpson", "order": panels, "substitution": False}))
+        assert main(["--config", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert [e["holds"] for e in out["reports"]] == [True, True]
+
     def test_tol_override(self, tmp_path, capsys):
         path = write_config(tmp_path, verify_doc(theorems=["hh_left"]))
         assert main(["--config", path, "--tol", "1e-6"]) == 0

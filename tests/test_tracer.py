@@ -68,6 +68,7 @@ def test_traced_default_unit_counts(spans):
     assert metrics["aumann.calls"] == 5
     assert metrics["aumann.nodes"] == 208
     # F and G(u) = F(1/u) at the 32 grid points and the 11264 midpoints of the
-    # one grid pass; 211 points of the one integral pass: 208 quadrature
-    # nodes, and F at a, b and 2ab/(a+b) once for all eight integral ids
-    assert metrics["svf.eval_vector.points"] == 22803
+    # one grid pass; 163 points of the one integral pass: 208 quadrature
+    # nodes less the 48 of thm35's G = F, which reads F's values, and F at
+    # a, b and 2ab/(a+b) once for all eight integral ids
+    assert metrics["svf.eval_vector.points"] == 22755
