@@ -1,7 +1,9 @@
 """Command-line frontend: config ingestion, suite orchestration, reports.
 
 Exit codes: 0 = all inclusions held, 1 = at least one genuine violation,
-2 = configuration or numerical error, or an output that cannot be written.
+2 = any failure of the run (a bad config, a numerical error, an output
+that cannot be written): ``main`` turns every exception into one
+``error:`` line, so 1 only ever comes with a completed report.
 
 The config and report documents are JSON.  Machine-format reports print
 numbers with 17 significant digits, so parse(render(report)) round-trips
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .aumann import PositivityError, QuadratureError, QuadratureSpec
+from .aumann import QuadratureSpec
 from .explorer import SearchSpace, emit_counterexample, min_slack_search
 from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, check_modulus,
                        run_theorems)
@@ -26,25 +28,11 @@ from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, c
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .set_core import (Interval, NonFiniteSetError, RepresentationMismatchError, SupportSet,
-                       UnsupportedProductError)
-from .svf import (
-    DomainError,
-    FeasibilityError,
-    HarmonicDomain,
-    ParameterError,
-    SetValuedFn,
-    make_disc_family,
-    make_quadratic_family,
-)
+from .set_core import Interval, SupportSet
+from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, make_disc_family,
+                  make_quadratic_family)
 
 MODES = ("verify", "search", "baseline")
-
-CONFIG_ERRORS = (
-    FeasibilityError, DomainError, ParameterError, QuadratureError,
-    PositivityError, RepresentationMismatchError, UnsupportedProductError,
-    NonFiniteSetError,
-)
 
 
 class ConfigError(ValueError):
@@ -441,7 +429,7 @@ def main(argv=None) -> int:
         text = render_report(report, args.format, out_path)
         if not out_path:
             sys.stdout.write(text)
-    except (ConfigError, OSError, *CONFIG_ERRORS) as exc:  # OSError: an unwritable output
+    except Exception as exc:  # any failure of the run, never a traceback's exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return exit_code

@@ -29,6 +29,7 @@ from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
 from .svf import (
+    FEASIBILITY_RTOL,
     FeasibilityError,
     HarmonicDomain,
     SetValuedFn,
@@ -98,15 +99,15 @@ def _repair(space: SearchSpace, raw: dict) -> dict:
     """Project a raw sample onto the feasible set (spec invariants)."""
     cfg = dict(raw)
     cfg["family"] = space.family
-    # clamp strictly above the boundary: at K = need the width at x = a is
-    # exactly zero and float rounding can invert the interval endpoints
+    # clamp to the least K the family accepts: at K = need the width at
+    # x = a is exactly zero and float rounding can invert the interval endpoints
     if space.family == "quadratic-interval":
         need = (cfg["alpha"] + cfg["beta"]) / cfg["a"] ** 2
-        cfg["K"] = max(cfg["K"], need * (1.0 + 1e-12))
+        cfg["K"] = max(cfg["K"], need * (1.0 + FEASIBILITY_RTOL))
         modulus = min(cfg["alpha"], cfg["beta"])
     else:
         need = cfg["beta"] / cfg["a"] ** 2
-        cfg["K"] = max(cfg["K"], need * (1.0 + 1e-12))
+        cfg["K"] = max(cfg["K"], need * (1.0 + FEASIBILITY_RTOL))
         modulus = cfg["beta"]
     if space.certified_only:
         cfg["c"] = min(cfg["c"], modulus)

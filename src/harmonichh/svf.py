@@ -27,6 +27,9 @@ from .set_core import (
 )
 
 _DOMAIN_RTOL = 1e-12
+# Relative margin a family's K keeps above its feasibility bound: at the
+# bound F(a) is a single point, which rounding can invert.
+FEASIBILITY_RTOL = 1e-12
 # Largest tiled projection rows a disc family keeps: 128 KiB of float64 each.
 _TILE_VALUES = 16384
 
@@ -329,6 +332,17 @@ def is_harmonic_symmetric(f: SetValuedFn, dom: HarmonicDomain, grid: int, tol: f
     return True
 
 
+def _check_bound(kind: str, K: float, top: float, bound: str, dom: HarmonicDomain) -> None:
+    """Refuse K below (1 + FEASIBILITY_RTOL) top/a^2, and an a whose square is 0."""
+    a2 = dom.a ** 2
+    if a2 == 0.0:
+        raise FeasibilityError(f"{kind} family infeasible: a={dom.a} squares to 0")
+    least = top / a2 * (1.0 + FEASIBILITY_RTOL)
+    if not (K >= least):
+        raise FeasibilityError(f"{kind} family infeasible: K={K} < (1 + {FEASIBILITY_RTOL}) "
+                               f"{bound} = {least}")
+
+
 def make_quadratic_family(alpha: float, beta: float, K: float,
                           dom: HarmonicDomain) -> QuadraticIntervalFn:
     """Certified quadratic interval family [alpha/x^2, K - beta/x^2]."""
@@ -336,10 +350,7 @@ def make_quadratic_family(alpha: float, beta: float, K: float,
     # negated comparisons, so that NaN parameters are rejected too
     if not (alpha > 0.0 and beta > 0.0):
         raise FeasibilityError("quadratic family needs alpha > 0 and beta > 0")
-    need = (alpha + beta) / dom.a ** 2
-    if not (K >= need):
-        raise FeasibilityError(
-            f"quadratic family infeasible: K={K} < (alpha+beta)/a^2 = {need}")
+    _check_bound("quadratic", K, alpha + beta, "(alpha+beta)/a^2", dom)
     cert = FamilyCertificate(
         claimed_modulus=min(alpha, beta),
         basis="endpoint moduli alpha (lower) and beta (upper) under u=1/x",
@@ -356,9 +367,7 @@ def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: flo
         raise FeasibilityError("disc family needs beta > 0")
     if grid_size < 3:
         raise FeasibilityError(f"disc family needs grid_size >= 3, got {grid_size}")
-    need = beta / dom.a ** 2
-    if not (K >= need):
-        raise FeasibilityError(f"disc family infeasible: K={K} < beta/a^2 = {need}")
+    _check_bound("disc", K, beta, "beta/a^2", dom)
     cert = FamilyCertificate(
         claimed_modulus=beta,
         basis="radius quadratic beta under u=1/x; center term linear in u",

@@ -1,7 +1,10 @@
 import dataclasses
 import importlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,14 @@ def verify_doc(**overrides):
     doc.update(overrides)
     return doc
 
+
+# a quadratic family at its own bound K = (alpha+beta)/a^2, where F(a) is a
+# single point and rounding inverts F at grid midpoints just below a
+AT_BOUND = verify_doc(
+    families=[{"family": "quadratic-interval", "alpha": 0.4896563079259635,
+               "beta": 2.5575578371179746, "K": 1.1926770877672164,
+               "a": 1.5984168522602438, "b": 1.5984168522602438 + 1.0}],
+    c=0.25, theorems=["hh_left"])
 
 DISC = {"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0, "beta": 1.0,
         "a": 1.0, "b": 2.0}
@@ -450,6 +461,37 @@ class TestConfigErrorExitCode:
             else:
                 doc["seed"] = value
         self.assert_config_error(tmp_path, capsys, doc)
+
+    def test_family_at_its_bound(self, tmp_path, capsys):
+        assert main(["--config", write_config(tmp_path, AT_BOUND)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "K=1.1926770877672164" in captured.err
+
+    def test_any_exception_of_a_run(self, tmp_path, capsys, monkeypatch):
+        # exit 1 is the program's finding; a failure of any kind is exit 2
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr("harmonichh.cli.run_theorems", boom)
+        assert main(["--config", write_config(tmp_path, verify_doc(theorems=["hh_left"]))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: boom\n"
+
+    def test_interpreter_exit_status(self, tmp_path):
+        # only a process shows what an escaping exception does: status 1,
+        # read as a violation, and a traceback on stderr
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "harmonichh.cli", "--config", write_config(tmp_path, AT_BOUND)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("error:") == 1
 
     def test_overflowing_family(self, tmp_path, capsys):
         # finite fields whose F(a) + F(b) overflows: a numerical error, not a violation

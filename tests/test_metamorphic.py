@@ -31,8 +31,10 @@ agree within the quadrature budgets rather than bit for bit.
 
 import numpy as np
 import pytest
+from test_golden import DISC_VERIFY
 
 from harmonichh.aumann import QuadratureSpec, plain_product_integral, reflected_product_integral
+from harmonichh.cli import default_config, dumps_machine, parse_config, run
 from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid
 from harmonichh.set_core import hausdorff
@@ -126,6 +128,41 @@ def test_power_of_two_rescaling(lam, sampling, spec):
                 assert v_l == v, tid
             compared += 1
     assert compared == 2 * len(THEOREM_IDS) + 2 * (len(THEOREM_IDS) - len(PRODUCT_IDS))
+
+
+def scaled_config(doc: dict, lam: float) -> dict:
+    """``doc`` with c by lambda^2 and each family as F_lambda."""
+    families = []
+    for fam in doc["families"]:
+        fam = dict(fam, a=lam * fam["a"], b=lam * fam["b"], beta=lam * lam * fam["beta"])
+        if fam["family"] == "disc":
+            fam["v"] = [lam * x for x in fam["v"]]
+        else:
+            fam["alpha"] = lam * lam * fam["alpha"]
+        families.append(fam)
+    return dict(doc, c=lam * lam * doc["c"], families=families)
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.25])
+@pytest.mark.parametrize("doc", [default_config(), DISC_VERIFY], ids=["default", "disc-verify"])
+def test_cli_rescaling(doc, lam):
+    # the relation through cli.run: the same exit code and summary, and every
+    # report entry bit for bit but the sandwich ids' budget and tolerance
+    base, code = run(parse_config(doc))
+    scaled, code_l = run(parse_config(scaled_config(doc, lam)))
+    assert code_l == code and scaled.summary == base.summary
+    (fam,) = doc["families"]
+    shift = 16.0 * EPS * (lam - 1.0) * fam["a"] * fam["b"] / (fam["b"] - fam["a"])
+    assert len(scaled.reports) == len(base.reports)
+    for e, e_l in zip(base.reports, scaled.reports):
+        tid = e["theorem"]
+        if tid in SANDWICH_IDS:
+            assert e_l["budget"] == pytest.approx(e["budget"] + shift, rel=1e-12, abs=0.0), tid
+            assert e_l["tolerance_used"] - e_l["budget"] == \
+                pytest.approx(e["tolerance_used"] - e["budget"], rel=1e-12), tid
+            e, e_l = ({k: v for k, v in x.items() if k not in ("budget", "tolerance_used")}
+                      for x in (e, e_l))
+        assert dumps_machine(e_l) == dumps_machine(e), tid
 
 
 def test_rescaled_families_share_the_modulus_certificate():

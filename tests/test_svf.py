@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from harmonichh.aumann import QuadratureSpec
+from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid, run_theorems
 from harmonichh.set_core import Interval, directions, hausdorff
 from harmonichh.svf import (
     DomainError,
@@ -140,6 +142,59 @@ class TestDiscFamily:
     def test_nan_parameter_rejected(self, K, beta):
         with pytest.raises(FeasibilityError):
             make_disc_family((1, 0), (0, 1), K, beta, DOM12)
+
+
+def bound_draws(seed=15, count=8):
+    """Seeded (kind, the factory's arguments but K, need) for quadratic and
+    disc families, need being the bound on K as the explorer computes it."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        alpha, beta, a, width = rng.uniform([0.1, 0.1, 0.5, 0.5], [3.0, 3.0, 2.0, 2.0]).tolist()
+        dom = HarmonicDomain(a, a + width)
+        draws.append(("quadratic", (alpha, beta, dom), (alpha + beta) / a ** 2))
+        v, w = rng.uniform(-1.0, 1.0, (2, 2))
+        draws.append(("disc", (v, w, beta, dom), beta / a ** 2))
+    return draws
+
+
+BOUND_DRAWS = bound_draws()
+BOUND_IDS = [f"{kind}-{i // 2}" for i, (kind, _, _) in enumerate(BOUND_DRAWS)]
+
+
+def family_at(kind, args, K):
+    if kind == "quadratic":
+        alpha, beta, dom = args
+        return make_quadratic_family(alpha, beta, K, dom)
+    v, w, beta, dom = args
+    return make_disc_family(v, w, K, beta, dom, grid_size=16)
+
+
+class TestFeasibilityMargin:
+    """At K = need, F(a) is a single point (a zero radius) that rounding
+    can invert, so each family wants K at least need (1 + 1e-12), the
+    least K the explorer's repair gives it."""
+
+    @pytest.mark.parametrize("kind,args,need", BOUND_DRAWS, ids=BOUND_IDS)
+    def test_refused_at_the_bound(self, kind, args, need):
+        with pytest.raises(FeasibilityError, match=f"K={need!r}"):
+            family_at(kind, args, need)
+
+    @pytest.mark.parametrize("kind,args,need", BOUND_DRAWS, ids=BOUND_IDS)
+    def test_accepted_at_the_margin(self, kind, args, need):
+        f = family_at(kind, args, need * (1.0 + 1e-12))
+        ids = THEOREM_IDS if kind == "quadratic" else \
+            [t for t in THEOREM_IDS if t not in ("thm33", "cor34", "thm35", "cor36")]
+        for sampling in ("deterministic-stratified", "seeded-random"):
+            grid = ConvexityGrid(pair_count=1024, sampling=sampling)
+            assert len(run_theorems(f, ids, 0.25, grid, QuadratureSpec())) == len(ids)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "disc"])
+    def test_a_squaring_to_zero(self, kind):
+        dom = HarmonicDomain(1e-170, 1.0)
+        args = (1.0, 1.0, dom) if kind == "quadratic" else ((1, 0), (0, 1), 1.0, dom)
+        with pytest.raises(FeasibilityError, match="a=1e-170"):
+            family_at(kind, args, 3.0)
 
 
 class TestReciprocalTransform:
