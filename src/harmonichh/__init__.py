@@ -9,6 +9,11 @@ Submodules:
 * ``hh_check`` -- definitional and theorem inclusion checkers
 * ``explorer`` -- randomized minimum-slack / counterexample search
 * ``cli``      -- command-line verifier
+
+The package holds what a run calls.  The independent oracles the tests
+check it against (a Riemann sum, the harmonic combination and reflection
+on scalars, singleton sets, the inclusion rule row by row) live with the
+tests, in ``tests/oracles.py``.
 """
 
 from .set_core import (
@@ -26,10 +31,6 @@ from .svf import (
     HarmonicDomain,
     SetValuedFn,
     FamilyCertificate,
-    c_shift,
-    harmonic_combination,
-    harmonic_reflection,
-    is_harmonic_symmetric,
     make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
@@ -38,7 +39,6 @@ from .aumann import (
     IntegralResult,
     QuadratureSpec,
     aumann_integral,
-    monte_carlo_oracle,
     plain_product_integral,
     reflected_product_integral,
     weighted_harmonic_integral,
@@ -48,11 +48,9 @@ from .hh_check import ConvexityGrid, TheoremReport, THEOREM_IDS
 __all__ = [
     "Interval", "SupportSet", "InclusionVerdict", "ball", "hausdorff",
     "includes", "interval_product", "minkowski_sum", "scale",
-    "HarmonicDomain", "SetValuedFn", "FamilyCertificate", "c_shift",
-    "harmonic_combination", "harmonic_reflection", "is_harmonic_symmetric",
+    "HarmonicDomain", "SetValuedFn", "FamilyCertificate",
     "make_disc_family", "make_quadratic_family", "reciprocal_transform",
-    "IntegralResult", "QuadratureSpec", "aumann_integral",
-    "monte_carlo_oracle", "plain_product_integral",
+    "IntegralResult", "QuadratureSpec", "aumann_integral", "plain_product_integral",
     "reflected_product_integral", "weighted_harmonic_integral",
     "ConvexityGrid", "TheoremReport", "THEOREM_IDS",
 ]

@@ -7,7 +7,9 @@ integral.  Integrals therefore reduce to quadrature applied columnwise to
 
 Every result carries an error budget per channel, the rounding floor or
 the difference against the doubled rule (an estimate, not a bound), which
-downstream inclusion checks absorb into their tolerance.
+downstream inclusion checks absorb into their tolerance.  The independent
+Riemann-sum cross-check of these rules lives with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -218,29 +220,3 @@ def bracket_product_integral(fa: Interval, fb: Interval, ga: Interval, gb: Inter
     cols, budget, nodes = _integrate_columns(sample, 0.0, 1.0, q)
     return IntegralResult(Interval(cols[0], cols[1]), budget, nodes)
 
-
-def monte_carlo_oracle(f: SetValuedFn, dom: HarmonicDomain,
-                       samples: int = 1_000_000, seed: int = 0,
-                       weight: str = "harmonic") -> IntegralResult:
-    """Jittered-midpoint Riemann sum; independent cross-check for quadrature.
-
-    weight="harmonic" estimates integral F(x)/x^2 dx, weight="none" the
-    unweighted integral.  Deterministic given the seed.
-    """
-    if f.kind != "interval":
-        raise UnsupportedProductError("the Riemann oracle is interval-only")
-    if weight not in ("harmonic", "none"):
-        raise ValueError(f"unknown weight: {weight!r}")
-    a, b = dom.a, dom.b
-    n = int(samples)
-    h = (b - a) / n
-    rng = np.random.default_rng(seed)
-    xs = a + (np.arange(n) + rng.uniform(size=n)) * h
-    vals = f.eval_vector(xs)
-    if weight == "harmonic":
-        vals = vals / (xs ** 2)[:, None]
-    cols = h * vals.sum(axis=0)
-    # budget from the coarsened (every-other-sample) estimate
-    coarse = 2.0 * h * vals[::2].sum(axis=0)
-    budget = float(np.max(np.abs(cols - coarse))) + 16.0 * _EPS * (1.0 + float(np.max(np.abs(cols))))
-    return IntegralResult(Interval(cols[0], cols[1]), budget, n)

@@ -28,7 +28,7 @@ from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, c
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .set_core import Interval, SupportSet
+from .set_core import DEFAULT_GRID_SIZE, Interval, SupportSet
 from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, make_disc_family,
                   make_quadratic_family)
 
@@ -241,7 +241,7 @@ def build_family(descriptor: dict) -> SetValuedFn:
     dom = HarmonicDomain(fam["a"], fam["b"])
     if fam["family"] == "disc":
         return make_disc_family(fam["v"], fam["w"], fam["K"], fam["beta"], dom,
-                                grid_size=fam.get("grid_size", 64))
+                                grid_size=fam.get("grid_size", DEFAULT_GRID_SIZE))
     return make_quadratic_family(fam["alpha"], fam["beta"], fam["K"], dom)
 
 

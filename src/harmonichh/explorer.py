@@ -43,7 +43,8 @@ DEFAULT_SEARCH_GRID = ConvexityGrid(pair_count=64)
 @dataclass(frozen=True)
 class SearchSpace:
     """Parameter ranges, each as (min, max).  The a-range must lie strictly
-    below the b-range so every sampled domain satisfies 0 < a < b."""
+    below the b-range so every sampled domain satisfies 0 < a < b, and
+    [a-min, b-max] must be a domain, so every sampled one is."""
 
     family: str = "quadratic-interval"
     alpha: Tuple[float, float] = (0.5, 3.0)
@@ -68,6 +69,7 @@ class SearchSpace:
         if not (0.0 < self.a[0] and self.a[1] < self.b[0]):
             raise FeasibilityError(
                 "feasible space needs 0 < a-range strictly below b-range")
+        HarmonicDomain(self.a[0], self.b[1])  # refuses an end outside the domain range
         for name in ("beta",) if self.family == "disc" else ("alpha", "beta"):
             if not getattr(self, name)[0] > 0.0:
                 raise FeasibilityError(f"{self.family} family needs {name} > 0")

@@ -9,7 +9,7 @@ Two representations are supported:
 
 The support vector IS the object: inclusion and Hausdorff distance are
 defined directly on support vectors.  All constructors provided here
-(balls, points, Minkowski sums, nonnegative scalings) keep the sampled
+(balls, Minkowski sums, nonnegative scalings) keep the sampled
 support values exact for the represented set, so no polytope
 reconstruction is ever needed.
 
@@ -19,7 +19,7 @@ blocks of rows at once, with the slacks and tolerances it is made of.  A row
 holds when its smallest key is >= 0.  The grid checks reduce a block to
 its one smallest key and read slack, tolerance and witness at that
 element from the block's arrays (``InclusionBlock.at``), and so does
-``includes``, its one-row case; ``inclusion_rows`` is the per-row view.
+``includes``, its one-row case.
 
 All operations are pure functions on immutable values.
 """
@@ -173,19 +173,6 @@ def ball(radius: float, kind: str = "interval", grid_size: int = DEFAULT_GRID_SI
     raise ValueError(f"unknown representation kind: {kind!r}")
 
 
-def point(value, kind: str = "interval", grid_size: int = DEFAULT_GRID_SIZE) -> ConvexSet:
-    """Singleton set {value}.  For 'support', value is a 2-vector."""
-    if kind == "interval":
-        v = float(value)
-        return Interval(v, v)
-    if kind == "support":
-        p = np.asarray(value, dtype=float)
-        if p.shape != (2,):
-            raise ValueError("support-kind point needs a 2-vector")
-        return SupportSet(tuple(directions(grid_size) @ p))
-    raise ValueError(f"unknown representation kind: {kind!r}")
-
-
 def as_set(row, kind: str) -> ConvexSet:
     """The set whose channels are ``row``: the endpoints (lo, hi) of an
     interval or the support values of a SupportSet."""
@@ -230,20 +217,12 @@ class InclusionBlock(NamedTuple):
         return self.slack[r, j], (abs(float(self.rhs[r, j])) + 1.0) * self.tol, j
 
     def row_slack(self) -> np.ndarray:
-        """Each row's slack at its witness direction."""
-        return self.slack if self.tols is not None else self.rows()[0]
-
-    def rows(self):
-        """The inclusion rule per row: slack, tolerance and witness of each
-        row at its witness direction, the first direction of smallest key,
-        a NaN key first."""
+        """Each row's slack at its witness direction, the first direction of
+        smallest key, a NaN key first."""
         if self.tols is not None:
-            lhs, rhs = self.lhs, self.rhs
-            hi_tighter = rhs[:, 1] - lhs[:, 1] <= lhs[:, 0] - rhs[:, 0]
-            return self.slack, self.tols, np.where(hi_tighter, 0, 1)
+            return self.slack
         j = self.keys.argmin(axis=1)
-        r = np.arange(j.size)
-        return self.slack[r, j], (np.abs(self.rhs[r, j]) + 1.0) * self.tol, j
+        return self.slack[np.arange(j.size), j]
 
 
 def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> InclusionBlock:
@@ -275,13 +254,6 @@ def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> 
     return InclusionBlock(lhs, rhs, tol, keys, slack)
 
 
-def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
-    """The inclusion rule per row: slack, tolerance and witness of
-    lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays, at
-    the row's witness direction (see ``inclusion_block``)."""
-    return inclusion_block(lhs, rhs, kind, tol).rows()
-
-
 def rows_hold(keys: np.ndarray) -> np.ndarray:
     """Whether each row of the keys of ``inclusion_block`` (or of per-row
     keys, slack + tolerance) holds: its smallest key is >= 0, and no key is
@@ -290,7 +262,7 @@ def rows_hold(keys: np.ndarray) -> np.ndarray:
 
 
 def row_verdict(slack: float, tol_used: float, witness: int, kind: str) -> InclusionVerdict:
-    """The verdict of one row of ``inclusion_rows`` or ``InclusionBlock.at``:
+    """The verdict of one row of ``InclusionBlock.at``:
     it holds when its key, slack + tolerance, is >= 0."""
     return InclusionVerdict(
         holds=bool(slack + tol_used >= 0.0),

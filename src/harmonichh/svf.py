@@ -1,9 +1,8 @@
 """Set-valued function model.
 
-Domains over (0, inf), harmonic combinations and reflections, seeded
-function families with closed-form evaluation, and the two structural
-transforms (reciprocal substitution and the modulus shift by a scaled
-ball).
+Domains inside [2^-511, 2^511], seeded function families with
+closed-form evaluation, and the two structural transforms (reciprocal
+substitution and the modulus shift by a scaled ball).
 
 Families are closed-form descriptors rather than opaque callables so the
 integration layer can recognize integrands that become low-degree
@@ -23,10 +22,12 @@ from .set_core import (
     ConvexSet,
     as_set,
     directions,
-    hausdorff,
 )
 
 _DOMAIN_RTOL = 1e-12
+# Ends a domain keeps to, a range closed under x -> 1/x: inside it x^2,
+# 1/x^2, xy and ((b-a)/(ab))^2 are finite and nonzero.
+_END_MIN, _END_MAX = 2.0 ** -511, 2.0 ** 511
 # Relative margin a family's K keeps above its feasibility bound: at the
 # bound F(a) is a single point, which rounding can invert.
 FEASIBILITY_RTOL = 1e-12
@@ -48,12 +49,8 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class HarmonicDomain:
-    """Interval [a, b] with 0 < a < b < inf.
-
-    Carries the harmonic midpoint 2ab/(a+b) and the harmonic reflection
-    theta(x) = abx / ((a+b)x - ab), the involution of [a, b] that swaps
-    the endpoints and fixes the harmonic midpoint.
-    """
+    """Interval [a, b] with 2^-511 <= a < b <= 2^511, carrying the harmonic
+    midpoint 2ab/(a+b).  An end outside that range is refused by name."""
 
     a: float
     b: float
@@ -63,6 +60,9 @@ class HarmonicDomain:
         b = float(self.b)
         if not (0.0 < a < b < np.inf):
             raise DomainError(f"domain needs 0 < a < b < inf, got [{a}, {b}]")
+        for name, end in (("a", a), ("b", b)):
+            if not (_END_MIN <= end <= _END_MAX):
+                raise DomainError(f"domain end {name}={end!r} outside [2**-511, 2**511]")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -75,24 +75,6 @@ class HarmonicDomain:
         elementwise for an array."""
         pad = _DOMAIN_RTOL * (1.0 + abs(self.a) + abs(self.b))
         return (self.a - pad <= x) & (x <= self.b + pad)
-
-    def reflect(self, x: float) -> float:
-        if not self.contains(x):
-            raise DomainError(f"{x} outside [{self.a}, {self.b}]")
-        a, b = self.a, self.b
-        return a * b * x / ((a + b) * x - a * b)
-
-
-def harmonic_combination(x: float, y: float, t: float) -> float:
-    """xy / (tx + (1-t)y); equals y at t=1 and x at t=0."""
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError("harmonic combinations need positive arguments")
-    return x * y / (t * x + (1.0 - t) * y)
-
-
-def harmonic_reflection(dom: HarmonicDomain, x: float) -> float:
-    """theta(x) = abx / ((a+b)x - ab) on [a, b]."""
-    return dom.reflect(x)
 
 
 @dataclass(frozen=True)
@@ -226,8 +208,8 @@ class DiscFn(SetValuedFn):
 class SampledFn(SetValuedFn):
     """Custom-sampled family: precomputed sets on a grid, linear interpolation.
 
-    Carries no certificate; intended for the explorer and for symmetry
-    experiments.
+    Carries no certificate, and no config builds one; the tests use it as
+    a generic family.
     """
 
     def __init__(self, xs: Sequence[float], values: np.ndarray, domain: HarmonicDomain,
@@ -267,7 +249,8 @@ class ReciprocalFn(SetValuedFn):
 
 
 class CShiftFn(SetValuedFn):
-    """G(x) = F(x) (+) (c/x^2) * B."""
+    """G(x) = F(x) (+) (c/x^2) * B; turns a modulus-c function into a plain
+    harmonic convex one."""
 
     def __init__(self, base: SetValuedFn, c: float):
         if c <= 0.0:
@@ -311,33 +294,9 @@ def reciprocal_transform(f: SetValuedFn) -> SetValuedFn:
     return ReciprocalFn(f)
 
 
-def c_shift(f: SetValuedFn, c: float) -> SetValuedFn:
-    """F(x) (+) (c/x^2) B; turns a modulus-c function into a plain harmonic convex one."""
-    return CShiftFn(f, c)
-
-
-def c_unshift(g: SetValuedFn, c: float) -> SetValuedFn:
-    """Inverse of c_shift; unwraps a matching shift exactly."""
-    if isinstance(g, CShiftFn) and g.c == c:
-        return g.base
-    raise ParameterError("c_unshift only undoes a matching c_shift")
-
-
-def is_harmonic_symmetric(f: SetValuedFn, dom: HarmonicDomain, grid: int, tol: float) -> bool:
-    """True iff F(x) and F(theta(x)) agree within tol at all grid points."""
-    xs = np.linspace(dom.a, dom.b, int(grid))
-    for x in xs:
-        if hausdorff(f.eval(x), f.eval(dom.reflect(x))) > tol:
-            return False
-    return True
-
-
 def _check_bound(kind: str, K: float, top: float, bound: str, dom: HarmonicDomain) -> None:
-    """Refuse K below (1 + FEASIBILITY_RTOL) top/a^2, and an a whose square is 0."""
-    a2 = dom.a ** 2
-    if a2 == 0.0:
-        raise FeasibilityError(f"{kind} family infeasible: a={dom.a} squares to 0")
-    least = top / a2 * (1.0 + FEASIBILITY_RTOL)
+    """Refuse K below (1 + FEASIBILITY_RTOL) top/a^2."""
+    least = top / dom.a ** 2 * (1.0 + FEASIBILITY_RTOL)
     if not (K >= least):
         raise FeasibilityError(f"{kind} family infeasible: K={K} < (1 + {FEASIBILITY_RTOL}) "
                                f"{bound} = {least}")

@@ -1,0 +1,94 @@
+"""Independent oracles the tests check ``harmonichh`` against.
+
+No run of the verifier calls these, so they live with the tests: the
+harmonic combination and reflection on scalars, singleton sets, the
+inclusion rule row by row, and a jittered-midpoint Riemann sum for the
+quadrature rules.  Test files import them with ``from oracles import ...``.
+"""
+
+import numpy as np
+
+from harmonichh.aumann import IntegralResult
+from harmonichh.set_core import (
+    DEFAULT_GRID_SIZE,
+    ConvexSet,
+    Interval,
+    SupportSet,
+    UnsupportedProductError,
+    directions,
+    inclusion_block,
+)
+from harmonichh.svf import DomainError, HarmonicDomain, SetValuedFn
+
+_EPS = np.finfo(float).eps
+
+
+def harmonic_combination(x: float, y: float, t: float) -> float:
+    """xy / (tx + (1-t)y); equals y at t=1 and x at t=0."""
+    if x <= 0.0 or y <= 0.0:
+        raise DomainError("harmonic combinations need positive arguments")
+    return x * y / (t * x + (1.0 - t) * y)
+
+
+def reflect(dom: HarmonicDomain, x: float) -> float:
+    """The harmonic reflection theta(x) = abx / ((a+b)x - ab), the involution
+    of [a, b] that swaps the ends and fixes the harmonic midpoint."""
+    if not dom.contains(x):
+        raise DomainError(f"{x} outside [{dom.a}, {dom.b}]")
+    a, b = dom.a, dom.b
+    return a * b * x / ((a + b) * x - a * b)
+
+
+def point(value, kind: str = "interval", grid_size: int = DEFAULT_GRID_SIZE) -> ConvexSet:
+    """Singleton set {value}.  For 'support', value is a 2-vector."""
+    if kind == "interval":
+        v = float(value)
+        return Interval(v, v)
+    if kind == "support":
+        p = np.asarray(value, dtype=float)
+        if p.shape != (2,):
+            raise ValueError("support-kind point needs a 2-vector")
+        return SupportSet(tuple(directions(grid_size) @ p))
+    raise ValueError(f"unknown representation kind: {kind!r}")
+
+
+def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
+    """The inclusion rule per row: slack, tolerance and witness of
+    lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays, at
+    the row's witness direction, the first direction of smallest key, a NaN
+    key first.  An interval's witness is 0 ("hi") when its upper end is the
+    tighter, else 1 ("lo")."""
+    block = inclusion_block(lhs, rhs, kind, tol)
+    if block.tols is not None:
+        hi_tighter = rhs[:, 1] - lhs[:, 1] <= lhs[:, 0] - rhs[:, 0]
+        return block.slack, block.tols, np.where(hi_tighter, 0, 1)
+    j = block.keys.argmin(axis=1)
+    r = np.arange(j.size)
+    return block.slack[r, j], (np.abs(rhs[r, j]) + 1.0) * block.tol, j
+
+
+def monte_carlo_oracle(f: SetValuedFn, dom: HarmonicDomain,
+                       samples: int = 1_000_000, seed: int = 0,
+                       weight: str = "harmonic") -> IntegralResult:
+    """Jittered-midpoint Riemann sum; independent cross-check for quadrature.
+
+    weight="harmonic" estimates integral F(x)/x^2 dx, weight="none" the
+    unweighted integral.  Deterministic given the seed.
+    """
+    if f.kind != "interval":
+        raise UnsupportedProductError("the Riemann oracle is interval-only")
+    if weight not in ("harmonic", "none"):
+        raise ValueError(f"unknown weight: {weight!r}")
+    a, b = dom.a, dom.b
+    n = int(samples)
+    h = (b - a) / n
+    rng = np.random.default_rng(seed)
+    xs = a + (np.arange(n) + rng.uniform(size=n)) * h
+    vals = f.eval_vector(xs)
+    if weight == "harmonic":
+        vals = vals / (xs ** 2)[:, None]
+    cols = h * vals.sum(axis=0)
+    # budget from the coarsened (every-other-sample) estimate
+    coarse = 2.0 * h * vals[::2].sum(axis=0)
+    budget = float(np.max(np.abs(cols - coarse))) + 16.0 * _EPS * (1.0 + float(np.max(np.abs(cols))))
+    return IntegralResult(Interval(cols[0], cols[1]), budget, n)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from harmonichh.aumann import QuadratureSpec, monte_carlo_oracle, weighted_harmonic_integral
+from harmonichh.aumann import QuadratureSpec, weighted_harmonic_integral
 from harmonichh.cli import default_config, main as cli_main, parse_config, run
 from harmonichh.hh_check import (
     ConvexityGrid,
@@ -37,12 +37,13 @@ from harmonichh.set_core import (
     scale,
 )
 from harmonichh.svf import (
+    CShiftFn,
     HarmonicDomain,
-    c_shift,
     make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
 )
+from oracles import monte_carlo_oracle
 
 DOM12 = HarmonicDomain(1.0, 2.0)
 GL16 = QuadratureSpec()
@@ -127,7 +128,7 @@ def test_criterion_4_shift_lemma():
             all_hold = all_hold and rep.holds
 
     uncertified = make_quadratic_family(0.5, 1.0, 10, DOM12)  # alpha < c = 1
-    shifted = c_shift(uncertified, 1.0)
+    shifted = CShiftFn(uncertified, 1.0)
     shifted_fails = not check_strongly_harmonic_convex(shifted, 0.0, grid).holds
     ok = report(4, all_hold and shifted_fails,
                 f"20 certified seeds x 2 directions hold: {all_hold}; "

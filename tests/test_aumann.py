@@ -10,7 +10,6 @@ from harmonichh.aumann import (
     QuadratureSpec,
     aumann_integral,
     bracket_product_integral,
-    monte_carlo_oracle,
     plain_product_integral,
     reflected_product_integral,
     weighted_harmonic_integral,
@@ -30,6 +29,7 @@ from harmonichh.svf import (
     make_quadratic_family,
     reciprocal_transform,
 )
+from oracles import monte_carlo_oracle
 
 DOM12 = HarmonicDomain(1.0, 2.0)
 GL16 = QuadratureSpec()

@@ -347,6 +347,7 @@ class TestConfigErrorExitCode:
         assert "Traceback" not in captured.err
         if names is not None:  # the key at fault, quoted
             assert repr(names) in captured.err
+        return captured.err
 
     def test_negative_c_verify(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, verify_doc(c=-0.5))
@@ -499,6 +500,33 @@ class TestConfigErrorExitCode:
             families=[{"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0,
                        "K": 1e308, "a": 1.0, "b": 2.0}],
             theorems=["hh_right"]))
+
+    @pytest.mark.parametrize("a,b,end", [(1.0, 1e308, "b=1e+308"), (1e200, 1e201, "a=1e+200")],
+                             ids=["b", "a"])
+    def test_overflowing_domain(self, tmp_path, capsys, recwarn, a, b, end):
+        # x^2 of the end (and of the grid midpoints) overflows: the domain
+        # refuses the end by name before any family or grid sees it
+        err = self.assert_config_error(tmp_path, capsys, verify_doc(
+            families=[{**QUADRATIC, "a": a, "b": b}]))
+        assert f"end {end} outside" in err
+        assert not recwarn.list
+
+    def test_largest_domain_runs(self, tmp_path, capsys, recwarn):
+        # at b = 2^511 every id runs without a warning; only the printed
+        # product theorems fail, as on [1, 2]
+        doc = verify_doc(families=[{**QUADRATIC, "b": 2.0 ** 511}], theorems=list(THEOREM_IDS))
+        assert main(["--config", write_config(tmp_path, doc)]) == 1
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [r["theorem"] for r in reports if not r["holds"]] == \
+            ["thm33", "cor34", "thm35", "cor36"]
+        assert not recwarn.list
+
+    def test_search_leaving_the_domain_range(self, tmp_path, capsys, recwarn):
+        # the a-range reaches a whose square overflows in the explorer's repair
+        err = self.assert_config_error(tmp_path, capsys,
+                                       search_doc(a=[1.0, 1e200], b=[2e200, 3e200]))
+        assert "end b=3e+200 outside" in err
+        assert not recwarn.list
 
     # tolerances and t values that would turn held inclusions into violations
     def test_negative_tolerance(self, tmp_path, capsys):

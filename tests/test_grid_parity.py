@@ -17,7 +17,7 @@ import numpy as np
 
 from harmonichh.hh_check import ConvexityGrid, grid_reports
 from harmonichh.set_core import as_row
-from harmonichh.svf import (HarmonicDomain, SampledFn, c_shift, make_disc_family,
+from harmonichh.svf import (CShiftFn, HarmonicDomain, SampledFn, make_disc_family,
                             make_quadratic_family)
 
 DOM12 = HarmonicDomain(1.0, 2.0)
@@ -30,7 +30,7 @@ FAMILIES = (
     make_quadratic_family(1.0, 1.0, 10.0, DOM12),
     make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12),
     SampledFn(_XS, _TIED, DOM12, kind="support"),
-    c_shift(make_quadratic_family(0.5, 1.0, 10.0, DOM12), 0.75),
+    CShiftFn(make_quadratic_family(0.5, 1.0, 10.0, DOM12), 0.75),
 )
 
 DIGEST = "4076db4be0c0bbb9f78a2c46de2ce4b424d56bbb2371b174842084a9a425817a"

@@ -28,19 +28,19 @@ from harmonichh.hh_check import (
     shift_lemma_report,
 )
 from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, hausdorff,
-                                 inclusion_block, inclusion_rows, row_verdict)
+                                 inclusion_block, row_verdict)
 from harmonichh.svf import (
     DomainError,
     FeasibilityError,
     HarmonicDomain,
     QuadraticIntervalFn,
+    CShiftFn,
     SampledFn,
-    c_shift,
-    harmonic_combination,
     make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
 )
+from oracles import harmonic_combination, inclusion_rows
 
 DOM12 = HarmonicDomain(1.0, 2.0)
 GL16 = QuadratureSpec()
@@ -238,7 +238,7 @@ class TestLemmaShift:
 
     def test_uncertified_shift_fails_harmonic_convexity(self):
         f = make_quadratic_family(0.5, 1.0, 10, DOM12)  # alpha < c
-        shifted = c_shift(f, 1.0)
+        shifted = CShiftFn(f, 1.0)
         rep = check_strongly_harmonic_convex(shifted, 0.0, SMALL_GRID)
         assert not rep.holds
         lemma = check_lemma_shift(f, 1.0, SMALL_GRID)
@@ -647,7 +647,7 @@ def reference_sides(f, c, grid, tol):
     u, v = 1.0 / x, 1.0 / y
     return {
         "strong": side(f.eval_vector, c, x, y, mids, dist2),
-        "shifted": side(c_shift(f, c).eval_vector, 0.0, x, y, mids, dist2) if c > 0 else None,
+        "shifted": side(CShiftFn(f, c).eval_vector, 0.0, x, y, mids, dist2) if c > 0 else None,
         "arithmetic": side(reciprocal_transform(f).eval_vector, c, u, v,
                            ts * v + (1.0 - ts) * u, (u - v) ** 2),
         "where": (x, y, ts),

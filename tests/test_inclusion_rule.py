@@ -1,7 +1,7 @@
 """The one inclusion rule of ``set_core``: ``includes`` is the one-row case of
-``inclusion_rows``, the grid pass's flat fold over ``inclusion_block`` keeps
-the row the per-row rule would, and every report, grid or integral,
-re-verifies through ``includes`` on its own two sides."""
+the per-row oracle ``inclusion_rows``, the grid pass's flat fold over
+``inclusion_block`` keeps the row the per-row rule would, and every report,
+grid or integral, re-verifies through ``includes`` on its own two sides."""
 
 import itertools
 
@@ -18,7 +18,6 @@ from harmonichh.set_core import (
     as_set,
     includes,
     inclusion_block,
-    inclusion_rows,
     row_verdict,
     rows_hold,
 )
@@ -29,6 +28,7 @@ from harmonichh.svf import (
     make_disc_family,
     make_quadratic_family,
 )
+from oracles import inclusion_rows
 
 DOM12 = HarmonicDomain(1.0, 2.0)
 _XS = np.linspace(1.0, 2.0, 9)

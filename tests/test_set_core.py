@@ -19,9 +19,9 @@ from harmonichh.set_core import (
     includes,
     interval_product,
     minkowski_sum,
-    point,
     scale,
 )
+from oracles import point
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,24 +8,20 @@ from harmonichh.aumann import QuadratureSpec
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid, run_theorems
 from harmonichh.set_core import Interval, directions, hausdorff
 from harmonichh.svf import (
+    CShiftFn,
     DomainError,
     FeasibilityError,
     HarmonicDomain,
     ParameterError,
     QuadraticIntervalFn,
     SampledFn,
-    SetValuedFn,
     ball_shift,
-    c_shift,
-    c_unshift,
-    harmonic_combination,
-    harmonic_reflection,
-    is_harmonic_symmetric,
     make_disc_family,
     make_quadratic_family,
     polynomial_under_reciprocal,
     reciprocal_transform,
 )
+from oracles import harmonic_combination, reflect
 
 DOM12 = HarmonicDomain(1.0, 2.0)
 NAN = float("nan")
@@ -44,6 +41,24 @@ class TestHarmonicDomain:
         for a, b in [(1.0, float("inf")), (float("inf"), float("inf")), (1.0, float("nan"))]:
             with pytest.raises(DomainError, match="< inf"):
                 HarmonicDomain(a, b)
+
+    def test_ends_inside_the_range(self):
+        # at the range's ends x^2, 1/x^2, xy and the squared harmonic distance stay finite
+        lo, hi = 2.0 ** -511, 2.0 ** 511
+        dom = HarmonicDomain(lo, hi)
+        assert (dom.a, dom.b) == (lo, hi)
+        for x in (lo, hi):
+            assert 0.0 < x * x < math.inf and 0.0 < 1.0 / x ** 2 < math.inf
+        assert 0.0 < ((hi - lo) / (lo * hi)) ** 2 < math.inf
+
+    @pytest.mark.parametrize("a,b,name", [
+        (math.nextafter(2.0 ** -511, 0.0), 1.0, "a"),
+        (1.0, math.nextafter(2.0 ** 511, math.inf), "b"),
+    ], ids=["a", "b"])
+    def test_refuses_ends_outside_the_range(self, a, b, name):
+        end = a if name == "a" else b
+        with pytest.raises(DomainError, match=re.escape(f"end {name}={end!r} outside")):
+            HarmonicDomain(a, b)
 
 
 class TestHarmonicCombination:
@@ -69,26 +84,24 @@ class TestHarmonicCombination:
 
 class TestHarmonicReflection:
     def test_endpoint_swap(self):
-        assert harmonic_reflection(DOM12, 1.0) == pytest.approx(2.0, abs=1e-12)
-        assert harmonic_reflection(DOM12, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert reflect(DOM12, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert reflect(DOM12, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_fixed_point(self):
-        assert harmonic_reflection(DOM12, 4 / 3) == pytest.approx(4 / 3, abs=1e-12)
+        assert reflect(DOM12, 4 / 3) == pytest.approx(4 / 3, abs=1e-12)
 
     def test_involution(self):
         x = 1.7
-        assert harmonic_reflection(DOM12, harmonic_reflection(DOM12, x)) == \
-            pytest.approx(x, abs=1e-12)
+        assert reflect(DOM12, reflect(DOM12, x)) == pytest.approx(x, abs=1e-12)
 
     def test_involution_dense(self):
         dom = HarmonicDomain(0.3, 5.5)
         for x in np.linspace(dom.a, dom.b, 100):
-            assert harmonic_reflection(dom, harmonic_reflection(dom, x)) == \
-                pytest.approx(x, abs=1e-12)
+            assert reflect(dom, reflect(dom, x)) == pytest.approx(x, abs=1e-12)
 
     def test_outside_domain(self):
         with pytest.raises(DomainError):
-            harmonic_reflection(DOM12, 3.0)
+            reflect(DOM12, 3.0)
 
 
 class TestQuadraticFamily:
@@ -191,10 +204,10 @@ class TestFeasibilityMargin:
 
     @pytest.mark.parametrize("kind", ["quadratic", "disc"])
     def test_a_squaring_to_zero(self, kind):
-        dom = HarmonicDomain(1e-170, 1.0)
-        args = (1.0, 1.0, dom) if kind == "quadratic" else ((1, 0), (0, 1), 1.0, dom)
-        with pytest.raises(FeasibilityError, match="a=1e-170"):
-            family_at(kind, args, 3.0)
+        # the domain refuses such an a before any family sees it
+        args = (1.0, 1.0) if kind == "quadratic" else ((1, 0), (0, 1), 1.0)
+        with pytest.raises(DomainError, match="a=1e-170"):
+            family_at(kind, args + (HarmonicDomain(1e-170, 1.0),), 3.0)
 
 
 class TestReciprocalTransform:
@@ -285,17 +298,17 @@ class TestLayoutBitForBit:
 class TestCShift:
     def test_endpoint_arithmetic(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        g = c_shift(f, 1.0)
+        g = CShiftFn(f, 1.0)
         assert g.eval(1.0) == Interval(0.0, 10.0)
 
     def test_tiny_shift_near_identity(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        g = c_shift(f, 1e-14)
+        g = CShiftFn(f, 1e-14)
         assert hausdorff(g.eval(1.5), f.eval(1.5)) <= 1e-13
 
     def test_disc_radius_grows(self):
         f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=8)
-        g = c_shift(f, 0.5)
+        g = CShiftFn(f, 0.5)
         x = 1.25
         diff = g.eval(x).as_array() - f.eval(x).as_array()
         assert np.allclose(diff, 0.5 / x ** 2)
@@ -303,28 +316,7 @@ class TestCShift:
     def test_rejects_nonpositive(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
         with pytest.raises(ParameterError):
-            c_shift(f, 0.0)
-
-    def test_unshift_roundtrip(self):
-        f = make_quadratic_family(1, 1, 10, DOM12)
-        assert c_unshift(c_shift(f, 0.3), 0.3) is f
-
-
-class _ReflectionInvariantFn(SetValuedFn):
-    """F(x) = [g(x), g(x)+1] with g(x) = 1/x + 1/theta(x); g is theta-invariant."""
-
-    kind = "interval"
-    certificate = None
-
-    def __init__(self, dom):
-        self.domain = dom
-
-    def eval_vector(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        a, b = self.domain.a, self.domain.b
-        theta = a * b * xs / ((a + b) * xs - a * b)
-        g = 1.0 / xs + 1.0 / theta
-        return np.column_stack([g, g + 1.0])
+            CShiftFn(f, 0.0)
 
 
 class TestSampledInterpolation:
@@ -375,20 +367,6 @@ class TestSampledInterpolation:
         self.assert_bitwise(xp, fp, np.array([1.0, 1.5, 2.0, np.nan]))
 
 
-class TestHarmonicSymmetry:
-    def test_constant_is_symmetric(self):
-        const = SampledFn([1.0, 2.0], np.array([[0.0, 1.0], [0.0, 1.0]]), DOM12)
-        assert is_harmonic_symmetric(const, DOM12, grid=50, tol=1e-12)
-
-    def test_quadratic_not_symmetric(self):
-        f = make_quadratic_family(1, 1, 10, DOM12)
-        assert not is_harmonic_symmetric(f, DOM12, grid=50, tol=1e-6)
-
-    def test_constructed_invariant(self):
-        f = _ReflectionInvariantFn(DOM12)
-        assert is_harmonic_symmetric(f, DOM12, grid=100, tol=1e-12)
-
-
 class TestEndpointModuli:
     """Scalar strongly-harmonic-convex checks of the family endpoints."""
 
@@ -420,6 +398,6 @@ class TestEndpointModuli:
 def test_polynomial_under_reciprocal_flags():
     f = make_quadratic_family(1, 1, 10, DOM12)
     assert polynomial_under_reciprocal(f)
-    assert polynomial_under_reciprocal(c_shift(f, 0.5))
+    assert polynomial_under_reciprocal(CShiftFn(f, 0.5))
     sampled = SampledFn([1.0, 2.0], np.array([[0.0, 1.0], [0.0, 1.0]]), DOM12)
     assert not polynomial_under_reciprocal(sampled)
