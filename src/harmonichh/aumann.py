@@ -21,12 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .set_core import ConvexSet, Interval, UnsupportedProductError, as_set
-from .svf import (
-    HarmonicDomain,
-    SetValuedFn,
-    polynomial_under_reciprocal,
-    reciprocal_transform,
-)
+from .svf import HarmonicDomain, SetValuedFn, reciprocal_transform
 
 _EPS = np.finfo(float).eps
 
@@ -142,7 +137,7 @@ def weighted_harmonic_integral(f: SetValuedFn, dom: HarmonicDomain,
     if q.substitution:
         cols, budget, nodes = _integrate_columns(
             reciprocal_transform(f).eval_vector, 1.0 / b, 1.0 / a, q,
-            exact_polynomial=polynomial_under_reciprocal(f))
+            exact_polynomial=f.polynomial_in_u)
     else:
         def sample(xs: np.ndarray) -> np.ndarray:
             return f.eval_vector(xs) / (xs ** 2)[:, None]

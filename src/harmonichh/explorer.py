@@ -11,7 +11,9 @@ are deterministic given (space, budget, seed); ties are broken by
 lexicographic config ordering.
 
 Every evaluation goes through ``hh_check.run_theorems``, the one way the
-search and the CLI run a theorem on a family.
+search and the CLI run a theorem on a family.  The feasible set is the
+family rule of ``svf`` (``family_rule``, ``least_K``), which checks the
+search space once and repairs every sample.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
 from .svf import (
-    FEASIBILITY_RTOL,
     FeasibilityError,
     HarmonicDomain,
     SetValuedFn,
+    family_rule,
+    least_K,
     make_disc_family,
     make_quadratic_family,
 )
@@ -44,7 +47,8 @@ DEFAULT_SEARCH_GRID = ConvexityGrid(pair_count=64)
 class SearchSpace:
     """Parameter ranges, each as (min, max).  The a-range must lie strictly
     below the b-range so every sampled domain satisfies 0 < a < b, and
-    [a-min, b-max] must be a domain, so every sampled one is."""
+    [a-min, b-max] must be a domain, so every sampled one is.  The family
+    rule must hold at the range minima with a finite least K at the maxima."""
 
     family: str = "quadratic-interval"
     alpha: Tuple[float, float] = (0.5, 3.0)
@@ -58,8 +62,6 @@ class SearchSpace:
     certified_only: bool = True
 
     def __post_init__(self) -> None:
-        if self.family not in ("quadratic-interval", "disc"):
-            raise FeasibilityError(f"unsearchable family kind: {self.family!r}")
         ranges = [(name, getattr(self, name)) for name in ("alpha", "beta", "K", "a", "b", "c")]
         ranges += [(f"{name}[{i}]", r) for name in ("v", "w")
                    for i, r in enumerate(getattr(self, name))]
@@ -67,12 +69,12 @@ class SearchSpace:
             if not (lo <= hi):  # also rejects NaN
                 raise FeasibilityError(f"empty range for {name}: ({lo}, {hi})")
         if not (0.0 < self.a[0] and self.a[1] < self.b[0]):
-            raise FeasibilityError(
-                "feasible space needs 0 < a-range strictly below b-range")
+            raise FeasibilityError("feasible space needs 0 < a-range strictly below b-range")
         HarmonicDomain(self.a[0], self.b[1])  # refuses an end outside the domain range
-        for name in ("beta",) if self.family == "disc" else ("alpha", "beta"):
-            if not getattr(self, name)[0] > 0.0:
-                raise FeasibilityError(f"{self.family} family needs {name} > 0")
+        dims = self.dimension_ranges()
+        family_rule(self.family, {name: lo for name, (lo, _) in dims})
+        top, _ = family_rule(self.family, {name: hi for name, (_, hi) in dims})
+        least_K(top, self.a[0])
         if self.c[0] <= 0.0 and self.certified_only:
             raise FeasibilityError("certified-only search needs c > 0")
 
@@ -98,19 +100,12 @@ class SearchResult:
 
 
 def _repair(space: SearchSpace, raw: dict) -> dict:
-    """Project a raw sample onto the feasible set (spec invariants)."""
+    """Project a raw sample onto the feasible set: K up to its least K and,
+    if certified-only, c into [min(c-min, modulus), modulus]."""
     cfg = dict(raw)
     cfg["family"] = space.family
-    # clamp to the least K the family accepts: at K = need the width at
-    # x = a is exactly zero and float rounding can invert the interval endpoints
-    if space.family == "quadratic-interval":
-        need = (cfg["alpha"] + cfg["beta"]) / cfg["a"] ** 2
-        cfg["K"] = max(cfg["K"], need * (1.0 + FEASIBILITY_RTOL))
-        modulus = min(cfg["alpha"], cfg["beta"])
-    else:
-        need = cfg["beta"] / cfg["a"] ** 2
-        cfg["K"] = max(cfg["K"], need * (1.0 + FEASIBILITY_RTOL))
-        modulus = cfg["beta"]
+    top, modulus = family_rule(space.family, cfg)
+    cfg["K"] = max(cfg["K"], least_K(top, cfg["a"]))
     if space.certified_only:
         cfg["c"] = min(cfg["c"], modulus)
         cfg["c"] = max(cfg["c"], min(space.c[0], modulus))

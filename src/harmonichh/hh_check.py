@@ -24,14 +24,13 @@ inclusion, the shift lemma's shifted map, Proposition 3.1's arithmetic
 form) is computed from the same block and reduced to running witnesses;
 the shifted map has modulus 0, so its rows take no penalty.  With p the
 number of pairs whose (t values x channels) fit in BLOCK_ELEMENTS, at
-least one, a run of p x values shorter than a row is one block per y row,
-and otherwise a block is p // n whole rows.  The budget keeps each
-float64 block array below the allocator's mmap threshold (128 KiB in
-glibc): a larger array is a fresh map that page-faults in on every block.
-Memory is bounded by the block and the values at the n points, not the
-grid.  Per-x and per-pair operands are repeated out to whole arrays before
-they meet the block's, since numpy runs a broadcast one short inner row at
-a time.
+least one, a run holds k = min(p, n) x values and a block p // k of its
+y rows.  The budget keeps each float64 block array below the allocator's
+mmap threshold (128 KiB in glibc): a larger array is a fresh map that
+page-faults in on every block.  Memory is bounded by the block and the
+values at the n points, not the grid.  Per-x and per-pair operands are
+repeated out to whole arrays before they meet the block's, since numpy
+runs a broadcast one short inner row at a time.
 
 A block is reduced by one key array, slack + tolerance per support
 direction or per interval row, and one flat argmin over it: the kept
@@ -211,9 +210,9 @@ def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int, m: int, cha
     one with the run's x values, and its blocks.  A block is
     ``(part, first, stride)``: its slice of the group's y values (first
     axis), the grid index of its first pair and the grid index step from
-    one row to the next.  On the stratified grid a run of ``per_block`` x
-    values shorter than a row is one block per y row; otherwise the run is
-    the whole row and a block holds as many whole rows as fit.  A group
+    one row to the next.  On the stratified grid each run holds k =
+    min(per_block, row length) x values and a block per_block // k y rows
+    of its run: one for a run shorter than a row.  A group
     holds as many whole blocks as fit, at least one, with at most
     BLOCK_ELEMENTS triples and BLOCK_ELEMENTS values of t F(y), on a t grid
     of ``m`` values and F of ``channels`` channels.  Seeded-random pairs
@@ -229,9 +228,9 @@ def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int, m: int, cha
         return
     pts = grid.points(lo, hi)
     n = pts.size
-    # (first x, x values, y rows per block) of each run
-    shapes = ([(j, min(per_block, n - j), 1) for j in range(0, n, per_block)]
-              if per_block < n else [(0, n, per_block // n)])
+    # (first x, x values, y rows per block) of each run of k x values
+    k = min(per_block, n)
+    shapes = [(j, min(k, n - j), per_block // k) for j in range(0, n, k)]
 
     def groups(j, k, step):
         # a y row of the run holds k m triples and m channels values of t F(y)
@@ -247,13 +246,9 @@ def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int, m: int, cha
 def _spread(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """w(t) F over the t grid, shaped (..., t, channels): ``vals`` holds F
     values (any leading shape, then channels) and ``weights`` w(t) per t and
-    channel, or one w in all on a one-point t grid.  The values are repeated
-    over t first, so that the product runs over whole (t x channels) rows
-    even for an interval's two channels."""
-    vals = vals[..., None, :]
-    if weights.shape[0] > 1:
-        vals = vals.repeat(weights.shape[0], axis=-2)
-    return vals * weights
+    channel.  The values are repeated over t first, so that the product runs
+    over whole (t x channels) rows even for an interval's two channels."""
+    return vals[..., None, :].repeat(weights.shape[0], axis=-2) * weights
 
 
 def _across(a: np.ndarray, k: int) -> np.ndarray:
@@ -373,7 +368,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     ct = c * t * s
     channels = 2 if kind == "interval" else f.grid_size
     # the weights t and 1-t of _spread
-    tw, sw = (w[:, None].repeat(channels if t.size > 1 else 1, axis=1) for w in (t, s))
+    tw, sw = (w[:, None].repeat(channels, axis=1) for w in (t, s))
     if block_pairs is None:
         block_pairs = max(1, BLOCK_ELEMENTS // (t.size * channels))
     # running witnesses of the strong and shifted sides by strong id: every row

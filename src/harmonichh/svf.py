@@ -4,9 +4,11 @@ Domains inside [2^-511, 2^511], seeded function families with
 closed-form evaluation, and the two structural transforms (reciprocal
 substitution and the modulus shift by a scaled ball).
 
-Families are closed-form descriptors rather than opaque callables so the
-integration layer can recognize integrands that become low-degree
-polynomials under the substitution u = 1/x.
+The two certified families' rules are stated once, from their moduli:
+``family_rule`` (positive moduli, the numerator of the least K, the
+certified modulus) and ``least_K``.  Their factories and the search both
+call them.  A family's ``polynomial_in_u`` flag tells the integration
+layer that each channel of F(1/u) is a polynomial in u.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class SetValuedFn(abc.ABC):
     kind: str  # "interval" | "support"
     certificate: Optional[FamilyCertificate]
     grid_size: int = DEFAULT_GRID_SIZE
+    polynomial_in_u: bool = False  # every channel of F(1/u) is a polynomial in u
 
     @abc.abstractmethod
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
@@ -124,6 +127,7 @@ class QuadraticIntervalFn(SetValuedFn):
     """
 
     kind = "interval"
+    polynomial_in_u = True
 
     def __init__(self, alpha: float, beta: float, K: float, domain: HarmonicDomain,
                  certificate: Optional[FamilyCertificate] = None):
@@ -158,6 +162,7 @@ class DiscFn(SetValuedFn):
     """
 
     kind = "support"
+    polynomial_in_u = True
 
     def __init__(self, v: Sequence[float], w: Sequence[float], K: float, beta: float,
                  domain: HarmonicDomain, grid_size: int = DEFAULT_GRID_SIZE,
@@ -261,6 +266,7 @@ class CShiftFn(SetValuedFn):
         self.kind = base.kind
         self.certificate = None
         self.grid_size = base.grid_size
+        self.polynomial_in_u = base.polynomial_in_u
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -294,26 +300,50 @@ def reciprocal_transform(f: SetValuedFn) -> SetValuedFn:
     return ReciprocalFn(f)
 
 
-def _check_bound(kind: str, K: float, top: float, bound: str, dom: HarmonicDomain) -> None:
-    """Refuse K below (1 + FEASIBILITY_RTOL) top/a^2."""
-    least = top / dom.a ** 2 * (1.0 + FEASIBILITY_RTOL)
-    if not (K >= least):
+# Each certified family's moduli, the u^2 coefficients of its channels in u = 1/x
+FAMILY_MODULI = {"quadratic-interval": ("alpha", "beta"), "disc": ("beta",)}
+
+
+def family_rule(kind: str, params) -> tuple:
+    """(top, modulus) of a certified family of kind ``kind`` from its moduli
+    in ``params``, a mapping by name: each must be positive, top, the
+    numerator of least_K, is their sum and the modulus their least."""
+    names = FAMILY_MODULI.get(kind)
+    if names is None:
+        raise FeasibilityError(f"unknown family kind: {kind!r}")
+    moduli = [params[name] for name in names]
+    for name, modulus in zip(names, moduli):
+        if not (modulus > 0.0):  # also rejects NaN
+            raise FeasibilityError(f"{kind} family needs {name} > 0")
+    return sum(moduli), min(moduli)
+
+
+def least_K(top: float, a: float) -> float:
+    """The least K of a certified family on [a, b], (1 + FEASIBILITY_RTOL)
+    top/a^2 in Python floats, so that an overflow raises no numpy warning
+    and is refused by naming a."""
+    least = float(top) / float(a) ** 2 * (1.0 + FEASIBILITY_RTOL)
+    if least == np.inf:
+        raise FeasibilityError(f"least K (1 + {FEASIBILITY_RTOL}) {top}/a^2 overflows at a={a!r}")
+    return least
+
+
+def _certificate(kind: str, moduli: dict, K: float, dom: HarmonicDomain) -> FamilyCertificate:
+    """The certificate of a family whose rule holds and whose K is at least
+    its least K on ``dom``."""
+    top, modulus = family_rule(kind, moduli)
+    least = least_K(top, dom.a)
+    if not (K >= least):  # also rejects NaN
         raise FeasibilityError(f"{kind} family infeasible: K={K} < (1 + {FEASIBILITY_RTOL}) "
-                               f"{bound} = {least}")
+                               f"({'+'.join(moduli)})/a^2 = {least}")
+    return FamilyCertificate(modulus, f"least of the moduli {', '.join(moduli)} under u=1/x")
 
 
 def make_quadratic_family(alpha: float, beta: float, K: float,
                           dom: HarmonicDomain) -> QuadraticIntervalFn:
     """Certified quadratic interval family [alpha/x^2, K - beta/x^2]."""
     alpha, beta, K = float(alpha), float(beta), float(K)
-    # negated comparisons, so that NaN parameters are rejected too
-    if not (alpha > 0.0 and beta > 0.0):
-        raise FeasibilityError("quadratic family needs alpha > 0 and beta > 0")
-    _check_bound("quadratic", K, alpha + beta, "(alpha+beta)/a^2", dom)
-    cert = FamilyCertificate(
-        claimed_modulus=min(alpha, beta),
-        basis="endpoint moduli alpha (lower) and beta (upper) under u=1/x",
-    )
+    cert = _certificate("quadratic-interval", {"alpha": alpha, "beta": beta}, K, dom)
     return QuadraticIntervalFn(alpha, beta, K, dom, certificate=cert)
 
 
@@ -322,22 +352,7 @@ def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: flo
                      grid_size: int = DEFAULT_GRID_SIZE) -> DiscFn:
     """Certified disc family {v/x + w} (+) (K - beta/x^2) B."""
     K, beta = float(K), float(beta)
-    if not (beta > 0.0):  # also rejects NaN
-        raise FeasibilityError("disc family needs beta > 0")
     if grid_size < 3:
         raise FeasibilityError(f"disc family needs grid_size >= 3, got {grid_size}")
-    _check_bound("disc", K, beta, "beta/a^2", dom)
-    cert = FamilyCertificate(
-        claimed_modulus=beta,
-        basis="radius quadratic beta under u=1/x; center term linear in u",
-    )
+    cert = _certificate("disc", {"beta": beta}, K, dom)
     return DiscFn(v, w, K, beta, dom, grid_size=grid_size, certificate=cert)
-
-
-def polynomial_under_reciprocal(f: SetValuedFn) -> bool:
-    """True when every endpoint/support channel of F(1/u) is polynomial in u."""
-    if isinstance(f, (QuadraticIntervalFn, DiscFn)):
-        return True
-    if isinstance(f, CShiftFn):
-        return polynomial_under_reciprocal(f.base)
-    return False

@@ -528,6 +528,25 @@ class TestConfigErrorExitCode:
         assert "end b=3e+200 outside" in err
         assert not recwarn.list
 
+    @pytest.mark.parametrize("a_max", [1.5e-154, 1.0], ids=["near", "wide"])
+    def test_search_whose_least_K_overflows(self, tmp_path, capsys, recwarn, a_max):
+        # (alpha + beta)/a^2 overflows at a = 2^-511: the space is refused by
+        # naming a, before any sample is repaired
+        err = self.assert_config_error(tmp_path, capsys, search_doc(
+            a=[2.0 ** -511, a_max], alpha=[3.0, 3.0], beta=[3.0, 3.0]))
+        assert err.count("\n") == 1
+        assert "a=1.4916681462400413e-154" in err
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("family", [{**QUADRATIC, "alpha": 3.0, "beta": 3.0},
+                                        {**DISC, "beta": 5.0}], ids=["quadratic", "disc"])
+    def test_family_whose_least_K_overflows(self, tmp_path, capsys, recwarn, family):
+        err = self.assert_config_error(tmp_path, capsys, verify_doc(
+            families=[{**family, "a": 2.0 ** -511, "b": 1.0}], theorems=["def_shc"]))
+        assert err.count("\n") == 1
+        assert "a=1.4916681462400413e-154" in err
+        assert not recwarn.list
+
     # tolerances and t values that would turn held inclusions into violations
     def test_negative_tolerance(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, verify_doc(

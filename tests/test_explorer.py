@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from harmonichh import hh_check
 from harmonichh.aumann import QuadratureSpec
@@ -9,6 +12,7 @@ from harmonichh.cli import build_family
 from harmonichh.cli import main as cli_main
 from harmonichh.explorer import (
     SearchSpace,
+    _repair,
     build_function,
     emit_counterexample,
     evaluate_config,
@@ -16,7 +20,7 @@ from harmonichh.explorer import (
     run_theorems,
 )
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid
-from harmonichh.svf import FeasibilityError, QuadraticIntervalFn
+from harmonichh.svf import FeasibilityError, QuadraticIntervalFn, least_K
 
 GRID = ConvexityGrid(pair_count=64)
 
@@ -59,6 +63,11 @@ class TestSearchSpace:
         with pytest.raises(FeasibilityError):
             SearchSpace(family=kind, certified_only=False, **{name: (0.0, 0.5)})
 
+    def test_overflowing_least_K_rejected(self):
+        # (alpha + beta)/a^2 overflows at a-min = 2^-511
+        with pytest.raises(FeasibilityError, match=re.escape("a=1.4916681462400413e-154")):
+            SearchSpace(a=(2.0 ** -511, 1.5e-154), alpha=(3.0, 3.0), beta=(3.0, 3.0))
+
     def test_disc_ignores_alpha(self):
         SearchSpace(family="disc", alpha=(-1.0, -0.5), certified_only=False)
 
@@ -68,6 +77,44 @@ class TestSearchSpace:
             min_slack_search(space, "lemma_i", budget=2, seed=0, grid=GRID)
         # def_shc accepts c = 0
         min_slack_search(space, "def_shc", budget=2, seed=0, grid=GRID)
+
+
+@st.composite
+def space_and_sample(draw, family):
+    """A search space the explorer accepts, at any scale of the domain
+    range, and a raw sample of it drawn as the search draws one."""
+    def span(lo, hi):
+        x, y = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+        return (min(x, y), max(x, y))
+
+    a_min = 2.0 ** draw(st.integers(-511, 200)) * draw(st.floats(1.0, 2.0))
+    a = (a_min, a_min * draw(st.floats(1.0, 4.0)))
+    b_min = a[1] * draw(st.floats(1.01, 4.0))
+    try:
+        space = SearchSpace(family=family, alpha=span(1e-3, 10.0), beta=span(1e-3, 10.0),
+                            K=span(0.0, 100.0), v=(span(-1.0, 1.0), span(-1.0, 1.0)),
+                            w=(span(-1.0, 1.0), span(-1.0, 1.0)), a=a,
+                            b=(b_min, b_min * draw(st.floats(1.0, 4.0))), c=span(1e-3, 10.0),
+                            certified_only=draw(st.booleans()))
+    except FeasibilityError:  # its least K overflows: a-min within an ulp or two of 2^-511
+        reject()
+    raw = {name: lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+           for name, (lo, hi) in space.dimension_ranges()}
+    return space, raw
+
+
+@pytest.mark.parametrize("family", ["quadratic-interval", "disc"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_repair_and_factories_share_the_family_rule(family, data):
+    space, raw = data.draw(space_and_sample(family))
+    cfg = _repair(space, raw)
+    f = build_function(cfg)  # the factory accepts every repaired sample
+    top = raw["alpha"] + raw["beta"] if family == "quadratic-interval" else raw["beta"]
+    assert cfg["K"] == max(raw["K"], least_K(top, raw["a"]))
+    modulus = f.certificate.claimed_modulus
+    if space.certified_only:
+        assert min(space.c[0], modulus) <= cfg["c"] <= modulus
 
 
 QUADRATIC_CFG = {"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0,

@@ -1,0 +1,24 @@
+"""What no run of the verifier reaches leaves ``src/``, unless the
+benchmark's span tracer still looks it up: ``tools/reachability.py``
+traces the runs, and this test holds its list to the few functions that
+stay on purpose."""
+
+import importlib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Kept though no traced run calls them: the two sets' __repr__s, the
+# abstract eval_vector, and QuadraticIntervalFn.params, which a quadratic
+# search writing a counterexample reaches (the README's search example).
+KEPT = {"Interval.__repr__", "SupportSet.__repr__", "SetValuedFn.eval_vector",
+        "QuadraticIntervalFn.params"}
+
+
+def test_only_the_kept_functions_are_unreached(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    reachability = importlib.import_module("reachability")
+    found = reachability.unreached(ROOT / "src")
+    assert {qualname for _, _, qualname, _, hold in found
+            if hold not in ("wraps", "class")} == KEPT

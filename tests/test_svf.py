@@ -18,7 +18,6 @@ from harmonichh.svf import (
     ball_shift,
     make_disc_family,
     make_quadratic_family,
-    polynomial_under_reciprocal,
     reciprocal_transform,
 )
 from oracles import harmonic_combination, reflect
@@ -210,6 +209,15 @@ class TestFeasibilityMargin:
             family_at(kind, args + (HarmonicDomain(1e-170, 1.0),), 3.0)
 
 
+    @pytest.mark.parametrize("kind", ["quadratic", "disc"])
+    def test_least_K_overflowing(self, kind):
+        # (alpha+beta)/a^2 = 6 2^1022 and beta/a^2 = 5 2^1022 overflow: the
+        # bound is refused by naming a, not compared with K
+        args = (3.0, 3.0) if kind == "quadratic" else ((1, 0), (0, 1), 5.0)
+        with pytest.raises(FeasibilityError, match=re.escape(f"a={2.0 ** -511!r}")):
+            family_at(kind, args + (HarmonicDomain(2.0 ** -511, 1.0),), 1e300)
+
+
 class TestReciprocalTransform:
     def test_closed_form(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
@@ -397,7 +405,10 @@ class TestEndpointModuli:
 
 def test_polynomial_under_reciprocal_flags():
     f = make_quadratic_family(1, 1, 10, DOM12)
-    assert polynomial_under_reciprocal(f)
-    assert polynomial_under_reciprocal(CShiftFn(f, 0.5))
+    assert f.polynomial_in_u
+    assert CShiftFn(f, 0.5).polynomial_in_u
+    assert make_disc_family((1, 0), (0, 1), 3, 1, DOM12).polynomial_in_u
     sampled = SampledFn([1.0, 2.0], np.array([[0.0, 1.0], [0.0, 1.0]]), DOM12)
-    assert not polynomial_under_reciprocal(sampled)
+    assert not sampled.polynomial_in_u
+    assert not CShiftFn(sampled, 0.5).polynomial_in_u
+    assert not reciprocal_transform(f).polynomial_in_u

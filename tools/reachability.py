@@ -19,7 +19,8 @@ looking it up (ROADMAP item 1).  Abstract methods are marked too.
     python tools/reachability.py [SRC]
 
 SRC is the ``src`` directory whose ``harmonichh`` is traced (this
-checkout's by default).
+checkout's by default).  ``unreached(SRC)`` gives the same list to a
+caller that has put ``perfbench``, ``tests`` and SRC on ``sys.path``.
 """
 
 from __future__ import annotations
@@ -89,8 +90,19 @@ def workloads():
             raise RuntimeError(f"the disc search exited {status} without its counterexample")
 
 
+def _package_modules() -> dict:
+    return {name: module for name, module in sys.modules.items()
+            if name.split(".")[0] == "harmonichh"}
+
+
 def traced_calls() -> set:
-    """(path, first line) of every Python function the workloads called."""
+    """(path, first line) of every Python function the workloads called,
+    the package's import included.  They run on a copy of the package
+    imported afresh, so that no call is missed because an earlier import or
+    cache in the same process made it; the loaded modules are put back."""
+    loaded = _package_modules()
+    for name in loaded:
+        del sys.modules[name]
     codes = set()
 
     def profile(frame, event, arg):
@@ -102,13 +114,15 @@ def traced_calls() -> set:
         workloads()
     finally:
         sys.setprofile(None)
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(loaded)
     return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
 
 
 def tracer_held() -> tuple:
     """(path, first line) of every function the span tracer wraps, and the
     names of the classes it looks up, read from an installed tracer."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
     import spans
 
     tracer = spans.Tracer()
@@ -126,31 +140,46 @@ def tracer_held() -> tuple:
     return wrapped, classes
 
 
+def unreached(src: Path) -> list:
+    """(module, first line, qualname, line count, hold) of every function
+    under ``src/harmonichh`` that no workload calls, in file order.  hold
+    is "wraps" for a name the span tracer wraps, "class" for a method of a
+    class it looks up by name, "abstract" for an abstract method, else
+    None."""
+    reached = traced_calls()
+    wrapped, classes = tracer_held()
+    defined = defined_functions(Path(src) / "harmonichh")
+    # a class the tracer looks up is held whole only if no run reaches any of it
+    classes -= {d[2].split(".")[0] for d in defined if d[:2] in reached}
+    found = []
+    for path, first, qualname, lines, abstract in defined:
+        if (path, first) in reached:
+            continue
+        hold = ("wraps" if (path, first) in wrapped else
+                "class" if qualname.split(".")[0] in classes else
+                "abstract" if abstract else None)
+        found.append((Path(path).stem, first, qualname, lines, hold))
+    return found
+
+
+MARKS = {"wraps": "  [tracer wraps it: waits for ROADMAP item 1]",
+         "class": "  [tracer looks up its class: waits for ROADMAP item 1]",
+         "abstract": "  [abstract]", None: ""}
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     src = Path(args[0] if args else ROOT / "src").resolve()
-    sys.path[:0] = [str(src), str(ROOT / "tests")]
-    reached = traced_calls()
-    wrapped, classes = tracer_held()
-    defined = defined_functions(src / "harmonichh")
-    unreached = [d for d in defined if d[:2] not in reached]
-    # a class the tracer looks up is held whole only if no run reaches any of it
-    classes -= {d[2].split(".")[0] for d in defined if d[:2] in reached}
+    sys.path[:0] = [str(src), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    found = unreached(src)
     held_lines = other_lines = 0
-    for path, first, qualname, lines, abstract in unreached:
-        mark = ""
-        if (path, first) in wrapped:
-            mark = "  [tracer wraps it: waits for ROADMAP item 1]"
-        elif qualname.split(".")[0] in classes:
-            mark = "  [tracer looks up its class: waits for ROADMAP item 1]"
-        elif abstract:
-            mark = "  [abstract]"
-        if mark.startswith("  [tracer"):
+    for module, first, qualname, lines, hold in found:
+        if hold in ("wraps", "class"):
             held_lines += lines
         else:
             other_lines += lines
-        print(f"{Path(path).stem}:{first} {qualname} ({lines} lines){mark}")
-    print(f"{len(unreached)} functions unreached: {held_lines} lines held by the tracer, "
+        print(f"{module}:{first} {qualname} ({lines} lines){MARKS[hold]}")
+    print(f"{len(found)} functions unreached: {held_lines} lines held by the tracer, "
           f"{other_lines} other")
     return 0
 
