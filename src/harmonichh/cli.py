@@ -28,9 +28,8 @@ from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, c
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .set_core import DEFAULT_GRID_SIZE, Interval, SupportSet
-from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, make_disc_family,
-                  make_quadratic_family)
+from .set_core import Interval, SupportSet
+from .svf import FeasibilityError, SetValuedFn, make_family
 
 MODES = ("verify", "search", "baseline")
 
@@ -237,12 +236,8 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def build_family(descriptor: dict) -> SetValuedFn:
-    fam = _family(descriptor)
-    dom = HarmonicDomain(fam["a"], fam["b"])
-    if fam["family"] == "disc":
-        return make_disc_family(fam["v"], fam["w"], fam["K"], fam["beta"], dom,
-                                grid_size=fam.get("grid_size", DEFAULT_GRID_SIZE))
-    return make_quadratic_family(fam["alpha"], fam["beta"], fam["K"], dom)
+    """The family of a config descriptor, read through its key table."""
+    return make_family(_family(descriptor))
 
 
 def _set_to_doc(s) -> dict:

@@ -30,15 +30,7 @@ from .hh_check import DEFAULT_TOL, ConvexityGrid, TheoremReport, check_modulus, 
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .svf import (
-    FeasibilityError,
-    HarmonicDomain,
-    SetValuedFn,
-    family_rule,
-    least_K,
-    make_disc_family,
-    make_quadratic_family,
-)
+from .svf import FeasibilityError, HarmonicDomain, family_rule, least_K, make_family
 
 DEFAULT_SEARCH_GRID = ConvexityGrid(pair_count=64)
 
@@ -112,13 +104,12 @@ def _repair(space: SearchSpace, raw: dict) -> dict:
     return cfg
 
 
-def build_function(cfg: dict) -> SetValuedFn:
-    """Instantiate the set-valued function described by a search config."""
-    dom = HarmonicDomain(cfg["a"], cfg["b"])
-    if cfg["family"] == "quadratic-interval":
-        return make_quadratic_family(cfg["alpha"], cfg["beta"], cfg["K"], dom)
-    return make_disc_family((cfg["v0"], cfg["v1"]), (cfg["w0"], cfg["w1"]),
-                            cfg["K"], cfg["beta"], dom)
+def family_descriptor(cfg: dict) -> dict:
+    """The family descriptor of a search config, the layout ``make_family``
+    reads: a disc's v0, v1, w0 and w1 as the pairs v and w."""
+    if cfg["family"] != "disc":
+        return cfg
+    return {**cfg, "v": (cfg["v0"], cfg["v1"]), "w": (cfg["w0"], cfg["w1"])}
 
 
 def evaluate_config(cfg: dict, theorem_id: str,
@@ -126,7 +117,7 @@ def evaluate_config(cfg: dict, theorem_id: str,
                     quad: Optional[QuadratureSpec] = None,
                     tol: float = DEFAULT_TOL) -> TheoremReport:
     """Slack and verdict of the given theorem checker on one configuration."""
-    return run_theorems(build_function(cfg), [theorem_id], cfg["c"], grid,
+    return run_theorems(make_family(family_descriptor(cfg)), [theorem_id], cfg["c"], grid,
                         quad or QuadratureSpec(), tol)[0]
 
 
@@ -205,7 +196,7 @@ def emit_counterexample(result: SearchResult, path: str) -> None:
         raise ValueError("no violation in this search result")
     doc = {
         "mode": "verify",
-        "families": [build_function(result.best_config).params()],
+        "families": [make_family(family_descriptor(result.best_config)).params()],
         "c": result.best_config["c"],
         "grid": result.context.get("grid", {}),
         "quadrature": result.context.get("quadrature", {}),

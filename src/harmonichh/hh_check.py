@@ -7,30 +7,53 @@ rounding floor where the rule is exact on a polynomial integrand, else the
 difference against the doubled rule, an estimate rather than a bound, so a
 violation within a few budgets may still be quadrature error.  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
-of sets, ``inclusion_block`` for the rows of a grid block.
+of sets, ``inclusion_block`` for the rows of a grid block, and its support
+branch ``support_keys`` for a block formed from coefficients.
 
 Grid checks run as one streamed pass per family, over the (x, y, t) grid,
 or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
-for; those two read the t = 1/2 rows of each block.  The stratified grid
-is the product of n points with themselves, so F is evaluated once per
-pass at those points (seeded-random pairs share none, so there once per
-block) and once per midpoint.  The pass walks runs of x values outer and
-y rows inner: a run's (1-t) F(x) slab serves all its blocks.  Consecutive
-blocks of a run form a group of at most BLOCK_ELEMENTS triples and as many
-values of t F(y); the group's geometry (xy, dist^2, the midpoints and the
-penalty c t(1-t) dist^2) and its t F(y) are computed once, and a block
-adds F(mid).  Every side the requested theorems need (the modulus-c
-inclusion, the shift lemma's shifted map, Proposition 3.1's arithmetic
-form) is computed from the same block and reduced to running witnesses;
-the shifted map has modulus 0, so its rows take no penalty.  With p the
-number of pairs whose (t values x channels) fit in BLOCK_ELEMENTS, at
-least one, a run holds k = min(p, n) x values and a block p // k of its
-y rows.  The budget keeps each float64 block array below the allocator's
-mmap threshold (128 KiB in glibc): a larger array is a fresh map that
-page-faults in on every block.  Memory is bounded by the block and the
-values at the n points, not the grid.  Per-x and per-pair operands are
-repeated out to whole arrays before they meet the block's, since numpy
-runs a broadcast one short inner row at a time.
+for; those two read the t = 1/2 rows of each block.  Every side the
+requested theorems need (the modulus-c inclusion, the shift lemma's
+shifted map, Proposition 3.1's arithmetic form) is computed from the same
+block and reduced to running witnesses; the shifted map has modulus 0, so
+its rows take no penalty.  Memory is bounded by the block and the values
+at the grid's points, not the grid.  The pass runs one of two routes,
+chosen by the family alone.
+
+A support family with a coefficient form (``DiscFn``: per-point
+coefficients on a fixed (k, M) basis whose last row is the unit ball's
+support) runs in coefficient space.  Support functions add over Minkowski
+sums and scale with nonnegative factors (Rockafellar, Convex Analysis,
+section 13), so each side of an inclusion is a coefficient row times the
+basis: in u = 1/x the harmonic midpoint is u_H = t u_y + (1-t) u_x, the
+left side t F(y) + (1-t) F(x) is the same combination of coefficient
+rows, and the penalty c t(1-t) (u_x - u_y)^2 sits on the ball row.  A
+group of triples in grid order forms its rows' slack and h_B coefficients
+at once; a block of rows then costs two basis products, the key array and
+one argmin, in buffers allocated once per pass, where the values route
+carries all M channels through every operation.  ``set_core.basis_product``
+runs every product at one padded shape, because BLAS rounds a row
+differently at other row counts (a one-row product is a matrix-vector
+call, and the t = 1/2 pass has short blocks), so a row's values would
+otherwise depend on the block it falls in.
+
+Every other family runs on its values.  The stratified grid is the
+product of n points with themselves, so F is evaluated once per pass at
+those points (seeded-random pairs share none, so there once per block)
+and once per midpoint.  The pass walks runs of x values outer and y rows
+inner: a run's (1-t) F(x) slab serves all its blocks.  Consecutive blocks
+of a run form a group of at most BLOCK_ELEMENTS triples and as many values
+of t F(y); the group's geometry (xy, dist^2, the midpoints and the penalty
+c t(1-t) dist^2) and its t F(y) are computed once, and a block adds
+F(mid).  With p the number of pairs whose (t values x channels) fit in
+BLOCK_ELEMENTS, at least one, a run holds k = min(p, n) x values and a
+block p // k of its y rows.  The budget keeps each float64 block array
+below the allocator's mmap threshold (128 KiB in glibc): a larger array is
+a fresh map that page-faults in on every block.  Per-x and per-pair
+operands are repeated out to whole arrays before they meet the block's,
+since numpy runs a broadcast one short inner row at a time.  Proposition
+3.1's arithmetic side always takes this route, through G(u) = F(1/u), so
+that it stays an independent check of the harmonic side.
 
 A block is reduced by one key array, slack + tolerance per support
 direction or per interval row, and one flat argmin over it: the kept
@@ -68,19 +91,24 @@ from .aumann import (
     weighted_harmonic_integral,
 )
 from .set_core import (
+    BLOCK_ELEMENTS,
     ConvexSet,
     InclusionVerdict,
     Interval,
     as_set,
     ball,
+    basis_product,
     hausdorff,
     includes,
     inclusion_block,
     interval_product,
     minkowski_sum,
+    product_rows,
     row_verdict,
     rows_hold,
     scale,
+    support_keys,
+    support_tolerance,
 )
 from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, ball_shift,
                   reciprocal_transform, widen)
@@ -122,10 +150,6 @@ def run_theorems(f: SetValuedFn, ids: Sequence[str], c: float, grid: ConvexityGr
         done.update(integral_reports(f, f, c, f.domain, quad, rest, tol))
     return [done[tid] for tid in ids]
 
-
-# Values (rows x channels) per array of a streamed grid block: 96 KiB of
-# float64, below glibc's 128 KiB mmap threshold.
-BLOCK_ELEMENTS = 12288
 
 _DEFAULT_T = tuple(np.round(np.linspace(0.0, 1.0, 11), 12))
 
@@ -282,17 +306,39 @@ class _Worst:
     for support sets.  The kept row is the first global argmin in grid
     order whatever order the blocks arrive in, so the verdict does not
     depend on batching.  Every row holds exactly when the kept row does, so
-    the kept row's verdict is the side's verdict.
+    the kept row's verdict is the side's verdict.  A side of the
+    coefficient pass keeps its row's coefficients on ``basis`` and forms
+    the row's sets from them when it reports.
     """
 
-    def __init__(self, kind: str, t: np.ndarray, pick: Optional[slice] = None):
+    def __init__(self, kind: str, t: np.ndarray, pick: Optional[slice] = None,
+                 basis: Optional[np.ndarray] = None):
         self.kind = kind
         self.t = t if pick is None else t[pick]
         self.pick = pick
+        self.basis = basis
         self.rank = None
         self.index = None
         self.row = None
         self.triples = 0
+
+    def offer(self, keys, index, kept):
+        """Fold in the key rows ``keys`` of one block, row r at grid index
+        ``index(r)``; ``kept(r, j)`` is the row to keep when row r (at
+        direction j of a support row) wins: its slack, tolerance, witness,
+        both sides, x, y and t."""
+        flat = keys.reshape(-1)
+        i = int(flat.argmin())
+        self.triples += keys.shape[0]
+        key = float(flat[i])
+        rank = (0, 0.0) if key != key else (1, key)  # NaN first
+        if self.row is not None and rank > self.rank:
+            return
+        r, j = divmod(i, keys.shape[1]) if keys.ndim > 1 else (i, None)
+        at = index(r)
+        if self.row is None or rank < self.rank or at < self.index:
+            self.rank, self.index = rank, at
+            self.row = kept(r, j)
 
     def update(self, block, x, y, first, stride):
         """Fold in one block's rows, an ``inclusion_block`` of lhs[i] inside
@@ -302,26 +348,30 @@ class _Worst:
         keys, rows = block.keys, range(block.keys.shape[0])
         if self.pick is not None:
             keys, rows = keys[self.pick], rows[self.pick]
-        flat = keys.reshape(-1)
-        i = int(flat.argmin())
-        self.triples += keys.shape[0]
-        key = float(flat[i])
-        rank = (0, 0.0) if key != key else (1, key)  # NaN first
-        if self.row is not None and rank > self.rank:
-            return
-        r, j = divmod(i, keys.shape[1]) if keys.ndim > 1 else (i, None)
-        pair, ti = divmod(r, self.t.size)
-        yr, k = divmod(pair, x.size)
-        index = (first + yr * stride + k) * self.t.size + ti
-        if self.row is None or rank < self.rank or index < self.index:
-            self.rank, self.index = rank, index
+        m = self.t.size
+
+        def where(r):
+            pair, ti = divmod(r, m)
+            return divmod(pair, x.size) + (ti,)
+
+        def index(r):
+            yr, k, ti = where(r)
+            return (first + yr * stride + k) * m + ti
+
+        def kept(r, j):
+            yr, k, ti = where(r)
             row = rows[r]
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
-            self.row = (*block.at(row, j), block.lhs[row].copy(), block.rhs[row].copy(),
-                        x[k], y[yr, 0] if y.shape[1] == 1 else y[0, k], self.t[ti])
+            return (*block.at(row, j), block.lhs[row].copy(), block.rhs[row].copy(),
+                    x[k], y[yr, 0] if y.shape[1] == 1 else y[0, k], self.t[ti])
+
+        self.offer(keys, index, kept)
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
+        if self.basis is not None:
+            lhs, rhs = (basis_product(a[None], self.basis, np.empty((1, self.basis.shape[1])))[0]
+                        for a in (lhs, rhs))
         return TheoremReport(
             theorem_id=theorem_id,
             lhs=as_set(lhs.tolist(), self.kind),  # Python floats build a set faster
@@ -349,21 +399,77 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
 
     The pass covers the (x, y, t) grid when def_shc, lemma_i or prop_31 is
     requested, and otherwise the t = 1/2 pairs alone; def_mid and lemma_ii
-    read the t = 1/2 rows of its blocks.  It walks the pairs in the blocks
-    of ``_walk`` (``block_pairs`` pairs, by default as many as
-    BLOCK_ELEMENTS allows; tests pass other sizes), evaluates F once per
-    point of the walk and once per midpoint, and computes only the sides the
-    ids need: the modulus-c side of F (which is also prop_31's harmonic
-    side), the modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and
-    prop_31's arithmetic side, evaluated independently through
-    G(u) = F(1/u).  Each x-run's (1-t) F(x) slab serves all its blocks, and
-    each group's geometry and t F(y) all the blocks of the group.
+    read the t = 1/2 rows of its blocks.  It computes only the sides the ids
+    need: the modulus-c side of F (which is also prop_31's harmonic side),
+    the modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and prop_31's
+    arithmetic side, evaluated independently through G(u) = F(1/u).  A
+    family with a coefficient form runs ``_coefficient_pass``, any other
+    ``_values_pass``; ``block_pairs`` sets how many pairs either forms at
+    once (by default as many as its budget allows; tests pass other sizes).
     """
     check_modulus(ids, c)
     full = not {"def_shc", "lemma_i", "prop_31"}.isdisjoint(ids)
-    arithmetic = "prop_31" in ids
     kind = f.kind
     t = np.array(grid.t_values if full else (0.5,))
+    # running witnesses of the strong and shifted sides by strong id: every row
+    # of a block for def_shc (lemma_i), the t = 1/2 rows for def_mid (lemma_ii)
+    half = slice(grid.t_values.index(0.5), None, t.size) if full else None
+    rows_of = {"def_shc": (None, "lemma_i", full),
+               "def_mid": (half, "lemma_ii", "def_mid" in ids or "lemma_ii" in ids)}
+    strong = {sid: _Worst(kind, t, pick, f.basis)
+              for sid, (pick, _, wanted) in rows_of.items() if wanted}
+    shift = {sid: _Worst(kind, t, pick, f.basis)
+             for sid, (pick, lemma_id, _) in rows_of.items() if lemma_id in ids}
+    arith = _Arithmetic(f) if "prop_31" in ids else None
+    run = _values_pass if f.basis is None else _coefficient_pass
+    run(f, c, grid, t, tol, block_pairs, list(strong.values()), list(shift.values()), arith)
+
+    out = {sid: side.report(sid, c) for sid, side in strong.items()}
+    for sid, side in shift.items():
+        lemma_id = rows_of[sid][1]
+        out[lemma_id] = shift_lemma_report(lemma_id, out[sid], side.report(sid, 0.0), c)
+    if arith is not None:
+        out["prop_31"] = strong["def_shc"].report(
+            "prop_31", c,
+            harmonic_holds=out["def_shc"].holds,
+            arithmetic_holds=arith.holds,
+            arithmetic_slack=float(arith.slack),
+            disagreements=arith.disagreements,
+            consistency_failure=arith.disagreements > 0,
+        )
+    return {tid: out[tid] for tid in ids}
+
+
+class _Arithmetic:
+    """prop_31's arithmetic side over the blocks of a pass, always on the
+    values of G(u) = F(1/u): whether every row
+    t G(v) + (1-t) G(u) + c t(1-t) (u - v)^2 B inside G(t v + (1-t) u)
+    holds, their smallest row slack, and how many rows' verdicts differ
+    from the harmonic side's."""
+
+    def __init__(self, f: SetValuedFn):
+        self.g = reciprocal_transform(f)
+        self.holds, self.slack, self.disagreements = True, np.inf, 0
+
+    def update(self, lhs, umids, harmonic_keys, kind, tol):
+        """Fold in one block: the rows' left sides ``lhs``, their midpoints
+        ``umids`` in u, and the harmonic side's keys of the same rows."""
+        block = inclusion_block(lhs, self.g.eval_vector(umids), kind, tol)
+        holds = rows_hold(block.keys)
+        self.disagreements += int(np.count_nonzero(rows_hold(harmonic_keys) != holds))
+        self.holds = self.holds and bool(holds.all())
+        self.slack = np.minimum(self.slack, np.min(block.row_slack()))
+
+
+def _values_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
+    """The pass over F's values, by x-runs of ``_walk``: folds every block
+    into the running witnesses ``strong`` and ``shift``, and into ``arith``
+    when prop_31 is requested.
+
+    Each x-run's (1-t) F(x) slab serves all its blocks, and each group's
+    geometry and t F(y) all the blocks of the group.
+    """
+    kind = f.kind
     s = 1.0 - t
     ct = c * t * s
     channels = 2 if kind == "interval" else f.grid_size
@@ -371,23 +477,13 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     tw, sw = (w[:, None].repeat(channels, axis=1) for w in (t, s))
     if block_pairs is None:
         block_pairs = max(1, BLOCK_ELEMENTS // (t.size * channels))
-    # running witnesses of the strong and shifted sides by strong id: every row
-    # of a block for def_shc (lemma_i), the t = 1/2 rows for def_mid (lemma_ii)
-    half = slice(grid.t_values.index(0.5), None, t.size) if full else None
-    rows_of = {"def_shc": (None, "lemma_i", full),
-               "def_mid": (half, "lemma_ii", "def_mid" in ids or "lemma_ii" in ids)}
-    strong = {sid: _Worst(kind, t, pick) for sid, (pick, _, wanted) in rows_of.items() if wanted}
-    shift = {sid: _Worst(kind, t, pick)
-             for sid, (pick, lemma_id, _) in rows_of.items() if lemma_id in ids}
-    arith_holds, arith_min, disagreements = True, np.inf, 0
-    g = reciprocal_transform(f) if arithmetic else None
     for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs, t.size, channels):
         fp = f.eval_vector(pts)
         if shift:
             sp = ball_shift(fp, pts, c, kind)
-        if arithmetic:
+        if arith:
             up = 1.0 / pts
-            gp = g.eval_vector(up)
+            gp = arith.g.eval_vector(up)
         for run, groups in runs:
             # per run: t x, c t(1-t) per x, and the (1-t) F(x) slab of each side
             x = pts[run]
@@ -396,7 +492,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
             fx = _spread(fp[run], sw)
             if shift:
                 sx = _spread(sp[run], sw)
-            if arithmetic:
+            if arith:
                 u = up[run]
                 su = u[:, None] * s
                 gx = _spread(gp[run], sw)
@@ -414,7 +510,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
                 fy = _spread(fp[rows], tw)
                 if shift:
                     sy = _spread(sp[rows], tw)
-                if arithmetic:
+                if arith:
                     v = up[rows]
                     pen_u = _over_t((u - v) ** 2, t.size)
                     pen_u *= ctx
@@ -427,35 +523,123 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
                     fm = f.eval_vector(bm)
                     lhs = _lhs_rows(fy[part], fx)
                     widen(lhs, pen[part].reshape(-1), kind, lhs)
-                    keys = _fold(strong.values(), lhs, fm, kind, tol, where).keys
+                    keys = _fold(strong, lhs, fm, kind, tol, where).keys
                     if shift:
                         # the shifted side has modulus 0: its rows take no penalty
-                        _fold(shift.values(), _lhs_rows(sy[part], sx),
+                        _fold(shift, _lhs_rows(sy[part], sx),
                               ball_shift(fm, bm, c, kind), kind, tol, where)
-                    if arithmetic:
+                    if arith:
                         lhs = _lhs_rows(gy[part], gx)
                         widen(lhs, pen_u[part].reshape(-1), kind, lhs)
-                        arith = inclusion_block(lhs, g.eval_vector(umids[part].ravel()),
-                                                kind, tol)
-                        va = rows_hold(arith.keys)
-                        disagreements += int(np.count_nonzero(rows_hold(keys) != va))
-                        arith_holds = arith_holds and bool(va.all())
-                        arith_min = np.minimum(arith_min, np.min(arith.row_slack()))
+                        arith.update(lhs, umids[part].ravel(), keys, kind, tol)
 
-    out = {sid: side.report(sid, c) for sid, side in strong.items()}
-    for sid, side in shift.items():
-        lemma_id = rows_of[sid][1]
-        out[lemma_id] = shift_lemma_report(lemma_id, out[sid], side.report(sid, 0.0), c)
-    if arithmetic:
-        out["prop_31"] = strong["def_shc"].report(
-            "prop_31", c,
-            harmonic_holds=out["def_shc"].holds,
-            arithmetic_holds=arith_holds,
-            arithmetic_slack=float(arith_min),
-            disagreements=disagreements,
-            consistency_failure=disagreements > 0,
-        )
-    return {tid: out[tid] for tid in ids}
+
+# Triples whose coefficients one group of the coefficient pass forms,
+# rounded down to whole products of product_rows rows (at least one)
+_GROUP_ROWS = 2048
+
+
+def _coefficient_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
+    """The pass of a support family with a coefficient form, in
+    coefficient space: folds every block into the running witnesses
+    ``strong`` and ``shift``, and into ``arith`` when prop_31 is requested.
+
+    The triples are taken in grid order, in groups of ``block_pairs`` pairs
+    (by default about _GROUP_ROWS triples).  A group forms its rows'
+    coefficients in u = 1/x: the harmonic midpoint u_H = t u_y + (1-t) u_x,
+    each side's t F(y) + (1-t) F(x) and F(u_H) as coefficient rows (the
+    strong side's with the penalty c t(1-t) (u_x - u_y)^2 on the ball row,
+    the shifted map's with c u^2 on each point's ball row), and the
+    slack's.  Each block of product_rows rows then takes two basis
+    products, the slack's and h_B's, the inclusion rule's keys and one
+    argmin per side, in buffers allocated once per pass.  Products run
+    at one shape, so rows past the end of a group repeat its last triple and
+    are not read.  prop_31's arithmetic side takes G's values at the
+    block's points, as in ``_values_pass``.
+    """
+    basis = f.basis
+    rows = product_rows(basis.shape[1])
+    m = t.size
+    s = 1.0 - t
+    ct = c * t * s
+    if grid.sampling == "seeded-random":
+        px, py = grid.pairs(f.domain.a, f.domain.b)
+        pts, n, pairs = np.concatenate((px, py)), None, px.size
+    else:
+        pts = grid.points(f.domain.a, f.domain.b)
+        n = pts.size
+        pairs = n * n
+    up = 1.0 / pts
+    total = pairs * m
+    group = block_pairs * m if block_pairs else rows * max(1, _GROUP_ROWS // rows)
+    values, hb, keys = (np.empty((rows, basis.shape[1])) for _ in range(3))
+    for g0 in range(0, total, group):
+        count = min(group, total - g0)
+        idx = np.arange(g0, g0 + -(-count // rows) * rows)
+        np.minimum(idx, g0 + count - 1, out=idx)
+        pair, ti = np.divmod(idx, m)
+        xi, yi = (pair, pair + pairs) if n is None else np.divmod(pair, n)[::-1]
+        ux, uy, tg, sg = up[xi], up[yi], t[ti], s[ti]
+        uh = tg * uy
+        uh += sg * ux
+        pen = ux - uy
+        pen *= pen
+        pen *= ct[ti]
+        ay, ax, ah = (f.coefficients(u) for u in (uy, ux, uh))
+        sides = [(strong, _combination(ay, ax, ah, tg, sg, pen))]
+        if shift:
+            # the shifted map has modulus 0: its rows take no penalty
+            sides.append((shift, _combination(*(_ball_row(a, c * (u * u)) for a, u in (
+                (ay, uy), (ax, ux), (ah, uh))), tg, sg, None)))
+        for b0 in range(0, idx.size, rows):
+            v, first = min(rows, count - b0), g0 + b0
+            for worst, (lhs, slack, rhs) in sides:
+                basis_product(slack[b0:b0 + rows], basis, values)
+                basis_product(rhs[b0:b0 + rows], basis, hb)
+                block_keys = support_keys(values[:v], hb[:v], tol, keys[:v])
+
+                def kept(r, j):
+                    i = b0 + r
+                    return (values[r, j], support_tolerance(hb[r, j], tol), j,
+                            lhs[:, i].copy(), rhs[i].copy(), pts[xi[i]], pts[yi[i]], tg[i])
+
+                for side in worst:
+                    # a side that picks the t = 1/2 rows reads every m-th row
+                    start, step = ((0, 1) if side.pick is None
+                                   else ((side.pick.start - first) % m, m))
+                    picked = block_keys[start::step]
+                    if picked.shape[0]:
+                        side.offer(picked, lambda r: first + start + r * step,
+                                   lambda r, j: kept(start + r * step, j))
+                if arith and worst is strong:
+                    part = slice(b0, b0 + v)
+                    lhs_g = tg[part, None] * arith.g.eval_vector(uy[part])
+                    lhs_g += sg[part, None] * arith.g.eval_vector(ux[part])
+                    widen(lhs_g, pen[part], "support", lhs_g)
+                    arith.update(lhs_g, uh[part], block_keys, "support", tol)
+
+
+def _ball_row(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The (n, k) coefficient rows ``coefs`` widened by the balls of radius
+    r[i], in a fresh array: r added to each row's last coefficient, the
+    ball row of the basis."""
+    out = coefs.copy()
+    out[:, -1] += r
+    return out
+
+
+def _combination(ay, ax, ah, t, s, pen):
+    """The coefficient rows of one side: lhs = t F(y) + (1-t) F(x), shaped
+    (k, n), with ``pen`` (if any) on its ball row, the slack F(u_H) - lhs
+    shaped (n, k), and F(u_H), from the (n, k) coefficients ``ay``, ``ax``
+    and ``ah`` and the per-row weights ``t`` and ``s`` = 1 - t."""
+    lhs = t * ay.T
+    lhs += s * ax.T
+    if pen is not None:
+        lhs[-1] += pen
+    slack = np.empty_like(ah)
+    np.subtract(ah.T, lhs, out=slack.T)
+    return lhs, slack, ah
 
 
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,

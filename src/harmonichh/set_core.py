@@ -19,7 +19,13 @@ blocks of rows at once, with the slacks and tolerances it is made of.  A row
 holds when its smallest key is >= 0.  The grid checks reduce a block to
 its one smallest key and read slack, tolerance and witness at that
 element from the block's arrays (``InclusionBlock.at``), and so does
-``includes``, its one-row case.
+``includes``, its one-row case.  Its support branch is ``support_keys``, a
+function of the slack and h_B alone, which the grid pass also calls on
+support values it forms from coefficients.
+
+``basis_product`` turns per-row coefficients into support values on a
+fixed basis at one padded matrix shape, so that a row's values do not
+depend on how many rows share its product.
 
 All operations are pure functions on immutable values.
 """
@@ -33,6 +39,9 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 DEFAULT_GRID_SIZE = 64
+# Values (rows x channels) per array of a streamed grid block or of one
+# basis product: 96 KiB of float64, below glibc's 128 KiB mmap threshold.
+BLOCK_ELEMENTS = 12288
 
 
 class RepresentationMismatchError(ValueError):
@@ -214,7 +223,7 @@ class InclusionBlock(NamedTuple):
         if self.tols is not None:
             (lo, hi), (b_lo, b_hi) = self.lhs[r].tolist(), self.rhs[r].tolist()
             return self.slack[r], self.tols[r], 0 if b_hi - hi <= lo - b_lo else 1
-        return self.slack[r, j], (abs(float(self.rhs[r, j])) + 1.0) * self.tol, j
+        return self.slack[r, j], support_tolerance(self.rhs[r, j], self.tol), j
 
     def row_slack(self) -> np.ndarray:
         """Each row's slack at its witness direction, the first direction of
@@ -247,11 +256,53 @@ def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> 
         tols *= tol
         return InclusionBlock(lhs, rhs, tol, slack + tols, slack, tols)
     slack = rhs - lhs
-    keys = np.abs(rhs)  # in place: tol * (1 + |rhs|) + (rhs - lhs)
-    keys += 1.0
-    keys *= tol
-    keys += slack
-    return InclusionBlock(lhs, rhs, tol, keys, slack)
+    return InclusionBlock(lhs, rhs, tol, support_keys(slack, rhs, tol, np.empty_like(rhs)), slack)
+
+
+def support_keys(slack: np.ndarray, hb: np.ndarray, tol: float, out: np.ndarray) -> np.ndarray:
+    """The support branch of the inclusion rule: the keys
+    tol * (1 + |h_B|) + slack of the support values ``hb`` of B and their
+    slacks h_B - h_A, into ``out`` (which may be ``hb``), in place after
+    one pass for |h_B|."""
+    np.abs(hb, out=out)
+    out += 1.0
+    out *= tol
+    out += slack
+    return out
+
+
+def support_tolerance(hb: float, tol: float) -> float:
+    """The tolerance of a support key at one value h_B: tol * (1 + |h_B|)."""
+    return (abs(float(hb)) + 1.0) * tol
+
+
+def product_rows(channels: int) -> int:
+    """Rows of every ``basis_product`` onto ``channels`` values per row: as
+    many as BLOCK_ELEMENTS allows, at least one."""
+    return max(1, BLOCK_ELEMENTS // channels)
+
+
+def basis_product(coefs: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row i of ``out`` is coefs[i] @ basis, for the (n, k) coefficients
+    ``coefs`` and a (k, channels) basis; returns ``out``, shaped (n, channels).
+
+    Every product runs at the one shape (product_rows(channels), k) @
+    (k, channels), a short last chunk padded with zero rows: BLAS rounds a
+    row differently at other row counts (a one-row product is a
+    matrix-vector call), so a row's bits would depend on how many rows
+    share its call.  At the one shape they do not depend on the row's
+    position either."""
+    n, rows = coefs.shape[0], product_rows(basis.shape[1])
+    if n == rows:  # a grid block
+        return np.matmul(coefs, basis, out=out)
+    whole = n - n % rows
+    for i in range(0, whole, rows):
+        np.matmul(coefs[i:i + rows], basis, out=out[i:i + rows])
+    if whole < n:
+        pad = np.zeros((rows, coefs.shape[1]))
+        pad[:n - whole] = coefs[whole:]
+        out[whole:] = (pad @ basis)[:n - whole]
+    return out
 
 
 def rows_hold(keys: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ The two certified families' rules are stated once, from their moduli:
 ``family_rule`` (positive moduli, the numerator of the least K, the
 certified modulus) and ``least_K``.  Their factories and the search both
 call them.  A family's ``polynomial_in_u`` flag tells the integration
-layer that each channel of F(1/u) is a polynomial in u.
+layer that each channel of F(1/u) is a polynomial in u.  A support family
+may state itself as per-point ``coefficients`` on a fixed ``basis``
+(``DiscFn``), which the grid checks then work in.  ``make_family`` builds
+a certified family from its descriptor, the layout of its ``params()``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .set_core import (
     DEFAULT_GRID_SIZE,
     ConvexSet,
     as_set,
+    basis_product,
     directions,
 )
 
@@ -33,8 +37,6 @@ _END_MIN, _END_MAX = 2.0 ** -511, 2.0 ** 511
 # Relative margin a family's K keeps above its feasibility bound: at the
 # bound F(a) is a single point, which rounding can invert.
 FEASIBILITY_RTOL = 1e-12
-# Largest tiled projection rows a disc family keeps: 128 KiB of float64 each.
-_TILE_VALUES = 16384
 
 
 class DomainError(ValueError):
@@ -101,6 +103,9 @@ class SetValuedFn(abc.ABC):
     certificate: Optional[FamilyCertificate]
     grid_size: int = DEFAULT_GRID_SIZE
     polynomial_in_u: bool = False  # every channel of F(1/u) is a polynomial in u
+    # the (k, M) basis of a support family stated as per-point coefficients
+    # (DiscFn); None for a family the grid checks evaluate by its values
+    basis: Optional[np.ndarray] = None
 
     @abc.abstractmethod
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
@@ -156,9 +161,13 @@ class QuadraticIntervalFn(SetValuedFn):
 class DiscFn(SetValuedFn):
     """F(x) = {v/x + w} (+) (K - beta/x^2) * B in R^2, support representation.
 
-    Per direction u the support value is <v,u>/x + <w,u> + K - beta/x^2:
-    linear plus a concave quadratic in 1/x, so the family is strongly
-    harmonic convex with modulus beta.
+    In direction e the support value is <v,e>u + <w,e> + K - beta u^2 with
+    u = 1/x: linear plus a concave quadratic in u, so the family is strongly
+    harmonic convex with modulus beta.  The family states itself once, as
+    the coefficients [u, 1, K - beta u^2] of each point (``coefficients``)
+    on the (3, M) ``basis`` [<v,e>; <w,e>; 1].  The basis's last row is the
+    support of the unit ball, so a ball of radius r adds r to a point's
+    last coefficient.  ``eval_vector`` is their ``basis_product``.
     """
 
     kind = "support"
@@ -176,32 +185,27 @@ class DiscFn(SetValuedFn):
         self.domain = domain
         self.grid_size = int(grid_size)
         dirs = directions(self.grid_size)
-        self._vu, self._wu = dirs @ self.v, dirs @ self.w  # (M,) projections
-        self._tiles = (np.empty((0, self.grid_size)),) * 2
+        self.basis = np.vstack((dirs @ self.v, dirs @ self.w, np.ones(self.grid_size)))
         self.certificate = certificate
 
-    def eval_vector(self, xs: np.ndarray) -> np.ndarray:
-        """<v,u>/x + <w,u> + K - beta/x^2 per direction u, in that order.
-        Every term is a whole (n, M) operand, so each operation runs as one
-        inner loop rather than one per row: 1/x and the radius are repeated
-        across the directions, and the projections come from tiled rows,
-        which the family keeps while they hold at most _TILE_VALUES
-        values."""
-        xs = np.asarray(xs, dtype=float)
-        inv = 1.0 / xs
-        radius = self.K - self.beta * inv ** 2  # (n,)
-        n, m = inv.size, self.grid_size
-        tiles = self._tiles
-        if tiles[0].shape[0] < n:
-            tiles = tuple(np.tile(p, (n, 1)) for p in (self._vu, self._wu))
-            if n * m <= _TILE_VALUES:
-                self._tiles = tiles
-        vu, wu = (tile[:n] for tile in tiles)
-        out = inv.repeat(m).reshape(n, m)
-        out *= vu
-        out += wu
-        out += radius.repeat(m).reshape(n, m)
+    def coefficients(self, us: np.ndarray) -> np.ndarray:
+        """The (n, 3) coefficients [u, 1, K - beta u^2] of the points
+        x = 1/u on ``basis``."""
+        us = np.asarray(us, dtype=float)
+        out = np.empty((us.size, 3))
+        out[:, 0] = us
+        out[:, 1] = 1.0
+        radius = out[:, 2]
+        np.multiply(us, us, out=radius)
+        radius *= self.beta
+        np.subtract(self.K, radius, out=radius)
         return out
+
+    def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+        """<v,e>/x + <w,e> + K - beta/x^2 per direction e: the basis product
+        of the coefficients at u = 1/x."""
+        coefs = self.coefficients(1.0 / np.asarray(xs, dtype=float))
+        return basis_product(coefs, self.basis, np.empty((coefs.shape[0], self.grid_size)))
 
     def params(self) -> dict:
         return {"family": "disc", "v": list(self.v), "w": list(self.w),
@@ -356,3 +360,19 @@ def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: flo
         raise FeasibilityError(f"disc family needs grid_size >= 3, got {grid_size}")
     cert = _certificate("disc", {"beta": beta}, K, dom)
     return DiscFn(v, w, K, beta, dom, grid_size=grid_size, certificate=cert)
+
+
+def make_family(descriptor) -> SetValuedFn:
+    """The certified family a descriptor names, in the layout of its
+    ``params()``: ``family``, the parameters by name, the domain ends ``a``
+    and ``b``, and for a disc the pairs ``v`` and ``w`` and an optional
+    ``grid_size``."""
+    kind = descriptor["family"]
+    dom = HarmonicDomain(descriptor["a"], descriptor["b"])
+    if kind == "disc":
+        return make_disc_family(descriptor["v"], descriptor["w"], descriptor["K"],
+                                descriptor["beta"], dom,
+                                grid_size=descriptor.get("grid_size", DEFAULT_GRID_SIZE))
+    if kind == "quadratic-interval":
+        return make_quadratic_family(descriptor["alpha"], descriptor["beta"], descriptor["K"], dom)
+    raise FeasibilityError(f"unknown family kind: {kind!r}")

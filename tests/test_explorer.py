@@ -13,16 +13,21 @@ from harmonichh.cli import main as cli_main
 from harmonichh.explorer import (
     SearchSpace,
     _repair,
-    build_function,
     emit_counterexample,
     evaluate_config,
+    family_descriptor,
     min_slack_search,
     run_theorems,
 )
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid
-from harmonichh.svf import FeasibilityError, QuadraticIntervalFn, least_K
+from harmonichh.svf import FeasibilityError, QuadraticIntervalFn, least_K, make_family
 
 GRID = ConvexityGrid(pair_count=64)
+
+
+def build_function(cfg):
+    """The family of a search config, as the search builds it."""
+    return make_family(family_descriptor(cfg))
 
 
 def pinned_space(**overrides):

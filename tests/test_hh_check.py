@@ -27,8 +27,8 @@ from harmonichh.hh_check import (
     grid_reports,
     shift_lemma_report,
 )
-from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, hausdorff,
-                                 inclusion_block, row_verdict)
+from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, basis_product, hausdorff,
+                                 inclusion_block, row_verdict, support_keys)
 from harmonichh.svf import (
     DomainError,
     FeasibilityError,
@@ -623,10 +623,16 @@ class TestBlockInvariance:
                 "x": float(first[0][0]), "y": float(first[1][0]), "t": 0.0}
 
 
-def reference_sides(f, c, grid, tol):
-    """Every side of the grid pass from all triples at once, with F evaluated
-    at every triple: per side the slacks, tolerances and witnesses of one
-    ``inclusion_rows`` call over the whole grid, the rows, and (x, y, t)."""
+def reference_sides(f, c, grid, tol, values=False):
+    """Every side of the grid pass from all triples at once: per side the
+    slacks, tolerances and witnesses of every row, the rows, and (x, y, t).
+
+    A family with a coefficient form (a ``basis``) gets its strong and
+    shifted sides in coefficient space, as the pass forms them, with one
+    ``basis_product`` over all rows; with ``values`` set, and for every
+    other family, those sides are F's values at every triple through one
+    ``inclusion_rows`` call over the whole grid.  The arithmetic side is
+    always the values of G(u) = F(1/u)."""
     xs, ys = grid.pairs(f.domain.a, f.domain.b)
     t = np.asarray(grid.t_values)
     x, y, ts = np.repeat(xs, t.size), np.repeat(ys, t.size), np.tile(t, xs.size)
@@ -642,12 +648,38 @@ def reference_sides(f, c, grid, tol):
         rhs = fn(mids)
         return inclusion_rows(lhs, rhs, f.kind, tol) + (lhs, rhs)
 
+    def coefficient_side(c, shift):
+        # u_H = t u_y + (1-t) u_x; F's coefficients at u_y, u_x and u_H, with
+        # the shifted map's c u^2 on the ball row; the penalty c t(1-t)
+        # (u_x - u_y)^2 on the strong side's ball row
+        s = 1.0 - ts
+        uh = ts * v + s * u
+        coefs = []
+        for point in (v, u, uh):
+            a = f.coefficients(point)
+            a[:, -1] += shift * (point * point)
+            coefs.append(a)
+        ay, ax, ah = coefs
+        lhs = ts[:, None] * ay + s[:, None] * ax
+        lhs[:, -1] += c * ts * s * (u - v) ** 2
+        m = f.basis.shape[1]
+        slack, hb, lhs_values = (basis_product(a, f.basis, np.empty((ts.size, m)))
+                                 for a in (ah - lhs, ah, lhs))
+        j = support_keys(slack, hb, tol, np.empty_like(hb)).argmin(axis=1)
+        r = np.arange(j.size)
+        return slack[r, j], (np.abs(hb[r, j]) + 1.0) * tol, j, lhs_values, hb
+
     mids = x * y / (ts * x + (1.0 - ts) * y)
     dist2 = ((x - y) / (x * y)) ** 2
     u, v = 1.0 / x, 1.0 / y
+    if f.basis is None or values:
+        strong = side(f.eval_vector, c, x, y, mids, dist2)
+        shifted = side(CShiftFn(f, c).eval_vector, 0.0, x, y, mids, dist2) if c > 0 else None
+    else:
+        strong, shifted = coefficient_side(c, 0.0), coefficient_side(0.0, c)
     return {
-        "strong": side(f.eval_vector, c, x, y, mids, dist2),
-        "shifted": side(CShiftFn(f, c).eval_vector, 0.0, x, y, mids, dist2) if c > 0 else None,
+        "strong": strong,
+        "shifted": shifted,
         "arithmetic": side(reciprocal_transform(f).eval_vector, c, u, v,
                            ts * v + (1.0 - ts) * u, (u - v) ** 2),
         "where": (x, y, ts),
@@ -711,6 +743,21 @@ class TestAgainstUnblockedReference:
             for sub in id_subsets(GRID_IDS):
                 assert grid_reports(f, c, grid, sub) == \
                     reference_pass(f, c, grid, 1e-9, sub), (c, sub)
+
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    def test_coefficients_agree_with_values(self, sampling):
+        # The disc's coefficient-space sides against its values at every
+        # triple in x: the same verdict on every row, slacks within 1e-13.
+        f = disc_fn()
+        grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
+        for c in (0.5, 1.5, 2.5):
+            coef = reference_sides(f, c, grid, 1e-9)
+            vals = reference_sides(f, c, grid, 1e-9, values=True)
+            for name in ("strong", "shifted"):
+                (s0, t0), (s1, t1) = coef[name][:2], vals[name][:2]
+                assert np.array_equal(s0 >= -t0, s1 >= -t1), (c, name)
+                assert np.max(np.abs(s0 - s1)) <= 1e-13, (c, name)
+        assert not np.all(coef["strong"][0] >= -coef["strong"][1])  # c = 2.5 fails somewhere
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
     def test_signed_zero_upper_ends(self, sampling):
@@ -791,24 +838,30 @@ class TestFold:
         assert rep.inputs_echo["witness"] == {"x": 2.0, "y": 1.0, "t": 0.5}
 
 
-def block_shapes(monkeypatch):
-    """The (rows, channels) shape of every block the grid pass hands to the
-    inclusion rule's kernel, recorded from then on."""
+def block_shapes(monkeypatch, name="inclusion_block"):
+    """The (rows, channels) shape of the first argument of every call the
+    grid pass makes to ``name``, one of its kernels (the inclusion rule's
+    ``inclusion_block`` or ``support_keys``, or ``basis_product``),
+    recorded from then on."""
     shapes = []
+    kernel = getattr(hh_check, name)
 
-    def spy(lhs, rhs, kind, tol):
-        shapes.append(lhs.shape)
-        return inclusion_block(lhs, rhs, kind, tol)
+    def spy(first, *args):
+        shapes.append(first.shape)
+        return kernel(first, *args)
 
-    monkeypatch.setattr(hh_check, "inclusion_block", spy)
+    monkeypatch.setattr(hh_check, name, spy)
     return shapes
 
 
 class TestBlockSize:
-    """Blocks follow the x-run walk: with p = BLOCK_ELEMENTS // (t values x
-    channels) pairs (at least one) and n grid points per axis, a run of p x
-    values shorter than a row gives one block per y row; otherwise a block
-    holds p // n whole rows."""
+    """Blocks of the values pass follow the x-run walk: with p =
+    BLOCK_ELEMENTS // (t values x channels) pairs (at least one) and n grid
+    points per axis, a run of p x values shorter than a row gives one block
+    per y row; otherwise a block holds p // n whole rows.  The disc's
+    coefficient pass takes its triples in grid order, in blocks of
+    BLOCK_ELEMENTS // channels rows whose products all run at that one
+    shape."""
 
     # all grid ids: the strong, shifted and arithmetic sides on the whole t
     # grid; the midconvex ids alone: the strong and shifted sides at t = 1/2
@@ -820,9 +873,26 @@ class TestBlockSize:
         f = (make_quadratic_family(1.5, 2.0, 20.0, DOM12) if family == "quadratic"
              else make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12))
         shapes = block_shapes(monkeypatch)
+        keys = block_shapes(monkeypatch, "support_keys")
+        products = block_shapes(monkeypatch, "basis_product")
         grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
         m = len(GRID.t_values) if walk == "triples" else 1
-        channels = 2 if family == "quadratic" else 64
+        if family == "disc-64":
+            # 1920-triple groups of ten 192-row blocks: 11,264 triples end in a
+            # 128-row block, the 1024 t = 1/2 pairs in a 64-row one
+            rows = BLOCK_ELEMENTS // 64
+            block_rows = [min(rows, pairs * m - i) for i in range(0, pairs * m, rows)]
+            assert rows == 192 and block_rows[-1] == {"triples": 128, "midconvex": 64}[walk]
+            # the strong and shifted sides in coefficients, two products each per
+            # block; the arithmetic side is the values of G(u) = F(1/u)
+            assert keys == [(k, 64) for k in block_rows for _ in range(2)]
+            assert shapes == ([(k, 64) for k in block_rows] if walk == "triples" else [])
+            # the sets at each report's kept row are one-row products
+            pass_products = [shape for shape in products if shape[0] != 1]
+            assert pass_products == [(rows, 3)] * (4 * len(block_rows))
+            assert max(rows * channels for rows, channels in keys) <= BLOCK_ELEMENTS
+            return
+        channels = 2
         n = round(pairs ** 0.5)
         p = BLOCK_ELEMENTS // (m * channels)
         if p < n:
@@ -833,8 +903,7 @@ class TestBlockSize:
         assert shapes == [(k * m, channels) for k in pairs_per_block for _ in range(sides)]
         assert max(rows * channels for rows, channels in shapes) <= BLOCK_ELEMENTS
         expected = {("quadratic", "triples"): (4 * 128, 32),
-                    ("quadratic", "midconvex"): (48 * 128, 3),
-                    ("disc-64", "triples"): (17, 64), ("disc-64", "midconvex"): (6 * 32, 6)}
+                    ("quadratic", "midconvex"): (48 * 128, 3)}
         assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, walk]
 
     def test_floor_is_one_pair(self, monkeypatch):

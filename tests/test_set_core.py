@@ -14,11 +14,13 @@ from harmonichh.set_core import (
     SupportSet,
     UnsupportedProductError,
     ball,
+    basis_product,
     directions,
     hausdorff,
     includes,
     interval_product,
     minkowski_sum,
+    product_rows,
     scale,
 )
 from oracles import point
@@ -272,3 +274,39 @@ def test_verdict_invariant_randomized():
         v = includes(Interval(lo1, hi1), Interval(lo2, hi2), tol=1e-9)
         assert isinstance(v, InclusionVerdict)
         assert v.holds == (v.slack >= -v.tolerance_used)
+
+
+class TestBasisProduct:
+    """A row's basis product has the same bits whatever rows share its call:
+    at every row count from one to a product's rows, and at every position
+    in a block of that many rows.  A bare ``np.matmul`` fails this, since
+    BLAS rounds a one-row product, a matrix-vector call, differently."""
+
+    M = 64
+    ROWS = product_rows(M)
+    BASIS = np.vstack((directions(M) @ [0.7, -0.3], directions(M) @ [0.2, 0.5], np.ones(M)))
+    COEFS = np.random.default_rng(3).uniform(-3.0, 3.0, (2 * ROWS + 5, 3))
+
+    def product(self, coefs):
+        return basis_product(coefs, self.BASIS, np.empty((coefs.shape[0], self.M)))
+
+    def bits(self, values):
+        return values.view(np.uint64)
+
+    def test_shape(self):
+        assert self.ROWS == 192 and self.BASIS.shape == (3, self.M)
+
+    def test_every_row_count(self):
+        whole = self.bits(self.product(self.COEFS))
+        for k in range(1, self.ROWS + 1):
+            for first in (0, (7 * k) % (self.COEFS.shape[0] - k)):
+                part = self.bits(self.product(self.COEFS[first:first + k]))
+                assert np.array_equal(part, whole[first:first + k]), (k, first)
+
+    def test_every_position(self):
+        whole = self.bits(self.product(self.COEFS))
+        block = np.random.default_rng(4).uniform(-3.0, 3.0, (self.ROWS, 3))
+        for i in range(self.ROWS):
+            row = 5 * i % self.COEFS.shape[0]
+            block[i] = self.COEFS[row]
+            assert np.array_equal(self.bits(self.product(block))[i], whole[row]), i

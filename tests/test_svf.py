@@ -274,7 +274,7 @@ class TestLayoutBitForBit:
     def test_disc(self, grid_size):
         f = make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12, grid_size=grid_size)
         vu, wu = directions(grid_size) @ f.v, directions(grid_size) @ f.w
-        # sizes that grow and shrink the family's tiled rows
+        # sizes from none to above one basis product's rows, one row included
         for n in (5, 300, 7, 1, 404, 0, 64):
             xs = _POINTS[:n]
             inv = 1.0 / xs
