@@ -35,7 +35,15 @@ carries all M channels through every operation.  ``set_core.basis_product``
 runs every product at one padded shape, because BLAS rounds a row
 differently at other row counts (a one-row product is a matrix-vector
 call, and the t = 1/2 pass has short blocks), so a row's values would
-otherwise depend on the block it falls in.
+otherwise depend on the block it falls in.  Every key of a block is at
+least fl(tol + its least slack), because each rounding in
+fl(fl(fl(|h_B| + 1) tol) + slack) is monotone (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 2.2), so a block
+whose bound cannot beat the running witnesses (blocks come in grid
+order, so a tie loses on index) skips its h_B product, keys and argmin.
+The skip is off at tol = 0, at a NaN or -inf bound, near an h_B overflow
+and on the strong side when prop_31 reads every key; a violated pass
+skips most of its blocks, a held one none.
 
 Every other family runs on its values.  The stratified grid is the
 product of n points with themselves, so F is evaluated once per pass at
@@ -340,6 +348,12 @@ class _Worst:
             self.rank, self.index = rank, at
             self.row = kept(r, j)
 
+    def beaten(self, bound: float) -> bool:
+        """Whether a block later in grid order whose every key is >= the
+        number ``bound`` (not NaN) cannot replace the kept row: it loses on
+        its key, or ties and loses on index, or the kept row is NaN."""
+        return self.row is not None and (1, bound) >= self.rank
+
     def update(self, block, x, y, first, stride):
         """Fold in one block's rows, an ``inclusion_block`` of lhs[i] inside
         rhs[i], for the x values ``x`` and y values ``y`` of a block of
@@ -554,8 +568,25 @@ def _coefficient_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     products, the slack's and h_B's, the inclusion rule's keys and one
     argmin per side, in buffers allocated once per pass.  Products run
     at one shape, so rows past the end of a group repeat its last triple and
-    are not read.  prop_31's arithmetic side takes G's values at the
-    block's points, as in ``_values_pass``.
+    are not read.
+
+    A block that cannot beat a side list's running witnesses takes the
+    slack's product and one min alone.  Every key fl(fl(fl(|h_B| + 1) tol)
+    + slack) is >= bound = fl(tol + least slack), each rounding being
+    monotone, so the block is skipped (its rows still counted) when
+    (1, bound) >= every side's kept rank: blocks come in grid order, so an
+    equal key loses on index, and a kept NaN is never replaced.  A t = 0
+    row has slack 0, so bound <= tol wherever one falls in the block: the
+    min is taken only while every kept key is <= tol, and a held pass pays
+    none.  The skip is off at tol = 0 (0 * inf is NaN), where bound is NaN
+    or -inf (a -inf slack meets an infinite h_B in a NaN key), where a
+    group's h_B coefficients could overflow, and for the strong side when
+    prop_31 is requested, whose tally reads every key.
+
+    prop_31's arithmetic side takes G's values as ``_values_pass`` does:
+    at the grid's points for t G(u_y) + (1-t) G(u_x), once per pass (for
+    seeded-random pairs, which share none, once per group at its pairs'),
+    and once per triple at u_H.
     """
     basis = f.basis
     rows = product_rows(basis.shape[1])
@@ -563,13 +594,19 @@ def _coefficient_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     s = 1.0 - t
     ct = c * t * s
     if grid.sampling == "seeded-random":
-        px, py = grid.pairs(f.domain.a, f.domain.b)
-        pts, n, pairs = np.concatenate((px, py)), None, px.size
+        # pair p is (pts[2p], pts[2p + 1])
+        pts, n = np.column_stack(grid.pairs(f.domain.a, f.domain.b)).ravel(), None
+        pairs = pts.size // 2
     else:
         pts = grid.points(f.domain.a, f.domain.b)
         n = pts.size
         pairs = n * n
     up = 1.0 / pts
+    if arith and n:
+        # G at the n grid points, once per pass, from index lo = 0
+        gp, lo = arith.g.eval_vector(up), 0
+    # |h_B| <= max_k |a_k| * reach for a coefficient row a
+    reach = float(np.abs(basis).max(axis=1).sum())
     total = pairs * m
     group = block_pairs * m if block_pairs else rows * max(1, _GROUP_ROWS // rows)
     values, hb, keys = (np.empty((rows, basis.shape[1])) for _ in range(3))
@@ -578,7 +615,11 @@ def _coefficient_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
         idx = np.arange(g0, g0 + -(-count // rows) * rows)
         np.minimum(idx, g0 + count - 1, out=idx)
         pair, ti = np.divmod(idx, m)
-        xi, yi = (pair, pair + pairs) if n is None else np.divmod(pair, n)[::-1]
+        xi, yi = (2 * pair, 2 * pair + 1) if n is None else np.divmod(pair, n)[::-1]
+        if arith and n is None:
+            # seeded-random pairs share no points: G at the group's own
+            lo = xi[0]
+            gp = arith.g.eval_vector(up[lo:yi[-1] + 1])
         ux, uy, tg, sg = up[xi], up[yi], t[ti], s[ti]
         uh = tg * uy
         uh += sg * ux
@@ -591,10 +632,28 @@ def _coefficient_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
             # the shifted map has modulus 0: its rows take no penalty
             sides.append((shift, _combination(*(_ball_row(a, c * (u * u)) for a, u in (
                 (ay, uy), (ax, ux), (ah, uh))), tg, sg, None)))
+        # with tol > 0 and every h_B far from overflow (a NaN coefficient
+        # fails the test too) a key is NaN only from a NaN slack, or a -inf
+        # one at an infinite tolerance, which leave bound NaN or -inf;
+        # prop_31 reads every key of the strong side
+        skippable = [tol > 0.0 and not (arith and worst is strong)
+                     and float(np.abs(rhs).max()) * reach < 2.0 ** 1000
+                     for worst, (_, _, rhs) in sides]
         for b0 in range(0, idx.size, rows):
             v, first = min(rows, count - b0), g0 + b0
-            for worst, (lhs, slack, rhs) in sides:
+            for (worst, (lhs, slack, rhs)), skip in zip(sides, skippable):
                 basis_product(slack[b0:b0 + rows], basis, values)
+                # a side that picks the t = 1/2 rows reads every m-th row
+                reads = [(side, *((0, 1) if side.pick is None
+                                  else ((side.pick.start - first) % m, m))) for side in worst]
+                # each rounding of fl(fl(fl(|h_B| + 1) tol) + slack) is
+                # monotone, so every key of the block is >= bound
+                if skip and all(side.beaten(tol) for side in worst):
+                    bound = tol + float(values[:v].min())
+                    if bound > -np.inf and all(side.beaten(bound) for side in worst):
+                        for side, start, step in reads:
+                            side.triples += len(range(start, v, step))
+                        continue
                 basis_product(rhs[b0:b0 + rows], basis, hb)
                 block_keys = support_keys(values[:v], hb[:v], tol, keys[:v])
 
@@ -603,18 +662,15 @@ def _coefficient_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                     return (values[r, j], support_tolerance(hb[r, j], tol), j,
                             lhs[:, i].copy(), rhs[i].copy(), pts[xi[i]], pts[yi[i]], tg[i])
 
-                for side in worst:
-                    # a side that picks the t = 1/2 rows reads every m-th row
-                    start, step = ((0, 1) if side.pick is None
-                                   else ((side.pick.start - first) % m, m))
+                for side, start, step in reads:
                     picked = block_keys[start::step]
                     if picked.shape[0]:
                         side.offer(picked, lambda r: first + start + r * step,
                                    lambda r, j: kept(start + r * step, j))
                 if arith and worst is strong:
                     part = slice(b0, b0 + v)
-                    lhs_g = tg[part, None] * arith.g.eval_vector(uy[part])
-                    lhs_g += sg[part, None] * arith.g.eval_vector(ux[part])
+                    lhs_g = tg[part, None] * gp[yi[part] - lo]
+                    lhs_g += sg[part, None] * gp[xi[part] - lo]
                     widen(lhs_g, pen[part], "support", lhs_g)
                     arith.update(lhs_g, uh[part], block_keys, "support", tol)
 

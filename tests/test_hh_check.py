@@ -35,6 +35,7 @@ from harmonichh.svf import (
     HarmonicDomain,
     QuadraticIntervalFn,
     CShiftFn,
+    ReciprocalFn,
     SampledFn,
     make_disc_family,
     make_quadratic_family,
@@ -271,6 +272,24 @@ class TestProp31:
         grid = ConvexityGrid(pair_count=64, t_values=(0.0, 0.5, 1.0))
         rep = check_prop31(f, 1.0, grid)
         assert rep.holds and rep.inputs_echo["disagreements"] == 0
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, None])
+    def test_disc_evaluates_G_once_per_point_and_midpoint(self, monkeypatch, block_pairs):
+        # The disc's arithmetic side takes G(u) = F(1/u) once at the n grid
+        # points, for t G(v) + (1-t) G(u), and once per triple at u_H.
+        counts = []
+        eval_vector = ReciprocalFn.eval_vector
+
+        def spy(self, us):
+            counts.append(np.size(us))
+            return eval_vector(self, us)
+
+        monkeypatch.setattr(ReciprocalFn, "eval_vector", spy)
+        grid = ConvexityGrid(pair_count=150)
+        rep = grid_reports(disc_fn(), 2.0, grid, ("prop_31",), block_pairs=block_pairs)
+        n = grid.points(0.0, 1.0).size
+        assert counts[0] == n and sum(counts[1:]) == n * n * len(grid.t_values)
+        assert rep["prop_31"].inputs_echo["disagreements"] == 0
 
 
 class TestNikodem:
@@ -779,6 +798,68 @@ class TestAgainstUnblockedReference:
                     texts.append(repr(grid_reports(f, c, grid, sub)))
                     assert texts[-1] == repr(reference_pass(f, c, grid, 1e-9, sub)), (c, sub)
         assert any("-0.0" in text for text in texts)
+
+
+def coefficient_blocks(monkeypatch):
+    """Counts of the coefficient pass's blocks, one per side list and block,
+    and of its ``support_keys`` calls: every block takes one slack product,
+    and one more for h_B unless it is skipped (the one-row products form
+    the reports' sets)."""
+    keys = block_shapes(monkeypatch, "support_keys")
+    products = block_shapes(monkeypatch, "basis_product")
+    return lambda: (sum(shape[0] > 1 for shape in products) - len(keys), len(keys))
+
+
+class TestSkippedBlocks:
+    """A block of the coefficient pass is skipped when tol + its least
+    slack, a lower bound on each of its keys, is at or above every side's
+    kept key; the reports stay those of the unblocked reference."""
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, None])
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    def test_reports_equal_where_blocks_are_skipped(self, monkeypatch, sampling, block_pairs):
+        f = disc_fn()  # modulus 1.5
+        grid = ConvexityGrid(pair_count=400, sampling=sampling, seed=4)
+        counts = coefficient_blocks(monkeypatch)
+        for c in (2.0, 3.0):
+            for ids in [(tid,) for tid in GRID_IDS] + [GRID_IDS]:
+                rep = grid_reports(f, c, grid, ids, block_pairs=block_pairs)
+                assert not any(r.holds for r in rep.values())
+                assert rep == reference_pass(f, c, grid, 1e-9, ids), (c, ids)
+        blocks, keys = counts()
+        assert keys < blocks
+
+    def test_skipped_blocks_count_their_triples(self, monkeypatch):
+        f = disc_fn()
+        grid = ConvexityGrid(pair_count=400)
+        counts = coefficient_blocks(monkeypatch)
+        rep = grid_reports(f, 3.0, grid, ("def_shc", "def_mid"), block_pairs=7)
+        blocks, keys = counts()
+        assert keys < blocks
+        assert rep["def_shc"].inputs_echo["triples"] == 400 * len(grid.t_values)
+        assert rep["def_mid"].inputs_echo["triples"] == 400
+
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    @pytest.mark.parametrize("case", ["tol-0", "prop_31", "held", "near-overflow"])
+    def test_no_skip(self, monkeypatch, case, sampling):
+        # At tol = 0 an overflowing h_B makes a NaN key of any slack; prop_31
+        # reads every key of the strong side; on a held pass the t = 0 rows
+        # of every block have slack 0 and keys above tol; with K = 1e302 an
+        # h_B coefficient is within 2^1000 of the basis's reach, where a
+        # product could overflow to a NaN h_B.
+        f = (make_disc_family((0.7, -0.3), (0.2, 0.5), 1e302, 1.5, HarmonicDomain(0.8, 2.1),
+                              grid_size=16) if case == "near-overflow" else disc_fn())
+        grid = ConvexityGrid(pair_count=400, sampling=sampling, seed=4)
+        c, ids, tol = {"tol-0": (3.0, ("def_shc", "lemma_i"), 0.0),
+                       "prop_31": (3.0, ("def_shc", "prop_31"), 1e-9),
+                       "held": (0.75, ("def_shc", "lemma_i"), 1e-9),
+                       "near-overflow": (1e300, ("def_shc", "lemma_i"), 1e-9)}[case]
+        counts = coefficient_blocks(monkeypatch)
+        rep = grid_reports(f, c, grid, ids, tol, block_pairs=7)
+        assert all(r.holds for r in rep.values()) == (case == "held")
+        blocks, keys = counts()
+        assert keys == blocks > 1
+        assert rep == reference_pass(f, c, grid, tol, ids)
 
 
 class TestFold:
