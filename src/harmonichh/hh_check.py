@@ -7,8 +7,9 @@ rounding floor where the rule is exact on a polynomial integrand, else the
 difference against the doubled rule, an estimate rather than a bound, so a
 violation within a few budgets may still be quadrature error.  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
-of sets, ``inclusion_block`` for the rows of a grid block, and its support
-branch ``support_keys`` for a block formed from coefficients.
+of sets, ``inclusion_block`` for the rows of a grid block, its support
+branch ``support_keys`` for a block formed from coefficients, and its
+interval branch ``interval_block`` for a block of interval ends.
 
 Grid checks run as one streamed pass per family, over the (x, y, t) grid,
 or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
@@ -45,32 +46,40 @@ The skip is off at tol = 0, at a NaN or -inf bound, near an h_B overflow
 and on the strong side when prop_31 reads every key; a violated pass
 skips most of its blocks, a held one none.
 
-Every other family runs on its values.  The stratified grid is the
-product of n points with themselves, so F is evaluated once per pass at
-those points (seeded-random pairs share none, so there once per block)
-and once per midpoint.  The pass walks runs of x values outer and y rows
-inner: a run's (1-t) F(x) slab serves all its blocks.  Consecutive blocks
-of a run form a group of at most BLOCK_ELEMENTS triples and as many values
-of t F(y); the group's geometry (xy, dist^2, the midpoints and the penalty
-c t(1-t) dist^2) and its t F(y) are computed once, and a block adds
-F(mid).  With p the number of pairs whose (t values x channels) fit in
-BLOCK_ELEMENTS, at least one, a run holds k = min(p, n) x values and a
-block p // k of its y rows.  The budget keeps each float64 block array
-below the allocator's mmap threshold (128 KiB in glibc): a larger array is
-a fresh map that page-faults in on every block.  Per-x and per-pair
-operands are repeated out to whole arrays before they meet the block's,
-since numpy runs a broadcast one short inner row at a time.  Proposition
-3.1's arithmetic side always takes this route, through G(u) = F(1/u), so
-that it stays an independent check of the harmonic side.
+Every other family runs on its values, in u = 1/x as well: a block's
+harmonic midpoint is u_H = t u_y + (1-t) u_x and its penalty
+c t(1-t) (u_x - u_y)^2, so no xy product and no midpoint quotient is
+formed.  A family with an ``ends_in_u`` (the quadratic family's ends
+[alpha u^2, K - beta u^2]) takes them from u^2 at the grid's points and at
+u_H alike, so both sides of a row at t = 0 or 1 are the same bits and its
+slack is exactly 0; the shifted map's radius c u_H^2 reuses that u_H^2.
+Any other family is evaluated at x on the grid and at 1/u_H.  The
+stratified grid is the product of n points with themselves, so F is
+evaluated once per pass at those points (seeded-random pairs share none,
+so there once per block).  The pass walks runs of x values outer and y
+rows inner: a run's (1-t) F(x) slab serves all its blocks.  A block's
+triples are laid out (y row, t, x), so every operation runs along the
+run's x values, and an interval's two ends are separate contiguous rows
+of buffers allocated once per pass.  With p the number of pairs whose
+t values fit in BLOCK_ELEMENTS per array, at least one (an interval's end
+is an array of its own, a support family's values one array of all its
+channels), a run holds k = min(p, n) x values and a block p // k of its y
+rows.  The budget keeps each float64 block array below the allocator's
+mmap threshold (128 KiB in glibc): a larger array is a fresh map that
+page-faults in on every block.  Proposition 3.1's arithmetic side always
+takes G(u) = F(1/u)'s values in x (the (triples, channels) arrays of
+``eval_vector``, in parts within the budget), so that it stays an
+independent check of the harmonic side.
 
 A block is reduced by one key array, slack + tolerance per support
-direction or per interval row, and one flat argmin over it: the kept
-element minimises (key, grid index), so verdicts do not depend on how
-evaluation is batched or in what order blocks come (tested for block
-sizes from 1 to larger than the grid).  Slack, tolerance and witness are
-read at the kept element alone, from the arrays the keys were made of.
-Proposition 3.1 counts a row as holding when its smallest key is >= 0,
-from one kernel call per side and block.
+direction or per interval row: the kept element minimises (key, grid
+index), so verdicts do not depend on how evaluation is batched or in what
+order blocks come (tested for block sizes from 1 to larger than the
+grid).  A block takes its least key first and puts the elements of that
+key in grid order only when one can replace the kept one.  Slack,
+tolerance and witness are read at the kept element alone, from the arrays
+the keys were made of.  Proposition 3.1 counts a row as holding when its
+smallest key is >= 0, from one kernel call per side and block.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -109,6 +118,7 @@ from .set_core import (
     hausdorff,
     includes,
     inclusion_block,
+    interval_block,
     interval_product,
     minkowski_sum,
     product_rows,
@@ -118,8 +128,7 @@ from .set_core import (
     support_keys,
     support_tolerance,
 )
-from .svf import (FeasibilityError, HarmonicDomain, SetValuedFn, ball_shift,
-                  reciprocal_transform, widen)
+from .svf import FeasibilityError, HarmonicDomain, SetValuedFn, reciprocal_transform, widen
 
 DEFAULT_TOL = 1e-9
 
@@ -231,78 +240,35 @@ class TheoremReport:
         return self.verdict.holds
 
 
-def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int, m: int, channels: int):
+def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int):
     """The blocks of a streamed pass over the pairs, x-runs outer and y rows
-    inner, in groups of consecutive blocks that share their geometry.
+    inner.
 
     Yields ``(points, runs)``: the points at which the pass evaluates F, and
-    for each x-run its slice of ``points`` and its groups.  A group is
-    ``(rows, blocks)``: the index into ``points`` of its y values, shaped
-    (R, 1) for R y rows of the run or (1, K) for K y values paired one to
-    one with the run's x values, and its blocks.  A block is
-    ``(part, first, stride)``: its slice of the group's y values (first
-    axis), the grid index of its first pair and the grid index step from
-    one row to the next.  On the stratified grid each run holds k =
-    min(per_block, row length) x values and a block per_block // k y rows
-    of its run: one for a run shorter than a row.  A group
-    holds as many whole blocks as fit, at least one, with at most
-    BLOCK_ELEMENTS triples and BLOCK_ELEMENTS values of t F(y), on a t grid
-    of ``m`` values and F of ``channels`` channels.  Seeded-random pairs
-    share no points, so each block is an x-run and a group of its own over
-    its own points.
+    for each x-run its slice of ``points`` and its blocks.  A block is
+    ``(rows, first, stride)``: the index into ``points`` of its y values,
+    shaped (R, 1) for R y rows of the run or (1, K) for K y values paired
+    one to one with the run's x values, the grid index of its first pair
+    and the grid index step from one y row to the next.  On the stratified
+    grid each run holds k = min(per_block, row length) x values and a block
+    per_block // k y rows of its run: one for a run shorter than a row.
+    Seeded-random pairs share no points, so each block is an x-run of its
+    own over its own points.
     """
     if grid.sampling == "seeded-random":
         px, py = grid.pairs(lo, hi)
         for first in range(0, px.size, per_block):
             k = min(per_block, px.size - first)
             pts = np.concatenate((px[first:first + k], py[first:first + k]))
-            yield pts, [(slice(0, k), [((None, slice(k, 2 * k)), [(slice(None), first, 0)])])]
+            yield pts, [(slice(0, k), [((None, slice(k, 2 * k)), first, 0)])]
         return
     pts = grid.points(lo, hi)
     n = pts.size
-    # (first x, x values, y rows per block) of each run of k x values
     k = min(per_block, n)
-    shapes = [(j, min(k, n - j), per_block // k) for j in range(0, n, k)]
-
-    def groups(j, k, step):
-        # a y row of the run holds k m triples and m channels values of t F(y)
-        size = step * max(1, BLOCK_ELEMENTS // (step * m * max(k, channels)))
-        for i0 in range(0, n, size):
-            i1 = min(i0 + size, n)
-            yield ((slice(i0, i1), None),
-                   [(slice(i - i0, i - i0 + step), i * n + j, n) for i in range(i0, i1, step)])
-
-    yield pts, [(slice(j, j + k), groups(j, k, step)) for j, k, step in shapes]
-
-
-def _spread(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """w(t) F over the t grid, shaped (..., t, channels): ``vals`` holds F
-    values (any leading shape, then channels) and ``weights`` w(t) per t and
-    channel.  The values are repeated over t first, so that the product runs
-    over whole (t x channels) rows even for an interval's two channels."""
-    return vals[..., None, :].repeat(weights.shape[0], axis=-2) * weights
-
-
-def _across(a: np.ndarray, k: int) -> np.ndarray:
-    """``a``, shaped (rows, 1 or k, ...), repeated to k along its second axis
-    in a fresh array, so that an operation with a per-x operand runs over
-    whole contiguous arrays rather than one short broadcast row at a time."""
-    return a.repeat(k // a.shape[1], axis=1)
-
-
-def _over_t(a: np.ndarray, m: int) -> np.ndarray:
-    """One value per pair, shaped (y, x), repeated over the m values of t in
-    a fresh (y, x, t) array."""
-    return a[..., None].repeat(m, axis=-1)
-
-
-def _lhs_rows(ty: np.ndarray, sx: np.ndarray) -> np.ndarray:
-    """The rows t F(y) + (1-t) F(x) of one block in grid order, in a fresh
-    (triples, channels) array: ``ty`` holds the block's t F(y) and ``sx``
-    the x-run's (1-t) F(x) slab."""
-    lhs = _across(ty, sx.shape[0])
-    lhs += sx
-    return lhs.reshape(-1, lhs.shape[-1])
+    step = per_block // k
+    yield pts, [(slice(j, j + k), [((slice(i, i + step), None), i * n + j, n)
+                                   for i in range(0, n, step)])
+                for j in range(0, n, k)]
 
 
 class _Worst:
@@ -310,7 +276,7 @@ class _Worst:
     element minimising (key, grid index), NaN first.
 
     The side reads the rows ``pick`` of each block on the t grid ``t`` (all
-    of them by default) and takes one argmin over their keys, per direction
+    of them by default) and takes the least of their keys, per direction
     for support sets.  The kept row is the first global argmin in grid
     order whatever order the blocks arrive in, so the verdict does not
     depend on batching.  Every row holds exactly when the kept row does, so
@@ -322,7 +288,7 @@ class _Worst:
     def __init__(self, kind: str, t: np.ndarray, pick: Optional[slice] = None,
                  basis: Optional[np.ndarray] = None):
         self.kind = kind
-        self.t = t if pick is None else t[pick]
+        self.t = t
         self.pick = pick
         self.basis = basis
         self.rank = None
@@ -331,22 +297,31 @@ class _Worst:
         self.triples = 0
 
     def offer(self, keys, index, kept):
-        """Fold in the key rows ``keys`` of one block, row r at grid index
-        ``index(r)``; ``kept(r, j)`` is the row to keep when row r (at
-        direction j of a support row) wins: its slack, tolerance, witness,
-        both sides, x, y and t."""
+        """Fold in the key rows ``keys`` of one block, (rows,) or (rows,
+        directions) for support sets.  ``index(r)`` is the grid index of the
+        rows r, an array, with row 0 the block's first in grid order;
+        ``kept(r, j)`` is the row to keep when row r (at direction j of a
+        support row) wins: its slack, tolerance, witness, both sides, x, y
+        and t.
+
+        Only the block's least key is taken at first.  Its rows of that key
+        are looked up, and put in grid order (then by direction), only when
+        one of them can replace the kept row."""
         flat = keys.reshape(-1)
-        i = int(flat.argmin())
+        dirs = keys.shape[1] if keys.ndim > 1 else 1
         self.triples += keys.shape[0]
-        key = float(flat[i])
-        rank = (0, 0.0) if key != key else (1, key)  # NaN first
-        if self.row is not None and rank > self.rank:
+        least = flat.min()
+        rank = (0, 0.0) if least != least else (1, float(least))  # NaN first
+        # a tie loses unless the block starts before the kept row in grid order
+        if self.row is not None and (rank > self.rank or rank == self.rank
+                                     and index(0) > self.index):
             return
-        r, j = divmod(i, keys.shape[1]) if keys.ndim > 1 else (i, None)
+        r, j = np.divmod(np.flatnonzero(flat != flat if least != least else flat == least), dirs)
         at = index(r)
-        if self.row is None or rank < self.rank or at < self.index:
-            self.rank, self.index = rank, at
-            self.row = kept(r, j)
+        h = int(np.argmin(at * dirs + j))
+        if self.row is None or rank < self.rank or at[h] < self.index:
+            self.rank, self.index = rank, int(at[h])
+            self.row = kept(int(r[h]), int(j[h]) if keys.ndim > 1 else None)
 
     def beaten(self, bound: float) -> bool:
         """Whether a block later in grid order whose every key is >= the
@@ -355,31 +330,29 @@ class _Worst:
         return self.row is not None and (1, bound) >= self.rank
 
     def update(self, block, x, y, first, stride):
-        """Fold in one block's rows, an ``inclusion_block`` of lhs[i] inside
-        rhs[i], for the x values ``x`` and y values ``y`` of a block of
-        ``_walk``.  Slack, tolerance and witness are read at the kept element
-        alone."""
-        keys, rows = block.keys, range(block.keys.shape[0])
+        """Fold in one block of the values pass: an ``inclusion_block`` whose
+        rows are the block's triples in (y row, t, x) order, for the x values
+        ``x`` and the y values ``y`` of a block of ``_walk``.  Slack,
+        tolerance and witness are read at the kept element alone."""
+        m, k = self.t.size, x.size
+        keys = block.keys.reshape((-1, m, k) + block.keys.shape[1:])
+        ts = np.arange(m)
         if self.pick is not None:
-            keys, rows = keys[self.pick], rows[self.pick]
-        m = self.t.size
-
-        def where(r):
-            pair, ti = divmod(r, m)
-            return divmod(pair, x.size) + (ti,)
+            keys, ts = keys[:, self.pick], ts[self.pick]
+        shape = keys.shape[:3]
 
         def index(r):
-            yr, k, ti = where(r)
-            return (first + yr * stride + k) * m + ti
+            yr, ti, kx = np.unravel_index(r, shape)
+            return (first + yr * stride + kx) * m + ts[ti]
 
         def kept(r, j):
-            yr, k, ti = where(r)
-            row = rows[r]
+            yr, ti, kx = np.unravel_index(r, shape)
+            row = (yr * m + ts[ti]) * k + kx
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
-            return (*block.at(row, j), block.lhs[row].copy(), block.rhs[row].copy(),
-                    x[k], y[yr, 0] if y.shape[1] == 1 else y[0, k], self.t[ti])
+            return (*block.at(row, j), block.lhs[row].copy(), block.rhs[row].copy(), x[kx],
+                    y[yr, 0] if y.shape[1] == 1 else y[0, kx], self.t[ts[ti]])
 
-        self.offer(keys, index, kept)
+        self.offer(keys.reshape((-1,) + keys.shape[3:]), index, kept)
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
@@ -395,15 +368,6 @@ class _Worst:
             inputs_echo={"c": c, "triples": self.triples, **echo,
                          "witness": {"x": float(x), "y": float(y), "t": float(t)}},
         )
-
-
-def _fold(sides, lhs, rhs, kind, tol, where):
-    """Fold one block's rows lhs[i] inside rhs[i] into the running witness
-    of each of ``sides``; returns the rows' ``inclusion_block``."""
-    block = inclusion_block(lhs, rhs, kind, tol)
-    for side in sides:
-        side.update(block, *where)
-    return block
 
 
 def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
@@ -476,76 +440,105 @@ class _Arithmetic:
 
 
 def _values_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
-    """The pass over F's values, by x-runs of ``_walk``: folds every block
-    into the running witnesses ``strong`` and ``shift``, and into ``arith``
-    when prop_31 is requested.
+    """The pass over F's values in u = 1/x, by x-runs of ``_walk``: folds
+    every block into the running witnesses ``strong`` and ``shift``, and
+    into ``arith`` when prop_31 is requested.
 
-    Each x-run's (1-t) F(x) slab serves all its blocks, and each group's
-    geometry and t F(y) all the blocks of the group.
+    A block's triples are laid out (y row, t, x), so that every operation
+    runs along the run's x values, and each channel (an interval's end) of
+    a block array is one contiguous row of a buffer allocated once per
+    pass.  A block forms u_H = t u_y + (1-t) u_x, the penalty
+    c t(1-t) (u_x - u_y)^2 and, for a family with an ``ends_in_u`` or the
+    shifted side, u_H^2 once.  Each x-run's (1-t) F(x) slabs serve all its blocks.
     """
-    kind = f.kind
+    kind, m = f.kind, t.size
     s = 1.0 - t
-    ct = c * t * s
+    # per t, across the x values of a run
+    tc, sc, ct = t[:, None], s[:, None], (c * t * s)[:, None]
+    in_u = f.ends_in_u is not None
     channels = 2 if kind == "interval" else f.grid_size
-    # the weights t and 1-t of _spread
-    tw, sw = (w[:, None].repeat(channels, axis=1) for w in (t, s))
     if block_pairs is None:
-        block_pairs = max(1, BLOCK_ELEMENTS // (t.size * channels))
-    for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs, t.size, channels):
-        fp = f.eval_vector(pts)
+        # an interval's ends are arrays of their own, support values one
+        per_array = 1 if kind == "interval" else channels
+        block_pairs = max(1, BLOCK_ELEMENTS // (m * per_array))
+    size = block_pairs * m
+    # one allocation: glibc then raises its mmap and trim thresholds to the
+    # whole workspace when it is freed, so the next pass reuses the heap
+    # rather than faulting fresh pages in after a trim
+    work = np.empty((6 + 2 * channels if kind == "interval" else 3 + 2 * channels, size))
+    uh, uh2, pen = work[:3]
+    lhs, rhs = work[3:3 + channels], work[3 + channels:3 + 2 * channels]
+    if kind == "interval":
+        slack, tols, keys = work[3 + 2 * channels:]
+
+    def fold(sides, n, where):
+        # the inclusion rule on the first n triples of lhs and rhs
+        a, b = lhs[:, :n], rhs[:, :n]
+        if kind == "interval":
+            block = interval_block(a, b, tol, slack[:n], tols[:n], keys[:n])
+        else:
+            block = inclusion_block(a.T, b.T, kind, tol)
+        for side in sides:
+            side.update(block, *where)
+        return block
+
+    def combine(vals, slab, rows, shape, r=None):
+        # t F(y) + (1-t) F(x), widened by the balls of radius r if given,
+        # into lhs: F's values at the points ``vals`` and the run's slab
+        n = shape[0] * shape[1] * shape[2]
+        np.add(tc * vals[(slice(None),) + rows][:, :, None], slab[:, None],
+               out=lhs[:, :n].reshape((channels,) + shape))
+        if r is not None:
+            widen(lhs[:, :n].T, r, kind, lhs[:, :n].T)
+
+    for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs):
+        up = 1.0 / pts
+        up2 = np.square(up)
+        # each side's values at the points, a row per channel
+        fp = f.ends_in_u(up2, np.empty((2, pts.size))) if in_u else f.eval_vector(pts).T
         if shift:
-            sp = ball_shift(fp, pts, c, kind)
+            sp = widen(fp.T, c * up2, kind, np.empty_like(fp.T)).T
         if arith:
-            up = 1.0 / pts
-            gp = arith.g.eval_vector(up)
-        for run, groups in runs:
-            # per run: t x, c t(1-t) per x, and the (1-t) F(x) slab of each side
-            x = pts[run]
-            tx = x[:, None] * t
-            ctx = np.tile(ct, (x.size, 1))
-            fx = _spread(fp[run], sw)
-            if shift:
-                sx = _spread(sp[run], sw)
-            if arith:
-                u = up[run]
-                su = u[:, None] * s
-                gx = _spread(gp[run], sw)
-            for rows, blocks in groups:
-                # per group: the geometry of its triples, shaped (y, x, t),
-                # and the t F(y) of each side
-                y = pts[rows]
-                xy = x * y
-                dist2 = ((x - y) / xy) ** 2
-                mids = _across(s * y[..., None], x.size)
-                mids += tx
-                np.divide(_over_t(xy, t.size), mids, out=mids)
-                pen = _over_t(dist2, t.size)
-                pen *= ctx
-                fy = _spread(fp[rows], tw)
-                if shift:
-                    sy = _spread(sp[rows], tw)
+            gp = arith.g.eval_vector(up).T
+        for run, blocks in runs:
+            x, ux = pts[run], up[run]
+            su = sc * ux
+            # (1-t) F(x) of each side, shaped (channels, t, x)
+            fx = sc * fp[:, None, run]
+            sx = sc * sp[:, None, run] if shift else None
+            gx = sc * gp[:, None, run] if arith else None
+            for rows, first, stride in blocks:
+                uy = up[rows]
+                shape = (uy.shape[0], m, x.size)
+                n = shape[0] * shape[1] * shape[2]
+                where = (x, pts[rows], first, stride)
+                np.add(tc * uy[:, None], su, out=uh[:n].reshape(shape))
+                d = ux - uy
+                d *= d
+                np.multiply(ct, d[:, None], out=pen[:n].reshape(shape))
+                if in_u or shift:
+                    np.square(uh[:n], out=uh2[:n])
+                combine(fp, fx, rows, shape, pen[:n])
+                if in_u:
+                    f.ends_in_u(uh2[:n], rhs[:, :n])
+                else:
+                    rhs[:, :n] = f.eval_vector(1.0 / uh[:n]).T
+                block = fold(strong, n, where)
                 if arith:
-                    v = up[rows]
-                    pen_u = _over_t((u - v) ** 2, t.size)
-                    pen_u *= ctx
-                    umids = _across(v[..., None] * t, x.size)
-                    umids += su
-                    gy = _spread(gp[rows], tw)
-                for part, first, stride in blocks:
-                    where = (x, y[part], first, stride)
-                    bm = mids[part].ravel()
-                    fm = f.eval_vector(bm)
-                    lhs = _lhs_rows(fy[part], fx)
-                    widen(lhs, pen[part].reshape(-1), kind, lhs)
-                    keys = _fold(strong, lhs, fm, kind, tol, where).keys
-                    if shift:
-                        # the shifted side has modulus 0: its rows take no penalty
-                        _fold(shift, _lhs_rows(sy[part], sx),
-                              ball_shift(fm, bm, c, kind), kind, tol, where)
-                    if arith:
-                        lhs = _lhs_rows(gy[part], gx)
-                        widen(lhs, pen_u[part].reshape(-1), kind, lhs)
-                        arith.update(lhs, umids[part].ravel(), keys, kind, tol)
+                    combine(gp, gx, rows, shape, pen[:n])
+                    # G's values are (triples, channels) arrays: at most
+                    # BLOCK_ELEMENTS values at a time
+                    part = max(1, BLOCK_ELEMENTS // channels)
+                    for i in range(0, n, part):
+                        j = min(i + part, n)
+                        arith.update(lhs[:, i:j].T, uh[i:j], block.keys[i:j], kind, tol)
+                if shift:
+                    # the shifted map has modulus 0: its rows take no penalty;
+                    # its right side is F(u_H) widened by c u_H^2
+                    combine(sp, sx, rows, shape)
+                    np.multiply(c, uh2[:n], out=pen[:n])
+                    widen(rhs[:, :n].T, pen[:n], kind, rhs[:, :n].T)
+                    fold(shift, n, where)
 
 
 # Triples whose coefficients one group of the coefficient pass forms,

@@ -21,7 +21,9 @@ its one smallest key and read slack, tolerance and witness at that
 element from the block's arrays (``InclusionBlock.at``), and so does
 ``includes``, its one-row case.  Its support branch is ``support_keys``, a
 function of the slack and h_B alone, which the grid pass also calls on
-support values it forms from coefficients.
+support values it forms from coefficients; its interval branch is
+``interval_block``, on ends held as separate arrays, into buffers the grid
+pass allocates once.
 
 ``basis_product`` turns per-row coefficients into support values on a
 fixed basis at one padded matrix shape, so that a row's values do not
@@ -246,17 +248,28 @@ def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> 
     smallest key, a NaN key first.
     """
     if kind == "interval":
-        # the tighter end's margin and tol * (1 + max |endpoint of B|), each
-        # in one array with no other temporary of its size
-        slack = rhs[:, 1] - lhs[:, 1]
-        np.minimum(slack, lhs[:, 0] - rhs[:, 0], out=slack)
-        tols = np.abs(rhs[:, 0])
-        np.maximum(tols, np.abs(rhs[:, 1]), out=tols)
-        tols += 1.0
-        tols *= tol
-        return InclusionBlock(lhs, rhs, tol, slack + tols, slack, tols)
+        return interval_block(lhs.T, rhs.T, tol, *(np.empty(lhs.shape[0]) for _ in range(3)))
     slack = rhs - lhs
     return InclusionBlock(lhs, rhs, tol, support_keys(slack, rhs, tol, np.empty_like(rhs)), slack)
+
+
+def interval_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
+                   tols: np.ndarray, keys: np.ndarray) -> InclusionBlock:
+    """The interval branch of ``inclusion_block`` on intervals held end by
+    end (lhs[0] and rhs[0] their lower ends, lhs[1] and rhs[1] their upper
+    ends), into the buffers ``slack``, ``tols`` and ``keys`` of one value
+    per row: the margin of the tighter end, min(rhs[1] - lhs[1],
+    lhs[0] - rhs[0]), and tol * (1 + max(|rhs[0]|, |rhs[1]|)), each in its
+    buffer with no other temporary of its size."""
+    np.subtract(rhs[1], lhs[1], out=slack)
+    np.subtract(lhs[0], rhs[0], out=keys)
+    np.minimum(slack, keys, out=slack)
+    np.abs(rhs[0], out=tols)
+    np.abs(rhs[1], out=keys)
+    np.maximum(tols, keys, out=tols)
+    tols += 1.0
+    tols *= tol
+    return InclusionBlock(lhs.T, rhs.T, tol, np.add(slack, tols, out=keys), slack, tols)
 
 
 def support_keys(slack: np.ndarray, hb: np.ndarray, tol: float, out: np.ndarray) -> np.ndarray:

@@ -10,15 +10,17 @@ certified modulus) and ``least_K``.  Their factories and the search both
 call them.  A family's ``polynomial_in_u`` flag tells the integration
 layer that each channel of F(1/u) is a polynomial in u.  A support family
 may state itself as per-point ``coefficients`` on a fixed ``basis``
-(``DiscFn``), which the grid checks then work in.  ``make_family`` builds
-a certified family from its descriptor, the layout of its ``params()``.
+(``DiscFn``), which the grid checks then work in, and an interval family
+its ends from u^2 (``ends_in_u``, the quadratic family), in which they
+evaluate it.  ``make_family`` builds a certified family from its
+descriptor, the layout of its ``params()``.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +33,9 @@ from .set_core import (
 )
 
 _DOMAIN_RTOL = 1e-12
-# Ends a domain keeps to, a range closed under x -> 1/x: inside it x^2,
-# 1/x^2, xy and ((b-a)/(ab))^2 are finite and nonzero.
+# Ends a domain keeps to, a range closed under x -> 1/x: inside it the
+# integral pass's ab and ((b-a)/(ab))^2, and x^2 and 1/x^2 in eval_vector,
+# are finite and nonzero.  (The grid pass works in u = 1/x and forms no xy.)
 _END_MIN, _END_MAX = 2.0 ** -511, 2.0 ** 511
 # Relative margin a family's K keeps above its feasibility bound: at the
 # bound F(a) is a single point, which rounding can invert.
@@ -106,6 +109,10 @@ class SetValuedFn(abc.ABC):
     # the (k, M) basis of a support family stated as per-point coefficients
     # (DiscFn); None for a family the grid checks evaluate by its values
     basis: Optional[np.ndarray] = None
+    # ends_in_u(u2, out): an interval family's values at the points u = 1/x
+    # from their squares u2, ends as the rows of a (2, n) ``out``
+    # (QuadraticIntervalFn); None for a family the grid checks evaluate at x
+    ends_in_u: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @abc.abstractmethod
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
@@ -149,6 +156,16 @@ class QuadraticIntervalFn(SetValuedFn):
         np.multiply(self.alpha, inv2, out=out[:, 0])
         hi = out[:, 1]
         np.multiply(self.beta, inv2, out=hi)
+        np.subtract(self.K, hi, out=hi)
+        return out
+
+    def ends_in_u(self, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """F(1/u) = [alpha u^2, K - beta u^2] from the squares ``u2`` of the
+        points u, lower ends into out[0] and upper ends into out[1]; returns
+        ``out``, shaped (2, n)."""
+        np.multiply(self.alpha, u2, out=out[0])
+        hi = out[1]
+        np.multiply(self.beta, u2, out=hi)
         np.subtract(self.K, hi, out=hi)
         return out
 
@@ -273,14 +290,11 @@ class CShiftFn(SetValuedFn):
         self.polynomial_in_u = base.polynomial_in_u
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+        """F's values at ``xs`` widened by the balls of radius c/x^2, in a
+        fresh array."""
         xs = np.asarray(xs, dtype=float)
-        return ball_shift(self.base.eval_vector(xs), xs, self.c, self.kind)
-
-
-def ball_shift(vals: np.ndarray, xs: np.ndarray, c: float, kind: str) -> np.ndarray:
-    """The values ``vals`` of F at ``xs`` widened by the ball of radius
-    c/x^2, in a fresh array: the values of F(x) (+) (c/x^2) B."""
-    return widen(vals, c / xs ** 2, kind, np.empty_like(vals))
+        vals = self.base.eval_vector(xs)
+        return widen(vals, self.c / xs ** 2, self.kind, np.empty_like(vals))
 
 
 def widen(vals: np.ndarray, r: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:

@@ -175,11 +175,14 @@ class TestTheoremTable:
     ])
     def test_f_evaluated_once_per_point(self, monkeypatch, ids, per_point, per_triple):
         # the stratified grid is the product of its points with themselves:
-        # F is evaluated at each point once, not at each pair
+        # F is evaluated at each point once, not at each pair, in x or (the
+        # grid pass's quadratic) from u^2
         points = []
-        original = QuadraticIntervalFn.eval_vector
-        monkeypatch.setattr(QuadraticIntervalFn, "eval_vector",
-                            lambda self, xs: points.append(len(xs)) or original(self, xs))
+        for name in ("eval_vector", "ends_in_u"):
+            original = getattr(QuadraticIntervalFn, name)
+            monkeypatch.setattr(QuadraticIntervalFn, name,
+                                lambda self, xs, *out, original=original:
+                                points.append(len(xs)) or original(self, xs, *out))
         run_theorems(build_function(QUADRATIC_CFG), ids, 1.0, GRID, QuadratureSpec())
         n = GRID.points(1.0, 2.0).size
         pairs = GRID.pairs(1.0, 2.0)[0].size

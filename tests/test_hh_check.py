@@ -646,33 +646,44 @@ def reference_sides(f, c, grid, tol, values=False):
     """Every side of the grid pass from all triples at once: per side the
     slacks, tolerances and witnesses of every row, the rows, and (x, y, t).
 
-    A family with a coefficient form (a ``basis``) gets its strong and
-    shifted sides in coefficient space, as the pass forms them, with one
-    ``basis_product`` over all rows; with ``values`` set, and for every
-    other family, those sides are F's values at every triple through one
-    ``inclusion_rows`` call over the whole grid.  The arithmetic side is
-    always the values of G(u) = F(1/u)."""
+    The pass works in u = 1/x, with u_H = t u_y + (1-t) u_x and the penalty
+    c t(1-t) (u_x - u_y)^2.  A family with a coefficient form (a ``basis``)
+    gets its strong and shifted sides in coefficient space, as the pass
+    forms them, with one ``basis_product`` over all rows.  The quadratic
+    family takes its ends from u^2, at the grid's points and at u_H, and
+    every other family its values at x and at 1/u_H; the shifted map widens
+    them by c u^2.  With ``values`` set, the strong and shifted sides are
+    instead F's values in x, at the midpoint xy/(tx + (1-t)y) with the
+    penalty c t(1-t) ((x-y)/(xy))^2, the formulas the pass no longer uses.
+    Each side goes through one ``inclusion_rows`` call over the whole grid.
+    The arithmetic side is always the values of G(u) = F(1/u)."""
     xs, ys = grid.pairs(f.domain.a, f.domain.b)
     t = np.asarray(grid.t_values)
     x, y, ts = np.repeat(xs, t.size), np.repeat(ys, t.size), np.tile(t, xs.size)
 
-    def side(fn, c, u, v, mids, dist2):
-        pen = c * ts * (1.0 - ts) * dist2
-        lhs = ts[:, None] * fn(v) + (1.0 - ts)[:, None] * fn(u)
+    def side(fy, fx, rhs, pen):
+        lhs = ts[:, None] * fy + (1.0 - ts)[:, None] * fx
         if f.kind == "interval":
             lhs[:, 0] -= pen
             lhs[:, 1] += pen
         else:
             lhs += pen[:, None]
-        rhs = fn(mids)
         return inclusion_rows(lhs, rhs, f.kind, tol) + (lhs, rhs)
 
+    def shifted(vals, r):
+        # vals widened by the balls of radius r
+        out = vals.copy()
+        if f.kind == "interval":
+            out[:, 0] -= r
+            out[:, 1] += r
+        else:
+            out += r[:, None]
+        return out
+
     def coefficient_side(c, shift):
-        # u_H = t u_y + (1-t) u_x; F's coefficients at u_y, u_x and u_H, with
-        # the shifted map's c u^2 on the ball row; the penalty c t(1-t)
-        # (u_x - u_y)^2 on the strong side's ball row
+        # F's coefficients at u_y, u_x and u_H, with the shifted map's c u^2
+        # on the ball row; the penalty on the strong side's ball row
         s = 1.0 - ts
-        uh = ts * v + s * u
         coefs = []
         for point in (v, u, uh):
             a = f.coefficients(point)
@@ -688,19 +699,31 @@ def reference_sides(f, c, grid, tol, values=False):
         r = np.arange(j.size)
         return slack[r, j], (np.abs(hb[r, j]) + 1.0) * tol, j, lhs_values, hb
 
-    mids = x * y / (ts * x + (1.0 - ts) * y)
-    dist2 = ((x - y) / (x * y)) ** 2
     u, v = 1.0 / x, 1.0 / y
-    if f.basis is None or values:
-        strong = side(f.eval_vector, c, x, y, mids, dist2)
-        shifted = side(CShiftFn(f, c).eval_vector, 0.0, x, y, mids, dist2) if c > 0 else None
+    uh = ts * v + (1.0 - ts) * u
+    strength = c * ts * (1.0 - ts)
+    if values:
+        mids = x * y / (ts * x + (1.0 - ts) * y)
+        dist2 = ((x - y) / (x * y)) ** 2
+        fx, fy, fm = (f.eval_vector(p) for p in (x, y, mids))
+        strong = side(fy, fx, fm, strength * dist2)
+        shifted_side = side(*(shifted(vals, c / p ** 2) for vals, p in (
+            (fy, y), (fx, x), (fm, mids))), 0.0 * strength) if c > 0 else None
+    elif f.basis is not None:
+        strong, shifted_side = coefficient_side(c, 0.0), coefficient_side(0.0, c)
     else:
-        strong, shifted = coefficient_side(c, 0.0), coefficient_side(0.0, c)
+        if f.ends_in_u is not None:
+            fy, fx, fm = (f.ends_in_u(p * p, np.empty((2, p.size))).T for p in (v, u, uh))
+        else:
+            fy, fx, fm = (f.eval_vector(p) for p in (y, x, 1.0 / uh))
+        strong = side(fy, fx, fm, strength * (u - v) ** 2)
+        shifted_side = side(*(shifted(vals, c * (p * p)) for vals, p in (
+            (fy, v), (fx, u), (fm, uh))), 0.0 * strength) if c > 0 else None
     return {
         "strong": strong,
-        "shifted": shifted,
-        "arithmetic": side(reciprocal_transform(f).eval_vector, c, u, v,
-                           ts * v + (1.0 - ts) * u, (u - v) ** 2),
+        "shifted": shifted_side,
+        "arithmetic": side(*(reciprocal_transform(f).eval_vector(p) for p in (v, u, uh)),
+                           strength * (u - v) ** 2),
         "where": (x, y, ts),
     }
 
@@ -777,6 +800,47 @@ class TestAgainstUnblockedReference:
                 assert np.array_equal(s0 >= -t0, s1 >= -t1), (c, name)
                 assert np.max(np.abs(s0 - s1)) <= 1e-13, (c, name)
         assert not np.all(coef["strong"][0] >= -coef["strong"][1])  # c = 2.5 fails somewhere
+
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    @pytest.mark.parametrize("family", ["quadratic", "tight", "sampled-interval",
+                                        "sampled-support", "c-shifted"])
+    def test_u_space_agrees_with_x_values(self, family, sampling):
+        # The values pass's sides in u = 1/x, from u^2 (ends_in_u) or F at
+        # 1/u_H, against F's values in x at the midpoint xy/(tx + (1-t)y)
+        # with the penalty c t(1-t) ((x-y)/(xy))^2: the same verdict on every
+        # row, slacks within 1e-13.
+        f = {"quadratic": lambda: make_quadratic_family(1.5, 2.0, 20.0, DOM12),
+             "tight": lambda: make_quadratic_family(1.0, 1.0, 10.0, DOM12),
+             "sampled-interval": lambda: sampled_fn("interval"),
+             "sampled-support": lambda: sampled_fn("support"),
+             "c-shifted": lambda: CShiftFn(make_quadratic_family(1.5, 2.0, 20.0, DOM12),
+                                           0.5)}[family]()
+        grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
+        for c in (0.5, 1.0, 2.5):
+            in_u = reference_sides(f, c, grid, 1e-9)
+            in_x = reference_sides(f, c, grid, 1e-9, values=True)
+            for name in ("strong", "shifted"):
+                (s0, t0), (s1, t1) = in_u[name][:2], in_x[name][:2]
+                assert np.array_equal(s0 >= -t0, s1 >= -t1), (c, name)
+                assert np.max(np.abs(s0 - s1)) <= 1e-13, (c, name)
+        assert not np.all(in_u["strong"][0] >= -in_u["strong"][1])  # c = 2.5 fails somewhere
+
+    @pytest.mark.parametrize("pairs", [1024, 262144])
+    def test_endpoint_rows_exact(self, pairs):
+        # At t = 0 or 1, u_H is u_x or u_y exactly, and the quadratic family's
+        # ends come from u^2 at the grid's points and at u_H alike, so both
+        # sides of the row are the same bits and its slack is exactly 0.0; on
+        # the t = 1/2 rows of a held pass the slack is >= 0.  At tol = 0 a
+        # key is its slack, so the reported witness is the first row, (a, a, 0).
+        # In x, xy/(tx + (1-t)y) at t = 1 can miss y by an ulp, which gives
+        # this family a def_shc slack of -4.44e-16 at t = 1.
+        f = make_quadratic_family(1.3, 2.1, 40.0, HarmonicDomain(0.8, 2.0))
+        grid = ConvexityGrid(pair_count=pairs, t_values=(0.0, 0.5, 1.0))
+        for c in (0.5, 1.0):
+            rep = grid_reports(f, c, grid, ("def_shc", "lemma_i"), tol=0.0)
+            assert rep["def_shc"].verdict.slack == 0.0, c
+            assert rep["def_shc"].inputs_echo["witness"] == {"x": 0.8, "y": 0.8, "t": 0.0}
+            assert rep["lemma_i"].inputs_echo["shifted_slack"] == 0.0, c
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
     def test_signed_zero_upper_ends(self, sampling):
@@ -922,8 +986,9 @@ class TestFold:
 def block_shapes(monkeypatch, name="inclusion_block"):
     """The (rows, channels) shape of the first argument of every call the
     grid pass makes to ``name``, one of its kernels (the inclusion rule's
-    ``inclusion_block`` or ``support_keys``, or ``basis_product``),
-    recorded from then on."""
+    ``inclusion_block`` or ``support_keys``, or ``basis_product``; for
+    ``interval_block``, on ends held end by end, (2, rows)), recorded from
+    then on."""
     shapes = []
     kernel = getattr(hh_check, name)
 
@@ -937,23 +1002,25 @@ def block_shapes(monkeypatch, name="inclusion_block"):
 
 class TestBlockSize:
     """Blocks of the values pass follow the x-run walk: with p =
-    BLOCK_ELEMENTS // (t values x channels) pairs (at least one) and n grid
-    points per axis, a run of p x values shorter than a row gives one block
-    per y row; otherwise a block holds p // n whole rows.  The disc's
+    BLOCK_ELEMENTS // (t values x channels per array) pairs (at least one)
+    and n grid points per axis, a run of p x values shorter than a row
+    gives one block per y row; otherwise a block holds p // n whole rows.
+    An interval's ends are arrays of their own, one channel each; a support
+    family's values are one array of all its channels.  The disc's
     coefficient pass takes its triples in grid order, in blocks of
     BLOCK_ELEMENTS // channels rows whose products all run at that one
     shape."""
 
     # all grid ids: the strong, shifted and arithmetic sides on the whole t
     # grid; the midconvex ids alone: the strong and shifted sides at t = 1/2
-    @pytest.mark.parametrize("walk,ids,sides", [("triples", GRID_IDS, 3),
-                                                 ("midconvex", MID_IDS, 2)],
+    @pytest.mark.parametrize("walk,ids", [("triples", GRID_IDS), ("midconvex", MID_IDS)],
                              ids=["triples", "midconvex"])
     @pytest.mark.parametrize("family,pairs", [("quadratic", 16384), ("disc-64", 1024)])
-    def test_default_block_within_budget(self, monkeypatch, family, pairs, walk, ids, sides):
+    def test_default_block_within_budget(self, monkeypatch, family, pairs, walk, ids):
         f = (make_quadratic_family(1.5, 2.0, 20.0, DOM12) if family == "quadratic"
              else make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12))
         shapes = block_shapes(monkeypatch)
+        ends = block_shapes(monkeypatch, "interval_block")
         keys = block_shapes(monkeypatch, "support_keys")
         products = block_shapes(monkeypatch, "basis_product")
         grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
@@ -973,18 +1040,23 @@ class TestBlockSize:
             assert pass_products == [(rows, 3)] * (4 * len(block_rows))
             assert max(rows * channels for rows, channels in keys) <= BLOCK_ELEMENTS
             return
-        channels = 2
         n = round(pairs ** 0.5)
-        p = BLOCK_ELEMENTS // (m * channels)
+        p = BLOCK_ELEMENTS // m
         if p < n:
             pairs_per_block = [min(p, n - j) for j in range(0, n, p) for _ in range(n)]
         else:
             pairs_per_block = [min(p // n, n - i) * n for i in range(0, n, p // n)]
-        # each block goes through the inclusion rule once per side of the pass
-        assert shapes == [(k * m, channels) for k in pairs_per_block for _ in range(sides)]
-        assert max(rows * channels for rows, channels in shapes) <= BLOCK_ELEMENTS
-        expected = {("quadratic", "triples"): (4 * 128, 32),
-                    ("quadratic", "midconvex"): (48 * 128, 3)}
+        # each block's ends go through the inclusion rule once for the strong
+        # side and once for the shifted one; prop_31's arithmetic side takes
+        # G's (triples, 2) values in parts of BLOCK_ELEMENTS values
+        assert ends == [(2, k * m) for k in pairs_per_block for _ in range(2)]
+        assert max(triples for _, triples in ends) <= BLOCK_ELEMENTS
+        part = BLOCK_ELEMENTS // 2
+        assert shapes == ([(min(part, k * m - i), 2) for k in pairs_per_block
+                           for i in range(0, k * m, part)] if walk == "triples" else [])
+        assert max((rows * channels for rows, channels in shapes), default=0) <= BLOCK_ELEMENTS
+        expected = {("quadratic", "triples"): (8 * 128, 16),
+                    ("quadratic", "midconvex"): (96 * 128, 2)}
         assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, walk]
 
     def test_floor_is_one_pair(self, monkeypatch):

@@ -15,7 +15,7 @@ from harmonichh.svf import (
     ParameterError,
     QuadraticIntervalFn,
     SampledFn,
-    ball_shift,
+    SetValuedFn,
     make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
@@ -257,7 +257,7 @@ _POINTS = np.concatenate(([1.0, 2.0, 1.5, 1.0 + 2.0 ** -52],
 
 
 class TestLayoutBitForBit:
-    """The families and ``ball_shift`` write whole arrays in place; their
+    """The families and ``CShiftFn`` write whole arrays in place; their
     values are bit for bit those of the column-stacking and broadcasting
     expressions they replace."""
 
@@ -285,8 +285,8 @@ class TestLayoutBitForBit:
             assert same_bits(f.eval_vector(xs), out), n
 
     @pytest.mark.parametrize("kind,channels", [("interval", 2), ("support", 5)])
-    @pytest.mark.parametrize("c", [0.0, 0.5, 3.0])
-    def test_ball_shift(self, kind, channels, c):
+    @pytest.mark.parametrize("c", [0.25, 0.5, 3.0])
+    def test_cshift(self, kind, channels, c):
         vals = np.random.default_rng(9).normal(size=(_POINTS.size, channels))
         vals[::3] = 0.0
         vals[1::3, 0] = -0.0
@@ -299,8 +299,20 @@ class TestLayoutBitForBit:
             expected[:, 1] += r
         else:
             expected += r[:, None]
-        assert same_bits(ball_shift(vals, _POINTS, c, kind), expected)
+        assert same_bits(CShiftFn(Tabled(vals, kind), c).eval_vector(_POINTS), expected)
         assert same_bits(vals, before)
+
+
+class Tabled(SetValuedFn):
+    """A map whose values at _POINTS are the given array itself."""
+
+    def __init__(self, vals, kind):
+        self.vals, self.kind = vals, kind
+        self.domain, self.certificate, self.grid_size = DOM12, None, vals.shape[1]
+
+    def eval_vector(self, xs):
+        assert xs is _POINTS
+        return self.vals
 
 
 class TestCShift:
