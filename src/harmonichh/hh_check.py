@@ -18,68 +18,71 @@ requested theorems need (the modulus-c inclusion, the shift lemma's
 shifted map, Proposition 3.1's arithmetic form) is computed from the same
 block and reduced to running witnesses; the shifted map has modulus 0, so
 its rows take no penalty.  Memory is bounded by the block and the values
-at the grid's points, not the grid.  The pass runs one of two routes,
-chosen by the family alone.
+at the grid's points, not the grid.
 
-A support family with a coefficient form (``DiscFn``: per-point
+The pass works in u = 1/x: a block's harmonic midpoint is
+u_H = t u_y + (1-t) u_x and its penalty c t(1-t) (u_x - u_y)^2, so no xy
+product and no midpoint quotient is formed.  A side of a triple is a set
+of rows, one per channel: F's values (an interval's two ends, or support
+values), or, for a family with a coefficient form (``DiscFn``), its
 coefficients on a fixed (k, M) basis whose last row is the unit ball's
-support) runs in coefficient space.  Support functions add over Minkowski
-sums and scale with nonnegative factors (Rockafellar, Convex Analysis,
-section 13), so each side of an inclusion is a coefficient row times the
-basis: in u = 1/x the harmonic midpoint is u_H = t u_y + (1-t) u_x, the
-left side t F(y) + (1-t) F(x) is the same combination of coefficient
-rows, and the penalty c t(1-t) (u_x - u_y)^2 sits on the ball row.  A
-group of triples in grid order forms its rows' slack and h_B coefficients
-at once; a block of rows then costs two basis products, the key array and
-one argmin, in buffers allocated once per pass, where the values route
-carries all M channels through every operation.  ``set_core.basis_product``
-runs every product at one padded shape, because BLAS rounds a row
-differently at other row counts (a one-row product is a matrix-vector
-call, and the t = 1/2 pass has short blocks), so a row's values would
-otherwise depend on the block it falls in.  Every key of a block is at
-least fl(tol + its least slack), because each rounding in
-fl(fl(fl(|h_B| + 1) tol) + slack) is monotone (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., section 2.2), so a block
-whose bound cannot beat the running witnesses (blocks come in grid
-order, so a tie loses on index) skips its h_B product, keys and argmin.
-The skip is off at tol = 0, at a NaN or -inf bound, near an h_B overflow
-and on the strong side when prop_31 reads every key; a violated pass
-skips most of its blocks, a held one none.
+support.  Support functions add over Minkowski sums and scale with
+nonnegative factors (Rockafellar, Convex Analysis, section 13), so a family
+stated by its values is a coefficient family on the identity basis, and
+every side is combined alike: t F(y) + (1-t) F(x) from the rows at the
+grid's points, with the penalty on the ball (an interval's ends, every
+support value, or the basis's ball row).  A family with ``rows_in_u`` (the
+quadratic family's ends [alpha u^2, K - beta u^2], the disc's coefficients
+[u, 1, K - beta u^2]) takes its rows from u and u^2 at the grid's points
+and at u_H alike, so both sides of a row at t = 0 or 1 are the same bits
+and its slack is exactly 0; the shifted map's radius c u_H^2 reuses that
+u_H^2.  Any other family is evaluated at x on the grid and at 1/u_H.
 
-Every other family runs on its values, in u = 1/x as well: a block's
-harmonic midpoint is u_H = t u_y + (1-t) u_x and its penalty
-c t(1-t) (u_x - u_y)^2, so no xy product and no midpoint quotient is
-formed.  A family with an ``ends_in_u`` (the quadratic family's ends
-[alpha u^2, K - beta u^2]) takes them from u^2 at the grid's points and at
-u_H alike, so both sides of a row at t = 0 or 1 are the same bits and its
-slack is exactly 0; the shifted map's radius c u_H^2 reuses that u_H^2.
-Any other family is evaluated at x on the grid and at 1/u_H.  The
-stratified grid is the product of n points with themselves, so F is
+The stratified grid is the product of n points with themselves, so F is
 evaluated once per pass at those points (seeded-random pairs share none,
 so there once per block).  The pass walks runs of x values outer and y
 rows inner: a run's (1-t) F(x) slab serves all its blocks.  A block's
 triples are laid out (y row, t, x), so every operation runs along the
-run's x values, and an interval's two ends are separate contiguous rows
-of buffers allocated once per pass.  With p the number of pairs whose
-t values fit in BLOCK_ELEMENTS per array, at least one (an interval's end
-is an array of its own, a support family's values one array of all its
-channels), a run holds k = min(p, n) x values and a block p // k of its y
-rows.  The budget keeps each float64 block array below the allocator's
-mmap threshold (128 KiB in glibc): a larger array is a fresh map that
+run's x values, and each channel of a block is one contiguous row of a
+workspace allocated once per pass.  With p the number of pairs whose t
+values fit in BLOCK_ELEMENTS per array, at least one (an interval's end is
+an array of its own; a support family's rows, values or coefficients, one
+array of all its channels, and G's values with them when prop_31 is asked
+for; for a coefficient family at most one product's rows), a run holds
+k = min(p, n) x values and a block p // k of its y rows.
+The budget keeps each float64 block array below the allocator's mmap
+threshold (128 KiB in glibc): a larger array is a fresh map that
 page-faults in on every block.  Proposition 3.1's arithmetic side always
 takes G(u) = F(1/u)'s values in x (the (triples, channels) arrays of
 ``eval_vector``, in parts within the budget), so that it stays an
 independent check of the harmonic side.
 
-A block is reduced by one key array, slack + tolerance per support
-direction or per interval row: the kept element minimises (key, grid
-index), so verdicts do not depend on how evaluation is batched or in what
-order blocks come (tested for block sizes from 1 to larger than the
-grid).  A block takes its least key first and puts the elements of that
-key in grid order only when one can replace the kept one.  Slack,
-tolerance and witness are read at the kept element alone, from the arrays
-the keys were made of.  Proposition 3.1 counts a row as holding when its
-smallest key is >= 0, from one kernel call per side and block.
+Only the inclusion step tells the families apart.  A coefficient block
+takes its slack's rows, F(u_H) - lhs, in chunks of as many whole runs (one
+y row at one t) as fit in product_rows triples (at least one), each one
+``set_core.basis_product``, and folds each chunk as it is formed; every
+product runs at one padded shape, because BLAS rounds a row differently at
+other row counts (a one-row product is a matrix-vector call), so a row's
+values would otherwise depend on the chunk it falls in.  Every key of a
+chunk is at least fl(tol + its least slack), because each rounding in
+fl(fl(fl(|h_B| + 1) tol) + slack) is monotone (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., section 2.2), so a chunk whose
+bound cannot beat the running witnesses (a tie loses on the block's least
+grid index, as blocks do not come in grid order) skips its h_B product and
+keys.  The skip is off at tol = 0, at a NaN or -inf bound, near an h_B
+overflow and on the strong side when prop_31 reads every key; a violated
+pass skips most of its chunks, a held one none.
+
+A block (a coefficient block chunk by chunk) is reduced by one key array,
+slack + tolerance per support direction or per interval row: the kept
+element minimises (key, grid index), so verdicts do not depend on how
+evaluation is batched or in what order blocks come (tested for block sizes
+from 1 to larger than the grid).  A block takes its least key first and
+puts the elements of that key in grid order only when one can replace the
+kept one.  Slack, tolerance and witness are read at the kept element
+alone, from the arrays the keys were made of.  Proposition 3.1 counts a
+row as holding when its smallest key is >= 0, from one kernel call per
+side and block.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -110,6 +113,7 @@ from .aumann import (
 from .set_core import (
     BLOCK_ELEMENTS,
     ConvexSet,
+    InclusionBlock,
     InclusionVerdict,
     Interval,
     as_set,
@@ -126,7 +130,6 @@ from .set_core import (
     rows_hold,
     scale,
     support_keys,
-    support_tolerance,
 )
 from .svf import FeasibilityError, HarmonicDomain, SetValuedFn, reciprocal_transform, widen
 
@@ -275,17 +278,18 @@ class _Worst:
     """Running reduction of one side of a grid check over its blocks: the
     element minimising (key, grid index), NaN first.
 
-    The side reads the rows ``pick`` of each block on the t grid ``t`` (all
-    of them by default) and takes the least of their keys, per direction
-    for support sets.  The kept row is the first global argmin in grid
-    order whatever order the blocks arrive in, so the verdict does not
-    depend on batching.  Every row holds exactly when the kept row does, so
-    the kept row's verdict is the side's verdict.  A side of the
-    coefficient pass keeps its row's coefficients on ``basis`` and forms
-    the row's sets from them when it reports.
+    The side reads the rows at the t index ``pick`` of each block on the t
+    grid ``t`` (all of them by default) and takes the least of their keys,
+    per direction for support sets.  The kept row is the first global
+    argmin in grid order whatever order the blocks arrive in, so the verdict
+    does not depend on batching.  Every row holds exactly when the kept row
+    does, so the kept row's verdict is the side's verdict.  A side of a
+    coefficient family keeps its row's left side as coefficients on
+    ``basis`` (the pass forms the slack's values, not the left side's) and
+    forms the set from them when it reports.
     """
 
-    def __init__(self, kind: str, t: np.ndarray, pick: Optional[slice] = None,
+    def __init__(self, kind: str, t: np.ndarray, pick: Optional[int] = None,
                  basis: Optional[np.ndarray] = None):
         self.kind = kind
         self.t = t
@@ -309,7 +313,6 @@ class _Worst:
         one of them can replace the kept row."""
         flat = keys.reshape(-1)
         dirs = keys.shape[1] if keys.ndim > 1 else 1
-        self.triples += keys.shape[0]
         least = flat.min()
         rank = (0, 0.0) if least != least else (1, float(least))  # NaN first
         # a tie loses unless the block starts before the kept row in grid order
@@ -323,42 +326,49 @@ class _Worst:
             self.rank, self.index = rank, int(at[h])
             self.row = kept(int(r[h]), int(j[h]) if keys.ndim > 1 else None)
 
-    def beaten(self, bound: float) -> bool:
-        """Whether a block later in grid order whose every key is >= the
-        number ``bound`` (not NaN) cannot replace the kept row: it loses on
-        its key, or ties and loses on index, or the kept row is NaN."""
-        return self.row is not None and (1, bound) >= self.rank
+    def beaten(self, bound: float, index: int) -> bool:
+        """Whether a block whose every key is >= the number ``bound`` (not
+        NaN), and whose least grid index is ``index``, cannot replace the
+        kept row: it loses on its key, or ties and loses on index, or the
+        kept row is NaN."""
+        return self.row is not None and (1, bound, index) > (*self.rank, self.index)
 
-    def update(self, block, x, y, first, stride):
-        """Fold in one block of the values pass: an ``inclusion_block`` whose
-        rows are the block's triples in (y row, t, x) order, for the x values
-        ``x`` and the y values ``y`` of a block of ``_walk``.  Slack,
-        tolerance and witness are read at the kept element alone."""
+    def update(self, block, x, y, first, stride, slab=0):
+        """Fold in one block of the pass, or its whole (y row, t) slabs from
+        the slab ``slab`` on: an ``inclusion_block`` whose rows are those
+        triples in (y row, t, x) order, for the x values ``x`` and the y
+        values ``y`` of a block of ``_walk``.  Slack, tolerance and witness
+        are read at the kept element alone."""
         m, k = self.t.size, x.size
-        keys = block.keys.reshape((-1, m, k) + block.keys.shape[1:])
-        ts = np.arange(m)
-        if self.pick is not None:
-            keys, ts = keys[:, self.pick], ts[self.pick]
-        shape = keys.shape[:3]
+        keys = block.keys.reshape((-1, k) + block.keys.shape[1:])
+        # the slabs at the side's t values, from ``start`` on every ``step``-th
+        start, step = (0, 1) if self.pick is None else ((self.pick - slab) % m, m)
+        keys = keys[start::step]
+        if not keys.size:  # slabs of other t values only
+            return
+
+        def locate(r):
+            # the slab, its (y row, t) and the x of the side's rows r
+            i, kx = np.divmod(r, k)
+            return start + i * step, np.divmod(slab + start + i * step, m), kx
 
         def index(r):
-            yr, ti, kx = np.unravel_index(r, shape)
-            return (first + yr * stride + kx) * m + ts[ti]
+            _, (yr, ti), kx = locate(r)
+            return (first + yr * stride + kx) * m + ti
 
         def kept(r, j):
-            yr, ti, kx = np.unravel_index(r, shape)
-            row = (yr * m + ts[ti]) * k + kx
+            i, (yr, ti), kx = locate(r)
+            row = i * k + kx
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
             return (*block.at(row, j), block.lhs[row].copy(), block.rhs[row].copy(), x[kx],
-                    y[yr, 0] if y.shape[1] == 1 else y[0, kx], self.t[ts[ti]])
+                    y[yr, 0] if y.shape[1] == 1 else y[0, kx], self.t[ti])
 
-        self.offer(keys.reshape((-1,) + keys.shape[3:]), index, kept)
+        self.offer(keys.reshape((-1,) + keys.shape[2:]), index, kept)
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
         if self.basis is not None:
-            lhs, rhs = (basis_product(a[None], self.basis, np.empty((1, self.basis.shape[1])))[0]
-                        for a in (lhs, rhs))
+            lhs = basis_product(lhs[None], self.basis, np.empty((1, rhs.size)))[0]
         return TheoremReport(
             theorem_id=theorem_id,
             lhs=as_set(lhs.tolist(), self.kind),  # Python floats build a set faster
@@ -380,10 +390,9 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     read the t = 1/2 rows of its blocks.  It computes only the sides the ids
     need: the modulus-c side of F (which is also prop_31's harmonic side),
     the modulus-0 side of the shifted G(x) = F(x) + (c/x^2) B, and prop_31's
-    arithmetic side, evaluated independently through G(u) = F(1/u).  A
-    family with a coefficient form runs ``_coefficient_pass``, any other
-    ``_values_pass``; ``block_pairs`` sets how many pairs either forms at
-    once (by default as many as its budget allows; tests pass other sizes).
+    arithmetic side, evaluated independently through G(u) = F(1/u).
+    ``block_pairs`` sets how many pairs a block holds (by default as many
+    as the budget allows; tests pass other sizes).
     """
     check_modulus(ids, c)
     full = not {"def_shc", "lemma_i", "prop_31"}.isdisjoint(ids)
@@ -391,7 +400,7 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     t = np.array(grid.t_values if full else (0.5,))
     # running witnesses of the strong and shifted sides by strong id: every row
     # of a block for def_shc (lemma_i), the t = 1/2 rows for def_mid (lemma_ii)
-    half = slice(grid.t_values.index(0.5), None, t.size) if full else None
+    half = grid.t_values.index(0.5) if full else None
     rows_of = {"def_shc": (None, "lemma_i", full),
                "def_mid": (half, "lemma_ii", "def_mid" in ids or "lemma_ii" in ids)}
     strong = {sid: _Worst(kind, t, pick, f.basis)
@@ -399,8 +408,8 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     shift = {sid: _Worst(kind, t, pick, f.basis)
              for sid, (pick, lemma_id, _) in rows_of.items() if lemma_id in ids}
     arith = _Arithmetic(f) if "prop_31" in ids else None
-    run = _values_pass if f.basis is None else _coefficient_pass
-    run(f, c, grid, t, tol, block_pairs, list(strong.values()), list(shift.values()), arith)
+    _grid_pass(f, c, grid, t, tol, block_pairs, list(strong.values()), list(shift.values()),
+               arith)
 
     out = {sid: side.report(sid, c) for sid, side in strong.items()}
     for sid, side in shift.items():
@@ -439,65 +448,132 @@ class _Arithmetic:
         self.slack = np.minimum(self.slack, np.min(block.row_slack()))
 
 
-def _values_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
-    """The pass over F's values in u = 1/x, by x-runs of ``_walk``: folds
-    every block into the running witnesses ``strong`` and ``shift``, and
-    into ``arith`` when prop_31 is requested.
-
-    A block's triples are laid out (y row, t, x), so that every operation
-    runs along the run's x values, and each channel (an interval's end) of
-    a block array is one contiguous row of a buffer allocated once per
-    pass.  A block forms u_H = t u_y + (1-t) u_x, the penalty
-    c t(1-t) (u_x - u_y)^2 and, for a family with an ``ends_in_u`` or the
-    shifted side, u_H^2 once.  Each x-run's (1-t) F(x) slabs serve all its blocks.
-    """
-    kind, m = f.kind, t.size
+def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
+    """The one grid pass, in u = 1/x by x-runs of ``_walk`` (laid out as
+    the module docstring says): folds every block into the running
+    witnesses ``strong`` and ``shift``, and into ``arith`` when prop_31 is
+    requested.  A block forms u_H, the penalty and, for a family with
+    ``rows_in_u`` or the shifted side, u_H^2 once.  Each side's rows are
+    t F(y) + (1-t) F(x) and F(u_H), with the penalty (the strong side) or
+    c u^2 (the shifted map, at every point) on the ball; only the inclusion
+    step, ``fold``, branches on the family's ``basis``."""
+    kind, m, basis = f.kind, t.size, f.basis
     s = 1.0 - t
     # per t, across the x values of a run
     tc, sc, ct = t[:, None], s[:, None], (c * t * s)[:, None]
-    in_u = f.ends_in_u is not None
-    channels = 2 if kind == "interval" else f.grid_size
+    in_u = f.rows_in_u is not None
+    # rows of a side per triple: an interval's ends, support values, or a
+    # coefficient family's coefficients
+    channels = 2 if kind == "interval" else f.grid_size if basis is None else basis.shape[0]
+    # prop_31 forms G's values per triple, apart from a coefficient family's rows
+    g_rows = f.grid_size if arith and basis is not None else 0
     if block_pairs is None:
-        # an interval's ends are arrays of their own, support values one
-        per_array = 1 if kind == "interval" else channels
+        # an interval's ends are arrays of their own, a support family's rows one
+        per_array = 1 if kind == "interval" else max(channels, g_rows)
         block_pairs = max(1, BLOCK_ELEMENTS // (m * per_array))
+        if basis is not None:
+            # at most a product's rows of pairs: a larger block saves no
+            # product and leaves a larger heap behind
+            block_pairs = min(block_pairs, product_rows(basis.shape[1]))
     size = block_pairs * m
+    # rows of the inclusion step: an interval's slack, tolerances and keys, a
+    # coefficient family's slack rows and each triple's least key
+    steps = 3 if kind == "interval" else 0 if basis is None else channels + 1
     # one allocation: glibc then raises its mmap and trim thresholds to the
     # whole workspace when it is freed, so the next pass reuses the heap
     # rather than faulting fresh pages in after a trim
-    work = np.empty((6 + 2 * channels if kind == "interval" else 3 + 2 * channels, size))
+    work = np.empty((3 + 2 * channels + steps + g_rows, size))
     uh, uh2, pen = work[:3]
     lhs, rhs = work[3:3 + channels], work[3 + channels:3 + 2 * channels]
-    if kind == "interval":
-        slack, tols, keys = work[3 + 2 * channels:]
+    step = work[3 + 2 * channels:3 + 2 * channels + steps]
+    g_lhs = work[3 + 2 * channels + steps:] if g_rows else lhs
+    if basis is not None:
+        per_product = product_rows(basis.shape[1])
+        # a chunk's support values, of the slack, of h_B and the keys: a
+        # product's rows, or one run where a run is longer
+        values, h_b, keys = (np.empty((max(per_product, block_pairs), basis.shape[1]))
+                             for _ in range(3))
+        # |h_B| <= max_k |a_k| * reach for a coefficient row a
+        reach = float(np.abs(basis).max(axis=1).sum())
 
-    def fold(sides, n, where):
-        # the inclusion rule on the first n triples of lhs and rhs
-        a, b = lhs[:, :n], rhs[:, :n]
+    # the rows of F a ball widens: a coefficient family's ball row, else all
+    ball_rows = slice(None) if basis is None else slice(-1, None)
+
+    def widen_rows(vals, r, rows=slice(None)):
+        # the (channels, n) rows ``vals`` widened in place by the balls of
+        # radius r: an interval's ends, else the support rows ``rows``
         if kind == "interval":
-            block = interval_block(a, b, tol, slack[:n], tols[:n], keys[:n])
+            widen(vals.T, r, kind, vals.T)
         else:
-            block = inclusion_block(a.T, b.T, kind, tol)
-        for side in sides:
-            side.update(block, *where)
-        return block
+            vals[rows] += r
+        return vals
 
-    def combine(vals, slab, rows, shape, r=None):
-        # t F(y) + (1-t) F(x), widened by the balls of radius r if given,
-        # into lhs: F's values at the points ``vals`` and the run's slab
+    def combine(vals, slab, rows, shape, out):
+        # t F(y) + (1-t) F(x) into ``out``: F's rows at the points ``vals``
+        # and the run's slab
         n = shape[0] * shape[1] * shape[2]
         np.add(tc * vals[(slice(None),) + rows][:, :, None], slab[:, None],
-               out=lhs[:, :n].reshape((channels,) + shape))
-        if r is not None:
-            widen(lhs[:, :n].T, r, kind, lhs[:, :n].T)
+               out=out[:, :n].reshape((out.shape[0],) + shape))
+
+    def coefficient_fold(sides, n, where, every):
+        # the first n triples' coefficient rows in chunks of as many whole
+        # slabs of the run's k triples as a product holds (at least one),
+        # each folded as it is formed; with ``every``, each triple's least
+        # key into row_keys
+        x, y, first, stride = where
+        k = x.size
+        span = max(1, per_product // k) * k
+        a, b = lhs[:, :n], rhs[:, :n]
+        slack, row_keys = step[:channels, :n], step[channels, :n]
+        np.subtract(b, a, out=slack)
+        # with tol > 0 and every h_B far from overflow (a NaN coefficient
+        # fails the test too) a key is NaN only from a NaN slack, or a -inf
+        # one at an infinite tolerance, which leave bound NaN or -inf
+        skip = not every and tol > 0.0 and float(np.abs(b).max()) * reach < 2.0 ** 1000
+        for i in range(0, n, span):
+            j = min(i + span, n)
+            vals = basis_product(slack[:, i:j].T, basis, values[:j - i])
+            # each rounding of fl(fl(fl(|h_B| + 1) tol) + slack) is monotone,
+            # so every key of the chunk is >= bound; first * m is the block's
+            # least grid index
+            if skip and all(side.beaten(tol, first * m) for side in sides):
+                bound = tol + float(vals.min())
+                if bound > -np.inf and all(side.beaten(bound, first * m) for side in sides):
+                    continue
+            # the support branch of the inclusion rule, with lhs left as
+            # coefficients
+            hb = basis_product(b[:, i:j].T, basis, h_b[:j - i])
+            chunk = InclusionBlock(a[:, i:j].T, hb, tol, support_keys(vals, hb, tol, keys[:j - i]),
+                                   vals)
+            for side in sides:
+                side.update(chunk, x, y, first, stride, i // k)
+            if every:
+                np.min(chunk.keys, axis=1, out=row_keys[i:j])
+        return row_keys
+
+    def fold(sides, n, where, every):
+        # the inclusion rule on the first n triples of lhs and rhs, folded
+        # into ``sides``; returns their keys (each triple's least, for a
+        # coefficient family whose ``every`` key is read)
+        for side in sides:
+            side.triples += n if side.pick is None else n // m
+        if basis is not None:
+            return coefficient_fold(sides, n, where, every)
+        if kind == "interval":
+            block = interval_block(lhs[:, :n], rhs[:, :n], tol, *(a[:n] for a in step))
+        else:
+            block = inclusion_block(lhs[:, :n].T, rhs[:, :n].T, kind, tol)
+        for side in sides:
+            side.update(block, *where)
+        return block.keys
 
     for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs):
         up = 1.0 / pts
         up2 = np.square(up)
-        # each side's values at the points, a row per channel
-        fp = f.ends_in_u(up2, np.empty((2, pts.size))) if in_u else f.eval_vector(pts).T
+        # each side's rows at the points
+        fp = f.rows_in_u(up, up2, np.empty((channels, pts.size))) if in_u else f.eval_vector(pts).T
         if shift:
-            sp = widen(fp.T, c * up2, kind, np.empty_like(fp.T)).T
+            sp = widen_rows(fp.copy(), c * up2, ball_rows)
         if arith:
             gp = arith.g.eval_vector(up).T
         for run, blocks in runs:
@@ -518,177 +594,30 @@ def _values_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                 np.multiply(ct, d[:, None], out=pen[:n].reshape(shape))
                 if in_u or shift:
                     np.square(uh[:n], out=uh2[:n])
-                combine(fp, fx, rows, shape, pen[:n])
+                combine(fp, fx, rows, shape, lhs)
+                widen_rows(lhs[:, :n], pen[:n], ball_rows)
                 if in_u:
-                    f.ends_in_u(uh2[:n], rhs[:, :n])
+                    f.rows_in_u(uh[:n], uh2[:n], rhs[:, :n])
                 else:
                     rhs[:, :n] = f.eval_vector(1.0 / uh[:n]).T
-                block = fold(strong, n, where)
+                # prop_31 reads every key of the strong side
+                strong_keys = fold(strong, n, where, arith is not None)
                 if arith:
-                    combine(gp, gx, rows, shape, pen[:n])
+                    combine(gp, gx, rows, shape, g_lhs)
+                    widen_rows(g_lhs[:, :n], pen[:n])
                     # G's values are (triples, channels) arrays: at most
                     # BLOCK_ELEMENTS values at a time
-                    part = max(1, BLOCK_ELEMENTS // channels)
+                    part = max(1, BLOCK_ELEMENTS // g_lhs.shape[0])
                     for i in range(0, n, part):
                         j = min(i + part, n)
-                        arith.update(lhs[:, i:j].T, uh[i:j], block.keys[i:j], kind, tol)
+                        arith.update(g_lhs[:, i:j].T, uh[i:j], strong_keys[i:j], kind, tol)
                 if shift:
                     # the shifted map has modulus 0: its rows take no penalty;
                     # its right side is F(u_H) widened by c u_H^2
-                    combine(sp, sx, rows, shape)
+                    combine(sp, sx, rows, shape, lhs)
                     np.multiply(c, uh2[:n], out=pen[:n])
-                    widen(rhs[:, :n].T, pen[:n], kind, rhs[:, :n].T)
-                    fold(shift, n, where)
-
-
-# Triples whose coefficients one group of the coefficient pass forms,
-# rounded down to whole products of product_rows rows (at least one)
-_GROUP_ROWS = 2048
-
-
-def _coefficient_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
-    """The pass of a support family with a coefficient form, in
-    coefficient space: folds every block into the running witnesses
-    ``strong`` and ``shift``, and into ``arith`` when prop_31 is requested.
-
-    The triples are taken in grid order, in groups of ``block_pairs`` pairs
-    (by default about _GROUP_ROWS triples).  A group forms its rows'
-    coefficients in u = 1/x: the harmonic midpoint u_H = t u_y + (1-t) u_x,
-    each side's t F(y) + (1-t) F(x) and F(u_H) as coefficient rows (the
-    strong side's with the penalty c t(1-t) (u_x - u_y)^2 on the ball row,
-    the shifted map's with c u^2 on each point's ball row), and the
-    slack's.  Each block of product_rows rows then takes two basis
-    products, the slack's and h_B's, the inclusion rule's keys and one
-    argmin per side, in buffers allocated once per pass.  Products run
-    at one shape, so rows past the end of a group repeat its last triple and
-    are not read.
-
-    A block that cannot beat a side list's running witnesses takes the
-    slack's product and one min alone.  Every key fl(fl(fl(|h_B| + 1) tol)
-    + slack) is >= bound = fl(tol + least slack), each rounding being
-    monotone, so the block is skipped (its rows still counted) when
-    (1, bound) >= every side's kept rank: blocks come in grid order, so an
-    equal key loses on index, and a kept NaN is never replaced.  A t = 0
-    row has slack 0, so bound <= tol wherever one falls in the block: the
-    min is taken only while every kept key is <= tol, and a held pass pays
-    none.  The skip is off at tol = 0 (0 * inf is NaN), where bound is NaN
-    or -inf (a -inf slack meets an infinite h_B in a NaN key), where a
-    group's h_B coefficients could overflow, and for the strong side when
-    prop_31 is requested, whose tally reads every key.
-
-    prop_31's arithmetic side takes G's values as ``_values_pass`` does:
-    at the grid's points for t G(u_y) + (1-t) G(u_x), once per pass (for
-    seeded-random pairs, which share none, once per group at its pairs'),
-    and once per triple at u_H.
-    """
-    basis = f.basis
-    rows = product_rows(basis.shape[1])
-    m = t.size
-    s = 1.0 - t
-    ct = c * t * s
-    if grid.sampling == "seeded-random":
-        # pair p is (pts[2p], pts[2p + 1])
-        pts, n = np.column_stack(grid.pairs(f.domain.a, f.domain.b)).ravel(), None
-        pairs = pts.size // 2
-    else:
-        pts = grid.points(f.domain.a, f.domain.b)
-        n = pts.size
-        pairs = n * n
-    up = 1.0 / pts
-    if arith and n:
-        # G at the n grid points, once per pass, from index lo = 0
-        gp, lo = arith.g.eval_vector(up), 0
-    # |h_B| <= max_k |a_k| * reach for a coefficient row a
-    reach = float(np.abs(basis).max(axis=1).sum())
-    total = pairs * m
-    group = block_pairs * m if block_pairs else rows * max(1, _GROUP_ROWS // rows)
-    values, hb, keys = (np.empty((rows, basis.shape[1])) for _ in range(3))
-    for g0 in range(0, total, group):
-        count = min(group, total - g0)
-        idx = np.arange(g0, g0 + -(-count // rows) * rows)
-        np.minimum(idx, g0 + count - 1, out=idx)
-        pair, ti = np.divmod(idx, m)
-        xi, yi = (2 * pair, 2 * pair + 1) if n is None else np.divmod(pair, n)[::-1]
-        if arith and n is None:
-            # seeded-random pairs share no points: G at the group's own
-            lo = xi[0]
-            gp = arith.g.eval_vector(up[lo:yi[-1] + 1])
-        ux, uy, tg, sg = up[xi], up[yi], t[ti], s[ti]
-        uh = tg * uy
-        uh += sg * ux
-        pen = ux - uy
-        pen *= pen
-        pen *= ct[ti]
-        ay, ax, ah = (f.coefficients(u) for u in (uy, ux, uh))
-        sides = [(strong, _combination(ay, ax, ah, tg, sg, pen))]
-        if shift:
-            # the shifted map has modulus 0: its rows take no penalty
-            sides.append((shift, _combination(*(_ball_row(a, c * (u * u)) for a, u in (
-                (ay, uy), (ax, ux), (ah, uh))), tg, sg, None)))
-        # with tol > 0 and every h_B far from overflow (a NaN coefficient
-        # fails the test too) a key is NaN only from a NaN slack, or a -inf
-        # one at an infinite tolerance, which leave bound NaN or -inf;
-        # prop_31 reads every key of the strong side
-        skippable = [tol > 0.0 and not (arith and worst is strong)
-                     and float(np.abs(rhs).max()) * reach < 2.0 ** 1000
-                     for worst, (_, _, rhs) in sides]
-        for b0 in range(0, idx.size, rows):
-            v, first = min(rows, count - b0), g0 + b0
-            for (worst, (lhs, slack, rhs)), skip in zip(sides, skippable):
-                basis_product(slack[b0:b0 + rows], basis, values)
-                # a side that picks the t = 1/2 rows reads every m-th row
-                reads = [(side, *((0, 1) if side.pick is None
-                                  else ((side.pick.start - first) % m, m))) for side in worst]
-                # each rounding of fl(fl(fl(|h_B| + 1) tol) + slack) is
-                # monotone, so every key of the block is >= bound
-                if skip and all(side.beaten(tol) for side in worst):
-                    bound = tol + float(values[:v].min())
-                    if bound > -np.inf and all(side.beaten(bound) for side in worst):
-                        for side, start, step in reads:
-                            side.triples += len(range(start, v, step))
-                        continue
-                basis_product(rhs[b0:b0 + rows], basis, hb)
-                block_keys = support_keys(values[:v], hb[:v], tol, keys[:v])
-
-                def kept(r, j):
-                    i = b0 + r
-                    return (values[r, j], support_tolerance(hb[r, j], tol), j,
-                            lhs[:, i].copy(), rhs[i].copy(), pts[xi[i]], pts[yi[i]], tg[i])
-
-                for side, start, step in reads:
-                    picked = block_keys[start::step]
-                    if picked.shape[0]:
-                        side.offer(picked, lambda r: first + start + r * step,
-                                   lambda r, j: kept(start + r * step, j))
-                if arith and worst is strong:
-                    part = slice(b0, b0 + v)
-                    lhs_g = tg[part, None] * gp[yi[part] - lo]
-                    lhs_g += sg[part, None] * gp[xi[part] - lo]
-                    widen(lhs_g, pen[part], "support", lhs_g)
-                    arith.update(lhs_g, uh[part], block_keys, "support", tol)
-
-
-def _ball_row(coefs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The (n, k) coefficient rows ``coefs`` widened by the balls of radius
-    r[i], in a fresh array: r added to each row's last coefficient, the
-    ball row of the basis."""
-    out = coefs.copy()
-    out[:, -1] += r
-    return out
-
-
-def _combination(ay, ax, ah, t, s, pen):
-    """The coefficient rows of one side: lhs = t F(y) + (1-t) F(x), shaped
-    (k, n), with ``pen`` (if any) on its ball row, the slack F(u_H) - lhs
-    shaped (n, k), and F(u_H), from the (n, k) coefficients ``ay``, ``ax``
-    and ``ah`` and the per-row weights ``t`` and ``s`` = 1 - t."""
-    lhs = t * ay.T
-    lhs += s * ax.T
-    if pen is not None:
-        lhs[-1] += pen
-    slack = np.empty_like(ah)
-    np.subtract(ah.T, lhs, out=slack.T)
-    return lhs, slack, ah
+                    widen_rows(rhs[:, :n], pen[:n], ball_rows)
+                    fold(shift, n, where, False)
 
 
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,

@@ -1,19 +1,19 @@
 """Set-valued function model.
 
-Domains inside [2^-511, 2^511], seeded function families with
-closed-form evaluation, and the two structural transforms (reciprocal
-substitution and the modulus shift by a scaled ball).
+Domains inside [2^-511, 2^511], which admit a point up to a pad of
+1e-12 (a + b), relative however small the domain, seeded function
+families with closed-form evaluation, and the two structural transforms
+(reciprocal substitution and the modulus shift by a scaled ball).
 
 The two certified families' rules are stated once, from their moduli:
 ``family_rule`` (positive moduli, the numerator of the least K, the
 certified modulus) and ``least_K``.  Their factories and the search both
 call them.  A family's ``polynomial_in_u`` flag tells the integration
-layer that each channel of F(1/u) is a polynomial in u.  A support family
-may state itself as per-point ``coefficients`` on a fixed ``basis``
-(``DiscFn``), which the grid checks then work in, and an interval family
-its ends from u^2 (``ends_in_u``, the quadratic family), in which they
-evaluate it.  ``make_family`` builds a certified family from its
-descriptor, the layout of its ``params()``.
+layer that each channel of F(1/u) is a polynomial in u.  Both certified
+families state F(1/u) through one method, ``rows_in_u``, which the grid
+checks work in: the quadratic family as its two ends, the disc family as
+per-point coefficients on a fixed ``basis``.  ``make_family`` builds a
+certified family from its descriptor, the layout of its ``params()``.
 """
 
 from __future__ import annotations
@@ -78,9 +78,9 @@ class HarmonicDomain:
         return 2.0 * self.a * self.b / (self.a + self.b)
 
     def contains(self, x):
-        """Whether x lies in [a, b] up to a relative pad of 1e-12;
-        elementwise for an array."""
-        pad = _DOMAIN_RTOL * (1.0 + abs(self.a) + abs(self.b))
+        """Whether x lies in [a, b] up to a pad of 1e-12 (a + b), relative
+        to the domain however small it is; elementwise for an array."""
+        pad = _DOMAIN_RTOL * (self.a + self.b)
         return (self.a - pad <= x) & (x <= self.b + pad)
 
 
@@ -106,13 +106,14 @@ class SetValuedFn(abc.ABC):
     certificate: Optional[FamilyCertificate]
     grid_size: int = DEFAULT_GRID_SIZE
     polynomial_in_u: bool = False  # every channel of F(1/u) is a polynomial in u
-    # the (k, M) basis of a support family stated as per-point coefficients
-    # (DiscFn); None for a family the grid checks evaluate by its values
+    # the (k, M) basis of a support family whose rows_in_u are per-point
+    # coefficients (DiscFn); None for a family stated by its values
     basis: Optional[np.ndarray] = None
-    # ends_in_u(u2, out): an interval family's values at the points u = 1/x
-    # from their squares u2, ends as the rows of a (2, n) ``out``
-    # (QuadraticIntervalFn); None for a family the grid checks evaluate at x
-    ends_in_u: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # rows_in_u(u, u2, out): F(1/u) at the points u from u and their squares
+    # u2, one row of ``out`` per channel: an interval's two ends, or a
+    # coefficient family's coefficients on ``basis``; None for a family the
+    # grid checks evaluate at x
+    rows_in_u: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     @abc.abstractmethod
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
@@ -159,7 +160,7 @@ class QuadraticIntervalFn(SetValuedFn):
         np.subtract(self.K, hi, out=hi)
         return out
 
-    def ends_in_u(self, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def rows_in_u(self, u: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
         """F(1/u) = [alpha u^2, K - beta u^2] from the squares ``u2`` of the
         points u, lower ends into out[0] and upper ends into out[1]; returns
         ``out``, shaped (2, n)."""
@@ -181,8 +182,8 @@ class DiscFn(SetValuedFn):
     In direction e the support value is <v,e>u + <w,e> + K - beta u^2 with
     u = 1/x: linear plus a concave quadratic in u, so the family is strongly
     harmonic convex with modulus beta.  The family states itself once, as
-    the coefficients [u, 1, K - beta u^2] of each point (``coefficients``)
-    on the (3, M) ``basis`` [<v,e>; <w,e>; 1].  The basis's last row is the
+    the coefficients [u, 1, K - beta u^2] of each point (``rows_in_u``) on
+    the (3, M) ``basis`` [<v,e>; <w,e>; 1].  The basis's last row is the
     support of the unit ball, so a ball of radius r adds r to a point's
     last coefficient.  ``eval_vector`` is their ``basis_product``.
     """
@@ -205,24 +206,22 @@ class DiscFn(SetValuedFn):
         self.basis = np.vstack((dirs @ self.v, dirs @ self.w, np.ones(self.grid_size)))
         self.certificate = certificate
 
-    def coefficients(self, us: np.ndarray) -> np.ndarray:
-        """The (n, 3) coefficients [u, 1, K - beta u^2] of the points
-        x = 1/u on ``basis``."""
-        us = np.asarray(us, dtype=float)
-        out = np.empty((us.size, 3))
-        out[:, 0] = us
-        out[:, 1] = 1.0
-        radius = out[:, 2]
-        np.multiply(us, us, out=radius)
-        radius *= self.beta
-        np.subtract(self.K, radius, out=radius)
+    def rows_in_u(self, u: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The coefficients [u, 1, K - beta u^2] on ``basis`` of the points
+        u, from u and their squares ``u2``, as the rows of ``out``; returns
+        ``out``, shaped (3, n)."""
+        out[0] = u
+        out[1] = 1.0
+        np.multiply(self.beta, u2, out=out[2])
+        np.subtract(self.K, out[2], out=out[2])
         return out
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         """<v,e>/x + <w,e> + K - beta/x^2 per direction e: the basis product
         of the coefficients at u = 1/x."""
-        coefs = self.coefficients(1.0 / np.asarray(xs, dtype=float))
-        return basis_product(coefs, self.basis, np.empty((coefs.shape[0], self.grid_size)))
+        us = 1.0 / np.asarray(xs, dtype=float)
+        coefs = self.rows_in_u(us, us * us, np.empty((3, us.size))).T
+        return basis_product(coefs, self.basis, np.empty((us.size, self.grid_size)))
 
     def params(self) -> dict:
         return {"family": "disc", "v": list(self.v), "w": list(self.w),

@@ -176,9 +176,9 @@ class TestTheoremTable:
     def test_f_evaluated_once_per_point(self, monkeypatch, ids, per_point, per_triple):
         # the stratified grid is the product of its points with themselves:
         # F is evaluated at each point once, not at each pair, in x or (the
-        # grid pass's quadratic) from u^2
+        # grid pass's quadratic) from u and u^2
         points = []
-        for name in ("eval_vector", "ends_in_u"):
+        for name in ("eval_vector", "rows_in_u"):
             original = getattr(QuadraticIntervalFn, name)
             monkeypatch.setattr(QuadraticIntervalFn, name,
                                 lambda self, xs, *out, original=original:

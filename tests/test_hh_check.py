@@ -686,7 +686,7 @@ def reference_sides(f, c, grid, tol, values=False):
         s = 1.0 - ts
         coefs = []
         for point in (v, u, uh):
-            a = f.coefficients(point)
+            a = f.rows_in_u(point, point * point, np.empty((3, point.size))).T
             a[:, -1] += shift * (point * point)
             coefs.append(a)
         ay, ax, ah = coefs
@@ -712,8 +712,8 @@ def reference_sides(f, c, grid, tol, values=False):
     elif f.basis is not None:
         strong, shifted_side = coefficient_side(c, 0.0), coefficient_side(0.0, c)
     else:
-        if f.ends_in_u is not None:
-            fy, fx, fm = (f.ends_in_u(p * p, np.empty((2, p.size))).T for p in (v, u, uh))
+        if f.rows_in_u is not None:
+            fy, fx, fm = (f.rows_in_u(p, p * p, np.empty((2, p.size))).T for p in (v, u, uh))
         else:
             fy, fx, fm = (f.eval_vector(p) for p in (y, x, 1.0 / uh))
         strong = side(fy, fx, fm, strength * (u - v) ** 2)
@@ -805,7 +805,7 @@ class TestAgainstUnblockedReference:
     @pytest.mark.parametrize("family", ["quadratic", "tight", "sampled-interval",
                                         "sampled-support", "c-shifted"])
     def test_u_space_agrees_with_x_values(self, family, sampling):
-        # The values pass's sides in u = 1/x, from u^2 (ends_in_u) or F at
+        # The grid pass's sides in u = 1/x, from u^2 (rows_in_u) or F at
         # 1/u_H, against F's values in x at the midpoint xy/(tx + (1-t)y)
         # with the penalty c t(1-t) ((x-y)/(xy))^2: the same verdict on every
         # row, slacks within 1e-13.
@@ -825,18 +825,23 @@ class TestAgainstUnblockedReference:
                 assert np.max(np.abs(s0 - s1)) <= 1e-13, (c, name)
         assert not np.all(in_u["strong"][0] >= -in_u["strong"][1])  # c = 2.5 fails somewhere
 
-    @pytest.mark.parametrize("pairs", [1024, 262144])
-    def test_endpoint_rows_exact(self, pairs):
-        # At t = 0 or 1, u_H is u_x or u_y exactly, and the quadratic family's
-        # ends come from u^2 at the grid's points and at u_H alike, so both
-        # sides of the row are the same bits and its slack is exactly 0.0; on
-        # the t = 1/2 rows of a held pass the slack is >= 0.  At tol = 0 a
-        # key is its slack, so the reported witness is the first row, (a, a, 0).
-        # In x, xy/(tx + (1-t)y) at t = 1 can miss y by an ulp, which gives
-        # this family a def_shc slack of -4.44e-16 at t = 1.
-        f = make_quadratic_family(1.3, 2.1, 40.0, HarmonicDomain(0.8, 2.0))
+    @pytest.mark.parametrize("family,pairs", [("quadratic", 1024), ("quadratic", 262144),
+                                              ("disc", 1024), ("disc", 16384)],
+                             ids=["1024", "262144", "disc-1024", "disc-16384"])
+    def test_endpoint_rows_exact(self, family, pairs):
+        # At t = 0 or 1, u_H is u_x or u_y exactly, and both families' rows
+        # (the quadratic's ends, the disc's coefficients) come from u and u^2
+        # at the grid's points and at u_H alike, so both sides of the row are
+        # the same bits and its slack is exactly 0.0; on the t = 1/2 rows of a
+        # held pass the slack is >= 0.  At tol = 0 a key is its slack, so the
+        # reported witness is the first row, (a, a, 0).  In x,
+        # xy/(tx + (1-t)y) at t = 1 can miss y by an ulp, which gives the
+        # quadratic family a def_shc slack of -4.44e-16 at t = 1.
+        dom = HarmonicDomain(0.8, 2.0)
+        f = (make_quadratic_family(1.3, 2.1, 40.0, dom) if family == "quadratic"
+             else make_disc_family((0.7, -0.3), (0.2, 0.5), 6.0, 1.5, dom))
         grid = ConvexityGrid(pair_count=pairs, t_values=(0.0, 0.5, 1.0))
-        for c in (0.5, 1.0):
+        for c in (0.5, 1.0) if family == "quadratic" else (0.5,):
             rep = grid_reports(f, c, grid, ("def_shc", "lemma_i"), tol=0.0)
             assert rep["def_shc"].verdict.slack == 0.0, c
             assert rep["def_shc"].inputs_echo["witness"] == {"x": 0.8, "y": 0.8, "t": 0.0}
@@ -865,19 +870,26 @@ class TestAgainstUnblockedReference:
 
 
 def coefficient_blocks(monkeypatch):
-    """Counts of the coefficient pass's blocks, one per side list and block,
-    and of its ``support_keys`` calls: every block takes one slack product,
-    and one more for h_B unless it is skipped (the one-row products form
-    the reports' sets)."""
+    """Counts of the grid pass's chunks of a coefficient family's blocks
+    (of more than one triple), one per side list and chunk of whole runs,
+    and of those that took h_B's product and ``support_keys``: every chunk
+    takes one slack product, and one more for h_B unless it is skipped (the
+    one-row products form the reports' sets)."""
     keys = block_shapes(monkeypatch, "support_keys")
     products = block_shapes(monkeypatch, "basis_product")
-    return lambda: (sum(shape[0] > 1 for shape in products) - len(keys), len(keys))
+
+    def counts():
+        keyed = sum(shape[0] > 1 for shape in keys)
+        return sum(shape[0] > 1 for shape in products) - keyed, keyed
+
+    return counts
 
 
 class TestSkippedBlocks:
-    """A block of the coefficient pass is skipped when tol + its least
-    slack, a lower bound on each of its keys, is at or above every side's
-    kept key; the reports stay those of the unblocked reference."""
+    """A chunk of a coefficient family's block is skipped when tol + its
+    least slack, a lower bound on each of its keys, is at or above every
+    side's kept key (an equal one loses on the block's least grid index);
+    the reports stay those of the unblocked reference."""
 
     @pytest.mark.parametrize("block_pairs", [1, 7, None])
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
@@ -968,6 +980,20 @@ class TestFold:
         (where, slack) = self.witness(worst)
         assert where == {"x": 1.25, "y": 2.0, "t": 0.0} and np.isnan(slack)
 
+    def test_tie_at_the_bound_is_skipped_only_after_the_kept_row(self):
+        # The x-run walk does not deliver blocks in grid order, so a block
+        # whose keys are all >= a bound equal to the kept key may still hold
+        # the first row of that key: it is skipped only when its least grid
+        # index comes after the kept row's.
+        worst = _Worst("interval", self.T)
+        self.offer(worst, [0.5, 0.25], first=5)
+        assert (worst.rank, worst.index) == ((1, 0.25), 11)
+        assert not worst.beaten(0.25, 10)
+        assert worst.beaten(0.25, 12)
+        assert worst.beaten(0.5, 0) and not worst.beaten(0.125, 12)
+        self.offer(worst, [0.25, 0.5], first=4, x=1.5)  # the tie the skip kept
+        assert worst.index == 8 and self.witness(worst)[0]["x"] == 1.5
+
     def test_mirrored_pairs_tie_and_the_grid_first_wins(self):
         # At t = 1/2 the pairs (x, y) and (y, x) give the same row, bit for
         # bit.  On the 2 x 2 grid with c above the modulus the off-diagonal
@@ -1001,15 +1027,16 @@ def block_shapes(monkeypatch, name="inclusion_block"):
 
 
 class TestBlockSize:
-    """Blocks of the values pass follow the x-run walk: with p =
+    """Blocks of the grid pass follow the x-run walk: with p =
     BLOCK_ELEMENTS // (t values x channels per array) pairs (at least one)
     and n grid points per axis, a run of p x values shorter than a row
     gives one block per y row; otherwise a block holds p // n whole rows.
     An interval's ends are arrays of their own, one channel each; a support
-    family's values are one array of all its channels.  The disc's
-    coefficient pass takes its triples in grid order, in blocks of
-    BLOCK_ELEMENTS // channels rows whose products all run at that one
-    shape."""
+    family's rows are one array of all its channels: the disc's three
+    coefficients, or with prop_31 asked for, G's values at every triple.
+    The disc's products run BLOCK_ELEMENTS // channels rows at a time; its
+    p is at most that, and its products take a block in chunks of as many
+    whole runs (one y row at one t) as fit."""
 
     # all grid ids: the strong, shifted and arithmetic sides on the whole t
     # grid; the midconvex ids alone: the strong and shifted sides at t = 1/2
@@ -1025,27 +1052,44 @@ class TestBlockSize:
         products = block_shapes(monkeypatch, "basis_product")
         grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
         m = len(GRID.t_values) if walk == "triples" else 1
+        n = round(pairs ** 0.5)
+        per_array = {"quadratic": 1, "disc-64": 64 if walk == "triples" else 3}[family]
+        rows = BLOCK_ELEMENTS // 64
+        p = BLOCK_ELEMENTS // (m * per_array)
         if family == "disc-64":
-            # 1920-triple groups of ten 192-row blocks: 11,264 triples end in a
-            # 128-row block, the 1024 t = 1/2 pairs in a 64-row one
-            rows = BLOCK_ELEMENTS // 64
-            block_rows = [min(rows, pairs * m - i) for i in range(0, pairs * m, rows)]
-            assert rows == 192 and block_rows[-1] == {"triples": 128, "midconvex": 64}[walk]
-            # the strong and shifted sides in coefficients, two products each per
-            # block; the arithmetic side is the values of G(u) = F(1/u)
-            assert keys == [(k, 64) for k in block_rows for _ in range(2)]
-            assert shapes == ([(k, 64) for k in block_rows] if walk == "triples" else [])
+            p = min(p, rows)
+        # x values per run, and y rows per block
+        k = min(p, n)
+        step = p // k
+        # (pairs, x values) of each block
+        blocks = [(min(step, n - i) * min(k, n - j), min(k, n - j))
+                  for j in range(0, n, k) for i in range(0, n, step)]
+        pairs_per_block = [b for b, _ in blocks]
+        expected = {("quadratic", "triples"): (8 * 128, 16),
+                    ("quadratic", "midconvex"): (96 * 128, 2),
+                    ("disc-64", "triples"): (17, 64),
+                    ("disc-64", "midconvex"): (6 * 32, 6)}
+        assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, walk]
+        if family == "disc-64":
+            # a block's chunks of as many whole runs as fit one product
+            spans = [rows // r * r for _, r in blocks]
+            chunks = [[min(span, b * m - i) for i in range(0, b * m, span)]
+                      for b, span in zip(pairs_per_block, spans)]
+            assert rows == 192 and chunks[:1] + chunks[-1:] == {
+                "triples": [[187], [165]], "midconvex": [[192], [64]]}[walk]
+            # the strong and shifted sides in coefficients: each chunk takes the
+            # slack's and h_B's products and its keys (a held pass skips none)
+            assert keys == [(v, 64) for block in chunks for _ in range(2) for v in block]
             # the sets at each report's kept row are one-row products
             pass_products = [shape for shape in products if shape[0] != 1]
-            assert pass_products == [(rows, 3)] * (4 * len(block_rows))
-            assert max(rows * channels for rows, channels in keys) <= BLOCK_ELEMENTS
+            assert pass_products == [(v, 3) for block in chunks for _ in range(2)
+                                     for v in block for _ in range(2)]
+            # prop_31's arithmetic side takes G's (triples, 64) values, a
+            # block's at once
+            assert shapes == ([(k * m, 64) for k in pairs_per_block]
+                              if walk == "triples" else [])
+            assert max(r * c for r, c in shapes + keys) <= BLOCK_ELEMENTS
             return
-        n = round(pairs ** 0.5)
-        p = BLOCK_ELEMENTS // m
-        if p < n:
-            pairs_per_block = [min(p, n - j) for j in range(0, n, p) for _ in range(n)]
-        else:
-            pairs_per_block = [min(p // n, n - i) * n for i in range(0, n, p // n)]
         # each block's ends go through the inclusion rule once for the strong
         # side and once for the shifted one; prop_31's arithmetic side takes
         # G's (triples, 2) values in parts of BLOCK_ELEMENTS values
@@ -1055,9 +1099,6 @@ class TestBlockSize:
         assert shapes == ([(min(part, k * m - i), 2) for k in pairs_per_block
                            for i in range(0, k * m, part)] if walk == "triples" else [])
         assert max((rows * channels for rows, channels in shapes), default=0) <= BLOCK_ELEMENTS
-        expected = {("quadratic", "triples"): (8 * 128, 16),
-                    ("quadratic", "midconvex"): (96 * 128, 2)}
-        assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, walk]
 
     def test_floor_is_one_pair(self, monkeypatch):
         xs = np.linspace(1.0, 2.0, 9)

@@ -200,3 +200,15 @@ class TestDomainPad:
         f.eval(2.0 + 1e-13)  # inside the pad
         with pytest.raises(DomainError, match="point 2.0000000001 outside"):
             f.eval(2.0 + 1e-10)
+
+    def test_pad_is_relative_on_a_small_domain(self):
+        # The pad is 1e-12 (a + b): an absolute 1e-12 would take in points far
+        # outside a domain much smaller than 1, down to 0 and below.
+        dom = HarmonicDomain(2.0 ** -45, 2.0 ** -44)
+        f = make_quadratic_family(1.0, 1.0, 2.0 ** 92, dom)
+        with pytest.raises(DomainError, match="point -5e-13 outside"):
+            f.eval(-5e-13)
+        f.eval(dom.b * (1.0 + 1e-12))  # inside the pad
+        tiny = HarmonicDomain(2.0 ** -40, 2.0 ** -39)
+        assert tiny.contains(np.array([0.0, -1e-13, tiny.a, tiny.b])).tolist() == \
+            [False, False, True, True]

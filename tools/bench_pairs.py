@@ -6,10 +6,17 @@ times by default: pair i runs the parent first when i is even and the
 change first when i is odd.  Each run prints one line as it finishes.  The
 last line of output is a JSON object, keyed "<workload> seed <seed>", in
 the layout of a workload entry of the ``BENCH_<n>.json`` files: the order
-of each pair, unit counts and failures, report digests, ``unit_s_p50`` and,
-per end-to-end metric of BENCHMARK.json, every run, the median and
-quartiles of each side, the ratio of the medians, the change's wins and
-whether every change run beat every parent run.
+of each pair, unit counts and failures, report digests, ``unit_s_p50``,
+``ref_s_p50`` (each run's median reference-kernel seconds, the
+denominator of ``unit_rel_p50``) and, per end-to-end metric of
+BENCHMARK.json, every run, the median and quartiles of each side, the
+ratio of the medians, the change's wins and whether every change run beat
+every parent run.  ``kernel_check`` compares the change/parent ratios of
+``unit_rel_p50`` and of unit seconds and flags the workload when they
+differ by more than the parent's relative interquartile range of
+``unit_rel_p50``: there the reference kernel moved between the sides, and
+the relative metric shows a gain or a loss that unit seconds do not.  It
+takes any workload entry of a BENCH file, older ones included.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload grid-262k --seed 3
 
@@ -67,6 +74,8 @@ def summary(runs: dict, spec: dict, pairs: int) -> dict:
         "digests": {side: sorted({rec["digest"] for rec in records[side]}) for side in SIDES},
         "unit_s_p50": {side: spread([rec["unit_s_p50"] for rec in records[side]])
                        for side in SIDES},
+        "ref_s_p50": {side: spread([statistics.median(rec["ref_s_samples"])
+                                    for rec in records[side]]) for side in SIDES},
         "metrics": {},
     }
     for metric in spec["end_to_end"]:
@@ -86,7 +95,21 @@ def summary(runs: dict, spec: dict, pairs: int) -> dict:
             "change_better_than_every_parent_run":
                 all(better(c, p) for c in values["change"] for p in values["parent"]),
         }
+    entry["kernel_check"] = kernel_check(entry)
     return entry
+
+
+def kernel_check(entry: dict) -> dict:
+    """The change/parent ratios of the medians of ``unit_rel_p50`` and of
+    ``unit_s_p50`` in a workload entry, the parent's interquartile range of
+    ``unit_rel_p50`` over its median, and whether the two ratios differ by
+    more than that."""
+    rel = entry["metrics"]["unit_rel_p50"]
+    rel_ratio = rel["median_ratio_change_over_parent"]
+    unit_ratio = entry["unit_s_p50"]["change"]["median"] / entry["unit_s_p50"]["parent"]["median"]
+    limit = rel["parent"]["iqr"] / rel["parent"]["median"]
+    return {"unit_rel_ratio": rel_ratio, "unit_s_ratio": unit_ratio, "parent_rel_iqr": limit,
+            "flagged": abs(rel_ratio - unit_ratio) > limit}
 
 
 def main(argv=None) -> int:
@@ -108,9 +131,18 @@ def main(argv=None) -> int:
             result, record = run_once(dirs[side], args.workload, args.seed, seconds)
             runs[side].append((result, record))
             shown = "  ".join(f"{name} {m['value']:.6g}" for name, m in result["metrics"].items())
-            print(f"pair {i} {side:<6} {shown}  failed {result['failed']}/{result['attempted']}",
-                  flush=True)
-    print(json.dumps({f"{args.workload} seed {args.seed}": summary(runs, spec, args.pairs)}))
+            print(f"pair {i} {side:<6} {shown}  unit_s_p50 {record['unit_s_p50']:.6g}  "
+                  f"ref_s {statistics.median(record['ref_s_samples']):.6g}  "
+                  f"failed {result['failed']}/{result['attempted']}", flush=True)
+    entry = summary(runs, spec, args.pairs)
+    for side in SIDES:
+        print(f"{side:<6} median unit_s_p50 {entry['unit_s_p50'][side]['median']:.6g} s  "
+              f"reference kernel {entry['ref_s_p50'][side]['median']:.6g} s")
+    check = entry["kernel_check"]
+    print(f"change/parent unit_rel_p50 {check['unit_rel_ratio']:.4f}  unit_s_p50 "
+          f"{check['unit_s_ratio']:.4f}  parent relative IQR {check['parent_rel_iqr']:.4f}"
+          + ("  FLAGGED: the metrics disagree" if check["flagged"] else ""))
+    print(json.dumps({f"{args.workload} seed {args.seed}": entry}))
     return 0
 
 
