@@ -18,7 +18,7 @@ requested theorems need (the modulus-c inclusion, the shift lemma's
 shifted map, Proposition 3.1's arithmetic form) is computed from the same
 block and reduced to running witnesses; the shifted map has modulus 0, so
 its rows take no penalty.  Memory is bounded by the block and the values
-at the grid's points, not the grid.
+at the grid's points, not the grid, under either sampling.
 
 The pass works in u = 1/x: a block's harmonic midpoint is
 u_H = t u_y + (1-t) u_x and its penalty c t(1-t) (u_x - u_y)^2, so no xy
@@ -73,16 +73,16 @@ keys.  The skip is off at tol = 0, at a NaN or -inf bound, near an h_B
 overflow and on the strong side when prop_31 reads every key; a violated
 pass skips most of its chunks, a held one none.
 
-A block (a coefficient block chunk by chunk) is reduced by one key array,
-slack + tolerance per support direction or per interval row: the kept
-element minimises (key, grid index), so verdicts do not depend on how
-evaluation is batched or in what order blocks come (tested for block sizes
-from 1 to larger than the grid).  A block takes its least key first and
-puts the elements of that key in grid order only when one can replace the
-kept one.  Slack, tolerance and witness are read at the kept element
-alone, from the arrays the keys were made of.  Proposition 3.1 counts a
-row as holding when its smallest key is >= 0, from one kernel call per
-side and block.
+One method, ``_Worst.update``, folds a block (a coefficient block chunk by
+chunk) into a side's running witness by one key array, slack + tolerance
+per support direction or per interval row: the kept element minimises
+(key, grid index), so verdicts do not depend on how evaluation is batched
+or in what order blocks come (tested for block sizes from 1 to larger
+than the grid).  It takes the block's least key first and puts the
+elements of that key in grid order only when one can replace the kept
+one, whose slack, tolerance and witness are read at that element alone.
+Proposition 3.1 counts a row as holding when its smallest key is >= 0,
+from one kernel call per side and block.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -217,10 +217,19 @@ class ConvexityGrid:
             pts = self.points(lo, hi)
             xg, yg = np.meshgrid(pts, pts)
             return xg.ravel(), yg.ravel()
-        rng = np.random.default_rng(self.seed)
-        xs = rng.uniform(lo, hi, self.pair_count)
-        ys = rng.uniform(lo, hi, self.pair_count)
+        ((_, xs, ys),) = self.random_pairs(lo, hi, self.pair_count)
         return xs, ys
+
+    def random_pairs(self, lo: float, hi: float, per_block: int):
+        """The seeded-random pairs as ``(first, xs, ys)``, runs of at most
+        ``per_block`` from pair ``first`` on: x from the seed's generator, y
+        from a copy advanced past the pair_count x draws (a uniform double
+        takes one draw), so the bits do not depend on the run length."""
+        x_rng = np.random.default_rng(self.seed)
+        y_rng = np.random.Generator(np.random.PCG64(self.seed).advance(self.pair_count))
+        for first in range(0, self.pair_count, per_block):
+            k = min(per_block, self.pair_count - first)
+            yield first, x_rng.uniform(lo, hi, k), y_rng.uniform(lo, hi, k)
 
     def triples(self, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs, ys = self.pairs(lo, hi)
@@ -259,11 +268,9 @@ def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int):
     own over its own points.
     """
     if grid.sampling == "seeded-random":
-        px, py = grid.pairs(lo, hi)
-        for first in range(0, px.size, per_block):
-            k = min(per_block, px.size - first)
-            pts = np.concatenate((px[first:first + k], py[first:first + k]))
-            yield pts, [(slice(0, k), [((None, slice(k, 2 * k)), first, 0)])]
+        for first, px, py in grid.random_pairs(lo, hi, per_block):
+            k = px.size
+            yield np.concatenate((px, py)), [(slice(0, k), [((None, slice(k, 2 * k)), first, 0)])]
         return
     pts = grid.points(lo, hi)
     n = pts.size
@@ -300,32 +307,6 @@ class _Worst:
         self.row = None
         self.triples = 0
 
-    def offer(self, keys, index, kept):
-        """Fold in the key rows ``keys`` of one block, (rows,) or (rows,
-        directions) for support sets.  ``index(r)`` is the grid index of the
-        rows r, an array, with row 0 the block's first in grid order;
-        ``kept(r, j)`` is the row to keep when row r (at direction j of a
-        support row) wins: its slack, tolerance, witness, both sides, x, y
-        and t.
-
-        Only the block's least key is taken at first.  Its rows of that key
-        are looked up, and put in grid order (then by direction), only when
-        one of them can replace the kept row."""
-        flat = keys.reshape(-1)
-        dirs = keys.shape[1] if keys.ndim > 1 else 1
-        least = flat.min()
-        rank = (0, 0.0) if least != least else (1, float(least))  # NaN first
-        # a tie loses unless the block starts before the kept row in grid order
-        if self.row is not None and (rank > self.rank or rank == self.rank
-                                     and index(0) > self.index):
-            return
-        r, j = np.divmod(np.flatnonzero(flat != flat if least != least else flat == least), dirs)
-        at = index(r)
-        h = int(np.argmin(at * dirs + j))
-        if self.row is None or rank < self.rank or at[h] < self.index:
-            self.rank, self.index = rank, int(at[h])
-            self.row = kept(int(r[h]), int(j[h]) if keys.ndim > 1 else None)
-
     def beaten(self, bound: float, index: int) -> bool:
         """Whether a block whose every key is >= the number ``bound`` (not
         NaN), and whose least grid index is ``index``, cannot replace the
@@ -337,7 +318,9 @@ class _Worst:
         """Fold in one block of the pass, or its whole (y row, t) slabs from
         the slab ``slab`` on: an ``inclusion_block`` whose rows are those
         triples in (y row, t, x) order, for the x values ``x`` and the y
-        values ``y`` of a block of ``_walk``.  Slack, tolerance and witness
+        values ``y`` of a block of ``_walk``.  Its least key is taken first,
+        and its rows of that key are put in grid order (then by direction)
+        only when one can replace the kept row; slack, tolerance and witness
         are read at the kept element alone."""
         m, k = self.t.size, x.size
         keys = block.keys.reshape((-1, k) + block.keys.shape[1:])
@@ -346,24 +329,29 @@ class _Worst:
         keys = keys[start::step]
         if not keys.size:  # slabs of other t values only
             return
-
-        def locate(r):
-            # the slab, its (y row, t) and the x of the side's rows r
-            i, kx = np.divmod(r, k)
-            return start + i * step, np.divmod(slab + start + i * step, m), kx
-
-        def index(r):
-            _, (yr, ti), kx = locate(r)
-            return (first + yr * stride + kx) * m + ti
-
-        def kept(r, j):
-            i, (yr, ti), kx = locate(r)
-            row = i * k + kx
+        flat = keys.reshape(-1)
+        dirs = keys.shape[2] if keys.ndim > 2 else 1
+        least = flat.min()
+        rank = (0, 0.0) if least != least else (1, float(least))  # NaN first
+        # a tie loses unless the side starts before the kept row in grid order
+        yr, ti = divmod(slab + start, m)
+        if self.row is not None and (rank > self.rank or rank == self.rank
+                                     and (first + yr * stride) * m + ti > self.index):
+            return
+        # the least key's rows: their slab i, (y row, t), x and grid index
+        r, j = np.divmod(np.flatnonzero(flat != flat if least != least else flat == least), dirs)
+        i, kx = np.divmod(r, k)
+        i = start + i * step
+        yr, ti = np.divmod(slab + i, m)
+        at = (first + yr * stride + kx) * m + ti
+        h = int(np.argmin(at * dirs + j))
+        if self.row is None or rank < self.rank or at[h] < self.index:
+            self.rank, self.index = rank, int(at[h])
+            row = i[h] * k + kx[h]
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
-            return (*block.at(row, j), block.lhs[row].copy(), block.rhs[row].copy(), x[kx],
-                    y[yr, 0] if y.shape[1] == 1 else y[0, kx], self.t[ti])
-
-        self.offer(keys.reshape((-1,) + keys.shape[2:]), index, kept)
+            self.row = (*block.at(row, int(j[h]) if keys.ndim > 2 else None),
+                        block.lhs[row].copy(), block.rhs[row].copy(), x[kx[h]],
+                        y[yr[h], 0] if y.shape[1] == 1 else y[0, kx[h]], self.t[ti[h]])
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row

@@ -306,8 +306,6 @@ def basis_product(coefs: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.n
     share its call.  At the one shape they do not depend on the row's
     position either."""
     n, rows = coefs.shape[0], product_rows(basis.shape[1])
-    if n == rows:  # a grid block
-        return np.matmul(coefs, basis, out=out)
     whole = n - n % rows
     for i in range(0, whole, rows):
         np.matmul(coefs[i:i + rows], basis, out=out[i:i + rows])

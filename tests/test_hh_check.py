@@ -1008,6 +1008,52 @@ class TestFold:
         assert not rep.holds
         assert rep.inputs_echo["witness"] == {"x": 2.0, "y": 1.0, "t": 0.5}
 
+    @pytest.mark.parametrize("dirs", [1, 3])
+    @pytest.mark.parametrize("pick", [None, 2])
+    def test_chunked_blocks_keep_the_brute_force_argmin(self, dirs, pick):
+        # Random keys, with ties and NaNs, on a grid of 2R y rows x 2k x
+        # values and m = 5 t values: four blocks of R y rows x k x values,
+        # in random order, each folded in chunks that start at whole (y row,
+        # t) slabs.  An interval row (dirs 1) holds [0, 1] inside
+        # [-key, 1 + key], a support row (dirs 3) 0 inside its keys, both at
+        # tolerance 0, so each key is its slack.  The kept element must be
+        # the argmin of (key, grid index, direction), NaN first.
+        rng = np.random.default_rng(5)
+        m, t = 5, np.linspace(0.0, 1.0, 5)
+        for _ in range(40):
+            rows, k = rng.integers(1, 4, 2)
+            n = 2 * k  # pairs per grid row, and the stride of a y row
+            xs, ys = rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 2.0, 2 * rows)
+            keys = rng.choice([-1.0, 0.0, 0.5, np.nan], p=[0.3, 0.3, 0.38, 0.02],
+                              size=(2 * rows, m, n, dirs))
+            worst = _Worst("interval" if dirs == 1 else "support", t, pick)
+            starts = [(i, j) for i in range(0, 2 * rows, rows) for j in range(0, n, k)]
+            for i, j in (starts[s] for s in rng.permutation(len(starts))):
+                block = keys[i:i + rows, :, j:j + k].reshape(-1, dirs)
+                cuts = np.flatnonzero(rng.random(rows * m - 1) < 0.4) + 1
+                for lo, hi in zip([0, *cuts], [*cuts, rows * m]):
+                    part = block[lo * k:hi * k]
+                    chunk = (inclusion_block(np.tile([0.0, 1.0], (len(part), 1)),
+                                             np.column_stack([-part, 1.0 + part]), "interval",
+                                             0.0)
+                             if dirs == 1 else
+                             inclusion_block(np.zeros_like(part), part, "support", 0.0))
+                    worst.update(chunk, xs[j:j + k], ys[i:i + rows, None], i * n + j, n, lo)
+            yr, ti, kx, d = np.meshgrid(*(np.arange(s) for s in keys.shape), indexing="ij")
+            at = (yr * n + kx) * m + ti
+            read = (ti == pick) if pick is not None else np.ones(keys.shape, bool)
+            nan = np.isnan(keys) & read
+            pool = nan if nan.any() else read & (keys == np.nanmin(keys[read]))
+            best = np.lexsort((d[pool], at[pool]))[0]
+            want = tuple(a[pool][best] for a in (yr, ti, kx, d))
+            slack, _, witness, *_, x, y, tw = worst.row
+            assert worst.index == at[want]
+            assert worst.rank == ((0, 0.0) if nan.any() else (1, keys[want]))
+            assert (x, y, tw) == (xs[want[2]], ys[want[0]], t[want[1]])
+            assert slack == keys[want] or np.isnan(keys[want]) and np.isnan(slack)
+            if dirs > 1:
+                assert witness == want[3]
+
 
 def block_shapes(monkeypatch, name="inclusion_block"):
     """The (rows, channels) shape of the first argument of every call the
@@ -1112,9 +1158,9 @@ class TestBlockSize:
         assert rep == grid_reports(f, 1.0, grid, ("def_shc",), block_pairs=10)
 
 
-def traced_peak(f, ids, pairs):
+def traced_peak(f, ids, pairs, sampling="deterministic-stratified"):
     tracemalloc.start()
-    run_theorems(f, ids, 1.0, ConvexityGrid(pair_count=pairs), GL16)
+    run_theorems(f, ids, 1.0, ConvexityGrid(pair_count=pairs, sampling=sampling), GL16)
     size = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return size
@@ -1140,3 +1186,11 @@ class TestBoundedMemory:
             return traced_peak(f, ["def_shc"], pairs)
 
         assert peak(65536) < 2.0 * peak(4096)
+
+    def test_seeded_random_peak_is_bounded_by_the_block(self):
+        # Seeded-random pairs are drawn block by block: holding all 2^20
+        # pairs' x and y values alone would take 16 MB.  A first draw outside
+        # the trace leaves out numpy.random's one-off state (about 0.7 MB).
+        f = make_quadratic_family(1.0, 1.0, 10.0, DOM12)
+        ConvexityGrid(pair_count=1, sampling="seeded-random").pairs(1.0, 2.0)
+        assert traced_peak(f, ["def_mid"], 2 ** 20, "seeded-random") <= 4 * 2 ** 20

@@ -1,4 +1,5 @@
-"""Symbolic oracle for the rules of the two certified families.
+"""Symbolic oracles for the rules of the two certified families and for
+printed thm33 and thm35 on the bundled default family.
 
 Starting from each family's closed form in u = 1/x, sympy derives the
 certified modulus, the least over the support channels of -phi''/2 (hi
@@ -7,14 +8,21 @@ times the K at which the family's width vanishes at u = 1/a.  Both are
 checked against ``svf.family_rule``, ``svf.least_K`` and the factories'
 certificates on seeded draws, with every float parameter taken exactly as
 a rational.
+
+The printed product theorems' slacks are derived as exact polynomials in
+the modulus c and checked against ``run_theorems``' floats.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from harmonichh.aumann import QuadratureSpec
+from harmonichh.cli import default_config
+from harmonichh.hh_check import ConvexityGrid, run_theorems
 from harmonichh.svf import (
     FEASIBILITY_RTOL,
     HarmonicDomain,
@@ -90,3 +98,88 @@ def test_family_rule_matches_the_closed_form(kind):
         f = (make_quadratic_family(alpha, beta, K_ok, dom) if kind == "quadratic-interval"
              else make_disc_family(v, w, K_ok, beta, dom))
         assert exact(f.certificate.claimed_modulus) == modulus
+
+
+# Printed thm33 and thm35 on the bundled default family, G = F: the left
+# side (1/6)M + (1/3)N + S (c/12) d^2 B + (c^2/30) d^4 B of
+# ``hh_check._product_lhs`` against the mean over t of F(u) G(u_a + u_b - u)
+# (thm33) or F(u) G(u) (thm35) on u(t) = u_a + t (u_b - u_a), u = 1/x.  The
+# family's ends are positive, so a product of intervals is [lo lo', hi hi'].
+c = sp.symbols("c", nonnegative=True)
+t = sp.symbols("t")
+DEFAULT = default_config()
+
+
+def product(p, q):
+    return (p[0] * q[0], p[1] * q[1])
+
+
+def total(*ends):
+    return tuple(sum(e[i] for e in ends) for i in (0, 1))
+
+
+@functools.cache
+def printed_margins():
+    """The lower-end and upper-end margins, lhs_lo - rhs_lo and
+    rhs_hi - lhs_hi, of printed thm33 and thm35 as exact polynomials in c."""
+    fam = {k: exact(v) for k, v in DEFAULT["families"][0].items() if k != "family"}
+    ua, ub = 1 / fam["a"], 1 / fam["b"]
+
+    def F(w):
+        return (fam["alpha"] * w ** 2, fam["K"] - fam["beta"] * w ** 2)
+
+    fa, fb = F(ua), F(ub)
+    d2 = (ua - ub) ** 2
+    M, N, S = total(product(fa, fa), product(fb, fb)), total(product(fa, fb), product(fb, fa)), \
+        total(fa, fb, fa, fb)
+    # the penalty ball times S is [-r S_hi, r S_hi], and the quartic term a ball
+    pen = c / 12 * d2 * S[1] + c ** 2 / 30 * d2 ** 2
+    lhs = (M[0] / 6 + N[0] / 3 - pen, M[1] / 6 + N[1] / 3 + pen)
+    w = ua + t * (ub - ua)
+    out = {}
+    for tid, g in (("thm33", F(ua + ub - w)), ("thm35", F(w))):
+        rhs = [sp.integrate(sp.expand(e), (t, 0, 1)) for e in product(F(w), g)]
+        out[tid] = (sp.expand(lhs[0] - rhs[0]), sp.expand(rhs[1] - lhs[1]))
+    return out
+
+
+def float_report(tid, cv):
+    fam = DEFAULT["families"][0]
+    f = make_quadratic_family(fam["alpha"], fam["beta"], fam["K"],
+                              HarmonicDomain(fam["a"], fam["b"]))
+    quad = DEFAULT["quadrature"]
+    spec = QuadratureSpec(quad["rule"], quad["order"], quad["substitution"])
+    (rep,) = run_theorems(f, [tid], cv, ConvexityGrid(**DEFAULT["grid"]), spec,
+                          DEFAULT["tolerance"])
+    return rep
+
+
+class TestPrintedProductTheorems:
+    """The standing finding, derived: printed thm33 and thm35 fail on the
+    default family at c = 1, by exact amounts."""
+
+    def slack(self, tid, cv):
+        return sp.Min(*(m.subs(c, cv) for m in printed_margins()[tid]))
+
+    def test_pins(self):
+        assert self.slack("thm33", 1) == sp.Rational(-11, 15)
+        assert self.slack("thm35", 1) == sp.Rational(-397, 480)
+        assert self.slack("thm33", 0) == sp.Rational(1, 20)
+        assert self.slack("thm35", 0) == sp.Rational(-7, 160)
+
+    @pytest.mark.parametrize("tid", ["thm33", "thm35"])
+    @pytest.mark.parametrize("cv", [0, sp.Rational(1, 2), 1])
+    def test_float_slack_agrees(self, tid, cv):
+        rep = float_report(tid, float(cv))
+        want = self.slack(tid, cv)
+        assert abs(rep.verdict.slack - want) <= rep.error_budget + rep.verdict.tolerance_used
+        assert rep.holds == bool(want >= 0)
+
+    def test_thm33_root(self):
+        lo = printed_margins()["thm33"][0]
+        assert sp.degree(lo, c) == 2
+        (root,) = [r for r in sp.solve(lo, c) if r >= 0]
+        assert sp.simplify(root - (-375 + sp.sqrt(140721)) / 2) == 0
+        rep = float_report("thm33", float(root))
+        assert abs(rep.verdict.slack) <= rep.error_budget + rep.verdict.tolerance_used
+        assert abs(rep.verdict.slack) < 1e-15

@@ -6,7 +6,13 @@ its own interpreter, and lists every report field that differs, ignoring
 ``wall_time_s``.  Exit status 1 if an exit code, a summary or a field of an
 entry whose theorem id is not in ``--allow`` changed, else 0.
 
+With ``--grid`` it compares instead the text that the grid-parity digest of
+``tests/test_grid_parity.py`` hashes, ``parity_text()``, line by line: it
+prints "grid parity: unchanged", or how many lines differ and the first
+differing pair, and exits 1 on any difference.
+
     python tools/golden_diff.py OLD_SRC NEW_SRC [--allow nikodem_left ...]
+    python tools/golden_diff.py OLD_SRC NEW_SRC --grid
 
 OLD_SRC is typically the ``src`` directory of an unpacked ``git archive``
 of the parent commit.
@@ -15,6 +21,7 @@ of the parent commit.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -36,12 +43,39 @@ for name, doc, _, _ in GOLDEN:
 print(json.dumps(out))
 """
 
+_PARITY = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from test_grid_parity import parity_text
+sys.stdout.write(parity_text())
+"""
+
+
+def output(script: str, src: str) -> str:
+    """What ``script`` prints with the package in ``src`` and the tests of
+    this checkout first on the path."""
+    done = subprocess.run([sys.executable, "-c", script, str(Path(src).resolve()), str(TESTS)],
+                          check=True, capture_output=True, text=True)
+    return done.stdout
+
 
 def reports(src: str) -> dict:
     """{golden name: [exit code, report document]} under the package in ``src``."""
-    done = subprocess.run([sys.executable, "-c", _RUN, str(Path(src).resolve()), str(TESTS)],
-                          check=True, capture_output=True, text=True)
-    return json.loads(done.stdout)
+    return json.loads(output(_RUN, src))
+
+
+def grid_parity(old_src: str, new_src: str) -> int:
+    """Compare ``parity_text()`` under the two trees line by line; 1 if any
+    line differs, else 0."""
+    old, new = (output(_PARITY, src).splitlines() for src in (old_src, new_src))
+    # a line only one side has pairs with ""
+    pairs = [(a, b) for a, b in itertools.zip_longest(old, new, fillvalue="") if a != b]
+    if not pairs:
+        print("grid parity: unchanged")
+        return 0
+    print(f"grid parity: {len(pairs)} of {max(len(old), len(new))} lines differ; the first:")
+    print(f"- {pairs[0][0]}\n+ {pairs[0][1]}")
+    return 1
 
 
 def change(old, new) -> str:
@@ -60,7 +94,11 @@ def main(argv=None) -> int:
     parser.add_argument("new_src")
     parser.add_argument("--allow", nargs="*", default=[],
                         help="theorem ids whose entries may change")
+    parser.add_argument("--grid", action="store_true",
+                        help="compare the grid-parity text instead of the golden reports")
     args = parser.parse_args(argv)
+    if args.grid:
+        return grid_parity(args.old_src, args.new_src)
     old, new = reports(args.old_src), reports(args.new_src)
     bad = False
     for name in old:
