@@ -30,7 +30,6 @@ from .set_core import (
 from .svf import (
     HarmonicDomain,
     SetValuedFn,
-    FamilyCertificate,
     make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
@@ -48,7 +47,7 @@ from .hh_check import ConvexityGrid, TheoremReport, THEOREM_IDS
 __all__ = [
     "Interval", "SupportSet", "InclusionVerdict", "ball", "hausdorff",
     "includes", "interval_product", "minkowski_sum", "scale",
-    "HarmonicDomain", "SetValuedFn", "FamilyCertificate",
+    "HarmonicDomain", "SetValuedFn",
     "make_disc_family", "make_quadratic_family", "reciprocal_transform",
     "IntegralResult", "QuadratureSpec", "aumann_integral", "plain_product_integral",
     "reflected_product_integral", "weighted_harmonic_integral",

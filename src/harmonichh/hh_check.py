@@ -30,13 +30,14 @@ support.  Support functions add over Minkowski sums and scale with
 nonnegative factors (Rockafellar, Convex Analysis, section 13), so a family
 stated by its values is a coefficient family on the identity basis, and
 every side is combined alike: t F(y) + (1-t) F(x) from the rows at the
-grid's points, with the penalty on the ball (an interval's ends, every
-support value, or the basis's ball row).  A family with ``rows_in_u`` (the
-quadratic family's ends [alpha u^2, K - beta u^2], the disc's coefficients
-[u, 1, K - beta u^2]) takes its rows from u and u^2 at the grid's points
-and at u_H alike, so both sides of a row at t = 0 or 1 are the same bits
-and its slack is exactly 0; the shifted map's radius c u_H^2 reuses that
-u_H^2.  Any other family is evaluated at x on the grid and at 1/u_H.
+grid's points, with the penalty on the ball by ``svf.widen`` (an
+interval's ends, every support value, or the basis's ball row).  A family
+with ``rows_in_u`` (the quadratic family's ends [alpha u^2, K - beta u^2],
+the disc's coefficients [u, 1, K - beta u^2]) takes its rows from u and
+u^2 at the grid's points and at u_H alike, so both sides of a row at
+t = 0 or 1 are the same bits and its slack is exactly 0; the shifted map's
+radius c u_H^2 reuses that u_H^2.  Any other family is evaluated at x on
+the grid and at 1/u_H.
 
 The stratified grid is the product of n points with themselves, so F is
 evaluated once per pass at those points (seeded-random pairs share none,
@@ -89,6 +90,7 @@ F once at a, at b and at 2ab/(a+b), one harmonic integral for both
 Hermite-Hadamard sandwiches (the Nikodem pair is hh's in u = 1/x, so two
 only with substitution off), one assembly of the left side that thm33 and
 thm35 share, and only the product integrals the requested ids need.
+``check_nikodem`` on G is this pass's Nikodem pair of F(x) = G(1/x).
 
 ``run_theorems`` runs any ids on a family with each pass at most once;
 both passes check the modulus c first (``check_modulus``).
@@ -105,11 +107,12 @@ import numpy as np
 from .aumann import (
     bracket_product_integral,
     QuadratureSpec,
-    aumann_integral,
     plain_product_integral,
     reflected_product_integral,
     weighted_harmonic_integral,
 )
+# Not called here: perfbench/spans.py wraps this name in this module.
+from .aumann import aumann_integral  # noqa: F401
 from .set_core import (
     BLOCK_ELEMENTS,
     ConvexSet,
@@ -487,15 +490,6 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     # the rows of F a ball widens: a coefficient family's ball row, else all
     ball_rows = slice(None) if basis is None else slice(-1, None)
 
-    def widen_rows(vals, r, rows=slice(None)):
-        # the (channels, n) rows ``vals`` widened in place by the balls of
-        # radius r: an interval's ends, else the support rows ``rows``
-        if kind == "interval":
-            widen(vals.T, r, kind, vals.T)
-        else:
-            vals[rows] += r
-        return vals
-
     def combine(vals, slab, rows, shape, out):
         # t F(y) + (1-t) F(x) into ``out``: F's rows at the points ``vals``
         # and the run's slab
@@ -561,7 +555,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
         # each side's rows at the points
         fp = f.rows_in_u(up, up2, np.empty((channels, pts.size))) if in_u else f.eval_vector(pts).T
         if shift:
-            sp = widen_rows(fp.copy(), c * up2, ball_rows)
+            sp = widen(fp.copy(), c * up2, kind, ball_rows)
         if arith:
             gp = arith.g.eval_vector(up).T
         for run, blocks in runs:
@@ -583,7 +577,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                 if in_u or shift:
                     np.square(uh[:n], out=uh2[:n])
                 combine(fp, fx, rows, shape, lhs)
-                widen_rows(lhs[:, :n], pen[:n], ball_rows)
+                widen(lhs[:, :n], pen[:n], kind, ball_rows)
                 if in_u:
                     f.rows_in_u(uh[:n], uh2[:n], rhs[:, :n])
                 else:
@@ -592,7 +586,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                 strong_keys = fold(strong, n, where, arith is not None)
                 if arith:
                     combine(gp, gx, rows, shape, g_lhs)
-                    widen_rows(g_lhs[:, :n], pen[:n])
+                    widen(g_lhs[:, :n], pen[:n], kind)
                     # G's values are (triples, channels) arrays: at most
                     # BLOCK_ELEMENTS values at a time
                     part = max(1, BLOCK_ELEMENTS // g_lhs.shape[0])
@@ -604,7 +598,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                     # its right side is F(u_H) widened by c u_H^2
                     combine(sp, sx, rows, shape, lhs)
                     np.multiply(c, uh2[:n], out=pen[:n])
-                    widen_rows(rhs[:, :n], pen[:n], ball_rows)
+                    widen(rhs[:, :n], pen[:n], kind, ball_rows)
                     fold(shift, n, where, False)
 
 
@@ -698,13 +692,13 @@ def check_nikodem(g: SetValuedFn, c: float, q: QuadratureSpec,
 
     left:  mean integral + (c/12)(b-a)^2 B  inside  G((a+b)/2)
     right: (G(a)+G(b))/2 + (c/6)(b-a)^2 B  inside  mean integral
+
+    That is the integral pass's Nikodem pair of F(x) = G(1/x), whose domain
+    ends the echo's a and b are.
     """
-    check_modulus(("nikodem_left", "nikodem_right"), c)
-    a, b = g.domain.a, g.domain.b
-    integral = aumann_integral(g, a, b, q)
-    return _sandwich("nikodem", g, c, (g.eval(a), g.eval(0.5 * (a + b)), g.eval(b)),
-                     scale(1.0 / (b - a), integral.value), integral.error_budget / (b - a),
-                     (b - a) ** 2, tol, {"c": c, "a": a, "b": b, "nodes": integral.nodes_used})
+    f = reciprocal_transform(g)
+    return tuple(integral_reports(f, f, c, f.domain, q, ("nikodem_left", "nikodem_right"),
+                                  tol).values())
 
 
 def check_hh(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,

@@ -7,12 +7,13 @@ families with closed-form evaluation, and the two structural transforms
 
 The two certified families' rules are stated once, from their moduli:
 ``family_rule`` (positive moduli, the numerator of the least K, the
-certified modulus) and ``least_K``.  Their factories and the search both
-call them.  A family's ``polynomial_in_u`` flag tells the integration
-layer that each channel of F(1/u) is a polynomial in u.  Both certified
-families state F(1/u) through one method, ``rows_in_u``, which the grid
-checks work in: the quadratic family as its two ends, the disc family as
-per-point coefficients on a fixed ``basis``.  ``make_family`` builds a
+certified modulus, a family's ``claimed_modulus``) and ``least_K``.
+Their factories and the search both call them.  A family's
+``polynomial_in_u`` flag tells the integration layer that each channel of
+F(1/u) is a polynomial in u.  Both certified families state F(1/u) once,
+as ``rows_in_u``, one row per channel: the quadratic family as its two
+ends, the disc family as per-point coefficients on a fixed ``basis``.
+``widen`` widens such rows by balls in place.  ``make_family`` builds a
 certified family from its descriptor, the layout of its ``params()``.
 """
 
@@ -84,14 +85,6 @@ class HarmonicDomain:
         return (self.a - pad <= x) & (x <= self.b + pad)
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
-    """Claimed strong harmonic convexity modulus with the parameter basis."""
-
-    claimed_modulus: float
-    basis: str
-
-
 class SetValuedFn(abc.ABC):
     """A set-valued map on a HarmonicDomain.
 
@@ -103,7 +96,7 @@ class SetValuedFn(abc.ABC):
 
     domain: HarmonicDomain
     kind: str  # "interval" | "support"
-    certificate: Optional[FamilyCertificate]
+    claimed_modulus: Optional[float] = None  # the modulus family_rule certifies, if any
     grid_size: int = DEFAULT_GRID_SIZE
     polynomial_in_u: bool = False  # every channel of F(1/u) is a polynomial in u
     # the (k, M) basis of a support family whose rows_in_u are per-point
@@ -143,31 +136,26 @@ class QuadraticIntervalFn(SetValuedFn):
     polynomial_in_u = True
 
     def __init__(self, alpha: float, beta: float, K: float, domain: HarmonicDomain,
-                 certificate: Optional[FamilyCertificate] = None):
+                 claimed_modulus: Optional[float] = None):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.K = float(K)
         self.domain = domain
-        self.certificate = certificate
+        self.claimed_modulus = claimed_modulus
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
-        inv2 = np.asarray(xs, dtype=float) ** 2
-        np.divide(1.0, inv2, out=inv2)
-        out = np.empty((inv2.size, 2))
-        np.multiply(self.alpha, inv2, out=out[:, 0])
-        hi = out[:, 1]
-        np.multiply(self.beta, inv2, out=hi)
-        np.subtract(self.K, hi, out=hi)
+        """``rows_in_u`` at u^2 = 1/x^2, into the columns of an (n, 2) array."""
+        u2 = 1.0 / np.asarray(xs, dtype=float) ** 2
+        out = np.empty((u2.size, 2))
+        self.rows_in_u(None, u2, out.T)
         return out
 
-    def rows_in_u(self, u: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def rows_in_u(self, u: Optional[np.ndarray], u2: np.ndarray, out: np.ndarray) -> np.ndarray:
         """F(1/u) = [alpha u^2, K - beta u^2] from the squares ``u2`` of the
-        points u, lower ends into out[0] and upper ends into out[1]; returns
-        ``out``, shaped (2, n)."""
+        points u alone (``u`` is not read), lower ends into out[0] and upper
+        ends into out[1]; returns ``out``, shaped (2, n)."""
         np.multiply(self.alpha, u2, out=out[0])
-        hi = out[1]
-        np.multiply(self.beta, u2, out=hi)
-        np.subtract(self.K, hi, out=hi)
+        np.subtract(self.K, np.multiply(self.beta, u2, out=out[1]), out=out[1])
         return out
 
     def params(self) -> dict:
@@ -193,7 +181,7 @@ class DiscFn(SetValuedFn):
 
     def __init__(self, v: Sequence[float], w: Sequence[float], K: float, beta: float,
                  domain: HarmonicDomain, grid_size: int = DEFAULT_GRID_SIZE,
-                 certificate: Optional[FamilyCertificate] = None):
+                 claimed_modulus: Optional[float] = None):
         self.v = np.asarray(v, dtype=float)
         self.w = np.asarray(w, dtype=float)
         if self.v.shape != (2,) or self.w.shape != (2,):
@@ -204,7 +192,7 @@ class DiscFn(SetValuedFn):
         self.grid_size = int(grid_size)
         dirs = directions(self.grid_size)
         self.basis = np.vstack((dirs @ self.v, dirs @ self.w, np.ones(self.grid_size)))
-        self.certificate = certificate
+        self.claimed_modulus = claimed_modulus
 
     def rows_in_u(self, u: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The coefficients [u, 1, K - beta u^2] on ``basis`` of the points
@@ -233,8 +221,8 @@ class DiscFn(SetValuedFn):
 class SampledFn(SetValuedFn):
     """Custom-sampled family: precomputed sets on a grid, linear interpolation.
 
-    Carries no certificate, and no config builds one; the tests use it as
-    a generic family.
+    Claims no modulus, and no config builds one; the tests use it as a
+    generic family.
     """
 
     def __init__(self, xs: Sequence[float], values: np.ndarray, domain: HarmonicDomain,
@@ -247,7 +235,6 @@ class SampledFn(SetValuedFn):
             raise FeasibilityError("sample grid must be strictly increasing")
         self.domain = domain
         self.kind = kind
-        self.certificate = None
         if kind == "support":
             self.grid_size = self._values.shape[1]
 
@@ -266,7 +253,7 @@ class ReciprocalFn(SetValuedFn):
         self.base = base
         self.domain = HarmonicDomain(1.0 / base.domain.b, 1.0 / base.domain.a)
         self.kind = base.kind
-        self.certificate = base.certificate
+        self.claimed_modulus = base.claimed_modulus
         self.grid_size = base.grid_size
 
     def eval_vector(self, us: np.ndarray) -> np.ndarray:
@@ -284,7 +271,6 @@ class CShiftFn(SetValuedFn):
         self.c = float(c)
         self.domain = base.domain
         self.kind = base.kind
-        self.certificate = None
         self.grid_size = base.grid_size
         self.polynomial_in_u = base.polynomial_in_u
 
@@ -292,22 +278,23 @@ class CShiftFn(SetValuedFn):
         """F's values at ``xs`` widened by the balls of radius c/x^2, in a
         fresh array."""
         xs = np.asarray(xs, dtype=float)
-        vals = self.base.eval_vector(xs)
-        return widen(vals, self.c / xs ** 2, self.kind, np.empty_like(vals))
+        vals = self.base.eval_vector(xs).copy()
+        widen(vals.T, self.c / xs ** 2, self.kind)
+        return vals
 
 
-def widen(vals: np.ndarray, r: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
-    """Widen each row of the (n, channels) values ``vals`` by the ball of
-    radius r[i] into ``out``, which may be ``vals``, and return ``out``: the
-    lower endpoint of an interval moves down by r[i], the upper one and
-    every support value up.  A support row adds r[i] repeated across its
-    channels, one (n, channels) operand rather than one broadcast per row."""
+def widen(rows: np.ndarray, r: np.ndarray, kind: str, ball=slice(None)) -> np.ndarray:
+    """Widen the (channels, n) ``rows``, one row per channel, in place by
+    the balls of radius r[i] at column i, and return ``rows``: an interval's
+    lower end moves down by r[i] and its upper end up, and every support row
+    in ``ball`` (all of them by default; a coefficient family's ball row)
+    rises by r[i]."""
     if kind == "interval":
-        np.subtract(vals[:, 0], r, out=out[:, 0])
-        np.add(vals[:, 1], r, out=out[:, 1])
+        rows[0] -= r
+        rows[1] += r
     else:
-        np.add(vals, r.repeat(vals.shape[1]).reshape(vals.shape), out=out)
-    return out
+        rows[ball] += r
+    return rows
 
 
 def reciprocal_transform(f: SetValuedFn) -> SetValuedFn:
@@ -345,23 +332,23 @@ def least_K(top: float, a: float) -> float:
     return least
 
 
-def _certificate(kind: str, moduli: dict, K: float, dom: HarmonicDomain) -> FamilyCertificate:
-    """The certificate of a family whose rule holds and whose K is at least
-    its least K on ``dom``."""
+def _claimed_modulus(kind: str, moduli: dict, K: float, dom: HarmonicDomain) -> float:
+    """The modulus of a family whose rule holds and whose K is at least its
+    least K on ``dom``."""
     top, modulus = family_rule(kind, moduli)
     least = least_K(top, dom.a)
     if not (K >= least):  # also rejects NaN
         raise FeasibilityError(f"{kind} family infeasible: K={K} < (1 + {FEASIBILITY_RTOL}) "
                                f"({'+'.join(moduli)})/a^2 = {least}")
-    return FamilyCertificate(modulus, f"least of the moduli {', '.join(moduli)} under u=1/x")
+    return modulus
 
 
 def make_quadratic_family(alpha: float, beta: float, K: float,
                           dom: HarmonicDomain) -> QuadraticIntervalFn:
     """Certified quadratic interval family [alpha/x^2, K - beta/x^2]."""
     alpha, beta, K = float(alpha), float(beta), float(K)
-    cert = _certificate("quadratic-interval", {"alpha": alpha, "beta": beta}, K, dom)
-    return QuadraticIntervalFn(alpha, beta, K, dom, certificate=cert)
+    modulus = _claimed_modulus("quadratic-interval", {"alpha": alpha, "beta": beta}, K, dom)
+    return QuadraticIntervalFn(alpha, beta, K, dom, claimed_modulus=modulus)
 
 
 def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: float,
@@ -371,8 +358,8 @@ def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: flo
     K, beta = float(K), float(beta)
     if grid_size < 3:
         raise FeasibilityError(f"disc family needs grid_size >= 3, got {grid_size}")
-    cert = _certificate("disc", {"beta": beta}, K, dom)
-    return DiscFn(v, w, K, beta, dom, grid_size=grid_size, certificate=cert)
+    modulus = _claimed_modulus("disc", {"beta": beta}, K, dom)
+    return DiscFn(v, w, K, beta, dom, grid_size=grid_size, claimed_modulus=modulus)
 
 
 def make_family(descriptor) -> SetValuedFn:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import harmonichh
 from harmonichh.cli import (
     SEARCH_FIELDS,
     ConfigError,
@@ -484,8 +485,9 @@ class TestConfigErrorExitCode:
         # only a process shows what an escaping exception does: status 1,
         # read as a violation, and a traceback on stderr
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                          env.get("PYTHONPATH")]))
+        # the src tree this run tests, which PYTHONPATH may name
+        src = Path(harmonichh.__file__).parents[1]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "harmonichh.cli", "--config", write_config(tmp_path, AT_BOUND)],
             env=env, capture_output=True, text=True, timeout=120)

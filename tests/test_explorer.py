@@ -117,7 +117,7 @@ def test_repair_and_factories_share_the_family_rule(family, data):
     f = build_function(cfg)  # the factory accepts every repaired sample
     top = raw["alpha"] + raw["beta"] if family == "quadratic-interval" else raw["beta"]
     assert cfg["K"] == max(raw["K"], least_K(top, raw["a"]))
-    modulus = f.certificate.claimed_modulus
+    modulus = f.claimed_modulus
     if space.certified_only:
         assert min(space.c[0], modulus) <= cfg["c"] <= modulus
 
@@ -176,13 +176,12 @@ class TestTheoremTable:
     def test_f_evaluated_once_per_point(self, monkeypatch, ids, per_point, per_triple):
         # the stratified grid is the product of its points with themselves:
         # F is evaluated at each point once, not at each pair, in x or (the
-        # grid pass's quadratic) from u and u^2
+        # grid pass's quadratic) from u and u^2; eval_vector runs through
+        # rows_in_u, so its calls count every evaluation
         points = []
-        for name in ("eval_vector", "rows_in_u"):
-            original = getattr(QuadraticIntervalFn, name)
-            monkeypatch.setattr(QuadraticIntervalFn, name,
-                                lambda self, xs, *out, original=original:
-                                points.append(len(xs)) or original(self, xs, *out))
+        original = QuadraticIntervalFn.rows_in_u
+        monkeypatch.setattr(QuadraticIntervalFn, "rows_in_u", lambda self, u, u2, out:
+                            points.append(len(u2)) or original(self, u, u2, out))
         run_theorems(build_function(QUADRATIC_CFG), ids, 1.0, GRID, QuadratureSpec())
         n = GRID.points(1.0, 2.0).size
         pairs = GRID.pairs(1.0, 2.0)[0].size
@@ -213,7 +212,7 @@ class TestEvaluateConfig:
     def test_build_function_certificate(self):
         cfg = {"family": "quadratic-interval", "alpha": 2.0, "beta": 3.0,
                "K": 20.0, "a": 1.0, "b": 2.0, "c": 1.0}
-        assert build_function(cfg).certificate.claimed_modulus == 2.0
+        assert build_function(cfg).claimed_modulus == 2.0
 
     def test_unknown_theorem(self):
         cfg = {"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0,

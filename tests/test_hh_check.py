@@ -7,6 +7,7 @@ import pytest
 
 from harmonichh import hh_check
 from harmonichh.aumann import QuadratureSpec
+from harmonichh.cli import default_config
 from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import (
     BLOCK_ELEMENTS,
@@ -38,6 +39,7 @@ from harmonichh.svf import (
     ReciprocalFn,
     SampledFn,
     make_disc_family,
+    make_family,
     make_quadratic_family,
     reciprocal_transform,
 )
@@ -318,6 +320,23 @@ class TestNikodem:
         assert left.verdict.slack > 1e-3
         assert right.verdict.slack > 1e-3
 
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("make", [
+        lambda: make_family(default_config()["families"][0]),
+        lambda: make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=64),
+    ], ids=["default-quadratic", "disc-64"])
+    def test_one_route_with_the_integral_pass(self, make, c):
+        # check_nikodem on G(u) = F(1/u) is the integral pass's Nikodem pair
+        # of F, field for field: no second route with a rule of its own
+        f = make()
+        ids = ["nikodem_left", "nikodem_right"]
+        for got, want in zip(check_nikodem(reciprocal_transform(f), c, GL16),
+                             run_theorems(f, ids, c, SMALL_GRID, GL16), strict=True):
+            assert got.theorem_id == want.theorem_id
+            assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+            assert got.verdict == want.verdict
+            assert got.error_budget == want.error_budget
+
 
 class TestHH:
     def test_tight_family_exact_values(self):
@@ -409,7 +428,8 @@ class TestIntegralPass:
         monkeypatch.setattr(type(f), "eval_vector", lambda self, xs: points.append(
             tuple(xs)) or original(self, xs))
         run_theorems(f, ids, 0.75, SMALL_GRID, QuadratureSpec(substitution=substitution))
-        # aumann_integral, which check_nikodem calls, never runs
+        # aumann_integral never runs: no checker calls it, check_nikodem
+        # included, as it runs this pass too
         assert calls == ["weighted_harmonic_integral"] * integrals
         # F once at a, at b and at the harmonic midpoint for all the ids
         assert sorted(p for p in points if len(p) == 1) == \

@@ -169,8 +169,8 @@ def test_rescaled_families_share_the_modulus_certificate():
     # the relation's premise: F_lambda's certified modulus is lambda^2 times F's
     for make, params, _, _ in CASES:
         for lam in (2.0, 0.25):
-            assert make(lam, *params).certificate.claimed_modulus == \
-                lam * lam * make(1.0, *params).certificate.claimed_modulus
+            assert make(lam, *params).claimed_modulus == \
+                lam * lam * make(1.0, *params).claimed_modulus
 
 
 class Reflected(SetValuedFn):
@@ -178,7 +178,7 @@ class Reflected(SetValuedFn):
 
     def __init__(self, base):
         self.base, self.domain, self.kind = base, base.domain, base.kind
-        self.certificate = base.certificate
+        self.claimed_modulus = base.claimed_modulus
 
     @property
     def grid_size(self):
@@ -209,7 +209,7 @@ def test_harmonic_reflection(dom, spec):
     for make in REFLECTION_FAMILIES:
         f = make(*dom)
         ft = Reflected(f)
-        modulus = f.certificate.claimed_modulus
+        modulus = f.claimed_modulus
         for rep, rep_t in zip(run_theorems(f, SANDWICH_IDS, modulus, grid, q),
                               run_theorems(ft, SANDWICH_IDS, modulus, grid, q)):
             budget = rep.error_budget + rep_t.error_budget

@@ -19,6 +19,7 @@ from harmonichh.svf import (
     make_disc_family,
     make_quadratic_family,
     reciprocal_transform,
+    widen,
 )
 from oracles import harmonic_combination, reflect
 
@@ -113,8 +114,8 @@ class TestQuadraticFamily:
         assert f.eval(2.0) == Interval(0.25, 9.75)
 
     def test_certificate_min_alpha_beta(self):
-        assert make_quadratic_family(1, 1, 10, DOM12).certificate.claimed_modulus == 1.0
-        assert make_quadratic_family(2, 3, 20, DOM12).certificate.claimed_modulus == 2.0
+        assert make_quadratic_family(1, 1, 10, DOM12).claimed_modulus == 1.0
+        assert make_quadratic_family(2, 3, 20, DOM12).claimed_modulus == 2.0
 
     def test_infeasible_K(self):
         with pytest.raises(FeasibilityError):
@@ -148,7 +149,7 @@ class TestDiscFamily:
 
     def test_certificate_beta(self):
         f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12)
-        assert f.certificate.claimed_modulus == 1.0
+        assert f.claimed_modulus == 1.0
 
     @pytest.mark.parametrize("K,beta", [(NAN, 1.0), (3.0, NAN)], ids=["K", "beta"])
     def test_nan_parameter_rejected(self, K, beta):
@@ -308,11 +309,52 @@ class Tabled(SetValuedFn):
 
     def __init__(self, vals, kind):
         self.vals, self.kind = vals, kind
-        self.domain, self.certificate, self.grid_size = DOM12, None, vals.shape[1]
+        self.domain, self.claimed_modulus, self.grid_size = DOM12, None, vals.shape[1]
 
     def eval_vector(self, xs):
         assert xs is _POINTS
         return self.vals
+
+
+class TestWiden:
+    """``widen`` is the one ball-widening rule: in place on (channels, n)
+    rows, one ball radius per column."""
+
+    R = np.array([0.5, 0.0, 2.0 ** -30, 3.0])
+
+    def rows(self, channels):
+        return np.random.default_rng(12).normal(size=(channels, self.R.size))
+
+    def test_interval_ends(self):
+        rows = self.rows(2)
+        before = rows.copy()
+        assert widen(rows, self.R, "interval") is rows
+        assert same_bits(rows, np.vstack((before[0] - self.R, before[1] + self.R)))
+
+    def test_every_support_row(self):
+        rows = self.rows(5)
+        before = rows.copy()
+        assert widen(rows, self.R, "support") is rows
+        assert same_bits(rows, before + self.R)
+
+    def test_ball_rows_alone(self):
+        # a coefficient family's ball row rises, its other rows stay as they are
+        rows = self.rows(3)
+        before = rows.copy()
+        assert widen(rows, self.R, "support", slice(-1, None)) is rows
+        assert same_bits(rows[:-1], before[:-1])
+        assert same_bits(rows[-1], before[-1] + self.R)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_quadratic_family(0.7, 2.5, 13.0, DOM12),
+        lambda: make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12, grid_size=16),
+    ], ids=["interval", "support"])
+    @pytest.mark.parametrize("c", [0.25, 3.0])
+    def test_cshift_is_the_base_widened(self, make, c):
+        f = make()
+        want = f.eval_vector(_POINTS)
+        widen(want.T, c / _POINTS ** 2, f.kind)
+        assert same_bits(CShiftFn(f, c).eval_vector(_POINTS), want)
 
 
 class TestCShift:

@@ -6,11 +6,13 @@ certified modulus, the least over the support channels of -phi''/2 (hi
 and -lo for an interval), and the numerator ``top`` of the least K, a^2
 times the K at which the family's width vanishes at u = 1/a.  Both are
 checked against ``svf.family_rule``, ``svf.least_K`` and the factories'
-certificates on seeded draws, with every float parameter taken exactly as
+claimed moduli on seeded draws, with every float parameter taken exactly as
 a rational.
 
 The printed product theorems' slacks are derived as exact polynomials in
-the modulus c and checked against ``run_theorems``' floats.
+the modulus c and checked against ``run_theorems``' floats, and so are the
+quadratic family's Hermite-Hadamard and Nikodem sandwich slacks on seeded
+draws.
 """
 
 import functools
@@ -97,7 +99,7 @@ def test_family_rule_matches_the_closed_form(kind):
         K_ok = least_K(got_top, a)
         f = (make_quadratic_family(alpha, beta, K_ok, dom) if kind == "quadratic-interval"
              else make_disc_family(v, w, K_ok, beta, dom))
-        assert exact(f.certificate.claimed_modulus) == modulus
+        assert exact(f.claimed_modulus) == modulus
 
 
 # Printed thm33 and thm35 on the bundled default family, G = F: the left
@@ -183,3 +185,54 @@ class TestPrintedProductTheorems:
         rep = float_report("thm33", float(root))
         assert abs(rep.verdict.slack) <= rep.error_budget + rep.verdict.tolerance_used
         assert abs(rep.verdict.slack) < 1e-15
+
+
+# The quadratic family's Hermite-Hadamard sandwiches, exactly.  The mean
+# (ab/(b-a)) int_a^b F(x)/x^2 dx is [alpha m, K - beta m] with
+# m = (a^2 + ab + b^2)/(3 a^2 b^2); hh_left widens it by the (c/12) d^2 ball
+# inside F(2ab/(a+b)), hh_right widens (F(a) + F(b))/2 by the (c/6) d^2 ball
+# inside it, with d = (b - a)/(ab).  The Nikodem pair is the same sandwich of
+# F(1/u) in u.
+SANDWICH_IDS = ("hh_left", "hh_right", "nikodem_left", "nikodem_right")
+x, A, B = sp.symbols("x a b", positive=True)
+
+
+@functools.cache
+def mean_factor():
+    """m, derived: the mean of the u^2 channel, (ab/(b-a)) int_a^b x^-4 dx."""
+    m = sp.factor(A * B / (B - A) * sp.integrate(x ** -4, (x, A, B)))
+    assert sp.simplify(m - (A ** 2 + A * B + B ** 2) / (3 * A ** 2 * B ** 2)) == 0
+    return m
+
+
+def sandwich_slacks(alpha, beta, Kv, a, b, cv):
+    """Exact (left, right) slacks: the margin of the tighter end of each
+    inclusion, the ball's radius taken off both."""
+    def F(xv):
+        return (alpha / xv ** 2, Kv - beta / xv ** 2)
+
+    def slack(lhs, r, rhs):  # lhs widened by the ball of radius r, inside rhs
+        return min(lhs[0] - r - rhs[0], rhs[1] - lhs[1] - r)
+
+    m = mean_factor().subs({A: a, B: b})
+    mean = (alpha * m, Kv - beta * m)
+    d2 = ((b - a) / (a * b)) ** 2
+    ends = total(F(a), F(b))
+    return (slack(mean, cv / 12 * d2, F(2 * a * b / (a + b))),
+            slack((ends[0] / 2, ends[1] / 2), cv / 6 * d2, mean))
+
+
+@pytest.mark.parametrize("substitution", [True, False], ids=["in-u", "in-x"])
+def test_quadratic_sandwich_slacks_exact(substitution):
+    grid, spec = ConvexityGrid(pair_count=4), QuadratureSpec(substitution=substitution)
+    for alpha, beta, a, b, _, _ in draws():
+        Kv = 2.0 * least_K(alpha + beta, a)
+        f = make_quadratic_family(alpha, beta, Kv, HarmonicDomain(a, b))
+        for share in (0.0, 0.5, 1.0):
+            cv = share * min(alpha, beta)
+            left, right = sandwich_slacks(*(exact(v) for v in (alpha, beta, Kv, a, b, cv)))
+            want = {"left": left, "right": right}
+            for rep in run_theorems(f, SANDWICH_IDS, cv, grid, spec):
+                err = abs(rep.verdict.slack - want[rep.theorem_id.rsplit("_", 1)[1]])
+                assert err <= rep.error_budget + rep.verdict.tolerance_used, \
+                    (rep.theorem_id, alpha, beta, a, b, cv)

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
         for substitution in (True, False):
             q = QuadratureSpec(rule, order, substitution)
             reports = [rep for f in fams for rep in run_theorems(
-                f, SANDWICH_IDS, f.certificate.claimed_modulus, grid, q)]
+                f, SANDWICH_IDS, f.claimed_modulus, grid, q)]
             false = sum(not rep.verdict.holds for rep in reports)
             print(f"{rule:17} {order:2} substitution={'on ' if substitution else 'off'}  "
                   f"false violations {false} of {len(reports)}")
