@@ -10,7 +10,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def collect(pythonpath):
-    """Collect one test module in a fresh pytest process; returns it."""
+    """Collect one test module in a fresh pytest process; returns the
+    finished process."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     if pythonpath:
         env["PYTHONPATH"] = pythonpath
