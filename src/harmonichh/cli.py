@@ -7,7 +7,8 @@ that cannot be written): ``main`` turns every exception into one
 
 The config and report documents are JSON.  Machine-format reports print
 numbers with 17 significant digits, so parse(render(report)) round-trips
-exactly.
+exactly.  A family descriptor's key table is built from its class's
+declaration in ``svf``, so no family parameter is named here.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
 from .set_core import Interval, SupportSet
-from .svf import FeasibilityError, SetValuedFn, make_family
+from .svf import FAMILIES, FeasibilityError, SetValuedFn, make_family
 
 MODES = ("verify", "search", "baseline")
 
@@ -137,13 +138,21 @@ CONFIG_FIELDS = {
     "quadrature": QUADRATURE_FIELDS, "theorems": _list(_text), "tolerance": _tolerance,
     "output": _text, "seed": _count, "search": SEARCH_FIELDS, "expected_slack": _number,
 }
-# every key is required but the disc grid_size
-FAMILY_FIELDS = {
-    "quadratic-interval": {"family": _text, "alpha": _number, "beta": _number,
-                           "K": _number, "a": _number, "b": _number},
-    "disc": {"family": _text, "v": _pair(), "w": _pair(), "K": _number, "beta": _number,
-             "a": _number, "b": _number, "grid_size": _count},
-}
+
+
+def _family_fields(cls: type) -> dict:
+    """The key table of a family's descriptor, in ``params()`` order, from
+    its class's declaration: a pair or a number per parameter, a count per
+    option."""
+    fields = {"family": _text}
+    fields.update((name, _pair() if name in cls.pairs else _number) for name in cls.parameters)
+    fields.update(a=_number, b=_number)
+    fields.update(dict.fromkeys(cls.options, _count))
+    return fields
+
+
+# every key is required but the options
+FAMILY_FIELDS = {kind: _family_fields(cls) for kind, cls in FAMILIES.items()}
 
 
 def _section(doc, what: str, fields: dict) -> dict:
@@ -173,7 +182,8 @@ def _family(descriptor: dict) -> dict:
     if not isinstance(kind, str) or kind not in FAMILY_FIELDS:
         raise ConfigError(f"unknown family kind: {kind!r}")
     fam = _section(descriptor, f"{kind} family", FAMILY_FIELDS[kind])
-    missing = [key for key in FAMILY_FIELDS[kind] if key not in fam and key != "grid_size"]
+    missing = [key for key in FAMILY_FIELDS[kind]
+               if key not in fam and key not in FAMILIES[kind].options]
     if missing:
         raise ConfigError(f"{kind} family is missing {', '.join(map(repr, missing))}")
     return fam

@@ -13,7 +13,8 @@ lexicographic config ordering.
 Every evaluation goes through ``hh_check.run_theorems``, the one way the
 search and the CLI run a theorem on a family.  The feasible set is the
 family rule of ``svf`` (``family_rule``, ``least_K``), which checks the
-search space once and repairs every sample.
+search space once and repairs every sample.  The dimensions of a search
+are the parameters the family's class declares, each pair p as p0 and p1.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .hh_check import DEFAULT_TOL, ConvexityGrid, TheoremReport, check_modulus, 
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .svf import FeasibilityError, HarmonicDomain, family_rule, least_K, make_family
+from .svf import (FeasibilityError, HarmonicDomain, family_class, family_rule, least_K,
+                  make_family)
 
 DEFAULT_SEARCH_GRID = ConvexityGrid(pair_count=64)
 
@@ -71,13 +73,16 @@ class SearchSpace:
             raise FeasibilityError("certified-only search needs c > 0")
 
     def dimension_ranges(self):
-        if self.family == "quadratic-interval":
-            return [("alpha", self.alpha), ("beta", self.beta), ("K", self.K),
-                    ("a", self.a), ("b", self.b), ("c", self.c)]
-        return [("v0", self.v[0]), ("v1", self.v[1]),
-                ("w0", self.w[0]), ("w1", self.w[1]),
-                ("K", self.K), ("beta", self.beta),
-                ("a", self.a), ("b", self.b), ("c", self.c)]
+        """(name, range) of each dimension searched: the family's parameters
+        in their declared order, a pair p as p0 and p1, then a, b and c."""
+        cls = family_class(self.family)
+        dims = []
+        for name in cls.parameters + ("a", "b", "c"):
+            if name in cls.pairs:
+                dims += [(f"{name}{i}", r) for i, r in enumerate(getattr(self, name))]
+            else:
+                dims.append((name, getattr(self, name)))
+        return dims
 
 
 @dataclass(frozen=True)
@@ -106,10 +111,11 @@ def _repair(space: SearchSpace, raw: dict) -> dict:
 
 def family_descriptor(cfg: dict) -> dict:
     """The family descriptor of a search config, the layout ``make_family``
-    reads: a disc's v0, v1, w0 and w1 as the pairs v and w."""
-    if cfg["family"] != "disc":
-        return cfg
-    return {**cfg, "v": (cfg["v0"], cfg["v1"]), "w": (cfg["w0"], cfg["w1"])}
+    reads: each pair p from p0 and p1."""
+    desc = dict(cfg)
+    for name in family_class(cfg["family"]).pairs:
+        desc[name] = (cfg[f"{name}0"], cfg[f"{name}1"])
+    return desc
 
 
 def evaluate_config(cfg: dict, theorem_id: str,

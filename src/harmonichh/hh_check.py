@@ -113,8 +113,9 @@ from .aumann import (
 )
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .aumann import aumann_integral  # noqa: F401
+# The budget product_rows sizes a block by, which callers read here.
+from .set_core import BLOCK_ELEMENTS  # noqa: F401
 from .set_core import (
-    BLOCK_ELEMENTS,
     ConvexSet,
     InclusionBlock,
     InclusionVerdict,
@@ -284,6 +285,11 @@ def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int):
                 for j in range(0, n, k)]
 
 
+def _rank(key: float) -> tuple:
+    """A key's rank in the witness order: NaN first, then by value."""
+    return (0, 0.0) if key != key else (1, float(key))
+
+
 class _Worst:
     """Running reduction of one side of a grid check over its blocks: the
     element minimising (key, grid index), NaN first.
@@ -310,12 +316,12 @@ class _Worst:
         self.row = None
         self.triples = 0
 
-    def beaten(self, bound: float, index: int) -> bool:
-        """Whether a block whose every key is >= the number ``bound`` (not
-        NaN), and whose least grid index is ``index``, cannot replace the
-        kept row: it loses on its key, or ties and loses on index, or the
-        kept row is NaN."""
-        return self.row is not None and (1, bound, index) > (*self.rank, self.index)
+    def beaten(self, key: float, index: int) -> bool:
+        """Whether an element of key ``key`` at grid index ``index`` cannot
+        replace the kept row, nor a block whose every key is >= ``key`` and
+        whose least grid index is ``index``: it loses on its ``_rank``, or
+        ties and loses on index."""
+        return self.row is not None and (_rank(key), index) > (self.rank, self.index)
 
     def update(self, block, x, y, first, stride, slab=0):
         """Fold in one block of the pass, or its whole (y row, t) slabs from
@@ -335,11 +341,9 @@ class _Worst:
         flat = keys.reshape(-1)
         dirs = keys.shape[2] if keys.ndim > 2 else 1
         least = flat.min()
-        rank = (0, 0.0) if least != least else (1, float(least))  # NaN first
-        # a tie loses unless the side starts before the kept row in grid order
+        # the side's least grid index in the block
         yr, ti = divmod(slab + start, m)
-        if self.row is not None and (rank > self.rank or rank == self.rank
-                                     and (first + yr * stride) * m + ti > self.index):
+        if self.beaten(least, (first + yr * stride) * m + ti):
             return
         # the least key's rows: their slab i, (y row, t), x and grid index
         r, j = np.divmod(np.flatnonzero(flat != flat if least != least else flat == least), dirs)
@@ -348,8 +352,8 @@ class _Worst:
         yr, ti = np.divmod(slab + i, m)
         at = (first + yr * stride + kx) * m + ti
         h = int(np.argmin(at * dirs + j))
-        if self.row is None or rank < self.rank or at[h] < self.index:
-            self.rank, self.index = rank, int(at[h])
+        if not self.beaten(least, int(at[h])):
+            self.rank, self.index = _rank(least), int(at[h])
             row = i[h] * k + kx[h]
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
             self.row = (*block.at(row, int(j[h]) if keys.ndim > 2 else None),
@@ -461,7 +465,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     if block_pairs is None:
         # an interval's ends are arrays of their own, a support family's rows one
         per_array = 1 if kind == "interval" else max(channels, g_rows)
-        block_pairs = max(1, BLOCK_ELEMENTS // (m * per_array))
+        block_pairs = product_rows(m * per_array)
         if basis is not None:
             # at most a product's rows of pairs: a larger block saves no
             # product and leaves a larger heap behind
@@ -589,7 +593,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                     widen(g_lhs[:, :n], pen[:n], kind)
                     # G's values are (triples, channels) arrays: at most
                     # BLOCK_ELEMENTS values at a time
-                    part = max(1, BLOCK_ELEMENTS // g_lhs.shape[0])
+                    part = product_rows(g_lhs.shape[0])
                     for i in range(0, n, part):
                         j = min(i + part, n)
                         arith.update(g_lhs[:, i:j].T, uh[i:j], strong_keys[i:j], kind, tol)

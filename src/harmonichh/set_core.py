@@ -289,10 +289,10 @@ def support_tolerance(hb: float, tol: float) -> float:
     return (abs(float(hb)) + 1.0) * tol
 
 
-def product_rows(channels: int) -> int:
-    """Rows of every ``basis_product`` onto ``channels`` values per row: as
-    many as BLOCK_ELEMENTS allows, at least one."""
-    return max(1, BLOCK_ELEMENTS // channels)
+def product_rows(width: int) -> int:
+    """Rows of ``width`` values that make at most BLOCK_ELEMENTS values, at
+    least one: of every ``basis_product`` and of every grid-pass block array."""
+    return max(1, BLOCK_ELEMENTS // width)
 
 
 def basis_product(coefs: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -5,16 +5,18 @@ Domains inside [2^-511, 2^511], which admit a point up to a pad of
 families with closed-form evaluation, and the two structural transforms
 (reciprocal substitution and the modulus shift by a scaled ball).
 
-The two certified families' rules are stated once, from their moduli:
-``family_rule`` (positive moduli, the numerator of the least K, the
-certified modulus, a family's ``claimed_modulus``) and ``least_K``.
-Their factories and the search both call them.  A family's
-``polynomial_in_u`` flag tells the integration layer that each channel of
-F(1/u) is a polynomial in u.  Both certified families state F(1/u) once,
-as ``rows_in_u``, one row per channel: the quadratic family as its two
-ends, the disc family as per-point coefficients on a fixed ``basis``.
-``widen`` widens such rows by balls in place.  ``make_family`` builds a
-certified family from its descriptor, the layout of its ``params()``.
+Each certified family's class declares its descriptor once: its
+``family`` name, its ``parameters``, the ``pairs`` (2-vectors) and
+``moduli`` among them, and its ``options``.  ``params()``, ``make_family``,
+``family_rule`` (positive moduli, the numerator of ``least_K``, the
+certified modulus), ``cli``'s key tables and ``explorer``'s dimensions all
+read it; ``family_class`` finds a class by kind name, and each class's
+``certified`` is its public factory.  A family's ``polynomial_in_u`` flag
+tells the integration layer that each channel of F(1/u) is a polynomial in
+u.  Both certified families state F(1/u) once, as ``rows_in_u``, one row
+per channel: the quadratic family as its two ends, the disc family as
+per-point coefficients on a fixed ``basis``.  ``widen`` widens such rows
+by balls in place.
 """
 
 from __future__ import annotations
@@ -107,6 +109,14 @@ class SetValuedFn(abc.ABC):
     # coefficient family's coefficients on ``basis``; None for a family the
     # grid checks evaluate at x
     rows_in_u: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    # A certified family's descriptor: its kind name, its parameters in the
+    # order of params() and of the constructor, the 2-vectors and the moduli
+    # among them, and its optional keys, each with its least value
+    family: str
+    parameters: tuple
+    pairs: tuple = ()
+    moduli: tuple
+    options: dict = {}
 
     @abc.abstractmethod
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
@@ -123,6 +133,16 @@ class SetValuedFn(abc.ABC):
         self._check_in_domain(xs)
         return as_set(self.eval_vector(xs)[0], self.kind)
 
+    def params(self) -> dict:
+        """A certified family's descriptor, the layout ``make_family`` reads:
+        ``family``, the parameters (a pair as a list), ``a``, ``b``, options."""
+        doc = {"family": self.family}
+        for name in self.parameters:
+            doc[name] = list(getattr(self, name)) if name in self.pairs else getattr(self, name)
+        doc.update(a=self.domain.a, b=self.domain.b)
+        doc.update((name, getattr(self, name)) for name in self.options)
+        return doc
+
 
 class QuadraticIntervalFn(SetValuedFn):
     """F(x) = [alpha/x^2, K - beta/x^2] on [a, b].
@@ -134,6 +154,9 @@ class QuadraticIntervalFn(SetValuedFn):
 
     kind = "interval"
     polynomial_in_u = True
+    family = "quadratic-interval"
+    parameters = ("alpha", "beta", "K")
+    moduli = ("alpha", "beta")
 
     def __init__(self, alpha: float, beta: float, K: float, domain: HarmonicDomain,
                  claimed_modulus: Optional[float] = None):
@@ -142,6 +165,12 @@ class QuadraticIntervalFn(SetValuedFn):
         self.K = float(K)
         self.domain = domain
         self.claimed_modulus = claimed_modulus
+
+    @staticmethod
+    def certified(alpha: float, beta: float, K: float,
+                  dom: HarmonicDomain) -> QuadraticIntervalFn:
+        """Certified quadratic interval family [alpha/x^2, K - beta/x^2]."""
+        return _certified(QuadraticIntervalFn, (alpha, beta, K), dom)
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
         """``rows_in_u`` at u^2 = 1/x^2, into the columns of an (n, 2) array."""
@@ -158,11 +187,6 @@ class QuadraticIntervalFn(SetValuedFn):
         np.subtract(self.K, np.multiply(self.beta, u2, out=out[1]), out=out[1])
         return out
 
-    def params(self) -> dict:
-        return {"family": "quadratic-interval", "alpha": self.alpha,
-                "beta": self.beta, "K": self.K,
-                "a": self.domain.a, "b": self.domain.b}
-
 
 class DiscFn(SetValuedFn):
     """F(x) = {v/x + w} (+) (K - beta/x^2) * B in R^2, support representation.
@@ -178,6 +202,11 @@ class DiscFn(SetValuedFn):
 
     kind = "support"
     polynomial_in_u = True
+    family = "disc"
+    parameters = ("v", "w", "K", "beta")
+    pairs = ("v", "w")
+    moduli = ("beta",)
+    options = {"grid_size": 3}
 
     def __init__(self, v: Sequence[float], w: Sequence[float], K: float, beta: float,
                  domain: HarmonicDomain, grid_size: int = DEFAULT_GRID_SIZE,
@@ -193,6 +222,12 @@ class DiscFn(SetValuedFn):
         dirs = directions(self.grid_size)
         self.basis = np.vstack((dirs @ self.v, dirs @ self.w, np.ones(self.grid_size)))
         self.claimed_modulus = claimed_modulus
+
+    @staticmethod
+    def certified(v: Sequence[float], w: Sequence[float], K: float, beta: float,
+                  dom: HarmonicDomain, grid_size: int = DEFAULT_GRID_SIZE) -> DiscFn:
+        """Certified disc family {v/x + w} (+) (K - beta/x^2) B."""
+        return _certified(DiscFn, (v, w, K, beta), dom, grid_size=grid_size)
 
     def rows_in_u(self, u: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The coefficients [u, 1, K - beta u^2] on ``basis`` of the points
@@ -210,12 +245,6 @@ class DiscFn(SetValuedFn):
         us = 1.0 / np.asarray(xs, dtype=float)
         coefs = self.rows_in_u(us, us * us, np.empty((3, us.size))).T
         return basis_product(coefs, self.basis, np.empty((us.size, self.grid_size)))
-
-    def params(self) -> dict:
-        return {"family": "disc", "v": list(self.v), "w": list(self.w),
-                "K": self.K, "beta": self.beta,
-                "a": self.domain.a, "b": self.domain.b,
-                "grid_size": self.grid_size}
 
 
 class SampledFn(SetValuedFn):
@@ -304,17 +333,21 @@ def reciprocal_transform(f: SetValuedFn) -> SetValuedFn:
     return ReciprocalFn(f)
 
 
-# Each certified family's moduli, the u^2 coefficients of its channels in u = 1/x
-FAMILY_MODULI = {"quadratic-interval": ("alpha", "beta"), "disc": ("beta",)}
+FAMILIES = {cls.family: cls for cls in (QuadraticIntervalFn, DiscFn)}
+
+
+def family_class(kind: str) -> type:
+    """The class of the certified family of kind ``kind``."""
+    if not isinstance(kind, str) or kind not in FAMILIES:
+        raise FeasibilityError(f"unknown family kind: {kind!r}")
+    return FAMILIES[kind]
 
 
 def family_rule(kind: str, params) -> tuple:
     """(top, modulus) of a certified family of kind ``kind`` from its moduli
     in ``params``, a mapping by name: each must be positive, top, the
     numerator of least_K, is their sum and the modulus their least."""
-    names = FAMILY_MODULI.get(kind)
-    if names is None:
-        raise FeasibilityError(f"unknown family kind: {kind!r}")
+    names = family_class(kind).moduli
     moduli = [params[name] for name in names]
     for name, modulus in zip(names, moduli):
         if not (modulus > 0.0):  # also rejects NaN
@@ -332,47 +365,35 @@ def least_K(top: float, a: float) -> float:
     return least
 
 
-def _claimed_modulus(kind: str, moduli: dict, K: float, dom: HarmonicDomain) -> float:
-    """The modulus of a family whose rule holds and whose K is at least its
-    least K on ``dom``."""
-    top, modulus = family_rule(kind, moduli)
-    least = least_K(top, dom.a)
+def _certified(cls: type, values: Sequence, dom: HarmonicDomain, **options) -> SetValuedFn:
+    """The family of class ``cls`` with the parameters ``values`` (in
+    ``cls.parameters`` order, each but a pair as a float) and ``options`` on
+    ``dom``, once each option is at least its least value, the family rule
+    holds and K is at least its least K."""
+    values = {name: value if name in cls.pairs else float(value)
+              for name, value in zip(cls.parameters, values)}
+    for name, value in options.items():
+        if value < cls.options[name]:
+            raise FeasibilityError(f"{cls.family} family needs {name} >= {cls.options[name]}, "
+                                   f"got {value}")
+    top, modulus = family_rule(cls.family, values)
+    least, K = least_K(top, dom.a), values["K"]
     if not (K >= least):  # also rejects NaN
-        raise FeasibilityError(f"{kind} family infeasible: K={K} < (1 + {FEASIBILITY_RTOL}) "
-                               f"({'+'.join(moduli)})/a^2 = {least}")
-    return modulus
-
-
-def make_quadratic_family(alpha: float, beta: float, K: float,
-                          dom: HarmonicDomain) -> QuadraticIntervalFn:
-    """Certified quadratic interval family [alpha/x^2, K - beta/x^2]."""
-    alpha, beta, K = float(alpha), float(beta), float(K)
-    modulus = _claimed_modulus("quadratic-interval", {"alpha": alpha, "beta": beta}, K, dom)
-    return QuadraticIntervalFn(alpha, beta, K, dom, claimed_modulus=modulus)
-
-
-def make_disc_family(v: Sequence[float], w: Sequence[float], K: float, beta: float,
-                     dom: HarmonicDomain,
-                     grid_size: int = DEFAULT_GRID_SIZE) -> DiscFn:
-    """Certified disc family {v/x + w} (+) (K - beta/x^2) B."""
-    K, beta = float(K), float(beta)
-    if grid_size < 3:
-        raise FeasibilityError(f"disc family needs grid_size >= 3, got {grid_size}")
-    modulus = _claimed_modulus("disc", {"beta": beta}, K, dom)
-    return DiscFn(v, w, K, beta, dom, grid_size=grid_size, claimed_modulus=modulus)
+        raise FeasibilityError(f"{cls.family} family infeasible: K={K} < (1 + {FEASIBILITY_RTOL}) "
+                               f"({'+'.join(cls.moduli)})/a^2 = {least}")
+    return cls(*values.values(), dom, claimed_modulus=modulus, **options)
 
 
 def make_family(descriptor) -> SetValuedFn:
     """The certified family a descriptor names, in the layout of its
-    ``params()``: ``family``, the parameters by name, the domain ends ``a``
-    and ``b``, and for a disc the pairs ``v`` and ``w`` and an optional
-    ``grid_size``."""
+    ``params()``, where each option may be left out."""
     kind = descriptor["family"]
     dom = HarmonicDomain(descriptor["a"], descriptor["b"])
-    if kind == "disc":
-        return make_disc_family(descriptor["v"], descriptor["w"], descriptor["K"],
-                                descriptor["beta"], dom,
-                                grid_size=descriptor.get("grid_size", DEFAULT_GRID_SIZE))
-    if kind == "quadratic-interval":
-        return make_quadratic_family(descriptor["alpha"], descriptor["beta"], descriptor["K"], dom)
-    raise FeasibilityError(f"unknown family kind: {kind!r}")
+    cls = family_class(kind)
+    options = {name: descriptor[name] for name in cls.options if name in descriptor}
+    return cls.certified(*(descriptor[name] for name in cls.parameters), dom, **options)
+
+
+# The public factories
+make_quadratic_family = QuadraticIntervalFn.certified
+make_disc_family = DiscFn.certified

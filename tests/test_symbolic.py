@@ -10,13 +10,15 @@ claimed moduli on seeded draws, with every float parameter taken exactly as
 a rational.
 
 The printed product theorems' slacks are derived as exact polynomials in
-the modulus c and checked against ``run_theorems``' floats, and so are the
-quadratic family's Hermite-Hadamard and Nikodem sandwich slacks on seeded
-draws.
+the modulus c and checked against ``run_theorems``' floats, on the default
+family and on seeded draws, and so are the quadratic family's
+Hermite-Hadamard and Nikodem sandwich slacks.  The five grid ids are
+checked exactly at each reported witness triple of the quadratic family.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -120,15 +122,21 @@ def total(*ends):
     return tuple(sum(e[i] for e in ends) for i in (0, 1))
 
 
+def mean_over_t(p):
+    """The exact integral over t in [0, 1] of the polynomial ``p`` in t."""
+    antiderivative = sp.Poly(p, t).integrate()
+    return antiderivative.eval(1) - antiderivative.eval(0)
+
+
 @functools.cache
-def printed_margins():
+def margins(alpha, beta, Kv, a, b):
     """The lower-end and upper-end margins, lhs_lo - rhs_lo and
-    rhs_hi - lhs_hi, of printed thm33 and thm35 as exact polynomials in c."""
-    fam = {k: exact(v) for k, v in DEFAULT["families"][0].items() if k != "family"}
-    ua, ub = 1 / fam["a"], 1 / fam["b"]
+    rhs_hi - lhs_hi, of printed thm33 and thm35 as exact polynomials in c,
+    for the quadratic family of the exact parameters on [a, b]."""
+    ua, ub = 1 / a, 1 / b
 
     def F(w):
-        return (fam["alpha"] * w ** 2, fam["K"] - fam["beta"] * w ** 2)
+        return (alpha * w ** 2, Kv - beta * w ** 2)
 
     fa, fb = F(ua), F(ub)
     d2 = (ua - ub) ** 2
@@ -140,9 +148,16 @@ def printed_margins():
     w = ua + t * (ub - ua)
     out = {}
     for tid, g in (("thm33", F(ua + ub - w)), ("thm35", F(w))):
-        rhs = [sp.integrate(sp.expand(e), (t, 0, 1)) for e in product(F(w), g)]
+        rhs = [mean_over_t(e) for e in product(F(w), g)]
         out[tid] = (sp.expand(lhs[0] - rhs[0]), sp.expand(rhs[1] - lhs[1]))
     return out
+
+
+@functools.cache
+def printed_margins():
+    """``margins`` of the bundled default family."""
+    fam = {k: exact(v) for k, v in DEFAULT["families"][0].items() if k != "family"}
+    return margins(fam["alpha"], fam["beta"], fam["K"], fam["a"], fam["b"])
 
 
 def float_report(tid, cv):
@@ -185,6 +200,25 @@ class TestPrintedProductTheorems:
         rep = float_report("thm33", float(root))
         assert abs(rep.verdict.slack) <= rep.error_budget + rep.verdict.tolerance_used
         assert abs(rep.verdict.slack) < 1e-15
+
+    @pytest.mark.parametrize("substitution", [True, False], ids=["in-u", "in-x"])
+    def test_seeded_families(self, substitution):
+        # every product id on seeded families, K twice its least so that
+        # every end is positive: cor34 is thm33 with G = F, and cor36's
+        # primary verdict is thm35's
+        spec = QuadratureSpec(substitution=substitution)
+        of = {"thm33": "thm33", "cor34": "thm33", "thm35": "thm35", "cor36": "thm35"}
+        for alpha, beta, a, b, _, _ in draws():
+            Kv = 2.0 * least_K(alpha + beta, a)
+            f = make_quadratic_family(alpha, beta, Kv, HarmonicDomain(a, b))
+            exact_margins = margins(*(exact(v) for v in (alpha, beta, Kv, a, b)))
+            for share in (0.5, 1.0, 1.5):
+                cv = share * min(alpha, beta)
+                for rep in run_theorems(f, list(of), cv, ConvexityGrid(), spec):
+                    want = min(m.subs(c, exact(cv)) for m in exact_margins[of[rep.theorem_id]])
+                    err = abs(rep.verdict.slack - want)
+                    assert err <= rep.error_budget + rep.verdict.tolerance_used, \
+                        (rep.theorem_id, alpha, beta, a, b, cv)
 
 
 # The quadratic family's Hermite-Hadamard sandwiches, exactly.  The mean
@@ -236,3 +270,30 @@ def test_quadratic_sandwich_slacks_exact(substitution):
                 err = abs(rep.verdict.slack - want[rep.theorem_id.rsplit("_", 1)[1]])
                 assert err <= rep.error_budget + rep.verdict.tolerance_used, \
                     (rep.theorem_id, alpha, beta, a, b, cv)
+
+
+# The quadratic family on the grid, exactly.  With u = 1/x and v = 1/y the
+# harmonic combination is u_H = t v + (1-t) u, and each end of
+# t F(y) + (1-t) F(x) misses F(u_H) by t(1-t)(u-v)^2 times its modulus
+# (alpha below, beta above).  So the strong side's slack at a triple, its
+# penalty c t(1-t)(u-v)^2 taken off, is (min(alpha, beta) - c) t(1-t)(u-v)^2,
+# and so is that of the shifted map [(alpha-c) u^2, K - (beta-c) u^2] at
+# modulus 0: every grid id reports it at its witness.
+GRID_IDS = ("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31")
+
+
+@pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+def test_quadratic_grid_slacks_exact_at_the_witness(sampling):
+    grid = ConvexityGrid(pair_count=256, sampling=sampling, seed=5)
+    for alpha, beta, a, b, _, _ in draws():
+        Kv = 2.0 * least_K(alpha + beta, a)
+        f = make_quadratic_family(alpha, beta, Kv, HarmonicDomain(a, b))
+        for share in (0.5, 1.0, 1.5):
+            cv = share * min(alpha, beta)
+            for rep in run_theorems(f, GRID_IDS, cv, grid, QuadratureSpec()):
+                w = rep.inputs_echo["witness"]
+                uw, vw, tw = 1 / Fraction(w["x"]), 1 / Fraction(w["y"]), Fraction(w["t"])
+                want = (Fraction(min(alpha, beta)) - Fraction(cv)) * tw * (1 - tw) * (uw - vw) ** 2
+                err = abs(Fraction(rep.verdict.slack) - want)
+                assert err <= Fraction(rep.error_budget + rep.verdict.tolerance_used), \
+                    (rep.theorem_id, alpha, beta, a, b, cv, w)
