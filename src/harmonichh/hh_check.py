@@ -64,15 +64,24 @@ y row at one t) as fit in product_rows triples (at least one), each one
 ``set_core.basis_product``, and folds each chunk as it is formed; every
 product runs at one padded shape, because BLAS rounds a row differently at
 other row counts (a one-row product is a matrix-vector call), so a row's
-values would otherwise depend on the chunk it falls in.  Every key of a
-chunk is at least fl(tol + its least slack), because each rounding in
-fl(fl(fl(|h_B| + 1) tol) + slack) is monotone (Higham, Accuracy and
-Stability of Numerical Algorithms, 2nd ed., section 2.2), so a chunk whose
-bound cannot beat the running witnesses (a tie loses on the block's least
-grid index, as blocks do not come in grid order) skips its h_B product and
-keys.  The skip is off at tol = 0, at a NaN or -inf bound, near an h_B
-overflow and on the strong side when prop_31 reads every key; a violated
-pass skips most of its chunks, a held one none.
+values would otherwise depend on the chunk it falls in.  A chunk is
+decided before its products where it can be.  ``set_core.basis_floor``
+bounds each slack value from below by its coefficient row alone (the
+standard error bound of a floating-point inner product, Higham, Accuracy
+and Stability of Numerical Algorithms, 2nd ed., section 3.1, with a margin
+for the bound's own roundings), once per block; a chunk's floor is the
+least of its rows'.  Each rounding in a key fl(fl(fl(|h_B| + 1) tol) +
+slack) is monotone (Higham, section 2.2), so every key of a chunk is at
+least fl(fl(fl(m + 1) tol) + floor) for m at most its least |h_B|.  A chunk
+whose bound at m = 0 cannot beat the running witnesses (a tie loses on the
+block's least grid index, as blocks do not come in grid order) takes no
+product; else it takes h_B's, and one whose bound at m its least |h_B| (0
+where h_B changes sign) cannot beat them takes neither the slack's product
+nor its keys.  The skip is off at tol = 0, at a NaN or -inf bound (a floor
+is -inf where a product could overflow), near an h_B overflow and on the
+strong side when prop_31 reads every key.  A violated pass skips most of
+its chunks; a held one skips the chunks whose slacks or |h_B| keep every
+key above its kept one.
 
 One method, ``_Worst.update``, folds a block (a coefficient block chunk by
 chunk) into a side's running witness by one key array, slack + tolerance
@@ -122,6 +131,7 @@ from .set_core import (
     Interval,
     as_set,
     ball,
+    basis_floor,
     basis_product,
     hausdorff,
     includes,
@@ -513,22 +523,36 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
         slack, row_keys = step[:channels, :n], step[channels, :n]
         np.subtract(b, a, out=slack)
         # with tol > 0 and every h_B far from overflow (a NaN coefficient
-        # fails the test too) a key is NaN only from a NaN slack, or a -inf
-        # one at an infinite tolerance, which leave bound NaN or -inf
+        # fails the test too) a key is NaN only from an infinite or NaN slack
+        # value, whose row's floor is -inf
         skip = not every and tol > 0.0 and float(np.abs(b).max()) * reach < 2.0 ** 1000
+        if skip:
+            # each chunk's least slack floor, from the coefficients alone
+            floors = np.minimum.reduceat(basis_floor(slack.T, basis),
+                                         np.arange(0, n, span)).tolist()
+
+        def beaten(i, least_hb):
+            # whether chunk i cannot replace any side's kept row: each rounding
+            # of a key fl(fl(fl(|h_B| + 1) tol) + slack) is monotone, so with
+            # |h_B| >= least_hb and slack >= the chunk's floor every key is at
+            # least bound; first * m is the block's least grid index
+            bound = (least_hb + 1.0) * tol + floors[i // span]
+            return bound > -np.inf and all(side.beaten(bound, first * m) for side in sides)
+
         for i in range(0, n, span):
             j = min(i + span, n)
-            vals = basis_product(slack[:, i:j].T, basis, values[:j - i])
-            # each rounding of fl(fl(fl(|h_B| + 1) tol) + slack) is monotone,
-            # so every key of the chunk is >= bound; first * m is the block's
-            # least grid index
-            if skip and all(side.beaten(tol, first * m) for side in sides):
-                bound = tol + float(vals.min())
-                if bound > -np.inf and all(side.beaten(bound, first * m) for side in sides):
+            # before any product, at |h_B| >= 0; then at the chunk's least
+            # |h_B|, 0 where h_B changes sign
+            if skip and beaten(i, 0.0):
+                continue
+            hb = basis_product(b[:, i:j].T, basis, h_b[:j - i])
+            if skip:
+                lo, hi = float(hb.min()), float(hb.max())
+                if beaten(i, 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))):
                     continue
             # the support branch of the inclusion rule, with lhs left as
             # coefficients
-            hb = basis_product(b[:, i:j].T, basis, h_b[:j - i])
+            vals = basis_product(slack[:, i:j].T, basis, values[:j - i])
             chunk = InclusionBlock(a[:, i:j].T, hb, tol, support_keys(vals, hb, tol, keys[:j - i]),
                                    vals)
             for side in sides:

@@ -27,7 +27,8 @@ pass allocates once.
 
 ``basis_product`` turns per-row coefficients into support values on a
 fixed basis at one padded matrix shape, so that a row's values do not
-depend on how many rows share its product.
+depend on how many rows share its product; ``basis_floor`` bounds every
+value of a row's product from below, from the row's coefficients alone.
 
 All operations are pure functions on immutable values.
 """
@@ -314,6 +315,41 @@ def basis_product(coefs: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.n
         pad[:n - whole] = coefs[whole:]
         out[whole:] = (pad @ basis)[:n - whole]
     return out
+
+
+def basis_floor(coefs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """A lower bound on every value ``basis_product`` gives for each row of
+    the (n, k) coefficients ``coefs`` on the (k, channels) ``basis``, shaped
+    (n,), read from the coefficients alone.
+
+    With lo_j, hi_j and r_j the least value, the greatest value and the
+    greatest magnitude of basis row j, a row s's floor is
+    sum_j min(s_j lo_j, s_j hi_j) - 4 (k+1) (eps sum_j |s_j| r_j + eta),
+    eps the machine epsilon and eta = 2^-1074, the least subnormal.  The
+    first sum is at most the exact value in any direction, and a k-term
+    dot product, in any order and with or without FMA, is within
+    gamma_k sum_j |s_j| |B_je| of it, plus k eta / 2 under gradual underflow
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.1); the margin also covers the floor's own roundings.  Where
+    sum_j |s_j| r_j is NaN or >= 2^1000, where a product could overflow, the
+    floor is -inf."""
+    k = basis.shape[0]
+    lo, hi = basis.min(axis=1), basis.max(axis=1)
+    # coefficient by coefficient, along the rows: the grid pass holds them
+    # end-major
+    ends = coefs.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.maximum(-lo, hi) @ np.abs(ends)
+        # sum_j min(s_j lo_j, s_j hi_j) = hi . s + (lo - hi) . max(s, 0); the
+        # roundings of lo - hi and of the two dot products are inside the
+        # margin too
+        floor = hi @ ends
+        floor += (lo - hi) @ np.maximum(ends, 0.0)
+        floor -= reach * (4.0 * (k + 1) * np.finfo(float).eps)
+        floor -= 4.0 * (k + 1) * 2.0 ** -1074
+    if not reach.max() < 2.0 ** 1000:  # also at a NaN
+        floor[~(reach < 2.0 ** 1000)] = -np.inf
+    return floor
 
 
 def rows_hold(keys: np.ndarray) -> np.ndarray:

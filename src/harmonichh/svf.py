@@ -22,6 +22,7 @@ by balls in place.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -368,14 +369,19 @@ def least_K(top: float, a: float) -> float:
 def _certified(cls: type, values: Sequence, dom: HarmonicDomain, **options) -> SetValuedFn:
     """The family of class ``cls`` with the parameters ``values`` (in
     ``cls.parameters`` order, each but a pair as a float) and ``options`` on
-    ``dom``, once each option is at least its least value, the family rule
-    holds and K is at least its least K."""
+    ``dom``, once each option is a whole number (an int or an integral
+    float, not a bool) at least its least value, the family rule holds and
+    K is at least its least K."""
     values = {name: value if name in cls.pairs else float(value)
               for name, value in zip(cls.parameters, values)}
     for name, value in options.items():
-        if value < cls.options[name]:
-            raise FeasibilityError(f"{cls.family} family needs {name} >= {cls.options[name]}, "
-                                   f"got {value}")
+        # a bool is a number to Python, but no count
+        whole = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                 and float(value).is_integer())  # also refuses NaN and inf
+        if not (whole and value >= cls.options[name]):
+            raise FeasibilityError(f"{cls.family} family needs a whole {name} >= "
+                                   f"{cls.options[name]}, got {value!r}")
+        options[name] = int(value)
     top, modulus = family_rule(cls.family, values)
     least, K = least_K(top, dom.a), values["K"]
     if not (K >= least):  # also rejects NaN

@@ -890,26 +890,41 @@ class TestAgainstUnblockedReference:
 
 
 def coefficient_blocks(monkeypatch):
-    """Counts of the grid pass's chunks of a coefficient family's blocks
-    (of more than one triple), one per side list and chunk of whole runs,
-    and of those that took h_B's product and ``support_keys``: every chunk
-    takes one slack product, and one more for h_B unless it is skipped (the
-    one-row products form the reports' sets)."""
+    """Counts of the grid pass's chunks of a coefficient family's blocks (of
+    more than one triple) by the stage that decided them, for blocks of one
+    chunk each (as the 16-direction disc's blocks of at most 7 pairs are):
+    ``(floors, measured, folded)``.  A side list that may skip takes each
+    block's slack floors first (``basis_floor``), and skips the chunk on
+    them before any product (floors - measured of its chunks); a chunk not
+    skipped there takes h_B's product (measured), and is skipped on that
+    product or folded through the slack's product and ``support_keys``
+    (folded).  The one-row products form the reports' sets."""
+    floors = block_shapes(monkeypatch, "basis_floor")
     keys = block_shapes(monkeypatch, "support_keys")
     products = block_shapes(monkeypatch, "basis_product")
 
     def counts():
-        keyed = sum(shape[0] > 1 for shape in keys)
-        return sum(shape[0] > 1 for shape in products) - keyed, keyed
+        folded = sum(shape[0] > 1 for shape in keys)
+        measured = sum(shape[0] > 1 for shape in products) - folded
+        return sum(shape[0] > 1 for shape in floors), measured, folded
 
     return counts
 
 
 class TestSkippedBlocks:
-    """A chunk of a coefficient family's block is skipped when tol + its
-    least slack, a lower bound on each of its keys, is at or above every
+    """A chunk of a coefficient family's block is skipped when a lower bound
+    on each of its keys, fl(tol + its slack floor) before any product, then
+    fl(fl(fl(m + 1) tol) + floor) at its least |h_B| m, is at or above every
     side's kept key (an equal one loses on the block's least grid index);
     the reports stay those of the unblocked reference."""
+
+    # (floors, measured, folded) over the twelve passes of each case
+    SKIPPED = {("deterministic-stratified", 1): (3200, 1768, 1768),
+               ("deterministic-stratified", 7): (840, 464, 464),
+               ("deterministic-stratified", None): (32, 50, 50),
+               ("seeded-random", 1): (3200, 1664, 1664),
+               ("seeded-random", 7): (806, 316, 316),
+               ("seeded-random", None): (30, 54, 54)}
 
     @pytest.mark.parametrize("block_pairs", [1, 7, None])
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
@@ -922,40 +937,90 @@ class TestSkippedBlocks:
                 rep = grid_reports(f, c, grid, ids, block_pairs=block_pairs)
                 assert not any(r.holds for r in rep.values())
                 assert rep == reference_pass(f, c, grid, 1e-9, ids), (c, ids)
-        blocks, keys = counts()
-        assert keys < blocks
+        # a violated pass skips most chunks on their floors, and its kept
+        # key is too far below any other for h_B's product to decide one
+        assert counts() == self.SKIPPED[sampling, block_pairs]
 
     def test_skipped_blocks_count_their_triples(self, monkeypatch):
         f = disc_fn()
         grid = ConvexityGrid(pair_count=400)
         counts = coefficient_blocks(monkeypatch)
         rep = grid_reports(f, 3.0, grid, ("def_shc", "def_mid"), block_pairs=7)
-        blocks, keys = counts()
-        assert keys < blocks
+        # 60 chunks: 44 skipped before any product, 16 folded
+        assert counts() == (60, 16, 16)
         assert rep["def_shc"].inputs_echo["triples"] == 400 * len(grid.t_values)
         assert rep["def_mid"].inputs_echo["triples"] == 400
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
-    @pytest.mark.parametrize("case", ["tol-0", "prop_31", "held", "near-overflow"])
+    @pytest.mark.parametrize("case", ["tol-0", "prop_31", "near-overflow"])
     def test_no_skip(self, monkeypatch, case, sampling):
         # At tol = 0 an overflowing h_B makes a NaN key of any slack; prop_31
-        # reads every key of the strong side; on a held pass the t = 0 rows
-        # of every block have slack 0 and keys above tol; with K = 1e302 an
-        # h_B coefficient is within 2^1000 of the basis's reach, where a
-        # product could overflow to a NaN h_B.
+        # reads every key of the strong side; with K = 1e302 an h_B
+        # coefficient is within 2^1000 of the basis's reach, where a product
+        # could overflow to a NaN h_B.  No floor is taken, and every chunk is
+        # folded.
         f = (make_disc_family((0.7, -0.3), (0.2, 0.5), 1e302, 1.5, HarmonicDomain(0.8, 2.1),
                               grid_size=16) if case == "near-overflow" else disc_fn())
         grid = ConvexityGrid(pair_count=400, sampling=sampling, seed=4)
         c, ids, tol = {"tol-0": (3.0, ("def_shc", "lemma_i"), 0.0),
                        "prop_31": (3.0, ("def_shc", "prop_31"), 1e-9),
-                       "held": (0.75, ("def_shc", "lemma_i"), 1e-9),
                        "near-overflow": (1e300, ("def_shc", "lemma_i"), 1e-9)}[case]
         counts = coefficient_blocks(monkeypatch)
         rep = grid_reports(f, c, grid, ids, tol, block_pairs=7)
-        assert all(r.holds for r in rep.values()) == (case == "held")
-        blocks, keys = counts()
-        assert keys == blocks > 1
+        assert not any(r.holds for r in rep.values())
+        floors, measured, folded = counts()
+        assert floors == 0 and measured == folded > 1
         assert rep == reference_pass(f, c, grid, tol, ids)
+
+    @pytest.mark.parametrize("sampling,folded", [("deterministic-stratified", 12),
+                                                 ("seeded-random", 8)],
+                             ids=["deterministic-stratified", "seeded-random"])
+    def test_held_chunks_skipped(self, monkeypatch, sampling, folded):
+        # On a held pass the t = 0 rows of every block have slack 0, so no
+        # chunk is skipped on its floor; but a chunk whose least |h_B| keeps
+        # its every key above the kept one is skipped after h_B's product.
+        f = disc_fn()
+        grid = ConvexityGrid(pair_count=400, sampling=sampling, seed=4)
+        counts = coefficient_blocks(monkeypatch)
+        rep = grid_reports(f, 0.75, grid, ("def_shc", "lemma_i"), block_pairs=7)
+        assert all(r.holds for r in rep.values())
+        chunks = 2 * (60 if sampling == "deterministic-stratified" else 58)
+        assert counts() == (chunks, chunks, folded)
+        assert rep == reference_pass(f, 0.75, grid, 1e-9, ("def_shc", "lemma_i"))
+
+
+def seeded_discs(count=12, seed=25):
+    """Seeded certified discs: v, w, beta, the domain and K's margin above
+    its least value drawn, with 7, 16 or 64 directions in turn."""
+    rng = np.random.default_rng(seed)
+    discs = []
+    for i in range(count):
+        v, w = rng.uniform(-1.5, 1.5, (2, 2))
+        beta, a, width, margin = rng.uniform([0.2, 0.3, 0.2, 0.01], [3.0, 2.0, 3.0, 2.0])
+        dom = HarmonicDomain(a, a + width)
+        discs.append(make_disc_family(v, w, beta / a ** 2 * (1.0 + margin), beta, dom,
+                                      grid_size=(7, 16, 64)[i % 3]))
+    return discs
+
+
+class TestSeededDiscs:
+    """The streamed pass, with its chunks skipped on their floors and on
+    their least |h_B|, gives the unblocked reference's reports on seeded
+    discs, held (c <= beta) and violated (c > beta)."""
+
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    @pytest.mark.parametrize("index", range(12))
+    def test_reports_equal(self, index, sampling):
+        f = seeded_discs()[index]
+        grid = ConvexityGrid(pair_count=(64, 100, 256)[index % 3], sampling=sampling,
+                             seed=index)
+        subsets = id_subsets(("def_shc", "def_mid", "lemma_i", "lemma_ii"))
+        for i, scale in enumerate((0.5, 1.0, 2.0, 3.0)):
+            c = scale * f.beta
+            for j, block_pairs in enumerate((1, 7, None)):
+                ids = subsets[(3 * i + j + index) % len(subsets)]
+                assert grid_reports(f, c, grid, ids, block_pairs=block_pairs) == \
+                    reference_pass(f, c, grid, 1e-9, ids), (c, block_pairs, ids)
 
 
 class TestFold:
@@ -1116,6 +1181,7 @@ class TestBlockSize:
         ends = block_shapes(monkeypatch, "interval_block")
         keys = block_shapes(monkeypatch, "support_keys")
         products = block_shapes(monkeypatch, "basis_product")
+        floors = block_shapes(monkeypatch, "basis_floor")
         grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
         m = len(GRID.t_values) if walk == "triples" else 1
         n = round(pairs ** 0.5)
@@ -1143,13 +1209,27 @@ class TestBlockSize:
                       for b, span in zip(pairs_per_block, spans)]
             assert rows == 192 and chunks[:1] + chunks[-1:] == {
                 "triples": [[187], [165]], "midconvex": [[192], [64]]}[walk]
-            # the strong and shifted sides in coefficients: each chunk takes the
-            # slack's and h_B's products and its keys (a held pass skips none)
-            assert keys == [(v, 64) for block in chunks for _ in range(2) for v in block]
+            # the strong and shifted sides in coefficients, a block one chunk
+            # here: a chunk that may be skipped takes its slack's floor first;
+            # a folded one takes h_B's and the slack's products and its keys,
+            # one decided after h_B's product that product alone.  This held
+            # pass decides no chunk on its floor, since every block holds
+            # rows of slack 0 (at t = 0, or at t = 1/2 where x = y), and
+            # decides every chunk after h_B's product but: with prop_31, which
+            # reads every key of the strong side, the shifted side's first 33;
+            # at t = 1/2, each side's first.
+            assert all(len(block) == 1 for block in chunks)
+            folded = {"triples": [(True, i < 33) for i in range(len(chunks))],
+                      "midconvex": [(i == 0, i == 0) for i in range(len(chunks))]}[walk]
+            # the sides that may skip take floors: not the strong side with prop_31
+            skipping = 1 if walk == "triples" else 2
+            assert floors == [(block[0], 3) for block in chunks for _ in range(skipping)]
+            assert keys == [(block[0], 64) for block, sides in zip(chunks, folded)
+                            for kept in sides if kept]
             # the sets at each report's kept row are one-row products
             pass_products = [shape for shape in products if shape[0] != 1]
-            assert pass_products == [(v, 3) for block in chunks for _ in range(2)
-                                     for v in block for _ in range(2)]
+            assert pass_products == [(block[0], 3) for block, sides in zip(chunks, folded)
+                                     for kept in sides for _ in range(1 + kept)]
             # prop_31's arithmetic side takes G's (triples, 64) values, a
             # block's at once
             assert shapes == ([(k * m, 64) for k in pairs_per_block]

@@ -14,6 +14,7 @@ from harmonichh.set_core import (
     SupportSet,
     UnsupportedProductError,
     ball,
+    basis_floor,
     basis_product,
     directions,
     hausdorff,
@@ -310,3 +311,72 @@ class TestBasisProduct:
             row = 5 * i % self.COEFS.shape[0]
             block[i] = self.COEFS[row]
             assert np.array_equal(self.bits(self.product(block))[i], whole[row]), i
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def floor_cases(draw):
+    """(coefs, basis) for ``basis_floor``: 1 to 4 coefficient rows of k
+    values on a (k, M) basis, with exact zeros, mixed signs, full 53-bit
+    mantissas (from a drawn seed, so that products and sums round) and
+    magnitudes from subnormal to near 2^1000, the products mostly below
+    2^1000.  Where ``attained``, column 0 of the basis holds, per basis row
+    j, the value that makes s_j B_je least for the first row s, so that
+    row's bound is attained there."""
+    k, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    e_coef = draw(st.integers(-1074, 1000))
+    e_basis = draw(st.integers(-1074, 998 - max(e_coef, 0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def entries(shape, e):
+        # exponents from e - 8 to e, about a quarter of the entries 0
+        values = rng.uniform(-1.0, 1.0, shape) * 2.0 ** (e + rng.integers(-8, 1, shape))
+        return np.where(rng.random(shape) < 0.25, 0.0, values)
+
+    coefs, basis = entries((n, k), e_coef), entries((k, m), e_basis)
+    if draw(st.booleans()):
+        basis[:, 0] = np.where(coefs[0] >= 0.0, basis.min(axis=1), basis.max(axis=1))
+    return coefs, basis
+
+
+class TestBasisFloor:
+    """``basis_floor`` bounds every value of a row's basis product from
+    below, from the coefficients alone, and for the disc's slack rows
+    [0, 0, s] it is s less a few rounding units of itself."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(floor_cases())
+    def test_below_every_product_value(self, case):
+        coefs, basis = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = basis_product(coefs, basis, np.empty((coefs.shape[0], basis.shape[1])))
+        floor = basis_floor(coefs, basis)
+        assert floor.shape == (coefs.shape[0],)
+        finite = np.isfinite(floor)
+        assert np.all(values[finite] >= floor[finite, None]), (coefs, basis, values, floor)
+        # -inf only where a product could overflow
+        reach = np.abs(coefs) @ np.abs(basis).max(axis=1)
+        assert np.array_equal(~finite, ~(reach < 2.0 ** 1000))
+
+    @pytest.mark.parametrize("grid_size", [3, 16, 64])
+    def test_disc_slack_rows(self, grid_size):
+        dirs = directions(grid_size)
+        basis = np.vstack((dirs @ [0.7, -0.3], dirs @ [0.2, 0.5], np.ones(grid_size)))
+        rng = np.random.default_rng(5)
+        s = rng.uniform(-1.0, 1.0, 200) * 2.0 ** rng.integers(-1000, 990, 200)
+        s[:4] = (1.0, -1.0, 2.0 ** -1000, -(2.0 ** 989))
+        coefs = np.column_stack((np.zeros_like(s), np.zeros_like(s), s))
+        floor = basis_floor(coefs, basis)
+        assert np.all(floor >= s - 32.0 * EPS * np.abs(s))
+        assert np.all(floor < s)
+        values = basis_product(coefs, basis, np.empty((s.size, grid_size)))
+        assert np.all(values >= floor[:, None])
+
+    def test_nan_and_overflow(self):
+        basis = np.vstack((np.linspace(-1.0, 2.0, 5), np.ones(5)))
+        coefs = np.array([[np.nan, 1.0], [np.inf, 0.0], [2.0 ** 999, 2.0 ** 999], [1.0, -1.0]])
+        floor = basis_floor(coefs, basis)
+        assert floor[:3].tolist() == [-np.inf] * 3
+        assert -2.0 - 1e-12 < floor[3] < -2.0

@@ -17,6 +17,7 @@ from harmonichh.svf import (
     SampledFn,
     SetValuedFn,
     make_disc_family,
+    make_family,
     make_quadratic_family,
     reciprocal_transform,
     widen,
@@ -155,6 +156,28 @@ class TestDiscFamily:
     def test_nan_parameter_rejected(self, K, beta):
         with pytest.raises(FeasibilityError):
             make_disc_family((1, 0), (0, 1), K, beta, DOM12)
+
+    @pytest.mark.parametrize("grid_size", [3.5, 3.9, 64.5, NAN, math.inf, -math.inf, "7", True,
+                                           None, 2, 2.0],
+                             ids=["3.5", "3.9", "64.5", "nan", "inf", "-inf", "str", "True",
+                                  "None", "2", "2.0"])
+    def test_grid_size_not_a_whole_count(self, grid_size):
+        # a non-whole grid_size is refused by name, not truncated to a
+        # smaller grid or left to int() to raise
+        message = f"disc family needs a whole grid_size >= 3, got {grid_size!r}"
+        with pytest.raises(FeasibilityError, match=re.escape(message)):
+            make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=grid_size)
+        with pytest.raises(FeasibilityError, match=re.escape(message)):
+            make_family({"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0, "beta": 1.0,
+                         "a": 1.0, "b": 2.0, "grid_size": grid_size})
+
+    @pytest.mark.parametrize("grid_size", [3, 64.0, np.int64(16), np.float64(7.0)],
+                             ids=["3", "64.0", "int64", "float64"])
+    def test_whole_grid_size_is_a_count(self, grid_size):
+        f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=grid_size)
+        assert f.grid_size == grid_size and type(f.grid_size) is int
+        assert f.basis.shape == (3, grid_size)
+        assert f.params()["grid_size"] == grid_size
 
 
 def bound_draws(seed=15, count=8):

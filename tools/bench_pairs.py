@@ -6,12 +6,17 @@ times by default: pair i runs the parent first when i is even and the
 change first when i is odd.  Each run prints one line as it finishes.  The
 last line of output is a JSON object, keyed "<workload> seed <seed>", in
 the layout of a workload entry of the ``BENCH_<n>.json`` files: the order
-of each pair, unit counts and failures, report digests, ``unit_s_p50``,
-``ref_s_p50`` (each run's median reference-kernel seconds, the
-denominator of ``unit_rel_p50``) and, per end-to-end metric of
-BENCHMARK.json, every run, the median and quartiles of each side, the
-ratio of the medians, the change's wins and whether every change run beat
-every parent run.  ``kernel_check`` compares the change/parent ratios of
+of each pair, unit counts and failures, report digests, and every run with
+the median and quartiles of each side of ``unit_s_p50``, of ``ref_s_p50``
+(each run's median reference-kernel seconds, the denominator of
+``unit_rel_p50``) and of each end-to-end metric of BENCHMARK.json.  Per
+metric it also gives the ratio of the medians, the change's wins, whether
+every change run beat every parent run, and ``gain``: whether the change
+won at least nine tenths of the pairs (ties count for neither side) and
+its median is better than the parent's by more than the parent's
+interquartile range, the rule a claimed gain must meet.  Run on two copies
+of one commit, the same tool gives an A/A control: the ratio and wins that
+noise alone produces.  ``kernel_check`` compares the change/parent ratios of
 ``unit_rel_p50`` and of unit seconds and flags the workload when they
 differ by more than the parent's relative interquartile range of
 ``unit_rel_p50``: there the reference kernel moved between the sides, and
@@ -19,6 +24,7 @@ the relative metric shows a gain or a loss that unit seconds do not.  It
 takes any workload entry of a BENCH file, older ones included.
 
     python tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload grid-262k --seed 3
+    python tools/bench_pairs.py PARENT_DIR PARENT_COPY_DIR --workload grid-262k --seed 3
 
 Only the standard library is used.  Each checkout builds what it runs from
 its own ``src``, and the benchmark writes only its ``.perfbench`` output
@@ -56,6 +62,23 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def sides(values: dict) -> dict:
+    """Each side's spread and its runs in pair order."""
+    return {side: {**spread(values[side]), "runs": values[side]} for side in SIDES}
+
+
+def gain(values: dict, wins: int, lower: bool) -> dict:
+    """Whether the change's runs in ``values`` (per side, in pair order),
+    which won ``wins`` pairs, show a gain: it wins at least nine tenths of
+    the pairs, ties counting for neither side, and its median is better than
+    the parent's by more than the parent's interquartile range."""
+    parent, change = spread(values["parent"]), spread(values["change"])
+    margin = (parent["median"] - change["median"]) * (1 if lower else -1)
+    needed = -(-9 * len(values["parent"]) // 10)
+    return {"wins": wins, "wins_needed": needed, "median_margin": margin,
+            "parent_iqr": parent["iqr"], "holds": wins >= needed and margin > parent["iqr"]}
+
+
 def summary(runs: dict, spec: dict, pairs: int) -> dict:
     """The workload entry of a BENCH file from the runs of each side, in
     pair order."""
@@ -72,10 +95,10 @@ def summary(runs: dict, spec: dict, pairs: int) -> dict:
                                                   for rec in records[side]}, key=str)
                                     for side in SIDES},
         "digests": {side: sorted({rec["digest"] for rec in records[side]}) for side in SIDES},
-        "unit_s_p50": {side: spread([rec["unit_s_p50"] for rec in records[side]])
-                       for side in SIDES},
-        "ref_s_p50": {side: spread([statistics.median(rec["ref_s_samples"])
-                                    for rec in records[side]]) for side in SIDES},
+        "unit_s_p50": sides({side: [rec["unit_s_p50"] for rec in records[side]]
+                             for side in SIDES}),
+        "ref_s_p50": sides({side: [statistics.median(rec["ref_s_samples"])
+                                   for rec in records[side]] for side in SIDES}),
         "metrics": {},
     }
     for metric in spec["end_to_end"]:
@@ -86,14 +109,16 @@ def summary(runs: dict, spec: dict, pairs: int) -> dict:
         def better(a, b):
             return a < b if lower else a > b
 
+        wins = sum(better(c, p) for p, c in zip(values["parent"], values["change"]))
         entry["metrics"][name] = {
             "unit": metric["unit"],
-            **{side: {**spread(values[side]), "runs": values[side]} for side in SIDES},
+            **sides(values),
             "median_ratio_change_over_parent":
                 statistics.median(values["change"]) / statistics.median(values["parent"]),
-            "change_wins": sum(better(c, p) for p, c in zip(values["parent"], values["change"])),
+            "change_wins": wins,
             "change_better_than_every_parent_run":
                 all(better(c, p) for c in values["change"] for p in values["parent"]),
+            "gain": gain(values, wins, lower),
         }
     entry["kernel_check"] = kernel_check(entry)
     return entry
@@ -138,6 +163,12 @@ def main(argv=None) -> int:
     for side in SIDES:
         print(f"{side:<6} median unit_s_p50 {entry['unit_s_p50'][side]['median']:.6g} s  "
               f"reference kernel {entry['ref_s_p50'][side]['median']:.6g} s")
+    for name, metric in entry["metrics"].items():
+        won = metric["gain"]
+        print(f"{name}: change/parent {metric['median_ratio_change_over_parent']:.4f}  "
+              f"wins {won['wins']}/{args.pairs} (gain needs {won['wins_needed']})  "
+              f"median margin {won['median_margin']:.6g} against parent IQR "
+              f"{won['parent_iqr']:.6g}  gain {'holds' if won['holds'] else 'not shown'}")
     check = entry["kernel_check"]
     print(f"change/parent unit_rel_p50 {check['unit_rel_ratio']:.4f}  unit_s_p50 "
           f"{check['unit_s_ratio']:.4f}  parent relative IQR {check['parent_rel_iqr']:.4f}"
