@@ -3,7 +3,7 @@ strongly harmonic convex set-valued functions.
 
 Submodules:
 
-* ``set_core`` -- compact convex set arithmetic (intervals, support sets)
+* ``set_core`` -- compact convex set arithmetic (intervals, support sets, discs)
 * ``svf``      -- set-valued function families and structural transforms
 * ``aumann``   -- Aumann integration by quadrature with error budgets
 * ``hh_check`` -- definitional and theorem inclusion checkers
@@ -17,6 +17,7 @@ tests, in ``tests/oracles.py``.
 """
 
 from .set_core import (
+    Disc,
     Interval,
     SupportSet,
     InclusionVerdict,
@@ -45,7 +46,7 @@ from .aumann import (
 from .hh_check import ConvexityGrid, TheoremReport, THEOREM_IDS
 
 __all__ = [
-    "Interval", "SupportSet", "InclusionVerdict", "ball", "hausdorff",
+    "Disc", "Interval", "SupportSet", "InclusionVerdict", "ball", "hausdorff",
     "includes", "interval_product", "minkowski_sum", "scale",
     "HarmonicDomain", "SetValuedFn",
     "make_disc_family", "make_quadratic_family", "reciprocal_transform",

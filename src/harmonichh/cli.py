@@ -29,7 +29,7 @@ from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, c
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .set_core import Interval, SupportSet
+from .set_core import Disc, Interval, SupportSet
 from .svf import FAMILIES, FeasibilityError, SetValuedFn, make_family
 
 MODES = ("verify", "search", "baseline")
@@ -142,16 +142,14 @@ CONFIG_FIELDS = {
 
 def _family_fields(cls: type) -> dict:
     """The key table of a family's descriptor, in ``params()`` order, from
-    its class's declaration: a pair or a number per parameter, a count per
-    option."""
+    its class's declaration: a pair or a number per parameter."""
     fields = {"family": _text}
     fields.update((name, _pair() if name in cls.pairs else _number) for name in cls.parameters)
     fields.update(a=_number, b=_number)
-    fields.update(dict.fromkeys(cls.options, _count))
     return fields
 
 
-# every key is required but the options
+# every key is required
 FAMILY_FIELDS = {kind: _family_fields(cls) for kind, cls in FAMILIES.items()}
 
 
@@ -182,8 +180,7 @@ def _family(descriptor: dict) -> dict:
     if not isinstance(kind, str) or kind not in FAMILY_FIELDS:
         raise ConfigError(f"unknown family kind: {kind!r}")
     fam = _section(descriptor, f"{kind} family", FAMILY_FIELDS[kind])
-    missing = [key for key in FAMILY_FIELDS[kind]
-               if key not in fam and key not in FAMILIES[kind].options]
+    missing = [key for key in FAMILY_FIELDS[kind] if key not in fam]
     if missing:
         raise ConfigError(f"{kind} family is missing {', '.join(map(repr, missing))}")
     return fam
@@ -255,6 +252,8 @@ def _set_to_doc(s) -> dict:
         return {"kind": "interval", "lo": s.lo, "hi": s.hi}
     if isinstance(s, SupportSet):
         return {"kind": "support", "support": list(s.support)}
+    if isinstance(s, Disc):
+        return {"kind": "disc", "center": list(s.center), "radius": s.radius}
     raise TypeError(f"not a convex set: {s!r}")
 
 

@@ -7,9 +7,9 @@ rounding floor where the rule is exact on a polynomial integrand, else the
 difference against the doubled rule, an estimate rather than a bound, so a
 violation within a few budgets may still be quadrature error.  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
-of sets, ``inclusion_block`` for the rows of a grid block, its support
-branch ``support_keys`` for a block formed from coefficients, and its
-interval branch ``interval_block`` for a block of interval ends.
+of sets, ``inclusion_block`` for the rows of a grid block, and its interval
+and disc branches ``interval_block`` and ``disc_block`` for a block held
+channel by channel.
 
 Grid checks run as one streamed pass per family, over the (x, y, t) grid,
 or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
@@ -23,21 +23,19 @@ at the grid's points, not the grid, under either sampling.
 The pass works in u = 1/x: a block's harmonic midpoint is
 u_H = t u_y + (1-t) u_x and its penalty c t(1-t) (u_x - u_y)^2, so no xy
 product and no midpoint quotient is formed.  A side of a triple is a set
-of rows, one per channel: F's values (an interval's two ends, or support
-values), or, for a family with a coefficient form (``DiscFn``), its
-coefficients on a fixed (k, M) basis whose last row is the unit ball's
-support.  Support functions add over Minkowski sums and scale with
-nonnegative factors (Rockafellar, Convex Analysis, section 13), so a family
-stated by its values is a coefficient family on the identity basis, and
-every side is combined alike: t F(y) + (1-t) F(x) from the rows at the
-grid's points, with the penalty on the ball by ``svf.widen`` (an
-interval's ends, every support value, or the basis's ball row).  A family
-with ``rows_in_u`` (the quadratic family's ends [alpha u^2, K - beta u^2],
-the disc's coefficients [u, 1, K - beta u^2]) takes its rows from u and
-u^2 at the grid's points and at u_H alike, so both sides of a row at
-t = 0 or 1 are the same bits and its slack is exactly 0; the shifted map's
-radius c u_H^2 reuses that u_H^2.  Any other family is evaluated at x on
-the grid and at 1/u_H.
+of rows, one per channel: an interval's two ends, a disc's centre
+coordinates and radius, or support values.  Support functions add over
+Minkowski sums and scale with nonnegative factors (Rockafellar, Convex
+Analysis, section 13), and so do discs' centres and radii, so every side
+is combined alike: t F(y) + (1-t) F(x) from the rows at the grid's points,
+with the penalty on the ball by ``svf.widen`` (an interval's ends, a
+disc's radius, or every support value).  A family with ``rows_in_u`` (the
+quadratic family's ends [alpha u^2, K - beta u^2], the disc's rows
+[v0 u + w0, v1 u + w1, K - beta u^2]) takes its rows from u and u^2 at
+the grid's points and at u_H alike, so both sides of a row at t = 0 or 1
+are the same bits and its slack is exactly 0; the shifted map's radius
+c u_H^2 reuses that u_H^2.  Any other family is evaluated at x on the grid
+and at 1/u_H.
 
 The stratified grid is the product of n points with themselves, so F is
 evaluated once per pass at those points (seeded-random pairs share none,
@@ -46,53 +44,28 @@ rows inner: a run's (1-t) F(x) slab serves all its blocks.  A block's
 triples are laid out (y row, t, x), so every operation runs along the
 run's x values, and each channel of a block is one contiguous row of a
 workspace allocated once per pass.  With p the number of pairs whose t
-values fit in BLOCK_ELEMENTS per array, at least one (an interval's end is
-an array of its own; a support family's rows, values or coefficients, one
-array of all its channels, and G's values with them when prop_31 is asked
-for; for a coefficient family at most one product's rows), a run holds
-k = min(p, n) x values and a block p // k of its y rows.
-The budget keeps each float64 block array below the allocator's mmap
-threshold (128 KiB in glibc): a larger array is a fresh map that
-page-faults in on every block.  Proposition 3.1's arithmetic side always
-takes G(u) = F(1/u)'s values in x (the (triples, channels) arrays of
-``eval_vector``, in parts within the budget), so that it stays an
+values fit in BLOCK_ELEMENTS per array, at least one (an interval's or a
+disc's channel is an array of its own, a support family's values one
+array of all its channels), a run holds k = min(p, n) x values and a block
+p // k of its y rows.  The budget keeps each float64 block array below the
+allocator's mmap threshold (128 KiB in glibc): a larger array is a fresh
+map that page-faults in on every block.  Proposition 3.1's arithmetic side
+always takes G(u) = F(1/u)'s values in x (the (triples, channels) arrays
+of ``eval_vector``, in parts within the budget), so that it stays an
 independent check of the harmonic side.
 
-Only the inclusion step tells the families apart.  A coefficient block
-takes its slack's rows, F(u_H) - lhs, in chunks of as many whole runs (one
-y row at one t) as fit in product_rows triples (at least one), each one
-``set_core.basis_product``, and folds each chunk as it is formed; every
-product runs at one padded shape, because BLAS rounds a row differently at
-other row counts (a one-row product is a matrix-vector call), so a row's
-values would otherwise depend on the chunk it falls in.  A chunk is
-decided before its products where it can be.  ``set_core.basis_floor``
-bounds each slack value from below by its coefficient row alone (the
-standard error bound of a floating-point inner product, Higham, Accuracy
-and Stability of Numerical Algorithms, 2nd ed., section 3.1, with a margin
-for the bound's own roundings), once per block; a chunk's floor is the
-least of its rows'.  Each rounding in a key fl(fl(fl(|h_B| + 1) tol) +
-slack) is monotone (Higham, section 2.2), so every key of a chunk is at
-least fl(fl(fl(m + 1) tol) + floor) for m at most its least |h_B|.  A chunk
-whose bound at m = 0 cannot beat the running witnesses (a tie loses on the
-block's least grid index, as blocks do not come in grid order) takes no
-product; else it takes h_B's, and one whose bound at m its least |h_B| (0
-where h_B changes sign) cannot beat them takes neither the slack's product
-nor its keys.  The skip is off at tol = 0, at a NaN or -inf bound (a floor
-is -inf where a product could overflow), near an h_B overflow and on the
-strong side when prop_31 reads every key.  A violated pass skips most of
-its chunks; a held one skips the chunks whose slacks or |h_B| keep every
-key above its kept one.
-
-One method, ``_Worst.update``, folds a block (a coefficient block chunk by
-chunk) into a side's running witness by one key array, slack + tolerance
-per support direction or per interval row: the kept element minimises
-(key, grid index), so verdicts do not depend on how evaluation is batched
-or in what order blocks come (tested for block sizes from 1 to larger
-than the grid).  It takes the block's least key first and puts the
-elements of that key in grid order only when one can replace the kept
-one, whose slack, tolerance and witness are read at that element alone.
-Proposition 3.1 counts a row as holding when its smallest key is >= 0,
-from one kernel call per side and block.
+Only the inclusion step tells the kinds apart: an interval's or a disc's
+block goes through its branch of the rule in the workspace's rows, a
+support family's through ``inclusion_block``.  One method,
+``_Worst.update``, folds a block into a side's running witness by one key
+array, slack + tolerance per support direction or per interval or disc
+row: the kept element minimises (key, grid index), so verdicts do not
+depend on how evaluation is batched or in what order blocks come (tested
+for block sizes from 1 to larger than the grid).  It takes the block's
+least key first and puts the elements of that key in grid order only when
+one can replace the kept one, whose slack, tolerance and witness are read
+at that element alone.  Proposition 3.1 counts a row as holding when its
+smallest key is >= 0, from one kernel call per side and block.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -126,13 +99,11 @@ from .aumann import aumann_integral  # noqa: F401
 from .set_core import BLOCK_ELEMENTS  # noqa: F401
 from .set_core import (
     ConvexSet,
-    InclusionBlock,
     InclusionVerdict,
     Interval,
     as_set,
     ball,
-    basis_floor,
-    basis_product,
+    disc_block,
     hausdorff,
     includes,
     inclusion_block,
@@ -143,7 +114,6 @@ from .set_core import (
     row_verdict,
     rows_hold,
     scale,
-    support_keys,
 )
 from .svf import FeasibilityError, HarmonicDomain, SetValuedFn, reciprocal_transform, widen
 
@@ -309,18 +279,13 @@ class _Worst:
     per direction for support sets.  The kept row is the first global
     argmin in grid order whatever order the blocks arrive in, so the verdict
     does not depend on batching.  Every row holds exactly when the kept row
-    does, so the kept row's verdict is the side's verdict.  A side of a
-    coefficient family keeps its row's left side as coefficients on
-    ``basis`` (the pass forms the slack's values, not the left side's) and
-    forms the set from them when it reports.
+    does, so the kept row's verdict is the side's verdict.
     """
 
-    def __init__(self, kind: str, t: np.ndarray, pick: Optional[int] = None,
-                 basis: Optional[np.ndarray] = None):
+    def __init__(self, kind: str, t: np.ndarray, pick: Optional[int] = None):
         self.kind = kind
         self.t = t
         self.pick = pick
-        self.basis = basis
         self.rank = None
         self.index = None
         self.row = None
@@ -372,8 +337,6 @@ class _Worst:
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
-        if self.basis is not None:
-            lhs = basis_product(lhs[None], self.basis, np.empty((1, rhs.size)))[0]
         return TheoremReport(
             theorem_id=theorem_id,
             lhs=as_set(lhs.tolist(), self.kind),  # Python floats build a set faster
@@ -408,9 +371,9 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     half = grid.t_values.index(0.5) if full else None
     rows_of = {"def_shc": (None, "lemma_i", full),
                "def_mid": (half, "lemma_ii", "def_mid" in ids or "lemma_ii" in ids)}
-    strong = {sid: _Worst(kind, t, pick, f.basis)
+    strong = {sid: _Worst(kind, t, pick)
               for sid, (pick, _, wanted) in rows_of.items() if wanted}
-    shift = {sid: _Worst(kind, t, pick, f.basis)
+    shift = {sid: _Worst(kind, t, pick)
              for sid, (pick, lemma_id, _) in rows_of.items() if lemma_id in ids}
     arith = _Arithmetic(f) if "prop_31" in ids else None
     _grid_pass(f, c, grid, t, tol, block_pairs, list(strong.values()), list(shift.values()),
@@ -461,48 +424,28 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     ``rows_in_u`` or the shifted side, u_H^2 once.  Each side's rows are
     t F(y) + (1-t) F(x) and F(u_H), with the penalty (the strong side) or
     c u^2 (the shifted map, at every point) on the ball; only the inclusion
-    step, ``fold``, branches on the family's ``basis``."""
-    kind, m, basis = f.kind, t.size, f.basis
+    step, ``fold``, branches on the family's kind."""
+    kind, m = f.kind, t.size
     s = 1.0 - t
     # per t, across the x values of a run
     tc, sc, ct = t[:, None], s[:, None], (c * t * s)[:, None]
     in_u = f.rows_in_u is not None
-    # rows of a side per triple: an interval's ends, support values, or a
-    # coefficient family's coefficients
-    channels = 2 if kind == "interval" else f.grid_size if basis is None else basis.shape[0]
-    # prop_31 forms G's values per triple, apart from a coefficient family's rows
-    g_rows = f.grid_size if arith and basis is not None else 0
+    # an interval's or a disc's channels go through its branch of the rule in
+    # rows of the workspace, a support family's values through inclusion_block
+    rule = {"interval": interval_block, "disc": disc_block}.get(kind)
+    channels = {"interval": 2, "disc": 3}.get(kind, f.grid_size)
     if block_pairs is None:
-        # an interval's ends are arrays of their own, a support family's rows one
-        per_array = 1 if kind == "interval" else max(channels, g_rows)
-        block_pairs = product_rows(m * per_array)
-        if basis is not None:
-            # at most a product's rows of pairs: a larger block saves no
-            # product and leaves a larger heap behind
-            block_pairs = min(block_pairs, product_rows(basis.shape[1]))
+        # such a channel is an array of its own, a support family's rows one
+        block_pairs = product_rows(m * (1 if rule else channels))
     size = block_pairs * m
-    # rows of the inclusion step: an interval's slack, tolerances and keys, a
-    # coefficient family's slack rows and each triple's least key
-    steps = 3 if kind == "interval" else 0 if basis is None else channels + 1
-    # one allocation: glibc then raises its mmap and trim thresholds to the
-    # whole workspace when it is freed, so the next pass reuses the heap
-    # rather than faulting fresh pages in after a trim
-    work = np.empty((3 + 2 * channels + steps + g_rows, size))
+    # one allocation, with the rule's slack, tolerances and keys: glibc then
+    # raises its mmap and trim thresholds to the whole workspace when it is
+    # freed, so the next pass reuses the heap rather than faulting fresh pages
+    # in after a trim
+    work = np.empty((3 + 2 * channels + (3 if rule else 0), size))
     uh, uh2, pen = work[:3]
     lhs, rhs = work[3:3 + channels], work[3 + channels:3 + 2 * channels]
-    step = work[3 + 2 * channels:3 + 2 * channels + steps]
-    g_lhs = work[3 + 2 * channels + steps:] if g_rows else lhs
-    if basis is not None:
-        per_product = product_rows(basis.shape[1])
-        # a chunk's support values, of the slack, of h_B and the keys: a
-        # product's rows, or one run where a run is longer
-        values, h_b, keys = (np.empty((max(per_product, block_pairs), basis.shape[1]))
-                             for _ in range(3))
-        # |h_B| <= max_k |a_k| * reach for a coefficient row a
-        reach = float(np.abs(basis).max(axis=1).sum())
-
-    # the rows of F a ball widens: a coefficient family's ball row, else all
-    ball_rows = slice(None) if basis is None else slice(-1, None)
+    step = work[3 + 2 * channels:]
 
     def combine(vals, slab, rows, shape, out):
         # t F(y) + (1-t) F(x) into ``out``: F's rows at the points ``vals``
@@ -511,66 +454,13 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
         np.add(tc * vals[(slice(None),) + rows][:, :, None], slab[:, None],
                out=out[:, :n].reshape((out.shape[0],) + shape))
 
-    def coefficient_fold(sides, n, where, every):
-        # the first n triples' coefficient rows in chunks of as many whole
-        # slabs of the run's k triples as a product holds (at least one),
-        # each folded as it is formed; with ``every``, each triple's least
-        # key into row_keys
-        x, y, first, stride = where
-        k = x.size
-        span = max(1, per_product // k) * k
-        a, b = lhs[:, :n], rhs[:, :n]
-        slack, row_keys = step[:channels, :n], step[channels, :n]
-        np.subtract(b, a, out=slack)
-        # with tol > 0 and every h_B far from overflow (a NaN coefficient
-        # fails the test too) a key is NaN only from an infinite or NaN slack
-        # value, whose row's floor is -inf
-        skip = not every and tol > 0.0 and float(np.abs(b).max()) * reach < 2.0 ** 1000
-        if skip:
-            # each chunk's least slack floor, from the coefficients alone
-            floors = np.minimum.reduceat(basis_floor(slack.T, basis),
-                                         np.arange(0, n, span)).tolist()
-
-        def beaten(i, least_hb):
-            # whether chunk i cannot replace any side's kept row: each rounding
-            # of a key fl(fl(fl(|h_B| + 1) tol) + slack) is monotone, so with
-            # |h_B| >= least_hb and slack >= the chunk's floor every key is at
-            # least bound; first * m is the block's least grid index
-            bound = (least_hb + 1.0) * tol + floors[i // span]
-            return bound > -np.inf and all(side.beaten(bound, first * m) for side in sides)
-
-        for i in range(0, n, span):
-            j = min(i + span, n)
-            # before any product, at |h_B| >= 0; then at the chunk's least
-            # |h_B|, 0 where h_B changes sign
-            if skip and beaten(i, 0.0):
-                continue
-            hb = basis_product(b[:, i:j].T, basis, h_b[:j - i])
-            if skip:
-                lo, hi = float(hb.min()), float(hb.max())
-                if beaten(i, 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))):
-                    continue
-            # the support branch of the inclusion rule, with lhs left as
-            # coefficients
-            vals = basis_product(slack[:, i:j].T, basis, values[:j - i])
-            chunk = InclusionBlock(a[:, i:j].T, hb, tol, support_keys(vals, hb, tol, keys[:j - i]),
-                                   vals)
-            for side in sides:
-                side.update(chunk, x, y, first, stride, i // k)
-            if every:
-                np.min(chunk.keys, axis=1, out=row_keys[i:j])
-        return row_keys
-
-    def fold(sides, n, where, every):
+    def fold(sides, n, where):
         # the inclusion rule on the first n triples of lhs and rhs, folded
-        # into ``sides``; returns their keys (each triple's least, for a
-        # coefficient family whose ``every`` key is read)
+        # into ``sides``; returns their keys
         for side in sides:
             side.triples += n if side.pick is None else n // m
-        if basis is not None:
-            return coefficient_fold(sides, n, where, every)
-        if kind == "interval":
-            block = interval_block(lhs[:, :n], rhs[:, :n], tol, *(a[:n] for a in step))
+        if rule:
+            block = rule(lhs[:, :n], rhs[:, :n], tol, *(a[:n] for a in step))
         else:
             block = inclusion_block(lhs[:, :n].T, rhs[:, :n].T, kind, tol)
         for side in sides:
@@ -583,7 +473,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
         # each side's rows at the points
         fp = f.rows_in_u(up, up2, np.empty((channels, pts.size))) if in_u else f.eval_vector(pts).T
         if shift:
-            sp = widen(fp.copy(), c * up2, kind, ball_rows)
+            sp = widen(fp.copy(), c * up2, kind)
         if arith:
             gp = arith.g.eval_vector(up).T
         for run, blocks in runs:
@@ -605,29 +495,28 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                 if in_u or shift:
                     np.square(uh[:n], out=uh2[:n])
                 combine(fp, fx, rows, shape, lhs)
-                widen(lhs[:, :n], pen[:n], kind, ball_rows)
+                widen(lhs[:, :n], pen[:n], kind)
                 if in_u:
                     f.rows_in_u(uh[:n], uh2[:n], rhs[:, :n])
                 else:
                     rhs[:, :n] = f.eval_vector(1.0 / uh[:n]).T
-                # prop_31 reads every key of the strong side
-                strong_keys = fold(strong, n, where, arith is not None)
+                strong_keys = fold(strong, n, where)
                 if arith:
-                    combine(gp, gx, rows, shape, g_lhs)
-                    widen(g_lhs[:, :n], pen[:n], kind)
+                    combine(gp, gx, rows, shape, lhs)
+                    widen(lhs[:, :n], pen[:n], kind)
                     # G's values are (triples, channels) arrays: at most
                     # BLOCK_ELEMENTS values at a time
-                    part = product_rows(g_lhs.shape[0])
+                    part = product_rows(channels)
                     for i in range(0, n, part):
                         j = min(i + part, n)
-                        arith.update(g_lhs[:, i:j].T, uh[i:j], strong_keys[i:j], kind, tol)
+                        arith.update(lhs[:, i:j].T, uh[i:j], strong_keys[i:j], kind, tol)
                 if shift:
                     # the shifted map has modulus 0: its rows take no penalty;
                     # its right side is F(u_H) widened by c u_H^2
                     combine(sp, sx, rows, shape, lhs)
                     np.multiply(c, uh2[:n], out=pen[:n])
-                    widen(rhs[:, :n], pen[:n], kind, ball_rows)
-                    fold(shift, n, where, False)
+                    widen(rhs[:, :n], pen[:n], kind)
+                    fold(shift, n, where)
 
 
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,

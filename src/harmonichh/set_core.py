@@ -1,34 +1,33 @@
 """Arithmetic and comparison of compact convex sets in R and R^2.
 
-Two representations are supported:
+Three representations are supported:
 
 * ``Interval`` -- a compact interval [lo, hi], the one-dimensional case.
 * ``SupportSet`` -- a convex compact subset of R^2 represented by its
   support values on a fixed grid of M directions
   u_i = (cos(2*pi*i/M), sin(2*pi*i/M)).
+* ``Disc`` -- a closed disc in R^2 given by its centre and radius, whose
+  support function is h(e) = <c, e> + r.
 
 The support vector IS the object: inclusion and Hausdorff distance are
 defined directly on support vectors.  All constructors provided here
 (balls, Minkowski sums, nonnegative scalings) keep the sampled
 support values exact for the represented set, so no polytope
-reconstruction is ever needed.
+reconstruction is ever needed.  Discs are closed under the same
+constructors (centres and radii add and scale), and D(c1, r1) is inside
+D(c2, r2) exactly when ||c1 - c2|| <= r2 - r1, since the supremum of
+<c1 - c2, e> over unit e is ||c1 - c2|| (Rockafellar, Convex Analysis,
+section 13).
 
 ``inclusion_block`` is the one inclusion rule: one key, slack plus
-tolerance, per direction of a support set or per interval, for whole
-blocks of rows at once, with the slacks and tolerances it is made of.  A row
-holds when its smallest key is >= 0.  The grid checks reduce a block to
-its one smallest key and read slack, tolerance and witness at that
+tolerance, per direction of a support set or per interval or disc, for
+whole blocks of rows at once, with the slacks and tolerances it is made
+of.  A row holds when its smallest key is >= 0.  The grid checks reduce a
+block to its one smallest key and read slack, tolerance and witness at that
 element from the block's arrays (``InclusionBlock.at``), and so does
-``includes``, its one-row case.  Its support branch is ``support_keys``, a
-function of the slack and h_B alone, which the grid pass also calls on
-support values it forms from coefficients; its interval branch is
-``interval_block``, on ends held as separate arrays, into buffers the grid
-pass allocates once.
-
-``basis_product`` turns per-row coefficients into support values on a
-fixed basis at one padded matrix shape, so that a row's values do not
-depend on how many rows share its product; ``basis_floor`` bounds every
-value of a row's product from below, from the row's coefficients alone.
+``includes``, its one-row case.  Its interval and disc branches,
+``interval_block`` and ``disc_block``, take sets held channel by channel as
+separate arrays, into buffers the grid pass allocates once.
 
 All operations are pure functions on immutable values.
 """
@@ -42,8 +41,8 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 DEFAULT_GRID_SIZE = 64
-# Values (rows x channels) per array of a streamed grid block or of one
-# basis product: 96 KiB of float64, below glibc's 128 KiB mmap threshold.
+# Values (rows x channels) per array of a streamed grid block: 96 KiB of
+# float64, below glibc's 128 KiB mmap threshold.
 BLOCK_ELEMENTS = 12288
 
 
@@ -104,24 +103,31 @@ class SupportSet:
             raise NonFiniteSetError("support values must be finite")
         object.__setattr__(self, "support", tuple(vals.tolist()))
 
-    @property
-    def grid_size(self) -> int:
-        return len(self.support)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.support, dtype=float)
-
     def __repr__(self) -> str:
-        return f"SupportSet(M={self.grid_size})"
+        return f"SupportSet(M={len(self.support)})"
 
 
-ConvexSet = Union[Interval, SupportSet]
+@dataclass(frozen=True)
+class Disc:
+    """Closed disc in R^2 with a finite centre and a finite radius >= 0."""
+
+    center: tuple
+    radius: float
+
+    def __post_init__(self) -> None:
+        center = tuple(float(v) for v in self.center)
+        radius = float(self.radius)
+        if len(center) != 2:
+            raise ValueError(f"disc centre must be a 2-vector, got {center}")
+        if not all(math.isfinite(v) for v in (*center, radius)):
+            raise NonFiniteSetError(f"disc centre and radius must be finite, got {center}, {radius}")
+        if radius < 0.0:
+            raise ValueError(f"disc radius must be nonnegative, got {radius}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "radius", radius)
 
 
-def directions(grid_size: int) -> np.ndarray:
-    """Unit direction grid used by SupportSet, shape (M, 2)."""
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    return np.column_stack([np.cos(angles), np.sin(angles)])
+ConvexSet = Union[Interval, SupportSet, Disc]
 
 
 @dataclass(frozen=True)
@@ -130,22 +136,24 @@ class InclusionVerdict:
 
     ``slack`` is the signed margin at the witness direction; the test holds
     iff its key slack + tolerance_used is >= 0 (for finite values, iff
-    slack >= -tolerance_used).
+    slack >= -tolerance_used).  The witness is "hi" or "lo" for intervals, a
+    direction index for support sets, and for discs the unit vector along
+    c_A - c_B, or "radius" where the centres coincide.
     """
 
     holds: bool
     slack: float
-    witness_direction: Union[int, str]
+    witness_direction: Union[int, str, list]
     tolerance_used: float
 
 
 def _check_same_kind(a: ConvexSet, b: ConvexSet) -> None:
-    if isinstance(a, Interval) and isinstance(b, Interval):
+    if type(a) is type(b) in (Interval, Disc):
         return
     if isinstance(a, SupportSet) and isinstance(b, SupportSet):
-        if a.grid_size != b.grid_size:
+        if len(a.support) != len(b.support):
             raise RepresentationMismatchError(
-                f"mixed support grids: {a.grid_size} vs {b.grid_size}"
+                f"mixed support grids: {len(a.support)} vs {len(b.support)}"
             )
         return
     raise RepresentationMismatchError(
@@ -158,6 +166,8 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
     _check_same_kind(a, b)
     if isinstance(a, Interval):
         return Interval(a.lo + b.lo, a.hi + b.hi)
+    if isinstance(a, Disc):
+        return Disc((a.center[0] + b.center[0], a.center[1] + b.center[1]), a.radius + b.radius)
     return SupportSet(tuple(x + y for x, y in zip(a.support, b.support)))
 
 
@@ -170,6 +180,8 @@ def scale(lam: float, a: ConvexSet) -> ConvexSet:
         return Interval(lam * a.lo, lam * a.hi)
     if isinstance(a, SupportSet):
         return SupportSet(tuple(lam * v for v in a.support))
+    if isinstance(a, Disc):
+        return Disc((lam * a.center[0], lam * a.center[1]), lam * a.radius)
     raise TypeError(f"not a convex set: {a!r}")
 
 
@@ -182,14 +194,19 @@ def ball(radius: float, kind: str = "interval", grid_size: int = DEFAULT_GRID_SI
         return Interval(-radius, radius)
     if kind == "support":
         return SupportSet((radius,) * grid_size)
+    if kind == "disc":
+        return Disc((0.0, 0.0), radius)
     raise ValueError(f"unknown representation kind: {kind!r}")
 
 
 def as_set(row, kind: str) -> ConvexSet:
     """The set whose channels are ``row``: the endpoints (lo, hi) of an
-    interval or the support values of a SupportSet."""
+    interval, the support values of a SupportSet, or a disc's centre
+    coordinates and radius (c0, c1, r)."""
     if kind == "interval":
         return Interval(row[0], row[1])
+    if kind == "disc":
+        return Disc((row[0], row[1]), row[2])
     return SupportSet(row)
 
 
@@ -197,20 +214,24 @@ def as_row(s: ConvexSet) -> np.ndarray:
     """The channels of ``s``; the inverse of ``as_set``."""
     if isinstance(s, Interval):
         return np.array([s.lo, s.hi])
-    return s.as_array()
+    if isinstance(s, Disc):
+        return np.array([*s.center, s.radius])
+    return np.array(s.support)
+
 
 
 class InclusionBlock(NamedTuple):
     """The inclusion rule's kernel output for the rows of a block: lhs[i]
-    subset-of rhs[i] at tolerance ``tol``.
+    subset-of rhs[i] at tolerance ``tol``, for sets of kind ``kind``.
 
     ``keys`` holds slack plus tolerance, per direction (n, M) for support
-    sets and per row (n,) for intervals, and ``slack`` the slack of the
-    same shape.  ``tols`` holds an interval row's tolerance; a support
-    value's tolerance is recomputed from its h_B alone, and ``tols`` is
-    None.
+    sets and per row (n,) for intervals and discs, and ``slack`` the slack
+    of the same shape.  ``tols`` holds an interval's or a disc's tolerance;
+    a support value's tolerance is recomputed from its h_B alone, and
+    ``tols`` is None.
     """
 
+    kind: str
     lhs: np.ndarray
     rhs: np.ndarray
     tol: float
@@ -222,11 +243,18 @@ class InclusionBlock(NamedTuple):
         """Slack, tolerance and witness at row r (and direction j of a
         support row), read from the block's arrays.  An interval's witness
         is 0 ("hi") when its upper end is the tighter, else 1 ("lo"): its
-        two end margins are recomputed at that row alone."""
-        if self.tols is not None:
+        two end margins are recomputed at that row alone.  A disc's is the
+        unit vector along c_A - c_B, or "radius" where they are equal."""
+        if self.kind == "interval":
             (lo, hi), (b_lo, b_hi) = self.lhs[r].tolist(), self.rhs[r].tolist()
             return self.slack[r], self.tols[r], 0 if b_hi - hi <= lo - b_lo else 1
-        return self.slack[r, j], support_tolerance(self.rhs[r, j], self.tol), j
+        if self.kind == "disc":
+            (a0, a1, _), (b0, b1, _) = self.lhs[r].tolist(), self.rhs[r].tolist()
+            d0, d1 = a0 - b0, a1 - b1
+            norm = math.hypot(d0, d1)
+            return self.slack[r], self.tols[r], [d0 / norm, d1 / norm] if norm else "radius"
+        # a support key's tolerance, tol * (1 + |h_B|), at its one value h_B
+        return self.slack[r, j], (abs(float(self.rhs[r, j])) + 1.0) * self.tol, j
 
     def row_slack(self) -> np.ndarray:
         """Each row's slack at its witness direction, the first direction of
@@ -244,14 +272,21 @@ def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> 
     A key is slack plus tolerance.  For support sets it is kept per
     direction: the margin h_B - h_A plus the threshold tol * (1 + |h_B|).
     For intervals it is kept per row: the margin of the tighter end plus
-    tol * (1 + the larger endpoint magnitude of B).  A row holds when its
-    smallest key is >= 0, and its witness is the first direction of
-    smallest key, a NaN key first.
+    tol * (1 + the larger endpoint magnitude of B); for discs too: the
+    margin (r_B - r_A) - ||c_B - c_A|| plus tol * (1 + r_B + ||c_B||), which
+    bounds |h_B| in every direction.  A row holds when its smallest key is
+    >= 0, and its witness is the first direction of smallest key, a NaN key
+    first.
     """
-    if kind == "interval":
-        return interval_block(lhs.T, rhs.T, tol, *(np.empty(lhs.shape[0]) for _ in range(3)))
-    slack = rhs - lhs
-    return InclusionBlock(lhs, rhs, tol, support_keys(slack, rhs, tol, np.empty_like(rhs)), slack)
+    if kind == "support":
+        slack = rhs - lhs
+        keys = np.abs(rhs)
+        keys += 1.0
+        keys *= tol
+        keys += slack
+        return InclusionBlock(kind, lhs, rhs, tol, keys, slack)
+    rule = interval_block if kind == "interval" else disc_block
+    return rule(lhs.T, rhs.T, tol, *(np.empty(lhs.shape[0]) for _ in range(3)))
 
 
 def interval_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
@@ -270,86 +305,55 @@ def interval_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarr
     np.maximum(tols, keys, out=tols)
     tols += 1.0
     tols *= tol
-    return InclusionBlock(lhs.T, rhs.T, tol, np.add(slack, tols, out=keys), slack, tols)
+    return InclusionBlock("interval", lhs.T, rhs.T, tol, np.add(slack, tols, out=keys), slack,
+                          tols)
 
 
-def support_keys(slack: np.ndarray, hb: np.ndarray, tol: float, out: np.ndarray) -> np.ndarray:
-    """The support branch of the inclusion rule: the keys
-    tol * (1 + |h_B|) + slack of the support values ``hb`` of B and their
-    slacks h_B - h_A, into ``out`` (which may be ``hb``), in place after
-    one pass for |h_B|."""
-    np.abs(hb, out=out)
-    out += 1.0
-    out *= tol
-    out += slack
-    return out
+def disc_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
+               tols: np.ndarray, keys: np.ndarray) -> InclusionBlock:
+    """The disc branch of ``inclusion_block`` on discs held channel by
+    channel (rows 0 and 1 their centres' coordinates, row 2 their radii),
+    into the buffers ``slack``, ``tols`` and ``keys`` of one value per row:
+    (r_B - r_A) - ||c_B - c_A|| and tol * (1 + r_B + ||c_B||), with no
+    other temporary of their size."""
+    # a square that overflows is mended by _norm
+    with np.errstate(over="ignore"):
+        np.subtract(rhs[0], lhs[0], out=slack)
+        slack *= slack
+        np.subtract(rhs[1], lhs[1], out=keys)
+        keys *= keys
+        _norm(slack, keys, lambda i: (rhs[0][i] - lhs[0][i], rhs[1][i] - lhs[1][i]))
+        np.square(rhs[0], out=tols)
+        np.square(rhs[1], out=keys)
+        _norm(tols, keys, lambda i: (rhs[0][i], rhs[1][i]))
+    tols += rhs[2]
+    tols += 1.0
+    tols *= tol
+    np.subtract(rhs[2], lhs[2], out=keys)
+    np.subtract(keys, slack, out=slack)
+    return InclusionBlock("disc", lhs.T, rhs.T, tol, np.add(slack, tols, out=keys), slack, tols)
 
 
-def support_tolerance(hb: float, tol: float) -> float:
-    """The tolerance of a support key at one value h_B: tol * (1 + |h_B|)."""
-    return (abs(float(hb)) + 1.0) * tol
+def _norm(squares: np.ndarray, other: np.ndarray, coordinates) -> np.ndarray:
+    """The lengths of 2-vectors whose squared coordinates ``squares`` and
+    ``other`` hold, sqrt(x0^2 + x1^2), into ``squares``.  Where that square
+    sum overflows (or is NaN), the length is np.hypot of the coordinates
+    ``coordinates(where)`` returns at those elements, so it is finite
+    wherever the vector is.  Where the squares underflow (a length below
+    about 2^-484), the length is off by less than 2^-536, the root of their
+    rounding."""
+    squares += other
+    np.sqrt(squares, out=squares)
+    if not squares.max(initial=0.0) < np.inf:  # also at a NaN
+        where = ~(squares < np.inf)
+        squares[where] = np.hypot(*coordinates(where))
+    return squares
 
 
 def product_rows(width: int) -> int:
     """Rows of ``width`` values that make at most BLOCK_ELEMENTS values, at
-    least one: of every ``basis_product`` and of every grid-pass block array."""
+    least one: of every grid-pass block array."""
     return max(1, BLOCK_ELEMENTS // width)
-
-
-def basis_product(coefs: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row i of ``out`` is coefs[i] @ basis, for the (n, k) coefficients
-    ``coefs`` and a (k, channels) basis; returns ``out``, shaped (n, channels).
-
-    Every product runs at the one shape (product_rows(channels), k) @
-    (k, channels), a short last chunk padded with zero rows: BLAS rounds a
-    row differently at other row counts (a one-row product is a
-    matrix-vector call), so a row's bits would depend on how many rows
-    share its call.  At the one shape they do not depend on the row's
-    position either."""
-    n, rows = coefs.shape[0], product_rows(basis.shape[1])
-    whole = n - n % rows
-    for i in range(0, whole, rows):
-        np.matmul(coefs[i:i + rows], basis, out=out[i:i + rows])
-    if whole < n:
-        pad = np.zeros((rows, coefs.shape[1]))
-        pad[:n - whole] = coefs[whole:]
-        out[whole:] = (pad @ basis)[:n - whole]
-    return out
-
-
-def basis_floor(coefs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """A lower bound on every value ``basis_product`` gives for each row of
-    the (n, k) coefficients ``coefs`` on the (k, channels) ``basis``, shaped
-    (n,), read from the coefficients alone.
-
-    With lo_j, hi_j and r_j the least value, the greatest value and the
-    greatest magnitude of basis row j, a row s's floor is
-    sum_j min(s_j lo_j, s_j hi_j) - 4 (k+1) (eps sum_j |s_j| r_j + eta),
-    eps the machine epsilon and eta = 2^-1074, the least subnormal.  The
-    first sum is at most the exact value in any direction, and a k-term
-    dot product, in any order and with or without FMA, is within
-    gamma_k sum_j |s_j| |B_je| of it, plus k eta / 2 under gradual underflow
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 3.1); the margin also covers the floor's own roundings.  Where
-    sum_j |s_j| r_j is NaN or >= 2^1000, where a product could overflow, the
-    floor is -inf."""
-    k = basis.shape[0]
-    lo, hi = basis.min(axis=1), basis.max(axis=1)
-    # coefficient by coefficient, along the rows: the grid pass holds them
-    # end-major
-    ends = coefs.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.maximum(-lo, hi) @ np.abs(ends)
-        # sum_j min(s_j lo_j, s_j hi_j) = hi . s + (lo - hi) . max(s, 0); the
-        # roundings of lo - hi and of the two dot products are inside the
-        # margin too
-        floor = hi @ ends
-        floor += (lo - hi) @ np.maximum(ends, 0.0)
-        floor -= reach * (4.0 * (k + 1) * np.finfo(float).eps)
-        floor -= 4.0 * (k + 1) * 2.0 ** -1074
-    if not reach.max() < 2.0 ** 1000:  # also at a NaN
-        floor[~(reach < 2.0 ** 1000)] = -np.inf
-    return floor
 
 
 def rows_hold(keys: np.ndarray) -> np.ndarray:
@@ -359,13 +363,14 @@ def rows_hold(keys: np.ndarray) -> np.ndarray:
     return (keys if keys.ndim == 1 else keys.min(axis=1)) >= 0.0
 
 
-def row_verdict(slack: float, tol_used: float, witness: int, kind: str) -> InclusionVerdict:
+def row_verdict(slack: float, tol_used: float, witness, kind: str) -> InclusionVerdict:
     """The verdict of one row of ``InclusionBlock.at``:
     it holds when its key, slack + tolerance, is >= 0."""
     return InclusionVerdict(
         holds=bool(slack + tol_used >= 0.0),
         slack=float(slack),
-        witness_direction=("hi", "lo")[witness] if kind == "interval" else int(witness),
+        witness_direction=(("hi", "lo")[witness] if kind == "interval"
+                           else int(witness) if kind == "support" else witness),
         tolerance_used=float(tol_used),
     )
 
@@ -375,9 +380,9 @@ def includes(a: ConvexSet, b: ConvexSet, tol: float = 0.0) -> InclusionVerdict:
     its row (and witness direction) as the grid checks read their kept
     element."""
     _check_same_kind(a, b)
-    kind = "interval" if isinstance(a, Interval) else "support"
+    kind = {Interval: "interval", SupportSet: "support", Disc: "disc"}[type(a)]
     block = inclusion_block(as_row(a)[None], as_row(b)[None], kind, float(tol))
-    j = None if kind == "interval" else int(block.keys[0].argmin())
+    j = int(block.keys[0].argmin()) if kind == "support" else None
     return row_verdict(*block.at(0, j), kind)
 
 
@@ -394,4 +399,7 @@ def hausdorff(a: ConvexSet, b: ConvexSet) -> float:
     _check_same_kind(a, b)
     if isinstance(a, Interval):
         return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-    return float(np.max(np.abs(a.as_array() - b.as_array())))
+    if isinstance(a, Disc):
+        d0, d1 = a.center[0] - b.center[0], a.center[1] - b.center[1]
+        return math.hypot(d0, d1) + abs(a.radius - b.radius)
+    return float(np.max(np.abs(as_row(a) - as_row(b))))

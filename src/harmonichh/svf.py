@@ -6,35 +6,28 @@ families with closed-form evaluation, and the two structural transforms
 (reciprocal substitution and the modulus shift by a scaled ball).
 
 Each certified family's class declares its descriptor once: its
-``family`` name, its ``parameters``, the ``pairs`` (2-vectors) and
-``moduli`` among them, and its ``options``.  ``params()``, ``make_family``,
+``family`` name, its ``parameters``, and the ``pairs`` (2-vectors) and
+``moduli`` among them.  ``params()``, ``make_family``,
 ``family_rule`` (positive moduli, the numerator of ``least_K``, the
 certified modulus), ``cli``'s key tables and ``explorer``'s dimensions all
 read it; ``family_class`` finds a class by kind name, and each class's
 ``certified`` is its public factory.  A family's ``polynomial_in_u`` flag
 tells the integration layer that each channel of F(1/u) is a polynomial in
 u.  Both certified families state F(1/u) once, as ``rows_in_u``, one row
-per channel: the quadratic family as its two ends, the disc family as
-per-point coefficients on a fixed ``basis``.  ``widen`` widens such rows
-by balls in place.
+per channel: the quadratic family as its two ends, the disc family as its
+centre's two coordinates and its radius.  ``widen`` widens such rows by
+balls in place.
 """
 
 from __future__ import annotations
 
 import abc
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .set_core import (
-    DEFAULT_GRID_SIZE,
-    ConvexSet,
-    as_set,
-    basis_product,
-    directions,
-)
+from .set_core import DEFAULT_GRID_SIZE, ConvexSet, as_set
 
 _DOMAIN_RTOL = 1e-12
 # Ends a domain keeps to, a range closed under x -> 1/x: inside it the
@@ -92,32 +85,28 @@ class SetValuedFn(abc.ABC):
     """A set-valued map on a HarmonicDomain.
 
     ``eval_vector`` is the workhorse: it maps an array of n points to an
-    (n, 2) array of interval endpoints (interval kind) or an (n, M) array
-    of support values (support kind).  ``eval`` wraps a single point into
-    a ConvexSet.
+    (n, 2) array of interval endpoints (interval kind), an (n, M) array of
+    support values (support kind) or an (n, 3) array of disc centres and
+    radii (disc kind).  ``eval`` wraps a single point into a ConvexSet.
     """
 
     domain: HarmonicDomain
-    kind: str  # "interval" | "support"
+    kind: str  # "interval" | "support" | "disc"
     claimed_modulus: Optional[float] = None  # the modulus family_rule certifies, if any
-    grid_size: int = DEFAULT_GRID_SIZE
+    grid_size: int = DEFAULT_GRID_SIZE  # a support family's direction count
     polynomial_in_u: bool = False  # every channel of F(1/u) is a polynomial in u
-    # the (k, M) basis of a support family whose rows_in_u are per-point
-    # coefficients (DiscFn); None for a family stated by its values
-    basis: Optional[np.ndarray] = None
     # rows_in_u(u, u2, out): F(1/u) at the points u from u and their squares
-    # u2, one row of ``out`` per channel: an interval's two ends, or a
-    # coefficient family's coefficients on ``basis``; None for a family the
-    # grid checks evaluate at x
+    # u2, one row of ``out`` per channel: an interval's two ends, or a disc's
+    # centre coordinates and radius; None for a family the grid checks
+    # evaluate at x
     rows_in_u: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     # A certified family's descriptor: its kind name, its parameters in the
-    # order of params() and of the constructor, the 2-vectors and the moduli
-    # among them, and its optional keys, each with its least value
+    # order of params() and of the constructor, and the 2-vectors and the
+    # moduli among them
     family: str
     parameters: tuple
     pairs: tuple = ()
     moduli: tuple
-    options: dict = {}
 
     @abc.abstractmethod
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
@@ -136,12 +125,11 @@ class SetValuedFn(abc.ABC):
 
     def params(self) -> dict:
         """A certified family's descriptor, the layout ``make_family`` reads:
-        ``family``, the parameters (a pair as a list), ``a``, ``b``, options."""
+        ``family``, the parameters (a pair as a list), ``a`` and ``b``."""
         doc = {"family": self.family}
         for name in self.parameters:
             doc[name] = list(getattr(self, name)) if name in self.pairs else getattr(self, name)
         doc.update(a=self.domain.a, b=self.domain.b)
-        doc.update((name, getattr(self, name)) for name in self.options)
         return doc
 
 
@@ -190,28 +178,25 @@ class QuadraticIntervalFn(SetValuedFn):
 
 
 class DiscFn(SetValuedFn):
-    """F(x) = {v/x + w} (+) (K - beta/x^2) * B in R^2, support representation.
+    """F(x) = {v/x + w} (+) (K - beta/x^2) * B in R^2, the disc of centre
+    v u + w and radius K - beta u^2 with u = 1/x.
 
-    In direction e the support value is <v,e>u + <w,e> + K - beta u^2 with
-    u = 1/x: linear plus a concave quadratic in u, so the family is strongly
+    In direction e its support value is <v,e>u + <w,e> + K - beta u^2:
+    linear plus a concave quadratic in u, so the family is strongly
     harmonic convex with modulus beta.  The family states itself once, as
-    the coefficients [u, 1, K - beta u^2] of each point (``rows_in_u``) on
-    the (3, M) ``basis`` [<v,e>; <w,e>; 1].  The basis's last row is the
-    support of the unit ball, so a ball of radius r adds r to a point's
-    last coefficient.  ``eval_vector`` is their ``basis_product``.
+    the rows [v0 u + w0, v1 u + w1, K - beta u^2] of each point
+    (``rows_in_u``); a ball of radius r adds r to the radius row.
     """
 
-    kind = "support"
+    kind = "disc"
     polynomial_in_u = True
     family = "disc"
     parameters = ("v", "w", "K", "beta")
     pairs = ("v", "w")
     moduli = ("beta",)
-    options = {"grid_size": 3}
 
     def __init__(self, v: Sequence[float], w: Sequence[float], K: float, beta: float,
-                 domain: HarmonicDomain, grid_size: int = DEFAULT_GRID_SIZE,
-                 claimed_modulus: Optional[float] = None):
+                 domain: HarmonicDomain, claimed_modulus: Optional[float] = None):
         self.v = np.asarray(v, dtype=float)
         self.w = np.asarray(w, dtype=float)
         if self.v.shape != (2,) or self.w.shape != (2,):
@@ -219,33 +204,33 @@ class DiscFn(SetValuedFn):
         self.K = float(K)
         self.beta = float(beta)
         self.domain = domain
-        self.grid_size = int(grid_size)
-        dirs = directions(self.grid_size)
-        self.basis = np.vstack((dirs @ self.v, dirs @ self.w, np.ones(self.grid_size)))
         self.claimed_modulus = claimed_modulus
 
     @staticmethod
     def certified(v: Sequence[float], w: Sequence[float], K: float, beta: float,
-                  dom: HarmonicDomain, grid_size: int = DEFAULT_GRID_SIZE) -> DiscFn:
+                  dom: HarmonicDomain) -> DiscFn:
         """Certified disc family {v/x + w} (+) (K - beta/x^2) B."""
-        return _certified(DiscFn, (v, w, K, beta), dom, grid_size=grid_size)
+        return _certified(DiscFn, (v, w, K, beta), dom)
 
     def rows_in_u(self, u: np.ndarray, u2: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The coefficients [u, 1, K - beta u^2] on ``basis`` of the points
-        u, from u and their squares ``u2``, as the rows of ``out``; returns
-        ``out``, shaped (3, n)."""
-        out[0] = u
-        out[1] = 1.0
+        """The centres v u + w and radii K - beta u^2 of the points u, from u
+        and their squares ``u2``, as the rows of ``out``; returns ``out``,
+        shaped (3, n)."""
+        (v0, v1), (w0, w1) = self.v.tolist(), self.w.tolist()
+        np.multiply(v0, u, out=out[0])
+        out[0] += w0
+        np.multiply(v1, u, out=out[1])
+        out[1] += w1
         np.multiply(self.beta, u2, out=out[2])
         np.subtract(self.K, out[2], out=out[2])
         return out
 
     def eval_vector(self, xs: np.ndarray) -> np.ndarray:
-        """<v,e>/x + <w,e> + K - beta/x^2 per direction e: the basis product
-        of the coefficients at u = 1/x."""
+        """``rows_in_u`` at u = 1/x, into the columns of an (n, 3) array."""
         us = 1.0 / np.asarray(xs, dtype=float)
-        coefs = self.rows_in_u(us, us * us, np.empty((3, us.size))).T
-        return basis_product(coefs, self.basis, np.empty((us.size, self.grid_size)))
+        out = np.empty((us.size, 3))
+        self.rows_in_u(us, us * us, out.T)
+        return out
 
 
 class SampledFn(SetValuedFn):
@@ -313,17 +298,18 @@ class CShiftFn(SetValuedFn):
         return vals
 
 
-def widen(rows: np.ndarray, r: np.ndarray, kind: str, ball=slice(None)) -> np.ndarray:
+def widen(rows: np.ndarray, r: np.ndarray, kind: str) -> np.ndarray:
     """Widen the (channels, n) ``rows``, one row per channel, in place by
     the balls of radius r[i] at column i, and return ``rows``: an interval's
-    lower end moves down by r[i] and its upper end up, and every support row
-    in ``ball`` (all of them by default; a coefficient family's ball row)
-    rises by r[i]."""
+    lower end moves down by r[i] and its upper end up, a disc's radius row
+    rises by r[i], and so does every support row."""
     if kind == "interval":
         rows[0] -= r
         rows[1] += r
+    elif kind == "disc":
+        rows[2] += r
     else:
-        rows[ball] += r
+        rows += r
     return rows
 
 
@@ -366,38 +352,26 @@ def least_K(top: float, a: float) -> float:
     return least
 
 
-def _certified(cls: type, values: Sequence, dom: HarmonicDomain, **options) -> SetValuedFn:
+def _certified(cls: type, values: Sequence, dom: HarmonicDomain) -> SetValuedFn:
     """The family of class ``cls`` with the parameters ``values`` (in
-    ``cls.parameters`` order, each but a pair as a float) and ``options`` on
-    ``dom``, once each option is a whole number (an int or an integral
-    float, not a bool) at least its least value, the family rule holds and
-    K is at least its least K."""
+    ``cls.parameters`` order, each but a pair as a float) on ``dom``, once
+    the family rule holds and K is at least its least K."""
     values = {name: value if name in cls.pairs else float(value)
               for name, value in zip(cls.parameters, values)}
-    for name, value in options.items():
-        # a bool is a number to Python, but no count
-        whole = (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                 and float(value).is_integer())  # also refuses NaN and inf
-        if not (whole and value >= cls.options[name]):
-            raise FeasibilityError(f"{cls.family} family needs a whole {name} >= "
-                                   f"{cls.options[name]}, got {value!r}")
-        options[name] = int(value)
     top, modulus = family_rule(cls.family, values)
     least, K = least_K(top, dom.a), values["K"]
     if not (K >= least):  # also rejects NaN
         raise FeasibilityError(f"{cls.family} family infeasible: K={K} < (1 + {FEASIBILITY_RTOL}) "
                                f"({'+'.join(cls.moduli)})/a^2 = {least}")
-    return cls(*values.values(), dom, claimed_modulus=modulus, **options)
+    return cls(*values.values(), dom, claimed_modulus=modulus)
 
 
 def make_family(descriptor) -> SetValuedFn:
     """The certified family a descriptor names, in the layout of its
-    ``params()``, where each option may be left out."""
-    kind = descriptor["family"]
+    ``params()``."""
     dom = HarmonicDomain(descriptor["a"], descriptor["b"])
-    cls = family_class(kind)
-    options = {name: descriptor[name] for name in cls.options if name in descriptor}
-    return cls.certified(*(descriptor[name] for name in cls.parameters), dom, **options)
+    cls = family_class(descriptor["family"])
+    return cls.certified(*(descriptor[name] for name in cls.parameters), dom)
 
 
 # The public factories

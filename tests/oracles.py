@@ -1,8 +1,10 @@
 """Independent oracles the tests check ``harmonichh`` against.
 
 No run of the verifier calls these, so they live with the tests: the
-harmonic combination and reflection on scalars, singleton sets, the
-inclusion rule row by row, and a jittered-midpoint Riemann sum for the
+harmonic combination and reflection on scalars, the support direction
+grid and singleton sets, the
+inclusion rule row by row, the support margins of two discs read off
+their sampled boundaries, and a jittered-midpoint Riemann sum for the
 quadrature rules.  Test files import them with ``from oracles import ...``.
 """
 
@@ -12,10 +14,10 @@ from harmonichh.aumann import IntegralResult
 from harmonichh.set_core import (
     DEFAULT_GRID_SIZE,
     ConvexSet,
+    Disc,
     Interval,
     SupportSet,
     UnsupportedProductError,
-    directions,
     inclusion_block,
 )
 from harmonichh.svf import DomainError, HarmonicDomain, SetValuedFn
@@ -39,6 +41,13 @@ def reflect(dom: HarmonicDomain, x: float) -> float:
     return a * b * x / ((a + b) * x - a * b)
 
 
+def directions(grid_size: int) -> np.ndarray:
+    """The unit direction grid of a SupportSet of ``grid_size`` values,
+    u_i = (cos(2 pi i/M), sin(2 pi i/M)), shape (M, 2)."""
+    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 def point(value, kind: str = "interval", grid_size: int = DEFAULT_GRID_SIZE) -> ConvexSet:
     """Singleton set {value}.  For 'support', value is a 2-vector."""
     if kind == "interval":
@@ -57,14 +66,34 @@ def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
     lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays, at
     the row's witness direction, the first direction of smallest key, a NaN
     key first.  An interval's witness is 0 ("hi") when its upper end is the
-    tighter, else 1 ("lo")."""
+    tighter, else 1 ("lo"); a disc's is read at each row by the block."""
     block = inclusion_block(lhs, rhs, kind, tol)
-    if block.tols is not None:
+    if kind == "interval":
         hi_tighter = rhs[:, 1] - lhs[:, 1] <= lhs[:, 0] - rhs[:, 0]
         return block.slack, block.tols, np.where(hi_tighter, 0, 1)
+    if kind == "disc":
+        witness = np.empty(lhs.shape[0], dtype=object)
+        for i in range(witness.size):
+            witness[i] = block.at(i)[2]
+        return block.slack, block.tols, witness
     j = block.keys.argmin(axis=1)
     r = np.arange(j.size)
     return block.slack[r, j], (np.abs(rhs[r, j]) + 1.0) * block.tol, j
+
+
+def sampled_disc_margins(a: Disc, b: Disc, angles: int = 4096) -> np.ndarray:
+    """h_B(e) - h_A(e) at ``angles`` unit directions e, each support value
+    read off its disc's boundary sampled at the same angles: in direction e
+    it is <p, e> at the boundary point p = c + r e.  An inclusion oracle for
+    discs that knows nothing of the centre-radius rule: its least margin is
+    at least the exact slack (r_B - r_A) - ||c_B - c_A||, and exceeds it by
+    at most ||c_B - c_A|| (1 - cos(pi / angles)), up to rounding."""
+    e = directions(angles)
+
+    def support(d):
+        return np.einsum("ij,ij->i", np.asarray(d.center) + d.radius * e, e)
+
+    return support(b) - support(a)
 
 
 def monte_carlo_oracle(f: SetValuedFn, dom: HarmonicDomain,

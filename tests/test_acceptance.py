@@ -28,6 +28,7 @@ from harmonichh.hh_check import (
     check_thm35,
 )
 from harmonichh.set_core import (
+    Disc,
     Interval,
     ball,
     hausdorff,
@@ -225,13 +226,15 @@ def test_criterion_7_product_suite():
 
 
 def test_criterion_8_support_set_mode():
+    # the disc family's sets are discs, decided exactly from centre and radius
     f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12)
     left, right = check_hh(f, 1.0, DOM12, GL16, tol=1e-9)
-    grid_ok = f.grid_size == 64
+    kind_ok = f.kind == "disc" and all(isinstance(s, Disc) for rep in (left, right)
+                                       for s in (rep.lhs, rep.rhs))
     slack_ok = left.verdict.slack >= 0.0 - left.verdict.tolerance_used and \
         right.verdict.slack >= 0.0 - right.verdict.tolerance_used
-    ok = report(8, grid_ok and left.holds and right.holds and slack_ok,
-                f"64 directions, slacks ({left.verdict.slack:.2e}, "
+    ok = report(8, kind_ok and left.holds and right.holds and slack_ok,
+                f"disc sets, slacks ({left.verdict.slack:.2e}, "
                 f"{right.verdict.slack:.2e})")
     assert ok
 

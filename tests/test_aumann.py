@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,8 @@ from harmonichh.aumann import (
 from harmonichh.set_core import (
     Interval,
     UnsupportedProductError,
+    as_row,
+    as_set,
     hausdorff,
     interval_product,
     minkowski_sum,
@@ -117,6 +120,22 @@ class TestAumannIntegral:
         right = aumann_integral(f, 1.4, 2.0, GL16)
         budget = whole.error_budget + left.error_budget + right.error_budget + 1e-12
         assert hausdorff(whole.value, minkowski_sum(left.value, right.value)) <= budget
+
+    @pytest.mark.parametrize("rule,n", [("gauss-legendre", 2), ("composite-simpson", 2)])
+    def test_disc_budget_covers_every_direction(self, rule, n):
+        # a disc's doubled-rule estimate is the Hausdorff distance of Q_n and
+        # Q_2n, ||c_n - c_2n|| + |r_n - r_2n|: the largest change of its
+        # support function over all directions, which exceeds the largest
+        # change of one channel when the centre moves
+        f = make_disc_family((2.0, -1.0), (0.5, 0.5), 9.0, 2.0, DOM12)
+        res = aumann_integral(f, 1.0, 2.0, QuadratureSpec(rule, n))
+        xs, ws = (np.polynomial.legendre.leggauss(n) if rule == "gauss-legendre" else
+                  (np.linspace(-1.0, 1.0, n + 1), np.array([1.0, 4.0, 1.0]) / 3.0))
+        q_n = (0.5 * ws) @ f.eval_vector(1.5 + 0.5 * xs)
+        gap = hausdorff(as_set(q_n, "disc"), res.value)
+        floor = 16 * np.finfo(float).eps * (1.0 + math.hypot(*res.value.center) + res.value.radius)
+        assert res.error_budget == pytest.approx(gap + floor, rel=1e-12)
+        assert gap > np.max(np.abs(q_n - as_row(res.value)))
 
 
 class TestWeightedHarmonicIntegral:

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -182,7 +183,7 @@ class TestBuildFamily:
     def test_disc(self):
         f = build_family({"family": "disc", "v": [1, 0], "w": [0, 1],
                           "K": 3, "beta": 1, "a": 1.0, "b": 2.0})
-        assert f.kind == "support"
+        assert f.kind == "disc"
 
 
 class TestRun:
@@ -244,6 +245,19 @@ class TestMachineFormat:
         report, _ = run(parse_config(doc))
         parsed = json.loads(dumps_machine(report.to_dict()))
         assert parsed == report.to_dict()
+
+    def test_disc_sets_round_trip(self):
+        doc = verify_doc(families=[DISC], theorems=["def_shc", "hh_left", "hh_right"], c=2.0)
+        report, code = run(parse_config(doc))
+        assert code == 1
+        parsed = json.loads(dumps_machine(report.to_dict()))
+        assert parsed == report.to_dict()
+        for entry in parsed["reports"]:
+            for side in ("lhs", "rhs"):
+                assert set(entry[side]) == {"kind", "center", "radius"}
+                assert entry[side]["kind"] == "disc" and len(entry[side]["center"]) == 2
+            witness = entry["witness_direction"]
+            assert witness == "radius" or math.hypot(*witness) == pytest.approx(1.0)
 
     def test_17_digit_floats(self):
         assert dumps_machine(0.1) == "0.10000000000000001"
@@ -414,11 +428,6 @@ class TestConfigErrorExitCode:
             {"family": "quadratic-interval", "alpha": 1.0, "beta": 1.0, "K": 10.0,
              "a": "q", "b": 2.0}]))
 
-    def test_disc_grid_too_small(self, tmp_path, capsys):
-        self.assert_config_error(tmp_path, capsys, verify_doc(
-            families=[{"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0,
-                       "beta": 1.0, "a": 1.0, "b": 2.0, "grid_size": 2}],
-            theorems=["def_shc"]))
 
     def test_disc_vector_not_a_pair(self, tmp_path, capsys):
         for v in ("12", {"x": 1, "y": 0}, [1, 0, 0], [True, 0]):
@@ -427,12 +436,14 @@ class TestConfigErrorExitCode:
                            "beta": 1.0, "a": 1.0, "b": 2.0}],
                 theorems=["def_shc"]))
 
-    def test_disc_grid_size_not_an_integer(self, tmp_path, capsys):
-        for grid_size in (3.9, True, "64"):
-            self.assert_config_error(tmp_path, capsys, verify_doc(
-                families=[{"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0,
-                           "beta": 1.0, "a": 1.0, "b": 2.0, "grid_size": grid_size}],
-                theorems=["def_shc"]))
+    @pytest.mark.parametrize("grid_size", [2, 3.9, True, "64", 3, 64])
+    def test_disc_grid_size_refused(self, tmp_path, capsys, grid_size):
+        # the disc takes no direction count: any grid_size is an unknown key
+        err = self.assert_config_error(tmp_path, capsys, verify_doc(
+            families=[{"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0,
+                       "beta": 1.0, "a": 1.0, "b": 2.0, "grid_size": grid_size}],
+            theorems=["def_shc"]))
+        assert err == "error: unknown disc family key 'grid_size'\n"
 
     @pytest.mark.parametrize("theorems", [["thm33"], ["cor36"]])
     def test_disc_product_theorem(self, tmp_path, capsys, theorems):

@@ -2,8 +2,7 @@
 the SHA-256 of its text with the ``wall_time_s`` line removed.  The
 16384-pair config spans several blocks of the streamed grid pass; its
 digest was recorded before the grid checks were streamed.  The disc
-configs span many blocks of 64-channel rows; the disc search digest was
-recorded before the blocks were sized by elements.  The disc midconvex
+configs' digests were recorded when the disc became a disc (below).  The disc midconvex
 config requests only def_mid and lemma_ii, so its pass covers the t = 1/2
 pairs alone; its digest was recorded while they had a pass of their own.
 The product subset config requests two of the four product ids, one of
@@ -28,6 +27,23 @@ with the strong side's 0 picks the strong side, and lemma_i's lhs, rhs
 (by the shifted ball, 0.5 at x = 1) and tolerance_used changed with it.
 No other field of any golden report changed; the disc-search and
 disc-midconvex digests held.
+
+The three disc digests moved when the disc family's sets became discs,
+decided by the exact rule (r_B - r_A) - ||c_B - c_A|| in place of 64
+support directions.  In disc-verify and disc-midconvex every entry's lhs
+and rhs are {"kind": "disc", "center": [..], "radius": r} documents in
+place of 64 support values; tolerance_used is tol (1 + r_B + ||c_B||),
+which bounds |h_B| in every direction, in place of tol (1 + |h_B|) at the
+witness direction (1.59e-9 -> 4.41e-9 on the grid ids); the witness
+direction is "radius" (the centres coincide) or the unit vector along
+c_lhs - c_rhs, in place of a direction index; the sandwich ids' budget
+is the rounding floor 16 eps (1 + ||c|| + r) of the exact largest support
+value in place of the largest of 64 sampled ones (2.0127800166676966e-14
+-> 2.0132044179869503e-14), and their slacks moved in the last ulps
+(0.01041666666666674 -> 0.010416666666666852 for hh_left).
+In disc-search only the best slack moved, -0.38382528518458514 ->
+-0.38382528518458525; the best config, its verdict and the evaluation
+count held.  No verdict changed, and the five quadratic digests held.
 
 A refactor that must not change results keeps these digests.  A change
 that alters a report on purpose updates the digest and says why.
@@ -96,15 +112,15 @@ GOLDEN = [
     ("default", default_config(), 1,
      "b55d2204f2b2b3c49fd6b737407b7e8b37a1c43c1621d8f8154daff224471841"),
     ("disc-verify", DISC_VERIFY, 0,
-     "cd69d1de82ed4d5f8e237aff552bab44d822d6b5891b9c5b731819cc31a11903"),
+     "c6b785683c14c7186e5bb3a92b3b35ef558e69c40b3ee2442b0156ce6454357f"),
     ("quadratic-search", QUADRATIC_SEARCH, 1,
      "1a4679b2479427d65f082ec7dbe7a98fbd581a74750658752bb2b24ee5858175"),
     ("default-16k", DEFAULT_16K, 1,
      "1fb9a3bad07774cd0f1e7595d5a2842aea6139a704bdbd489d71b5c902125658"),
     ("disc-search", DISC_SEARCH, 1,
-     "6799f8dfd4aa28ed96f5fcb8c78f18e761b9cb3c07dea452239cb22e4c84fafe"),
+     "a1666335f06361bee860ab9ab6fee9f87937bb0ffc9e9af3488fb6db8a66c7f8"),
     ("disc-midconvex", DISC_MIDCONVEX, 0,
-     "9dc7274da105d29025125f1b70333e2f82e7cc4ecee98bef2c4a77c99e41c2c8"),
+     "1d704415052613dac51ab2c9c0626b5da0456f1e53435aea83ca06ea9a899a2e"),
     ("product-subset", PRODUCT_SUBSET, 1,
      "63f124e031b54b5037633f4db30c774e30f5835a268a8ed9fd7ae3e98ae4be7c"),
     ("x-space", X_SPACE, 1,

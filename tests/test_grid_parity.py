@@ -2,8 +2,7 @@
 ``grid_reports`` for every subset of the grid ids, on interval, disc,
 tied-direction sampled and c-shifted families, both samplings and three
 moduli.  The lemma ids need c > 0, so their subsets run at c = 1/2 and 2
-only.  One 64-direction disc def_shc run at 16,384 pairs spans many
-blocks.
+only.  One disc def_shc run at 16,384 pairs spans many blocks.
 
 The digest was recorded before the blocks were reduced through one key
 array per block and before the pass computed the geometry of a group of
@@ -14,8 +13,12 @@ pass moved to u = 1/x: the disc's text stayed the same, and in the other
 three families' no verdict or witness triple moved and every slack moved
 by at most 8.4e-16.  The shift lemma reports whichever of its two sides
 has the smaller slack, so where the strong and shifted slacks of one row
-swapped order in the last ulp, its sets are now the other side's.  A
-change that must not alter results keeps it.
+swapped order in the last ulp, its sets are now the other side's.  It
+moved again when the disc became a disc: the disc's lines (345 of 1,377)
+now hold Disc sets, the exact rule's tolerance and a unit-vector or
+"radius" witness, with the same verdicts; the other three families' text
+stayed byte for byte the same.  A change that must not alter results
+keeps it.
 """
 
 import hashlib
@@ -41,7 +44,7 @@ FAMILIES = (
     CShiftFn(make_quadratic_family(0.5, 1.0, 10.0, DOM12), 0.75),
 )
 
-DIGEST = "9aa03fed6ce89cbc1c7859cfea14367987dad134e9422d56a29e199de70f75c2"
+DIGEST = "8f8e42fe9ae5145f333f60bfd351bbd32d52acb1dd462090ec397ccd1b364dc6"
 
 
 def report_text(reports) -> str:

@@ -28,8 +28,8 @@ from harmonichh.hh_check import (
     grid_reports,
     shift_lemma_report,
 )
-from harmonichh.set_core import (Interval, NonFiniteSetError, as_set, basis_product, hausdorff,
-                                 inclusion_block, row_verdict, support_keys)
+from harmonichh.set_core import (Disc, Interval, NonFiniteSetError, as_row, as_set, hausdorff,
+                                 inclusion_block, row_verdict)
 from harmonichh.svf import (
     DomainError,
     FeasibilityError,
@@ -323,8 +323,8 @@ class TestNikodem:
     @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("make", [
         lambda: make_family(default_config()["families"][0]),
-        lambda: make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=64),
-    ], ids=["default-quadratic", "disc-64"])
+        lambda: make_disc_family((1, 0), (0, 1), 3, 1, DOM12),
+    ], ids=["default-quadratic", "disc"])
     def test_one_route_with_the_integral_pass(self, make, c):
         # check_nikodem on G(u) = F(1/u) is the integral pass's Nikodem pair
         # of F, field for field: no second route with a rule of its own
@@ -370,11 +370,13 @@ class TestHH:
         # slack attained on the lower endpoint is translation invariant
         assert l0.verdict.slack == pytest.approx(l1.verdict.slack, abs=1e-10)
 
-    def test_support_kind(self):
-        from harmonichh.svf import make_disc_family
+    def test_disc_kind(self):
         f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12)
         left, right = check_hh(f, 1.0, DOM12, GL16)
         assert left.holds and right.holds
+        # the mean of F(1/u) over [1/2, 1]: centre (3/4, 1), radius 3 - 7/12
+        assert hausdorff(right.rhs, Disc((0.75, 1.0), 3.0 - 7.0 / 12.0)) <= 1e-15
+        assert isinstance(left.lhs, Disc) and isinstance(left.rhs, Disc)
 
 
 SANDWICH_IDS = ("nikodem_left", "nikodem_right", "hh_left", "hh_right")
@@ -605,8 +607,7 @@ MID_IDS = ("def_mid", "lemma_ii")  # the ids a pass on the t = 1/2 pairs alone s
 
 
 def disc_fn():
-    return make_disc_family((0.7, -0.3), (0.2, 0.5), 4.0, 1.5, HarmonicDomain(0.8, 2.1),
-                            grid_size=16)
+    return make_disc_family((0.7, -0.3), (0.2, 0.5), 4.0, 1.5, HarmonicDomain(0.8, 2.1))
 
 
 def sampled_fn(kind):
@@ -667,12 +668,10 @@ def reference_sides(f, c, grid, tol, values=False):
     slacks, tolerances and witnesses of every row, the rows, and (x, y, t).
 
     The pass works in u = 1/x, with u_H = t u_y + (1-t) u_x and the penalty
-    c t(1-t) (u_x - u_y)^2.  A family with a coefficient form (a ``basis``)
-    gets its strong and shifted sides in coefficient space, as the pass
-    forms them, with one ``basis_product`` over all rows.  The quadratic
-    family takes its ends from u^2, at the grid's points and at u_H, and
-    every other family its values at x and at 1/u_H; the shifted map widens
-    them by c u^2.  With ``values`` set, the strong and shifted sides are
+    c t(1-t) (u_x - u_y)^2.  A family with ``rows_in_u`` (the quadratic's
+    ends, the disc's centre and radius) takes its rows from u and u^2, at
+    the grid's points and at u_H, and every other family its values at x and
+    at 1/u_H; the shifted map widens them by c u^2.  With ``values`` set, the strong and shifted sides are
     instead F's values in x, at the midpoint xy/(tx + (1-t)y) with the
     penalty c t(1-t) ((x-y)/(xy))^2, the formulas the pass no longer uses.
     Each side goes through one ``inclusion_rows`` call over the whole grid.
@@ -681,43 +680,21 @@ def reference_sides(f, c, grid, tol, values=False):
     t = np.asarray(grid.t_values)
     x, y, ts = np.repeat(xs, t.size), np.repeat(ys, t.size), np.tile(t, xs.size)
 
-    def side(fy, fx, rhs, pen):
-        lhs = ts[:, None] * fy + (1.0 - ts)[:, None] * fx
-        if f.kind == "interval":
-            lhs[:, 0] -= pen
-            lhs[:, 1] += pen
-        else:
-            lhs += pen[:, None]
-        return inclusion_rows(lhs, rhs, f.kind, tol) + (lhs, rhs)
-
-    def shifted(vals, r):
+    def widened(vals, r):
         # vals widened by the balls of radius r
         out = vals.copy()
         if f.kind == "interval":
             out[:, 0] -= r
             out[:, 1] += r
+        elif f.kind == "disc":
+            out[:, 2] += r
         else:
             out += r[:, None]
         return out
 
-    def coefficient_side(c, shift):
-        # F's coefficients at u_y, u_x and u_H, with the shifted map's c u^2
-        # on the ball row; the penalty on the strong side's ball row
-        s = 1.0 - ts
-        coefs = []
-        for point in (v, u, uh):
-            a = f.rows_in_u(point, point * point, np.empty((3, point.size))).T
-            a[:, -1] += shift * (point * point)
-            coefs.append(a)
-        ay, ax, ah = coefs
-        lhs = ts[:, None] * ay + s[:, None] * ax
-        lhs[:, -1] += c * ts * s * (u - v) ** 2
-        m = f.basis.shape[1]
-        slack, hb, lhs_values = (basis_product(a, f.basis, np.empty((ts.size, m)))
-                                 for a in (ah - lhs, ah, lhs))
-        j = support_keys(slack, hb, tol, np.empty_like(hb)).argmin(axis=1)
-        r = np.arange(j.size)
-        return slack[r, j], (np.abs(hb[r, j]) + 1.0) * tol, j, lhs_values, hb
+    def side(fy, fx, rhs, pen):
+        lhs = widened(ts[:, None] * fy + (1.0 - ts)[:, None] * fx, pen)
+        return inclusion_rows(lhs, rhs, f.kind, tol) + (lhs, rhs)
 
     u, v = 1.0 / x, 1.0 / y
     uh = ts * v + (1.0 - ts) * u
@@ -727,17 +704,17 @@ def reference_sides(f, c, grid, tol, values=False):
         dist2 = ((x - y) / (x * y)) ** 2
         fx, fy, fm = (f.eval_vector(p) for p in (x, y, mids))
         strong = side(fy, fx, fm, strength * dist2)
-        shifted_side = side(*(shifted(vals, c / p ** 2) for vals, p in (
+        shifted_side = side(*(widened(vals, c / p ** 2) for vals, p in (
             (fy, y), (fx, x), (fm, mids))), 0.0 * strength) if c > 0 else None
-    elif f.basis is not None:
-        strong, shifted_side = coefficient_side(c, 0.0), coefficient_side(0.0, c)
     else:
         if f.rows_in_u is not None:
-            fy, fx, fm = (f.rows_in_u(p, p * p, np.empty((2, p.size))).T for p in (v, u, uh))
+            channels = 2 if f.kind == "interval" else 3
+            fy, fx, fm = (f.rows_in_u(p, p * p, np.empty((channels, p.size))).T
+                          for p in (v, u, uh))
         else:
             fy, fx, fm = (f.eval_vector(p) for p in (y, x, 1.0 / uh))
         strong = side(fy, fx, fm, strength * (u - v) ** 2)
-        shifted_side = side(*(shifted(vals, c * (p * p)) for vals, p in (
+        shifted_side = side(*(widened(vals, c * (p * p)) for vals, p in (
             (fy, v), (fx, u), (fm, uh))), 0.0 * strength) if c > 0 else None
     return {
         "strong": strong,
@@ -807,30 +784,16 @@ class TestAgainstUnblockedReference:
                     reference_pass(f, c, grid, 1e-9, sub), (c, sub)
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
-    def test_coefficients_agree_with_values(self, sampling):
-        # The disc's coefficient-space sides against its values at every
-        # triple in x: the same verdict on every row, slacks within 1e-13.
-        f = disc_fn()
-        grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
-        for c in (0.5, 1.5, 2.5):
-            coef = reference_sides(f, c, grid, 1e-9)
-            vals = reference_sides(f, c, grid, 1e-9, values=True)
-            for name in ("strong", "shifted"):
-                (s0, t0), (s1, t1) = coef[name][:2], vals[name][:2]
-                assert np.array_equal(s0 >= -t0, s1 >= -t1), (c, name)
-                assert np.max(np.abs(s0 - s1)) <= 1e-13, (c, name)
-        assert not np.all(coef["strong"][0] >= -coef["strong"][1])  # c = 2.5 fails somewhere
-
-    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
-    @pytest.mark.parametrize("family", ["quadratic", "tight", "sampled-interval",
+    @pytest.mark.parametrize("family", ["quadratic", "tight", "disc", "sampled-interval",
                                         "sampled-support", "c-shifted"])
     def test_u_space_agrees_with_x_values(self, family, sampling):
-        # The grid pass's sides in u = 1/x, from u^2 (rows_in_u) or F at
-        # 1/u_H, against F's values in x at the midpoint xy/(tx + (1-t)y)
+        # The grid pass's sides in u = 1/x, from u and u^2 (rows_in_u) or F
+        # at 1/u_H, against F's values in x at the midpoint xy/(tx + (1-t)y)
         # with the penalty c t(1-t) ((x-y)/(xy))^2: the same verdict on every
         # row, slacks within 1e-13.
         f = {"quadratic": lambda: make_quadratic_family(1.5, 2.0, 20.0, DOM12),
              "tight": lambda: make_quadratic_family(1.0, 1.0, 10.0, DOM12),
+             "disc": disc_fn,
              "sampled-interval": lambda: sampled_fn("interval"),
              "sampled-support": lambda: sampled_fn("support"),
              "c-shifted": lambda: CShiftFn(make_quadratic_family(1.5, 2.0, 20.0, DOM12),
@@ -850,7 +813,7 @@ class TestAgainstUnblockedReference:
                              ids=["1024", "262144", "disc-1024", "disc-16384"])
     def test_endpoint_rows_exact(self, family, pairs):
         # At t = 0 or 1, u_H is u_x or u_y exactly, and both families' rows
-        # (the quadratic's ends, the disc's coefficients) come from u and u^2
+        # (the quadratic's ends, the disc's centre and radius) come from u and u^2
         # at the grid's points and at u_H alike, so both sides of the row are
         # the same bits and its slack is exactly 0.0; on the t = 1/2 rows of a
         # held pass the slack is >= 0.  At tol = 0 a key is its slack, so the
@@ -889,123 +852,21 @@ class TestAgainstUnblockedReference:
         assert any("-0.0" in text for text in texts)
 
 
-def coefficient_blocks(monkeypatch):
-    """Counts of the grid pass's chunks of a coefficient family's blocks (of
-    more than one triple) by the stage that decided them, for blocks of one
-    chunk each (as the 16-direction disc's blocks of at most 7 pairs are):
-    ``(floors, measured, folded)``.  A side list that may skip takes each
-    block's slack floors first (``basis_floor``), and skips the chunk on
-    them before any product (floors - measured of its chunks); a chunk not
-    skipped there takes h_B's product (measured), and is skipped on that
-    product or folded through the slack's product and ``support_keys``
-    (folded).  The one-row products form the reports' sets."""
-    floors = block_shapes(monkeypatch, "basis_floor")
-    keys = block_shapes(monkeypatch, "support_keys")
-    products = block_shapes(monkeypatch, "basis_product")
-
-    def counts():
-        folded = sum(shape[0] > 1 for shape in keys)
-        measured = sum(shape[0] > 1 for shape in products) - folded
-        return sum(shape[0] > 1 for shape in floors), measured, folded
-
-    return counts
-
-
-class TestSkippedBlocks:
-    """A chunk of a coefficient family's block is skipped when a lower bound
-    on each of its keys, fl(tol + its slack floor) before any product, then
-    fl(fl(fl(m + 1) tol) + floor) at its least |h_B| m, is at or above every
-    side's kept key (an equal one loses on the block's least grid index);
-    the reports stay those of the unblocked reference."""
-
-    # (floors, measured, folded) over the twelve passes of each case
-    SKIPPED = {("deterministic-stratified", 1): (3200, 1768, 1768),
-               ("deterministic-stratified", 7): (840, 464, 464),
-               ("deterministic-stratified", None): (32, 50, 50),
-               ("seeded-random", 1): (3200, 1664, 1664),
-               ("seeded-random", 7): (806, 316, 316),
-               ("seeded-random", None): (30, 54, 54)}
-
-    @pytest.mark.parametrize("block_pairs", [1, 7, None])
-    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
-    def test_reports_equal_where_blocks_are_skipped(self, monkeypatch, sampling, block_pairs):
-        f = disc_fn()  # modulus 1.5
-        grid = ConvexityGrid(pair_count=400, sampling=sampling, seed=4)
-        counts = coefficient_blocks(monkeypatch)
-        for c in (2.0, 3.0):
-            for ids in [(tid,) for tid in GRID_IDS] + [GRID_IDS]:
-                rep = grid_reports(f, c, grid, ids, block_pairs=block_pairs)
-                assert not any(r.holds for r in rep.values())
-                assert rep == reference_pass(f, c, grid, 1e-9, ids), (c, ids)
-        # a violated pass skips most chunks on their floors, and its kept
-        # key is too far below any other for h_B's product to decide one
-        assert counts() == self.SKIPPED[sampling, block_pairs]
-
-    def test_skipped_blocks_count_their_triples(self, monkeypatch):
-        f = disc_fn()
-        grid = ConvexityGrid(pair_count=400)
-        counts = coefficient_blocks(monkeypatch)
-        rep = grid_reports(f, 3.0, grid, ("def_shc", "def_mid"), block_pairs=7)
-        # 60 chunks: 44 skipped before any product, 16 folded
-        assert counts() == (60, 16, 16)
-        assert rep["def_shc"].inputs_echo["triples"] == 400 * len(grid.t_values)
-        assert rep["def_mid"].inputs_echo["triples"] == 400
-
-    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
-    @pytest.mark.parametrize("case", ["tol-0", "prop_31", "near-overflow"])
-    def test_no_skip(self, monkeypatch, case, sampling):
-        # At tol = 0 an overflowing h_B makes a NaN key of any slack; prop_31
-        # reads every key of the strong side; with K = 1e302 an h_B
-        # coefficient is within 2^1000 of the basis's reach, where a product
-        # could overflow to a NaN h_B.  No floor is taken, and every chunk is
-        # folded.
-        f = (make_disc_family((0.7, -0.3), (0.2, 0.5), 1e302, 1.5, HarmonicDomain(0.8, 2.1),
-                              grid_size=16) if case == "near-overflow" else disc_fn())
-        grid = ConvexityGrid(pair_count=400, sampling=sampling, seed=4)
-        c, ids, tol = {"tol-0": (3.0, ("def_shc", "lemma_i"), 0.0),
-                       "prop_31": (3.0, ("def_shc", "prop_31"), 1e-9),
-                       "near-overflow": (1e300, ("def_shc", "lemma_i"), 1e-9)}[case]
-        counts = coefficient_blocks(monkeypatch)
-        rep = grid_reports(f, c, grid, ids, tol, block_pairs=7)
-        assert not any(r.holds for r in rep.values())
-        floors, measured, folded = counts()
-        assert floors == 0 and measured == folded > 1
-        assert rep == reference_pass(f, c, grid, tol, ids)
-
-    @pytest.mark.parametrize("sampling,folded", [("deterministic-stratified", 12),
-                                                 ("seeded-random", 8)],
-                             ids=["deterministic-stratified", "seeded-random"])
-    def test_held_chunks_skipped(self, monkeypatch, sampling, folded):
-        # On a held pass the t = 0 rows of every block have slack 0, so no
-        # chunk is skipped on its floor; but a chunk whose least |h_B| keeps
-        # its every key above the kept one is skipped after h_B's product.
-        f = disc_fn()
-        grid = ConvexityGrid(pair_count=400, sampling=sampling, seed=4)
-        counts = coefficient_blocks(monkeypatch)
-        rep = grid_reports(f, 0.75, grid, ("def_shc", "lemma_i"), block_pairs=7)
-        assert all(r.holds for r in rep.values())
-        chunks = 2 * (60 if sampling == "deterministic-stratified" else 58)
-        assert counts() == (chunks, chunks, folded)
-        assert rep == reference_pass(f, 0.75, grid, 1e-9, ("def_shc", "lemma_i"))
-
-
 def seeded_discs(count=12, seed=25):
     """Seeded certified discs: v, w, beta, the domain and K's margin above
-    its least value drawn, with 7, 16 or 64 directions in turn."""
+    its least value drawn."""
     rng = np.random.default_rng(seed)
     discs = []
-    for i in range(count):
+    for _ in range(count):
         v, w = rng.uniform(-1.5, 1.5, (2, 2))
         beta, a, width, margin = rng.uniform([0.2, 0.3, 0.2, 0.01], [3.0, 2.0, 3.0, 2.0])
         dom = HarmonicDomain(a, a + width)
-        discs.append(make_disc_family(v, w, beta / a ** 2 * (1.0 + margin), beta, dom,
-                                      grid_size=(7, 16, 64)[i % 3]))
+        discs.append(make_disc_family(v, w, beta / a ** 2 * (1.0 + margin), beta, dom))
     return discs
 
 
 class TestSeededDiscs:
-    """The streamed pass, with its chunks skipped on their floors and on
-    their least |h_B|, gives the unblocked reference's reports on seeded
+    """The streamed pass gives the unblocked reference's reports on seeded
     discs, held (c <= beta) and violated (c > beta)."""
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
@@ -1021,6 +882,34 @@ class TestSeededDiscs:
                 ids = subsets[(3 * i + j + index) % len(subsets)]
                 assert grid_reports(f, c, grid, ids, block_pairs=block_pairs) == \
                     reference_pass(f, c, grid, 1e-9, ids), (c, block_pairs, ids)
+
+
+class TestOverflowingCentres:
+    """On [2^-500, 2^-499], u = 1/x reaches 2^500, so with |v| near 2^13 the
+    centres v u + w reach about 2^513 and their squares overflow.  The pass
+    takes those lengths from np.hypot, so every report's slack and
+    tolerance are finite and match a hypot-based reference at its row."""
+
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    def test_finite_and_as_hypot_gives(self, sampling):
+        a = 2.0 ** -500
+        f = make_disc_family((2.0 ** 13, -(2.0 ** 12)), (0.5, 0.25), 1.5 / a ** 2 * 1.001, 1.5,
+                             HarmonicDomain(a, 2.0 * a))
+        grid = ConvexityGrid(pair_count=256, sampling=sampling, seed=3)
+        eps = np.finfo(float).eps
+        holds = []
+        for c in (0.75, 1.5, 3.0):
+            for rep in grid_reports(f, c, grid, GRID_IDS).values():
+                lhs, rhs = as_row(rep.lhs), as_row(rep.rhs)
+                assert np.hypot(rhs[0], rhs[1]) > 2.0 ** 512  # a square overflows
+                slack = (rhs[2] - lhs[2]) - np.hypot(rhs[0] - lhs[0], rhs[1] - lhs[1])
+                tol = 1e-9 * (1.0 + rhs[2] + np.hypot(rhs[0], rhs[1]))
+                v = rep.verdict
+                assert np.isfinite(v.slack) and np.isfinite(v.tolerance_used)
+                assert abs(v.slack - slack) <= 4 * eps * (rhs[2] + lhs[2]), (c, rep.theorem_id)
+                assert v.tolerance_used == pytest.approx(tol, rel=4 * eps), (c, rep.theorem_id)
+                holds.append(rep.holds)
+        assert any(holds) and not all(holds)
 
 
 class TestFold:
@@ -1142,10 +1031,9 @@ class TestFold:
 
 def block_shapes(monkeypatch, name="inclusion_block"):
     """The (rows, channels) shape of the first argument of every call the
-    grid pass makes to ``name``, one of its kernels (the inclusion rule's
-    ``inclusion_block`` or ``support_keys``, or ``basis_product``; for
-    ``interval_block``, on ends held end by end, (2, rows)), recorded from
-    then on."""
+    grid pass makes to ``name``, one of the inclusion rule's kernels
+    (``inclusion_block``; for ``interval_block`` and ``disc_block``, on sets
+    held channel by channel, (channels, rows)), recorded from then on."""
     shapes = []
     kernel = getattr(hh_check, name)
 
@@ -1162,34 +1050,27 @@ class TestBlockSize:
     BLOCK_ELEMENTS // (t values x channels per array) pairs (at least one)
     and n grid points per axis, a run of p x values shorter than a row
     gives one block per y row; otherwise a block holds p // n whole rows.
-    An interval's ends are arrays of their own, one channel each; a support
-    family's rows are one array of all its channels: the disc's three
-    coefficients, or with prop_31 asked for, G's values at every triple.
-    The disc's products run BLOCK_ELEMENTS // channels rows at a time; its
-    p is at most that, and its products take a block in chunks of as many
-    whole runs (one y row at one t) as fit."""
+    An interval's ends and a disc's centre coordinates and radius are
+    arrays of their own, one channel each; a support family's values are
+    one array of all its channels."""
 
     # all grid ids: the strong, shifted and arithmetic sides on the whole t
     # grid; the midconvex ids alone: the strong and shifted sides at t = 1/2
     @pytest.mark.parametrize("walk,ids", [("triples", GRID_IDS), ("midconvex", MID_IDS)],
                              ids=["triples", "midconvex"])
-    @pytest.mark.parametrize("family,pairs", [("quadratic", 16384), ("disc-64", 1024)])
-    def test_default_block_within_budget(self, monkeypatch, family, pairs, walk, ids):
-        f = (make_quadratic_family(1.5, 2.0, 20.0, DOM12) if family == "quadratic"
-             else make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12))
+    @pytest.mark.parametrize("family", ["quadratic", "disc"])
+    def test_default_block_within_budget(self, monkeypatch, family, walk, ids):
+        f, rule, channels = (
+            (make_quadratic_family(1.5, 2.0, 20.0, DOM12), "interval_block", 2)
+            if family == "quadratic" else
+            (make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12), "disc_block", 3))
+        pairs = 16384
         shapes = block_shapes(monkeypatch)
-        ends = block_shapes(monkeypatch, "interval_block")
-        keys = block_shapes(monkeypatch, "support_keys")
-        products = block_shapes(monkeypatch, "basis_product")
-        floors = block_shapes(monkeypatch, "basis_floor")
+        rows = block_shapes(monkeypatch, rule)
         grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
         m = len(GRID.t_values) if walk == "triples" else 1
         n = round(pairs ** 0.5)
-        per_array = {"quadratic": 1, "disc-64": 64 if walk == "triples" else 3}[family]
-        rows = BLOCK_ELEMENTS // 64
-        p = BLOCK_ELEMENTS // (m * per_array)
-        if family == "disc-64":
-            p = min(p, rows)
+        p = BLOCK_ELEMENTS // m
         # x values per run, and y rows per block
         k = min(p, n)
         step = p // k
@@ -1197,54 +1078,17 @@ class TestBlockSize:
         blocks = [(min(step, n - i) * min(k, n - j), min(k, n - j))
                   for j in range(0, n, k) for i in range(0, n, step)]
         pairs_per_block = [b for b, _ in blocks]
-        expected = {("quadratic", "triples"): (8 * 128, 16),
-                    ("quadratic", "midconvex"): (96 * 128, 2),
-                    ("disc-64", "triples"): (17, 64),
-                    ("disc-64", "midconvex"): (6 * 32, 6)}
-        assert (pairs_per_block[0], len(pairs_per_block)) == expected[family, walk]
-        if family == "disc-64":
-            # a block's chunks of as many whole runs as fit one product
-            spans = [rows // r * r for _, r in blocks]
-            chunks = [[min(span, b * m - i) for i in range(0, b * m, span)]
-                      for b, span in zip(pairs_per_block, spans)]
-            assert rows == 192 and chunks[:1] + chunks[-1:] == {
-                "triples": [[187], [165]], "midconvex": [[192], [64]]}[walk]
-            # the strong and shifted sides in coefficients, a block one chunk
-            # here: a chunk that may be skipped takes its slack's floor first;
-            # a folded one takes h_B's and the slack's products and its keys,
-            # one decided after h_B's product that product alone.  This held
-            # pass decides no chunk on its floor, since every block holds
-            # rows of slack 0 (at t = 0, or at t = 1/2 where x = y), and
-            # decides every chunk after h_B's product but: with prop_31, which
-            # reads every key of the strong side, the shifted side's first 33;
-            # at t = 1/2, each side's first.
-            assert all(len(block) == 1 for block in chunks)
-            folded = {"triples": [(True, i < 33) for i in range(len(chunks))],
-                      "midconvex": [(i == 0, i == 0) for i in range(len(chunks))]}[walk]
-            # the sides that may skip take floors: not the strong side with prop_31
-            skipping = 1 if walk == "triples" else 2
-            assert floors == [(block[0], 3) for block in chunks for _ in range(skipping)]
-            assert keys == [(block[0], 64) for block, sides in zip(chunks, folded)
-                            for kept in sides if kept]
-            # the sets at each report's kept row are one-row products
-            pass_products = [shape for shape in products if shape[0] != 1]
-            assert pass_products == [(block[0], 3) for block, sides in zip(chunks, folded)
-                                     for kept in sides for _ in range(1 + kept)]
-            # prop_31's arithmetic side takes G's (triples, 64) values, a
-            # block's at once
-            assert shapes == ([(k * m, 64) for k in pairs_per_block]
-                              if walk == "triples" else [])
-            assert max(r * c for r, c in shapes + keys) <= BLOCK_ELEMENTS
-            return
-        # each block's ends go through the inclusion rule once for the strong
-        # side and once for the shifted one; prop_31's arithmetic side takes
-        # G's (triples, 2) values in parts of BLOCK_ELEMENTS values
-        assert ends == [(2, k * m) for k in pairs_per_block for _ in range(2)]
-        assert max(triples for _, triples in ends) <= BLOCK_ELEMENTS
-        part = BLOCK_ELEMENTS // 2
-        assert shapes == ([(min(part, k * m - i), 2) for k in pairs_per_block
+        expected = {"triples": (8 * 128, 16), "midconvex": (96 * 128, 2)}
+        assert (pairs_per_block[0], len(pairs_per_block)) == expected[walk]
+        # each block's channels go through the rule once for the strong side
+        # and once for the shifted one; prop_31's arithmetic side takes G's
+        # (triples, channels) values in parts of BLOCK_ELEMENTS values
+        assert rows == [(channels, k * m) for k in pairs_per_block for _ in range(2)]
+        assert max(triples for _, triples in rows) <= BLOCK_ELEMENTS
+        part = BLOCK_ELEMENTS // channels
+        assert shapes == ([(min(part, k * m - i), channels) for k in pairs_per_block
                            for i in range(0, k * m, part)] if walk == "triples" else [])
-        assert max((rows * channels for rows, channels in shapes), default=0) <= BLOCK_ELEMENTS
+        assert max((r * c for r, c in shapes), default=0) <= BLOCK_ELEMENTS
 
     def test_floor_is_one_pair(self, monkeypatch):
         xs = np.linspace(1.0, 2.0, 9)
@@ -1277,9 +1121,9 @@ class TestBoundedMemory:
         assert peak(65536) < 2.0 * peak(4096)
 
     def test_disc_peak_does_not_grow_with_the_grid(self):
-        # The pass holds a block (about 0.5 MB of 64-direction rows) and F at
-        # the grid's points, not the pairs.  An unstreamed pass would need
-        # about 16x as much.
+        # The pass holds a block (about 1 MB of workspace rows) and F at the
+        # grid's points, not the pairs.  An unstreamed pass would need about
+        # 16x as much.
         f = make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12)
 
         def peak(pairs):

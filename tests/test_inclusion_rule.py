@@ -12,6 +12,7 @@ from harmonichh.aumann import QuadratureSpec
 from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, _Worst
 from harmonichh.set_core import (
+    Disc,
     Interval,
     SupportSet,
     as_row,
@@ -35,7 +36,7 @@ _XS = np.linspace(1.0, 2.0, 9)
 FAMILIES = {
     "quadratic": make_quadratic_family(1.0, 1.0, 10.0, DOM12),
     "quadratic-weak": make_quadratic_family(0.5, 1.0, 10.0, DOM12),
-    "disc": make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12, grid_size=16),
+    "disc": make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12),
     "sampled": SampledFn(_XS, np.column_stack([1.0 / _XS ** 2 + 0.05 * np.sin(5 * _XS),
                                                10.0 - 1.0 / _XS ** 2]), DOM12),
 }
@@ -46,11 +47,17 @@ def _rows(rng, kind, n):
     if kind == "interval":
         lo = rng.normal(size=(n, 2))
         return np.sort(lo, axis=1), np.sort(lo + 0.3 * rng.normal(size=(n, 2)), axis=1)
+    if kind == "disc":
+        lhs = rng.normal(size=(n, 3))
+        lhs[:, 2] = np.abs(lhs[:, 2])
+        rhs = lhs + 0.3 * rng.normal(size=(n, 3))
+        rhs[:, 2] = np.abs(rhs[:, 2])
+        return lhs, rhs
     lhs = rng.normal(size=(n, 8))
     return lhs, lhs + 0.1 * rng.normal(size=(n, 8))
 
 
-@pytest.mark.parametrize("kind", ["interval", "support"])
+@pytest.mark.parametrize("kind", ["interval", "support", "disc"])
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.05])
 def test_includes_is_one_row_of_the_kernel(kind, tol):
     lhs, rhs = _rows(np.random.default_rng(3), kind, 200)
@@ -140,7 +147,7 @@ def nonfinite_rows(kind):
     return np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
 
 
-@pytest.mark.parametrize("kind", ["interval", "support"])
+@pytest.mark.parametrize("kind", ["interval", "support", "disc"])
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
 def test_key_sign_against_the_comparison_on_nonfinite_rows(kind, tol):
     # A row holds when its smallest key, slack + tolerance, is >= 0.  That is
@@ -169,9 +176,10 @@ def test_key_sign_against_the_comparison_on_nonfinite_rows(kind, tol):
         assert from_keys == int(np.count_nonzero(compared != compared[order]))
 
 
-@pytest.mark.parametrize("s", [Interval(-1.5, 2.25), SupportSet((1.0, -0.5, 2.0, 0.0))])
+@pytest.mark.parametrize("s", [Interval(-1.5, 2.25), SupportSet((1.0, -0.5, 2.0, 0.0)),
+                               Disc((1.0, -0.5), 2.0)])
 def test_row_set_round_trip(s):
-    kind = "interval" if isinstance(s, Interval) else "support"
+    kind = {Interval: "interval", SupportSet: "support", Disc: "disc"}[type(s)]
     assert as_set(as_row(s), kind) == s
 
 

@@ -62,7 +62,7 @@ def quadratic(lam, alpha, beta, K, a, b):
 
 def disc(lam, v, w, K, beta, a, b):
     return make_disc_family((lam * v[0], lam * v[1]), w, K, lam * lam * beta,
-                            HarmonicDomain(lam * a, lam * b), grid_size=16)
+                            HarmonicDomain(lam * a, lam * b))
 
 
 # (family maker, parameters, c, ids): c below and above the modulus, so that
@@ -196,7 +196,7 @@ REFLECTION_FAMILIES = [
     lambda a, b: make_quadratic_family(1.0, 1.5, 2.5 / a ** 2 + 2.0, HarmonicDomain(a, b)),
     lambda a, b: make_quadratic_family(2.5, 0.75, 3.25 / a ** 2 + 2.0, HarmonicDomain(a, b)),
     lambda a, b: make_disc_family((0.5, -0.25), (0.125, 0.375), 1.25 / a ** 2 + 2.0, 1.25,
-                                  HarmonicDomain(a, b), grid_size=16),
+                                  HarmonicDomain(a, b)),
 ]
 REFLECTION_DOMAINS = [(1.0, 2.0), (0.5, 3.0)]
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonichh.set_core import (
+    Disc,
     Interval,
     InclusionVerdict,
     NegativeScaleError,
@@ -13,18 +14,16 @@ from harmonichh.set_core import (
     RepresentationMismatchError,
     SupportSet,
     UnsupportedProductError,
+    as_row,
     ball,
-    basis_floor,
-    basis_product,
-    directions,
+    disc_block,
     hausdorff,
     includes,
     interval_product,
     minkowski_sum,
-    product_rows,
     scale,
 )
-from oracles import point
+from oracles import directions, point, sampled_disc_margins
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -211,7 +210,7 @@ class TestPoint:
     def test_support_point_is_inner_product(self):
         p = point((1.0, 2.0), "support", grid_size=16)
         expect = directions(16) @ np.array([1.0, 2.0])
-        assert np.allclose(p.as_array(), expect)
+        assert np.allclose(as_row(p), expect)
 
 
 @given(intervals, intervals)
@@ -277,106 +276,177 @@ def test_verdict_invariant_randomized():
         assert v.holds == (v.slack >= -v.tolerance_used)
 
 
-class TestBasisProduct:
-    """A row's basis product has the same bits whatever rows share its call:
-    at every row count from one to a product's rows, and at every position
-    in a block of that many rows.  A bare ``np.matmul`` fails this, since
-    BLAS rounds a one-row product, a matrix-vector call, differently."""
-
-    M = 64
-    ROWS = product_rows(M)
-    BASIS = np.vstack((directions(M) @ [0.7, -0.3], directions(M) @ [0.2, 0.5], np.ones(M)))
-    COEFS = np.random.default_rng(3).uniform(-3.0, 3.0, (2 * ROWS + 5, 3))
-
-    def product(self, coefs):
-        return basis_product(coefs, self.BASIS, np.empty((coefs.shape[0], self.M)))
-
-    def bits(self, values):
-        return values.view(np.uint64)
-
-    def test_shape(self):
-        assert self.ROWS == 192 and self.BASIS.shape == (3, self.M)
-
-    def test_every_row_count(self):
-        whole = self.bits(self.product(self.COEFS))
-        for k in range(1, self.ROWS + 1):
-            for first in (0, (7 * k) % (self.COEFS.shape[0] - k)):
-                part = self.bits(self.product(self.COEFS[first:first + k]))
-                assert np.array_equal(part, whole[first:first + k]), (k, first)
-
-    def test_every_position(self):
-        whole = self.bits(self.product(self.COEFS))
-        block = np.random.default_rng(4).uniform(-3.0, 3.0, (self.ROWS, 3))
-        for i in range(self.ROWS):
-            row = 5 * i % self.COEFS.shape[0]
-            block[i] = self.COEFS[row]
-            assert np.array_equal(self.bits(self.product(block))[i], whole[row]), i
-
-
+discs = st.builds(Disc, st.tuples(finite, finite), st.floats(0, 1e6))
 EPS = np.finfo(float).eps
 
 
-@st.composite
-def floor_cases(draw):
-    """(coefs, basis) for ``basis_floor``: 1 to 4 coefficient rows of k
-    values on a (k, M) basis, with exact zeros, mixed signs, full 53-bit
-    mantissas (from a drawn seed, so that products and sums round) and
-    magnitudes from subnormal to near 2^1000, the products mostly below
-    2^1000.  Where ``attained``, column 0 of the basis holds, per basis row
-    j, the value that makes s_j B_je least for the first row s, so that
-    row's bound is attained there."""
-    k, m, n = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
-    e_coef = draw(st.integers(-1074, 1000))
-    e_basis = draw(st.integers(-1074, 998 - max(e_coef, 0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+class TestDisc:
+    def test_values_are_floats(self):
+        d = Disc(np.array([1, -2]), np.float64(0.5))
+        assert d == Disc((1.0, -2.0), 0.5)
+        assert all(type(v) is float for v in (*d.center, d.radius))
 
-    def entries(shape, e):
-        # exponents from e - 8 to e, about a quarter of the entries 0
-        values = rng.uniform(-1.0, 1.0, shape) * 2.0 ** (e + rng.integers(-8, 1, shape))
-        return np.where(rng.random(shape) < 0.25, 0.0, values)
+    @pytest.mark.parametrize("center,radius,error", [
+        ((0.0, math.inf), 1.0, NonFiniteSetError), ((0.0, 0.0), math.nan, NonFiniteSetError),
+        ((0.0, 0.0), -1e-300, ValueError), ((0.0,), 1.0, ValueError),
+        ((0.0, 1.0, 2.0), 1.0, ValueError)])
+    def test_refused(self, center, radius, error):
+        with pytest.raises(error):
+            Disc(center, radius)
 
-    coefs, basis = entries((n, k), e_coef), entries((k, m), e_basis)
-    if draw(st.booleans()):
-        basis[:, 0] = np.where(coefs[0] >= 0.0, basis.min(axis=1), basis.max(axis=1))
-    return coefs, basis
+    def test_algebra(self):
+        a, b = Disc((1.0, -2.0), 0.5), Disc((0.25, 4.0), 1.5)
+        assert minkowski_sum(a, b) == Disc((1.25, 2.0), 2.0)
+        assert scale(2.0, a) == Disc((2.0, -4.0), 1.0)
+        assert ball(3.0, "disc") == Disc((0.0, 0.0), 3.0)
+        assert minkowski_sum(a, ball(0.25, "disc")) == Disc((1.0, -2.0), 0.75)
+        # ||(0.75, -6)|| = sqrt(36.5625) plus |0.5 - 1.5|
+        assert hausdorff(a, b) == math.hypot(0.75, -6.0) + 1.0
+
+    def test_mixed_kinds_refused(self):
+        with pytest.raises(RepresentationMismatchError):
+            includes(Disc((0.0, 0.0), 1.0), ball(1.0, "support"))
+        with pytest.raises(RepresentationMismatchError):
+            minkowski_sum(Interval(0, 1), Disc((0.0, 0.0), 1.0))
+        with pytest.raises(UnsupportedProductError):
+            interval_product(Disc((0.0, 0.0), 1.0), Disc((0.0, 0.0), 1.0))
+
+    def test_inclusion_rule(self):
+        # D((3, 4), 1) inside D((0, 0), 7): ||(3, 4)|| = 5 <= 7 - 1
+        v = includes(Disc((3.0, 4.0), 1.0), Disc((0.0, 0.0), 7.0), tol=1e-3)
+        assert (v.holds, v.slack, v.witness_direction) == (True, 1.0, [0.6, 0.8])
+        assert v.tolerance_used == 1e-3 * (1.0 + 7.0 + 0.0)
+        v = includes(Disc((0.0, 0.0), 7.0), Disc((3.0, 4.0), 1.0), tol=1e-3)
+        assert (v.holds, v.slack, v.witness_direction) == (False, -11.0, [-0.6, -0.8])
+        assert v.tolerance_used == 1e-3 * (1.0 + 1.0 + 5.0)
+
+    def test_concentric_witness_is_the_radius(self):
+        v = includes(Disc((1.5, -2.0), 2.0), Disc((1.5, -2.0), 1.0))
+        assert (v.holds, v.slack, v.witness_direction) == (False, -1.0, "radius")
+        assert includes(Disc((1.5, -2.0), 1.0), Disc((1.5, -2.0), 1.0)).slack == 0.0
 
 
-class TestBasisFloor:
-    """``basis_floor`` bounds every value of a row's basis product from
-    below, from the coefficients alone, and for the disc's slack rows
-    [0, 0, s] it is s less a few rounding units of itself."""
+def _hypot_rule(lhs, rhs, tol):
+    """The disc rule's slack and tolerance with every length by np.hypot."""
+    norm = np.hypot(rhs[0] - lhs[0], rhs[1] - lhs[1])
+    return (rhs[2] - lhs[2]) - norm, tol * (1.0 + rhs[2] + np.hypot(rhs[0], rhs[1]))
 
-    @settings(max_examples=400, deadline=None)
-    @given(floor_cases())
-    def test_below_every_product_value(self, case):
-        coefs, basis = case
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = basis_product(coefs, basis, np.empty((coefs.shape[0], basis.shape[1])))
-        floor = basis_floor(coefs, basis)
-        assert floor.shape == (coefs.shape[0],)
-        finite = np.isfinite(floor)
-        assert np.all(values[finite] >= floor[finite, None]), (coefs, basis, values, floor)
-        # -inf only where a product could overflow
-        reach = np.abs(coefs) @ np.abs(basis).max(axis=1)
-        assert np.array_equal(~finite, ~(reach < 2.0 ** 1000))
 
-    @pytest.mark.parametrize("grid_size", [3, 16, 64])
-    def test_disc_slack_rows(self, grid_size):
-        dirs = directions(grid_size)
-        basis = np.vstack((dirs @ [0.7, -0.3], dirs @ [0.2, 0.5], np.ones(grid_size)))
-        rng = np.random.default_rng(5)
-        s = rng.uniform(-1.0, 1.0, 200) * 2.0 ** rng.integers(-1000, 990, 200)
-        s[:4] = (1.0, -1.0, 2.0 ** -1000, -(2.0 ** 989))
-        coefs = np.column_stack((np.zeros_like(s), np.zeros_like(s), s))
-        floor = basis_floor(coefs, basis)
-        assert np.all(floor >= s - 32.0 * EPS * np.abs(s))
-        assert np.all(floor < s)
-        values = basis_product(coefs, basis, np.empty((s.size, grid_size)))
-        assert np.all(values >= floor[:, None])
+class TestDiscBlock:
+    """``disc_block`` forms ||.|| as the root of a square sum, and falls back
+    to np.hypot where that sum overflows."""
 
-    def test_nan_and_overflow(self):
-        basis = np.vstack((np.linspace(-1.0, 2.0, 5), np.ones(5)))
-        coefs = np.array([[np.nan, 1.0], [np.inf, 0.0], [2.0 ** 999, 2.0 ** 999], [1.0, -1.0]])
-        floor = basis_floor(coefs, basis)
-        assert floor[:3].tolist() == [-np.inf] * 3
-        assert -2.0 - 1e-12 < floor[3] < -2.0
+    def rows(self, scale_, n=500, seed=3):
+        rng = np.random.default_rng(seed)
+        rhs = rng.uniform(-1.0, 1.0, (3, n)) * scale_
+        rhs[2] = np.abs(rhs[2]) * 3.0
+        lhs = rhs + rng.uniform(-1.0, 1.0, (3, n)) * scale_ * 1e-3
+        return lhs, rhs
+
+    def run(self, lhs, rhs, tol):
+        n = lhs.shape[1]
+        return disc_block(lhs, rhs, tol, *(np.empty(n) for _ in range(3)))
+
+    @pytest.mark.parametrize("scale_", [1.0, 2.0 ** 500, 2.0 ** 520, 2.0 ** 1000, 2.0 ** -520])
+    def test_against_hypot(self, scale_):
+        lhs, rhs = self.rows(scale_)
+        block = self.run(lhs, rhs, 1e-9)
+        slack, tols = _hypot_rule(lhs, rhs, 1e-9)
+        assert np.all(np.isfinite(block.slack)) and np.all(np.isfinite(block.tols))
+        # a root of a square sum is within 2 ulps of hypot's length, and off
+        # by less than 2^-536 where its squares underflow; the slack's own
+        # subtractions add an ulp of each radius
+        scale_of = np.abs(rhs[2]) + np.abs(lhs[2]) + np.hypot(rhs[0] - lhs[0], rhs[1] - lhs[1])
+        assert np.all(np.abs(block.slack - slack) <= 4 * EPS * scale_of + 2.0 ** -536)
+        assert np.all(np.abs(block.tols - tols) <= 4 * EPS * tols)
+        assert np.array_equal(block.keys, block.slack + block.tols)
+
+    def test_overflow_falls_back_only_where_it_overflows(self):
+        lhs, rhs = self.rows(1.0)
+        rhs[:2, :7] *= 2.0 ** 600  # their centres' squares overflow
+        block = self.run(lhs, rhs, 1e-9)
+        slack, tols = _hypot_rule(lhs, rhs, 1e-9)
+        assert np.all(np.isfinite(block.tols)) and np.all(np.isfinite(block.slack))
+        assert np.array_equal(block.tols[:7], tols[:7])
+        assert np.array_equal(block.slack[:7], slack[:7])
+
+    def test_nan_stays_nan(self):
+        lhs, rhs = self.rows(1.0, n=4)
+        lhs[0, 1] = np.nan
+        block = self.run(lhs, rhs, 1e-9)
+        assert np.isnan(block.keys).tolist() == [False, True, False, False]
+
+
+def _near_tie(a, b, slack):
+    """Whether the exact slack is within the boundary samples' reach of 0:
+    the sampling gap ||c_B - c_A|| (1 - cos(pi/4096)) plus rounding."""
+    size = abs(a.radius) + abs(b.radius) + math.hypot(*a.center) + math.hypot(*b.center)
+    gap = math.hypot(b.center[0] - a.center[0], b.center[1] - a.center[1])
+    return abs(slack) <= gap * (1.0 - math.cos(math.pi / 4096)) + 16 * EPS * size
+
+
+class TestDiscOracle:
+    """The exact rule's verdict agrees with every support value of both
+    discs' boundaries sampled at 4,096 angles, away from ties: a held
+    inclusion has no negative sampled margin, a violated one some."""
+
+    @staticmethod
+    def cases(seed=11, count=300):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            size = 10.0 ** rng.uniform(-3, 3)
+            a = Disc(rng.normal(size=2) * size, rng.uniform(0, 2) * size)
+            # B near A: contained, cut or apart, and ties where B = A
+            b = Disc(np.array(a.center) + rng.normal(size=2) * size * rng.choice([0.0, 0.1, 1.0]),
+                     a.radius * rng.uniform(0.5, 3.0) * (i % 9 != 0))
+            yield a, b
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_verdicts_agree(self, tol):
+        decided = 0
+        for a, b in self.cases():
+            v = includes(a, b, tol)
+            margins = sampled_disc_margins(a, b)
+            size = abs(b.radius) + math.hypot(*b.center) + abs(a.radius) + math.hypot(*a.center)
+            # the least sampled margin is the exact slack, less the sampling gap
+            assert margins.min() >= v.slack - 16 * EPS * size
+            if _near_tie(a, b, v.slack + v.tolerance_used):
+                continue
+            decided += 1
+            assert v.holds == bool(np.all(margins + v.tolerance_used >= 0.0)), (a, b)
+        assert decided > 250
+
+    def test_witness_is_the_least_sampled_margin(self):
+        for a, b in self.cases(seed=12, count=60):
+            v = includes(a, b)
+            if v.witness_direction == "radius":
+                assert a.center == b.center
+                continue
+            margins = sampled_disc_margins(a, b)
+            least = directions(4096)[int(margins.argmin())]
+            assert np.dot(least, v.witness_direction) >= math.cos(2 * math.pi / 4096)
+
+
+@settings(max_examples=300, deadline=None)
+@given(discs, discs, st.floats(0.0, 2.0 * math.pi))
+def test_disc_rule_is_the_support_inclusion_in_every_direction(a, b, angle):
+    # slack = min over unit e of h_B(e) - h_A(e), with h(e) = <c, e> + r: no
+    # direction has a smaller margin, and the witness direction attains it
+    v = includes(a, b)
+    size = abs(a.radius) + abs(b.radius) + math.hypot(*a.center) + math.hypot(*b.center)
+    # the length of c_B - c_A is off by less than 2^-536 where its squares
+    # underflow
+    rounding = 8 * EPS * size + 2.0 ** -536
+
+    def margin(e):
+        return (np.dot(b.center, e) + b.radius) - (np.dot(a.center, e) + a.radius)
+
+    assert margin((math.cos(angle), math.sin(angle))) >= v.slack - rounding
+    witness = (1.0, 0.0) if v.witness_direction == "radius" else v.witness_direction
+    assert abs(margin(witness) - v.slack) <= rounding
+    assert v.holds == (v.slack >= 0.0)
+
+
+@given(discs, discs)
+def test_disc_minkowski_commutes(a, b):
+    assert minkowski_sum(a, b) == minkowski_sum(b, a)

@@ -6,7 +6,8 @@ import pytest
 
 from harmonichh.aumann import QuadratureSpec
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid, run_theorems
-from harmonichh.set_core import Interval, directions, hausdorff
+from harmonichh.cli import ConfigError, build_family
+from harmonichh.set_core import Disc, Interval, hausdorff
 from harmonichh.svf import (
     CShiftFn,
     DomainError,
@@ -138,11 +139,10 @@ class TestQuadraticFamily:
 class TestDiscFamily:
     def test_eval_center_radius(self):
         dom = HarmonicDomain(0.9, 2.0)
-        f = make_disc_family((1, 0), (0, 0), 2, 1, dom, grid_size=8)
-        s = f.eval(1.0)
-        # center (1, 0), radius 1: support in direction (1,0) is 2, in (-1,0) is 0
-        assert s.support[0] == pytest.approx(2.0)
-        assert s.support[4] == pytest.approx(0.0)
+        f = make_disc_family((1, 0), (0, 0), 2, 1, dom)
+        # centre v/x + w = (1, 0), radius K - beta/x^2 = 1
+        assert f.eval(1.0) == Disc((1.0, 0.0), 1.0)
+        assert f.eval(2.0) == Disc((0.5, 0.0), 1.75)
 
     def test_infeasible_radius(self):
         with pytest.raises(FeasibilityError):
@@ -158,26 +158,20 @@ class TestDiscFamily:
             make_disc_family((1, 0), (0, 1), K, beta, DOM12)
 
     @pytest.mark.parametrize("grid_size", [3.5, 3.9, 64.5, NAN, math.inf, -math.inf, "7", True,
-                                           None, 2, 2.0],
+                                           None, 2, 2.0, 3, 64.0, np.int64(16), np.float64(7.0)],
                              ids=["3.5", "3.9", "64.5", "nan", "inf", "-inf", "str", "True",
-                                  "None", "2", "2.0"])
-    def test_grid_size_not_a_whole_count(self, grid_size):
-        # a non-whole grid_size is refused by name, not truncated to a
-        # smaller grid or left to int() to raise
-        message = f"disc family needs a whole grid_size >= 3, got {grid_size!r}"
-        with pytest.raises(FeasibilityError, match=re.escape(message)):
+                                  "None", "2", "2.0", "3", "64.0", "int64", "float64"])
+    def test_grid_size_refused(self, grid_size):
+        # the disc is decided exactly from its centre and radius, so it takes
+        # no direction count: the factory has no such keyword, and a config
+        # key is refused as unknown, whatever its value
+        with pytest.raises(TypeError, match="grid_size"):
             make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=grid_size)
-        with pytest.raises(FeasibilityError, match=re.escape(message)):
-            make_family({"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0, "beta": 1.0,
-                         "a": 1.0, "b": 2.0, "grid_size": grid_size})
-
-    @pytest.mark.parametrize("grid_size", [3, 64.0, np.int64(16), np.float64(7.0)],
-                             ids=["3", "64.0", "int64", "float64"])
-    def test_whole_grid_size_is_a_count(self, grid_size):
-        f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=grid_size)
-        assert f.grid_size == grid_size and type(f.grid_size) is int
-        assert f.basis.shape == (3, grid_size)
-        assert f.params()["grid_size"] == grid_size
+        message = "unknown disc family key 'grid_size'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_family({"family": "disc", "v": [1, 0], "w": [0, 1], "K": 3.0, "beta": 1.0,
+                          "a": 1.0, "b": 2.0, "grid_size": grid_size})
+        assert "grid_size" not in make_disc_family((1, 0), (0, 1), 3, 1, DOM12).params()
 
 
 def bound_draws(seed=15, count=8):
@@ -203,7 +197,7 @@ def family_at(kind, args, K):
         alpha, beta, dom = args
         return make_quadratic_family(alpha, beta, K, dom)
     v, w, beta, dom = args
-    return make_disc_family(v, w, K, beta, dom, grid_size=16)
+    return make_disc_family(v, w, K, beta, dom)
 
 
 class TestFeasibilityMargin:
@@ -294,19 +288,15 @@ class TestLayoutBitForBit:
             assert same_bits(f.eval_vector(xs),
                              np.column_stack([alpha * inv2, K - beta * inv2]))
 
-    @pytest.mark.parametrize("grid_size", [3, 16, 64])
-    def test_disc(self, grid_size):
-        f = make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12, grid_size=grid_size)
-        vu, wu = directions(grid_size) @ f.v, directions(grid_size) @ f.w
-        # sizes from none to above one basis product's rows, one row included
+    @pytest.mark.parametrize("v,w,K,beta", [((0.75, -1.5), (0.2, 0.4), 9.0, 1.3),
+                                            ((-0.0, 2.0), (0.0, -0.25), 4.0, 0.5)])
+    def test_disc(self, v, w, K, beta):
+        f = make_disc_family(v, w, K, beta, DOM12)
         for n in (5, 300, 7, 1, 404, 0, 64):
             xs = _POINTS[:n]
             inv = 1.0 / xs
-            radius = f.K - f.beta * inv ** 2
-            out = inv[:, None] * vu
-            out += wu
-            out += radius[:, None]
-            assert same_bits(f.eval_vector(xs), out), n
+            assert same_bits(f.eval_vector(xs), np.column_stack(
+                [v[0] * inv + w[0], v[1] * inv + w[1], K - beta * (inv * inv)])), n
 
     @pytest.mark.parametrize("kind,channels", [("interval", 2), ("support", 5)])
     @pytest.mark.parametrize("c", [0.25, 0.5, 3.0])
@@ -360,18 +350,18 @@ class TestWiden:
         assert widen(rows, self.R, "support") is rows
         assert same_bits(rows, before + self.R)
 
-    def test_ball_rows_alone(self):
-        # a coefficient family's ball row rises, its other rows stay as they are
+    def test_disc_radius_row_alone(self):
+        # a disc's radius row rises, its centre rows stay as they are
         rows = self.rows(3)
         before = rows.copy()
-        assert widen(rows, self.R, "support", slice(-1, None)) is rows
+        assert widen(rows, self.R, "disc") is rows
         assert same_bits(rows[:-1], before[:-1])
         assert same_bits(rows[-1], before[-1] + self.R)
 
     @pytest.mark.parametrize("make", [
         lambda: make_quadratic_family(0.7, 2.5, 13.0, DOM12),
-        lambda: make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12, grid_size=16),
-    ], ids=["interval", "support"])
+        lambda: make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12),
+    ], ids=["interval", "disc"])
     @pytest.mark.parametrize("c", [0.25, 3.0])
     def test_cshift_is_the_base_widened(self, make, c):
         f = make()
@@ -392,11 +382,11 @@ class TestCShift:
         assert hausdorff(g.eval(1.5), f.eval(1.5)) <= 1e-13
 
     def test_disc_radius_grows(self):
-        f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12, grid_size=8)
+        f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12)
         g = CShiftFn(f, 0.5)
         x = 1.25
-        diff = g.eval(x).as_array() - f.eval(x).as_array()
-        assert np.allclose(diff, 0.5 / x ** 2)
+        assert g.eval(x).center == f.eval(x).center
+        assert g.eval(x).radius == pytest.approx(f.eval(x).radius + 0.5 / x ** 2, rel=1e-15)
 
     def test_rejects_nonpositive(self):
         f = make_quadratic_family(1, 1, 10, DOM12)

@@ -69,7 +69,7 @@ def test_traced_default_unit_counts(spans):
     assert metrics["aumann.nodes"] == 208
     # G(u) = F(1/u) at the 32 grid points and the 11264 midpoints of the one
     # grid pass, which takes the quadratic F's own values from u^2
-    # (QuadraticIntervalFn.ends_in_u, which the tracer does not wrap; 22755
+    # (QuadraticIntervalFn.rows_in_u, which the tracer does not wrap; 22755
     # before, with F's 11296); 163 points of the one integral pass: 208
     # quadrature nodes less the 48 of thm35's G = F, which reads F's values,
     # and F at a, b and 2ab/(a+b) once for all eight integral ids

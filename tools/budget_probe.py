@@ -43,8 +43,7 @@ def families(svf, count: int = 40, seed: int = 0) -> list:
         else:
             beta = float(rng.uniform(0.25, 4.0))
             v, w = rng.uniform(-1.0, 1.0, size=(2, 2))
-            out.append(svf.make_disc_family(v, w, stretch * beta / a ** 2, beta, dom,
-                                            grid_size=16))
+            out.append(svf.make_disc_family(v, w, stretch * beta / a ** 2, beta, dom))
     return out
 
 

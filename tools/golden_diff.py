@@ -78,13 +78,24 @@ def grid_parity(old_src: str, new_src: str) -> int:
     return 1
 
 
+def channels(s: dict) -> list:
+    """The numbers of a set document: a SupportSet's support values, an
+    interval's ends, or a disc's centre coordinates and radius."""
+    if s["kind"] == "support":
+        return s["support"]
+    if s["kind"] == "disc":
+        return [*s["center"], s["radius"]]
+    return [s["lo"], s["hi"]]
+
+
 def change(old, new) -> str:
-    """``old -> new``, or for two sets of one kind the largest change of a
-    support value or an interval end."""
-    if isinstance(old, dict) and isinstance(new, dict) and old["kind"] == new["kind"]:
-        ends = [(s["support"] if s["kind"] == "support" else [s["lo"], s["hi"]])
-                for s in (old, new)]
-        return f"{old['kind']} set, largest change {max(map(abs, np.subtract(*ends))):.3g}"
+    """``old -> new``; for two sets of one kind the largest change of one of
+    their numbers, for sets of two kinds the kinds."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        if old["kind"] != new["kind"]:
+            return f"{old['kind']} set -> {new['kind']} set"
+        largest = max(map(abs, np.subtract(channels(old), channels(new))))
+        return f"{old['kind']} set, largest change {largest:.3g}"
     return f"{old} -> {new}"
 
 
