@@ -111,11 +111,11 @@ def _repair(space: SearchSpace, raw: dict) -> dict:
 
 def family_descriptor(cfg: dict) -> dict:
     """The family descriptor of a search config, the layout ``make_family``
-    reads: each pair p from p0 and p1."""
-    desc = dict(cfg)
-    for name in family_class(cfg["family"]).pairs:
-        desc[name] = (cfg[f"{name}0"], cfg[f"{name}1"])
-    return desc
+    reads: its kind, parameters and domain, each pair p from p0 and p1."""
+    cls = family_class(cfg["family"])
+    desc = {name: (cfg[f"{name}0"], cfg[f"{name}1"]) if name in cls.pairs else cfg[name]
+            for name in cls.parameters}
+    return {"family": cfg["family"], **desc, "a": cfg["a"], "b": cfg["b"]}
 
 
 def evaluate_config(cfg: dict, theorem_id: str,

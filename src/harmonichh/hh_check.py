@@ -50,9 +50,9 @@ array of all its channels), a run holds k = min(p, n) x values and a block
 p // k of its y rows.  The budget keeps each float64 block array below the
 allocator's mmap threshold (128 KiB in glibc): a larger array is a fresh
 map that page-faults in on every block.  Proposition 3.1's arithmetic side
-always takes G(u) = F(1/u)'s values in x (the (triples, channels) arrays
-of ``eval_vector``, in parts within the budget), so that it stays an
-independent check of the harmonic side.
+always takes G(u) = F(1/u)'s values through ``eval_vector``, written into
+the workspace's right-side rows once the shifted side has folded, so that
+it stays an independent check of the harmonic side.
 
 Only the inclusion step tells the kinds apart: an interval's or a disc's
 block goes through its branch of the rule in the workspace's rows, a
@@ -65,7 +65,8 @@ for block sizes from 1 to larger than the grid).  It takes the block's
 least key first and puts the elements of that key in grid order only when
 one can replace the kept one, whose slack, tolerance and witness are read
 at that element alone.  Proposition 3.1 counts a row as holding when its
-smallest key is >= 0, from one kernel call per side and block.
+smallest key is >= 0: each side's block goes through the rule once, and
+rows are compared only where a side's least key is negative or NaN.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -400,19 +401,26 @@ class _Arithmetic:
     values of G(u) = F(1/u): whether every row
     t G(v) + (1-t) G(u) + c t(1-t) (u - v)^2 B inside G(t v + (1-t) u)
     holds, their smallest row slack, and how many rows' verdicts differ
-    from the harmonic side's."""
+    from the harmonic side's.  A block whose least key is >= 0 holds on
+    every row, so rows are compared only where a side's least key is
+    negative or NaN."""
 
     def __init__(self, f: SetValuedFn):
         self.g = reciprocal_transform(f)
-        self.holds, self.slack, self.disagreements = True, np.inf, 0
+        self.holds, self.slack, self.disagreements, self.harmonic = True, np.inf, 0, True
 
-    def update(self, lhs, umids, harmonic_keys, kind, tol):
-        """Fold in one block: the rows' left sides ``lhs``, their midpoints
-        ``umids`` in u, and the harmonic side's keys of the same rows."""
-        block = inclusion_block(lhs, self.g.eval_vector(umids), kind, tol)
-        holds = rows_hold(block.keys)
-        self.disagreements += int(np.count_nonzero(rows_hold(harmonic_keys) != holds))
-        self.holds = self.holds and bool(holds.all())
+    def harmonic_rows(self, keys):
+        """Keep the harmonic side's verdicts of a block's rows, from its
+        keys: True where every row holds, else a copy per row."""
+        self.harmonic = True if keys.min() >= 0.0 else rows_hold(keys)
+
+    def update(self, block):
+        """Fold in the arithmetic side's ``inclusion_block`` of the block
+        whose harmonic verdicts ``harmonic_rows`` kept."""
+        least = block.keys.min()
+        if self.harmonic is not True or not least >= 0.0:
+            self.disagreements += int(np.count_nonzero(rows_hold(block.keys) != self.harmonic))
+        self.holds = self.holds and bool(least >= 0.0)
         self.slack = np.minimum(self.slack, np.min(block.row_slack()))
 
 
@@ -456,7 +464,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
 
     def fold(sides, n, where):
         # the inclusion rule on the first n triples of lhs and rhs, folded
-        # into ``sides``; returns their keys
+        # into ``sides``; returns the block
         for side in sides:
             side.triples += n if side.pick is None else n // m
         if rule:
@@ -465,7 +473,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
             block = inclusion_block(lhs[:, :n].T, rhs[:, :n].T, kind, tol)
         for side in sides:
             side.update(block, *where)
-        return block.keys
+        return block
 
     for pts, runs in _walk(grid, f.domain.a, f.domain.b, block_pairs):
         up = 1.0 / pts
@@ -499,24 +507,23 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                 if in_u:
                     f.rows_in_u(uh[:n], uh2[:n], rhs[:, :n])
                 else:
-                    rhs[:, :n] = f.eval_vector(1.0 / uh[:n]).T
-                strong_keys = fold(strong, n, where)
+                    f.eval_vector(1.0 / uh[:n], out=rhs[:, :n])
+                block = fold(strong, n, where)
+                if arith:
+                    arith.harmonic_rows(block.keys)
+                if shift:
+                    # the shifted map has modulus 0: its rows take no penalty;
+                    # its right side is F(u_H) widened by c u_H^2, formed in
+                    # u_H^2's row so that the penalty row stays for prop_31
+                    combine(sp, sx, rows, shape, lhs)
+                    uh2[:n] *= c
+                    widen(rhs[:, :n], uh2[:n], kind)
+                    fold(shift, n, where)
                 if arith:
                     combine(gp, gx, rows, shape, lhs)
                     widen(lhs[:, :n], pen[:n], kind)
-                    # G's values are (triples, channels) arrays: at most
-                    # BLOCK_ELEMENTS values at a time
-                    part = product_rows(channels)
-                    for i in range(0, n, part):
-                        j = min(i + part, n)
-                        arith.update(lhs[:, i:j].T, uh[i:j], strong_keys[i:j], kind, tol)
-                if shift:
-                    # the shifted map has modulus 0: its rows take no penalty;
-                    # its right side is F(u_H) widened by c u_H^2
-                    combine(sp, sx, rows, shape, lhs)
-                    np.multiply(c, uh2[:n], out=pen[:n])
-                    widen(rhs[:, :n], pen[:n], kind)
-                    fold(shift, n, where)
+                    arith.g.eval_vector(uh[:n], out=rhs[:, :n])
+                    arith.update(fold((), n, where))
 
 
 def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,

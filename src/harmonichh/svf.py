@@ -87,7 +87,9 @@ class SetValuedFn(abc.ABC):
     ``eval_vector`` is the workhorse: it maps an array of n points to an
     (n, 2) array of interval endpoints (interval kind), an (n, M) array of
     support values (support kind) or an (n, 3) array of disc centres and
-    radii (disc kind).  ``eval`` wraps a single point into a ConvexSet.
+    radii (disc kind).  Given ``out``, (channels, n) rows such as a grid
+    pass's workspace rows, it writes the same bits into them instead and
+    returns ``out``.  ``eval`` wraps a single point into a ConvexSet.
     """
 
     domain: HarmonicDomain
@@ -109,7 +111,7 @@ class SetValuedFn(abc.ABC):
     moduli: tuple
 
     @abc.abstractmethod
-    def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+    def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Evaluate at points xs (assumed inside the domain)."""
 
     def _check_in_domain(self, xs: np.ndarray) -> None:
@@ -161,12 +163,11 @@ class QuadraticIntervalFn(SetValuedFn):
         """Certified quadratic interval family [alpha/x^2, K - beta/x^2]."""
         return _certified(QuadraticIntervalFn, (alpha, beta, K), dom)
 
-    def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+    def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``rows_in_u`` at u^2 = 1/x^2, into the columns of an (n, 2) array."""
         u2 = 1.0 / np.asarray(xs, dtype=float) ** 2
-        out = np.empty((u2.size, 2))
-        self.rows_in_u(None, u2, out.T)
-        return out
+        rows = self.rows_in_u(None, u2, np.empty((u2.size, 2)).T if out is None else out)
+        return rows.T if out is None else out
 
     def rows_in_u(self, u: Optional[np.ndarray], u2: np.ndarray, out: np.ndarray) -> np.ndarray:
         """F(1/u) = [alpha u^2, K - beta u^2] from the squares ``u2`` of the
@@ -225,12 +226,11 @@ class DiscFn(SetValuedFn):
         np.subtract(self.K, out[2], out=out[2])
         return out
 
-    def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+    def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``rows_in_u`` at u = 1/x, into the columns of an (n, 3) array."""
         us = 1.0 / np.asarray(xs, dtype=float)
-        out = np.empty((us.size, 3))
-        self.rows_in_u(us, us * us, out.T)
-        return out
+        rows = self.rows_in_u(us, us * us, np.empty((us.size, 3)).T if out is None else out)
+        return rows.T if out is None else out
 
 
 class SampledFn(SetValuedFn):
@@ -253,12 +253,14 @@ class SampledFn(SetValuedFn):
         if kind == "support":
             self.grid_size = self._values.shape[1]
 
-    def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+    def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Linear interpolation, np.interp on each channel: the value at a
         knot as sampled, the end values past the ends, NaN at NaN."""
         xs = np.asarray(xs, dtype=float)
-        return np.column_stack([np.interp(xs, self._xs, self._values[:, j])
-                                for j in range(self._values.shape[1])])
+        rows = np.empty((xs.size, self._values.shape[1])).T if out is None else out
+        for j, row in enumerate(rows):
+            row[...] = np.interp(xs, self._xs, self._values[:, j])
+        return rows.T if out is None else out
 
 
 class ReciprocalFn(SetValuedFn):
@@ -271,8 +273,8 @@ class ReciprocalFn(SetValuedFn):
         self.claimed_modulus = base.claimed_modulus
         self.grid_size = base.grid_size
 
-    def eval_vector(self, us: np.ndarray) -> np.ndarray:
-        return self.base.eval_vector(1.0 / np.asarray(us, dtype=float))
+    def eval_vector(self, us: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self.base.eval_vector(1.0 / np.asarray(us, dtype=float), out=out)
 
 
 class CShiftFn(SetValuedFn):
@@ -289,13 +291,14 @@ class CShiftFn(SetValuedFn):
         self.grid_size = base.grid_size
         self.polynomial_in_u = base.polynomial_in_u
 
-    def eval_vector(self, xs: np.ndarray) -> np.ndarray:
+    def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """F's values at ``xs`` widened by the balls of radius c/x^2, in a
-        fresh array."""
+        fresh array (or in ``out``)."""
         xs = np.asarray(xs, dtype=float)
-        vals = self.base.eval_vector(xs).copy()
-        widen(vals.T, self.c / xs ** 2, self.kind)
-        return vals
+        rows = (self.base.eval_vector(xs).copy().T if out is None
+                else self.base.eval_vector(xs, out=out))
+        widen(rows, self.c / xs ** 2, self.kind)
+        return rows.T if out is None else out
 
 
 def widen(rows: np.ndarray, r: np.ndarray, kind: str) -> np.ndarray:
@@ -368,9 +371,12 @@ def _certified(cls: type, values: Sequence, dom: HarmonicDomain) -> SetValuedFn:
 
 def make_family(descriptor) -> SetValuedFn:
     """The certified family a descriptor names, in the layout of its
-    ``params()``."""
+    ``params()``; any other key is refused by name, as ``cli`` refuses it."""
     dom = HarmonicDomain(descriptor["a"], descriptor["b"])
     cls = family_class(descriptor["family"])
+    for key in descriptor:
+        if key not in ("family", "a", "b", *cls.parameters):
+            raise FeasibilityError(f"unknown {cls.family} family key {key!r}")
     return cls.certified(*(descriptor[name] for name in cls.parameters), dom)
 
 

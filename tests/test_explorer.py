@@ -293,13 +293,29 @@ class TestEmitCounterexample:
         assert entry["slack"] == pytest.approx(doc["expected_slack"], abs=1e-12)
 
 
+# a search config of each family, as the search draws it
+SEARCH_CONFIGS = pytest.mark.parametrize("cfg", [
+    {"family": "quadratic-interval", "alpha": 0.3, "beta": 1.7, "K": 12.5,
+     "a": 0.8, "b": 2.2, "c": 1.0},
+    {"family": "disc", "v0": 0.4, "v1": -0.9, "w0": 0.1, "w1": 0.6, "K": 4.0,
+     "beta": 1.3, "a": 0.9, "b": 1.9, "c": 1.0},
+], ids=["quadratic", "disc"])
+
+
 class TestReplay:
-    @pytest.mark.parametrize("cfg", [
-        {"family": "quadratic-interval", "alpha": 0.3, "beta": 1.7, "K": 12.5,
-         "a": 0.8, "b": 2.2, "c": 1.0},
-        {"family": "disc", "v0": 0.4, "v1": -0.9, "w0": 0.1, "w1": 0.6, "K": 4.0,
-         "beta": 1.3, "a": 0.9, "b": 1.9, "c": 1.0},
-    ], ids=["quadratic", "disc"])
+    @SEARCH_CONFIGS
+    def test_descriptor_holds_the_family_keys_alone(self, cfg):
+        # the search hands make_family its family's keys in the params()
+        # layout, without c or the pairs' coordinates, which it would refuse
+        desc = family_descriptor(cfg)
+        f = make_family(desc)
+        assert list(desc) == list(f.params())
+        for key in ("c", "v0", "grid_size"):
+            with pytest.raises(FeasibilityError,
+                               match=re.escape(f"unknown {cfg['family']} family key {key!r}")):
+                make_family({**desc, key: 1.0})
+
+    @SEARCH_CONFIGS
     def test_params_rebuild_the_same_function(self, cfg):
         f = build_function(cfg)
         g = build_family(json.loads(json.dumps(f.params())))

@@ -282,9 +282,9 @@ class TestProp31:
         counts = []
         eval_vector = ReciprocalFn.eval_vector
 
-        def spy(self, us):
+        def spy(self, us, out=None):
             counts.append(np.size(us))
-            return eval_vector(self, us)
+            return eval_vector(self, us, out=out)
 
         monkeypatch.setattr(ReciprocalFn, "eval_vector", spy)
         grid = ConvexityGrid(pair_count=150)
@@ -427,8 +427,8 @@ class TestIntegralPass:
             monkeypatch.setattr(hh_check, name, lambda *args, _name=name, _f=original, **kw:
                                 calls.append(_name) or _f(*args, **kw))
         original = type(f).eval_vector
-        monkeypatch.setattr(type(f), "eval_vector", lambda self, xs: points.append(
-            tuple(xs)) or original(self, xs))
+        monkeypatch.setattr(type(f), "eval_vector", lambda self, xs, out=None: points.append(
+            tuple(xs)) or original(self, xs, out=out))
         run_theorems(f, ids, 0.75, SMALL_GRID, QuadratureSpec(substitution=substitution))
         # aumann_integral never runs: no checker calls it, check_nikodem
         # included, as it runs this pass too
@@ -521,8 +521,8 @@ class TestProductTheorems:
             monkeypatch.setattr(hh_check, name, lambda *args, _name=name, _f=original, **kw:
                                 calls.append(_name) or _f(*args, **kw))
         original = QuadraticIntervalFn.eval_vector
-        monkeypatch.setattr(QuadraticIntervalFn, "eval_vector", lambda self, xs: points.append(
-            (self.alpha, tuple(xs))) or original(self, xs))
+        monkeypatch.setattr(QuadraticIntervalFn, "eval_vector", lambda self, xs, out=None:
+                            points.append((self.alpha, tuple(xs))) or original(self, xs, out=out))
         reports = hh_check.integral_reports(f, g, 1.0, DOM12, GL16, ids)
         assert list(reports) == list(ids)
         integrals = [name for tid, cor, name in (
@@ -782,6 +782,28 @@ class TestAgainstUnblockedReference:
             for sub in id_subsets(GRID_IDS):
                 assert grid_reports(f, c, grid, sub) == \
                     reference_pass(f, c, grid, 1e-9, sub), (c, sub)
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, None])
+    @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
+    @pytest.mark.parametrize("family", ["quadratic", "tight", "disc"])
+    def test_disagreements_at_tol_zero(self, family, sampling, block_pairs):
+        # At tol = 0 rounding alone splits rows between prop_31's two sides
+        # (1,799 of 11,264 on the tight family at c = 1, stratified), so the
+        # pass's count, taken only on blocks where a side's least key is
+        # negative, meets the reference's row-by-row count on many rows; a
+        # one-pair block is where one side holds on every row and the other
+        # does not
+        f = {"quadratic": lambda: make_quadratic_family(1.5, 2.0, 20.0, DOM12),
+             "tight": lambda: make_quadratic_family(1.0, 1.0, 10.0, DOM12),
+             "disc": disc_fn}[family]()
+        grid = ConvexityGrid(pair_count=1024, sampling=sampling, seed=4)
+        counts = []
+        for scale in (0.5, 1.0, 1.0 + 1e-12, 2.0):
+            c = scale * f.claimed_modulus
+            rep = grid_reports(f, c, grid, ("prop_31",), 0.0, block_pairs=block_pairs)
+            assert rep == reference_pass(f, c, grid, 0.0, ("prop_31",)), scale
+            counts.append(rep["prop_31"].inputs_echo["disagreements"])
+        assert counts[1] > 100 and counts[2] > 0
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
     @pytest.mark.parametrize("family", ["quadratic", "tight", "disc", "sampled-interval",
@@ -1080,15 +1102,14 @@ class TestBlockSize:
         pairs_per_block = [b for b, _ in blocks]
         expected = {"triples": (8 * 128, 16), "midconvex": (96 * 128, 2)}
         assert (pairs_per_block[0], len(pairs_per_block)) == expected[walk]
-        # each block's channels go through the rule once for the strong side
-        # and once for the shifted one; prop_31's arithmetic side takes G's
-        # (triples, channels) values in parts of BLOCK_ELEMENTS values
-        assert rows == [(channels, k * m) for k in pairs_per_block for _ in range(2)]
+        # each block's channels go through the rule once for the strong side,
+        # once for the shifted one and, with prop_31, once for the arithmetic
+        # side on G's values in the same workspace rows: no (triples,
+        # channels) parts
+        sides = 3 if walk == "triples" else 2
+        assert rows == [(channels, k * m) for k in pairs_per_block for _ in range(sides)]
         assert max(triples for _, triples in rows) <= BLOCK_ELEMENTS
-        part = BLOCK_ELEMENTS // channels
-        assert shapes == ([(min(part, k * m - i), channels) for k in pairs_per_block
-                           for i in range(0, k * m, part)] if walk == "triples" else [])
-        assert max((r * c for r, c in shapes), default=0) <= BLOCK_ELEMENTS
+        assert shapes == []
 
     def test_floor_is_one_pair(self, monkeypatch):
         xs = np.linspace(1.0, 2.0, 9)

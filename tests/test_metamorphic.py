@@ -184,10 +184,10 @@ class Reflected(SetValuedFn):
     def grid_size(self):
         return self.base.grid_size
 
-    def eval_vector(self, xs):
+    def eval_vector(self, xs, out=None):
         a, b = self.domain.a, self.domain.b
         xs = np.asarray(xs, dtype=float)
-        return self.base.eval_vector(a * b * xs / ((a + b) * xs - a * b))
+        return self.base.eval_vector(a * b * xs / ((a + b) * xs - a * b), out=out)
 
 
 # makers of certified families on [a, b], two quadratic and one disc; K is the

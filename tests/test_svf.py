@@ -174,6 +174,26 @@ class TestDiscFamily:
         assert "grid_size" not in make_disc_family((1, 0), (0, 1), 3, 1, DOM12).params()
 
 
+class TestMakeFamily:
+    """``make_family`` builds a family from the keys of its ``params()``
+    alone and refuses any other key by name, in the CLI's words."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_quadratic_family(0.7, 2.5, 13.0, DOM12),
+        lambda: make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12),
+    ], ids=["quadratic", "disc"])
+    @pytest.mark.parametrize("key", ["grid_size", "c", "v0", "alpah"])
+    def test_unknown_key_refused(self, make, key):
+        f = make()
+        doc = f.params()
+        assert make_family(doc).params() == doc
+        message = f"unknown {f.family} family key {key!r}"
+        with pytest.raises(FeasibilityError, match=re.escape(message)):
+            make_family({**doc, key: 1.0})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_family({**doc, key: 1.0})
+
+
 def bound_draws(seed=15, count=8):
     """Seeded (kind, the factory's arguments but K, need) for quadratic and
     disc families, need being the bound on K as the explorer computes it."""
@@ -324,9 +344,65 @@ class Tabled(SetValuedFn):
         self.vals, self.kind = vals, kind
         self.domain, self.claimed_modulus, self.grid_size = DOM12, None, vals.shape[1]
 
-    def eval_vector(self, xs):
+    def eval_vector(self, xs, out=None):
         assert xs is _POINTS
-        return self.vals
+        if out is None:
+            return self.vals
+        out[...] = self.vals.T
+        return out
+
+
+def _sampled(kind):
+    xp = np.linspace(1.0, 2.0, 9)
+    channels = 2 if kind == "interval" else 5
+    return SampledFn(xp, np.column_stack([np.cos(k * xp) + k for k in range(channels)]), DOM12,
+                     kind=kind)
+
+
+# a family of every class in svf, a support family among them
+OUT_FAMILIES = {
+    "quadratic": lambda: make_quadratic_family(0.7, 2.5, 13.0, DOM12),
+    "disc": lambda: make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12),
+    "sampled-interval": lambda: _sampled("interval"),
+    "sampled-support": lambda: _sampled("support"),
+    "reciprocal-disc": lambda: reciprocal_transform(OUT_FAMILIES["disc"]()),
+    "reciprocal-support": lambda: reciprocal_transform(_sampled("support")),
+    "cshift-quadratic": lambda: CShiftFn(OUT_FAMILIES["quadratic"](), 0.5),
+    "cshift-support": lambda: CShiftFn(_sampled("support"), 3.0),
+}
+
+
+class TestOutRows:
+    """``eval_vector(xs, out=rows)`` writes into the caller's (channels, n)
+    rows, wherever they sit in a wider array, bit for bit what
+    ``eval_vector(xs).T`` holds, and returns ``rows``."""
+
+    @staticmethod
+    def layouts(channels, n):
+        # rows of a wider array: its first rows, rows inside it, and rows
+        # strided both ways; then the columns of an (n, channels) array
+        for rows in (np.s_[:channels, :n], np.s_[1:1 + channels, 2:2 + n],
+                     np.s_[1::2, 1::3]):
+            wide = np.full((2 * channels + 1, 3 * n + 2), -7.5)
+            yield wide[rows][:channels, :n], wide
+        yield np.empty((n, channels)).T, None
+
+    @pytest.mark.parametrize("name", list(OUT_FAMILIES))
+    def test_rows_are_the_values(self, name):
+        f = OUT_FAMILIES[name]()
+        pts = _POINTS.copy()
+        pts[5::17] = np.nan
+        if name.startswith("reciprocal"):
+            pts = 1.0 / pts
+        for xs in (pts, pts[:1], pts[:0]):
+            want = f.eval_vector(xs).T
+            for rows, wide in self.layouts(want.shape[0], xs.size):
+                assert f.eval_vector(xs, out=rows) is rows
+                assert same_bits(rows, want), name
+                if wide is not None:
+                    # nothing outside the rows was written
+                    rows[...] = -7.5
+                    assert (wide == -7.5).all()
 
 
 class TestWiden:

@@ -5,7 +5,8 @@ Traces Python calls with ``sys.setprofile`` while the program runs:
 * the eight configs of ``tests/test_golden.py`` through ``parse_config``,
   ``run`` and ``render_report``, in both report formats;
 * the default config in baseline mode, with composite Simpson quadrature
-  and with seeded-random grid sampling;
+  and with seeded-random grid sampling, and its five grid ids at c = 2,
+  where both of prop_31's sides fail and their rows are compared;
 * ``cli.main`` on the golden disc search, writing its counterexample to a
   temporary directory.
 
@@ -64,7 +65,7 @@ def defined_functions(package: Path) -> list:
 
 def workloads():
     """Every traced run of the program, in order."""
-    from harmonichh import cli
+    from harmonichh import cli, hh_check
     from test_golden import DISC_SEARCH, GOLDEN
 
     def report(doc):
@@ -78,6 +79,7 @@ def workloads():
     report({**default, "mode": "baseline"})
     report({**default, "quadrature": {"rule": "composite-simpson", "order": 16}})
     report({**default, "grid": {**default["grid"], "sampling": "seeded-random"}})
+    report({**default, "c": 2.0, "theorems": list(hh_check.GRID_IDS)})
     with tempfile.TemporaryDirectory() as tmp:
         doc = {**DISC_SEARCH, "search": {**DISC_SEARCH["search"],
                                          "counterexample_out": os.path.join(tmp, "cx.json")}}
