@@ -3,7 +3,7 @@ strongly harmonic convex set-valued functions.
 
 Submodules:
 
-* ``set_core`` -- compact convex set arithmetic (intervals, support sets, discs)
+* ``set_core`` -- compact convex set arithmetic (intervals and discs)
 * ``svf``      -- set-valued function families and structural transforms
 * ``aumann``   -- Aumann integration by quadrature with error budgets
 * ``hh_check`` -- definitional and theorem inclusion checkers
@@ -12,14 +12,13 @@ Submodules:
 
 The package holds what a run calls.  The independent oracles the tests
 check it against (a Riemann sum, the harmonic combination and reflection
-on scalars, singleton sets, the inclusion rule row by row) live with the
+on scalars, the inclusion rule row by row) live with the
 tests, in ``tests/oracles.py``.
 """
 
 from .set_core import (
     Disc,
     Interval,
-    SupportSet,
     InclusionVerdict,
     ball,
     hausdorff,
@@ -46,7 +45,7 @@ from .aumann import (
 from .hh_check import ConvexityGrid, TheoremReport, THEOREM_IDS
 
 __all__ = [
-    "Disc", "Interval", "SupportSet", "InclusionVerdict", "ball", "hausdorff",
+    "Disc", "Interval", "InclusionVerdict", "ball", "hausdorff",
     "includes", "interval_product", "minkowski_sum", "scale",
     "HarmonicDomain", "SetValuedFn",
     "make_disc_family", "make_quadratic_family", "reciprocal_transform",

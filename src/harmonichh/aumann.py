@@ -1,8 +1,8 @@
 """Numerical Aumann integration of set-valued functions.
 
 For compact convex values the Aumann integral acts per channel: each
-interval endpoint, disc centre coordinate and radius, or support value is
-an ordinary scalar integral.  Integrals therefore reduce to quadrature
+interval endpoint, disc centre coordinate and radius is an ordinary
+scalar integral.  Integrals therefore reduce to quadrature
 applied columnwise to ``eval_vector`` output.
 
 Every result carries an error budget, the rounding floor or the
@@ -131,7 +131,7 @@ def _integrate_columns(
 
 
 def aumann_integral(f: SetValuedFn, lo: float, hi: float, q: QuadratureSpec) -> IntegralResult:
-    """Integral of F over [lo, hi] inside F's domain, per support channel."""
+    """Integral of F over [lo, hi] inside F's domain, per channel."""
     dom = f.domain
     if not (dom.contains(lo) and dom.contains(hi)):
         raise QuadratureError(

@@ -29,7 +29,7 @@ from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, c
 from .hh_check import (  # noqa: F401
     check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
     check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .set_core import Disc, Interval, SupportSet
+from .set_core import Disc, Interval
 from .svf import FAMILIES, FeasibilityError, SetValuedFn, make_family
 
 MODES = ("verify", "search", "baseline")
@@ -250,8 +250,6 @@ def build_family(descriptor: dict) -> SetValuedFn:
 def _set_to_doc(s) -> dict:
     if isinstance(s, Interval):
         return {"kind": "interval", "lo": s.lo, "hi": s.hi}
-    if isinstance(s, SupportSet):
-        return {"kind": "support", "support": list(s.support)}
     if isinstance(s, Disc):
         return {"kind": "disc", "center": list(s.center), "radius": s.radius}
     raise TypeError(f"not a convex set: {s!r}")

@@ -7,9 +7,8 @@ rounding floor where the rule is exact on a polynomial integrand, else the
 difference against the doubled rule, an estimate rather than a bound, so a
 violation within a few budgets may still be quadrature error.  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
-of sets, ``inclusion_block`` for the rows of a grid block, and its interval
-and disc branches ``interval_block`` and ``disc_block`` for a block held
-channel by channel.
+of sets, and its interval and disc branches ``interval_block`` and
+``disc_block`` for the rows of a grid block held channel by channel.
 
 Grid checks run as one streamed pass per family, over the (x, y, t) grid,
 or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
@@ -23,13 +22,13 @@ at the grid's points, not the grid, under either sampling.
 The pass works in u = 1/x: a block's harmonic midpoint is
 u_H = t u_y + (1-t) u_x and its penalty c t(1-t) (u_x - u_y)^2, so no xy
 product and no midpoint quotient is formed.  A side of a triple is a set
-of rows, one per channel: an interval's two ends, a disc's centre
-coordinates and radius, or support values.  Support functions add over
-Minkowski sums and scale with nonnegative factors (Rockafellar, Convex
-Analysis, section 13), and so do discs' centres and radii, so every side
-is combined alike: t F(y) + (1-t) F(x) from the rows at the grid's points,
-with the penalty on the ball by ``svf.widen`` (an interval's ends, a
-disc's radius, or every support value).  A family with ``rows_in_u`` (the
+of rows, one per channel: an interval's two ends, or a disc's centre
+coordinates and radius.  Support functions add over Minkowski sums and
+scale with nonnegative factors (Rockafellar, Convex Analysis, section
+13), and so do intervals' ends and discs' centres and radii, so every
+side is combined alike: t F(y) + (1-t) F(x) from the rows at the grid's
+points, with the penalty on the ball by ``svf.widen`` (an interval's ends
+or a disc's radius).  A family with ``rows_in_u`` (the
 quadratic family's ends [alpha u^2, K - beta u^2], the disc's rows
 [v0 u + w0, v1 u + w1, K - beta u^2]) takes its rows from u and u^2 at
 the grid's points and at u_H alike, so both sides of a row at t = 0 or 1
@@ -44,29 +43,27 @@ rows inner: a run's (1-t) F(x) slab serves all its blocks.  A block's
 triples are laid out (y row, t, x), so every operation runs along the
 run's x values, and each channel of a block is one contiguous row of a
 workspace allocated once per pass.  With p the number of pairs whose t
-values fit in BLOCK_ELEMENTS per array, at least one (an interval's or a
-disc's channel is an array of its own, a support family's values one
-array of all its channels), a run holds k = min(p, n) x values and a block
-p // k of its y rows.  The budget keeps each float64 block array below the
+values fit in BLOCK_ELEMENTS per array, at least one (each channel is an
+array of its own), a run holds k = min(p, n) x values and a block p // k
+of its y rows.  The budget keeps each float64 block array below the
 allocator's mmap threshold (128 KiB in glibc): a larger array is a fresh
 map that page-faults in on every block.  Proposition 3.1's arithmetic side
 always takes G(u) = F(1/u)'s values through ``eval_vector``, written into
 the workspace's right-side rows once the shifted side has folded, so that
 it stays an independent check of the harmonic side.
 
-Only the inclusion step tells the kinds apart: an interval's or a disc's
-block goes through its branch of the rule in the workspace's rows, a
-support family's through ``inclusion_block``.  One method,
-``_Worst.update``, folds a block into a side's running witness by one key
-array, slack + tolerance per support direction or per interval or disc
-row: the kept element minimises (key, grid index), so verdicts do not
-depend on how evaluation is batched or in what order blocks come (tested
-for block sizes from 1 to larger than the grid).  It takes the block's
-least key first and puts the elements of that key in grid order only when
-one can replace the kept one, whose slack, tolerance and witness are read
-at that element alone.  Proposition 3.1 counts a row as holding when its
-smallest key is >= 0: each side's block goes through the rule once, and
-rows are compared only where a side's least key is negative or NaN.
+Only the inclusion step tells the kinds apart: a block goes through its
+kind's branch of the rule in the workspace's rows.  One method,
+``_Worst.update``, folds a block into a side's running witness by its
+keys, slack + tolerance one per row: the kept row minimises (key, grid
+index), so verdicts do not depend on how evaluation is batched or in what
+order blocks come (tested for block sizes from 1 to larger than the
+grid).  It takes the block's least key first and puts the rows of that
+key in grid order only when one can replace the kept one, whose slack,
+tolerance and witness are read at that row alone.  Proposition 3.1
+counts a row as holding when its key is >= 0: each side's block goes
+through the rule once, and rows are compared only where a side's least
+key is negative or NaN.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -107,13 +104,11 @@ from .set_core import (
     disc_block,
     hausdorff,
     includes,
-    inclusion_block,
     interval_block,
     interval_product,
     minkowski_sum,
     product_rows,
     row_verdict,
-    rows_hold,
     scale,
 )
 from .svf import FeasibilityError, HarmonicDomain, SetValuedFn, reciprocal_transform, widen
@@ -277,9 +272,9 @@ class _Worst:
 
     The side reads the rows at the t index ``pick`` of each block on the t
     grid ``t`` (all of them by default) and takes the least of their keys,
-    per direction for support sets.  The kept row is the first global
-    argmin in grid order whatever order the blocks arrive in, so the verdict
-    does not depend on batching.  Every row holds exactly when the kept row
+    one per row.  The kept row is the first global argmin in grid order
+    whatever order the blocks arrive in, so the verdict does not depend on
+    batching.  Every row holds exactly when the kept row
     does, so the kept row's verdict is the side's verdict.
     """
 
@@ -301,38 +296,35 @@ class _Worst:
 
     def update(self, block, x, y, first, stride, slab=0):
         """Fold in one block of the pass, or its whole (y row, t) slabs from
-        the slab ``slab`` on: an ``inclusion_block`` whose rows are those
+        the slab ``slab`` on: an ``InclusionBlock`` whose rows are those
         triples in (y row, t, x) order, for the x values ``x`` and the y
         values ``y`` of a block of ``_walk``.  Its least key is taken first,
-        and its rows of that key are put in grid order (then by direction)
-        only when one can replace the kept row; slack, tolerance and witness
-        are read at the kept element alone."""
+        and its rows of that key are put in grid order only when one can
+        replace the kept row; slack, tolerance and witness are read at the
+        kept row alone."""
         m, k = self.t.size, x.size
-        keys = block.keys.reshape((-1, k) + block.keys.shape[1:])
         # the slabs at the side's t values, from ``start`` on every ``step``-th
         start, step = (0, 1) if self.pick is None else ((self.pick - slab) % m, m)
-        keys = keys[start::step]
+        keys = block.keys.reshape(-1, k)[start::step]
         if not keys.size:  # slabs of other t values only
             return
         flat = keys.reshape(-1)
-        dirs = keys.shape[2] if keys.ndim > 2 else 1
         least = flat.min()
         # the side's least grid index in the block
         yr, ti = divmod(slab + start, m)
         if self.beaten(least, (first + yr * stride) * m + ti):
             return
         # the least key's rows: their slab i, (y row, t), x and grid index
-        r, j = np.divmod(np.flatnonzero(flat != flat if least != least else flat == least), dirs)
-        i, kx = np.divmod(r, k)
+        i, kx = np.divmod(np.flatnonzero(flat != flat if least != least else flat == least), k)
         i = start + i * step
         yr, ti = np.divmod(slab + i, m)
         at = (first + yr * stride + kx) * m + ti
-        h = int(np.argmin(at * dirs + j))
+        h = int(np.argmin(at))
         if not self.beaten(least, int(at[h])):
             self.rank, self.index = _rank(least), int(at[h])
             row = i[h] * k + kx[h]
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
-            self.row = (*block.at(row, int(j[h]) if keys.ndim > 2 else None),
+            self.row = (*block.at(row),
                         block.lhs[row].copy(), block.rhs[row].copy(), x[kx[h]],
                         y[yr[h], 0] if y.shape[1] == 1 else y[0, kx[h]], self.t[ti[h]])
 
@@ -412,16 +404,16 @@ class _Arithmetic:
     def harmonic_rows(self, keys):
         """Keep the harmonic side's verdicts of a block's rows, from its
         keys: True where every row holds, else a copy per row."""
-        self.harmonic = True if keys.min() >= 0.0 else rows_hold(keys)
+        self.harmonic = True if keys.min() >= 0.0 else keys >= 0.0
 
     def update(self, block):
-        """Fold in the arithmetic side's ``inclusion_block`` of the block
+        """Fold in the arithmetic side's ``InclusionBlock`` of the block
         whose harmonic verdicts ``harmonic_rows`` kept."""
         least = block.keys.min()
         if self.harmonic is not True or not least >= 0.0:
-            self.disagreements += int(np.count_nonzero(rows_hold(block.keys) != self.harmonic))
+            self.disagreements += int(np.count_nonzero((block.keys >= 0.0) != self.harmonic))
         self.holds = self.holds and bool(least >= 0.0)
-        self.slack = np.minimum(self.slack, np.min(block.row_slack()))
+        self.slack = np.minimum(self.slack, block.slack.min())
 
 
 def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
@@ -438,19 +430,17 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     # per t, across the x values of a run
     tc, sc, ct = t[:, None], s[:, None], (c * t * s)[:, None]
     in_u = f.rows_in_u is not None
-    # an interval's or a disc's channels go through its branch of the rule in
-    # rows of the workspace, a support family's values through inclusion_block
-    rule = {"interval": interval_block, "disc": disc_block}.get(kind)
-    channels = {"interval": 2, "disc": 3}.get(kind, f.grid_size)
+    # the channels go through the kind's branch of the rule in rows of the
+    # workspace, each channel an array of its own
+    rule, channels = (interval_block, 2) if kind == "interval" else (disc_block, 3)
     if block_pairs is None:
-        # such a channel is an array of its own, a support family's rows one
-        block_pairs = product_rows(m * (1 if rule else channels))
+        block_pairs = product_rows(m)
     size = block_pairs * m
     # one allocation, with the rule's slack, tolerances and keys: glibc then
     # raises its mmap and trim thresholds to the whole workspace when it is
     # freed, so the next pass reuses the heap rather than faulting fresh pages
     # in after a trim
-    work = np.empty((3 + 2 * channels + (3 if rule else 0), size))
+    work = np.empty((6 + 2 * channels, size))
     uh, uh2, pen = work[:3]
     lhs, rhs = work[3:3 + channels], work[3 + channels:3 + 2 * channels]
     step = work[3 + 2 * channels:]
@@ -467,10 +457,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
         # into ``sides``; returns the block
         for side in sides:
             side.triples += n if side.pick is None else n // m
-        if rule:
-            block = rule(lhs[:, :n], rhs[:, :n], tol, *(a[:n] for a in step))
-        else:
-            block = inclusion_block(lhs[:, :n].T, rhs[:, :n].T, kind, tol)
+        block = rule(lhs[:, :n], rhs[:, :n], tol, *(a[:n] for a in step))
         for side in sides:
             side.update(block, *where)
         return block
@@ -603,9 +590,9 @@ def _sandwich(name: str, f: SetValuedFn, c: float, ends: Tuple[ConvexSet, ...],
     widened by (c/12) d2 inside F(mid), and (F(a)+F(b))/2 widened by
     (c/6) d2 inside the mean."""
     fa, fmid, fb = ends
-    sides = (("left", minkowski_sum(mean, ball(c / 12.0 * d2, f.kind, f.grid_size)), fmid),
+    sides = (("left", minkowski_sum(mean, ball(c / 12.0 * d2, f.kind)), fmid),
              ("right", minkowski_sum(scale(0.5, minkowski_sum(fa, fb)),
-                                     ball(c / 6.0 * d2, f.kind, f.grid_size)), mean))
+                                     ball(c / 6.0 * d2, f.kind)), mean))
     return tuple(TheoremReport(f"{name}_{side}", lhs, rhs, _budget_verdict(lhs, rhs, tol, budget),
                                budget, dict(echo)) for side, lhs, rhs in sides)
 

@@ -1,33 +1,27 @@
 """Arithmetic and comparison of compact convex sets in R and R^2.
 
-Three representations are supported:
+Two representations are supported:
 
 * ``Interval`` -- a compact interval [lo, hi], the one-dimensional case.
-* ``SupportSet`` -- a convex compact subset of R^2 represented by its
-  support values on a fixed grid of M directions
-  u_i = (cos(2*pi*i/M), sin(2*pi*i/M)).
 * ``Disc`` -- a closed disc in R^2 given by its centre and radius, whose
   support function is h(e) = <c, e> + r.
 
-The support vector IS the object: inclusion and Hausdorff distance are
-defined directly on support vectors.  All constructors provided here
-(balls, Minkowski sums, nonnegative scalings) keep the sampled
-support values exact for the represented set, so no polytope
-reconstruction is ever needed.  Discs are closed under the same
-constructors (centres and radii add and scale), and D(c1, r1) is inside
-D(c2, r2) exactly when ||c1 - c2|| <= r2 - r1, since the supremum of
-<c1 - c2, e> over unit e is ||c1 - c2|| (Rockafellar, Convex Analysis,
-section 13).
+Support functions add over Minkowski sums and scale with nonnegative
+factors, so both kinds are closed under the constructors provided here
+(balls, Minkowski sums, nonnegative scalings): endpoints, centres and
+radii add and scale.  D(c1, r1) is inside D(c2, r2) exactly when
+||c1 - c2|| <= r2 - r1, since the supremum of <c1 - c2, e> over unit e is
+||c1 - c2|| (Rockafellar, Convex Analysis, section 13).
 
 ``inclusion_block`` is the one inclusion rule: one key, slack plus
-tolerance, per direction of a support set or per interval or disc, for
-whole blocks of rows at once, with the slacks and tolerances it is made
-of.  A row holds when its smallest key is >= 0.  The grid checks reduce a
-block to its one smallest key and read slack, tolerance and witness at that
-element from the block's arrays (``InclusionBlock.at``), and so does
-``includes``, its one-row case.  Its interval and disc branches,
-``interval_block`` and ``disc_block``, take sets held channel by channel as
-separate arrays, into buffers the grid pass allocates once.
+tolerance, per interval or disc, for whole blocks of rows at once, with
+the slacks and tolerances it is made of.  A row holds when its key is
+>= 0.  The grid checks reduce a block to its one smallest key and read
+slack, tolerance and witness at that row from the block's arrays
+(``InclusionBlock.at``), and so does ``includes``, its one-row case.  Its
+interval and disc branches, ``interval_block`` and ``disc_block``, take
+sets held channel by channel as separate arrays, into buffers the grid
+pass allocates once.
 
 All operations are pure functions on immutable values.
 """
@@ -36,18 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-DEFAULT_GRID_SIZE = 64
 # Values (rows x channels) per array of a streamed grid block: 96 KiB of
 # float64, below glibc's 128 KiB mmap threshold.
 BLOCK_ELEMENTS = 12288
 
 
 class RepresentationMismatchError(ValueError):
-    """Operands use different set representations (or grid sizes)."""
+    """Operands use different set representations."""
 
 
 class NegativeScaleError(ValueError):
@@ -59,8 +52,8 @@ class UnsupportedProductError(TypeError):
 
 
 class NonFiniteSetError(ValueError):
-    """A set would have an infinite or NaN endpoint or support value, as
-    when arithmetic on large finite sets overflows."""
+    """A set would have an infinite or NaN endpoint, centre coordinate or
+    radius, as when arithmetic on large finite sets overflows."""
 
 
 @dataclass(frozen=True)
@@ -85,29 +78,6 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class SupportSet:
-    """Convex compact subset of R^2 given by support values on a direction grid."""
-
-    support: tuple
-
-    def __post_init__(self) -> None:
-        support = self.support
-        if not hasattr(support, "__len__"):  # a one-pass iterable
-            support = tuple(support)
-        vals = np.asarray(support, dtype=float)
-        if vals.ndim != 1:
-            raise TypeError(f"support values must be a flat sequence, got shape {vals.shape}")
-        if vals.size < 3:
-            raise ValueError("support grid needs at least 3 directions")
-        if not np.isfinite(vals).all():
-            raise NonFiniteSetError("support values must be finite")
-        object.__setattr__(self, "support", tuple(vals.tolist()))
-
-    def __repr__(self) -> str:
-        return f"SupportSet(M={len(self.support)})"
-
-
-@dataclass(frozen=True)
 class Disc:
     """Closed disc in R^2 with a finite centre and a finite radius >= 0."""
 
@@ -127,7 +97,7 @@ class Disc:
         object.__setattr__(self, "radius", radius)
 
 
-ConvexSet = Union[Interval, SupportSet, Disc]
+ConvexSet = Union[Interval, Disc]
 
 
 @dataclass(frozen=True)
@@ -136,25 +106,19 @@ class InclusionVerdict:
 
     ``slack`` is the signed margin at the witness direction; the test holds
     iff its key slack + tolerance_used is >= 0 (for finite values, iff
-    slack >= -tolerance_used).  The witness is "hi" or "lo" for intervals, a
-    direction index for support sets, and for discs the unit vector along
-    c_A - c_B, or "radius" where the centres coincide.
+    slack >= -tolerance_used).  The witness is "hi" or "lo" for intervals,
+    and for discs the unit vector along c_A - c_B, or "radius" where the
+    centres coincide.
     """
 
     holds: bool
     slack: float
-    witness_direction: Union[int, str, list]
+    witness_direction: Union[str, list]
     tolerance_used: float
 
 
 def _check_same_kind(a: ConvexSet, b: ConvexSet) -> None:
     if type(a) is type(b) in (Interval, Disc):
-        return
-    if isinstance(a, SupportSet) and isinstance(b, SupportSet):
-        if len(a.support) != len(b.support):
-            raise RepresentationMismatchError(
-                f"mixed support grids: {len(a.support)} vs {len(b.support)}"
-            )
         return
     raise RepresentationMismatchError(
         f"mixed set representations: {type(a).__name__} vs {type(b).__name__}"
@@ -166,34 +130,28 @@ def minkowski_sum(a: ConvexSet, b: ConvexSet) -> ConvexSet:
     _check_same_kind(a, b)
     if isinstance(a, Interval):
         return Interval(a.lo + b.lo, a.hi + b.hi)
-    if isinstance(a, Disc):
-        return Disc((a.center[0] + b.center[0], a.center[1] + b.center[1]), a.radius + b.radius)
-    return SupportSet(tuple(x + y for x, y in zip(a.support, b.support)))
+    return Disc((a.center[0] + b.center[0], a.center[1] + b.center[1]), a.radius + b.radius)
 
 
 def scale(lam: float, a: ConvexSet) -> ConvexSet:
-    """lam * A for lam >= 0 (support values scale by lam)."""
+    """lam * A for lam >= 0 (support functions scale by lam)."""
     lam = float(lam)
     if lam < 0.0:
         raise NegativeScaleError(f"scale factor must be nonnegative, got {lam}")
     if isinstance(a, Interval):
         return Interval(lam * a.lo, lam * a.hi)
-    if isinstance(a, SupportSet):
-        return SupportSet(tuple(lam * v for v in a.support))
     if isinstance(a, Disc):
         return Disc((lam * a.center[0], lam * a.center[1]), lam * a.radius)
     raise TypeError(f"not a convex set: {a!r}")
 
 
-def ball(radius: float, kind: str = "interval", grid_size: int = DEFAULT_GRID_SIZE) -> ConvexSet:
+def ball(radius: float, kind: str = "interval") -> ConvexSet:
     """Closed ball of the given radius centered at the origin."""
     radius = float(radius)
     if radius < 0.0:
         raise ValueError(f"ball radius must be nonnegative, got {radius}")
     if kind == "interval":
         return Interval(-radius, radius)
-    if kind == "support":
-        return SupportSet((radius,) * grid_size)
     if kind == "disc":
         return Disc((0.0, 0.0), radius)
     raise ValueError(f"unknown representation kind: {kind!r}")
@@ -201,90 +159,59 @@ def ball(radius: float, kind: str = "interval", grid_size: int = DEFAULT_GRID_SI
 
 def as_set(row, kind: str) -> ConvexSet:
     """The set whose channels are ``row``: the endpoints (lo, hi) of an
-    interval, the support values of a SupportSet, or a disc's centre
-    coordinates and radius (c0, c1, r)."""
+    interval, or a disc's centre coordinates and radius (c0, c1, r)."""
     if kind == "interval":
         return Interval(row[0], row[1])
-    if kind == "disc":
-        return Disc((row[0], row[1]), row[2])
-    return SupportSet(row)
+    return Disc((row[0], row[1]), row[2])
 
 
 def as_row(s: ConvexSet) -> np.ndarray:
     """The channels of ``s``; the inverse of ``as_set``."""
     if isinstance(s, Interval):
         return np.array([s.lo, s.hi])
-    if isinstance(s, Disc):
-        return np.array([*s.center, s.radius])
-    return np.array(s.support)
-
+    return np.array([*s.center, s.radius])
 
 
 class InclusionBlock(NamedTuple):
     """The inclusion rule's kernel output for the rows of a block: lhs[i]
-    subset-of rhs[i] at tolerance ``tol``, for sets of kind ``kind``.
+    subset-of rhs[i], for sets of kind ``kind``.
 
-    ``keys`` holds slack plus tolerance, per direction (n, M) for support
-    sets and per row (n,) for intervals and discs, and ``slack`` the slack
-    of the same shape.  ``tols`` holds an interval's or a disc's tolerance;
-    a support value's tolerance is recomputed from its h_B alone, and
-    ``tols`` is None.
+    ``keys`` holds slack plus tolerance, one per row, and ``slack`` and
+    ``tols`` the slacks and tolerances they are made of.
     """
 
     kind: str
     lhs: np.ndarray
     rhs: np.ndarray
-    tol: float
     keys: np.ndarray
     slack: np.ndarray
-    tols: Optional[np.ndarray] = None
+    tols: np.ndarray
 
-    def at(self, r: int, j: Optional[int] = None):
-        """Slack, tolerance and witness at row r (and direction j of a
-        support row), read from the block's arrays.  An interval's witness
-        is 0 ("hi") when its upper end is the tighter, else 1 ("lo"): its
-        two end margins are recomputed at that row alone.  A disc's is the
-        unit vector along c_A - c_B, or "radius" where they are equal."""
+    def at(self, r: int):
+        """Slack, tolerance and witness at row r, read from the block's
+        arrays.  An interval's witness is 0 ("hi") when its upper end is the
+        tighter, else 1 ("lo"): its two end margins are recomputed at that
+        row alone.  A disc's is the unit vector along c_A - c_B, or "radius"
+        where they are equal."""
         if self.kind == "interval":
             (lo, hi), (b_lo, b_hi) = self.lhs[r].tolist(), self.rhs[r].tolist()
             return self.slack[r], self.tols[r], 0 if b_hi - hi <= lo - b_lo else 1
-        if self.kind == "disc":
-            (a0, a1, _), (b0, b1, _) = self.lhs[r].tolist(), self.rhs[r].tolist()
-            d0, d1 = a0 - b0, a1 - b1
-            norm = math.hypot(d0, d1)
-            return self.slack[r], self.tols[r], [d0 / norm, d1 / norm] if norm else "radius"
-        # a support key's tolerance, tol * (1 + |h_B|), at its one value h_B
-        return self.slack[r, j], (abs(float(self.rhs[r, j])) + 1.0) * self.tol, j
-
-    def row_slack(self) -> np.ndarray:
-        """Each row's slack at its witness direction, the first direction of
-        smallest key, a NaN key first."""
-        if self.tols is not None:
-            return self.slack
-        j = self.keys.argmin(axis=1)
-        return self.slack[np.arange(j.size), j]
+        (a0, a1, _), (b0, b1, _) = self.lhs[r].tolist(), self.rhs[r].tolist()
+        d0, d1 = a0 - b0, a1 - b1
+        norm = math.hypot(d0, d1)
+        return self.slack[r], self.tols[r], [d0 / norm, d1 / norm] if norm else "radius"
 
 
 def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> InclusionBlock:
     """The inclusion rule's kernel over the rows i of two (n, channels)
     arrays, lhs[i] subset-of rhs[i].
 
-    A key is slack plus tolerance.  For support sets it is kept per
-    direction: the margin h_B - h_A plus the threshold tol * (1 + |h_B|).
-    For intervals it is kept per row: the margin of the tighter end plus
-    tol * (1 + the larger endpoint magnitude of B); for discs too: the
-    margin (r_B - r_A) - ||c_B - c_A|| plus tol * (1 + r_B + ||c_B||), which
-    bounds |h_B| in every direction.  A row holds when its smallest key is
-    >= 0, and its witness is the first direction of smallest key, a NaN key
-    first.
+    A key is slack plus tolerance, one per row.  For intervals it is the
+    margin of the tighter end plus tol * (1 + the larger endpoint magnitude
+    of B); for discs the margin (r_B - r_A) - ||c_B - c_A|| plus
+    tol * (1 + r_B + ||c_B||), which bounds |h_B| in every direction.  A row
+    holds when its key is >= 0.
     """
-    if kind == "support":
-        slack = rhs - lhs
-        keys = np.abs(rhs)
-        keys += 1.0
-        keys *= tol
-        keys += slack
-        return InclusionBlock(kind, lhs, rhs, tol, keys, slack)
     rule = interval_block if kind == "interval" else disc_block
     return rule(lhs.T, rhs.T, tol, *(np.empty(lhs.shape[0]) for _ in range(3)))
 
@@ -305,8 +232,7 @@ def interval_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarr
     np.maximum(tols, keys, out=tols)
     tols += 1.0
     tols *= tol
-    return InclusionBlock("interval", lhs.T, rhs.T, tol, np.add(slack, tols, out=keys), slack,
-                          tols)
+    return InclusionBlock("interval", lhs.T, rhs.T, np.add(slack, tols, out=keys), slack, tols)
 
 
 def disc_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
@@ -331,7 +257,7 @@ def disc_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
     tols *= tol
     np.subtract(rhs[2], lhs[2], out=keys)
     np.subtract(keys, slack, out=slack)
-    return InclusionBlock("disc", lhs.T, rhs.T, tol, np.add(slack, tols, out=keys), slack, tols)
+    return InclusionBlock("disc", lhs.T, rhs.T, np.add(slack, tols, out=keys), slack, tols)
 
 
 def _norm(squares: np.ndarray, other: np.ndarray, coordinates) -> np.ndarray:
@@ -356,34 +282,24 @@ def product_rows(width: int) -> int:
     return max(1, BLOCK_ELEMENTS // width)
 
 
-def rows_hold(keys: np.ndarray) -> np.ndarray:
-    """Whether each row of the keys of ``inclusion_block`` (or of per-row
-    keys, slack + tolerance) holds: its smallest key is >= 0, and no key is
-    NaN."""
-    return (keys if keys.ndim == 1 else keys.min(axis=1)) >= 0.0
-
-
 def row_verdict(slack: float, tol_used: float, witness, kind: str) -> InclusionVerdict:
     """The verdict of one row of ``InclusionBlock.at``:
     it holds when its key, slack + tolerance, is >= 0."""
     return InclusionVerdict(
         holds=bool(slack + tol_used >= 0.0),
         slack=float(slack),
-        witness_direction=(("hi", "lo")[witness] if kind == "interval"
-                           else int(witness) if kind == "support" else witness),
+        witness_direction=("hi", "lo")[witness] if kind == "interval" else witness,
         tolerance_used=float(tol_used),
     )
 
 
 def includes(a: ConvexSet, b: ConvexSet, tol: float = 0.0) -> InclusionVerdict:
     """Test A subset-of B: the one-row case of ``inclusion_block``, read at
-    its row (and witness direction) as the grid checks read their kept
-    element."""
+    its row as the grid checks read their kept row."""
     _check_same_kind(a, b)
-    kind = {Interval: "interval", SupportSet: "support", Disc: "disc"}[type(a)]
-    block = inclusion_block(as_row(a)[None], as_row(b)[None], kind, float(tol))
-    j = int(block.keys[0].argmin()) if kind == "support" else None
-    return row_verdict(*block.at(0, j), kind)
+    kind = "interval" if isinstance(a, Interval) else "disc"
+    return row_verdict(*inclusion_block(as_row(a)[None], as_row(b)[None], kind, float(tol)).at(0),
+                       kind)
 
 
 def interval_product(a: Interval, b: Interval) -> Interval:
@@ -399,7 +315,5 @@ def hausdorff(a: ConvexSet, b: ConvexSet) -> float:
     _check_same_kind(a, b)
     if isinstance(a, Interval):
         return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-    if isinstance(a, Disc):
-        d0, d1 = a.center[0] - b.center[0], a.center[1] - b.center[1]
-        return math.hypot(d0, d1) + abs(a.radius - b.radius)
-    return float(np.max(np.abs(as_row(a) - as_row(b))))
+    d0, d1 = a.center[0] - b.center[0], a.center[1] - b.center[1]
+    return math.hypot(d0, d1) + abs(a.radius - b.radius)

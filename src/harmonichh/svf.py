@@ -16,7 +16,7 @@ tells the integration layer that each channel of F(1/u) is a polynomial in
 u.  Both certified families state F(1/u) once, as ``rows_in_u``, one row
 per channel: the quadratic family as its two ends, the disc family as its
 centre's two coordinates and its radius.  ``widen`` widens such rows by
-balls in place.
+balls in place.  A family's ``kind`` names its sets: "interval" or "disc".
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .set_core import DEFAULT_GRID_SIZE, ConvexSet, as_set
+from .set_core import ConvexSet, as_set
 
 _DOMAIN_RTOL = 1e-12
 # Ends a domain keeps to, a range closed under x -> 1/x: inside it the
@@ -85,17 +85,15 @@ class SetValuedFn(abc.ABC):
     """A set-valued map on a HarmonicDomain.
 
     ``eval_vector`` is the workhorse: it maps an array of n points to an
-    (n, 2) array of interval endpoints (interval kind), an (n, M) array of
-    support values (support kind) or an (n, 3) array of disc centres and
-    radii (disc kind).  Given ``out``, (channels, n) rows such as a grid
-    pass's workspace rows, it writes the same bits into them instead and
-    returns ``out``.  ``eval`` wraps a single point into a ConvexSet.
+    (n, 2) array of interval endpoints (interval kind) or an (n, 3) array of
+    disc centres and radii (disc kind).  Given ``out``, (channels, n) rows
+    such as a grid pass's workspace rows, it writes the same bits into them
+    instead and returns ``out``.  ``eval`` wraps a single point into a ConvexSet.
     """
 
     domain: HarmonicDomain
-    kind: str  # "interval" | "support" | "disc"
+    kind: str  # "interval" | "disc"
     claimed_modulus: Optional[float] = None  # the modulus family_rule certifies, if any
-    grid_size: int = DEFAULT_GRID_SIZE  # a support family's direction count
     polynomial_in_u: bool = False  # every channel of F(1/u) is a polynomial in u
     # rows_in_u(u, u2, out): F(1/u) at the points u from u and their squares
     # u2, one row of ``out`` per channel: an interval's two ends, or a disc's
@@ -237,21 +235,26 @@ class SampledFn(SetValuedFn):
     """Custom-sampled family: precomputed sets on a grid, linear interpolation.
 
     Claims no modulus, and no config builds one; the tests use it as a
-    generic family.
+    generic family.  Its kind is "interval" (two value columns, the ends)
+    or "disc" (three, the centre's coordinates and the radius).
     """
 
     def __init__(self, xs: Sequence[float], values: np.ndarray, domain: HarmonicDomain,
                  kind: str = "interval"):
+        if kind not in ("interval", "disc"):
+            raise FeasibilityError(f"sampled family kind must be interval or disc, got {kind!r}")
         self._xs = np.asarray(xs, dtype=float)
         self._values = np.asarray(values, dtype=float)
         if self._xs.ndim != 1 or self._values.shape[0] != self._xs.shape[0]:
             raise FeasibilityError("sampled family needs one value row per grid point")
+        channels = 2 if kind == "interval" else 3
+        if self._values.shape[1:] != (channels,):
+            raise FeasibilityError(f"sampled {kind} family needs {channels} value columns, "
+                                   f"got values of shape {self._values.shape}")
         if np.any(np.diff(self._xs) <= 0):
             raise FeasibilityError("sample grid must be strictly increasing")
         self.domain = domain
         self.kind = kind
-        if kind == "support":
-            self.grid_size = self._values.shape[1]
 
     def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Linear interpolation, np.interp on each channel: the value at a
@@ -271,7 +274,6 @@ class ReciprocalFn(SetValuedFn):
         self.domain = HarmonicDomain(1.0 / base.domain.b, 1.0 / base.domain.a)
         self.kind = base.kind
         self.claimed_modulus = base.claimed_modulus
-        self.grid_size = base.grid_size
 
     def eval_vector(self, us: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         return self.base.eval_vector(1.0 / np.asarray(us, dtype=float), out=out)
@@ -288,7 +290,6 @@ class CShiftFn(SetValuedFn):
         self.c = float(c)
         self.domain = base.domain
         self.kind = base.kind
-        self.grid_size = base.grid_size
         self.polynomial_in_u = base.polynomial_in_u
 
     def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -304,15 +305,13 @@ class CShiftFn(SetValuedFn):
 def widen(rows: np.ndarray, r: np.ndarray, kind: str) -> np.ndarray:
     """Widen the (channels, n) ``rows``, one row per channel, in place by
     the balls of radius r[i] at column i, and return ``rows``: an interval's
-    lower end moves down by r[i] and its upper end up, a disc's radius row
-    rises by r[i], and so does every support row."""
+    lower end moves down by r[i] and its upper end up, and a disc's radius
+    row rises by r[i]."""
     if kind == "interval":
         rows[0] -= r
         rows[1] += r
-    elif kind == "disc":
-        rows[2] += r
     else:
-        rows += r
+        rows[2] += r
     return rows
 
 

@@ -1,25 +1,16 @@
 """Independent oracles the tests check ``harmonichh`` against.
 
 No run of the verifier calls these, so they live with the tests: the
-harmonic combination and reflection on scalars, the support direction
-grid and singleton sets, the
-inclusion rule row by row, the support margins of two discs read off
-their sampled boundaries, and a jittered-midpoint Riemann sum for the
-quadrature rules.  Test files import them with ``from oracles import ...``.
+harmonic combination and reflection on scalars, a grid of unit
+directions, the inclusion rule row by row, the support margins of two
+discs read off their sampled boundaries, and a jittered-midpoint Riemann
+sum for the quadrature rules.  Test files import them with ``from oracles import ...``.
 """
 
 import numpy as np
 
 from harmonichh.aumann import IntegralResult
-from harmonichh.set_core import (
-    DEFAULT_GRID_SIZE,
-    ConvexSet,
-    Disc,
-    Interval,
-    SupportSet,
-    UnsupportedProductError,
-    inclusion_block,
-)
+from harmonichh.set_core import Disc, Interval, UnsupportedProductError, inclusion_block
 from harmonichh.svf import DomainError, HarmonicDomain, SetValuedFn
 
 _EPS = np.finfo(float).eps
@@ -41,44 +32,26 @@ def reflect(dom: HarmonicDomain, x: float) -> float:
     return a * b * x / ((a + b) * x - a * b)
 
 
-def directions(grid_size: int) -> np.ndarray:
-    """The unit direction grid of a SupportSet of ``grid_size`` values,
-    u_i = (cos(2 pi i/M), sin(2 pi i/M)), shape (M, 2)."""
-    angles = 2.0 * np.pi * np.arange(grid_size) / grid_size
+def directions(count: int) -> np.ndarray:
+    """``count`` unit directions at equal angles,
+    u_i = (cos(2 pi i/M), sin(2 pi i/M)) for M = ``count``, shape (M, 2)."""
+    angles = 2.0 * np.pi * np.arange(count) / count
     return np.column_stack([np.cos(angles), np.sin(angles)])
-
-
-def point(value, kind: str = "interval", grid_size: int = DEFAULT_GRID_SIZE) -> ConvexSet:
-    """Singleton set {value}.  For 'support', value is a 2-vector."""
-    if kind == "interval":
-        v = float(value)
-        return Interval(v, v)
-    if kind == "support":
-        p = np.asarray(value, dtype=float)
-        if p.shape != (2,):
-            raise ValueError("support-kind point needs a 2-vector")
-        return SupportSet(tuple(directions(grid_size) @ p))
-    raise ValueError(f"unknown representation kind: {kind!r}")
 
 
 def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
     """The inclusion rule per row: slack, tolerance and witness of
-    lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays, at
-    the row's witness direction, the first direction of smallest key, a NaN
-    key first.  An interval's witness is 0 ("hi") when its upper end is the
-    tighter, else 1 ("lo"); a disc's is read at each row by the block."""
+    lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays.  An
+    interval's witness is 0 ("hi") when its upper end is the tighter, else
+    1 ("lo"); a disc's is read at each row by the block."""
     block = inclusion_block(lhs, rhs, kind, tol)
     if kind == "interval":
         hi_tighter = rhs[:, 1] - lhs[:, 1] <= lhs[:, 0] - rhs[:, 0]
         return block.slack, block.tols, np.where(hi_tighter, 0, 1)
-    if kind == "disc":
-        witness = np.empty(lhs.shape[0], dtype=object)
-        for i in range(witness.size):
-            witness[i] = block.at(i)[2]
-        return block.slack, block.tols, witness
-    j = block.keys.argmin(axis=1)
-    r = np.arange(j.size)
-    return block.slack[r, j], (np.abs(rhs[r, j]) + 1.0) * block.tol, j
+    witness = np.empty(lhs.shape[0], dtype=object)
+    for i in range(witness.size):
+        witness[i] = block.at(i)[2]
+    return block.slack, block.tols, witness
 
 
 def sampled_disc_margins(a: Disc, b: Disc, angles: int = 4096) -> np.ndarray:

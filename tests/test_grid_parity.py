@@ -1,6 +1,6 @@
 """Parity of the streamed grid pass: one SHA-256 over the reports of
 ``grid_reports`` for every subset of the grid ids, on interval, disc,
-tied-direction sampled and c-shifted families, both samplings and three
+sampled-disc and c-shifted families, both samplings and three
 moduli.  The lemma ids need c > 0, so their subsets run at c = 1/2 and 2
 only.  One disc def_shc run at 16,384 pairs spans many blocks.
 
@@ -17,8 +17,11 @@ swapped order in the last ulp, its sets are now the other side's.  It
 moved again when the disc became a disc: the disc's lines (345 of 1,377)
 now hold Disc sets, the exact rule's tolerance and a unit-vector or
 "radius" witness, with the same verdicts; the other three families' text
-stayed byte for byte the same.  A change that must not alter results
-keeps it.
+stayed byte for byte the same.  It moved again when the support-set kind
+was deleted: the tied-direction support family gave way to a sampled disc
+family, whose digest was recorded at the last commit that still had
+support sets, and no other family's text moved.  A change that must not
+alter results keeps it.
 """
 
 import hashlib
@@ -34,22 +37,21 @@ from harmonichh.svf import (CShiftFn, HarmonicDomain, SampledFn, make_disc_famil
 DOM12 = HarmonicDomain(1.0, 2.0)
 GRID_IDS = ("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31")
 _XS = np.linspace(1.0, 2.0, 9)
-# channels 1 and 3 are the same, so their keys tie in every row
-_TIED = np.column_stack([np.sin(k * _XS) + k for k in (1, 2, 3, 2, 5)])
 
 FAMILIES = (
     make_quadratic_family(1.0, 1.0, 10.0, DOM12),
     make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12),
-    SampledFn(_XS, _TIED, DOM12, kind="support"),
+    SampledFn(_XS, np.column_stack([np.sin(_XS), np.cos(_XS), 2.0 + np.sin(3 * _XS)]), DOM12,
+              kind="disc"),
     CShiftFn(make_quadratic_family(0.5, 1.0, 10.0, DOM12), 0.75),
 )
 
-DIGEST = "8f8e42fe9ae5145f333f60bfd351bbd32d52acb1dd462090ec397ccd1b364dc6"
+DIGEST = "f4356d2d2adfc75cf6596dd491ff8d12daee7ce8bdbcce6aec12d856e5394e23"
 
 
 def report_text(reports) -> str:
-    """The reports' ``repr``s with the channels of both sides, which a
-    SupportSet's ``repr`` leaves out."""
+    """The reports' ``repr``s with the channels of both sides (which a
+    support set's ``repr`` left out when the digest was first recorded)."""
     return "".join(f"{rep!r}{as_row(rep.lhs).tolist()}{as_row(rep.rhs).tolist()}\n"
                    for rep in reports.values())
 

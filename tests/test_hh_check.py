@@ -614,8 +614,8 @@ def sampled_fn(kind):
     xs = np.linspace(1.0, 2.0, 9)
     if kind == "interval":
         return SampledFn(xs, np.column_stack([np.sin(3 * xs), 3 + np.cos(2 * xs)]), DOM12)
-    return SampledFn(xs, np.column_stack([np.sin(k * xs) + k for k in range(1, 6)]), DOM12,
-                     kind="support")
+    return SampledFn(xs, np.column_stack([np.sin(k * xs) + k for k in range(1, 4)]), DOM12,
+                     kind="disc")
 
 
 class TestBlockInvariance:
@@ -623,12 +623,12 @@ class TestBlockInvariance:
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
     @pytest.mark.parametrize("family", ["quadratic", "disc", "sampled-interval",
-                                        "sampled-support"])
+                                        "sampled-disc"])
     def test_block_sizes_agree(self, family, sampling):
         f = {"quadratic": lambda: make_quadratic_family(1.5, 2.0, 20.0, DOM12),
              "disc": disc_fn,
              "sampled-interval": lambda: sampled_fn("interval"),
-             "sampled-support": lambda: sampled_fn("support")}[family]()
+             "sampled-disc": lambda: sampled_fn("disc")}[family]()
         grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
         pairs = grid.pairs(f.domain.a, f.domain.b)[0].size
         for ids in (GRID_IDS, MID_IDS):
@@ -686,10 +686,8 @@ def reference_sides(f, c, grid, tol, values=False):
         if f.kind == "interval":
             out[:, 0] -= r
             out[:, 1] += r
-        elif f.kind == "disc":
-            out[:, 2] += r
         else:
-            out += r[:, None]
+            out[:, 2] += r
         return out
 
     def side(fy, fx, rhs, pen):
@@ -770,13 +768,13 @@ class TestAgainstUnblockedReference:
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
     @pytest.mark.parametrize("family", ["quadratic", "tight", "disc", "sampled-interval",
-                                        "sampled-support"])
+                                        "sampled-disc"])
     def test_reports_equal(self, family, sampling):
         f = {"quadratic": lambda: make_quadratic_family(1.5, 2.0, 20.0, DOM12),
              "tight": lambda: make_quadratic_family(1.0, 1.0, 10.0, DOM12),
              "disc": disc_fn,
              "sampled-interval": lambda: sampled_fn("interval"),
-             "sampled-support": lambda: sampled_fn("support")}[family]()
+             "sampled-disc": lambda: sampled_fn("disc")}[family]()
         grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
         for c in (0.5, 1.0, 2.5):
             for sub in id_subsets(GRID_IDS):
@@ -807,7 +805,7 @@ class TestAgainstUnblockedReference:
 
     @pytest.mark.parametrize("sampling", ["deterministic-stratified", "seeded-random"])
     @pytest.mark.parametrize("family", ["quadratic", "tight", "disc", "sampled-interval",
-                                        "sampled-support", "c-shifted"])
+                                        "sampled-disc", "c-shifted"])
     def test_u_space_agrees_with_x_values(self, family, sampling):
         # The grid pass's sides in u = 1/x, from u and u^2 (rows_in_u) or F
         # at 1/u_H, against F's values in x at the midpoint xy/(tx + (1-t)y)
@@ -817,7 +815,7 @@ class TestAgainstUnblockedReference:
              "tight": lambda: make_quadratic_family(1.0, 1.0, 10.0, DOM12),
              "disc": disc_fn,
              "sampled-interval": lambda: sampled_fn("interval"),
-             "sampled-support": lambda: sampled_fn("support"),
+             "sampled-disc": lambda: sampled_fn("disc"),
              "c-shifted": lambda: CShiftFn(make_quadratic_family(1.5, 2.0, 20.0, DOM12),
                                            0.5)}[family]()
         grid = ConvexityGrid(pair_count=150, sampling=sampling, seed=4)
@@ -1004,16 +1002,14 @@ class TestFold:
         assert not rep.holds
         assert rep.inputs_echo["witness"] == {"x": 2.0, "y": 1.0, "t": 0.5}
 
-    @pytest.mark.parametrize("dirs", [1, 3])
     @pytest.mark.parametrize("pick", [None, 2])
-    def test_chunked_blocks_keep_the_brute_force_argmin(self, dirs, pick):
+    def test_chunked_blocks_keep_the_brute_force_argmin(self, pick):
         # Random keys, with ties and NaNs, on a grid of 2R y rows x 2k x
         # values and m = 5 t values: four blocks of R y rows x k x values,
         # in random order, each folded in chunks that start at whole (y row,
-        # t) slabs.  An interval row (dirs 1) holds [0, 1] inside
-        # [-key, 1 + key], a support row (dirs 3) 0 inside its keys, both at
-        # tolerance 0, so each key is its slack.  The kept element must be
-        # the argmin of (key, grid index, direction), NaN first.
+        # t) slabs.  A row holds [0, 1] inside [-key, 1 + key] at tolerance
+        # 0, so each key is its slack.  The kept row must be the argmin of
+        # (key, grid index), NaN first.
         rng = np.random.default_rng(5)
         m, t = 5, np.linspace(0.0, 1.0, 5)
         for _ in range(40):
@@ -1021,41 +1017,36 @@ class TestFold:
             n = 2 * k  # pairs per grid row, and the stride of a y row
             xs, ys = rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 2.0, 2 * rows)
             keys = rng.choice([-1.0, 0.0, 0.5, np.nan], p=[0.3, 0.3, 0.38, 0.02],
-                              size=(2 * rows, m, n, dirs))
-            worst = _Worst("interval" if dirs == 1 else "support", t, pick)
+                              size=(2 * rows, m, n))
+            worst = _Worst("interval", t, pick)
             starts = [(i, j) for i in range(0, 2 * rows, rows) for j in range(0, n, k)]
             for i, j in (starts[s] for s in rng.permutation(len(starts))):
-                block = keys[i:i + rows, :, j:j + k].reshape(-1, dirs)
+                block = keys[i:i + rows, :, j:j + k].reshape(-1)
                 cuts = np.flatnonzero(rng.random(rows * m - 1) < 0.4) + 1
                 for lo, hi in zip([0, *cuts], [*cuts, rows * m]):
                     part = block[lo * k:hi * k]
-                    chunk = (inclusion_block(np.tile([0.0, 1.0], (len(part), 1)),
-                                             np.column_stack([-part, 1.0 + part]), "interval",
-                                             0.0)
-                             if dirs == 1 else
-                             inclusion_block(np.zeros_like(part), part, "support", 0.0))
+                    chunk = inclusion_block(np.tile([0.0, 1.0], (len(part), 1)),
+                                            np.column_stack([-part, 1.0 + part]), "interval", 0.0)
                     worst.update(chunk, xs[j:j + k], ys[i:i + rows, None], i * n + j, n, lo)
-            yr, ti, kx, d = np.meshgrid(*(np.arange(s) for s in keys.shape), indexing="ij")
+            yr, ti, kx = np.meshgrid(*(np.arange(s) for s in keys.shape), indexing="ij")
             at = (yr * n + kx) * m + ti
             read = (ti == pick) if pick is not None else np.ones(keys.shape, bool)
             nan = np.isnan(keys) & read
             pool = nan if nan.any() else read & (keys == np.nanmin(keys[read]))
-            best = np.lexsort((d[pool], at[pool]))[0]
-            want = tuple(a[pool][best] for a in (yr, ti, kx, d))
-            slack, _, witness, *_, x, y, tw = worst.row
+            best = np.argmin(at[pool])
+            want = tuple(a[pool][best] for a in (yr, ti, kx))
+            slack, *_, x, y, tw = worst.row
             assert worst.index == at[want]
             assert worst.rank == ((0, 0.0) if nan.any() else (1, keys[want]))
             assert (x, y, tw) == (xs[want[2]], ys[want[0]], t[want[1]])
             assert slack == keys[want] or np.isnan(keys[want]) and np.isnan(slack)
-            if dirs > 1:
-                assert witness == want[3]
 
 
-def block_shapes(monkeypatch, name="inclusion_block"):
-    """The (rows, channels) shape of the first argument of every call the
-    grid pass makes to ``name``, one of the inclusion rule's kernels
-    (``inclusion_block``; for ``interval_block`` and ``disc_block``, on sets
-    held channel by channel, (channels, rows)), recorded from then on."""
+def block_shapes(monkeypatch, name):
+    """The (channels, rows) shape of the first argument of every call the
+    grid pass makes to ``name``, the inclusion rule's branch
+    ``interval_block`` or ``disc_block`` on sets held channel by channel,
+    recorded from then on."""
     shapes = []
     kernel = getattr(hh_check, name)
 
@@ -1073,8 +1064,7 @@ class TestBlockSize:
     and n grid points per axis, a run of p x values shorter than a row
     gives one block per y row; otherwise a block holds p // n whole rows.
     An interval's ends and a disc's centre coordinates and radius are
-    arrays of their own, one channel each; a support family's values are
-    one array of all its channels."""
+    arrays of their own, one channel each."""
 
     # all grid ids: the strong, shifted and arithmetic sides on the whole t
     # grid; the midconvex ids alone: the strong and shifted sides at t = 1/2
@@ -1087,7 +1077,6 @@ class TestBlockSize:
             if family == "quadratic" else
             (make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12), "disc_block", 3))
         pairs = 16384
-        shapes = block_shapes(monkeypatch)
         rows = block_shapes(monkeypatch, rule)
         grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
         m = len(GRID.t_values) if walk == "triples" else 1
@@ -1109,17 +1098,14 @@ class TestBlockSize:
         sides = 3 if walk == "triples" else 2
         assert rows == [(channels, k * m) for k in pairs_per_block for _ in range(sides)]
         assert max(triples for _, triples in rows) <= BLOCK_ELEMENTS
-        assert shapes == []
 
     def test_floor_is_one_pair(self, monkeypatch):
-        xs = np.linspace(1.0, 2.0, 9)
-        channels = BLOCK_ELEMENTS // len(GRID.t_values) + 1  # one pair is over budget
-        f = SampledFn(xs, np.column_stack([np.sin(k * xs) + k for k in range(channels)]),
-                      DOM12, kind="support")
-        grid = ConvexityGrid(pair_count=9)
-        shapes = block_shapes(monkeypatch)
+        f = make_quadratic_family(1.5, 2.0, 20.0, DOM12)
+        t = np.arange(BLOCK_ELEMENTS + 1) / BLOCK_ELEMENTS  # one pair is over budget
+        grid = ConvexityGrid(pair_count=9, t_values=t)
+        shapes = block_shapes(monkeypatch, "interval_block")
         rep = grid_reports(f, 1.0, grid, ("def_shc",))
-        assert shapes == [(len(GRID.t_values), channels)] * 9
+        assert shapes == [(2, t.size)] * 9
         assert rep == grid_reports(f, 1.0, grid, ("def_shc",), block_pairs=10)
 
 

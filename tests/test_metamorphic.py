@@ -180,10 +180,6 @@ class Reflected(SetValuedFn):
         self.base, self.domain, self.kind = base, base.domain, base.kind
         self.claimed_modulus = base.claimed_modulus
 
-    @property
-    def grid_size(self):
-        return self.base.grid_size
-
     def eval_vector(self, xs, out=None):
         a, b = self.domain.a, self.domain.b
         xs = np.asarray(xs, dtype=float)

@@ -10,12 +10,10 @@ import harmonichh
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Kept though no traced run calls them: the two sets' __repr__s, the
-# abstract eval_vector, and the check of a SupportSet's values: no config
-# builds a support family since the disc became a disc, but the generic
-# families of the tests (SampledFn, CShiftFn) are support families.
-KEPT = {"Interval.__repr__", "SupportSet.__repr__", "SetValuedFn.eval_vector",
-        "SupportSet.__post_init__"}
+# Kept though no traced run calls them: an interval's __repr__, which the
+# tests and an interactive session read, and the abstract eval_vector,
+# which every family overrides.
+KEPT = {"Interval.__repr__", "SetValuedFn.eval_vector"}
 
 
 def test_only_the_kept_functions_are_unreached(monkeypatch):

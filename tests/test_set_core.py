@@ -12,9 +12,7 @@ from harmonichh.set_core import (
     NegativeScaleError,
     NonFiniteSetError,
     RepresentationMismatchError,
-    SupportSet,
     UnsupportedProductError,
-    as_row,
     ball,
     disc_block,
     hausdorff,
@@ -23,7 +21,7 @@ from harmonichh.set_core import (
     minkowski_sum,
     scale,
 )
-from oracles import directions, point, sampled_disc_margins
+from oracles import directions, sampled_disc_margins
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -33,37 +31,6 @@ def iv(lo, hi):
 
 
 intervals = st.tuples(finite, finite).map(lambda p: iv(*p))
-support_sets = st.lists(finite, min_size=8, max_size=8).map(lambda v: SupportSet(tuple(v)))
-
-
-class TestSupportSetValues:
-    """A SupportSet converts and checks its values in one step and stores
-    Python floats, whatever sequence of numbers it is given."""
-
-    @pytest.mark.parametrize("values", [
-        (1.0, -0.5, 2.0), [1, -0.5, 2], np.array([1.0, -0.5, 2.0]),
-        tuple(np.array([1.0, -0.5, 2.0])), (v for v in (1.0, -0.5, 2.0)), ["1", "-0.5", "2"],
-    ], ids=["tuple", "list", "array", "numpy-scalars", "generator", "strings"])
-    def test_accepted_inputs_store_python_floats(self, values):
-        s = SupportSet(values)
-        assert s.support == (1.0, -0.5, 2.0)
-        assert all(type(v) is float for v in s.support)
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("container", [tuple, np.array])
-    def test_non_finite_rejected(self, bad, container):
-        with pytest.raises(NonFiniteSetError, match="finite"):
-            SupportSet(container([1.0, bad, 1.0]))
-
-    @pytest.mark.parametrize("values", [(1.0, 2.0), np.array([1.0]), ()])
-    def test_fewer_than_three_directions_rejected(self, values):
-        with pytest.raises(ValueError, match="at least 3"):
-            SupportSet(values)
-
-    @pytest.mark.parametrize("values", [1.0, np.ones((2, 3))], ids=["scalar", "2-D"])
-    def test_non_flat_rejected(self, values):
-        with pytest.raises(TypeError):
-            SupportSet(values)
 
 
 class TestInterval:
@@ -76,10 +43,6 @@ class TestInterval:
         # a compact set; an infinite endpoint would make inclusion margins NaN
         with pytest.raises(ValueError, match="finite"):
             Interval(lo, hi)
-
-    def test_non_finite_support_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            SupportSet((1.0, math.inf, 1.0))
 
     def test_minkowski_endpoints(self):
         assert minkowski_sum(Interval(1, 2), Interval(3, 5)) == Interval(4, 7)
@@ -112,9 +75,6 @@ class TestBall:
     def test_degenerate(self):
         assert ball(0.0, "interval") == Interval(0, 0)
 
-    def test_support_ball(self):
-        assert ball(1.0, "support", grid_size=4) == SupportSet((1, 1, 1, 1))
-
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             ball(-0.5)
@@ -138,21 +98,9 @@ class TestIncludes:
         v = includes(Interval(0, 1.0000001), Interval(0, 1), tol=1e-3)
         assert v.holds == (v.slack >= -v.tolerance_used)
 
-    def test_support_witness_direction(self):
-        a = SupportSet((1.0, 2.0, 1.0, 1.0))
-        b = SupportSet((2.0, 1.5, 2.0, 2.0))
-        v = includes(a, b)
-        assert not v.holds
-        assert v.witness_direction == 1
-        assert v.slack == -0.5
-
     def test_mixed_kind_rejected(self):
         with pytest.raises(RepresentationMismatchError):
-            includes(Interval(0, 1), ball(1, "support"))
-
-    def test_mixed_grid_rejected(self):
-        with pytest.raises(RepresentationMismatchError):
-            minkowski_sum(ball(1, "support", 8), ball(1, "support", 16))
+            includes(Interval(0, 1), ball(1, "disc"))
 
     # ties and the tolerance scale of the shared inclusion rule
     def test_equal_interval_margins_witness_hi(self):
@@ -164,20 +112,10 @@ class TestIncludes:
     def test_interval_witness_lo_when_strictly_tighter(self):
         assert includes(Interval(0.5, 2), Interval(0, 3)).witness_direction == "lo"
 
-    def test_equal_support_keys_witness_first_index(self):
-        v = includes(SupportSet((1.0, 1.0, 1.0)), SupportSet((2.0, 2.0, 2.0)), tol=1e-3)
-        assert v.witness_direction == 0
-        v = includes(SupportSet((0.0, 1.0, 1.0, 1.0)), SupportSet((1.0, 1.0, 1.0, 1.0)))
-        assert v.witness_direction == 1 and v.slack == 0.0
-
     @pytest.mark.parametrize("b", [Interval(-4.0, 2.0), Interval(-2.0, 4.0)])
     def test_interval_tolerance_scales_with_larger_endpoint(self, b):
         v = includes(Interval(0.0, 1.0), b, tol=1e-3)
         assert v.tolerance_used == 1e-3 * (1.0 + 4.0)
-
-    def test_support_tolerance_at_witness(self):
-        v = includes(SupportSet((1.0, 5.0, 1.0)), SupportSet((3.0, 4.0, 3.0)), tol=1e-3)
-        assert v.witness_direction == 1 and v.tolerance_used == 1e-3 * (1.0 + 4.0)
 
 
 class TestMooreProduct:
@@ -190,9 +128,9 @@ class TestMooreProduct:
     def test_symmetric(self):
         assert interval_product(Interval(-1, 1), Interval(-1, 1)) == Interval(-1, 1)
 
-    def test_support_rejected(self):
+    def test_disc_rejected(self):
         with pytest.raises(UnsupportedProductError):
-            interval_product(ball(1, "support"), ball(1, "support"))
+            interval_product(ball(1, "disc"), ball(1, "disc"))
 
 
 class TestHausdorff:
@@ -206,13 +144,6 @@ class TestHausdorff:
         assert hausdorff(ball(1.0), ball(3.0)) == 2.0
 
 
-class TestPoint:
-    def test_support_point_is_inner_product(self):
-        p = point((1.0, 2.0), "support", grid_size=16)
-        expect = directions(16) @ np.array([1.0, 2.0])
-        assert np.allclose(as_row(p), expect)
-
-
 @given(intervals, intervals)
 def test_minkowski_commutes(a, b):
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
@@ -223,11 +154,6 @@ def test_minkowski_associates(a, b, c):
     left = minkowski_sum(minkowski_sum(a, b), c)
     right = minkowski_sum(a, minkowski_sum(b, c))
     assert hausdorff(left, right) <= 1e-9 * (1 + abs(left.lo) + abs(left.hi))
-
-
-@given(support_sets, support_sets)
-def test_support_minkowski_commutes(a, b):
-    assert hausdorff(minkowski_sum(a, b), minkowski_sum(b, a)) <= 1e-15 * 1e7
 
 
 @given(st.floats(0, 100), st.floats(0, 100), intervals)
@@ -305,7 +231,7 @@ class TestDisc:
 
     def test_mixed_kinds_refused(self):
         with pytest.raises(RepresentationMismatchError):
-            includes(Disc((0.0, 0.0), 1.0), ball(1.0, "support"))
+            includes(Disc((0.0, 0.0), 1.0), ball(1.0))
         with pytest.raises(RepresentationMismatchError):
             minkowski_sum(Interval(0, 1), Disc((0.0, 0.0), 1.0))
         with pytest.raises(UnsupportedProductError):

@@ -318,7 +318,7 @@ class TestLayoutBitForBit:
             assert same_bits(f.eval_vector(xs), np.column_stack(
                 [v[0] * inv + w[0], v[1] * inv + w[1], K - beta * (inv * inv)])), n
 
-    @pytest.mark.parametrize("kind,channels", [("interval", 2), ("support", 5)])
+    @pytest.mark.parametrize("kind,channels", [("interval", 2), ("disc", 3)])
     @pytest.mark.parametrize("c", [0.25, 0.5, 3.0])
     def test_cshift(self, kind, channels, c):
         vals = np.random.default_rng(9).normal(size=(_POINTS.size, channels))
@@ -332,7 +332,7 @@ class TestLayoutBitForBit:
             expected[:, 0] -= r
             expected[:, 1] += r
         else:
-            expected += r[:, None]
+            expected[:, 2] += r
         assert same_bits(CShiftFn(Tabled(vals, kind), c).eval_vector(_POINTS), expected)
         assert same_bits(vals, before)
 
@@ -342,7 +342,7 @@ class Tabled(SetValuedFn):
 
     def __init__(self, vals, kind):
         self.vals, self.kind = vals, kind
-        self.domain, self.claimed_modulus, self.grid_size = DOM12, None, vals.shape[1]
+        self.domain, self.claimed_modulus = DOM12, None
 
     def eval_vector(self, xs, out=None):
         assert xs is _POINTS
@@ -354,21 +354,21 @@ class Tabled(SetValuedFn):
 
 def _sampled(kind):
     xp = np.linspace(1.0, 2.0, 9)
-    channels = 2 if kind == "interval" else 5
+    channels = 2 if kind == "interval" else 3
     return SampledFn(xp, np.column_stack([np.cos(k * xp) + k for k in range(channels)]), DOM12,
                      kind=kind)
 
 
-# a family of every class in svf, a support family among them
+# a family of every class in svf, sampled discs among them
 OUT_FAMILIES = {
     "quadratic": lambda: make_quadratic_family(0.7, 2.5, 13.0, DOM12),
     "disc": lambda: make_disc_family((0.75, -1.5), (0.2, 0.4), 9.0, 1.3, DOM12),
     "sampled-interval": lambda: _sampled("interval"),
-    "sampled-support": lambda: _sampled("support"),
+    "sampled-disc": lambda: _sampled("disc"),
     "reciprocal-disc": lambda: reciprocal_transform(OUT_FAMILIES["disc"]()),
-    "reciprocal-support": lambda: reciprocal_transform(_sampled("support")),
+    "reciprocal-sampled-disc": lambda: reciprocal_transform(_sampled("disc")),
     "cshift-quadratic": lambda: CShiftFn(OUT_FAMILIES["quadratic"](), 0.5),
-    "cshift-support": lambda: CShiftFn(_sampled("support"), 3.0),
+    "cshift-sampled-disc": lambda: CShiftFn(_sampled("disc"), 3.0),
 }
 
 
@@ -419,12 +419,6 @@ class TestWiden:
         before = rows.copy()
         assert widen(rows, self.R, "interval") is rows
         assert same_bits(rows, np.vstack((before[0] - self.R, before[1] + self.R)))
-
-    def test_every_support_row(self):
-        rows = self.rows(5)
-        before = rows.copy()
-        assert widen(rows, self.R, "support") is rows
-        assert same_bits(rows, before + self.R)
 
     def test_disc_radius_row_alone(self):
         # a disc's radius row rises, its centre rows stay as they are
@@ -479,7 +473,7 @@ class TestSampledInterpolation:
         return np.column_stack([np.interp(xs, xp, fp[:, j]) for j in range(fp.shape[1])])
 
     def assert_bitwise(self, xp, fp, xs):
-        got = SampledFn(xp, fp, DOM12, kind="support").eval_vector(xs)
+        got = SampledFn(xp, fp, DOM12, kind="disc").eval_vector(xs)
         want = self.per_channel(xp, fp, xs)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -489,7 +483,7 @@ class TestSampledInterpolation:
         for _ in range(40):
             n = int(rng.integers(2, 12))
             xp = np.unique(rng.uniform(1.0, 2.0, n))
-            fp = rng.normal(size=(xp.size, 5)) * 10.0 ** rng.integers(-3, 4)
+            fp = rng.normal(size=(xp.size, 3)) * 10.0 ** rng.integers(-3, 4)
             xs = np.concatenate([rng.uniform(0.8, 2.2, 40), xp])
             self.assert_bitwise(xp, fp, xs)
 
@@ -498,7 +492,7 @@ class TestSampledInterpolation:
         fp = np.array([[1.0, -0.0, 3.0], [2.0, 0.5, -1.0], [-4.0, 0.25, 0.0], [5.0, -0.0, 7.0]])
         xs = np.array([0.5, 1.0 - 1e-16, 1.0, 1.25, 1.3, 2.0, 2.0 + 1e-15, 3.0, -np.inf, np.inf])
         self.assert_bitwise(xp, fp, xs)
-        got = SampledFn(xp, fp, DOM12, kind="support").eval_vector(xs)
+        got = SampledFn(xp, fp, DOM12, kind="disc").eval_vector(xs)
         assert np.array_equal(got[[5, 6, 7, 9]], fp[[-1, -1, -1, -1]])  # fp[-1] at and past xp[-1]
         assert np.array_equal(got[[0, 1, 8]], fp[[0, 0, 0]])
 
@@ -509,13 +503,33 @@ class TestSampledInterpolation:
         fp = np.array([[-np.inf, np.inf, 1.0], [1.0, np.inf, 2.0], [2.0, 3.0, 1e308]])
         xs = np.array([np.nan, 1.2, 1.7, 1.5, 2.0])
         self.assert_bitwise(xp, fp, xs)
-        got = SampledFn(xp, fp, DOM12, kind="support").eval_vector(xs)
+        got = SampledFn(xp, fp, DOM12, kind="disc").eval_vector(xs)
         assert np.isnan(got[0]).all()
         assert got[1, 0] == -np.inf and got[1, 1] == np.inf
 
     def test_single_knot(self):
         xp, fp = np.array([1.5]), np.array([[1.0, 2.0, -0.0]])
         self.assert_bitwise(xp, fp, np.array([1.0, 1.5, 2.0, np.nan]))
+
+
+class TestSampledKind:
+    """A sampled family's kind is "interval" or "disc", with two or three
+    value columns; anything else is refused at construction, by name."""
+
+    XS = np.linspace(1.0, 2.0, 5)
+
+    @pytest.mark.parametrize("kind", ["disk", "support", None])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(FeasibilityError, match=re.escape(f"got {kind!r}")):
+            SampledFn(self.XS, np.ones((5, 3)), DOM12, kind=kind)
+
+    @pytest.mark.parametrize("kind,columns", [("interval", 3), ("interval", 1), ("disc", 2),
+                                              ("disc", 64)])
+    def test_column_count_refused(self, kind, columns):
+        with pytest.raises(FeasibilityError, match=f"{kind} family needs"):
+            SampledFn(self.XS, np.ones((5, columns)), DOM12, kind=kind)
+        with pytest.raises(FeasibilityError, match=f"{kind} family needs"):
+            SampledFn(self.XS, np.ones(5), DOM12, kind=kind)
 
 
 class TestEndpointModuli:

@@ -79,10 +79,8 @@ def grid_parity(old_src: str, new_src: str) -> int:
 
 
 def channels(s: dict) -> list:
-    """The numbers of a set document: a SupportSet's support values, an
-    interval's ends, or a disc's centre coordinates and radius."""
-    if s["kind"] == "support":
-        return s["support"]
+    """The numbers of a set document: an interval's ends, or a disc's
+    centre coordinates and radius."""
     if s["kind"] == "disc":
         return [*s["center"], s["radius"]]
     return [s["lo"], s["hi"]]
