@@ -13,6 +13,8 @@ from harmonichh.set_core import (
     NonFiniteSetError,
     RepresentationMismatchError,
     UnsupportedProductError,
+    as_row,
+    as_set,
     ball,
     disc_block,
     hausdorff,
@@ -43,6 +45,13 @@ class TestInterval:
         # a compact set; an infinite endpoint would make inclusion margins NaN
         with pytest.raises(ValueError, match="finite"):
             Interval(lo, hi)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 2), (np.float32(1.0), np.int64(2)), ("1", "2")],
+                             ids=["ints", "numpy-scalars", "strings"])
+    def test_endpoints_stored_as_python_floats(self, lo, hi):
+        a = Interval(lo, hi)
+        assert (a.lo, a.hi) == (1.0, 2.0)
+        assert type(a.lo) is float and type(a.hi) is float
 
     def test_minkowski_endpoints(self):
         assert minkowski_sum(Interval(1, 2), Interval(3, 5)) == Interval(4, 7)
@@ -78,6 +87,18 @@ class TestBall:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             ball(-0.5)
+
+    def test_disc_ball(self):
+        assert ball(2.5, "disc") == Disc((0.0, 0.0), 2.5)
+
+    def test_negative_disc_radius(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ball(-0.5, "disc")
+
+    @pytest.mark.parametrize("kind", ["support", "disk", None])
+    def test_unknown_kind_refused(self, kind):
+        with pytest.raises(ValueError, match="unknown representation kind"):
+            ball(1.0, kind)
 
 
 class TestIncludes:
@@ -117,6 +138,24 @@ class TestIncludes:
         v = includes(Interval(0.0, 1.0), b, tol=1e-3)
         assert v.tolerance_used == 1e-3 * (1.0 + 4.0)
 
+    def test_disc_witness_direction(self):
+        # D((4, 0), 1) against D((0, 0), 3): the margin (3 - 1) - 4 is
+        # attained along +x
+        v = includes(Disc((4.0, 0.0), 1.0), Disc((0.0, 0.0), 3.0))
+        assert (v.holds, v.slack, v.witness_direction) == (False, -2.0, [1.0, 0.0])
+
+    def test_disc_tolerance_at_witness(self):
+        # slack (4 - 1) - ||(0, 4)||; tolerance scaled by 1 + r_B + ||c_B||
+        v = includes(Disc((0.0, 3.0), 1.0), Disc((0.0, -1.0), 4.0), tol=1e-3)
+        assert (v.holds, v.slack, v.witness_direction) == (False, -1.0, [0.0, 1.0])
+        assert v.tolerance_used == 1e-3 * (1.0 + 4.0 + 1.0)
+
+    def test_disc_holds_within_tolerance(self):
+        v = includes(Disc((0.0, 0.0), 1.0001), Disc((0.0, 0.0), 1.0), tol=1e-3)
+        # slack 1 - 1.0001 is within the tolerance 1e-3 * (1 + 1 + 0)
+        assert v.slack < 0.0 and v.witness_direction == "radius"
+        assert v.holds and v.slack >= -v.tolerance_used
+
 
 class TestMooreProduct:
     def test_positive(self):
@@ -132,6 +171,10 @@ class TestMooreProduct:
         with pytest.raises(UnsupportedProductError):
             interval_product(ball(1, "disc"), ball(1, "disc"))
 
+    def test_mixed_rejected(self):
+        with pytest.raises(UnsupportedProductError):
+            interval_product(Interval(0, 1), ball(1, "disc"))
+
 
 class TestHausdorff:
     def test_zero(self):
@@ -142,6 +185,13 @@ class TestHausdorff:
 
     def test_balls(self):
         assert hausdorff(ball(1.0), ball(3.0)) == 2.0
+
+    def test_concentric_discs(self):
+        assert hausdorff(Disc((1.5, -2.0), 0.5), Disc((1.5, -2.0), 3.0)) == 2.5
+
+    def test_mixed_kinds_refused(self):
+        with pytest.raises(RepresentationMismatchError):
+            hausdorff(Interval(0, 1), ball(1.0, "disc"))
 
 
 @given(intervals, intervals)
@@ -211,6 +261,24 @@ class TestDisc:
         d = Disc(np.array([1, -2]), np.float64(0.5))
         assert d == Disc((1.0, -2.0), 0.5)
         assert all(type(v) is float for v in (*d.center, d.radius))
+
+    @pytest.mark.parametrize("center,radius", [
+        ((1.0, -2.0), 0.5), ([1, -2], 0.5), (np.array([1.0, -2.0]), 0.5),
+        (tuple(np.array([1.0, -2.0])), np.float32(0.5)), ((v for v in (1.0, -2.0)), 0.5),
+        (["1", "-2"], "0.5"),
+    ], ids=["tuple", "list", "array", "numpy-scalars", "generator", "strings"])
+    def test_accepted_inputs_store_python_floats(self, center, radius):
+        d = Disc(center, radius)
+        assert (d.center, d.radius) == ((1.0, -2.0), 0.5)
+        assert all(type(v) is float for v in (*d.center, d.radius))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=["c0", "c1", "radius"])
+    def test_non_finite_rejected(self, slot, bad):
+        row = [1.0, -2.0, 0.5]
+        row[slot] = bad
+        with pytest.raises(NonFiniteSetError, match="finite"):
+            Disc(row[:2], row[2])
 
     @pytest.mark.parametrize("center,radius,error", [
         ((0.0, math.inf), 1.0, NonFiniteSetError), ((0.0, 0.0), math.nan, NonFiniteSetError),
@@ -376,3 +444,55 @@ def test_disc_rule_is_the_support_inclusion_in_every_direction(a, b, angle):
 @given(discs, discs)
 def test_disc_minkowski_commutes(a, b):
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
+
+
+def _disc_size(*ds):
+    return sum(abs(d.center[0]) + abs(d.center[1]) + d.radius for d in ds)
+
+
+@given(discs, discs, discs)
+def test_disc_minkowski_associates(a, b, c):
+    left = minkowski_sum(minkowski_sum(a, b), c)
+    right = minkowski_sum(a, minkowski_sum(b, c))
+    assert hausdorff(left, right) <= 1e-9 * (1 + _disc_size(left))
+
+
+@given(st.floats(0, 100), st.floats(0, 100), discs)
+def test_disc_scale_additive_on_convex(s, t, a):
+    lhs = scale(s + t, a)
+    rhs = minkowski_sum(scale(s, a), scale(t, a))
+    assert hausdorff(lhs, rhs) <= 1e-9 * (1 + _disc_size(lhs))
+
+
+@given(st.floats(0, 100), discs, discs)
+def test_disc_scale_distributes_over_sum(t, a, b):
+    lhs = scale(t, minkowski_sum(a, b))
+    rhs = minkowski_sum(scale(t, a), scale(t, b))
+    assert hausdorff(lhs, rhs) <= 1e-9 * (1 + _disc_size(lhs))
+
+
+@given(discs, discs, discs)
+def test_disc_includes_transitive(a, b, c):
+    if includes(a, b).holds and includes(b, c).holds:
+        assert includes(a, c, tol=1e-12).holds
+
+
+@given(discs, discs, st.floats(0, 1e6), st.floats(0, 1e6))
+def test_disc_monotonicity(a, b, grow_a, grow_b):
+    # a subset big_a, b subset big_b by construction
+    big_a = Disc(a.center, a.radius + grow_a)
+    big_b = Disc(b.center, b.radius + grow_b)
+    assert includes(a, big_a).holds and includes(b, big_b).holds
+    assert includes(minkowski_sum(a, b), minkowski_sum(big_a, big_b), tol=1e-12).holds
+
+
+@given(discs, discs)
+def test_disc_hausdorff_symmetric(a, b):
+    assert hausdorff(a, b) == hausdorff(b, a)
+    assert hausdorff(a, a) == 0.0
+
+
+@given(st.one_of(intervals, discs))
+def test_as_set_inverts_as_row(s):
+    kind = "interval" if isinstance(s, Interval) else "disc"
+    assert as_set(as_row(s), kind) == s
