@@ -150,14 +150,17 @@ def min_slack_search(space: SearchSpace, theorem_id: str, budget: int, seed: int
 
     evaluations = 0
     best = None  # (slack, key, cfg, holds)
+    seen = {}  # entries by config key: a descent probe can revisit a config
 
     def consider(cfg: dict):
         nonlocal evaluations, best
-        rep = evaluate_config(cfg, theorem_id, grid, quad, tol)
+        key = _config_key(cfg)
+        if key not in seen:
+            rep = evaluate_config(cfg, theorem_id, grid, quad, tol)
+            seen[key] = (rep.verdict.slack, key, cfg, rep.holds)
         evaluations += 1
-        entry = (rep.verdict.slack, _config_key(cfg), cfg, rep.holds)
-        if best is None or (entry[0], entry[1]) < (best[0], best[1]):
-            best = entry
+        if best is None or seen[key][:2] < best[:2]:
+            best = seen[key]
 
     for i in range(budget):
         raw = {name: lo + unit[i, j] * (hi - lo)

@@ -45,12 +45,12 @@ run's x values, and each channel of a block is one contiguous row of a
 workspace allocated once per pass.  With p the number of pairs whose t
 values fit in BLOCK_ELEMENTS per array, at least one (each channel is an
 array of its own), a run holds k = min(p, n) x values and a block p // k
-of its y rows.  The budget keeps each float64 block array below the
-allocator's mmap threshold (128 KiB in glibc): a larger array is a fresh
-map that page-faults in on every block.  Proposition 3.1's arithmetic side
-always takes G(u) = F(1/u)'s values through ``eval_vector``, written into
-the workspace's right-side rows once the shifted side has folded, so that
-it stays an independent check of the harmonic side.
+of its y rows; the t values, the walk's runs and the points' ramp are built
+once per grid.  A block allocates nothing of its size (past glibc's 128 KiB
+mmap threshold it would page-fault in on every block).  Proposition 3.1's
+arithmetic side takes G(u) = F(1/u)'s values through ``eval_vector``, written
+with 1/u_H into the workspace's right-side rows once the shifted side has
+folded, so that it stays an independent check of the harmonic side.
 
 Only the inclusion step tells the kinds apart: a block goes through its
 kind's branch of the rule in the workspace's rows.  One method,
@@ -58,12 +58,11 @@ kind's branch of the rule in the workspace's rows.  One method,
 keys, slack + tolerance one per row: the kept row minimises (key, grid
 index), so verdicts do not depend on how evaluation is batched or in what
 order blocks come (tested for block sizes from 1 to larger than the
-grid).  It takes the block's least key first and puts the rows of that
-key in grid order only when one can replace the kept one, whose slack,
-tolerance and witness are read at that row alone.  Proposition 3.1
-counts a row as holding when its key is >= 0: each side's block goes
-through the rule once, and rows are compared only where a side's least
-key is negative or NaN.
+grid).  One argmin finds a block's first least key; a tie before it in
+grid order lies in its y row at a later t and a smaller x, so only those
+rows are searched.  Proposition 3.1 counts a row as holding when its key
+is >= 0: each side's block goes through the rule once, and rows are
+compared only where a side's least key is negative or NaN.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -185,12 +184,25 @@ class ConvexityGrid:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "t_values", ts)
 
+    def _cached(self, key, build):
+        # what depends on the grid alone, built once per grid
+        cache = self.__dict__.setdefault("_cache", {})
+        return cache[key] if key in cache else cache.setdefault(key, build())
+
+    def _ramp(self) -> np.ndarray:
+        n = max(2, round(self.pair_count ** 0.5))
+        return self._cached("ramp", lambda: np.arange(float(n)))
+
     def points(self, lo: float, hi: float) -> np.ndarray:
         """The n distinct coordinates of the stratified grid on [lo, hi]:
-        pair i*n + j is (x, y) = (points[j], points[i])."""
+        pair i*n + j is (x, y) = (points[j], points[i]).  Point i is
+        i (hi - lo)/(n - 1) + lo and the last is hi, as in np.linspace."""
         if self.sampling != "deterministic-stratified":
             raise ValueError("seeded-random pairs share no grid points")
-        return np.linspace(lo, hi, max(2, round(self.pair_count ** 0.5)))
+        ramp = self._ramp()
+        pts = ramp * ((hi - lo) / (ramp.size - 1)) + lo
+        pts[-1] = hi
+        return pts
 
     def pairs(self, lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
         if self.sampling == "deterministic-stratified":
@@ -252,13 +264,12 @@ def _walk(grid: ConvexityGrid, lo: float, hi: float, per_block: int):
             k = px.size
             yield np.concatenate((px, py)), [(slice(0, k), [((None, slice(k, 2 * k)), first, 0)])]
         return
-    pts = grid.points(lo, hi)
-    n = pts.size
+    n = grid._ramp().size
     k = min(per_block, n)
     step = per_block // k
-    yield pts, [(slice(j, j + k), [((slice(i, i + step), None), i * n + j, n)
-                                   for i in range(0, n, step)])
-                for j in range(0, n, k)]
+    yield grid.points(lo, hi), grid._cached(("runs", per_block), lambda: [
+        (slice(j, j + k), [((slice(i, i + step), None), i * n + j, n) for i in range(0, n, step)])
+        for j in range(0, n, k)])
 
 
 def _rank(key: float) -> tuple:
@@ -271,62 +282,55 @@ class _Worst:
     element minimising (key, grid index), NaN first.
 
     The side reads the rows at the t index ``pick`` of each block on the t
-    grid ``t`` (all of them by default) and takes the least of their keys,
-    one per row.  The kept row is the first global argmin in grid order
-    whatever order the blocks arrive in, so the verdict does not depend on
-    batching.  Every row holds exactly when the kept row
-    does, so the kept row's verdict is the side's verdict.
+    grid ``t`` (all of them by default), ``pairs`` per t, and takes the least
+    of their keys, one per row.  The kept row is the first global argmin in
+    grid order whatever order the blocks arrive in, so the verdict does not
+    depend on batching.  Every row holds exactly when the kept row does, so
+    the kept row's verdict is the side's verdict.
     """
 
-    def __init__(self, kind: str, t: np.ndarray, pick: Optional[int] = None):
+    def __init__(self, kind: str, t: np.ndarray, pick: Optional[int] = None, pairs: int = 0):
         self.kind = kind
         self.t = t
         self.pick = pick
-        self.rank = None
-        self.index = None
-        self.row = None
-        self.triples = 0
+        self.rank = self.index = self.row = None
+        self.triples = pairs * (t.size if pick is None else 1)
 
     def beaten(self, key: float, index: int) -> bool:
         """Whether an element of key ``key`` at grid index ``index`` cannot
-        replace the kept row, nor a block whose every key is >= ``key`` and
-        whose least grid index is ``index``: it loses on its ``_rank``, or
-        ties and loses on index."""
+        replace the kept row: it loses on its ``_rank``, or ties and loses
+        on index."""
         return self.row is not None and (_rank(key), index) > (self.rank, self.index)
 
-    def update(self, block, x, y, first, stride, slab=0):
-        """Fold in one block of the pass, or its whole (y row, t) slabs from
-        the slab ``slab`` on: an ``InclusionBlock`` whose rows are those
-        triples in (y row, t, x) order, for the x values ``x`` and the y
-        values ``y`` of a block of ``_walk``.  Its least key is taken first,
-        and its rows of that key are put in grid order only when one can
-        replace the kept row; slack, tolerance and witness are read at the
-        kept row alone."""
+    def update(self, block, x, y, first, stride) -> None:
+        """Fold in one block of ``_walk`` (x values ``x``, y values ``y``):
+        an ``InclusionBlock`` of its triples in (y row, t, x) order, whose
+        least key is kept as ``least``.  One argmin finds it in block order;
+        a tie first in grid order lies in its y row at a later t and a
+        smaller x.  Slack, tolerance and witness are read at the kept row."""
         m, k = self.t.size, x.size
-        # the slabs at the side's t values, from ``start`` on every ``step``-th
-        start, step = (0, 1) if self.pick is None else ((self.pick - slab) % m, m)
-        keys = block.keys.reshape(-1, k)[start::step]
-        if not keys.size:  # slabs of other t values only
-            return
-        flat = keys.reshape(-1)
-        least = flat.min()
-        # the side's least grid index in the block
-        yr, ti = divmod(slab + start, m)
-        if self.beaten(least, (first + yr * stride) * m + ti):
-            return
-        # the least key's rows: their slab i, (y row, t), x and grid index
-        i, kx = np.divmod(np.flatnonzero(flat != flat if least != least else flat == least), k)
-        i = start + i * step
-        yr, ti = np.divmod(slab + i, m)
-        at = (first + yr * stride + kx) * m + ti
-        h = int(np.argmin(at))
-        if not self.beaten(least, int(at[h])):
-            self.rank, self.index = _rank(least), int(at[h])
-            row = i[h] * k + kx[h]
+        keys = block.keys.reshape(-1, m, k)
+        if self.pick is not None:  # the rows of one t: ti is 0 below, then pick
+            keys = keys[:, self.pick:self.pick + 1]
+        yr, i = divmod(int(keys.argmin()), keys.shape[1] * k)
+        ti, kx = divmod(i, k)
+        self.least = least = keys[yr, ti, kx]
+        if kx and ti + 1 < keys.shape[1]:
+            later = keys[yr, ti + 1:, :kx].T  # (x, t): the first tie in grid order
+            tied = later != later if least != least else later == least
+            j = int(tied.argmax())
+            if tied.flat[j]:
+                kx, i = divmod(j, tied.shape[1])
+                ti += 1 + i
+        ti += self.pick or 0
+        index = (first + yr * stride + kx) * m + ti
+        if not self.beaten(least, index):
+            self.rank, self.index = _rank(least), index
+            row = (yr * m + ti) * k + kx
             # y is one value per y row, shaped (R, 1), or one per x, (1, K)
             self.row = (*block.at(row),
-                        block.lhs[row].copy(), block.rhs[row].copy(), x[kx[h]],
-                        y[yr[h], 0] if y.shape[1] == 1 else y[0, kx[h]], self.t[ti[h]])
+                        block.lhs[row].copy(), block.rhs[row].copy(), x[kx],
+                        y[yr, 0] if y.shape[1] == 1 else y[0, kx], self.t[ti])
 
     def report(self, theorem_id: str, c: float, **echo) -> TheoremReport:
         slack, tol_used, witness, lhs, rhs, x, y, t = self.row
@@ -358,19 +362,26 @@ def grid_reports(f: SetValuedFn, c: float, grid: ConvexityGrid, ids,
     check_modulus(ids, c)
     full = not {"def_shc", "lemma_i", "prop_31"}.isdisjoint(ids)
     kind = f.kind
-    t = np.array(grid.t_values if full else (0.5,))
+    t = grid._cached(("t", full), lambda: np.array(grid.t_values if full else (0.5,)))
+    pairs = grid.pair_count if grid.sampling == "seeded-random" else grid._ramp().size ** 2
     # running witnesses of the strong and shifted sides by strong id: every row
     # of a block for def_shc (lemma_i), the t = 1/2 rows for def_mid (lemma_ii)
     half = grid.t_values.index(0.5) if full else None
     rows_of = {"def_shc": (None, "lemma_i", full),
                "def_mid": (half, "lemma_ii", "def_mid" in ids or "lemma_ii" in ids)}
-    strong = {sid: _Worst(kind, t, pick)
+    strong = {sid: _Worst(kind, t, pick, pairs)
               for sid, (pick, _, wanted) in rows_of.items() if wanted}
-    shift = {sid: _Worst(kind, t, pick)
+    shift = {sid: _Worst(kind, t, pick, pairs)
              for sid, (pick, lemma_id, _) in rows_of.items() if lemma_id in ids}
-    arith = _Arithmetic(f) if "prop_31" in ids else None
-    _grid_pass(f, c, grid, t, tol, block_pairs, list(strong.values()), list(shift.values()),
-               arith)
+    arith = _Arithmetic(f, strong["def_shc"]) if "prop_31" in ids else None
+    # numpy's ufunc buffer, 8192 values by default: at 256 a block's broadcast
+    # ops copy no operand into it, 2-3x faster at 512 x values a row
+    old = np.setbufsize(256)
+    try:
+        _grid_pass(f, c, grid, t, tol, block_pairs, list(strong.values()),
+                   list(shift.values()), arith)
+    finally:
+        np.setbufsize(old)
 
     out = {sid: side.report(sid, c) for sid, side in strong.items()}
     for sid, side in shift.items():
@@ -393,18 +404,19 @@ class _Arithmetic:
     values of G(u) = F(1/u): whether every row
     t G(v) + (1-t) G(u) + c t(1-t) (u - v)^2 B inside G(t v + (1-t) u)
     holds, their smallest row slack, and how many rows' verdicts differ
-    from the harmonic side's.  A block whose least key is >= 0 holds on
-    every row, so rows are compared only where a side's least key is
-    negative or NaN."""
+    from those of the harmonic side ``harmonic``, the def_shc side.  A
+    block whose least key is >= 0 holds on every row, so rows are compared
+    only where a side's least key is negative or NaN."""
 
-    def __init__(self, f: SetValuedFn):
+    def __init__(self, f: SetValuedFn, harmonic: _Worst):
         self.g = reciprocal_transform(f)
+        self.side = harmonic
         self.holds, self.slack, self.disagreements, self.harmonic = True, np.inf, 0, True
 
     def harmonic_rows(self, keys):
         """Keep the harmonic side's verdicts of a block's rows, from its
-        keys: True where every row holds, else a copy per row."""
-        self.harmonic = True if keys.min() >= 0.0 else keys >= 0.0
+        keys and folded least key: True where every row holds, else a copy."""
+        self.harmonic = True if self.side.least >= 0.0 else keys >= 0.0
 
     def update(self, block):
         """Fold in the arithmetic side's ``InclusionBlock`` of the block
@@ -426,9 +438,9 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     c u^2 (the shifted map, at every point) on the ball; only the inclusion
     step, ``fold``, branches on the family's kind."""
     kind, m = f.kind, t.size
-    s = 1.0 - t
-    # per t, across the x values of a run
-    tc, sc, ct = t[:, None], s[:, None], (c * t * s)[:, None]
+    # per t, across the x values of a run, built once per grid
+    tc, sc = grid._cached(("columns", m), lambda: (t[:, None], (1.0 - t)[:, None]))
+    ct = c * tc * sc
     in_u = f.rows_in_u is not None
     # the channels go through the kind's branch of the rule in rows of the
     # workspace, each channel an array of its own
@@ -455,8 +467,6 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     def fold(sides, n, where):
         # the inclusion rule on the first n triples of lhs and rhs, folded
         # into ``sides``; returns the block
-        for side in sides:
-            side.triples += n if side.pick is None else n // m
         block = rule(lhs[:, :n], rhs[:, :n], tol, *(a[:n] for a in step))
         for side in sides:
             side.update(block, *where)
@@ -494,7 +504,7 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                 if in_u:
                     f.rows_in_u(uh[:n], uh2[:n], rhs[:, :n])
                 else:
-                    f.eval_vector(1.0 / uh[:n], out=rhs[:, :n])
+                    f.eval_vector(np.divide(1.0, uh[:n], out=rhs[-1, :n]), out=rhs[:, :n])
                 block = fold(strong, n, where)
                 if arith:
                     arith.harmonic_rows(block.keys)

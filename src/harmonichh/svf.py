@@ -88,7 +88,8 @@ class SetValuedFn(abc.ABC):
     (n, 2) array of interval endpoints (interval kind) or an (n, 3) array of
     disc centres and radii (disc kind).  Given ``out``, (channels, n) rows
     such as a grid pass's workspace rows, it writes the same bits into them
-    instead and returns ``out``.  ``eval`` wraps a single point into a ConvexSet.
+    instead and returns ``out``, of which ``xs`` may be the last row.
+    ``eval`` wraps a single point into a ConvexSet.
     """
 
     domain: HarmonicDomain
@@ -163,8 +164,9 @@ class QuadraticIntervalFn(SetValuedFn):
 
     def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``rows_in_u`` at u^2 = 1/x^2, into the columns of an (n, 2) array."""
-        u2 = 1.0 / np.asarray(xs, dtype=float) ** 2
-        rows = self.rows_in_u(None, u2, np.empty((u2.size, 2)).T if out is None else out)
+        rows = np.empty((np.size(xs), 2)).T if out is None else out
+        u2 = np.square(np.asarray(xs, dtype=float), out=rows[1])
+        self.rows_in_u(None, np.divide(1.0, u2, out=u2), rows)
         return rows.T if out is None else out
 
     def rows_in_u(self, u: Optional[np.ndarray], u2: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -226,8 +228,9 @@ class DiscFn(SetValuedFn):
 
     def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``rows_in_u`` at u = 1/x, into the columns of an (n, 3) array."""
-        us = 1.0 / np.asarray(xs, dtype=float)
-        rows = self.rows_in_u(us, us * us, np.empty((us.size, 3)).T if out is None else out)
+        rows = np.empty((np.size(xs), 3)).T if out is None else out
+        us = np.divide(1.0, np.asarray(xs, dtype=float), out=rows[1])
+        self.rows_in_u(us, np.square(us, out=rows[2]), rows)
         return rows.T if out is None else out
 
 
@@ -253,6 +256,12 @@ class SampledFn(SetValuedFn):
                                    f"got values of shape {self._values.shape}")
         if np.any(np.diff(self._xs) <= 0):
             raise FeasibilityError("sample grid must be strictly increasing")
+        for fault, bad in (("a value that is not finite", ~np.isfinite(self._values).all(axis=1)),
+                           ("a negative radius", kind == "disc" and self._values[:, 2] < 0.0)):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise FeasibilityError(f"sampled {kind} family has {fault} at knot {i}, "
+                                       f"x = {float(self._xs[i])!r}: {self._values[i].tolist()}")
         self.domain = domain
         self.kind = kind
 
@@ -276,7 +285,8 @@ class ReciprocalFn(SetValuedFn):
         self.claimed_modulus = base.claimed_modulus
 
     def eval_vector(self, us: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self.base.eval_vector(1.0 / np.asarray(us, dtype=float), out=out)
+        us = np.divide(1.0, np.asarray(us, dtype=float), out=None if out is None else out[-1])
+        return self.base.eval_vector(us, out=out)
 
 
 class CShiftFn(SetValuedFn):
@@ -295,10 +305,10 @@ class CShiftFn(SetValuedFn):
     def eval_vector(self, xs: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """F's values at ``xs`` widened by the balls of radius c/x^2, in a
         fresh array (or in ``out``)."""
-        xs = np.asarray(xs, dtype=float)
+        r = self.c / np.asarray(xs, dtype=float) ** 2
         rows = (self.base.eval_vector(xs).copy().T if out is None
                 else self.base.eval_vector(xs, out=out))
-        widen(rows, self.c / xs ** 2, self.kind)
+        widen(rows, r, self.kind)
         return rows.T if out is None else out
 
 

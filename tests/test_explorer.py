@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from harmonichh import hh_check
+from harmonichh import explorer, hh_check
 from harmonichh.aumann import QuadratureSpec
 from harmonichh.cli import build_family
 from harmonichh.cli import main as cli_main
@@ -21,6 +21,8 @@ from harmonichh.explorer import (
 )
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid
 from harmonichh.svf import FeasibilityError, QuadraticIntervalFn, least_K, make_family
+
+from test_golden import DISC_SEARCH, GOLDEN, report_digest
 
 GRID = ConvexityGrid(pair_count=64)
 
@@ -265,6 +267,35 @@ class TestMinSlackSearch:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             min_slack_search(SearchSpace(), "def_shc", budget=0, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 7, 8, 9])
+    def test_each_config_is_evaluated_once(self, monkeypatch, seed):
+        # At these seeds the disc search's descent probes revisit configs
+        # (clamped to a range end, or repaired back onto one): each distinct
+        # config is evaluated once, and every config considered is counted.
+        calls = []
+        evaluate = explorer.evaluate_config
+
+        def spy(cfg, *args):
+            calls.append(tuple(sorted(cfg.items())))
+            return evaluate(cfg, *args)
+
+        monkeypatch.setattr(explorer, "evaluate_config", spy)
+        space = SearchSpace(family="disc", c=(0.25, 2.0), certified_only=False)
+        result = min_slack_search(space, "def_shc", budget=64, seed=seed,
+                                  grid=ConvexityGrid(pair_count=1024))
+        assert result.evaluations == 64 + 3 * 2 * len(space.dimension_ranges())
+        assert len(calls) == len(set(calls)) < result.evaluations
+        assert result.violation_found
+
+    def test_golden_search_digest_with_each_config_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = explorer.evaluate_config
+        monkeypatch.setattr(explorer, "evaluate_config", lambda cfg, *args: calls.append(
+            tuple(sorted(cfg.items()))) or evaluate(cfg, *args))
+        [want] = [entry[2:] for entry in GOLDEN if entry[0] == "disc-search"]
+        assert report_digest(DISC_SEARCH) == want
+        assert len(calls) == len(set(calls)) == 16 + 3 * 2 * 9
 
 
 class TestEmitCounterexample:

@@ -601,6 +601,25 @@ class TestGrid:
         xs, ys, ts = g.triples(1, 2)
         assert xs.size == ys.size == ts.size == 16 * len(g.t_values)
 
+    def test_points_are_linspace_bit_for_bit(self):
+        # built once per grid as i (hi - lo)/(n - 1) + lo with the last at hi:
+        # np.linspace's bits, on domains across the whole end range
+        rng = np.random.default_rng(29)
+        lows = np.concatenate([2.0 ** -511 * (1.0 + rng.random(60)),
+                               2.0 ** rng.uniform(-511.0, 510.0, 80),
+                               2.0 ** 510 * (1.0 + rng.random(60) * 0.9)])
+        for i, lo in enumerate(lows):
+            # from a few ulps wide to the top of the range
+            hi = min(lo * (1.0 + 2.0 ** -50 * 2.0 ** rng.uniform(0.0, 60.0)), 2.0 ** 511)
+            if not hi > lo:
+                hi = np.nextafter(lo, np.inf)
+            pairs = int(rng.integers(1, 4097)) if i > 1 else (1, 4096)[i]
+            grid = ConvexityGrid(pair_count=pairs)
+            want = np.linspace(lo, hi, max(2, round(pairs ** 0.5)))
+            for _ in range(2):  # a second call reads the grid's cached ramp
+                assert np.array_equal(grid.points(lo, hi).view(np.int64), want.view(np.int64)), \
+                    (lo, hi, pairs)
+
 
 GRID_IDS = ("def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31")
 MID_IDS = ("def_mid", "lemma_ii")  # the ids a pass on the t = 1/2 pairs alone serves
@@ -1006,13 +1025,12 @@ class TestFold:
     def test_chunked_blocks_keep_the_brute_force_argmin(self, pick):
         # Random keys, with ties and NaNs, on a grid of 2R y rows x 2k x
         # values and m = 5 t values: four blocks of R y rows x k x values,
-        # in random order, each folded in chunks that start at whole (y row,
-        # t) slabs.  A row holds [0, 1] inside [-key, 1 + key] at tolerance
-        # 0, so each key is its slack.  The kept row must be the argmin of
-        # (key, grid index), NaN first.
+        # in random order.  A row holds [0, 1] inside [-key, 1 + key] at
+        # tolerance 0, so each key is its slack.  The kept row must be the
+        # argmin of (key, grid index), NaN first.
         rng = np.random.default_rng(5)
         m, t = 5, np.linspace(0.0, 1.0, 5)
-        for _ in range(40):
+        for _ in range(200):
             rows, k = rng.integers(1, 4, 2)
             n = 2 * k  # pairs per grid row, and the stride of a y row
             xs, ys = rng.uniform(1.0, 2.0, n), rng.uniform(1.0, 2.0, 2 * rows)
@@ -1022,12 +1040,10 @@ class TestFold:
             starts = [(i, j) for i in range(0, 2 * rows, rows) for j in range(0, n, k)]
             for i, j in (starts[s] for s in rng.permutation(len(starts))):
                 block = keys[i:i + rows, :, j:j + k].reshape(-1)
-                cuts = np.flatnonzero(rng.random(rows * m - 1) < 0.4) + 1
-                for lo, hi in zip([0, *cuts], [*cuts, rows * m]):
-                    part = block[lo * k:hi * k]
-                    chunk = inclusion_block(np.tile([0.0, 1.0], (len(part), 1)),
-                                            np.column_stack([-part, 1.0 + part]), "interval", 0.0)
-                    worst.update(chunk, xs[j:j + k], ys[i:i + rows, None], i * n + j, n, lo)
+                worst.update(inclusion_block(np.tile([0.0, 1.0], (len(block), 1)),
+                                             np.column_stack([-block, 1.0 + block]), "interval",
+                                             0.0),
+                             xs[j:j + k], ys[i:i + rows, None], i * n + j, n)
             yr, ti, kx = np.meshgrid(*(np.arange(s) for s in keys.shape), indexing="ij")
             at = (yr * n + kx) * m + ti
             read = (ti == pick) if pick is not None else np.ones(keys.shape, bool)
@@ -1137,6 +1153,16 @@ class TestBoundedMemory:
             return traced_peak(f, ["def_shc"], pairs)
 
         assert peak(65536) < 2.0 * peak(4096)
+
+    @pytest.mark.parametrize("family", ["quadratic", "disc"])
+    def test_prop_31_adds_less_than_a_block_array(self, family):
+        # prop_31's arithmetic side writes G(u_H) through the workspace rows:
+        # no block-sized temporary of its own
+        f = (make_quadratic_family(1.0, 1.0, 10.0, DOM12) if family == "quadratic"
+             else make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12))
+        four = traced_peak(f, list(GRID_IDS[:4]), 16384)
+        five = traced_peak(f, list(GRID_IDS), 16384)
+        assert five - four < BLOCK_ELEMENTS * 8, (four, five)
 
     def test_seeded_random_peak_is_bounded_by_the_block(self):
         # Seeded-random pairs are drawn block by block: holding all 2^20

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -404,6 +405,31 @@ class TestOutRows:
                     rows[...] = -7.5
                     assert (wide == -7.5).all()
 
+    @pytest.mark.parametrize("name", list(OUT_FAMILIES))
+    def test_points_in_the_last_row(self, name):
+        # the grid pass hands F its points in a row of ``out`` (G(u_H) takes
+        # 1/u_H in the last row): the rows are the same bits
+        f = OUT_FAMILIES[name]()
+        xs = 1.0 / _POINTS if name.startswith("reciprocal") else _POINTS
+        want = f.eval_vector(xs).T
+        rows = np.empty_like(want)
+        rows[-1] = xs
+        assert f.eval_vector(rows[-1], out=rows) is rows
+        assert same_bits(rows, want), name
+
+    def test_certified_rows_make_no_temporaries(self):
+        # G(u) = F(1/u) of a certified family writes G's rows through the
+        # rows alone: no array of their size besides them
+        xs = np.linspace(0.5, 1.0, 1 << 14)
+        for f in (OUT_FAMILIES["quadratic"](), OUT_FAMILIES["disc"]()):
+            g = reciprocal_transform(f)
+            rows = np.empty((3 if f.kind == "disc" else 2, xs.size))
+            tracemalloc.start()
+            g.eval_vector(xs, out=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < xs.nbytes // 4, (f.kind, peak)
+
 
 class TestWiden:
     """``widen`` is the one ball-widening rule: in place on (channels, n)
@@ -466,7 +492,7 @@ class TestCShift:
 
 class TestSampledInterpolation:
     """SampledFn interpolates bit for bit as np.interp does channel by
-    channel, at the knots, past the ends and where values are infinite."""
+    channel, at the knots, past the ends and at a NaN point."""
 
     @staticmethod
     def per_channel(xp, fp, xs):
@@ -484,12 +510,13 @@ class TestSampledInterpolation:
             n = int(rng.integers(2, 12))
             xp = np.unique(rng.uniform(1.0, 2.0, n))
             fp = rng.normal(size=(xp.size, 3)) * 10.0 ** rng.integers(-3, 4)
+            fp[:, 2] = np.abs(fp[:, 2])  # a disc's radius is >= 0
             xs = np.concatenate([rng.uniform(0.8, 2.2, 40), xp])
             self.assert_bitwise(xp, fp, xs)
 
     def test_clamped_outside_and_last_knot(self):
         xp = np.array([1.0, 1.25, 1.5, 2.0])
-        fp = np.array([[1.0, -0.0, 3.0], [2.0, 0.5, -1.0], [-4.0, 0.25, 0.0], [5.0, -0.0, 7.0]])
+        fp = np.array([[1.0, -0.0, 3.0], [2.0, 0.5, 1.0], [-4.0, 0.25, 0.0], [5.0, -0.0, 7.0]])
         xs = np.array([0.5, 1.0 - 1e-16, 1.0, 1.25, 1.3, 2.0, 2.0 + 1e-15, 3.0, -np.inf, np.inf])
         self.assert_bitwise(xp, fp, xs)
         got = SampledFn(xp, fp, DOM12, kind="disc").eval_vector(xs)
@@ -497,15 +524,17 @@ class TestSampledInterpolation:
         assert np.array_equal(got[[0, 1, 8]], fp[[0, 0, 0]])
 
     def test_nan_fallbacks(self):
-        # a NaN point gives NaN; a piece whose left-end form is NaN (-inf + inf)
-        # is taken from its right end; an infinite flat piece keeps its value
+        # a NaN point gives NaN; infinite samples, whose pieces np.interp
+        # takes from their right ends or keeps flat, are refused
         xp = np.array([1.0, 1.5, 2.0])
-        fp = np.array([[-np.inf, np.inf, 1.0], [1.0, np.inf, 2.0], [2.0, 3.0, 1e308]])
+        fp = np.array([[-1e308, 1e308, 1.0], [1.0, 1e308, 2.0], [2.0, 3.0, 1e308]])
         xs = np.array([np.nan, 1.2, 1.7, 1.5, 2.0])
         self.assert_bitwise(xp, fp, xs)
         got = SampledFn(xp, fp, DOM12, kind="disc").eval_vector(xs)
         assert np.isnan(got[0]).all()
-        assert got[1, 0] == -np.inf and got[1, 1] == np.inf
+        fp[0, :2] = -np.inf, np.inf
+        with pytest.raises(FeasibilityError, match="not finite at knot 0"):
+            SampledFn(xp, fp, DOM12, kind="disc")
 
     def test_single_knot(self):
         xp, fp = np.array([1.5]), np.array([[1.0, 2.0, -0.0]])
@@ -530,6 +559,36 @@ class TestSampledKind:
             SampledFn(self.XS, np.ones((5, columns)), DOM12, kind=kind)
         with pytest.raises(FeasibilityError, match=f"{kind} family needs"):
             SampledFn(self.XS, np.ones(5), DOM12, kind=kind)
+
+
+class TestSampledValues:
+    """A sampled family's knots must each make a set: finite values, and a
+    disc radius >= 0.  The first knot that does not is refused at
+    construction by its index and x, before any check can build a set."""
+
+    XS = np.linspace(1.0, 2.0, 5)
+
+    @pytest.mark.parametrize("kind", ["interval", "disc"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_value_not_finite(self, kind, bad):
+        values = np.column_stack([self.XS] * (2 if kind == "interval" else 3))
+        values[3, -1], values[4, 0] = bad, bad
+        with pytest.raises(FeasibilityError,
+                           match=re.escape(f"not finite at knot 3, x = {float(self.XS[3])!r}")):
+            SampledFn(self.XS, values, DOM12, kind=kind)
+
+    def test_negative_radius(self):
+        # the family of the grid pass that used to fail only in its report
+        values = np.column_stack([self.XS, self.XS, 1.0 - self.XS])
+        with pytest.raises(FeasibilityError, match=re.escape("negative radius at knot 1, x = 1.25")):
+            SampledFn(self.XS, values, DOM12, kind="disc")
+
+    def test_zero_radius_and_negative_ends_kept(self):
+        f = SampledFn(self.XS, np.column_stack([-self.XS, -self.XS, np.zeros(5)]), DOM12,
+                      kind="disc")
+        assert f.eval(1.0) == Disc((-1.0, -1.0), 0.0)
+        g = SampledFn(self.XS, np.column_stack([-2.0 * self.XS, -self.XS]), DOM12)
+        assert g.eval(2.0) == Interval(-4.0, -2.0)
 
 
 class TestEndpointModuli:
