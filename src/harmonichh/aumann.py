@@ -7,23 +7,22 @@ applied columnwise to ``eval_vector`` output.
 
 Every result carries an error budget, the rounding floor or the
 difference against the doubled rule (an estimate, not a bound), measured
-as the support function's largest change over all directions (for a disc
-its centre's shift plus its radius's), which downstream inclusion checks
-absorb into their tolerance.  The independent
-Riemann-sum cross-check of these rules lives with the tests
+as the support function's largest change over all directions
+(``set_core.reach``: for a disc its centre's shift plus its radius's),
+which downstream inclusion checks absorb into their tolerance.  The
+independent Riemann-sum cross-check of these rules lives with the tests
 (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .set_core import ConvexSet, Interval, UnsupportedProductError, as_set
+from .set_core import ConvexSet, Interval, UnsupportedProductError, as_set, reach
 from .svf import HarmonicDomain, SetValuedFn, reciprocal_transform
 
 _EPS = np.finfo(float).eps
@@ -91,16 +90,6 @@ def _simpson_nodes(panels: int, lo: float, hi: float):
     return xs, w * (h / 3.0)
 
 
-def _reach(cols: np.ndarray, kind: str) -> float:
-    """The largest |h(e)| over unit directions e of the support function h
-    of the set whose channels are ``cols``: the largest channel magnitude,
-    or for a disc ||c|| + |r|.  Of a difference of two sets' channels, it is
-    their Hausdorff distance."""
-    if kind == "disc":
-        return math.hypot(cols[0], cols[1]) + abs(float(cols[2]))
-    return float(np.max(np.abs(cols)))
-
-
 def _integrate_columns(
     sample: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -108,26 +97,27 @@ def _integrate_columns(
     q: QuadratureSpec,
     exact_polynomial: bool = False,
     kind: str = "interval",
-):
-    """Columnwise quadrature of ``sample`` over [lo, hi] for sets of kind
-    ``kind``; returns (column integrals, error budget, nodes used).  Where
-    the integrand is a polynomial the rule integrates exactly, the budget is
-    the rounding floor 16 eps (1 + |I|), |I| the integral's largest support
-    value magnitude.  Otherwise the same rule at twice the order or panel
-    count gives the returned integrals, and the budget adds the Hausdorff
-    distance of Q_n and Q_2n: an estimate of the error, not a bound.
+) -> IntegralResult:
+    """Columnwise quadrature of ``sample`` over [lo, hi]: the integral, a set
+    of kind ``kind``, its error budget and the nodes used.  Where the
+    integrand is a polynomial the rule integrates exactly, the budget is the
+    rounding floor 16 eps (1 + |I|), |I| the integral's ``reach``.
+    Otherwise the same rule at twice the order or panel count gives the
+    integral, and the budget adds the Hausdorff distance of Q_n and Q_2n:
+    an estimate of the error, not a bound.
     """
     if not (lo < hi):
         raise QuadratureError(f"need lo < hi, got [{lo}, {hi}]")
     nodes_of = _gl_nodes if q.rule == GAUSS_LEGENDRE else _simpson_nodes
     xs, ws = nodes_of(q.order_or_panels, lo, hi)
     cols = ws @ sample(xs)
-    floor = 16.0 * _EPS * (1.0 + _reach(cols, kind))
+    floor = 16.0 * _EPS * (1.0 + reach(cols, kind))
     if exact_polynomial:
-        return cols, floor, xs.size
+        return IntegralResult(as_set(cols, kind), floor, xs.size)
     xs2, ws2 = nodes_of(2 * q.order_or_panels, lo, hi)
     cols2 = ws2 @ sample(xs2)
-    return cols2, _reach(cols - cols2, kind) + floor, xs.size + xs2.size
+    return IntegralResult(as_set(cols2, kind), reach(cols - cols2, kind) + floor,
+                          xs.size + xs2.size)
 
 
 def aumann_integral(f: SetValuedFn, lo: float, hi: float, q: QuadratureSpec) -> IntegralResult:
@@ -136,8 +126,7 @@ def aumann_integral(f: SetValuedFn, lo: float, hi: float, q: QuadratureSpec) -> 
     if not (dom.contains(lo) and dom.contains(hi)):
         raise QuadratureError(
             f"[{lo}, {hi}] not inside the function domain [{dom.a}, {dom.b}]")
-    cols, budget, nodes = _integrate_columns(f.eval_vector, lo, hi, q, kind=f.kind)
-    return IntegralResult(as_set(cols, f.kind), budget, nodes)
+    return _integrate_columns(f.eval_vector, lo, hi, q, kind=f.kind)
 
 
 def weighted_harmonic_integral(f: SetValuedFn, dom: HarmonicDomain,
@@ -150,15 +139,13 @@ def weighted_harmonic_integral(f: SetValuedFn, dom: HarmonicDomain,
     """
     a, b = dom.a, dom.b
     if q.substitution:
-        cols, budget, nodes = _integrate_columns(
-            reciprocal_transform(f).eval_vector, 1.0 / b, 1.0 / a, q,
-            exact_polynomial=f.polynomial_in_u, kind=f.kind)
-    else:
-        def sample(xs: np.ndarray) -> np.ndarray:
-            return f.eval_vector(xs) / (xs ** 2)[:, None]
+        return _integrate_columns(reciprocal_transform(f).eval_vector, 1.0 / b, 1.0 / a, q,
+                                  exact_polynomial=f.polynomial_in_u, kind=f.kind)
 
-        cols, budget, nodes = _integrate_columns(sample, a, b, q, kind=f.kind)
-    return IntegralResult(as_set(cols, f.kind), budget, nodes)
+    def sample(xs: np.ndarray) -> np.ndarray:
+        return f.eval_vector(xs) / (xs ** 2)[:, None]
+
+    return _integrate_columns(sample, a, b, q, kind=f.kind)
 
 
 def _product_integral(f: SetValuedFn, g: SetValuedFn, dom: HarmonicDomain,
@@ -177,8 +164,7 @@ def _product_integral(f: SetValuedFn, g: SetValuedFn, dom: HarmonicDomain,
         # both factors lie in (0, inf), so the Moore product is [lo lo', hi hi']
         return vf * vg
 
-    cols, budget, nodes = _integrate_columns(sample, 0.0, 1.0, q)
-    return IntegralResult(Interval(cols[0], cols[1]), budget, nodes)
+    return _integrate_columns(sample, 0.0, 1.0, q)
 
 
 def reflected_product_integral(f: SetValuedFn, g: SetValuedFn, dom: HarmonicDomain,
@@ -227,6 +213,5 @@ def bracket_product_integral(fa: Interval, fb: Interval, ga: Interval, gb: Inter
         prods = np.stack([b1_lo * b2_lo, b1_lo * b2_hi, b1_hi * b2_lo, b1_hi * b2_hi])
         return np.column_stack([prods.min(axis=0), prods.max(axis=0)])
 
-    cols, budget, nodes = _integrate_columns(sample, 0.0, 1.0, q)
-    return IntegralResult(Interval(cols[0], cols[1]), budget, nodes)
+    return _integrate_columns(sample, 0.0, 1.0, q)
 

@@ -7,8 +7,9 @@ that cannot be written): ``main`` turns every exception into one
 
 The config and report documents are JSON.  Machine-format reports print
 numbers with 17 significant digits, so parse(render(report)) round-trips
-exactly.  A family descriptor's key table is built from its class's
-declaration in ``svf``, so no family parameter is named here.
+exactly; an infinite or NaN number, which JSON has no text for, is
+refused by name.  A family descriptor's key table is built from its
+class's declaration in ``svf``, so no family parameter is named here.
 """
 
 from __future__ import annotations
@@ -357,6 +358,8 @@ def _emit(obj, indent: int, parts: list) -> None:
     elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot render the non-finite number {obj!r} as JSON")
         parts.append(format(obj, ".17g"))
     elif obj is None:
         parts.append("null")

@@ -7,8 +7,8 @@ rounding floor where the rule is exact on a polynomial integrand, else the
 difference against the doubled rule, an estimate rather than a bound, so a
 violation within a few budgets may still be quadrature error.  Every verdict
 comes from the one inclusion rule in ``set_core``: ``includes`` for a pair
-of sets, and its interval and disc branches ``interval_block`` and
-``disc_block`` for the rows of a grid block held channel by channel.
+of sets, and its kind's branch in ``set_core.KINDS`` for the rows of a grid
+block held channel by channel.
 
 Grid checks run as one streamed pass per family, over the (x, y, t) grid,
 or over its t = 1/2 pairs alone when only def_mid and lemma_ii are asked
@@ -27,8 +27,8 @@ coordinates and radius.  Support functions add over Minkowski sums and
 scale with nonnegative factors (Rockafellar, Convex Analysis, section
 13), and so do intervals' ends and discs' centres and radii, so every
 side is combined alike: t F(y) + (1-t) F(x) from the rows at the grid's
-points, with the penalty on the ball by ``svf.widen`` (an interval's ends
-or a disc's radius).  A family with ``rows_in_u`` (the
+points, with the penalty on the ball by ``set_core.widen`` (an
+interval's ends or a disc's radius).  A family with ``rows_in_u`` (the
 quadratic family's ends [alpha u^2, K - beta u^2], the disc's rows
 [v0 u + w0, v1 u + w1, K - beta u^2]) takes its rows from u and u^2 at
 the grid's points and at u_H alike, so both sides of a row at t = 0 or 1
@@ -52,17 +52,18 @@ arithmetic side takes G(u) = F(1/u)'s values through ``eval_vector``, written
 with 1/u_H into the workspace's right-side rows once the shifted side has
 folded, so that it stays an independent check of the harmonic side.
 
-Only the inclusion step tells the kinds apart: a block goes through its
-kind's branch of the rule in the workspace's rows.  One method,
-``_Worst.update``, folds a block into a side's running witness by its
-keys, slack + tolerance one per row: the kept row minimises (key, grid
-index), so verdicts do not depend on how evaluation is batched or in what
-order blocks come (tested for block sizes from 1 to larger than the
-grid).  One argmin finds a block's first least key; a tie before it in
-grid order lies in its y row at a later t and a smaller x, so only those
-rows are searched.  Proposition 3.1 counts a row as holding when its key
-is >= 0: each side's block goes through the rule once, and rows are
-compared only where a side's least key is negative or NaN.
+The pass states nothing about a kind itself: ``set_core.KINDS`` gives
+the kind's channel count and its branch of the rule, which a block goes
+through in the workspace's rows.  One method, ``_Worst.update``, folds a
+block into a side's running witness by its keys, slack + tolerance one
+per row: the kept row minimises (key, grid index), so verdicts do not
+depend on how evaluation is batched or in what order blocks come (tested
+for block sizes from 1 to larger than the grid).  One argmin finds a
+block's first least key; a tie before it in grid order lies in its y row
+at a later t and a smaller x, so only those rows are searched.
+Proposition 3.1 counts a row as holding when its key is >= 0: each
+side's block goes through the rule once, and rows are compared only
+where a side's least key is negative or NaN.
 
 The quadrature ids share one integral pass per family (``integral_reports``):
 F once at a, at b and at 2ab/(a+b), one harmonic integral for both
@@ -92,27 +93,27 @@ from .aumann import (
 )
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .aumann import aumann_integral  # noqa: F401
-# The budget product_rows sizes a block by, which callers read here.
-from .set_core import BLOCK_ELEMENTS  # noqa: F401
 from .set_core import (
+    KINDS,
     ConvexSet,
     InclusionVerdict,
     Interval,
     as_set,
     ball,
-    disc_block,
     hausdorff,
     includes,
-    interval_block,
     interval_product,
     minkowski_sum,
-    product_rows,
     row_verdict,
     scale,
+    widen,
 )
-from .svf import FeasibilityError, HarmonicDomain, SetValuedFn, reciprocal_transform, widen
+from .svf import FeasibilityError, HarmonicDomain, SetValuedFn, reciprocal_transform
 
 DEFAULT_TOL = 1e-9
+# Values (rows x channels) per array of a streamed grid block: 96 KiB of
+# float64, below glibc's 128 KiB mmap threshold.
+BLOCK_ELEMENTS = 12288
 
 THEOREM_IDS = (
     "def_shc", "def_mid", "lemma_i", "lemma_ii", "prop_31",
@@ -338,7 +339,7 @@ class _Worst:
             theorem_id=theorem_id,
             lhs=as_set(lhs.tolist(), self.kind),  # Python floats build a set faster
             rhs=as_set(rhs.tolist(), self.kind),
-            verdict=row_verdict(slack, tol_used, witness, self.kind),
+            verdict=row_verdict(slack, tol_used, witness),
             error_budget=0.0,
             inputs_echo={"c": c, "triples": self.triples, **echo,
                          "witness": {"x": float(x), "y": float(y), "t": float(t)}},
@@ -444,9 +445,9 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
     in_u = f.rows_in_u is not None
     # the channels go through the kind's branch of the rule in rows of the
     # workspace, each channel an array of its own
-    rule, channels = (interval_block, 2) if kind == "interval" else (disc_block, 3)
+    channels, rule = KINDS[kind]
     if block_pairs is None:
-        block_pairs = product_rows(m)
+        block_pairs = max(1, BLOCK_ELEMENTS // m)
     size = block_pairs * m
     # one allocation, with the rule's slack, tolerances and keys: glibc then
     # raises its mmap and trim thresholds to the whole workspace when it is

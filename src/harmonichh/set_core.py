@@ -13,15 +13,20 @@ radii add and scale.  D(c1, r1) is inside D(c2, r2) exactly when
 ||c1 - c2|| <= r2 - r1, since the supremum of <c1 - c2, e> over unit e is
 ||c1 - c2|| (Rockafellar, Convex Analysis, section 13).
 
+Every decision about a kind of set is stated here: ``KINDS`` maps each
+kind to its channel count and its branch of the inclusion rule,
+``widen`` widens a kind's rows by balls, and ``reach`` (which
+``hausdorff`` and the quadrature budget read) is the largest
+support-function magnitude of a set given by its channels.
 ``inclusion_block`` is the one inclusion rule: one key, slack plus
 tolerance, per interval or disc, for whole blocks of rows at once, with
-the slacks and tolerances it is made of.  A row holds when its key is
->= 0.  The grid checks reduce a block to its one smallest key and read
+the slacks and tolerances it is made of.  A row holds when its key
+is >= 0.  The grid checks reduce a block to its one smallest key and read
 slack, tolerance and witness at that row from the block's arrays
-(``InclusionBlock.at``), and so does ``includes``, its one-row case.  Its
-interval and disc branches, ``interval_block`` and ``disc_block``, take
-sets held channel by channel as separate arrays, into buffers the grid
-pass allocates once.
+(``InclusionBlock.at``), and so does ``includes``, its one-row case.
+Its interval and disc branches, ``interval_block`` and ``disc_block``,
+take sets held channel by channel as separate arrays, into buffers the
+grid pass allocates once.
 
 All operations are pure functions on immutable values.
 """
@@ -30,13 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
-
-# Values (rows x channels) per array of a streamed grid block: 96 KiB of
-# float64, below glibc's 128 KiB mmap threshold.
-BLOCK_ELEMENTS = 12288
 
 
 class RepresentationMismatchError(ValueError):
@@ -60,6 +61,7 @@ class NonFiniteSetError(ValueError):
 class Interval:
     """Compact interval [lo, hi] with finite lo <= hi."""
 
+    kind = "interval"
     lo: float
     hi: float
 
@@ -81,6 +83,7 @@ class Interval:
 class Disc:
     """Closed disc in R^2 with a finite centre and a finite radius >= 0."""
 
+    kind = "disc"
     center: tuple
     radius: float
 
@@ -189,13 +192,13 @@ class InclusionBlock(NamedTuple):
 
     def at(self, r: int):
         """Slack, tolerance and witness at row r, read from the block's
-        arrays.  An interval's witness is 0 ("hi") when its upper end is the
-        tighter, else 1 ("lo"): its two end margins are recomputed at that
-        row alone.  A disc's is the unit vector along c_A - c_B, or "radius"
+        arrays.  An interval's witness is "hi" when its upper end is the
+        tighter, else "lo": its two end margins are recomputed at that row
+        alone.  A disc's is the unit vector along c_A - c_B, or "radius"
         where they are equal."""
         if self.kind == "interval":
             (lo, hi), (b_lo, b_hi) = self.lhs[r].tolist(), self.rhs[r].tolist()
-            return self.slack[r], self.tols[r], 0 if b_hi - hi <= lo - b_lo else 1
+            return self.slack[r], self.tols[r], "hi" if b_hi - hi <= lo - b_lo else "lo"
         (a0, a1, _), (b0, b1, _) = self.lhs[r].tolist(), self.rhs[r].tolist()
         d0, d1 = a0 - b0, a1 - b1
         norm = math.hypot(d0, d1)
@@ -212,8 +215,7 @@ def inclusion_block(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float) -> 
     tol * (1 + r_B + ||c_B||), which bounds |h_B| in every direction.  A row
     holds when its key is >= 0.
     """
-    rule = interval_block if kind == "interval" else disc_block
-    return rule(lhs.T, rhs.T, tol, *(np.empty(lhs.shape[0]) for _ in range(3)))
+    return KINDS[kind].rule(lhs.T, rhs.T, tol, *(np.empty(lhs.shape[0]) for _ in range(3)))
 
 
 def interval_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
@@ -241,8 +243,10 @@ def disc_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
     channel (rows 0 and 1 their centres' coordinates, row 2 their radii),
     into the buffers ``slack``, ``tols`` and ``keys`` of one value per row:
     (r_B - r_A) - ||c_B - c_A|| and tol * (1 + r_B + ||c_B||), with no
-    other temporary of their size."""
-    # a square that overflows is mended by _norm
+    other temporary of their size.  Where 1 + r_B + ||c_B|| overflows, the
+    tolerance is formed from its half, so it is finite wherever r_B, c_B and
+    the tolerance itself are."""
+    # a square that overflows is mended by _norm, a sum r_B + ||c_B|| below
     with np.errstate(over="ignore"):
         np.subtract(rhs[0], lhs[0], out=slack)
         slack *= slack
@@ -252,9 +256,15 @@ def disc_block(lhs: np.ndarray, rhs: np.ndarray, tol: float, slack: np.ndarray,
         np.square(rhs[0], out=tols)
         np.square(rhs[1], out=keys)
         _norm(tols, keys, lambda i: (rhs[0][i], rhs[1][i]))
-    tols += rhs[2]
+        tols += rhs[2]
+        over = None if tols.max(initial=0.0) < np.inf else np.flatnonzero(~(tols < np.inf))
+        if over is not None:  # also at a NaN or an infinity, which the half keeps
+            half = 0.5 + 0.5 * rhs[2][over] + np.hypot(0.5 * rhs[0][over], 0.5 * rhs[1][over])
+            tols[over] = 0.0
     tols += 1.0
     tols *= tol
+    if over is not None:
+        tols[over] = 2.0 * (tol * half)
     np.subtract(rhs[2], lhs[2], out=keys)
     np.subtract(keys, slack, out=slack)
     return InclusionBlock("disc", lhs.T, rhs.T, np.add(slack, tols, out=keys), slack, tols)
@@ -276,19 +286,46 @@ def _norm(squares: np.ndarray, other: np.ndarray, coordinates) -> np.ndarray:
     return squares
 
 
-def product_rows(width: int) -> int:
-    """Rows of ``width`` values that make at most BLOCK_ELEMENTS values, at
-    least one: of every grid-pass block array."""
-    return max(1, BLOCK_ELEMENTS // width)
+class Kind(NamedTuple):
+    """A kind's channel count and its branch of ``inclusion_block``."""
+
+    channels: int
+    rule: Callable[..., InclusionBlock]
 
 
-def row_verdict(slack: float, tol_used: float, witness, kind: str) -> InclusionVerdict:
+KINDS = {"interval": Kind(2, interval_block), "disc": Kind(3, disc_block)}
+
+
+def widen(rows: np.ndarray, r: np.ndarray, kind: str) -> np.ndarray:
+    """Widen the (channels, n) ``rows`` of sets of kind ``kind``, one row
+    per channel, in place by the balls of radius r[i] at column i, and
+    return ``rows``: an interval's lower end moves down by r[i] and its
+    upper end up, and a disc's radius row rises by r[i]."""
+    if kind == "interval":
+        rows[0] -= r
+        rows[1] += r
+    else:
+        rows[2] += r
+    return rows
+
+
+def reach(row, kind: str) -> float:
+    """The largest |h(e)| over unit directions e of the support function h
+    of the set of kind ``kind`` whose channels are ``row``: the larger end
+    magnitude, or for a disc ||c|| + |r|.  Of the difference of two sets'
+    channels, it is their Hausdorff distance."""
+    if kind == "disc":
+        return math.hypot(row[0], row[1]) + abs(float(row[2]))
+    return float(np.max(np.abs(row)))
+
+
+def row_verdict(slack: float, tol_used: float, witness) -> InclusionVerdict:
     """The verdict of one row of ``InclusionBlock.at``:
     it holds when its key, slack + tolerance, is >= 0."""
     return InclusionVerdict(
         holds=bool(slack + tol_used >= 0.0),
         slack=float(slack),
-        witness_direction=("hi", "lo")[witness] if kind == "interval" else witness,
+        witness_direction=witness,
         tolerance_used=float(tol_used),
     )
 
@@ -297,9 +334,8 @@ def includes(a: ConvexSet, b: ConvexSet, tol: float = 0.0) -> InclusionVerdict:
     """Test A subset-of B: the one-row case of ``inclusion_block``, read at
     its row as the grid checks read their kept row."""
     _check_same_kind(a, b)
-    kind = "interval" if isinstance(a, Interval) else "disc"
-    return row_verdict(*inclusion_block(as_row(a)[None], as_row(b)[None], kind, float(tol)).at(0),
-                       kind)
+    return row_verdict(*inclusion_block(as_row(a)[None], as_row(b)[None], a.kind,
+                                        float(tol)).at(0))
 
 
 def interval_product(a: Interval, b: Interval) -> Interval:
@@ -311,9 +347,7 @@ def interval_product(a: Interval, b: Interval) -> Interval:
 
 
 def hausdorff(a: ConvexSet, b: ConvexSet) -> float:
-    """Hausdorff distance; exact on this representation class."""
+    """Hausdorff distance, the ``reach`` of the channels' difference; exact
+    on this representation class."""
     _check_same_kind(a, b)
-    if isinstance(a, Interval):
-        return max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-    d0, d1 = a.center[0] - b.center[0], a.center[1] - b.center[1]
-    return math.hypot(d0, d1) + abs(a.radius - b.radius)
+    return reach([p - q for p, q in zip(as_row(a).tolist(), as_row(b).tolist())], a.kind)

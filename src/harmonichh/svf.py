@@ -15,8 +15,8 @@ read it; ``family_class`` finds a class by kind name, and each class's
 tells the integration layer that each channel of F(1/u) is a polynomial in
 u.  Both certified families state F(1/u) once, as ``rows_in_u``, one row
 per channel: the quadratic family as its two ends, the disc family as its
-centre's two coordinates and its radius.  ``widen`` widens such rows by
-balls in place.  A family's ``kind`` names its sets: "interval" or "disc".
+centre's two coordinates and its radius.  A family's ``kind`` names its
+sets, a key of ``set_core.KINDS``: "interval" or "disc".
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .set_core import ConvexSet, as_set
+from .set_core import KINDS, ConvexSet, as_set, widen
 
 _DOMAIN_RTOL = 1e-12
 # Ends a domain keeps to, a range closed under x -> 1/x: inside it the
@@ -244,13 +244,13 @@ class SampledFn(SetValuedFn):
 
     def __init__(self, xs: Sequence[float], values: np.ndarray, domain: HarmonicDomain,
                  kind: str = "interval"):
-        if kind not in ("interval", "disc"):
-            raise FeasibilityError(f"sampled family kind must be interval or disc, got {kind!r}")
+        if not isinstance(kind, str) or kind not in KINDS:
+            raise FeasibilityError(f"sampled family kind must be in {list(KINDS)}, got {kind!r}")
         self._xs = np.asarray(xs, dtype=float)
         self._values = np.asarray(values, dtype=float)
         if self._xs.ndim != 1 or self._values.shape[0] != self._xs.shape[0]:
             raise FeasibilityError("sampled family needs one value row per grid point")
-        channels = 2 if kind == "interval" else 3
+        channels = KINDS[kind].channels
         if self._values.shape[1:] != (channels,):
             raise FeasibilityError(f"sampled {kind} family needs {channels} value columns, "
                                    f"got values of shape {self._values.shape}")
@@ -310,19 +310,6 @@ class CShiftFn(SetValuedFn):
                 else self.base.eval_vector(xs, out=out))
         widen(rows, r, self.kind)
         return rows.T if out is None else out
-
-
-def widen(rows: np.ndarray, r: np.ndarray, kind: str) -> np.ndarray:
-    """Widen the (channels, n) ``rows``, one row per channel, in place by
-    the balls of radius r[i] at column i, and return ``rows``: an interval's
-    lower end moves down by r[i] and its upper end up, and a disc's radius
-    row rises by r[i]."""
-    if kind == "interval":
-        rows[0] -= r
-        rows[1] += r
-    else:
-        rows[2] += r
-    return rows
 
 
 def reciprocal_transform(f: SetValuedFn) -> SetValuedFn:

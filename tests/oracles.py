@@ -42,12 +42,12 @@ def directions(count: int) -> np.ndarray:
 def inclusion_rows(lhs: np.ndarray, rhs: np.ndarray, kind: str, tol: float):
     """The inclusion rule per row: slack, tolerance and witness of
     lhs[i] subset-of rhs[i] for each row i of two (n, channels) arrays.  An
-    interval's witness is 0 ("hi") when its upper end is the tighter, else
-    1 ("lo"); a disc's is read at each row by the block."""
+    interval's witness is "hi" when its upper end is the tighter, else "lo";
+    a disc's is read at each row by the block."""
     block = inclusion_block(lhs, rhs, kind, tol)
     if kind == "interval":
         hi_tighter = rhs[:, 1] - lhs[:, 1] <= lhs[:, 0] - rhs[:, 0]
-        return block.slack, block.tols, np.where(hi_tighter, 0, 1)
+        return block.slack, block.tols, np.where(hi_tighter, "hi", "lo").astype(object)
     witness = np.empty(lhs.shape[0], dtype=object)
     for i in range(witness.size):
         witness[i] = block.at(i)[2]

@@ -266,6 +266,12 @@ class TestMachineFormat:
     def test_bools_not_rendered_as_floats(self):
         assert dumps_machine({"holds": True}) == '{\n  "holds": true\n}'
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_refused_by_name(self, value):
+        # JSON has no text for it, and json.loads refuses Python's
+        with pytest.raises(ValueError, match=f"non-finite number {value!r}"):
+            dumps_machine({"reports": [{"tolerance_used": value}]})
+
 
 class TestTextFormat:
     def test_one_row_per_theorem(self):
@@ -491,6 +497,29 @@ class TestConfigErrorExitCode:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: boom\n"
+
+    def test_non_finite_report_exits_two(self, tmp_path, capsys, monkeypatch):
+        entry = harmonichh.cli._report_entry
+        monkeypatch.setattr("harmonichh.cli._report_entry",
+                            lambda *args: {**entry(*args), "slack": math.inf})
+        assert main(["--config", write_config(tmp_path, verify_doc(theorems=["hh_left"]))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot render the non-finite number inf as JSON\n"
+
+    @pytest.mark.parametrize("c", [0.5, 5.0])
+    def test_huge_disc_tolerance_is_finite(self, tmp_path, capsys, recwarn, c):
+        # 1 + r_B + ||c_B|| overflows at every row of this disc: every
+        # tolerance stays finite, with no warning, and the report parses
+        ids = ["def_shc", "def_mid", "lemma_i", "prop_31"]
+        doc = verify_doc(families=[{"family": "disc", "v": [1e308, 0], "w": [0, 0],
+                                    "K": 1.7e308, "beta": 1, "a": 1, "b": 2}],
+                         c=c, grid={"pair_count": 64}, theorems=ids)
+        assert main(["--config", write_config(tmp_path, doc)]) == 0
+        assert not recwarn.list
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert [e["theorem"] for e in reports] == ids
+        assert all(math.isfinite(e["tolerance_used"]) for e in reports)
 
     def test_interpreter_exit_status(self, tmp_path):
         # only a process shows what an escaping exception does: status 1,

@@ -28,8 +28,8 @@ from harmonichh.hh_check import (
     grid_reports,
     shift_lemma_report,
 )
-from harmonichh.set_core import (Disc, Interval, NonFiniteSetError, as_row, as_set, hausdorff,
-                                 inclusion_block, row_verdict)
+from harmonichh.set_core import (KINDS, Disc, Interval, Kind, NonFiniteSetError, as_row, as_set,
+                                 hausdorff, inclusion_block, row_verdict)
 from harmonichh.svf import (
     DomainError,
     FeasibilityError,
@@ -754,7 +754,7 @@ def reference_pass(f, c, grid, tol, ids):
         i = int(np.argmin(slacks + tols))
         return TheoremReport(
             theorem_id, as_set(lhs[i], f.kind), as_set(rhs[i], f.kind),
-            row_verdict(slacks[i], tols[i], witness[i], f.kind), 0.0,
+            row_verdict(slacks[i], tols[i], witness[i]), 0.0,
             {"c": c, "triples": slacks.size, **echo,
              "witness": {"x": float(x[rows][i]), "y": float(y[rows][i]),
                          "t": float(ts[rows][i])}})
@@ -1058,19 +1058,19 @@ class TestFold:
             assert slack == keys[want] or np.isnan(keys[want]) and np.isnan(slack)
 
 
-def block_shapes(monkeypatch, name):
+def block_shapes(monkeypatch, kind):
     """The (channels, rows) shape of the first argument of every call the
-    grid pass makes to ``name``, the inclusion rule's branch
-    ``interval_block`` or ``disc_block`` on sets held channel by channel,
-    recorded from then on."""
+    grid pass makes to the inclusion rule's branch for ``kind`` in
+    ``set_core.KINDS`` (``interval_block`` or ``disc_block``, on sets held
+    channel by channel), recorded from then on."""
     shapes = []
-    kernel = getattr(hh_check, name)
+    channels, kernel = KINDS[kind]
 
     def spy(first, *args):
         shapes.append(first.shape)
         return kernel(first, *args)
 
-    monkeypatch.setattr(hh_check, name, spy)
+    monkeypatch.setitem(KINDS, kind, Kind(channels, spy))
     return shapes
 
 
@@ -1088,12 +1088,12 @@ class TestBlockSize:
                              ids=["triples", "midconvex"])
     @pytest.mark.parametrize("family", ["quadratic", "disc"])
     def test_default_block_within_budget(self, monkeypatch, family, walk, ids):
-        f, rule, channels = (
-            (make_quadratic_family(1.5, 2.0, 20.0, DOM12), "interval_block", 2)
+        f, kind, channels = (
+            (make_quadratic_family(1.5, 2.0, 20.0, DOM12), "interval", 2)
             if family == "quadratic" else
-            (make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12), "disc_block", 3))
+            (make_disc_family((1.0, 0.0), (0.0, 1.0), 3.0, 1.0, DOM12), "disc", 3))
         pairs = 16384
-        rows = block_shapes(monkeypatch, rule)
+        rows = block_shapes(monkeypatch, kind)
         grid_reports(f, 1.0, ConvexityGrid(pair_count=pairs), ids)
         m = len(GRID.t_values) if walk == "triples" else 1
         n = round(pairs ** 0.5)
@@ -1119,7 +1119,7 @@ class TestBlockSize:
         f = make_quadratic_family(1.5, 2.0, 20.0, DOM12)
         t = np.arange(BLOCK_ELEMENTS + 1) / BLOCK_ELEMENTS  # one pair is over budget
         grid = ConvexityGrid(pair_count=9, t_values=t)
-        shapes = block_shapes(monkeypatch, "interval_block")
+        shapes = block_shapes(monkeypatch, "interval")
         rep = grid_reports(f, 1.0, grid, ("def_shc",))
         assert shapes == [(2, t.size)] * 9
         assert rep == grid_reports(f, 1.0, grid, ("def_shc",), block_pairs=10)

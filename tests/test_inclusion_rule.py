@@ -60,7 +60,7 @@ def test_includes_is_one_row_of_the_kernel(kind, tol):
     slacks, tols, witness = inclusion_rows(lhs, rhs, kind, tol)
     for i in range(lhs.shape[0]):
         v = includes(as_set(lhs[i], kind), as_set(rhs[i], kind), tol)
-        assert v == row_verdict(slacks[i], tols[i], witness[i], kind)
+        assert v == row_verdict(slacks[i], tols[i], witness[i])
         assert v.holds == (v.slack >= -v.tolerance_used)
 
 
@@ -72,7 +72,7 @@ def flat_fold(lhs, rhs, kind, tol):
     worst.update(inclusion_block(lhs, rhs, kind, tol),
                  np.arange(n, dtype=float), np.zeros((1, n)), 0, 0)
     slack, tol_used, witness, kept_lhs, kept_rhs, x, *_ = worst.row
-    return row_verdict(slack, tol_used, witness, kind), int(x), kept_lhs, kept_rhs
+    return row_verdict(slack, tol_used, witness), int(x), kept_lhs, kept_rhs
 
 
 def per_row_rule(lhs, rhs, kind, tol):
@@ -80,7 +80,7 @@ def per_row_rule(lhs, rhs, kind, tol):
     the first on ties and a NaN first."""
     slacks, tols, witness = inclusion_rows(lhs, rhs, kind, tol)
     i = int(np.argmin(slacks + tols))
-    return row_verdict(slacks[i], tols[i], witness[i], kind), i, lhs[i], rhs[i]
+    return row_verdict(slacks[i], tols[i], witness[i]), i, lhs[i], rhs[i]
 
 
 def assert_same_fold(lhs, rhs, kind, tol):
@@ -160,7 +160,7 @@ def test_key_sign_against_the_comparison_on_nonfinite_rows(kind, tol):
         assert np.array_equal(held, compared & ~unbounded)
         assert unbounded.any() == (tol > 0.0)
         assert np.array_equal(held, slacks + tols >= 0.0)
-        assert held.tolist() == [row_verdict(*r, kind).holds
+        assert held.tolist() == [row_verdict(*r).holds
                                  for r in zip(slacks, tols, witness)]
     # Proposition 3.1's disagreement count, harmonic rows against arithmetic
     # rows in another order, from key signs and from the comparison

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harmonichh.set_core import (
+    KINDS,
     Disc,
     Interval,
+    InclusionBlock,
     InclusionVerdict,
     NegativeScaleError,
     NonFiniteSetError,
@@ -369,6 +371,44 @@ class TestDiscBlock:
         lhs[0, 1] = np.nan
         block = self.run(lhs, rhs, 1e-9)
         assert np.isnan(block.keys).tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 0.25])
+    def test_tolerance_whose_sum_overflows_is_finite(self, tol):
+        # 1 + r_B + ||c_B|| overflows on the first three rows (the third's
+        # ||c_B|| alone does): each tolerance is formed from its half, within
+        # an ulp of tol r_B + tol ||c_B|| + tol; the other rows keep the bits
+        # of tol (1 + r_B + ||c_B||)
+        lhs, rhs = self.rows(1.0, n=8)
+        rhs[:, :3] = [[1e308, 0.0, 1.5e308], [0.0, -1.2e308, 1.5e308],
+                      [1.7e308, 1.0e308, 1.0]]
+        lhs[:, :3] = rhs[:, :3] * 0.5
+        block = self.run(lhs, rhs, tol)
+        assert np.all(np.isfinite(block.tols)) and np.all(np.isfinite(block.keys))
+        half = np.hypot(0.5 * rhs[0, :3], 0.5 * rhs[1, :3])
+        want = [tol * float(r) + tol * 2.0 * float(h) + tol for r, h in zip(rhs[2, :3], half)]
+        assert block.tols[:3].tolist() == pytest.approx(want, rel=2 * EPS, abs=0.0)
+        rest = (np.sqrt(rhs[0, 3:] ** 2 + rhs[1, 3:] ** 2) + rhs[2, 3:] + 1.0) * tol
+        assert np.array_equal(block.tols[3:], rest)
+        assert np.array_equal(block.keys, block.slack + block.tols)
+
+
+class TestKinds:
+    """``KINDS`` states each kind of set once: its channel count and its
+    branch of the inclusion rule."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_channels_are_the_sets_row(self, kind):
+        assert KINDS[kind].channels == len(as_row(ball(1.0, kind)))
+        assert ball(1.0, kind).kind == kind
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_rule_decides_its_kind(self, kind):
+        channels, rule = KINDS[kind]
+        rows = np.tile(as_row(ball(1.0, kind))[:, None], 4)
+        block = rule(0.5 * rows, rows, 0.0, *(np.empty(4) for _ in range(3)))
+        assert isinstance(block, InclusionBlock) and block.kind == kind
+        assert block.lhs.shape == block.rhs.shape == (4, channels)
+        assert np.all(block.keys > 0.0)
 
 
 def _near_tie(a, b, slack):

@@ -8,7 +8,7 @@ import pytest
 from harmonichh.aumann import QuadratureSpec
 from harmonichh.hh_check import THEOREM_IDS, ConvexityGrid, run_theorems
 from harmonichh.cli import ConfigError, build_family
-from harmonichh.set_core import Disc, Interval, hausdorff
+from harmonichh.set_core import Disc, Interval, hausdorff, widen
 from harmonichh.svf import (
     CShiftFn,
     DomainError,
@@ -22,7 +22,6 @@ from harmonichh.svf import (
     make_family,
     make_quadratic_family,
     reciprocal_transform,
-    widen,
 )
 from oracles import harmonic_combination, reflect
 
