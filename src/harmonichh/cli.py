@@ -9,7 +9,8 @@ The config and report documents are JSON.  Machine-format reports print
 numbers with 17 significant digits, so parse(render(report)) round-trips
 exactly; an infinite or NaN number, which JSON has no text for, is
 refused by name.  A family descriptor's key table is built from its
-class's declaration in ``svf``, so no family parameter is named here.
+class's declaration in ``svf``; only the search space's table
+(``SEARCH_FIELDS``) names family parameters, those of ``SearchSpace``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from .aumann import QuadratureSpec
 from .explorer import SearchSpace, emit_counterexample, min_slack_search
 from .hh_check import (DEFAULT_TOL, THEOREM_IDS, ConvexityGrid, TheoremReport, check_modulus,
                        run_theorems)
-# Not called here: perfbench/spans.py wraps these names in this module.
-from .hh_check import (  # noqa: F401
-    check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
-    check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33, check_thm35)
-from .set_core import Disc, Interval
 from .svf import FAMILIES, FeasibilityError, SetValuedFn, make_family
+
+# Names of deleted checks, bound only because perfbench/spans.py still looks
+# them up here; nothing calls them.  ROADMAP item 1 retires the lookups.
+(check_cor34, check_cor36, check_hh, check_lemma_shift, check_nikodem, check_prop31,
+ check_strongly_harmonic_convex, check_strongly_harmonic_midconvex, check_thm33,
+ check_thm35) = (None,) * 10
 
 MODES = ("verify", "search", "baseline")
 
@@ -249,11 +251,9 @@ def build_family(descriptor: dict) -> SetValuedFn:
 
 
 def _set_to_doc(s) -> dict:
-    if isinstance(s, Interval):
-        return {"kind": "interval", "lo": s.lo, "hi": s.hi}
-    if isinstance(s, Disc):
-        return {"kind": "disc", "center": list(s.center), "radius": s.radius}
-    raise TypeError(f"not a convex set: {s!r}")
+    # a set's kind and fields; JSON reads a disc's centre tuple back as a list
+    return {"kind": s.kind, **{name: list(v) if isinstance(v, tuple) else v
+                               for name, v in vars(s).items()}}
 
 
 def _report_entry(rep: TheoremReport, family_index: int) -> dict:

@@ -1,8 +1,8 @@
-"""Checkers for the definitional properties and inclusion theorems.
+"""Checks of the definitional properties and inclusion theorems.
 
-Each checker returns a TheoremReport carrying the worst-case signed slack
-over its sample grid, an InclusionVerdict at the witness sample, and the
-quadrature error budget, always absorbed into the inclusion tolerance: the
+Each theorem id's report is a TheoremReport carrying the worst-case signed
+slack over its sample grid, an InclusionVerdict at the witness sample, and
+the quadrature error budget, always absorbed into the inclusion tolerance: the
 rounding floor where the rule is exact on a polynomial integrand, else the
 difference against the doubled rule, an estimate rather than a bound, so a
 violation within a few budgets may still be quadrature error.  Every verdict
@@ -70,7 +70,7 @@ F once at a, at b and at 2ab/(a+b), one harmonic integral for both
 Hermite-Hadamard sandwiches (the Nikodem pair is hh's in u = 1/x, so two
 only with substitution off), one assembly of the left side that thm33 and
 thm35 share, and only the product integrals the requested ids need.
-``check_nikodem`` on G is this pass's Nikodem pair of F(x) = G(1/x).
+A G's arithmetic Nikodem pair is this pass's Nikodem pair of F(x) = G(1/x).
 
 ``run_theorems`` runs any ids on a family with each pass at most once;
 both passes check the modulus c first (``check_modulus``).
@@ -524,32 +524,6 @@ def _grid_pass(f, c, grid, t, tol, block_pairs, strong, shift, arith):
                     arith.update(fold((), n, where))
 
 
-def check_strongly_harmonic_convex(f: SetValuedFn, c: float, grid: ConvexityGrid,
-                                   tol: float = DEFAULT_TOL) -> TheoremReport:
-    """t F(y) + (1-t) F(x) + c t(1-t) |(x-y)/(xy)|^2 B inside F(xy/(tx+(1-t)y))."""
-    return grid_reports(f, c, grid, ("def_shc",), tol)["def_shc"]
-
-
-def check_strongly_harmonic_midconvex(f: SetValuedFn, c: float, grid: ConvexityGrid,
-                                      tol: float = DEFAULT_TOL) -> TheoremReport:
-    """The t = 1/2 restriction with the c/4 penalty coefficient."""
-    return grid_reports(f, c, grid, ("def_mid",), tol)["def_mid"]
-
-
-def check_lemma_shift(f: SetValuedFn, c: float, grid: ConvexityGrid,
-                      tol: float = DEFAULT_TOL, direction: str = "forward",
-                      midconvex: bool = False) -> TheoremReport:
-    """Equivalence between modulus-c convexity of F and plain convexity of
-    the shifted G(x) = F(x) + (c/x^2) B.  Both directions are one pair of
-    checks, of F at modulus c and of G at modulus 0, so ``direction`` only
-    reaches the echo."""
-    theorem_id = "lemma_ii" if midconvex else "lemma_i"
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction: {direction!r}")
-    rep = grid_reports(f, c, grid, (theorem_id,), tol)[theorem_id]
-    return dataclasses.replace(rep, inputs_echo={**rep.inputs_echo, "direction": direction})
-
-
 def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremReport,
                        c: float) -> TheoremReport:
     """Combine the modulus-c check of F and the plain check of the shifted
@@ -573,18 +547,6 @@ def shift_lemma_report(theorem_id: str, strong: TheoremReport, shifted: TheoremR
     )
 
 
-def check_prop31(f: SetValuedFn, c: float, grid: ConvexityGrid,
-                 tol: float = DEFAULT_TOL) -> TheoremReport:
-    """Triple-by-triple agreement between the harmonic modulus-c check of F
-    and the arithmetic modulus-c check of G(u) = F(1/u).
-
-    A harmonic triple (x, y, t) maps to the arithmetic triple
-    (1/x, 1/y, t); a verdict disagreement is a consistency failure of the
-    implementation, flagged in the echo.
-    """
-    return grid_reports(f, c, grid, ("prop_31",), tol)["prop_31"]
-
-
 def _budget_verdict(lhs: ConvexSet, rhs: ConvexSet, tol: float,
                     budget: float) -> InclusionVerdict:
     """Inclusion verdict with the quadrature budget absorbed into the tolerance."""
@@ -606,31 +568,6 @@ def _sandwich(name: str, f: SetValuedFn, c: float, ends: Tuple[ConvexSet, ...],
                                      ball(c / 6.0 * d2, f.kind)), mean))
     return tuple(TheoremReport(f"{name}_{side}", lhs, rhs, _budget_verdict(lhs, rhs, tol, budget),
                                budget, dict(echo)) for side, lhs, rhs in sides)
-
-
-def check_nikodem(g: SetValuedFn, c: float, q: QuadratureSpec,
-                  tol: float = DEFAULT_TOL) -> Tuple[TheoremReport, TheoremReport]:
-    """Arithmetic strongly convex baseline on G's own interval domain:
-
-    left:  mean integral + (c/12)(b-a)^2 B  inside  G((a+b)/2)
-    right: (G(a)+G(b))/2 + (c/6)(b-a)^2 B  inside  mean integral
-
-    That is the integral pass's Nikodem pair of F(x) = G(1/x), whose domain
-    ends the echo's a and b are.
-    """
-    f = reciprocal_transform(g)
-    return tuple(integral_reports(f, f, c, f.domain, q, ("nikodem_left", "nikodem_right"),
-                                  tol).values())
-
-
-def check_hh(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
-             tol: float = DEFAULT_TOL) -> Tuple[TheoremReport, TheoremReport]:
-    """Harmonic Hermite-Hadamard inclusions:
-
-    left:  (ab/(b-a)) int F/x^2 + (c/12) |(b-a)/(ab)|^2 B  inside  F(2ab/(a+b))
-    right: (F(a)+F(b))/2 + (c/6) |(b-a)/(ab)|^2 B  inside  (ab/(b-a)) int F/x^2
-    """
-    return tuple(integral_reports(f, f, c, dom, q, ("hh_left", "hh_right"), tol).values())
 
 
 def _product_lhs(fa: Interval, fb: Interval, ga: Interval, gb: Interval,
@@ -737,39 +674,3 @@ def integral_reports(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDoma
             "printed_slack": pv.slack,
             "printed_holds": pv.holds})
     return {tid: out[tid] for tid in ids}
-
-
-def check_thm33(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
-                q: QuadratureSpec, tol: float = DEFAULT_TOL) -> TheoremReport:
-    """Reflected-product inclusion:
-
-    (1/6)M + (1/3)N + S (c/12) d^2 B + (c^2/30) d^4 B
-        inside (ab/(b-a)) int F(x) G(theta(x)) / x^2 dx,
-    with d = (b-a)/(ab), M/N/S the endpoint product and sum combinations.
-    """
-    return integral_reports(f, g, c, dom, q, ("thm33",), tol)["thm33"]
-
-
-def check_thm35(f: SetValuedFn, g: SetValuedFn, c: float, dom: HarmonicDomain,
-                q: QuadratureSpec, tol: float = DEFAULT_TOL) -> TheoremReport:
-    """Same LHS as the reflected variant against the plain product integral."""
-    return integral_reports(f, g, c, dom, q, ("thm35",), tol)["thm35"]
-
-
-def check_cor34(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
-                tol: float = DEFAULT_TOL) -> TheoremReport:
-    """The F = G specialization of the reflected-product theorem; by
-    construction its numbers are identical to check_thm33(f, f, ...)."""
-    return integral_reports(f, f, c, dom, q, ("cor34",), tol)["cor34"]
-
-
-def check_cor36(f: SetValuedFn, c: float, dom: HarmonicDomain, q: QuadratureSpec,
-                tol: float = DEFAULT_TOL) -> TheoremReport:
-    """F = G specialization of the plain-product theorem.
-
-    The printed corollary groups its left side differently from the F = G
-    substitution into the general theorem.  Both assemblies are evaluated
-    against the same integral; the substitution form is the primary
-    verdict and the printed form is echoed alongside.
-    """
-    return integral_reports(f, f, c, dom, q, ("cor36",), tol)["cor36"]

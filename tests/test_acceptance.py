@@ -15,18 +15,7 @@ import pytest
 
 from harmonichh.aumann import QuadratureSpec, weighted_harmonic_integral
 from harmonichh.cli import default_config, main as cli_main, parse_config, run
-from harmonichh.hh_check import (
-    ConvexityGrid,
-    check_hh,
-    check_lemma_shift,
-    check_nikodem,
-    check_prop31,
-    check_strongly_harmonic_convex,
-    check_cor34,
-    check_cor36,
-    check_thm33,
-    check_thm35,
-)
+from harmonichh.hh_check import ConvexityGrid, grid_reports, integral_reports
 from harmonichh.set_core import (
     Disc,
     Interval,
@@ -48,6 +37,7 @@ from oracles import monte_carlo_oracle
 
 DOM12 = HarmonicDomain(1.0, 2.0)
 GL16 = QuadratureSpec()
+HH_IDS = ("hh_left", "hh_right")
 
 
 def report(number, ok, detail=""):
@@ -70,7 +60,7 @@ def seeded_certified_family(seed):
 def test_criterion_1_tight_hh_reproduction():
     start = time.perf_counter()
     f = make_quadratic_family(1, 1, 10, DOM12)
-    left, right = check_hh(f, 1.0, DOM12, GL16)
+    left, right = integral_reports(f, f, 1.0, DOM12, GL16, HH_IDS).values()
     elapsed = time.perf_counter() - start
 
     mean_ok = hausdorff(right.rhs, Interval(7 / 12, 113 / 12)) <= 1e-10
@@ -88,7 +78,7 @@ def test_criterion_2_margin_monotonicity():
     cs = (0.0, 0.25, 0.5, 0.75, 1.0)
     lefts, rights = [], []
     for c in cs:
-        left, right = check_hh(f, c, DOM12, GL16)
+        left, right = integral_reports(f, f, c, DOM12, GL16, HH_IDS).values()
         lefts.append(left.verdict.slack)
         rights.append(right.verdict.slack)
     mono = all(s1 >= s2 - 1e-12 for s1, s2 in zip(lefts, lefts[1:])) and \
@@ -111,7 +101,7 @@ def test_criterion_3_reciprocal_equivalence():
         f, modulus = seeded_certified_family(seed)
         # exercise both verdict signs: certified c and an excessive c
         for c in (modulus, 2.5 * modulus):
-            rep = check_prop31(f, c, grid)
+            rep = grid_reports(f, c, grid, ("prop_31",))["prop_31"]
             triples += len(grid.t_values) * grid.pair_count
             disagreements += rep.inputs_echo["disagreements"]
     ok = report(3, triples >= 10_000 and disagreements == 0,
@@ -124,22 +114,24 @@ def test_criterion_4_shift_lemma():
     all_hold = True
     for seed in range(20):
         f, modulus = seeded_certified_family(seed)
-        for direction in ("forward", "backward"):
-            rep = check_lemma_shift(f, modulus, grid, direction=direction)
-            all_hold = all_hold and rep.holds
+        # both directions of the lemma are one pair of checks
+        rep = grid_reports(f, modulus, grid, ("lemma_i",))["lemma_i"]
+        all_hold = all_hold and rep.holds
 
     uncertified = make_quadratic_family(0.5, 1.0, 10, DOM12)  # alpha < c = 1
     shifted = CShiftFn(uncertified, 1.0)
-    shifted_fails = not check_strongly_harmonic_convex(shifted, 0.0, grid).holds
+    shifted_fails = not grid_reports(shifted, 0.0, grid, ("def_shc",))["def_shc"].holds
     ok = report(4, all_hold and shifted_fails,
-                f"20 certified seeds x 2 directions hold: {all_hold}; "
+                f"20 certified seeds, both directions, hold: {all_hold}; "
                 f"uncertified shift fails: {shifted_fails}")
     assert ok
 
 
 def test_criterion_5_arithmetic_baseline():
     g = reciprocal_transform(make_quadratic_family(1, 1, 10, DOM12))
-    left, right = check_nikodem(g, 1.0, GL16)
+    f = reciprocal_transform(g)
+    left, right = integral_reports(f, f, 1.0, f.domain, GL16,
+                                   ("nikodem_left", "nikodem_right")).values()
     dom_ok = g.domain.a == pytest.approx(0.5) and g.domain.b == pytest.approx(1.0)
     slack_ok = abs(left.verdict.slack) <= 1e-10 and abs(right.verdict.slack) <= 1e-10
     ok = report(5, dom_ok and left.holds and right.holds and slack_ok,
@@ -180,12 +172,8 @@ def test_criterion_7_product_suite():
 
         def suite():
             f = make_quadratic_family(alpha, beta, K, DOM12)
-            return {
-                "thm33": check_thm33(f, f, c, DOM12, GL16),
-                "thm35": check_thm35(f, f, c, DOM12, GL16),
-                "cor34": check_cor34(f, c, DOM12, GL16),
-                "cor36": check_cor36(f, c, DOM12, GL16),
-            }
+            return {tid: integral_reports(f, f, c, DOM12, GL16, (tid,))[tid]
+                    for tid in ("thm33", "thm35", "cor34", "cor36")}
 
         first, second = suite(), suite()
         for tid in first:
@@ -228,7 +216,7 @@ def test_criterion_7_product_suite():
 def test_criterion_8_support_set_mode():
     # the disc family's sets are discs, decided exactly from centre and radius
     f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12)
-    left, right = check_hh(f, 1.0, DOM12, GL16, tol=1e-9)
+    left, right = integral_reports(f, f, 1.0, DOM12, GL16, HH_IDS, tol=1e-9).values()
     kind_ok = f.kind == "disc" and all(isinstance(s, Disc) for rep in (left, right)
                                        for s in (rep.lhs, rep.rhs))
     slack_ok = left.verdict.slack >= 0.0 - left.verdict.tolerance_used and \

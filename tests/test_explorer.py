@@ -158,8 +158,7 @@ class TestTheoremTable:
 
         counting("grid_reports", 3)
         counting("integral_reports", 5)
-        for name in ("_walk", "check_hh", "check_nikodem"):
-            counting(name)
+        counting("_walk")
         reports = run_theorems(build_function(QUADRATIC_CFG), ids, 1.0, GRID, QuadratureSpec())
         assert [r.theorem_id for r in reports] == list(ids)
         # each pass runs at most once, given its requested ids in THEOREM_IDS order

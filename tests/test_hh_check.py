@@ -7,25 +7,15 @@ import pytest
 
 from harmonichh import hh_check
 from harmonichh.aumann import QuadratureSpec
-from harmonichh.cli import default_config
 from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import (
     BLOCK_ELEMENTS,
     ConvexityGrid,
     TheoremReport,
     _Worst,
-    check_hh,
-    check_lemma_shift,
     check_modulus,
-    check_nikodem,
-    check_prop31,
-    check_strongly_harmonic_convex,
-    check_strongly_harmonic_midconvex,
-    check_cor34,
-    check_cor36,
-    check_thm33,
-    check_thm35,
     grid_reports,
+    integral_reports,
     shift_lemma_report,
 )
 from harmonichh.set_core import (KINDS, Disc, Interval, Kind, NonFiniteSetError, as_row, as_set,
@@ -39,7 +29,6 @@ from harmonichh.svf import (
     ReciprocalFn,
     SampledFn,
     make_disc_family,
-    make_family,
     make_quadratic_family,
     reciprocal_transform,
 )
@@ -48,6 +37,8 @@ from oracles import harmonic_combination, inclusion_rows
 DOM12 = HarmonicDomain(1.0, 2.0)
 GL16 = QuadratureSpec()
 PRODUCT_IDS = ("thm33", "cor34", "thm35", "cor36")
+NIKODEM_IDS = ("nikodem_left", "nikodem_right")
+HH_IDS = ("hh_left", "hh_right")
 GRID = ConvexityGrid()
 SMALL_GRID = ConvexityGrid(pair_count=64)
 
@@ -80,14 +71,14 @@ def brute_force_shc(f, c, dom, n_pairs=200, seed=0, harmonic=True):
 class TestStronglyHarmonicConvex:
     def test_tight_family_holds(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_strongly_harmonic_convex(f, 1.0, GRID)
+        rep = grid_reports(f, 1.0, GRID, ("def_shc",))["def_shc"]
         assert rep.holds
         assert rep.verdict.slack == pytest.approx(0.0, abs=1e-12)
         assert brute_force_shc(f, 1.0, DOM12) >= -1e-12
 
     def test_excess_modulus_fails(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_strongly_harmonic_convex(f, 2.0, GRID)
+        rep = grid_reports(f, 2.0, GRID, ("def_shc",))["def_shc"]
         assert not rep.holds
         assert rep.verdict.slack < 0
         assert brute_force_shc(f, 2.0, DOM12) < 0
@@ -106,7 +97,7 @@ class TestStronglyHarmonicConvex:
 
     def test_modulus_monotonicity(self):
         f = make_quadratic_family(2, 3, 20, DOM12)
-        slacks = [check_strongly_harmonic_convex(f, c, SMALL_GRID).verdict.slack
+        slacks = [grid_reports(f, c, SMALL_GRID, ("def_shc",))["def_shc"].verdict.slack
                   for c in (0.0, 0.5, 1.0, 1.5, 2.0)]
         assert all(s2 <= s1 + 1e-12 for s1, s2 in zip(slacks, slacks[1:]))
         assert all(s >= -1e-12 for s in slacks)  # certified at c = 2
@@ -118,46 +109,46 @@ class TestStronglyHarmonicConvex:
             K = (alpha + beta) + rng.uniform(1, 10)
             c = rng.uniform(0.1, 3.5)
             f = make_quadratic_family(alpha, beta, K, DOM12)
-            rep = check_strongly_harmonic_convex(f, c, SMALL_GRID)
+            rep = grid_reports(f, c, SMALL_GRID, ("def_shc",))["def_shc"]
             expected = c <= min(alpha, beta) + 1e-12
             assert rep.holds == expected
 
     def test_negative_modulus_rejected(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
         with pytest.raises(ValueError):
-            check_strongly_harmonic_convex(f, -1.0, GRID)
+            grid_reports(f, -1.0, GRID, ("def_shc",))
 
 
 class TestModulusRejected:
-    """The public grid checkers reject a negative or NaN modulus (the shift
-    lemma also 0) with ValueError before any evaluation."""
+    """The grid pass rejects a negative or NaN modulus (the shift lemma
+    also 0) with ValueError before any evaluation."""
 
     @pytest.mark.parametrize("c", [-1.0, float("nan")], ids=["negative", "nan"])
-    @pytest.mark.parametrize("check,message", [
-        (check_strongly_harmonic_convex, "modulus c must be >= 0"),
-        (check_strongly_harmonic_midconvex, "modulus c must be >= 0"),
-        (check_lemma_shift, "needs c > 0"),
-        (check_prop31, "modulus c must be >= 0"),
+    @pytest.mark.parametrize("tid,message", [
+        ("def_shc", "modulus c must be >= 0"),
+        ("def_mid", "modulus c must be >= 0"),
+        ("lemma_i", "needs c > 0"),
+        ("prop_31", "modulus c must be >= 0"),
     ], ids=["def_shc", "def_mid", "lemma", "prop_31"])
-    def test_bad_modulus(self, check, message, c):
+    def test_bad_modulus(self, tid, message, c):
         f = make_quadratic_family(1, 1, 10, DOM12)
         with pytest.raises(ValueError, match=message) as info:
-            check(f, c, SMALL_GRID)
+            grid_reports(f, c, SMALL_GRID, (tid,))
         assert not isinstance(info.value, NonFiniteSetError)
 
-    # every public checker, by the id it reports first
+    # each pass, by the first id its report names
     CHECKERS = {
-        "def_shc": lambda f, c: check_strongly_harmonic_convex(f, c, SMALL_GRID),
-        "def_mid": lambda f, c: check_strongly_harmonic_midconvex(f, c, SMALL_GRID),
-        "lemma_i": lambda f, c: check_lemma_shift(f, c, SMALL_GRID),
-        "lemma_ii": lambda f, c: check_lemma_shift(f, c, SMALL_GRID, midconvex=True),
-        "prop_31": lambda f, c: check_prop31(f, c, SMALL_GRID),
-        "nikodem_left": lambda f, c: check_nikodem(reciprocal_transform(f), c, GL16),
-        "hh_left": lambda f, c: check_hh(f, c, DOM12, GL16),
-        "thm33": lambda f, c: check_thm33(f, f, c, DOM12, GL16),
-        "cor34": lambda f, c: check_cor34(f, c, DOM12, GL16),
-        "thm35": lambda f, c: check_thm35(f, f, c, DOM12, GL16),
-        "cor36": lambda f, c: check_cor36(f, c, DOM12, GL16),
+        "def_shc": lambda f, c: grid_reports(f, c, SMALL_GRID, ("def_shc",)),
+        "def_mid": lambda f, c: grid_reports(f, c, SMALL_GRID, ("def_mid",)),
+        "lemma_i": lambda f, c: grid_reports(f, c, SMALL_GRID, ("lemma_i",)),
+        "lemma_ii": lambda f, c: grid_reports(f, c, SMALL_GRID, ("lemma_ii",)),
+        "prop_31": lambda f, c: grid_reports(f, c, SMALL_GRID, ("prop_31",)),
+        "nikodem_left": lambda f, c: integral_reports(f, f, c, DOM12, GL16, NIKODEM_IDS),
+        "hh_left": lambda f, c: integral_reports(f, f, c, DOM12, GL16, HH_IDS),
+        "thm33": lambda f, c: integral_reports(f, f, c, DOM12, GL16, ("thm33",)),
+        "cor34": lambda f, c: integral_reports(f, f, c, DOM12, GL16, ("cor34",)),
+        "thm35": lambda f, c: integral_reports(f, f, c, DOM12, GL16, ("thm35",)),
+        "cor36": lambda f, c: integral_reports(f, f, c, DOM12, GL16, ("cor36",)),
     }
 
     @pytest.mark.parametrize("c", [-1.0, float("nan")], ids=["negative", "nan"])
@@ -185,16 +176,16 @@ class TestModulusRejected:
 class TestMidconvex:
     def test_follows_from_full_check(self):
         f = make_quadratic_family(2, 3, 20, DOM12)
-        assert check_strongly_harmonic_midconvex(f, 2.0, GRID).holds
+        assert grid_reports(f, 2.0, GRID, ("def_mid",))["def_mid"].holds
 
     def test_tight_pair_slack_zero(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_strongly_harmonic_midconvex(f, 1.0, GRID)
+        rep = grid_reports(f, 1.0, GRID, ("def_mid",))["def_mid"]
         assert rep.holds
         assert rep.verdict.slack == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_with_zero_modulus(self):
-        rep = check_strongly_harmonic_midconvex(constant_fn(0, 1), 0.0, SMALL_GRID)
+        rep = grid_reports(constant_fn(0, 1), 0.0, SMALL_GRID, ("def_mid",))["def_mid"]
         assert rep.holds
         assert rep.verdict.slack == pytest.approx(0.0, abs=1e-9)
 
@@ -203,11 +194,12 @@ class TestProp31ArithmeticSide:
     """Arithmetic strong convexity of G(u) = F(1/u), as prop_31 reports it."""
 
     def test_quadratic_on_reciprocal_domain(self):
-        rep = check_prop31(make_quadratic_family(1, 1, 10, DOM12), 1.0, GRID)
+        rep = grid_reports(make_quadratic_family(1, 1, 10, DOM12), 1.0, GRID,
+                           ("prop_31",))["prop_31"]
         assert rep.inputs_echo["arithmetic_holds"]
 
     def test_constant_zero_modulus(self):
-        rep = check_prop31(constant_fn(1, 2), 0.0, SMALL_GRID)
+        rep = grid_reports(constant_fn(1, 2), 0.0, SMALL_GRID, ("prop_31",))["prop_31"]
         assert rep.inputs_echo["arithmetic_holds"]
         assert rep.inputs_echo["arithmetic_slack"] == pytest.approx(0.0, abs=1e-9)
 
@@ -216,55 +208,56 @@ class TestProp31ArithmeticSide:
         xs = np.linspace(0.5, 1.0, 101)
         g = SampledFn(xs, np.column_stack([xs, xs]), dom)
         # G = reciprocal_transform(F) is g itself, since the transform is an involution
-        rep = check_prop31(reciprocal_transform(g), 1.0, SMALL_GRID)
+        rep = grid_reports(reciprocal_transform(g), 1.0, SMALL_GRID, ("prop_31",))["prop_31"]
         assert not rep.inputs_echo["arithmetic_holds"]
 
 
 class TestLemmaShift:
     def test_forward_and_backward_hold(self):
+        # the lemma's two directions are one pair of checks, of F at modulus
+        # c and of the shifted map at modulus 0
         f = make_quadratic_family(1, 1, 10, DOM12)
-        for direction in ("forward", "backward"):
-            rep = check_lemma_shift(f, 1.0, SMALL_GRID, direction=direction)
-            assert rep.holds
-            assert rep.inputs_echo["verdicts_agree"]
+        rep = grid_reports(f, 1.0, SMALL_GRID, ("lemma_i",))["lemma_i"]
+        assert rep.holds
+        assert rep.inputs_echo["verdicts_agree"]
 
     def test_weaker_modulus_holds(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_lemma_shift(f, 0.5, SMALL_GRID)
+        rep = grid_reports(f, 0.5, SMALL_GRID, ("lemma_i",))["lemma_i"]
         assert rep.holds
 
     def test_midconvex_variant(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_lemma_shift(f, 1.0, SMALL_GRID, midconvex=True)
+        rep = grid_reports(f, 1.0, SMALL_GRID, ("lemma_ii",))["lemma_ii"]
         assert rep.theorem_id == "lemma_ii"
         assert rep.holds
 
     def test_uncertified_shift_fails_harmonic_convexity(self):
         f = make_quadratic_family(0.5, 1.0, 10, DOM12)  # alpha < c
         shifted = CShiftFn(f, 1.0)
-        rep = check_strongly_harmonic_convex(shifted, 0.0, SMALL_GRID)
+        rep = grid_reports(shifted, 0.0, SMALL_GRID, ("def_shc",))["def_shc"]
         assert not rep.holds
-        lemma = check_lemma_shift(f, 1.0, SMALL_GRID)
+        lemma = grid_reports(f, 1.0, SMALL_GRID, ("lemma_i",))["lemma_i"]
         assert not lemma.holds
         assert lemma.inputs_echo["verdicts_agree"]  # both sides fail together
 
     def test_requires_positive_c(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
         with pytest.raises(ValueError):
-            check_lemma_shift(f, 0.0, SMALL_GRID)
+            grid_reports(f, 0.0, SMALL_GRID, ("lemma_i",))
 
 
 class TestProp31:
     def test_certified_agrees_and_holds(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_prop31(f, 1.0, GRID)
+        rep = grid_reports(f, 1.0, GRID, ("prop_31",))["prop_31"]
         assert rep.holds
         assert rep.inputs_echo["disagreements"] == 0
         assert not rep.inputs_echo["consistency_failure"]
 
     def test_excess_modulus_agrees_and_fails(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_prop31(f, 1.5, GRID)
+        rep = grid_reports(f, 1.5, GRID, ("prop_31",))["prop_31"]
         assert not rep.holds
         assert not rep.inputs_echo["arithmetic_holds"]
         assert rep.inputs_echo["disagreements"] == 0
@@ -272,7 +265,7 @@ class TestProp31:
     def test_trivial_t_grid(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
         grid = ConvexityGrid(pair_count=64, t_values=(0.0, 0.5, 1.0))
-        rep = check_prop31(f, 1.0, grid)
+        rep = grid_reports(f, 1.0, grid, ("prop_31",))["prop_31"]
         assert rep.holds and rep.inputs_echo["disagreements"] == 0
 
     @pytest.mark.parametrize("block_pairs", [1, 7, None])
@@ -297,7 +290,8 @@ class TestProp31:
 class TestNikodem:
     def test_tight_quadratic_oracle_values(self):
         g = reciprocal_transform(make_quadratic_family(1, 1, 10, DOM12))
-        left, right = check_nikodem(g, 1.0, GL16)
+        f = reciprocal_transform(g)
+        left, right = integral_reports(f, f, 1.0, f.domain, GL16, NIKODEM_IDS).values()
         assert left.holds and right.holds
         assert left.verdict.slack == pytest.approx(0.0, abs=1e-10)
         assert right.verdict.slack == pytest.approx(0.0, abs=1e-10)
@@ -308,40 +302,25 @@ class TestNikodem:
 
     def test_constant_zero_modulus(self):
         g = constant_fn(1, 2, HarmonicDomain(0.5, 1.0))
-        left, right = check_nikodem(g, 0.0, GL16)
+        f = reciprocal_transform(g)
+        left, right = integral_reports(f, f, 0.0, f.domain, GL16, NIKODEM_IDS).values()
         assert left.holds and right.holds
         assert abs(left.verdict.slack) <= 1e-9
         assert abs(right.verdict.slack) <= 1e-9
 
     def test_margin_with_stronger_curvature(self):
         g = reciprocal_transform(make_quadratic_family(2, 2, 10, DOM12))
-        left, right = check_nikodem(g, 1.0, GL16)
+        f = reciprocal_transform(g)
+        left, right = integral_reports(f, f, 1.0, f.domain, GL16, NIKODEM_IDS).values()
         assert left.holds and right.holds
         assert left.verdict.slack > 1e-3
         assert right.verdict.slack > 1e-3
-
-    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
-    @pytest.mark.parametrize("make", [
-        lambda: make_family(default_config()["families"][0]),
-        lambda: make_disc_family((1, 0), (0, 1), 3, 1, DOM12),
-    ], ids=["default-quadratic", "disc"])
-    def test_one_route_with_the_integral_pass(self, make, c):
-        # check_nikodem on G(u) = F(1/u) is the integral pass's Nikodem pair
-        # of F, field for field: no second route with a rule of its own
-        f = make()
-        ids = ["nikodem_left", "nikodem_right"]
-        for got, want in zip(check_nikodem(reciprocal_transform(f), c, GL16),
-                             run_theorems(f, ids, c, SMALL_GRID, GL16), strict=True):
-            assert got.theorem_id == want.theorem_id
-            assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
-            assert got.verdict == want.verdict
-            assert got.error_budget == want.error_budget
 
 
 class TestHH:
     def test_tight_family_exact_values(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        left, right = check_hh(f, 1.0, DOM12, GL16)
+        left, right = integral_reports(f, f, 1.0, DOM12, GL16, HH_IDS).values()
         assert left.holds and right.holds
         assert left.verdict.slack == pytest.approx(0.0, abs=1e-10)
         assert right.verdict.slack == pytest.approx(0.0, abs=1e-10)
@@ -354,8 +333,8 @@ class TestHH:
 
     def test_halved_modulus_frees_margin(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        left_1, right_1 = check_hh(f, 1.0, DOM12, GL16)
-        left_h, right_h = check_hh(f, 0.5, DOM12, GL16)
+        left_1, right_1 = integral_reports(f, f, 1.0, DOM12, GL16, HH_IDS).values()
+        left_h, right_h = integral_reports(f, f, 0.5, DOM12, GL16, HH_IDS).values()
         # delta^2 = 1/4: left margin grows by (1/12 - 1/24)/4 = 1/96
         assert left_h.verdict.slack - left_1.verdict.slack == \
             pytest.approx(1 / 96, abs=1e-12)
@@ -365,14 +344,14 @@ class TestHH:
     def test_upper_translation_leaves_lower_slack(self):
         base = make_quadratic_family(1, 1, 10, DOM12)
         lifted = make_quadratic_family(1, 1, 14, DOM12)
-        l0, _ = check_hh(base, 1.0, DOM12, GL16)
-        l1, _ = check_hh(lifted, 1.0, DOM12, GL16)
+        l0, _ = integral_reports(base, base, 1.0, DOM12, GL16, HH_IDS).values()
+        l1, _ = integral_reports(lifted, lifted, 1.0, DOM12, GL16, HH_IDS).values()
         # slack attained on the lower endpoint is translation invariant
         assert l0.verdict.slack == pytest.approx(l1.verdict.slack, abs=1e-10)
 
     def test_disc_kind(self):
         f = make_disc_family((1, 0), (0, 1), 3, 1, DOM12)
-        left, right = check_hh(f, 1.0, DOM12, GL16)
+        left, right = integral_reports(f, f, 1.0, DOM12, GL16, HH_IDS).values()
         assert left.holds and right.holds
         # the mean of F(1/u) over [1/2, 1]: centre (3/4, 1), radius 3 - 7/12
         assert hausdorff(right.rhs, Disc((0.75, 1.0), 3.0 - 7.0 / 12.0)) <= 1e-15
@@ -430,8 +409,7 @@ class TestIntegralPass:
         monkeypatch.setattr(type(f), "eval_vector", lambda self, xs, out=None: points.append(
             tuple(xs)) or original(self, xs, out=out))
         run_theorems(f, ids, 0.75, SMALL_GRID, QuadratureSpec(substitution=substitution))
-        # aumann_integral never runs: no checker calls it, check_nikodem
-        # included, as it runs this pass too
+        # aumann_integral never runs: the pass does not call it
         assert calls == ["weighted_harmonic_integral"] * integrals
         # F once at a, at b and at the harmonic midpoint for all the ids
         assert sorted(p for p in points if len(p) == 1) == \
@@ -441,24 +419,23 @@ class TestIntegralPass:
 class TestProductTheorems:
     def test_constants_collapse(self):
         f = constant_fn(1, 2)
-        rep33 = check_thm33(f, f, 0.0, DOM12, GL16)
+        rep33, rep35 = integral_reports(f, f, 0.0, DOM12, GL16, ("thm33", "thm35")).values()
         # (1/6)(2 [1,4]) + (1/3)(2 [1,4]) = [1,4] = RHS
         assert hausdorff(rep33.lhs, Interval(1, 4)) <= 1e-9
         assert hausdorff(rep33.rhs, Interval(1, 4)) <= 1e-9
         assert abs(rep33.verdict.slack) <= 1e-8
-        rep35 = check_thm35(f, 0.0 * 1 + f if False else f, 0.0, DOM12, GL16)
         assert abs(rep35.verdict.slack) <= 1e-8
 
     def test_degenerate_factor_reduces_to_hh_right(self):
         one = constant_fn(1, 1)
         g = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_thm35(one, g, 0.0, DOM12, GL16)
+        rep = integral_reports(one, g, 0.0, DOM12, GL16, ("thm35",))["thm35"]
         assert rep.holds
 
     def test_statement_and_proof_forms_coincide_on_positive_sets(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
         g = make_quadratic_family(2, 1.5, 16, DOM12)
-        rep = check_thm33(f, g, 1.0, DOM12, GL16)
+        rep = integral_reports(f, g, 1.0, DOM12, GL16, ("thm33",))["thm33"]
         assert rep.inputs_echo["assembly_gap"] <= 1e-12
         assert rep.inputs_echo["proof_form_slack"] == pytest.approx(
             rep.verdict.slack, abs=1e-12)
@@ -467,10 +444,9 @@ class TestProductTheorems:
         # the integrated bracket product is exactly the printed expansion's
         # scalar endpoint algebra, and for quadratic families it is tight
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep33 = check_thm33(f, f, 1.0, DOM12, GL16)
+        rep33, rep35 = integral_reports(f, f, 1.0, DOM12, GL16, ("thm33", "thm35")).values()
         assert rep33.inputs_echo["chain_form_holds"]
         assert rep33.inputs_echo["chain_form_slack"] == pytest.approx(0.0, abs=1e-10)
-        rep35 = check_thm35(f, f, 1.0, DOM12, GL16)
         assert rep35.inputs_echo["chain_form_holds"]
         assert rep35.inputs_echo["chain_form_slack"] == pytest.approx(0.0, abs=1e-10)
 
@@ -479,30 +455,30 @@ class TestProductTheorems:
         # S from the lower endpoint; the statement-form left side exceeds
         # the integral there, so the printed inclusion fails
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_thm33(f, f, 1.0, DOM12, GL16)
+        rep = integral_reports(f, f, 1.0, DOM12, GL16, ("thm33",))["thm33"]
         assert not rep.holds
         assert rep.verdict.slack < -0.1
         assert rep.inputs_echo["chain_form_holds"]
 
     def test_cor34_bitwise_equals_thm33(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        t33 = check_thm33(f, f, 1.0, DOM12, GL16)
-        c34 = check_cor34(f, 1.0, DOM12, GL16)
+        t33 = integral_reports(f, f, 1.0, DOM12, GL16, ("thm33",))["thm33"]
+        c34 = integral_reports(f, f, 1.0, DOM12, GL16, ("cor34",))["cor34"]
         assert c34.theorem_id == "cor34"
         assert dataclasses.replace(c34, theorem_id="thm33") == t33
 
     def test_cor36_reports_both_variants(self):
         f = make_quadratic_family(1, 1, 10, DOM12)
-        rep = check_cor36(f, 1.0, DOM12, GL16)
+        rep = integral_reports(f, f, 1.0, DOM12, GL16, ("cor36",))["cor36"]
         assert rep.theorem_id == "cor36"
         assert "printed_slack" in rep.inputs_echo
         assert "printed_holds" in rep.inputs_echo
-        t35 = check_thm35(f, f, 1.0, DOM12, GL16)
+        t35 = integral_reports(f, f, 1.0, DOM12, GL16, ("thm35",))["thm35"]
         assert rep.verdict.slack == t35.verdict.slack
 
     def test_cor36_constant_collapse(self):
         f = constant_fn(1, 2)
-        rep = check_cor36(f, 0.0, DOM12, GL16)
+        rep = integral_reports(f, f, 0.0, DOM12, GL16, ("cor36",))["cor36"]
         # derived variant collapses to [1,4] vs [1,4]
         assert abs(rep.verdict.slack) <= 1e-8
 
@@ -523,7 +499,7 @@ class TestProductTheorems:
         original = QuadraticIntervalFn.eval_vector
         monkeypatch.setattr(QuadraticIntervalFn, "eval_vector", lambda self, xs, out=None:
                             points.append((self.alpha, tuple(xs))) or original(self, xs, out=out))
-        reports = hh_check.integral_reports(f, g, 1.0, DOM12, GL16, ids)
+        reports = integral_reports(f, g, 1.0, DOM12, GL16, ids)
         assert list(reports) == list(ids)
         integrals = [name for tid, cor, name in (
             ("thm33", "cor34", "reflected_product_integral"),
@@ -531,30 +507,22 @@ class TestProductTheorems:
         assert sorted(calls) == sorted(integrals + ["bracket_product_integral"] * len(integrals))
         ends = [p for p in points if len(p[1]) == 1]
         assert sorted(ends) == sorted({(h.alpha, (x,)) for h in (f, g) for x in (1.0, 2.0)})
-        views = {"thm33": lambda: check_thm33(f, g, 1.0, DOM12, GL16),
-                 "thm35": lambda: check_thm35(f, g, 1.0, DOM12, GL16),
-                 "cor34": lambda: check_cor34(f, 1.0, DOM12, GL16),
-                 "cor36": lambda: check_cor36(f, 1.0, DOM12, GL16)}
         # one pass for several ids gives each id's report on its own
-        assert all(reports[tid] == views[tid]() for tid in ids)
+        assert all(reports[tid] == integral_reports(f, g, 1.0, DOM12, GL16, (tid,))[tid]
+                   for tid in ids)
 
     @pytest.mark.parametrize("ids", [("cor34",), ("thm33", "cor36")])
     def test_corollaries_need_g_is_f(self, ids):
         f = make_quadratic_family(1, 1, 10, DOM12)
         g = make_quadratic_family(2, 1.5, 16, DOM12)
         with pytest.raises(ValueError, match="G = F"):
-            hh_check.integral_reports(f, g, 1.0, DOM12, GL16, ids)
+            integral_reports(f, g, 1.0, DOM12, GL16, ids)
 
-    @pytest.mark.parametrize("check", [
-        lambda f, dom: check_thm33(f, f, 1.0, dom, GL16),
-        lambda f, dom: check_thm35(f, f, 1.0, dom, GL16),
-        lambda f, dom: check_cor34(f, 1.0, dom, GL16),
-        lambda f, dom: check_cor36(f, 1.0, dom, GL16),
-    ], ids=["thm33", "thm35", "cor34", "cor36"])
-    def test_domain_wider_than_f_rejected(self, check):
+    @pytest.mark.parametrize("tid", ["thm33", "thm35", "cor34", "cor36"])
+    def test_domain_wider_than_f_rejected(self, tid):
         f = make_quadratic_family(1, 1, 10, DOM12)
         with pytest.raises(DomainError, match=r"point 0\.9 outside \[1\.0, 2\.0\]"):
-            check(f, HarmonicDomain(0.9, 2.0))
+            integral_reports(f, f, 1.0, HarmonicDomain(0.9, 2.0), GL16, (tid,))
 
 
 class TestMomentConstants:

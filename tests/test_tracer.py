@@ -74,3 +74,13 @@ def test_traced_default_unit_counts(spans):
     # quadrature nodes less the 48 of thm35's G = F, which reads F's values,
     # and F at a, b and 2ab/(a+b) once for all eight integral ids
     assert metrics["svf.eval_vector.points"] == 11459
+
+
+def test_deleted_checks_are_names_bound_to_none(spans):
+    # run_theorems and its two passes are the one way to run a theorem: the
+    # checks the tracer still looks up in cli and explorer are names bound to
+    # None there, until the tracer stops looking them up (ROADMAP item 1)
+    for module in (cli, explorer):
+        assert {name: getattr(module, name) for name in spans.CHECKERS} == \
+            dict.fromkeys(spans.CHECKERS), module.__name__
+    assert {name for name in vars(hh_check) if name.startswith("check_")} == {"check_modulus"}

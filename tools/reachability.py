@@ -15,7 +15,8 @@ It then prints every function defined under SRC/harmonichh (parsed with
 A name the benchmark's span tracer (``perfbench/spans.py``) wraps, or a
 method of a class it looks up by name and no run reaches at all, is
 marked as such: it cannot leave ``src/`` until the benchmark stops
-looking it up (ROADMAP item 1).  Abstract methods are marked too.
+looking it up (ROADMAP item 1).  Names the tracer wraps that are bound to
+None hold no function and are skipped.  Abstract methods are marked too.
 
     python tools/reachability.py [SRC]
 
@@ -124,7 +125,9 @@ def traced_calls() -> set:
 
 def tracer_held() -> tuple:
     """(path, first line) of every function the span tracer wraps, and the
-    names of the classes it looks up, read from an installed tracer."""
+    names of the classes it looks up, read from an installed tracer.  A
+    name bound to None (a deleted check the tracer still looks up) holds no
+    function and is skipped."""
     import spans
 
     tracer = spans.Tracer()
@@ -135,6 +138,8 @@ def tracer_held() -> tuple:
         tracer.remove()
     wrapped, classes = set(), set()
     for owner, _, original in patches:
+        if original is None:
+            continue
         code = original.__code__
         wrapped.add((os.path.realpath(code.co_filename), code.co_firstlineno))
         if isinstance(owner, type):
