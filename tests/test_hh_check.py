@@ -7,6 +7,7 @@ import pytest
 
 from harmonichh import hh_check
 from harmonichh.aumann import QuadratureSpec
+from harmonichh.cli import default_config
 from harmonichh.explorer import run_theorems
 from harmonichh.hh_check import (
     BLOCK_ELEMENTS,
@@ -29,6 +30,7 @@ from harmonichh.svf import (
     ReciprocalFn,
     SampledFn,
     make_disc_family,
+    make_family,
     make_quadratic_family,
     reciprocal_transform,
 )
@@ -315,6 +317,25 @@ class TestNikodem:
         assert left.holds and right.holds
         assert left.verdict.slack > 1e-3
         assert right.verdict.slack > 1e-3
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("make", [
+        lambda: make_family(default_config()["families"][0]),
+        lambda: make_disc_family((1, 0), (0, 1), 3, 1, DOM12),
+    ], ids=["default-quadratic", "disc"])
+    def test_one_route_with_the_integral_pass(self, make, c):
+        # the arithmetic Nikodem pair of G(u) = F(1/u) on G's own domain is
+        # run_theorems' Nikodem pair of F, field for field: no second route
+        # with a rule of its own
+        f = make()
+        g = reciprocal_transform(reciprocal_transform(f))
+        got_pair = integral_reports(g, g, c, g.domain, GL16, NIKODEM_IDS).values()
+        for got, want in zip(got_pair, run_theorems(f, NIKODEM_IDS, c, SMALL_GRID, GL16),
+                             strict=True):
+            assert got.theorem_id == want.theorem_id
+            assert (got.lhs, got.rhs) == (want.lhs, want.rhs)
+            assert got.verdict == want.verdict
+            assert got.error_budget == want.error_budget
 
 
 class TestHH:
